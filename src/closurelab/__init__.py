@@ -16,16 +16,15 @@ from .catalog import (ManifestEntry, catalog_entries, load_manifest,
 from .closure import (ClosureResult, GenericCharData, TowerDescription,
                       base_change_presentation, closure_from_presentation,
                       divides_check, etale_closure_dim, galois_factor_count,
-                      generic_char_poly, j_generators, local_generators,
-                      m_closure, modular_primes, monogenic_algebra,
-                      monogenic_tower, naive_closure, presentation_mod_p,
-                      product_formula_dim, s_closure, transform_monic)
+                      generic_char_poly, m_closure, modular_primes,
+                      monogenic_algebra, monogenic_tower, naive_closure,
+                      presentation_mod_p, product_formula_dim,
+                      transform_monic)
 from .finalg import (AlgebraElement, AlgebraMap, CharPoly, QuotientAlgebra,
                      RowSpace, StructureAlgebra, TableAlgebra,
-                     TensorPairAlgebra, TensorPowerAlgebra,
-                     algebra_from_presentation, algebra_product,
-                     berkowitz_charpoly, char_poly, ideal_subspace_dim,
-                     mult_matrix, quotient_algebra, tensor_power)
+                     TensorPairAlgebra, algebra_from_presentation,
+                     algebra_product, berkowitz_charpoly, char_poly,
+                     ideal_subspace_dim, mult_matrix, quotient_algebra)
 from .groebner import GroebnerBasis, buchberger, normal_form, standard_monomials
 from .multipoly import (AlgebraPresentation, Monomial, MultiPoly, PolyRing,
                         parse_poly, parse_presentation, parse_univariate)

@@ -234,7 +234,7 @@ def cmd_transform(args) -> int:
         g, _ = parse_univariate(args.g, fieldh, var=None)
         if not f or f[-1] != fieldh.one:
             raise ParseError("f must be monic")
-    except _PARSE_ERRORS as exc:
+    except _PARSE_ERRORS + (ValueError,) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     out = transform_monic(f, g, fieldh)
@@ -251,7 +251,7 @@ def cmd_tower(args) -> int:
             raise ParseError("f must be monic")
         if fieldh is None and any(c.denominator != 1 for c in f):
             raise ParseError("integer tower needs integer coefficients")
-    except _PARSE_ERRORS as exc:
+    except _PARSE_ERRORS + (ValueError,) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
@@ -259,6 +259,9 @@ def cmd_tower(args) -> int:
     except DegreeTooSmall as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except ValueError as exc:             # negative m
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     if args.json:
         print(json.dumps({"base": tower.base, "degree": tower.degree,
                           "m": tower.m, "dim": tower.dim,

@@ -2,28 +2,30 @@
 
 The m-closure of an algebra A of dimension n is the universal algebra with m
 maps from A such that the product of (Z - image_s(a)) divides the
-characteristic polynomial of a, for every a in every base change of A.  It
-is computed as a quotient of the m-fold tensor power: the generic element
-gamma = sum e_i X_i has a characteristic polynomial P(Z) with coefficients
-in K[X_1..X_n]; dividing P by (Z - gamma_1), then the quotient by
-(Z - gamma_2), and so on, leaves one remainder per slot, and the X-monomial
-coefficients of those remainders generate the defining ideal.
+characteristic polynomial of a, for every a in every base change of A.  The
+generic element gamma = sum e_i X_i has a characteristic polynomial P(Z) with
+coefficients in K[X_1..X_n]; dividing P by (Z - gamma_1), then the quotient
+by (Z - gamma_2), and so on, leaves one remainder per slot, and the
+X-monomial coefficients of those remainders generate the defining ideal
+inside the m-fold tensor power.
 
-Two strategies produce the same algebra:
-
-* flat    - materialize the full tensor power and quotient once;
-* staged  - quotient slot by slot, so stage s works inside
-            (closure at s-1) tensor A, which is far smaller whenever the
-            intermediate closures collapse.  The equivalence is an instance
-            of the universal property and is cross-checked in the tests.
+The slot-s relations involve slots 1..s only, so the closure is built one
+slot at a time: stage s quotients (closure after s-1 slots) tensor A by the
+slot-s relations, which is far smaller than the tensor power whenever the
+intermediate closures collapse.  A seed schedule supplies each stage's
+relations: synthetic division (general), complete homogeneous sums (the
+local shortcut), or synthetic division of the characteristic polynomial
+of each element of A (naive).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import time
 from dataclasses import dataclass, field as dataclass_field
+from functools import partial
 
 from .arith import (DEFAULT_MODULAR_PRIMES, Field, FieldDescriptor, GF,
                     field_create)
@@ -32,12 +34,11 @@ from .errors import (BudgetExceeded, CertificateFailure, DegreeTooSmall,
                      ModularDisagreement, NotLocal, UnsupportedField)
 from .finalg import (AlgebraElement, AlgebraMap, CharPoly, PolyOps,
                      QuotientAlgebra, RowSpace, StructureAlgebra, TableAlgebra,
-                     TensorPairAlgebra, TensorPowerAlgebra,
-                     algebra_from_presentation, berkowitz_charpoly, char_poly,
-                     power_budget, tensor_power, vec_add_into)
+                     TensorPairAlgebra, algebra_from_presentation,
+                     berkowitz_charpoly, char_poly, dedupe_rows, power_budget,
+                     stride_multiplier, vec_add_into)
 from .multipoly import AlgebraPresentation, MultiPoly, PolyRing
 
-FLAT_LIMIT = 700            # widest tensor power handled without staging
 MORPHISM_PAIR_BUDGET = 512  # basis pairs checked per map on huge closures
 DIVIDES_DIM_LIMIT = 600     # closures above this skip the full recomputation
 
@@ -112,11 +113,13 @@ def _xp_add_into(fieldh, target, src):
     return target
 
 
-def _xp_gamma_mult(fieldh, xp, mults):
-    """Multiply an X-polynomial by sum_i mults[i] * X_i."""
+def _xp_gamma_mult(fieldh, mults, xp, first=0):
+    """Multiply an X-polynomial by sum_{i >= first} mults[i] * X_i; first=1
+    drops the constant part X_1 of gamma."""
     out = {}
     for mono, vec in xp.items():
-        for i, mult in enumerate(mults):
+        for i in range(first, len(mults)):
+            mult = mults[i]
             if mult is None:      # identity slot
                 mv = vec
             else:
@@ -133,152 +136,148 @@ def _xp_gamma_mult(fieldh, xp, mults):
     return out
 
 
-def _xp_project(xp, project):
+def _xp_map(xp, fn):
+    """Apply a linear map to the coefficients, dropping those sent to 0."""
     out = {}
     for mono, vec in xp.items():
-        img = project(vec)
+        img = fn(vec)
         if img:
             out[mono] = img
     return out
 
 
-def _synthetic_divide(fieldh, zcoeffs, mults):
+def _synthetic_divide(fieldh, zcoeffs, times_gamma):
     """Divide a monic Z-polynomial by (Z - gamma); returns (quotient, rem).
 
     Horner in Z: the quotient coefficients are the intermediate
-    accumulators, the remainder is the value at gamma.
+    accumulators, the remainder is the value at gamma.  Coefficients are
+    dicts of algebra vectors (X-polynomials, or one entry per point of A);
+    `times_gamma` multiplies one by gamma.
     """
     d = len(zcoeffs) - 1
     quot = [None] * d
     quot[d - 1] = zcoeffs[d]
     for k in range(d - 1, 0, -1):
-        acc = _xp_gamma_mult(fieldh, quot[k], mults)
+        acc = times_gamma(quot[k])
         _xp_add_into(fieldh, acc, zcoeffs[k])
         quot[k - 1] = acc
-    rem = _xp_gamma_mult(fieldh, quot[0], mults)
+    rem = times_gamma(quot[0])
     _xp_add_into(fieldh, rem, zcoeffs[0])
     return quot, rem
 
 
-def _lift_scalar_coeffs(coeffs, unit_col=0):
+def _lift_scalar_coeffs(coeffs):
     """K[X] coefficients of P as X-polynomials over any algebra, via c*1."""
-    out = []
-    for poly in coeffs:
-        out.append({mono: {unit_col: c} for mono, c in poly.terms.items()})
-    return out
+    return [{mono: {0: c} for mono, c in poly.terms.items()} for poly in coeffs]
 
 
 def _rows_of(xp):
     return [vec for _, vec in sorted(xp.items())]
 
 
-def _dedupe_rows(fieldh, rows):
-    """Drop zero rows and rows equal up to scaling."""
-    out = []
-    seen = set()
-    for vec in rows:
-        vec = {k: v for k, v in vec.items() if v}
-        if not vec:
-            continue
-        pivot = max(vec)
-        inv = fieldh.inv(vec[pivot])
-        key = frozenset((k, fieldh.mul(inv, v)) for k, v in vec.items())
-        if key not in seen:
-            seen.add(key)
-            out.append(vec)
-    return out
+def _gamma_mults(a: StructureAlgebra):
+    """Multipliers by e_1..e_{n-1} of A on the last tensor digit (stride 1);
+    with the identity at index 0, their X-weighted sum is gamma.  The same
+    operators act on A itself and on every (closure) tensor A."""
+    one = a.field.one
+    return [None] + [stride_multiplier(a, {i: one}, 1) for i in range(1, a.dim)]
 
 
 # ---------------------------------------------------------------------------
-# generator schedules
+# seed schedules
+#
+# A schedule carries the state it needs from stage to stage, with
+# coefficients in the closure built so far.  `stage(embed)` embeds that
+# state into (closure) tensor A, advances it by the new slot's gamma and
+# returns the stage's seed rows; `project` maps the state into the stage's
+# quotient.  Stage 1 runs in A itself.
 
 
-def closure_ideal_rows(a: StructureAlgebra, m: int, tensor: TensorPowerAlgebra,
-                       gcd: GenericCharData | None = None):
-    """Defining ideal generators inside the m-fold tensor power: for each
-    slot s, the X-monomial coefficients of the remainder left after dividing
-    the running quotient of P by (Z - gamma_s).  The slot-1 remainder is the
-    Cayley-Hamilton identity and vanishes."""
-    if gcd is None:
-        gcd = generic_char_poly(a)
-    fieldh = a.field
-    one = fieldh.one
-    zc = _lift_scalar_coeffs(gcd.coeffs)
-    rows = []
-    for s in range(m):
-        mults = [None] + [tensor.slot_multiplier(s, {i: one})
-                          for i in range(1, a.dim)]
-        zc, rem = _synthetic_divide(fieldh, zc, mults)
-        rows.extend(_rows_of(rem))
-    return rows
+class _GeneralSchedule:
+    """Synthetic division of the running quotient of P by (Z - gamma_s); the
+    seeds are the X-monomial coefficients of the remainder.  The slot-1
+    remainder is the Cayley-Hamilton identity and must vanish."""
+
+    def __init__(self, a: StructureAlgebra):
+        self.fieldh = a.field
+        self.times_gamma = partial(_xp_gamma_mult, a.field, _gamma_mults(a))
+        self._start(_lift_scalar_coeffs(generic_char_poly(a).coeffs))
+
+    def _start(self, zc):
+        self.zc, rem = _synthetic_divide(self.fieldh, zc, self.times_gamma)
+        if any(rem.values()):
+            raise CertificateFailure("Cayley-Hamilton remainder is nonzero")
+
+    def stage(self, embed):
+        zc = [_xp_map(coeff, embed) for coeff in self.zc]
+        self.zc, rem = _synthetic_divide(self.fieldh, zc, self.times_gamma)
+        return _rows_of(rem)
+
+    def project(self, project):
+        self.zc = [_xp_map(coeff, project) for coeff in self.zc]
 
 
-def j_generators(a: StructureAlgebra, m: int, budget: int | None = None):
-    """Public form of the generator schedule: elements of the tensor power."""
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    tensor, _ = tensor_power(a, m, budget)
-    rows = closure_ideal_rows(a, m, tensor)
-    return [tensor.element_from_dict(r) for r in rows]
+class _NaiveSchedule(_GeneralSchedule):
+    """Divisibility imposed for the elements of A only: the same division,
+    run on the characteristic polynomial P_a of each coset representative
+    a = (0, t_2..t_n) of A modulo constants, with coefficients keyed by a
+    instead of by X-monomial.  Evaluating the generic remainder at X = a
+    gives the same rows, but needs the symbolic P, which is far larger."""
 
+    def __init__(self, a: StructureAlgebra):
+        fieldh = a.field
+        self.fieldh = fieldh
+        points = [a.element((fieldh.zero,) + tail) for tail in
+                  itertools.product(list(fieldh.elements()), repeat=a.dim - 1)]
+        mults = [stride_multiplier(a, p.to_dict(), 1) for p in points]
 
-def local_ideal_rows(a: StructureAlgebra, m: int, tensor: TensorPowerAlgebra):
-    """Generator schedule for a local algebra with nilpotent maximal ideal.
-
-    With gamma' = gamma - X_1 (constant part removed) the characteristic
-    polynomial is Z^n, and the slot-s remainder collapses to the complete
-    homogeneous sum of degree n-s+1 in gamma'_1..gamma'_s.
-    """
-    fieldh = a.field
-    one = fieldh.one
-    n = a.dim
-    # slot multiplier lists for gamma' (no identity term)
-    slot_mults = [
-        [None] + [tensor.slot_multiplier(s, {i: one}) for i in range(1, n)]
-        for s in range(m)
-    ]
-    unit_mono = (0,) * n
-    # h[k] = complete homogeneous sum of degree k in the slots used so far
-    h = [{} for _ in range(n + 1)]
-    h[0] = {unit_mono: {0: one}}
-    rows = []
-    for s in range(m):
-        mults = slot_mults[s]
-
-        def gamma_prime_mult(xp):
-            # multiply by gamma'_s = sum_{i>=1} eps_s(e_i) X_i
+        def times_gamma(coeff):
             out = {}
-            for mono, vec in xp.items():
-                for i in range(1, n):
-                    mv = mults[i](vec)
-                    if not mv:
-                        continue
-                    nm = mono[:i] + (mono[i] + 1,) + mono[i + 1:]
-                    if nm in out:
-                        vec_add_into(fieldh, out[nm], mv)
-                        if not out[nm]:
-                            del out[nm]
-                    else:
-                        out[nm] = mv
+            for j, vec in coeff.items():
+                img = mults[j](vec)
+                if img:
+                    out[j] = img
             return out
 
-        for k in range(1, n + 1):
-            term = gamma_prime_mult(h[k - 1])
-            _xp_add_into(fieldh, h[k], term)
-        rows.extend(_rows_of(h[n - s]))  # degree n - (s+1) + 1
-    return rows
+        self.times_gamma = times_gamma
+        polys = [char_poly(a, p).coeffs for p in points]
+        self._start([{j: {0: c[k]} for j, c in enumerate(polys) if c[k]}
+                     for k in range(a.dim + 1)])
 
 
-def local_generators(a: StructureAlgebra, m: int, budget: int | None = None):
-    """Elements of the tensor power generating the same ideal as
-    `j_generators`, via the nilpotent shortcut."""
-    if not (1 <= m <= a.dim):
-        raise ValueError("need 1 <= m <= dim")
-    if not a.is_local_nilpotent():
-        raise NotLocal("algebra is not local with nilpotent maximal ideal")
-    tensor, _ = tensor_power(a, m, budget)
-    rows = local_ideal_rows(a, m, tensor)
-    return [tensor.element_from_dict(r) for r in rows]
+class _LocalSchedule:
+    """Local algebra with nilpotent maximal ideal: with gamma' = gamma - X_1
+    the characteristic polynomial is Z^n, and the slot-s remainder is the
+    complete homogeneous sum h_{n-s+1} of gamma'_1..gamma'_s.  The sums obey
+    h_k <- h_k + gamma'_s h_{k-1}, so stage s advances h_1..h_{n-s+1} and
+    keeps the degrees the later slots need."""
+
+    def __init__(self, a: StructureAlgebra):
+        self.fieldh = a.field
+        self.mults = _gamma_mults(a)
+        n = a.dim
+        self.h = [{(0,) * n: {0: a.field.one}}] + [{} for _ in range(n)]
+        self._advance()
+
+    def _advance(self):
+        h = self.h
+        top = len(h) - 1          # degree of this slot's remainder
+        for k in range(1, top + 1):
+            _xp_add_into(self.fieldh, h[k], _xp_gamma_mult(
+                self.fieldh, self.mults, h[k - 1], first=1))
+        self.h = h[:top]
+        return _rows_of(h[top])
+
+    def stage(self, embed):
+        self.h = [_xp_map(xp, embed) for xp in self.h]
+        return self._advance()
+
+    def project(self, project):
+        self.h = [_xp_map(xp, project) for xp in self.h]
+
+
+_SCHEDULES = {"general": _GeneralSchedule, "local-shortcut": _LocalSchedule,
+              "naive": _NaiveSchedule}
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +289,6 @@ class ClosureResult:
     input_algebra: StructureAlgebra
     m: int
     method: str                 # general | local-shortcut | naive
-    strategy: str               # flat | staged | trivial
     closure: StructureAlgebra
     maps: list
     dim: int
@@ -298,7 +296,12 @@ class ClosureResult:
     rank: int
     elapsed_ms: float
     field: FieldDescriptor
-    stage_dims: tuple = ()
+    stage_dims: tuple = ()      # closure dimension after each stage
+
+    @property
+    def strategy(self) -> str:
+        """"staged" when the stage loop ran; "trivial" for m = 0, 1 or m > n."""
+        return "staged" if self.stage_dims else "trivial"
 
     def __repr__(self):
         return (f"ClosureResult(m={self.m}, dim={self.dim}, "
@@ -307,18 +310,9 @@ class ClosureResult:
 
 def _trivial_result(a, m, method, closure, maps, t0):
     return ClosureResult(
-        input_algebra=a, m=m, method=method, strategy="trivial",
-        closure=closure, maps=maps, dim=closure.dim, generator_count=0,
-        rank=a.dim ** m - closure.dim, elapsed_ms=(time.perf_counter() - t0) * 1e3,
-        field=a.field.descriptor)
-
-
-def _base_field_algebra(fieldh: Field) -> TableAlgebra:
-    return TableAlgebra(fieldh, ["1"], {})
-
-
-def _zero_algebra(fieldh: Field) -> TableAlgebra:
-    return TableAlgebra(fieldh, [], {})
+        input_algebra=a, m=m, method=method, closure=closure, maps=maps,
+        dim=closure.dim, generator_count=0, rank=a.dim ** m - closure.dim,
+        elapsed_ms=(time.perf_counter() - t0) * 1e3, field=a.field.descriptor)
 
 
 def _verify_maps(result: ClosureResult):
@@ -330,18 +324,15 @@ def _verify_maps(result: ClosureResult):
 
 
 def m_closure(a: StructureAlgebra, m: int, method: str = "general",
-              strategy: str = "auto", budget: int | None = None,
+              budget: int | None = None,
               verify: bool = True) -> ClosureResult:
     """The m-closure of a finite-dimensional commutative algebra.
 
     method "general" works for every algebra; "local-shortcut" requires a
     local algebra with nilpotent maximal ideal and uses the collapsed
-    generator schedule.  The strategy picks between the flat tensor-power
-    quotient and the staged slot-by-slot pipeline ("auto" stages once the
-    tensor power would exceed FLAT_LIMIT columns).
+    generator schedule.
     """
     t0 = time.perf_counter()
-    n = a.dim
     if m < 0:
         raise ValueError("m must be nonnegative")
     if method == "local" or method == "local-shortcut":
@@ -350,78 +341,42 @@ def m_closure(a: StructureAlgebra, m: int, method: str = "general",
             raise NotLocal("algebra is not local with nilpotent maximal ideal")
     elif method != "general":
         raise ValueError(f"unknown method {method!r}")
+    result = _closure(a, m, method, budget, t0)
+    if verify and result.strategy == "staged":
+        _verify_maps(result)
+    return result
 
+
+def _closure(a, m, method, budget, t0):
+    n = a.dim
     if m == 0:
-        return _trivial_result(a, m, method, _base_field_algebra(a.field), [], t0)
+        base = TableAlgebra(a.field, ["1"], {})
+        return _trivial_result(a, m, method, base, [], t0)
     if m > n:
-        zero = _zero_algebra(a.field)
+        zero = TableAlgebra(a.field, [], {})
         maps = [AlgebraMap(a, zero, [{} for _ in range(n)]) for _ in range(m)]
         return _trivial_result(a, m, method, zero, maps, t0)
     if m == 1:
         ident = AlgebraMap(a, a, [{i: a.field.one} for i in range(n)])
         return _trivial_result(a, m, method, a, [ident], t0)
-
-    if strategy == "auto":
-        strategy = "flat" if n ** m <= FLAT_LIMIT else "staged"
-    if method == "local-shortcut" and strategy != "flat":
-        strategy = "flat"
-
-    if strategy == "flat":
-        result = _flat_closure(a, m, method, budget, t0)
-    elif strategy == "staged":
-        result = _staged_closure(a, m, budget, t0)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if verify:
-        _verify_maps(result)
-    return result
+    return _staged_closure(a, m, method, budget, t0)
 
 
-def _flat_closure(a, m, method, budget, t0):
-    tensor, embeddings = tensor_power(a, m, budget)
-    if method == "local-shortcut":
-        rows = local_ideal_rows(a, m, tensor)
-    else:
-        rows = closure_ideal_rows(a, m, tensor)
-    generator_count = sum(1 for r in rows if r)
-    span = RowSpace(a.field, tensor.dim)
-    span.close_under(_dedupe_rows(a.field, rows),
-                     tensor.generator_multipliers())
-    quot = QuotientAlgebra(tensor, span)
-    maps = []
-    for emb in embeddings:
-        maps.append(AlgebraMap(a, quot,
-                               [quot.project(row) for row in emb.rows]))
-    return ClosureResult(
-        input_algebra=a, m=m, method=method, strategy="flat", closure=quot,
-        maps=maps, dim=quot.dim, generator_count=generator_count,
-        rank=span.rank, elapsed_ms=(time.perf_counter() - t0) * 1e3,
-        field=a.field.descriptor)
-
-
-def _staged_closure(a, m, budget, t0):
+def _staged_closure(a, m, method, budget, t0):
     """Quotient one slot at a time.
 
-    Stage s works in D = C x A where C is the closure after s-1 slots.  The
-    running quotient polynomial of P by the first s-1 linear factors has
-    exact coefficients in C; evaluating it at the new slot's generic element
-    yields the stage relations, and synthetic division carries the quotient
-    forward.  Stage 1 is Cayley-Hamilton and must leave a zero remainder.
+    Stage s works in D = C x A where C is the closure after s-1 slots; the
+    schedule's seed rows generate the slot-s relations there, and the
+    quotient of D by the ideal they generate is the closure after s slots.
     """
     fieldh = a.field
     n = a.dim
     one = fieldh.one
     limit = budget if budget is not None else power_budget()
-    gcd = generic_char_poly(a)
+    schedule = _SCHEDULES[method](a)
 
     current = a
     maps = [AlgebraMap(a, a, [{i: one} for i in range(n)])]
-    zc = _lift_scalar_coeffs(gcd.coeffs)
-    mults = [None] + [a.mult_by({i: one}) for i in range(1, n)]
-    zc, rem = _synthetic_divide(fieldh, zc, mults)
-    if any(rem.values()):
-        raise CertificateFailure("Cayley-Hamilton remainder is nonzero")
-
     generator_count = 0
     stage_dims = [n]
     for s in range(2, m + 1):
@@ -429,43 +384,25 @@ def _staged_closure(a, m, budget, t0):
             raise BudgetExceeded(
                 f"stage {s} width {current.dim * n} exceeds the budget {limit}")
         pair = TensorPairAlgebra(current, a)
-        lift = pair.n  # index stride: u -> u*n + 0
-        zc = [{mono: {u * lift: c for u, c in vec.items()}
-               for mono, vec in coeff.items()} for coeff in zc]
-        gamma_mults = [None] + [pair.right_multiplier({i: one})
-                                for i in range(1, n)]
-        zc, rem = _synthetic_divide(fieldh, zc, gamma_mults)
-        rows = _rows_of(rem)
+        rows = schedule.stage(pair.embed_left)
         generator_count += sum(1 for r in rows if r)
         span = RowSpace(fieldh, pair.dim)
-        multipliers = [pair.left_multiplier(vec)
-                       for _, vec in current.generator_elements()]
-        multipliers.extend(pair.right_multiplier(vec)
-                           for _, vec in a.generator_elements())
-        span.close_under(_dedupe_rows(fieldh, rows), multipliers)
+        span.close_under(dedupe_rows(fieldh, rows), pair.generator_multipliers())
         quot = QuotientAlgebra(pair, span)
-        new_maps = [AlgebraMap(a, quot,
-                               [quot.project({u * lift: c for u, c in row.items()})
-                                for row in mp.rows])
-                    for mp in maps]
-        new_maps.append(AlgebraMap(a, quot,
-                                   [quot.project({i: one}) for i in range(n)]))
-        zc = [_xp_project(coeff, quot.project) for coeff in zc]
+        maps = [AlgebraMap(a, quot, [quot.project(pair.embed_left(row))
+                                     for row in mp.rows])
+                for mp in maps]
+        maps.append(AlgebraMap(a, quot, [quot.project({i: one}) for i in range(n)]))
+        if s < m:             # the last stage's state is never used
+            schedule.project(quot.project)
         current = quot
-        maps = new_maps
         stage_dims.append(current.dim)
 
     return ClosureResult(
-        input_algebra=a, m=m, method="general", strategy="staged",
-        closure=current, maps=maps, dim=current.dim,
-        generator_count=generator_count, rank=n ** m - current.dim,
+        input_algebra=a, m=m, method=method, closure=current, maps=maps,
+        dim=current.dim, generator_count=generator_count, rank=n ** m - current.dim,
         elapsed_ms=(time.perf_counter() - t0) * 1e3,
         field=fieldh.descriptor, stage_dims=tuple(stage_dims))
-
-
-def s_closure(a: StructureAlgebra, m: int, **kwargs) -> ClosureResult:
-    """Alias of m_closure; the set {1..m} labels the structural maps."""
-    return m_closure(a, m, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -495,50 +432,7 @@ def naive_closure(a: StructureAlgebra, m: int,
     q = fieldh.order
     if q ** (n - 1) > (budget or NAIVE_ENUM_LIMIT):
         raise BudgetExceeded(f"naive enumeration {q}^{n - 1} is too large")
-    tensor, embeddings = tensor_power(a, m, budget)
-    rows = []
-    count = 0
-    scalars = list(fieldh.elements())
-
-    def tuples(k):
-        if k == 0:
-            yield ()
-            return
-        for rest in tuples(k - 1):
-            for c in scalars:
-                yield rest + (c,)
-
-    for tail in tuples(n - 1):
-        coords = (fieldh.zero,) + tail
-        elem = a.element(coords)
-        p = char_poly(a, elem)
-        zc = [{0: c} if c else {} for c in p.coeffs]
-        vec = elem.to_dict()
-        for s in range(m):
-            mult = tensor.slot_multiplier(s, vec) if vec else None
-            d = len(zc) - 1
-            quot = [None] * d
-            quot[d - 1] = zc[d]
-            for k in range(d - 1, 0, -1):
-                acc = dict(mult(quot[k])) if mult else {}
-                vec_add_into(fieldh, acc, zc[k])
-                quot[k - 1] = acc
-            rem = dict(mult(quot[0])) if mult else {}
-            vec_add_into(fieldh, rem, zc[0])
-            if rem:
-                rows.append(rem)
-                count += 1
-            zc = quot
-    span = RowSpace(fieldh, tensor.dim)
-    span.close_under(_dedupe_rows(fieldh, rows),
-                     tensor.generator_multipliers())
-    quot = QuotientAlgebra(tensor, span)
-    maps = [AlgebraMap(a, quot, [quot.project(row) for row in emb.rows])
-            for emb in embeddings]
-    return ClosureResult(
-        input_algebra=a, m=m, method="naive", strategy="flat", closure=quot,
-        maps=maps, dim=quot.dim, generator_count=count, rank=span.rank,
-        elapsed_ms=(time.perf_counter() - t0) * 1e3, field=fieldh.descriptor)
+    return _closure(a, m, "naive", budget, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -824,14 +718,9 @@ def divides_check(result: ClosureResult, dim_limit: int | None = None) -> dict:
     zc = _lift_scalar_coeffs(gcd.coeffs)
     for s in range(result.m):
         rows = result.maps[s].rows
-        mults = []
-        for i in range(a.dim):
-            row = rows[i]
-            if i == 0:
-                mults.append(None)
-            else:
-                mults.append(c.mult_by(row))
-        zc, rem = _synthetic_divide(fieldh, zc, mults)
+        mults = [None] + [c.mult_by(rows[i]) for i in range(1, a.dim)]
+        zc, rem = _synthetic_divide(fieldh, zc,
+                                    partial(_xp_gamma_mult, fieldh, mults))
         if any(rem.values()):
             raise CertificateFailure(
                 f"slot {s + 1} remainder is nonzero in the closure")
@@ -848,6 +737,10 @@ def modular_primes():
         parts = tuple(int(x) for x in raw.replace(",", " ").split())
         if len(parts) < 2:
             raise UnsupportedField("CLOSURELAB_PRIMES needs two primes")
+        if len(set(parts)) < len(parts):
+            # the agreement check would compare a prime with itself
+            raise UnsupportedField(
+                f"CLOSURELAB_PRIMES repeats a prime: {raw.strip()}")
         return parts[:2]
     return DEFAULT_MODULAR_PRIMES
 
@@ -897,7 +790,6 @@ def base_change_presentation(pres: AlgebraPresentation,
 
 def closure_from_presentation(pres: AlgebraPresentation, m: int,
                               method: str = "general", exact: bool = False,
-                              strategy: str = "auto",
                               budget: int | None = None):
     """Compute a closure dimension from a presentation.
 
@@ -908,15 +800,14 @@ def closure_from_presentation(pres: AlgebraPresentation, m: int,
     """
     if pres.field.kind != "rationals" or exact:
         algebra = algebra_from_presentation(pres)
-        result = m_closure(algebra, m, method=method, strategy=strategy,
-                           budget=budget)
+        result = m_closure(algebra, m, method=method, budget=budget)
         mode = "exact" if pres.field.kind == "rationals" else str(pres.field)
         return result, mode
     p1, p2 = modular_primes()
     res1 = m_closure(algebra_from_presentation(presentation_mod_p(pres, p1)),
-                     m, method=method, strategy=strategy, budget=budget)
+                     m, method=method, budget=budget)
     res2 = m_closure(algebra_from_presentation(presentation_mod_p(pres, p2)),
-                     m, method=method, strategy=strategy, budget=budget)
+                     m, method=method, budget=budget)
     if res1.dim != res2.dim or res1.rank != res2.rank:
         raise ModularDisagreement(
             f"mod {p1} gives dim {res1.dim}, mod {p2} gives dim {res2.dim}")

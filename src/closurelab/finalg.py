@@ -23,13 +23,6 @@ from .multipoly import AlgebraPresentation, PolyRing
 # sparse vectors
 
 
-def vec_scale(field, vec, c):
-    if not c:
-        return {}
-    mul = field.mul
-    return {k: mul(c, v) for k, v in vec.items()}
-
-
 def vec_add_into(field, target, vec, c=None):
     """target += c*vec, in place."""
     add = field.add
@@ -47,6 +40,23 @@ def vec_add_into(field, target, vec, c=None):
         elif w:
             target[k] = w
     return target
+
+
+def dedupe_rows(field, rows):
+    """Drop zero rows and rows equal up to scaling."""
+    out = []
+    seen = set()
+    for vec in rows:
+        vec = {k: v for k, v in vec.items() if v}
+        if not vec:
+            continue
+        pivot = max(vec)
+        inv = field.inv(vec[pivot])
+        key = frozenset((k, field.mul(inv, v)) for k, v in vec.items())
+        if key not in seen:
+            seen.add(key)
+            out.append(vec)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +380,42 @@ def mult_matrix_sparse(algebra, vec: dict):
     return cols
 
 
+def stride_multiplier(factor: StructureAlgebra, vec: dict, stride: int):
+    """Multiplication by a factor element on one digit of a tensor basis.
+
+    A basis index decomposes as base + a*stride with a = index // stride %
+    factor.dim the factor digit; the product replaces e_a by vec*e_a, read
+    off a multiplication matrix computed once.  The right factor of a pair
+    is the digit of stride 1, the left one the digit of stride right.dim.
+    """
+    cols = [[(k * stride, v) for k, v in col.items()]
+            for col in mult_matrix_sparse(factor, vec)]
+    size = factor.dim
+    field = factor.field
+    mul = field.mul
+    add = field.add
+
+    def apply(w):
+        out = {}
+        for col, c in w.items():
+            a = col // stride % size
+            base = col - a * stride
+            for offset, pc in cols[a]:
+                idx = base + offset
+                v = mul(c, pc)
+                if idx in out:
+                    s = add(out[idx], v)
+                    if s:
+                        out[idx] = s
+                    else:
+                        del out[idx]
+                elif v:
+                    out[idx] = v
+        return out
+
+    return apply
+
+
 class TableAlgebra(StructureAlgebra):
     """Algebra with an explicit sparse structure-constant table."""
 
@@ -428,123 +474,6 @@ class TableAlgebra(StructureAlgebra):
                 vec_add_into(field, right, self.basis_product(i, t), c)
             if left != right:
                 raise ValueError(f"associativity fails at basis triple {(i, j, k)}")
-
-
-class TensorPowerAlgebra(StructureAlgebra):
-    """m-fold tensor power of a factor algebra, basis indexed by m-tuples.
-
-    Structure constants are computed slotwise on demand; only pairs actually
-    touched are cached.
-    """
-
-    def __init__(self, factor: StructureAlgebra, m: int):
-        self.factor = factor
-        self.m = m
-        self.field = factor.field
-        n = factor.dim
-        self.n = n
-        self.dim = n ** m
-        self.strides = [n ** (m - 1 - s) for s in range(m)]
-        self._cache = {}
-
-    @property
-    def labels(self):
-        return [self.decode(i) for i in range(self.dim)]
-
-    def label(self, i: int):
-        return self.decode(i)
-
-    def decode(self, index: int):
-        out = []
-        for stride in self.strides:
-            out.append(index // stride % self.n)
-        return tuple(out)
-
-    def encode(self, tup):
-        return sum(t * s for t, s in zip(tup, self.strides))
-
-    def label_str(self, i):
-        tup = self.decode(i)
-        return "(" + ",".join(_label_to_str(self.factor.labels[t]) for t in tup) + ")"
-
-    def basis_product(self, i, j):
-        key = (i, j) if i <= j else (j, i)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        ti, tj = self.decode(key[0]), self.decode(key[1])
-        mul = self.field.mul
-        partial = [(0, self.field.one)]
-        for s in range(self.m):
-            slot = self.factor.basis_product(ti[s], tj[s])
-            if not slot:
-                partial = []
-                break
-            stride = self.strides[s]
-            partial = [(base + k * stride, mul(c, v))
-                       for base, c in partial for k, v in slot.items()]
-        out = {}
-        for idx, c in partial:
-            if c:
-                out[idx] = self.field.add(out[idx], c) if idx in out else c
-        out = {k: v for k, v in out.items() if v}
-        self._cache[key] = out
-        return out
-
-    def embed(self, s: int, vec: dict) -> dict:
-        """Image of a factor element under the slot-s embedding."""
-        stride = self.strides[s]
-        return {k * stride: v for k, v in vec.items()}
-
-    def slot_multiplier(self, s: int, vec: dict):
-        """Fast multiplier for the slot-s embedding of a factor element."""
-        n = self.n
-        stride = self.strides[s]
-        factor = self.factor
-        field = self.field
-        mul = field.mul
-        add = field.add
-        # product of vec with each factor basis element
-        cols = mult_matrix_sparse(factor, vec)
-
-        def apply(w):
-            out = {}
-            for col, c in w.items():
-                a = col // stride % n
-                base = col - a * stride
-                for k, pc in cols[a].items():
-                    idx = base + k * stride
-                    v = mul(c, pc)
-                    if idx in out:
-                        sv = add(out[idx], v)
-                        if sv:
-                            out[idx] = sv
-                        else:
-                            del out[idx]
-                    elif v:
-                        out[idx] = v
-            return out
-
-        return apply
-
-    def generator_elements(self):
-        out = []
-        for s in range(self.m):
-            for name, vec in self.factor.generator_elements():
-                out.append((f"{name}[{s + 1}]", self.embed(s, vec)))
-        return out
-
-    def generator_multipliers(self):
-        out = []
-        for s in range(self.m):
-            for _, vec in self.factor.generator_elements():
-                out.append(self.slot_multiplier(s, vec))
-        return out
-
-    def embedding_map(self, s: int) -> "AlgebraMap":
-        rows = [self.embed(s, {i: self.field.one})
-                for i in range(self.factor.dim)]
-        return AlgebraMap(self.factor, self, rows)
 
 
 class TensorPairAlgebra(StructureAlgebra):
@@ -616,56 +545,10 @@ class TensorPairAlgebra(StructureAlgebra):
         return dict(vec)
 
     def left_multiplier(self, vec: dict):
-        cols = mult_matrix_sparse(self.left, vec)
-        n = self.n
-        field = self.field
-        mul = field.mul
-        add = field.add
-
-        def apply(w):
-            out = {}
-            for col, c in w.items():
-                u, r = divmod(col, n)
-                for u2, cu in cols[u].items():
-                    idx = u2 * n + r
-                    v = mul(c, cu)
-                    if idx in out:
-                        s = add(out[idx], v)
-                        if s:
-                            out[idx] = s
-                        else:
-                            del out[idx]
-                    elif v:
-                        out[idx] = v
-            return out
-
-        return apply
+        return stride_multiplier(self.left, vec, self.n)
 
     def right_multiplier(self, vec: dict):
-        cols = mult_matrix_sparse(self.right, vec)
-        n = self.n
-        field = self.field
-        mul = field.mul
-        add = field.add
-
-        def apply(w):
-            out = {}
-            for col, c in w.items():
-                base = col - col % n
-                for r2, cr in cols[col % n].items():
-                    idx = base + r2
-                    v = mul(c, cr)
-                    if idx in out:
-                        s = add(out[idx], v)
-                        if s:
-                            out[idx] = s
-                        else:
-                            del out[idx]
-                    elif v:
-                        out[idx] = v
-            return out
-
-        return apply
+        return stride_multiplier(self.right, vec, 1)
 
     def generator_elements(self):
         out = [(f"{name}(x)1", self.embed_left(vec))
@@ -716,9 +599,6 @@ class QuotientAlgebra(StructureAlgebra):
         if not self.dim:
             return {}
         return {self.col_to_index[c]: v for c, v in reduced.items()}
-
-    def lift(self, vec: dict) -> dict:
-        return {self.basis_cols[i]: v for i, v in vec.items()}
 
     def basis_product(self, i, j):
         key = (i, j) if i <= j else (j, i)
@@ -983,26 +863,11 @@ DEFAULT_POWER_BUDGET = 20_000
 
 
 def power_budget() -> int:
-    """Cap on the dimension of any tensor power or staged product, from
-    CLOSURELAB_BUDGET when set."""
+    """Cap on the width of any staged product, from CLOSURELAB_BUDGET when
+    set."""
     import os
     raw = os.environ.get("CLOSURELAB_BUDGET")
     return int(raw) if raw else DEFAULT_POWER_BUDGET
-
-
-def tensor_power(a: StructureAlgebra, m: int, budget: int | None = None):
-    """m-fold tensor power with its slot embeddings epsilon_1..epsilon_m."""
-    limit = budget if budget is not None else power_budget()
-    if m < 0:
-        raise ValueError("negative tensor power")
-    if a.dim ** m > limit:
-        from .errors import BudgetExceeded
-        raise BudgetExceeded(f"{a.dim}^{m} exceeds the budget {limit}")
-    if m == 0:
-        base = TableAlgebra(a.field, ["1"], {})
-        return base, []
-    power = TensorPowerAlgebra(a, m)
-    return power, [power.embedding_map(s) for s in range(m)]
 
 
 def mult_matrix(a: StructureAlgebra, elem: AlgebraElement):
@@ -1069,19 +934,7 @@ def ideal_subspace_dim(a: StructureAlgebra, gens):
     span = RowSpace(a.field, a.dim)
     seeds = [g.to_dict() if isinstance(g, AlgebraElement) else dict(g)
              for g in gens]
-    # deduplicate seeds up to scaling
-    unique = []
-    seen = set()
-    for vec in seeds:
-        if not vec:
-            continue
-        pivot = max(vec)
-        inv = a.field.inv(vec[pivot])
-        key = frozenset((k, a.field.mul(inv, v)) for k, v in vec.items())
-        if key not in seen:
-            seen.add(key)
-            unique.append(vec)
-    span.close_under(unique, a.generator_multipliers())
+    span.close_under(dedupe_rows(a.field, seeds), a.generator_multipliers())
     return span.rank, span
 
 

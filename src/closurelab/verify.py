@@ -11,14 +11,12 @@ from .arith import GF, QQ
 from .catalog import table1_entries
 from .closure import (base_change_presentation, closure_from_presentation,
                       divides_check, etale_closure_dim, galois_factor_count,
-                      generic_char_poly, local_generators, j_generators,
-                      m_closure, monogenic_algebra, monogenic_tower,
+                      generic_char_poly, m_closure, monogenic_algebra, monogenic_tower,
                       naive_closure, product_formula_dim, transform_monic,
                       upoly_mul)
 from .finalg import (AlgebraMap, FieldOps, PolyOps,
                      algebra_from_presentation, algebra_product,
-                     berkowitz_charpoly, char_poly, determinant_expansion,
-                     ideal_subspace_dim)
+                     berkowitz_charpoly, char_poly, determinant_expansion)
 from .multipoly import PolyRing, parse_presentation
 
 DEFAULT_SEED = 20260808
@@ -328,8 +326,9 @@ def suite_family(seed=DEFAULT_SEED):
 
 
 def suite_generators(seed=DEFAULT_SEED):
-    """The nilpotent shortcut and the generic schedule generate identical
-    subspaces for local catalog algebras (n <= 5, m <= 3)."""
+    """The nilpotent shortcut and the generic schedule give the same closure
+    (dimension and canonical basis) for local catalog algebras (n <= 5,
+    m <= 3)."""
     out = []
     for entry in table1_entries():
         a = entry.algebra()
@@ -338,12 +337,13 @@ def suite_generators(seed=DEFAULT_SEED):
         for m in (2, 3):
             if m > a.dim:
                 continue
-            gen_j = j_generators(a, m)
-            gen_l = local_generators(a, m)
-            dim_j, _ = ideal_subspace_dim(gen_j[0].algebra, gen_j) if gen_j else (0, None)
-            dim_l, _ = ideal_subspace_dim(gen_l[0].algebra, gen_l) if gen_l else (0, None)
+            gen = m_closure(a, m)
+            loc = m_closure(a, m, method="local-shortcut")
+            labels = [gen.closure.label_str(i) for i in range(gen.dim)]
+            same = (gen.dim == loc.dim and labels ==
+                    [loc.closure.label_str(i) for i in range(loc.dim)])
             _check(out, f"{entry.name} m={m}: shortcut and generic schedules agree",
-                   dim_j == dim_l, f"{dim_j} vs {dim_l}")
+                   same, f"{gen.dim} vs {loc.dim}")
     return out
 
 

@@ -1,0 +1,246 @@
+"""Flat tensor-power construction of closures: the independent oracle.
+
+The library builds a closure one slot at a time.  This module materializes
+the whole m-fold tensor power instead, collects every slot's relations
+inside it and quotients once, so agreement between the two checks the
+staging.  Three relation schedules are provided: the general synthetic
+division, the local shortcut (complete homogeneous sums), and the naive
+schedule, which keeps its own numeric Horner over the characteristic
+polynomial of each element of A rather than evaluating a generic remainder.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from functools import partial
+
+from closurelab.closure import (_lift_scalar_coeffs, _rows_of,
+                                _synthetic_divide, _xp_add_into,
+                                _xp_gamma_mult, generic_char_poly)
+from closurelab.errors import BudgetExceeded, NotLocal
+from closurelab.finalg import (AlgebraMap, QuotientAlgebra, RowSpace,
+                               StructureAlgebra, TableAlgebra, _label_to_str,
+                               char_poly, dedupe_rows, power_budget,
+                               stride_multiplier, vec_add_into)
+
+
+class TensorPowerAlgebra(StructureAlgebra):
+    """m-fold tensor power of a factor algebra, basis indexed by m-tuples.
+
+    Structure constants are computed slotwise on demand; only pairs actually
+    touched are cached.
+    """
+
+    def __init__(self, factor: StructureAlgebra, m: int):
+        self.factor = factor
+        self.m = m
+        self.field = factor.field
+        n = factor.dim
+        self.n = n
+        self.dim = n ** m
+        self.strides = [n ** (m - 1 - s) for s in range(m)]
+        self._cache = {}
+
+    @property
+    def labels(self):
+        return [self.decode(i) for i in range(self.dim)]
+
+    def label(self, i: int):
+        return self.decode(i)
+
+    def decode(self, index: int):
+        return tuple(index // stride % self.n for stride in self.strides)
+
+    def label_str(self, i):
+        tup = self.decode(i)
+        return "(" + ",".join(_label_to_str(self.factor.labels[t]) for t in tup) + ")"
+
+    def basis_product(self, i, j):
+        key = (i, j) if i <= j else (j, i)
+        hit = self._cache.get(key)
+        if hit is not None:
+            return hit
+        ti, tj = self.decode(key[0]), self.decode(key[1])
+        mul = self.field.mul
+        partial = [(0, self.field.one)]
+        for s in range(self.m):
+            slot = self.factor.basis_product(ti[s], tj[s])
+            if not slot:
+                partial = []
+                break
+            stride = self.strides[s]
+            partial = [(base + k * stride, mul(c, v))
+                       for base, c in partial for k, v in slot.items()]
+        out = {}
+        for idx, c in partial:
+            if c:
+                out[idx] = self.field.add(out[idx], c) if idx in out else c
+        out = {k: v for k, v in out.items() if v}
+        self._cache[key] = out
+        return out
+
+    def embed(self, s: int, vec: dict) -> dict:
+        """Image of a factor element under the slot-s embedding."""
+        stride = self.strides[s]
+        return {k * stride: v for k, v in vec.items()}
+
+    def slot_multiplier(self, s: int, vec: dict):
+        """Multiplier by the slot-s embedding of a factor element."""
+        return stride_multiplier(self.factor, vec, self.strides[s])
+
+    def generator_elements(self):
+        return [(f"{name}[{s + 1}]", self.embed(s, vec))
+                for s in range(self.m)
+                for name, vec in self.factor.generator_elements()]
+
+    def generator_multipliers(self):
+        return [self.slot_multiplier(s, vec)
+                for s in range(self.m)
+                for _, vec in self.factor.generator_elements()]
+
+    def embedding_map(self, s: int) -> AlgebraMap:
+        rows = [self.embed(s, {i: self.field.one})
+                for i in range(self.factor.dim)]
+        return AlgebraMap(self.factor, self, rows)
+
+
+def tensor_power(a: StructureAlgebra, m: int, budget: int | None = None):
+    """m-fold tensor power with its slot embeddings epsilon_1..epsilon_m."""
+    limit = budget if budget is not None else power_budget()
+    if m < 0:
+        raise ValueError("negative tensor power")
+    if a.dim ** m > limit:
+        raise BudgetExceeded(f"{a.dim}^{m} exceeds the budget {limit}")
+    if m == 0:
+        return TableAlgebra(a.field, ["1"], {}), []
+    power = TensorPowerAlgebra(a, m)
+    return power, [power.embedding_map(s) for s in range(m)]
+
+
+# ---------------------------------------------------------------------------
+# relation schedules inside the tensor power
+
+
+def general_rows(a: StructureAlgebra, m: int, tensor: TensorPowerAlgebra):
+    """For each slot s, the X-monomial coefficients of the remainder left
+    after dividing the running quotient of P by (Z - gamma_s)."""
+    one = a.field.one
+    zc = _lift_scalar_coeffs(generic_char_poly(a).coeffs)
+    rows = []
+    for s in range(m):
+        mults = [None] + [tensor.slot_multiplier(s, {i: one})
+                          for i in range(1, a.dim)]
+        zc, rem = _synthetic_divide(a.field, zc,
+                                    partial(_xp_gamma_mult, a.field, mults))
+        rows.extend(_rows_of(rem))
+    return rows
+
+
+def local_rows(a: StructureAlgebra, m: int, tensor: TensorPowerAlgebra):
+    """For a local algebra with nilpotent maximal ideal: the slot-s remainder
+    is the complete homogeneous sum of degree n-s+1 in gamma'_1..gamma'_s,
+    where gamma' = gamma - X_1."""
+    fieldh = a.field
+    one = fieldh.one
+    n = a.dim
+    h = [{} for _ in range(n + 1)]
+    h[0] = {(0,) * n: {0: one}}
+    rows = []
+    for s in range(m):
+        mults = [None] + [tensor.slot_multiplier(s, {i: one})
+                          for i in range(1, n)]
+
+        def gamma_prime_mult(xp):
+            out = {}
+            for mono, vec in xp.items():
+                for i in range(1, n):
+                    mv = mults[i](vec)
+                    if not mv:
+                        continue
+                    nm = mono[:i] + (mono[i] + 1,) + mono[i + 1:]
+                    if nm in out:
+                        vec_add_into(fieldh, out[nm], mv)
+                        if not out[nm]:
+                            del out[nm]
+                    else:
+                        out[nm] = mv
+            return out
+
+        for k in range(1, n + 1):
+            _xp_add_into(fieldh, h[k], gamma_prime_mult(h[k - 1]))
+        rows.extend(_rows_of(h[n - s]))  # degree n - (s+1) + 1
+    return rows
+
+
+def naive_rows(a: StructureAlgebra, m: int, tensor: TensorPowerAlgebra):
+    """Slot remainders of the numeric characteristic polynomial P_a for the
+    coset representatives (0, t_2..t_n) of A modulo constants."""
+    fieldh = a.field
+    rows = []
+    for tail in itertools.product(list(fieldh.elements()), repeat=a.dim - 1):
+        elem = a.element((fieldh.zero,) + tail)
+        zc = [{0: c} if c else {} for c in char_poly(a, elem).coeffs]
+        vec = elem.to_dict()
+        for s in range(m):
+            mult = tensor.slot_multiplier(s, vec) if vec else None
+            d = len(zc) - 1
+            quot = [None] * d
+            quot[d - 1] = zc[d]
+            for k in range(d - 1, 0, -1):
+                acc = dict(mult(quot[k])) if mult else {}
+                vec_add_into(fieldh, acc, zc[k])
+                quot[k - 1] = acc
+            rem = dict(mult(quot[0])) if mult else {}
+            vec_add_into(fieldh, rem, zc[0])
+            rows.append(rem)
+            zc = quot
+    return rows
+
+
+SCHEDULES = {"general": general_rows, "local-shortcut": local_rows,
+             "naive": naive_rows}
+
+
+def j_generators(a: StructureAlgebra, m: int, budget: int | None = None):
+    """The general schedule's relations as elements of the tensor power."""
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    tensor, _ = tensor_power(a, m, budget)
+    return [tensor.element_from_dict(r) for r in general_rows(a, m, tensor)]
+
+
+def local_generators(a: StructureAlgebra, m: int, budget: int | None = None):
+    """Elements of the tensor power generating the same ideal as
+    `j_generators`, via the nilpotent shortcut."""
+    if not (1 <= m <= a.dim):
+        raise ValueError("need 1 <= m <= dim")
+    if not a.is_local_nilpotent():
+        raise NotLocal("algebra is not local with nilpotent maximal ideal")
+    tensor, _ = tensor_power(a, m, budget)
+    return [tensor.element_from_dict(r) for r in local_rows(a, m, tensor)]
+
+
+# ---------------------------------------------------------------------------
+# the flat quotient
+
+
+@dataclass
+class FlatClosure:
+    closure: QuotientAlgebra
+    maps: list
+    dim: int
+    rank: int
+
+
+def flat_closure(a: StructureAlgebra, m: int, method: str = "general",
+                 budget: int | None = None) -> FlatClosure:
+    """Quotient of the m-fold tensor power by every slot's relations."""
+    tensor, embeddings = tensor_power(a, m, budget)
+    rows = SCHEDULES[method](a, m, tensor)
+    span = RowSpace(a.field, tensor.dim)
+    span.close_under(dedupe_rows(a.field, rows), tensor.generator_multipliers())
+    quot = QuotientAlgebra(tensor, span)
+    maps = [AlgebraMap(a, quot, [quot.project(row) for row in emb.rows])
+            for emb in embeddings]
+    return FlatClosure(closure=quot, maps=maps, dim=quot.dim, rank=span.rank)

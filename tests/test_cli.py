@@ -70,6 +70,13 @@ def test_close_parse_error_exit_2():
     assert code3 == 0 and out == ["dim = 1"]
 
 
+def test_close_repeated_primes_exit_2(monkeypatch):
+    # one prime twice would make the two-prime agreement check vacuous
+    monkeypatch.setenv("CLOSURELAB_PRIMES", "7,7")
+    code, _ = run_cli(["close", "--algebra", "Q[x]/(x^2)", "--m", "2"])
+    assert code == 2
+
+
 def test_close_budget_exit_3(monkeypatch):
     monkeypatch.setenv("CLOSURELAB_BUDGET", "3")
     code, _ = run_cli(["close", "--algebra", "Q[x]/(x^2)", "--m", "2"])
@@ -156,6 +163,9 @@ def test_transform_command():
     assert code == 0 and out == ["Z^3-14*Z^2+49*Z-36"]
     code2, _ = run_cli(["transform", "--f", "2Z^2-1", "--g", "X"])
     assert code2 == 2      # not monic
+    code3, _ = run_cli(["transform", "--f", "Z^2-1", "--g", "X",
+                        "--field", "GF(x)"])
+    assert code3 == 2      # malformed field
 
 
 def test_tower_command():
@@ -170,6 +180,10 @@ def test_tower_command():
     assert code4 == 0
     record = json.loads(out4[0])
     assert record["base"] == "Z" and record["dim"] == 6
+    code5, _ = run_cli(["tower", "--f", "Z^3-2", "--m", "-1"])
+    assert code5 == 2      # negative m
+    code6, _ = run_cli(["tower", "--f", "Z^3-2", "--m", "2", "--field", "GF(x)"])
+    assert code6 == 2      # malformed field
 
 
 def test_cli_subprocess_entry_point():

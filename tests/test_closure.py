@@ -4,20 +4,22 @@ from fractions import Fraction as Fr
 import pytest
 
 from closurelab.arith import GF, QQ
+from closurelab.catalog import table1_entries
 from closurelab.closure import (base_change_presentation,
                                 closure_from_presentation, divides_check,
                                 etale_closure_dim, galois_factor_count,
-                                generic_char_poly, j_generators,
-                                local_generators, m_closure, modular_primes,
+                                generic_char_poly, m_closure, modular_primes,
                                 monogenic_algebra, monogenic_tower,
                                 naive_closure, presentation_mod_p,
                                 product_formula_dim, transform_monic,
                                 upoly_mul)
 from closurelab.errors import (DegreeTooSmall, InfiniteFieldUnsupported,
-                               LengthMismatch, NotLocal)
+                               LengthMismatch, NotLocal, UnsupportedField)
 from closurelab.finalg import (algebra_from_presentation, algebra_product,
                                char_poly, ideal_subspace_dim)
 from closurelab.multipoly import parse_presentation
+from flat_oracle import (flat_closure, j_generators, local_generators,
+                         tensor_power)
 
 
 def alg(text):
@@ -144,28 +146,64 @@ def test_char2_deviation():
     assert m_closure(a, 3).dim == 32
 
 
+def assert_same_closure(result, flat):
+    """Dimension, rank, canonical basis labels and map rows all agree."""
+    assert result.dim == flat.dim
+    assert result.rank == flat.rank
+    labels = [result.closure.label_str(i) for i in range(result.dim)]
+    assert labels == [flat.closure.label_str(i) for i in range(flat.dim)]
+    assert [mp.rows for mp in result.maps] == [mp.rows for mp in flat.maps]
+
+
 def test_flat_and_staged_agree():
     for text, m in (("Q[x,y]/(x^2, y^2)", 3), ("Q[x]/(x^5)", 3),
                     ("Q[x,y,z]/((x,y,z)^2)", 4), ("Q[x,y]/(x^3, y^2, xy)", 3)):
         a = alg(text)
-        flat = m_closure(a, m, strategy="flat")
-        staged = m_closure(a, m, strategy="staged")
-        assert flat.dim == staged.dim
-        assert flat.rank == staged.rank == a.dim ** m - flat.dim
+        staged = m_closure(a, m)
+        assert staged.strategy == "staged" and len(staged.stage_dims) == m
+        assert_same_closure(staged, flat_closure(a, m))
+        assert staged.rank == a.dim ** m - staged.dim
 
 
 def test_flat_maps_factor_through_the_projection():
-    # each structural map is the slot embedding composed with the quotient
-    # projection of the tensor power
-    from closurelab.finalg import tensor_power
+    # each structural map of the flat oracle is the slot embedding composed
+    # with the quotient projection of the tensor power
     a = alg("Q[x,y]/(x^2, y^2)")
-    result = m_closure(a, 2, strategy="flat")
+    result = flat_closure(a, 2)
     tensor, embeddings = tensor_power(a, 2)
     quot = result.closure
     proj = quot.projection_map()
     for emb, mp in zip(embeddings, result.maps):
         composed = emb.compose(proj)
         assert composed.rows == mp.rows
+
+
+def test_production_matches_flat_oracle():
+    # every Table 1 cell with m <= 3, the local shortcut on every local
+    # Table 1 row at m = 2, 3, and the naive counterexample over F2 and F4
+    for entry in table1_entries():
+        a = entry.algebra()
+        local = a.is_local_nilpotent()
+        for m in range(2, min(3, a.dim) + 1):
+            assert_same_closure(m_closure(a, m), flat_closure(a, m))
+            if local:
+                assert_same_closure(m_closure(a, m, method="local"),
+                                    flat_closure(a, m, "local-shortcut"))
+    pres = parse_presentation("F2[x1,x2,x3,x4]/((x1,x2,x3,x4)^2)")
+    for p, dim in ((pres, 111),
+                   (base_change_presentation(pres, GF(2, 2).descriptor), 105)):
+        a = algebra_from_presentation(p)
+        naive = naive_closure(a, 3)
+        assert naive.dim == dim and naive.strategy == "staged"
+        assert_same_closure(naive, flat_closure(a, 3, "naive"))
+
+
+def test_local_shortcut_stages_past_the_tensor_power():
+    # (x^6) at m=5 would need a 7776-wide tensor power flat
+    a = alg("Q[x]/(x^6)")
+    local = m_closure(a, 5, method="local")
+    assert local.dim == 720 and local.stage_dims == (6, 30, 120, 360, 720)
+    assert local.strategy == "staged"
 
 
 def test_maps_are_ring_morphisms_and_certified():
@@ -352,6 +390,9 @@ def test_presentation_mod_p():
 def test_modular_primes_env(monkeypatch):
     monkeypatch.setenv("CLOSURELAB_PRIMES", "1000003, 1000033")
     assert modular_primes() == (1000003, 1000033)
+    monkeypatch.setenv("CLOSURELAB_PRIMES", "7,7")
+    with pytest.raises(UnsupportedField):
+        modular_primes()
     monkeypatch.delenv("CLOSURELAB_PRIMES")
     assert modular_primes() == (2147483629, 2147483587)
 

@@ -9,8 +9,9 @@ from closurelab.finalg import (FieldOps, PolyOps, RowSpace, TableAlgebra,
                                algebra_from_presentation, algebra_product,
                                berkowitz_charpoly, char_poly,
                                determinant_expansion, ideal_subspace_dim,
-                               mult_matrix, quotient_algebra, tensor_power)
+                               mult_matrix, quotient_algebra)
 from closurelab.multipoly import PolyRing, parse_presentation
+from flat_oracle import tensor_power
 
 
 def alg(text):
