@@ -24,19 +24,20 @@ import itertools
 import math
 import os
 import time
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 from functools import partial
 
-from .arith import (DEFAULT_MODULAR_PRIMES, Field, FieldDescriptor, GF,
-                    field_create)
-from .errors import (BudgetExceeded, CertificateFailure, DegreeTooSmall,
-                     InfiniteFieldUnsupported, LengthMismatch,
+from .arith import (DEFAULT_MODULAR_PRIMES, Field, FieldDescriptor,
+                    NonUnitInverse, field_create, prime_field, prime_pair)
+from .errors import (BudgetExceeded, CertificateFailure, ClosureLabError,
+                     DegreeTooSmall, InfiniteFieldUnsupported, LengthMismatch,
                      ModularDisagreement, NotLocal, UnsupportedField)
 from .finalg import (AlgebraElement, AlgebraMap, CharPoly, PolyOps,
                      QuotientAlgebra, RowSpace, StructureAlgebra, TableAlgebra,
                      TensorPairAlgebra, algebra_from_presentation,
                      berkowitz_charpoly, char_poly, dedupe_rows, power_budget,
                      stride_multiplier, vec_add_into)
+from .groebner import GroebnerBasis
 from .multipoly import AlgebraPresentation, MultiPoly, PolyRing
 
 MORPHISM_PAIR_BUDGET = 512  # basis pairs checked per map on huge closures
@@ -737,73 +738,100 @@ def modular_primes():
         parts = tuple(int(x) for x in raw.replace(",", " ").split())
         if len(parts) < 2:
             raise UnsupportedField("CLOSURELAB_PRIMES needs two primes")
-        if len(set(parts)) < len(parts):
+        if len(parts) > 2:
+            raise UnsupportedField(
+                f"CLOSURELAB_PRIMES names more than two primes: {raw.strip()}")
+        if parts[0] == parts[1]:
             # the agreement check would compare a prime with itself
             raise UnsupportedField(
                 f"CLOSURELAB_PRIMES repeats a prime: {raw.strip()}")
-        return parts[:2]
+        return parts
     return DEFAULT_MODULAR_PRIMES
-
-
-def presentation_mod_p(pres: AlgebraPresentation, p: int) -> AlgebraPresentation:
-    """Reduce a rational presentation modulo p."""
-    target = GF(p)
-    ring = PolyRing(target, pres.variables)
-    rels = []
-    for rel in pres.relations:
-        terms = {}
-        for mono, c in rel.terms.items():
-            if c.denominator % p == 0:
-                raise UnsupportedField(f"denominator of {c} vanishes mod {p}")
-            v = target.mul(target.from_int(c.numerator),
-                           target.inv(target.from_int(c.denominator)))
-            if v:
-                terms[mono] = v
-        rels.append(MultiPoly(ring, terms))
-    return AlgebraPresentation(target.descriptor, pres.variables, tuple(rels))
 
 
 def base_change_presentation(pres: AlgebraPresentation,
                              desc: FieldDescriptor) -> AlgebraPresentation:
-    """Reinterpret a presentation over a larger field.  Supported when every
-    coefficient lies in the prime subfield (all catalog inputs do)."""
-    source = field_create(pres.field)
+    """Map a presentation's coefficients into another ring.  A rational
+    coefficient goes into GF(p), GF(p^k) or Z/(p1*p2) when no prime of the
+    target divides its denominator (checked in order); a GF(p) coefficient
+    goes into a field of characteristic p (all catalog inputs over GF(p^k)
+    have such coefficients)."""
     target = field_create(desc)
+    if pres.field.kind == "rationals":
+        def image(c):
+            for p in target.primes:
+                if c.denominator % p == 0:
+                    raise UnsupportedField(
+                        f"denominator of {c} vanishes mod {p}")
+            return target.mul(target.from_int(c.numerator),
+                              target.inv(target.from_int(c.denominator)))
+    elif pres.field.kind == "prime" and target.char == pres.field.p:
+        image = target.from_int
+    else:
+        raise UnsupportedField(f"cannot embed {pres.field} into {desc}")
     ring = PolyRing(target, pres.variables)
     rels = []
     for rel in pres.relations:
         terms = {}
         for mono, c in rel.terms.items():
-            if pres.field.kind == "rationals":
-                v = target.mul(target.from_int(c.numerator),
-                               target.inv(target.from_int(c.denominator)))
-            elif pres.field.kind == "prime" and desc.p == pres.field.p:
-                v = target.from_int(int(c))
-            else:
-                raise UnsupportedField(
-                    f"cannot embed {pres.field} into {desc}")
+            v = image(c)
             if v:
                 terms[mono] = v
         rels.append(MultiPoly(ring, terms))
     return AlgebraPresentation(desc, pres.variables, tuple(rels))
 
 
-def closure_from_presentation(pres: AlgebraPresentation, m: int,
-                              method: str = "general", exact: bool = False,
-                              budget: int | None = None):
-    """Compute a closure dimension from a presentation.
+def presentation_mod_p(pres: AlgebraPresentation, p: int) -> AlgebraPresentation:
+    """Reduce a rational presentation modulo p."""
+    return base_change_presentation(pres, prime_field(p))
 
-    Over the rationals the default mode reduces modulo two independent
-    31-bit primes and requires the ranks to agree; `exact` forces honest
-    rational arithmetic.  Over finite fields the computation is always
-    exact.  Returns (ClosureResult, mode_string).
-    """
-    if pres.field.kind != "rationals" or exact:
-        algebra = algebra_from_presentation(pres)
-        result = m_closure(algebra, m, method=method, budget=budget)
-        mode = "exact" if pres.field.kind == "rationals" else str(pres.field)
-        return result, mode
-    p1, p2 = modular_primes()
+
+def _reduce_result(res: ClosureResult, pres_p: AlgebraPresentation) -> ClosureResult:
+    """A result over Z/(p1*p2) reduced mod p = p1, the field of `pres_p`:
+    the same algebra types over GF(p), built from A's table, each stage's
+    row space and the map rows with their residues mod p, zeros dropped."""
+    ring = pres_p.ring
+    fieldh = ring.field
+    p = fieldh.p
+
+    def vec(v):
+        out = {}
+        for k, c in v.items():
+            c %= p
+            if c:
+                out[k] = c
+        return out
+
+    a = res.input_algebra
+    n = a.dim
+    a_p = TableAlgebra(
+        fieldh, a.labels,
+        {(i, j): vec(a.basis_product(i, j)) for i in range(n) for j in range(i, n)},
+        generators=[(name, vec(g)) for name, g in a.generator_elements()],
+        check=False)
+    a_p.presentation = pres_p
+    a_p.groebner = GroebnerBasis(
+        ring, [MultiPoly(ring, vec(g.terms)) for g in a.groebner], pres_p)
+
+    def reduce_algebra(alg):
+        if alg is a:
+            return a_p
+        if isinstance(alg, QuotientAlgebra):      # a stage: (closure x A) / span
+            pair = TensorPairAlgebra(reduce_algebra(alg.parent.left), a_p)
+            span = RowSpace(fieldh, pair.dim)
+            span.rows = {c: vec(row) for c, row in alg.span.rows.items()}
+            return QuotientAlgebra(pair, span)
+        return TableAlgebra(fieldh, alg.labels, {})     # m = 0 or m > n
+
+    closure = reduce_algebra(res.closure)
+    maps = [AlgebraMap(a_p, closure, [vec(row) for row in mp.rows])
+            for mp in res.maps]
+    return replace(res, input_algebra=a_p, closure=closure, maps=maps,
+                   field=fieldh.descriptor)
+
+
+def _two_prime_closure(pres, m, method, budget, p1, p2):
+    """One run per prime: the first prime's result when the ranks agree."""
     res1 = m_closure(algebra_from_presentation(presentation_mod_p(pres, p1)),
                      m, method=method, budget=budget)
     res2 = m_closure(algebra_from_presentation(presentation_mod_p(pres, p2)),
@@ -811,4 +839,38 @@ def closure_from_presentation(pres: AlgebraPresentation, m: int,
     if res1.dim != res2.dim or res1.rank != res2.rank:
         raise ModularDisagreement(
             f"mod {p1} gives dim {res1.dim}, mod {p2} gives dim {res2.dim}")
-    return res1, f"mod {p1}&{p2}"
+    return res1
+
+
+def closure_from_presentation(pres: AlgebraPresentation, m: int,
+                              method: str = "general", exact: bool = False,
+                              budget: int | None = None):
+    """Compute a closure dimension from a presentation.
+
+    Over the rationals the default mode works modulo two independent
+    31-bit primes and requires the ranks to agree; `exact` forces honest
+    rational arithmetic.  Over finite fields the computation is always
+    exact.  Returns (ClosureResult, mode_string).
+
+    The modular mode runs once, over Z/(p1*p2).  When that run inverts
+    nothing but units, its pivots are units mod both primes, so the two
+    runs over GF(p1) and GF(p2) would agree with it, and with each other;
+    the result is reduced to GF(p1).  If it meets a zero divisor or raises
+    any ClosureLabError, one run per prime decides the outcome instead.
+    """
+    if pres.field.kind != "rationals" or exact:
+        algebra = algebra_from_presentation(pres)
+        result = m_closure(algebra, m, method=method, budget=budget)
+        mode = "exact" if pres.field.kind == "rationals" else str(pres.field)
+        return result, mode
+    p1, p2 = modular_primes()
+    try:
+        combined = m_closure(
+            algebra_from_presentation(
+                base_change_presentation(pres, prime_pair(p1, p2))),
+            m, method=method, budget=budget)
+    except (NonUnitInverse, ClosureLabError):
+        result = _two_prime_closure(pres, m, method, budget, p1, p2)
+    else:
+        result = _reduce_result(combined, presentation_mod_p(pres, p1))
+    return result, f"mod {p1}&{p2}"

@@ -8,6 +8,8 @@ is finite dimensional.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
+
 from .errors import BudgetExceeded, NotZeroDimensional, RingMismatch
 from .multipoly import (AlgebraPresentation, MultiPoly, PolyRing, grevlex_key,
                         mono_degree, mono_div, mono_divides, mono_lcm,
@@ -99,34 +101,38 @@ def buchberger(pres: AlgebraPresentation, pair_budget: int | None = None) -> Gro
             basis.append(rel.monic())
             sugars.append(rel.total_degree())
 
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i)}
+    leading = [g.leading_monomial() for g in basis]
+
+    def pair_key(i, j):
+        li, lj = leading[i], leading[j]
+        lcm = mono_lcm(li, lj)
+        sugar = max(sugars[i] + mono_degree(mono_div(lcm, li)),
+                    sugars[j] + mono_degree(mono_div(lcm, lj)))
+        return (sugar, grevlex_key(lcm), (i, j))
+
+    # a pair's key never changes, so a heap pops the pairs in key order
+    pairs = [pair_key(i, j) for i in range(len(basis)) for j in range(i)]
+    heapify(pairs)
     processed = 0
     while pairs:
         processed += 1
         if processed > pair_budget:
             raise BudgetExceeded(f"Buchberger pair budget {pair_budget} exceeded")
-
-        def pair_key(ij):
-            i, j = ij
-            lcm = mono_lcm(basis[i].leading_monomial(), basis[j].leading_monomial())
-            sugar = max(sugars[i] + mono_degree(mono_div(lcm, basis[i].leading_monomial())),
-                        sugars[j] + mono_degree(mono_div(lcm, basis[j].leading_monomial())))
-            return (sugar, grevlex_key(lcm), ij)
-
-        i, j = min(pairs, key=pair_key)
-        pairs.discard((i, j))
-        li, lj = basis[i].leading_monomial(), basis[j].leading_monomial()
+        _, _, (i, j) = heappop(pairs)
+        li, lj = leading[i], leading[j]
         if mono_lcm(li, lj) == mono_mul(li, lj):
             continue  # coprime leading terms
         s = _s_poly(basis[i], basis[j])
-        r = reduce_poly(s, basis)
+        r = reduce_poly(s, basis, leading)
         if r.is_zero():
             continue
         r = r.monic()
         basis.append(r)
+        leading.append(r.leading_monomial())
         sugars.append(r.total_degree())
         k = len(basis) - 1
-        pairs.update((k, t) for t in range(k))
+        for t in range(k):
+            heappush(pairs, pair_key(k, t))
 
     # minimalize: in graded order a proper divisor of a leading term always
     # comes first, so one ascending sweep suffices

@@ -71,10 +71,20 @@ def test_close_parse_error_exit_2():
 
 
 def test_close_repeated_primes_exit_2(monkeypatch):
-    # one prime twice would make the two-prime agreement check vacuous
-    monkeypatch.setenv("CLOSURELAB_PRIMES", "7,7")
-    code, _ = run_cli(["close", "--algebra", "Q[x]/(x^2)", "--m", "2"])
-    assert code == 2
+    # one prime twice would make the two-prime agreement check vacuous,
+    # and a third prime would be ignored
+    for primes in ("7,7", "3,5,7"):
+        monkeypatch.setenv("CLOSURELAB_PRIMES", primes)
+        code, _ = run_cli(["close", "--algebra", "Q[x]/(x^2)", "--m", "2"])
+        assert code == 2
+
+
+def test_close_modular_disagreement_exit_4(monkeypatch, capsys):
+    monkeypatch.setenv("CLOSURELAB_PRIMES", "7,11")
+    code, out = run_cli(["close", "--algebra", "Q[x,y]/(x^2, y^2 - 7*x)",
+                         "--m", "2"])
+    assert code == 4 and out == []
+    assert "mod 7 gives dim 13, mod 11 gives dim 12" in capsys.readouterr().err
 
 
 def test_close_budget_exit_3(monkeypatch):

@@ -3,6 +3,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
+from closurelab import closure as closure_module
 from closurelab.arith import GF, QQ
 from closurelab.catalog import table1_entries
 from closurelab.closure import (base_change_presentation,
@@ -13,8 +14,10 @@ from closurelab.closure import (base_change_presentation,
                                 naive_closure, presentation_mod_p,
                                 product_formula_dim, transform_monic,
                                 upoly_mul)
-from closurelab.errors import (DegreeTooSmall, InfiniteFieldUnsupported,
-                               LengthMismatch, NotLocal, UnsupportedField)
+from closurelab.errors import (ClosureLabError, DegreeTooSmall,
+                               InfiniteFieldUnsupported, LengthMismatch,
+                               ModularDisagreement, NotLocal, NotPrime,
+                               UnsupportedField)
 from closurelab.finalg import (algebra_from_presentation, algebra_product,
                                char_poly, ideal_subspace_dim)
 from closurelab.multipoly import parse_presentation
@@ -393,8 +396,114 @@ def test_modular_primes_env(monkeypatch):
     monkeypatch.setenv("CLOSURELAB_PRIMES", "7,7")
     with pytest.raises(UnsupportedField):
         modular_primes()
+    monkeypatch.setenv("CLOSURELAB_PRIMES", "3,5,7")
+    with pytest.raises(UnsupportedField, match="more than two primes"):
+        modular_primes()
+    pres = parse_presentation("Q[x]/(x^2)")
+    monkeypatch.setenv("CLOSURELAB_PRIMES", "5,4")
+    with pytest.raises(NotPrime, match="4 is not prime"):
+        closure_from_presentation(pres, 2)
+    # the least prime above 2^61
+    monkeypatch.setenv("CLOSURELAB_PRIMES", "5,2305843009213693967")
+    with pytest.raises(UnsupportedField, match="exceeds 2\\^61"):
+        closure_from_presentation(pres, 2)
     monkeypatch.delenv("CLOSURELAB_PRIMES")
     assert modular_primes() == (2147483629, 2147483587)
+
+
+# -- one modular run over Z/(p1*p2)
+
+# Coefficients or denominators divisible by 3, 5, 7 or 11: under a prime
+# pair that divides one but not the other, the run over Z/(p1*p2) meets a
+# zero divisor.  Under 3,5, (x^2, y^2 - 15x) vanishes mod both and meets
+# none.
+ZERO_DIVISOR_INPUTS = (
+    "Q[x,y]/(x^2, y^2 - 7*x)", "Q[x]/(5*x^2 - x)", "Q[x,y]/(x^2 - 3*y, y^2)",
+    "Q[x]/(x^3 - 1/11)", "Q[x,y]/(x^2, y^2 - 15*x)", "Q[x]/(x^2 - 35)",
+    "Q[x,y]/(x^2 - 7*y - 1, y^2 - 11*x)")
+
+
+def _summary(res):
+    c = res.closure
+    stage_rows = []
+    stage = c
+    while hasattr(stage, "span"):      # (closure x A) / span, stage by stage
+        stage_rows.append(stage.span.rows)
+        stage = stage.parent.left
+    return (res.dim, res.rank, res.generator_count, res.stage_dims, res.field,
+            [c.label_str(i) for i in range(c.dim)],
+            [mp.rows for mp in res.maps], stage_rows,
+            [c.basis_product(i, j) for i in range(0, c.dim, 3)
+             for j in range(i, c.dim, 5)])
+
+
+def _two_prime_outcome(pres, m, p1, p2):
+    """One run per prime, written out: the first prime's result when the
+    ranks agree, otherwise the error."""
+    try:
+        res1, res2 = [m_closure(algebra_from_presentation(presentation_mod_p(pres, p)), m)
+                      for p in (p1, p2)]
+        if res1.dim != res2.dim or res1.rank != res2.rank:
+            raise ModularDisagreement(
+                f"mod {p1} gives dim {res1.dim}, mod {p2} gives dim {res2.dim}")
+    except ClosureLabError as exc:
+        return type(exc), str(exc)
+    return _summary(res1)
+
+
+def _count_m_closure_calls(monkeypatch):
+    calls = []
+    real = closure_module.m_closure
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.field)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(closure_module, "m_closure", counting)
+    return calls
+
+
+@pytest.mark.parametrize("primes", ["3,5", "5,7", "7,11"])
+def test_pair_ring_run_matches_two_prime_runs(monkeypatch, primes):
+    monkeypatch.setenv("CLOSURELAB_PRIMES", primes)
+    p1, p2 = modular_primes()
+    calls = _count_m_closure_calls(monkeypatch)
+    presentations = [e.presentation() for e in table1_entries()]
+    presentations += [parse_presentation(t) for t in ZERO_DIVISOR_INPUTS]
+    routes = set()
+    for pres in presentations:
+        for m in (2, 3):
+            calls.clear()
+            try:
+                res, _ = closure_from_presentation(pres, m)
+                got = _summary(res)
+            except ClosureLabError as exc:
+                got = type(exc), str(exc)
+            assert got == _two_prime_outcome(pres, m, p1, p2), (str(pres), m)
+            routes.add(len(calls) == 1 and calls[0].descriptor.kind == "pair")
+    assert routes == {True, False}      # both the one run and the fallback
+
+
+def test_pair_ring_zero_divisor_disagreement(monkeypatch):
+    monkeypatch.setenv("CLOSURELAB_PRIMES", "7,11")
+    pres = parse_presentation("Q[x,y]/(x^2, y^2 - 7*x)")
+    with pytest.raises(ModularDisagreement,
+                       match="mod 7 gives dim 13, mod 11 gives dim 12"):
+        closure_from_presentation(pres, 2)
+
+
+def test_default_mode_runs_the_pipeline_once(monkeypatch):
+    monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
+    p1, p2 = modular_primes()
+    calls = _count_m_closure_calls(monkeypatch)
+    for entry in table1_entries():
+        pres = entry.presentation()
+        for m in range(4):
+            calls.clear()
+            res, mode = closure_from_presentation(pres, m)
+            assert len(calls) == 1 and mode == f"mod {p1}&{p2}"
+            assert res.dim == entry.expected[m]
+            assert _summary(res) == _two_prime_outcome(pres, m, p1, p2)
 
 
 def test_base_change_presentation():

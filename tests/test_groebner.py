@@ -1,6 +1,6 @@
 import pytest
 
-from closurelab.errors import NotZeroDimensional
+from closurelab.errors import BudgetExceeded, NotZeroDimensional
 from closurelab.groebner import (buchberger, normal_form, standard_monomials)
 from closurelab.multipoly import parse_poly, parse_presentation
 
@@ -101,3 +101,12 @@ def test_dimension_matches_multiplication_action():
                         basis_monos.add(mo)
                         frontier.append(mo)
         assert len(basis_monos) == len(std)
+
+
+def test_pair_budget_counts_popped_pairs():
+    # ten pairs are popped, coprime ones included, before the basis is
+    # complete; one fewer allowed pair must stop the run
+    text = "Q[x,y,z]/(x^2 - y*z, y^2 - x*z, z^2 - x*y, x^3)"
+    assert len(gb_of(text, pair_budget=10)) == len(gb_of(text))
+    with pytest.raises(BudgetExceeded):
+        gb_of(text, pair_budget=9)
