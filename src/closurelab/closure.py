@@ -719,7 +719,8 @@ def divides_check(result: ClosureResult, dim_limit: int | None = None) -> dict:
     zc = _lift_scalar_coeffs(gcd.coeffs)
     for s in range(result.m):
         rows = result.maps[s].rows
-        mults = [None] + [c.mult_by(rows[i]) for i in range(1, a.dim)]
+        mults = [None] + [stride_multiplier(c, rows[i], 1)
+                          for i in range(1, a.dim)]
         zc, rem = _synthetic_divide(fieldh, zc,
                                     partial(_xp_gamma_mult, fieldh, mults))
         if any(rem.values()):
@@ -855,8 +856,11 @@ def closure_from_presentation(pres: AlgebraPresentation, m: int,
     The modular mode runs once, over Z/(p1*p2).  When that run inverts
     nothing but units, its pivots are units mod both primes, so the two
     runs over GF(p1) and GF(p2) would agree with it, and with each other;
-    the result is reduced to GF(p1).  If it meets a zero divisor or raises
-    any ClosureLabError, one run per prime decides the outcome instead.
+    the result is reduced to GF(p1).  A budget overrun is raised as it is:
+    with no zero divisor inverted, the run over GF(p1) takes the same steps
+    and overruns first.  If the run meets a zero divisor or raises any
+    other ClosureLabError, which one prime alone may decide, one run per
+    prime decides the outcome instead.
     """
     if pres.field.kind != "rationals" or exact:
         algebra = algebra_from_presentation(pres)
@@ -869,6 +873,8 @@ def closure_from_presentation(pres: AlgebraPresentation, m: int,
             algebra_from_presentation(
                 base_change_presentation(pres, prime_pair(p1, p2))),
             m, method=method, budget=budget)
+    except BudgetExceeded:
+        raise
     except (NonUnitInverse, ClosureLabError):
         result = _two_prime_closure(pres, m, method, budget, p1, p2)
     else:

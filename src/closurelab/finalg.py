@@ -115,8 +115,12 @@ class RowSpace:
                     heappush(cand, -c2)
         return out
 
-    def insert_reduced(self, row: dict) -> int:
-        """Insert an already-reduced nonzero row; returns its pivot column."""
+    def add(self, vec: dict):
+        """Reduce and insert with pivot coefficient 1; returns the new pivot
+        or None if dependent."""
+        row = self.reduce(vec)
+        if not row:
+            return None
         pivot = max(row)
         lead = row[pivot]
         if lead != self.field.one:
@@ -125,13 +129,6 @@ class RowSpace:
             row = {k: mul(inv, v) for k, v in row.items()}
         self.rows[pivot] = row
         return pivot
-
-    def add(self, vec: dict):
-        """Reduce and insert; returns the new pivot or None if dependent."""
-        r = self.reduce(vec)
-        if not r:
-            return None
-        return self.insert_reduced(r)
 
     def close_under(self, seeds, multipliers):
         """Grow the span until it is stable under every multiplier map.
@@ -282,22 +279,6 @@ class StructureAlgebra:
                 vec_add_into(field, out, self.basis_product(i, j), mul(a, b))
         return out
 
-    def mult_by(self, v: dict):
-        """Multiplier callable for a fixed sparse element."""
-        items = sorted(v.items())
-
-        def apply(w):
-            out = {}
-            field = self.field
-            mul = field.mul
-            for j, b in w.items():
-                for i, a in items:
-                    vec_add_into(field, out, self.basis_product(i, j),
-                                 mul(a, b))
-            return out
-
-        return apply
-
     def generator_elements(self):
         """Ring generators as (name, sparse vector); defaults to the whole
         non-unit basis."""
@@ -307,7 +288,8 @@ class StructureAlgebra:
     def generator_multipliers(self):
         """Multiplier callables whose closure generates the action of the
         whole algebra on any subspace."""
-        return [self.mult_by(vec) for _, vec in self.generator_elements()]
+        return [stride_multiplier(self, vec, 1)
+                for _, vec in self.generator_elements()]
 
     def label(self, i: int):
         return self.labels[i]
@@ -335,15 +317,16 @@ class StructureAlgebra:
 
     def is_local_nilpotent(self) -> bool:
         """True when every non-unit basis element is nilpotent; the span of
-        e_1..e_{n-1} is then the maximal ideal."""
+        e_1..e_{n-1} is then the maximal ideal.  A nilpotent element of an
+        algebra of dimension n has x^n = 0, so squaring k times with 2^k >= n
+        decides it."""
         for i in range(1, self.dim):
-            m = mult_matrix_sparse(self, {i: self.field.one})
+            power = {i: self.field.one}
             steps = 0
-            power = m
             while (1 << steps) < self.dim:
-                power = _sparse_mat_mul(self.field, power, power)
+                power = self.mult_vec(power, power)
                 steps += 1
-            if any(power[j] for j in range(self.dim)):
+            if power:
                 return False
         return True
 
@@ -357,39 +340,37 @@ def _label_to_str(label):
     return str(label)
 
 
-def _sparse_mat_mul(field, a, b):
-    """Product of matrices stored as lists of column dicts."""
-    out = []
-    for j in range(len(b)):
-        col = {}
-        for k, v in b[j].items():
-            vec_add_into(field, col, a[k], v)
-        out.append(col)
-    return out
+class _Columns(dict):
+    """Columns of multiplication by a fixed factor element, each computed
+    the first time it is looked up: column a lists (k*stride, c) for the
+    terms c*e_k of vec*e_a."""
 
+    def __init__(self, factor: StructureAlgebra, vec: dict, stride: int):
+        super().__init__()
+        self.factor = factor
+        self.terms = tuple(vec.items())
+        self.stride = stride
 
-def mult_matrix_sparse(algebra, vec: dict):
-    """Columns of multiplication by vec, as sparse dicts."""
-    cols = []
-    field = algebra.field
-    for j in range(algebra.dim):
+    def __missing__(self, a):
+        factor = self.factor
         col = {}
-        for i, a in vec.items():
-            vec_add_into(field, col, algebra.basis_product(i, j), a)
-        cols.append(col)
-    return cols
+        for i, c in self.terms:
+            vec_add_into(factor.field, col, factor.basis_product(i, a), c)
+        out = self[a] = [(k * self.stride, v) for k, v in col.items()]
+        return out
 
 
 def stride_multiplier(factor: StructureAlgebra, vec: dict, stride: int):
     """Multiplication by a factor element on one digit of a tensor basis.
 
     A basis index decomposes as base + a*stride with a = index // stride %
-    factor.dim the factor digit; the product replaces e_a by vec*e_a, read
-    off a multiplication matrix computed once.  The right factor of a pair
-    is the digit of stride 1, the left one the digit of stride right.dim.
+    factor.dim the factor digit; the product replaces e_a by vec*e_a.  The
+    column for e_a is computed on first use and kept for the life of the
+    operator.  The right factor of a pair is the digit of stride 1, the
+    left one the digit of stride right.dim; on the factor itself, stride 1
+    is plain multiplication by vec.
     """
-    cols = [[(k * stride, v) for k, v in col.items()]
-            for col in mult_matrix_sparse(factor, vec)]
+    cols = _Columns(factor, vec, stride)
     size = factor.dim
     field = factor.field
     mul = field.mul
@@ -544,12 +525,6 @@ class TensorPairAlgebra(StructureAlgebra):
     def embed_right(self, vec: dict) -> dict:
         return dict(vec)
 
-    def left_multiplier(self, vec: dict):
-        return stride_multiplier(self.left, vec, self.n)
-
-    def right_multiplier(self, vec: dict):
-        return stride_multiplier(self.right, vec, 1)
-
     def generator_elements(self):
         out = [(f"{name}(x)1", self.embed_left(vec))
                for name, vec in self.left.generator_elements()]
@@ -558,9 +533,9 @@ class TensorPairAlgebra(StructureAlgebra):
         return out
 
     def generator_multipliers(self):
-        out = [self.left_multiplier(vec)
+        out = [stride_multiplier(self.left, vec, self.n)
                for _, vec in self.left.generator_elements()]
-        out.extend(self.right_multiplier(vec)
+        out.extend(stride_multiplier(self.right, vec, 1)
                    for _, vec in self.right.generator_elements())
         return out
 
@@ -872,11 +847,12 @@ def power_budget() -> int:
 
 def mult_matrix(a: StructureAlgebra, elem: AlgebraElement):
     """Dense matrix of multiplication by elem; column j holds a*e_j."""
-    cols = mult_matrix_sparse(a, elem.to_dict())
+    times = stride_multiplier(a, elem.to_dict(), 1)
+    one = a.field.one
     zero = a.field.zero
     out = [[zero] * a.dim for _ in range(a.dim)]
-    for j, col in enumerate(cols):
-        for i, v in col.items():
+    for j in range(a.dim):
+        for i, v in times({j: one}).items():
             out[i][j] = v
     return out
 

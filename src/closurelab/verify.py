@@ -11,7 +11,7 @@ from .arith import GF, QQ
 from .catalog import table1_entries
 from .closure import (base_change_presentation, closure_from_presentation,
                       divides_check, etale_closure_dim, galois_factor_count,
-                      generic_char_poly, m_closure, monogenic_algebra, monogenic_tower,
+                      m_closure, monogenic_algebra, monogenic_tower,
                       naive_closure, product_formula_dim, transform_monic,
                       upoly_mul)
 from .finalg import (AlgebraMap, FieldOps, PolyOps,
@@ -32,7 +32,6 @@ def reconstructed_last_map(result) -> AlgebraMap:
     a = result.input_algebra
     c = result.closure
     fieldh = a.field
-    gcd = generic_char_poly(a)
     rows = []
     for j in range(a.dim):
         elem = a.element_from_dict({j: fieldh.one})

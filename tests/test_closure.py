@@ -14,7 +14,7 @@ from closurelab.closure import (base_change_presentation,
                                 naive_closure, presentation_mod_p,
                                 product_formula_dim, transform_monic,
                                 upoly_mul)
-from closurelab.errors import (ClosureLabError, DegreeTooSmall,
+from closurelab.errors import (BudgetExceeded, ClosureLabError, DegreeTooSmall,
                                InfiniteFieldUnsupported, LengthMismatch,
                                ModularDisagreement, NotLocal, NotPrime,
                                UnsupportedField)
@@ -437,11 +437,12 @@ def _summary(res):
              for j in range(i, c.dim, 5)])
 
 
-def _two_prime_outcome(pres, m, p1, p2):
+def _two_prime_outcome(pres, m, p1, p2, budget=None):
     """One run per prime, written out: the first prime's result when the
     ranks agree, otherwise the error."""
     try:
-        res1, res2 = [m_closure(algebra_from_presentation(presentation_mod_p(pres, p)), m)
+        res1, res2 = [m_closure(algebra_from_presentation(presentation_mod_p(pres, p)),
+                                m, budget=budget)
                       for p in (p1, p2)]
         if res1.dim != res2.dim or res1.rank != res2.rank:
             raise ModularDisagreement(
@@ -504,6 +505,19 @@ def test_default_mode_runs_the_pipeline_once(monkeypatch):
             assert len(calls) == 1 and mode == f"mod {p1}&{p2}"
             assert res.dim == entry.expected[m]
             assert _summary(res) == _two_prime_outcome(pres, m, p1, p2)
+
+
+def test_budget_overrun_is_not_repeated(monkeypatch):
+    monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
+    p1, p2 = modular_primes()
+    pres = parse_presentation("Q[x,y]/(x^2, y^5, xy)")
+    calls = _count_m_closure_calls(monkeypatch)
+    with pytest.raises(BudgetExceeded) as raised:
+        closure_from_presentation(pres, 5, budget=1000)
+    message = "stage 5 width 2358 exceeds the budget 1000"
+    assert str(raised.value) == message
+    assert len(calls) == 1 and calls[0].descriptor.kind == "pair"
+    assert _two_prime_outcome(pres, 5, p1, p2, budget=1000) == (BudgetExceeded, message)
 
 
 def test_base_change_presentation():

@@ -5,11 +5,15 @@ import pytest
 
 from closurelab.arith import GF, QQ
 from closurelab.errors import BudgetExceeded, FieldMismatch
-from closurelab.finalg import (FieldOps, PolyOps, RowSpace, TableAlgebra,
+from closurelab.catalog import table1_entries
+from closurelab.closure import m_closure
+from closurelab.finalg import (FieldOps, PolyOps, QuotientAlgebra, RowSpace,
+                               TableAlgebra, TensorPairAlgebra,
                                algebra_from_presentation, algebra_product,
                                berkowitz_charpoly, char_poly,
                                determinant_expansion, ideal_subspace_dim,
-                               mult_matrix, quotient_algebra)
+                               mult_matrix, quotient_algebra,
+                               stride_multiplier)
 from closurelab.multipoly import PolyRing, parse_presentation
 from flat_oracle import tensor_power
 
@@ -44,6 +48,42 @@ def test_relation_with_signs():
     x = {idx["x"]: Fr(1)}
     cube = a.mult_vec(a.mult_vec(x, x), x)
     assert cube == {idx["y^3"]: Fr(-1)}
+
+
+def _random_vec(rng, algebra):
+    field = algebra.field
+    vec = {}
+    for i in range(algebra.dim):
+        c = field.from_int(rng.randint(-3, 3))
+        if c and rng.random() < 0.6:
+            vec[i] = c
+    return vec
+
+
+def test_stride_multiplier_matches_product():
+    rng = random.Random(20261018)
+    a = alg("Q[x,y]/(x^2, y^2)")
+    pair = TensorPairAlgebra(alg("Q[x]/(x^3)"), a)
+    closure = m_closure(a, 2).closure
+    assert isinstance(closure, QuotientAlgebra)
+    algebras = [e.algebra() for e in table1_entries()]
+    algebras += [alg("F7[x,y]/(x^3 - y, y^2)"), pair, closure]
+    for algebra in algebras:
+        for _ in range(3):
+            v = _random_vec(rng, algebra)
+            times_v = stride_multiplier(algebra, v, 1)
+            for _ in range(3):          # later calls reuse the cached columns
+                w = _random_vec(rng, algebra)
+                assert times_v(w) == algebra.mult_vec(v, w), algebra
+    # the left digit of a pair has stride pair.n, the right one stride 1
+    for _ in range(5):
+        v = _random_vec(rng, pair.left)
+        u = _random_vec(rng, pair.right)
+        w = _random_vec(rng, pair)
+        assert (stride_multiplier(pair.left, v, pair.n)(w)
+                == pair.mult_vec(pair.embed_left(v), w))
+        assert (stride_multiplier(pair.right, u, 1)(w)
+                == pair.mult_vec(pair.embed_right(u), w))
 
 
 # -- products
@@ -212,9 +252,17 @@ def test_quotient_examples():
 def test_is_local_nilpotent():
     assert alg("Q[x,y]/((x,y)^2)").is_local_nilpotent()
     assert alg("Q[x]/(x^6)").is_local_nilpotent()
+    # x^4 != 0, so deciding x takes three squarings (x^8)
+    assert alg("Q[x]/(x^5)").is_local_nilpotent()
     k = alg("Q[x]/(x)")
     kk, _, _ = algebra_product(k, k)
     assert not kk.is_local_nilpotent()
+    # e_1 = y is nilpotent, e_2 = x is idempotent
+    split = alg("Q[x,y]/(x^2 - x, y^2)")
+    assert split.labels[1:3] == ["y", "x"]
+    assert split.mult_vec({1: Fr(1)}, {1: Fr(1)}) == {}
+    assert split.mult_vec({2: Fr(1)}, {2: Fr(1)}) == {2: Fr(1)}
+    assert not split.is_local_nilpotent()
 
 
 def test_structure_algebra_validation():
