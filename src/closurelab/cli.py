@@ -138,28 +138,79 @@ def cmd_close(args) -> int:
     return EXIT_OK
 
 
-def _table_task(payload):
-    entry_dict, m, exact = payload
-    entry = ManifestEntry(**entry_dict)
+def _new_record(entry: ManifestEntry, m: int) -> dict:
     record = {"name": entry.name, "m": m, "method": "general",
               "field": entry.field, "dim": None, "generators": 0, "rank": 0,
               "ms": 0.0}
     expected = entry.expected.get(m)
     if expected is not None:
         record["expected"] = expected
+    return record
+
+
+def _set_outcome(record, dim, method, mode, generators, rank, ms):
+    record.update(dim=dim, method=method, field=mode, generators=generators,
+                  rank=rank, ms=round(ms, 3))
+    if "expected" in record:
+        record["match"] = dim == record["expected"]
+    return record
+
+
+def _table_task(payload):
+    """The record of one manifest row at one m."""
+    entry_dict, m, exact = payload
+    entry = ManifestEntry(**entry_dict)
+    record = _new_record(entry, m)
     try:
         t0 = time.perf_counter()
         result, mode = closure_from_presentation(entry.presentation(), m,
                                                  exact=exact)
-        record.update(dim=result.dim, method=result.method, field=mode,
-                      generators=result.generator_count, rank=result.rank,
-                      ms=round((time.perf_counter() - t0) * 1e3, 3))
-        if expected is not None:
-            record["match"] = result.dim == expected
+        _set_outcome(record, result.dim, result.method, mode,
+                     result.generator_count, result.rank,
+                     (time.perf_counter() - t0) * 1e3)
     except (ClosureLabError, ValueError) as exc:
         record["error"] = str(exc)
         record["match"] = False
     return record
+
+
+def _table_row_task(payload):
+    """The records of one manifest row at the ascending `ms`, from one run
+    at the largest m.  Stage s of that run is the s-closure, so a smaller m
+    reads its dim and generators from the run's stages, and its ms is the
+    run's elapsed time at the end of stage s.  If the run fails, or its
+    stages are not what a run at each m would report, each smaller m runs
+    alone; a failed run is the largest m's record as it stands."""
+    entry_dict, ms, exact = payload
+    entry = ManifestEntry(**entry_dict)
+    top = ms[-1]
+    try:
+        t0 = time.perf_counter()
+        result, mode = closure_from_presentation(entry.presentation(), top,
+                                                 exact=exact)
+        top_ms = (time.perf_counter() - t0) * 1e3
+    except (ClosureLabError, ValueError) as exc:
+        error = _new_record(entry, top)
+        error.update(error=str(exc), match=False)
+        return [_table_task((entry_dict, m, exact)) for m in ms[:-1]] + [error]
+    derive = result.strategy == "staged" and result.stages_agree
+    lead_ms = (result.started - t0) * 1e3      # the algebra is built
+    n = result.input_algebra.dim
+    records = []
+    for m in ms:
+        if m == top:
+            records.append(_set_outcome(
+                _new_record(entry, m), result.dim, result.method, mode,
+                result.generator_count, result.rank, top_ms))
+        elif derive:
+            dim = result.stage_dims[m - 1] if m else 1
+            at_ms = lead_ms + (result.stage_ms[m - 1] if m else 0.0)
+            records.append(_set_outcome(
+                _new_record(entry, m), dim, result.method, mode,
+                sum(result.stage_generators[:m]), n ** m - dim, at_ms))
+        else:
+            records.append(_table_task((entry_dict, m, exact)))
+    return records
 
 
 def cmd_table(args) -> int:
@@ -174,17 +225,17 @@ def cmd_table(args) -> int:
                    str(entries.index(e)) in wanted]
     tasks = []
     for entry in entries:
-        for m in sorted(entry.expected):
-            if args.max_m is not None and m > args.max_m:
-                continue
-            if args.min_m is not None and m < args.min_m:
-                continue
-            tasks.append((entry.__dict__.copy(), m, args.exact))
+        ms = [m for m in sorted(entry.expected)
+              if (args.max_m is None or m <= args.max_m)
+              and (args.min_m is None or m >= args.min_m)]
+        if ms:
+            tasks.append((entry.__dict__.copy(), ms, args.exact))
     if args.jobs and args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(_table_task, tasks))
+            rows = list(pool.map(_table_row_task, tasks))
     else:
-        records = [_table_task(t) for t in tasks]
+        rows = [_table_row_task(t) for t in tasks]
+    records = [record for row in rows for record in row]
     all_match = True
     for record in records:
         _emit(record, args.json)

@@ -298,6 +298,11 @@ class ClosureResult:
     elapsed_ms: float
     field: FieldDescriptor
     stage_dims: tuple = ()      # closure dimension after each stage
+    stage_generators: tuple = ()  # nonzero seed rows of each stage
+    stage_ms: tuple = ()        # elapsed_ms at the end of each stage
+    started: float = 0.0        # time.perf_counter() when the run began
+    stages_agree: bool = True   # False when two primes agree on dim only,
+                                # not on every stage dim
 
     @property
     def strategy(self) -> str:
@@ -313,7 +318,8 @@ def _trivial_result(a, m, method, closure, maps, t0):
     return ClosureResult(
         input_algebra=a, m=m, method=method, closure=closure, maps=maps,
         dim=closure.dim, generator_count=0, rank=a.dim ** m - closure.dim,
-        elapsed_ms=(time.perf_counter() - t0) * 1e3, field=a.field.descriptor)
+        elapsed_ms=(time.perf_counter() - t0) * 1e3, field=a.field.descriptor,
+        started=t0)
 
 
 def _verify_maps(result: ClosureResult):
@@ -363,12 +369,61 @@ def _closure(a, m, method, budget, t0):
     return _staged_closure(a, m, method, budget, t0)
 
 
+def reconstructed_last_map(a: StructureAlgebra, closure: StructureAlgebra,
+                           maps) -> AlgebraMap:
+    """The map a -> trace(a)*1 - sum_s map_s(a) into the closure carrying
+    `maps`.  In the n-closure the images of a sum to the trace of a (the
+    Z^(n-1) coefficient of P = prod (Z - gamma_s)), so on an (n-1)-closure
+    this is the only candidate for the last map."""
+    fieldh = a.field
+    minus_one = fieldh.neg(fieldh.one)
+    rows = []
+    for j in range(a.dim):
+        trace = fieldh.zero
+        for k in range(a.dim):
+            trace = fieldh.add(trace, a.basis_product(j, k).get(k, fieldh.zero))
+        vec = {0: trace} if trace else {}
+        for mp in maps:
+            vec_add_into(fieldh, vec, mp.rows[j], minus_one)
+        rows.append(vec)
+    return AlgebraMap(a, closure, rows)
+
+
+def _last_stage_span(pair: TensorPairAlgebra, last: AlgebraMap, seeds):
+    """The slot-n ideal of C x A, C the (n-1)-closure, as the kernel of
+    c x a -> c * last(a), spanned by e_(c,i) - (c * t_i) x 1 for i >= 1 with
+    t_i = last(e_i).
+
+    The kernel lies in the slot-n ideal J by the trace identity, which holds
+    in the n-closure (C x A)/J.  It is an ideal when `last` is a ring
+    morphism, and it then contains J once it contains the seeds; both are
+    checked here, so the kernel is J."""
+    fieldh = pair.field
+    if not last.is_ring_morphism():
+        raise CertificateFailure("the trace map on the (n-1)-closure is not "
+                                 "a ring morphism")
+    n = pair.n
+    one = fieldh.one
+    minus_one = fieldh.neg(one)
+    span = RowSpace(fieldh, pair.dim)
+    for i in range(1, n):
+        times_t = stride_multiplier(pair.left, last.rows[i], n)
+        for c in range(pair.left.dim):
+            row = times_t({c * n: minus_one})
+            row[c * n + i] = one
+            span.add(row)
+    if any(span.reduce(seed) for seed in seeds):
+        raise CertificateFailure("a slot-n seed lies outside the trace kernel")
+    return span
+
+
 def _staged_closure(a, m, method, budget, t0):
     """Quotient one slot at a time.
 
     Stage s works in D = C x A where C is the closure after s-1 slots; the
     schedule's seed rows generate the slot-s relations there, and the
     quotient of D by the ideal they generate is the closure after s slots.
+    The ideal of stage n is the kernel of the trace map, inserted directly.
     """
     fieldh = a.field
     n = a.dim
@@ -378,17 +433,23 @@ def _staged_closure(a, m, method, budget, t0):
 
     current = a
     maps = [AlgebraMap(a, a, [{i: one} for i in range(n)])]
-    generator_count = 0
     stage_dims = [n]
+    stage_generators = [0]
+    stage_ms = [(time.perf_counter() - t0) * 1e3]
     for s in range(2, m + 1):
         if current.dim * n > limit:
             raise BudgetExceeded(
                 f"stage {s} width {current.dim * n} exceeds the budget {limit}")
         pair = TensorPairAlgebra(current, a)
         rows = schedule.stage(pair.embed_left)
-        generator_count += sum(1 for r in rows if r)
-        span = RowSpace(fieldh, pair.dim)
-        span.close_under(dedupe_rows(fieldh, rows), pair.generator_multipliers())
+        stage_generators.append(sum(1 for r in rows if r))
+        seeds = dedupe_rows(fieldh, rows)
+        if s == n:
+            span = _last_stage_span(
+                pair, reconstructed_last_map(a, current, maps), seeds)
+        else:
+            span = RowSpace(fieldh, pair.dim)
+            span.close_under(seeds, pair.generator_multipliers())
         quot = QuotientAlgebra(pair, span)
         maps = [AlgebraMap(a, quot, [quot.project(pair.embed_left(row))
                                      for row in mp.rows])
@@ -398,12 +459,15 @@ def _staged_closure(a, m, method, budget, t0):
             schedule.project(quot.project)
         current = quot
         stage_dims.append(current.dim)
+        stage_ms.append((time.perf_counter() - t0) * 1e3)
 
     return ClosureResult(
         input_algebra=a, m=m, method=method, closure=current, maps=maps,
-        dim=current.dim, generator_count=generator_count, rank=n ** m - current.dim,
-        elapsed_ms=(time.perf_counter() - t0) * 1e3,
-        field=fieldh.descriptor, stage_dims=tuple(stage_dims))
+        dim=current.dim, generator_count=sum(stage_generators),
+        rank=n ** m - current.dim, elapsed_ms=stage_ms[-1],
+        field=fieldh.descriptor, stage_dims=tuple(stage_dims),
+        stage_generators=tuple(stage_generators), stage_ms=tuple(stage_ms),
+        started=t0)
 
 
 # ---------------------------------------------------------------------------
@@ -840,7 +904,7 @@ def _two_prime_closure(pres, m, method, budget, p1, p2):
     if res1.dim != res2.dim or res1.rank != res2.rank:
         raise ModularDisagreement(
             f"mod {p1} gives dim {res1.dim}, mod {p2} gives dim {res2.dim}")
-    return res1
+    return replace(res1, stages_agree=res1.stage_dims == res2.stage_dims)
 
 
 def closure_from_presentation(pres: AlgebraPresentation, m: int,

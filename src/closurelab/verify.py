@@ -12,11 +12,11 @@ from .catalog import table1_entries
 from .closure import (base_change_presentation, closure_from_presentation,
                       divides_check, etale_closure_dim, galois_factor_count,
                       m_closure, monogenic_algebra, monogenic_tower,
-                      naive_closure, product_formula_dim, transform_monic,
-                      upoly_mul)
-from .finalg import (AlgebraMap, FieldOps, PolyOps,
-                     algebra_from_presentation, algebra_product,
-                     berkowitz_charpoly, char_poly, determinant_expansion)
+                      naive_closure, product_formula_dim,
+                      reconstructed_last_map, transform_monic, upoly_mul)
+from .finalg import (FieldOps, PolyOps, algebra_from_presentation,
+                     algebra_product, berkowitz_charpoly, char_poly,
+                     determinant_expansion)
 from .multipoly import PolyRing, parse_presentation
 
 DEFAULT_SEED = 20260808
@@ -24,28 +24,6 @@ DEFAULT_SEED = 20260808
 
 def _check(results, name, ok, detail=""):
     results.append((name, bool(ok), detail))
-
-
-def reconstructed_last_map(result) -> AlgebraMap:
-    """The extra map a -> trace(a)*1 - sum_s map_s(a) on an (n-1)-closure,
-    which together with the existing maps realizes the n-closure."""
-    a = result.input_algebra
-    c = result.closure
-    fieldh = a.field
-    rows = []
-    for j in range(a.dim):
-        elem = a.element_from_dict({j: fieldh.one})
-        trace = char_poly(a, elem).traces[0]
-        vec = {0: trace} if trace else {}
-        for mp in result.maps:
-            for k, v in mp.rows[j].items():
-                s = fieldh.sub(vec.get(k, fieldh.zero), v)
-                if s:
-                    vec[k] = s
-                elif k in vec:
-                    del vec[k]
-        rows.append(vec)
-    return AlgebraMap(a, c, rows)
 
 
 def suite_trivial(seed=DEFAULT_SEED):
@@ -65,7 +43,7 @@ def suite_trivial(seed=DEFAULT_SEED):
         rn = m_closure(a, n)
         _check(out, f"{entry.name}: dim at m=n-1 equals dim at m=n",
                rn1.dim == rn.dim, f"{rn1.dim} vs {rn.dim}")
-        extra = reconstructed_last_map(rn1)
+        extra = reconstructed_last_map(a, rn1.closure, rn1.maps)
         _check(out, f"{entry.name}: reconstructed map on the (n-1)-closure is a ring morphism",
                extra.is_ring_morphism())
         rbig = m_closure(a, n + 1)

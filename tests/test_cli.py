@@ -1,8 +1,11 @@
+import dataclasses
 import json
 import subprocess
 import sys
 
-from closurelab.cli import main
+from closurelab import cli as cli_module
+from closurelab.catalog import load_manifest
+from closurelab.cli import _table_task, main
 
 REPORT_KEYS = {"name", "m", "method", "field", "dim", "generators", "rank", "ms"}
 
@@ -220,3 +223,120 @@ def test_table_determinism_modulo_timing():
     _, out2 = run_cli(["table", "--manifest", "table1.json", "--max-m", "2",
                        "--json"])
     assert strip(out1) == strip(out2)
+
+
+# -- table: each row computed once, at its largest m
+
+
+def _per_m_records(manifest, exact=False, min_m=None, max_m=None):
+    """Records as one closure_from_presentation call per (row, m) gives
+    them."""
+    records = []
+    for entry in load_manifest(manifest):
+        for m in sorted(entry.expected):
+            if (min_m is None or m >= min_m) and (max_m is None or m <= max_m):
+                records.append(_table_task((entry.__dict__.copy(), m, exact)))
+    return records
+
+
+def _without_ms(records):
+    return [{k: v for k, v in r.items() if k != "ms"} for r in records]
+
+
+def _table_json(argv):
+    code, out = run_cli(["table", "--json"] + argv)
+    return code, [json.loads(line) for line in out]
+
+
+def _assert_stage_times(records):
+    # a smaller m reports the run's time at the end of its stage: above 0,
+    # growing with m, and below the whole run's time
+    by_row = {}
+    for r in records:
+        by_row.setdefault(r["name"], []).append(r["ms"])
+    for times in by_row.values():
+        assert 0 < times[0] and times == sorted(times)
+        assert all(t < times[-1] for t in times[:-1])
+
+
+def test_table_rows_once_match_per_m_records():
+    for manifest, max_m in (("table1.json", None), ("table2.json", 3)):
+        for exact in (False, True):
+            per_m = _per_m_records(manifest, exact, max_m=max_m)
+            argv = ["--manifest", manifest] + (["--exact"] if exact else [])
+            argv += ["--max-m", str(max_m)] if max_m else []
+            for jobs in ("1", "2"):
+                code, records = _table_json(argv + ["--jobs", jobs])
+                assert _without_ms(records) == _without_ms(per_m), \
+                    (manifest, exact, jobs)
+                _assert_stage_times(records)
+            if manifest == "table1.json" and not exact:
+                table1 = per_m
+    # --min-m / --max-m pick the m; the row still runs once, at the largest
+    for min_m, max_m in ((2, 3), (4, 5), (1, 1)):
+        code, records = _table_json(["--manifest", "table1.json",
+                                     "--min-m", str(min_m), "--max-m", str(max_m)])
+        assert code == 0
+        assert _without_ms(records) == _without_ms(
+            [r for r in table1 if min_m <= r["m"] <= max_m])
+
+
+def _count_runs(monkeypatch, stages_agree=True):
+    """Record the m of each closure_from_presentation call from `table`;
+    with stages_agree False, every result claims its two primes disagree
+    on some stage."""
+    real = cli_module.closure_from_presentation
+    calls = []
+
+    def counting(pres, m, **kwargs):
+        calls.append(m)
+        result, mode = real(pres, m, **kwargs)
+        if not stages_agree:
+            result = dataclasses.replace(result, stages_agree=False)
+        return result, mode
+
+    monkeypatch.setattr(cli_module, "closure_from_presentation", counting)
+    return calls
+
+
+def test_table_runs_each_row_once(monkeypatch):
+    calls = _count_runs(monkeypatch)
+    code, records = _table_json(["--manifest", "table1.json",
+                                 "--rows", "(x^4);(x^5)"])
+    assert code == 0 and calls == [4, 5] and len(records) == 11
+
+
+def test_table_row_falls_back_when_stages_are_not_each_m(monkeypatch):
+    # two primes that agree on the largest m but not on some stage: a run
+    # at a smaller m would report a disagreement, so each m runs alone
+    calls = _count_runs(monkeypatch, stages_agree=False)
+    code, records = _table_json(["--manifest", "table1.json", "--rows", "(x^4)"])
+    assert code == 0 and calls == [4, 0, 1, 2, 3]
+    assert _without_ms(records) == _without_ms(
+        [r for r in _per_m_records("table1.json") if r["name"] == "(x^4)"])
+
+
+def test_table_row_budget_overrun_falls_back(monkeypatch):
+    # (x^4) stages are 16, 48 and 96 wide, so only m = 4 overruns
+    monkeypatch.setenv("CLOSURELAB_BUDGET", "50")
+    calls = _count_runs(monkeypatch)
+    code, records = _table_json(["--manifest", "table1.json", "--rows", "(x^4)"])
+    assert code == 1 and calls == [4, 0, 1, 2, 3]    # m = 4 is not rerun
+    assert [r.get("error") for r in records] == \
+        [None] * 4 + ["stage 4 width 96 exceeds the budget 50"]
+    assert _without_ms(records) == _without_ms(
+        [r for r in _per_m_records("table1.json") if r["name"] == "(x^4)"])
+
+
+def test_table_row_modular_disagreement_falls_back(monkeypatch, tmp_path):
+    monkeypatch.setenv("CLOSURELAB_PRIMES", "7,11")
+    rows = [{"name": "zero divisor", "field": "Q", "vars": ["x", "y"],
+             "relations": ["x^2", "y^2 - 7*x"],
+             "expected": {"0": 1, "1": 4, "2": 12}, "tags": []}]
+    path = tmp_path / "zero_divisor.json"
+    path.write_text(json.dumps(rows))
+    code, records = _table_json(["--manifest", str(path)])
+    assert code == 1
+    assert [r["dim"] for r in records[:2]] == [1, 4]
+    assert records[2]["error"] == "mod 7 gives dim 13, mod 11 gives dim 12"
+    assert _without_ms(records) == _without_ms(_per_m_records(str(path)))

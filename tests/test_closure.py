@@ -12,14 +12,16 @@ from closurelab.closure import (base_change_presentation,
                                 generic_char_poly, m_closure, modular_primes,
                                 monogenic_algebra, monogenic_tower,
                                 naive_closure, presentation_mod_p,
-                                product_formula_dim, transform_monic,
-                                upoly_mul)
-from closurelab.errors import (BudgetExceeded, ClosureLabError, DegreeTooSmall,
+                                product_formula_dim, reconstructed_last_map,
+                                transform_monic, upoly_mul)
+from closurelab.errors import (BudgetExceeded, CertificateFailure,
+                               ClosureLabError, DegreeTooSmall,
                                InfiniteFieldUnsupported, LengthMismatch,
                                ModularDisagreement, NotLocal, NotPrime,
                                UnsupportedField)
-from closurelab.finalg import (algebra_from_presentation, algebra_product,
-                               char_poly, ideal_subspace_dim)
+from closurelab.finalg import (AlgebraMap, algebra_from_presentation,
+                               algebra_product, char_poly, ideal_subspace_dim,
+                               vec_add_into)
 from closurelab.multipoly import parse_presentation
 from flat_oracle import (flat_closure, j_generators, local_generators,
                          tensor_power)
@@ -199,6 +201,70 @@ def test_production_matches_flat_oracle():
         naive = naive_closure(a, 3)
         assert naive.dim == dim and naive.strategy == "staged"
         assert_same_closure(naive, flat_closure(a, 3, "naive"))
+
+
+# Table 1 rows of dimension 5 whose flat 5-fold tensor power closes in
+# under a second; the other n = 5 rows take longer and add no new shape.
+LAST_STAGE_N5_ROWS = ("(x^3, y^3, xy)", "(x, y, z, w)^2")
+
+
+def test_last_stage_matches_flat_oracle():
+    # the m = n stage is the kernel of the trace map, inserted without the
+    # closure loop; the flat oracle closes the whole tensor power instead
+    for entry in table1_entries():
+        a = entry.algebra()
+        if a.dim <= 4 or entry.name in LAST_STAGE_N5_ROWS:
+            assert_same_closure(m_closure(a, a.dim), flat_closure(a, a.dim))
+    for text in ("F2[x,y]/(x^2, y^2)", "F2[x1,x2,x3]/((x1,x2,x3)^2)"):
+        a = alg(text)
+        n = a.dim
+        assert_same_closure(m_closure(a, n), flat_closure(a, n))
+        assert_same_closure(m_closure(a, n, method="local"),
+                            flat_closure(a, n, "local-shortcut"))
+        assert_same_closure(naive_closure(a, n), flat_closure(a, n, "naive"))
+
+
+def test_last_stage_rejects_a_wrong_last_map(monkeypatch):
+    # without its trace term the last map is not unital, so not a ring
+    # morphism; map_1 is a ring morphism, but the slot-n seeds lie outside
+    # its kernel.  Either way the stage must fail, not return a result.
+    def without_trace(a, closure, maps):
+        minus_one = a.field.neg(a.field.one)
+        rows = []
+        for j in range(a.dim):
+            row = {}
+            for mp in maps:
+                vec_add_into(a.field, row, mp.rows[j], minus_one)
+            rows.append(row)
+        return AlgebraMap(a, closure, rows)
+
+    def first_map(a, closure, maps):
+        return maps[0]
+
+    # trace(1) = n is nonzero in each field, so dropping it changes the map;
+    # the idempotent x of the last input also has a nonzero trace
+    for wrong in (without_trace, first_map):
+        monkeypatch.setattr(closure_module, "reconstructed_last_map", wrong)
+        for text in ("Q[x]/(x^3)", "Q[x,y]/(x^2, y^2)", "F3[x,y]/(x^2, y^2)",
+                     "Q[x,y]/(x^2 - x, y^2)"):
+            a = alg(text)
+            with pytest.raises(CertificateFailure):
+                m_closure(a, a.dim)
+            assert m_closure(a, a.dim - 1).dim > 0     # earlier stages unaffected
+
+
+def test_last_map_is_trace_minus_the_others():
+    a = alg("Q[x,y]/(x^2, y^2 - x)")
+    res = m_closure(a, a.dim - 1)
+    last = reconstructed_last_map(a, res.closure, res.maps)
+    for j in range(a.dim):
+        total = dict(last.rows[j])
+        for mp in res.maps:
+            for k, v in mp.rows[j].items():
+                total[k] = total.get(k, 0) + v
+        trace = char_poly(a, a.element_from_dict({j: Fr(1)})).traces[0]
+        assert {k: v for k, v in total.items() if v} == ({0: trace} if trace else {})
+    assert last.is_ring_morphism()
 
 
 def test_local_shortcut_stages_past_the_tensor_power():
