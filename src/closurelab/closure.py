@@ -9,13 +9,21 @@ by (Z - gamma_2), and so on, leaves one remainder per slot, and the
 X-monomial coefficients of those remainders generate the defining ideal
 inside the m-fold tensor power.
 
+The first basis element is the unit, so gamma = X_1 + gamma', and every
+slot embeds 1 as 1.  The substitution Z -> Z + X_1 sends P to P', the
+characteristic polynomial of gamma', and each (Z - gamma_s) to
+(Z - gamma'_s); it carries the chain of divisions of P onto that of P' and
+fixes the remainders, which do not involve Z.  So the pipeline divides P',
+which is free of X_1, has about half the terms of P, and is Z^n on a local
+algebra.
+
 The slot-s relations involve slots 1..s only, so the closure is built one
 slot at a time: stage s quotients (closure after s-1 slots) tensor A by the
 slot-s relations, which is far smaller than the tensor power whenever the
 intermediate closures collapse.  A seed schedule supplies each stage's
-relations: synthetic division (general), complete homogeneous sums (the
-local shortcut), or synthetic division of the characteristic polynomial
-of each element of A (naive).
+relations: synthetic division of P' (general, and the local shortcut,
+which only checks that A is local), or synthetic division of the
+characteristic polynomial of each element of A (naive).
 """
 
 from __future__ import annotations
@@ -38,7 +46,8 @@ from .finalg import (AlgebraElement, AlgebraMap, CharPoly, PolyOps,
                      berkowitz_charpoly, char_poly, dedupe_rows, power_budget,
                      stride_multiplier, vec_add_into)
 from .groebner import GroebnerBasis
-from .multipoly import AlgebraPresentation, MultiPoly, PolyRing
+from .multipoly import (AlgebraPresentation, MultiPoly, PolyRing,
+                        grevlex_key, mono_mul)
 
 MORPHISM_PAIR_BUDGET = 512  # basis pairs checked per map on huge closures
 DIVIDES_DIM_LIMIT = 600     # closures above this skip the full recomputation
@@ -79,12 +88,15 @@ class GenericCharData:
                         self.algebra.field)
 
 
-def generic_char_poly(a: StructureAlgebra) -> GenericCharData:
-    """Berkowitz applied to sum_i X_i * (multiplication matrix of e_i)."""
+def generic_char_poly(a: StructureAlgebra,
+                      unit_free: bool = False) -> GenericCharData:
+    """Berkowitz applied to sum_k X_(k+1) * (multiplication matrix of e_k).
+    `unit_free` skips the unit e_0: the characteristic polynomial
+    P'(Z) = P(Z + X_1) of gamma' = gamma - X_1, which is P at X_1 = 0."""
     n = a.dim
     ring = PolyRing(a.field, tuple(f"X{i + 1}" for i in range(n)))
     entries = [[ring.zero() for _ in range(n)] for _ in range(n)]
-    for k in range(n):
+    for k in range(1 if unit_free else 0, n):
         cols = [a.basis_product(k, j) for j in range(n)]
         for j, col in enumerate(cols):
             for i, c in col.items():
@@ -176,14 +188,6 @@ def _rows_of(xp):
     return [vec for _, vec in sorted(xp.items())]
 
 
-def _gamma_mults(a: StructureAlgebra):
-    """Multipliers by e_1..e_{n-1} of A on the last tensor digit (stride 1);
-    with the identity at index 0, their X-weighted sum is gamma.  The same
-    operators act on A itself and on every (closure) tensor A."""
-    one = a.field.one
-    return [None] + [stride_multiplier(a, {i: one}, 1) for i in range(1, a.dim)]
-
-
 # ---------------------------------------------------------------------------
 # seed schedules
 #
@@ -195,14 +199,19 @@ def _gamma_mults(a: StructureAlgebra):
 
 
 class _GeneralSchedule:
-    """Synthetic division of the running quotient of P by (Z - gamma_s); the
-    seeds are the X-monomial coefficients of the remainder.  The slot-1
+    """Synthetic division of the running quotient of P' by (Z - gamma'_s),
+    which leaves the slot remainders of P (module docstring); the seeds are
+    their X-monomial coefficients.  The multipliers by e_1..e_{n-1} act on
+    the last tensor digit, of A and of every (closure) tensor A.  The slot-1
     remainder is the Cayley-Hamilton identity and must vanish."""
 
     def __init__(self, a: StructureAlgebra):
         self.fieldh = a.field
-        self.times_gamma = partial(_xp_gamma_mult, a.field, _gamma_mults(a))
-        self._start(_lift_scalar_coeffs(generic_char_poly(a).coeffs))
+        mults = [None] + [stride_multiplier(a, {i: a.field.one}, 1)
+                          for i in range(1, a.dim)]
+        self.times_gamma = partial(_xp_gamma_mult, a.field, mults, first=1)
+        self._start(_lift_scalar_coeffs(
+            generic_char_poly(a, unit_free=True).coeffs))
 
     def _start(self, zc):
         self.zc, rem = _synthetic_divide(self.fieldh, zc, self.times_gamma)
@@ -246,38 +255,7 @@ class _NaiveSchedule(_GeneralSchedule):
                      for k in range(a.dim + 1)])
 
 
-class _LocalSchedule:
-    """Local algebra with nilpotent maximal ideal: with gamma' = gamma - X_1
-    the characteristic polynomial is Z^n, and the slot-s remainder is the
-    complete homogeneous sum h_{n-s+1} of gamma'_1..gamma'_s.  The sums obey
-    h_k <- h_k + gamma'_s h_{k-1}, so stage s advances h_1..h_{n-s+1} and
-    keeps the degrees the later slots need."""
-
-    def __init__(self, a: StructureAlgebra):
-        self.fieldh = a.field
-        self.mults = _gamma_mults(a)
-        n = a.dim
-        self.h = [{(0,) * n: {0: a.field.one}}] + [{} for _ in range(n)]
-        self._advance()
-
-    def _advance(self):
-        h = self.h
-        top = len(h) - 1          # degree of this slot's remainder
-        for k in range(1, top + 1):
-            _xp_add_into(self.fieldh, h[k], _xp_gamma_mult(
-                self.fieldh, self.mults, h[k - 1], first=1))
-        self.h = h[:top]
-        return _rows_of(h[top])
-
-    def stage(self, embed):
-        self.h = [_xp_map(xp, embed) for xp in self.h]
-        return self._advance()
-
-    def project(self, project):
-        self.h = [_xp_map(xp, project) for xp in self.h]
-
-
-_SCHEDULES = {"general": _GeneralSchedule, "local-shortcut": _LocalSchedule,
+_SCHEDULES = {"general": _GeneralSchedule, "local-shortcut": _GeneralSchedule,
               "naive": _NaiveSchedule}
 
 
@@ -336,8 +314,8 @@ def m_closure(a: StructureAlgebra, m: int, method: str = "general",
     """The m-closure of a finite-dimensional commutative algebra.
 
     method "general" works for every algebra; "local-shortcut" requires a
-    local algebra with nilpotent maximal ideal and uses the collapsed
-    generator schedule.
+    local algebra with nilpotent maximal ideal and then runs the general
+    schedule, whose P' is Z^n there.
     """
     t0 = time.perf_counter()
     if m < 0:
@@ -614,45 +592,52 @@ def monogenic_tower(f_coeffs, m: int, fieldh: Field | None = None,
     # rewrite rules: bounds[i] = n - i, and x_i^(n-i) rewrites to rule[i]
     bounds = [n - i for i in range(m)]
     rules = {}
+    # Normal form of each monomial met, cleared when a rule is added.  The
+    # rules are a triangular Groebner basis with pairwise coprime leading
+    # terms x_i^bounds[i], so the normal form is unique.
+    normal = {}
+
+    def normal_form(mono):
+        nf = normal.get(mono)
+        if nf is None:
+            nf = {mono: fh.one}
+            for i in rules:
+                if mono[i] >= bounds[i]:
+                    drop = list(mono)
+                    drop[i] -= bounds[i]
+                    nf = {}
+                    for rmono, c in rules[i].terms.items():
+                        vec_add_into(fh, nf, normal_form(mono_mul(rmono, drop)), c)
+                    break
+            normal[mono] = nf
+        return nf
 
     def reduce_tower(p: MultiPoly) -> MultiPoly:
-        while True:
-            target = None
-            for mono in p.terms:
-                for i in range(m):
-                    if i in rules and mono[i] >= bounds[i]:
-                        target = (mono, i)
-                        break
-                if target:
-                    break
-            if not target:
-                return p
-            mono, i = target
-            c = p.terms[mono]
-            drop = list(mono)
-            drop[i] -= bounds[i]
-            p = p - ring.monomial(mono, c) + \
-                rules[i].mul_monomial(tuple(drop), c)
+        out = {}
+        for mono, c in p.terms.items():
+            vec_add_into(fh, out, normal_form(mono), c)
+        return MultiPoly(ring, out)
+
+    def power(i, e):
+        return tuple(e if j == i else 0 for j in range(m))
 
     # current polynomial: Z-coefficients as MultiPoly in x_1..x_m
     cur = [ring.const(c) for c in f_coeffs]
     relations = []
     for i in range(m):
         deg = len(cur) - 1
-        rel_parts = [f"{names[i]}^{deg}"] if deg != 1 else [names[i]]
-        rel_poly = ring.monomial(tuple(deg if j == i else 0 for j in range(m)))
+        rel_poly = ring.monomial(power(i, deg))
         for e in range(deg):
             coeff = cur[e]
             if not coeff.is_zero():
-                shift = tuple(e if j == i else 0 for j in range(m))
-                rel_poly = rel_poly + coeff.mul_monomial(shift)
+                rel_poly = rel_poly + coeff.mul_monomial(power(i, e))
         relations.append(str(rel_poly))
         # rewrite rule: x_i^deg = -(lower part)
         low = ring.zero()
         for e in range(deg):
-            shift = tuple(e if j == i else 0 for j in range(m))
-            low = low - cur[e].mul_monomial(shift)
+            low = low - cur[e].mul_monomial(power(i, e))
         rules[i] = low
+        normal.clear()
         # divide by (Z - x_i): quotient via Horner, coefficients reduced
         xi = ring.var(i)
         quot = [ring.zero()] * deg
@@ -661,36 +646,22 @@ def monogenic_tower(f_coeffs, m: int, fieldh: Field | None = None,
             quot[k - 1] = reduce_tower(cur[k] + xi * quot[k])
         cur = quot
 
-    expected = 1
-    for i in range(m):
-        expected *= n - i
-
+    expected = etale_closure_dim(n, m)
     if integral:
         return TowerDescription(base="Z", degree=n, m=m, dim=expected,
                                 relations=tuple(relations))
 
     # assemble the structure algebra on the monomial basis
-    basis = []
-
-    def gen_basis(i, mono):
-        if i == m:
-            basis.append(tuple(mono))
-            return
-        for e in range(bounds[i]):
-            mono[i] = e
-            gen_basis(i + 1, mono)
-        mono[i] = 0
-
-    gen_basis(0, [0] * m)
-    from .multipoly import grevlex_key
-    basis.sort(key=grevlex_key)
+    basis = sorted(itertools.product(*map(range, bounds)), key=grevlex_key)
     index = {b: i for i, b in enumerate(basis)}
+
+    def coords(mono):
+        return {index[mo]: c for mo, c in normal_form(mono).items()}
+
     table = {}
     for i in range(len(basis)):
         for j in range(i, len(basis)):
-            prod = reduce_tower(ring.monomial(
-                tuple(a + b for a, b in zip(basis[i], basis[j]))))
-            vec = {index[mo]: c for mo, c in prod.terms.items()}
+            vec = coords(mono_mul(basis[i], basis[j]))
             if vec:
                 table[(i, j)] = vec
     labels = []
@@ -701,26 +672,14 @@ def monogenic_tower(f_coeffs, m: int, fieldh: Field | None = None,
             labels.append("*".join(
                 nm if e == 1 else f"{nm}^{e}"
                 for nm, e in zip(names, b) if e))
-    gens = []
-    for i in range(m):
-        reduced = reduce_tower(ring.var(i))
-        gens.append((names[i],
-                     {index[mo]: c for mo, c in reduced.terms.items()}))
+    gens = [(names[i], coords(power(i, 1))) for i in range(m)]
     algebra = TableAlgebra(fh, labels, table, generators=gens,
                            check=len(basis) <= 40)
     if algebra.dim != expected:
         raise CertificateFailure("tower dimension mismatch")
-    maps = []
     source = monogenic_algebra(fh, f_coeffs)
-    for i in range(m):
-        rows = []
-        xi = ring.var(i)
-        acc = ring.one()
-        for e in range(n):
-            vec = {index[mo]: c for mo, c in reduce_tower(acc).terms.items()}
-            rows.append(vec)
-            acc = acc * xi
-        maps.append(AlgebraMap(source, algebra, rows))
+    maps = [AlgebraMap(source, algebra, [coords(power(i, e)) for e in range(n)])
+            for i in range(m)]
     return TowerDescription(base=str(fh.descriptor), degree=n, m=m,
                             dim=algebra.dim, relations=tuple(relations),
                             algebra=algebra, maps=maps)
@@ -765,11 +724,35 @@ def galois_factor_count(parts) -> int:
 # divisibility certificate
 
 
+def slot_remainders(a: StructureAlgebra, slot_mults, unit_free: bool = True):
+    """Remainders of the chain of divisions of P by (Z - gamma_1),
+    (Z - gamma_2), ..., where slot_mults[s][i] multiplies by the slot-s image
+    of e_i (None at index 0 multiplies by 1).  With `unit_free`, the chain
+    of P' by the (Z - gamma'_s) instead, which leaves the same remainders
+    when every slot is unital (see the module docstring)."""
+    fieldh = a.field
+    first = 1 if unit_free else 0
+    zc = _lift_scalar_coeffs(generic_char_poly(a, unit_free=unit_free).coeffs)
+    for mults in slot_mults:
+        zc, rem = _synthetic_divide(fieldh, zc,
+                                    partial(_xp_gamma_mult, fieldh, mults,
+                                            first=first))
+        yield rem
+
+
 def divides_check(result: ClosureResult, dim_limit: int | None = None) -> dict:
     """Certify that the product of (Z - map_s(gamma)) divides P inside the
     closure: re-run the slot divisions with coefficients in the closure and
     demand a zero remainder at every slot.  By genericity this certifies the
-    divisibility for every base change at once."""
+    divisibility for every base change at once.
+
+    The divisions run on P'(Z) = P(Z + X_1) by the (Z - map_s(gamma')),
+    gamma' = gamma - X_1.  Each map_s is first checked to be unital: then
+    map_s(gamma) = X_1 + map_s(gamma'), and the substitution Z -> Z + X_1, a
+    ring automorphism of C[X_1..X_n][Z], sends P to P' and each
+    (Z - map_s(gamma)) to (Z - map_s(gamma')).  It carries every quotient of
+    one chain of divisions onto the other's and fixes the remainders, so the
+    remainders of both chains vanish together."""
     limit = DIVIDES_DIM_LIMIT if dim_limit is None else dim_limit
     c = result.closure
     if result.m == 0 or c.dim == 0:
@@ -778,15 +761,13 @@ def divides_check(result: ClosureResult, dim_limit: int | None = None) -> dict:
         return {"certified": False, "mode": "skipped",
                 "reason": f"closure dimension {c.dim} above limit {limit}"}
     a = result.input_algebra
-    fieldh = a.field
-    gcd = generic_char_poly(a)
-    zc = _lift_scalar_coeffs(gcd.coeffs)
-    for s in range(result.m):
-        rows = result.maps[s].rows
-        mults = [None] + [stride_multiplier(c, rows[i], 1)
-                          for i in range(1, a.dim)]
-        zc, rem = _synthetic_divide(fieldh, zc,
-                                    partial(_xp_gamma_mult, fieldh, mults))
+    for s, mp in enumerate(result.maps):
+        if not mp.is_unital():
+            raise CertificateFailure(f"structural map {s + 1} is not unital")
+    slot_mults = [[None] + [stride_multiplier(c, mp.rows[i], 1)
+                            for i in range(1, a.dim)]
+                  for mp in result.maps[:result.m]]
+    for s, rem in enumerate(slot_remainders(a, slot_mults)):
         if any(rem.values()):
             raise CertificateFailure(
                 f"slot {s + 1} remainder is nonzero in the closure")

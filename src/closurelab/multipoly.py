@@ -6,6 +6,7 @@ scalars.  The canonical term order is graded reverse lexicographic.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ Monomial = tuple  # exponent tuple, one entry per ambient variable
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def mono_degree(a: Monomial) -> int:

@@ -13,10 +13,11 @@ from .closure import (base_change_presentation, closure_from_presentation,
                       divides_check, etale_closure_dim, galois_factor_count,
                       m_closure, monogenic_algebra, monogenic_tower,
                       naive_closure, product_formula_dim,
-                      reconstructed_last_map, transform_monic, upoly_mul)
+                      reconstructed_last_map, slot_remainders,
+                      transform_monic, upoly_mul)
 from .finalg import (FieldOps, PolyOps, algebra_from_presentation,
                      algebra_product, berkowitz_charpoly, char_poly,
-                     determinant_expansion)
+                     determinant_expansion, stride_multiplier)
 from .multipoly import PolyRing, parse_presentation
 
 DEFAULT_SEED = 20260808
@@ -302,25 +303,32 @@ def suite_family(seed=DEFAULT_SEED):
     return out
 
 
+# Non-local inputs for the generator suite: étale, mixed, and over F2, F3.
+SHIFT_INPUTS = ("Q[x]/(x^3 - x - 1)", "Q[x,y]/(x^2 - x, y^2)",
+                "F2[x,y]/(x^2 + x, y^2)", "F3[x]/(x^3 - x - 1)")
+
+
 def suite_generators(seed=DEFAULT_SEED):
-    """The nilpotent shortcut and the generic schedule give the same closure
-    (dimension and canonical basis) for local catalog algebras (n <= 5,
-    m <= 3)."""
+    """Dividing P by (Z - gamma_s) and dividing P' by (Z - gamma'_s),
+    gamma' = gamma - X_1, leave the same slot remainders in the tensor
+    cube of A (square for n = 2), for the dimension-up-to-5 catalog and a
+    few non-local algebras: the shift identity behind the production
+    schedule."""
     out = []
-    for entry in table1_entries():
-        a = entry.algebra()
-        if not a.is_local_nilpotent():
-            continue
-        for m in (2, 3):
-            if m > a.dim:
-                continue
-            gen = m_closure(a, m)
-            loc = m_closure(a, m, method="local-shortcut")
-            labels = [gen.closure.label_str(i) for i in range(gen.dim)]
-            same = (gen.dim == loc.dim and labels ==
-                    [loc.closure.label_str(i) for i in range(loc.dim)])
-            _check(out, f"{entry.name} m={m}: shortcut and generic schedules agree",
-                   same, f"{gen.dim} vs {loc.dim}")
+    algebras = [(entry.name, entry.algebra()) for entry in table1_entries()]
+    algebras += [(text, algebra_from_presentation(parse_presentation(text)))
+                 for text in SHIFT_INPUTS]
+    for name, a in algebras:
+        n = a.dim
+        one = a.field.one
+        slots = [[None] + [stride_multiplier(a, {i: one}, stride)
+                           for i in range(1, n)]
+                 for stride in reversed([n ** s for s in range(min(n, 3))])]
+        full = list(slot_remainders(a, slots, unit_free=False))
+        shifted = list(slot_remainders(a, slots))
+        _check(out, f"{name}: gamma and gamma - X1 leave the same slot remainders",
+               full == shifted,
+               f"{sum(map(len, full))} vs {sum(map(len, shifted))} remainder terms")
     return out
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from closurelab import closure as closure_module
-from closurelab.arith import GF, QQ
+from closurelab.arith import GF, QQ, prime_pair
 from closurelab.catalog import table1_entries
 from closurelab.closure import (base_change_presentation,
                                 closure_from_presentation, divides_check,
@@ -56,6 +56,34 @@ def test_generic_char_poly_specialization_oracle():
         for _ in range(10):
             e = a.element([Fr(rng.randint(-5, 5)) for _ in range(a.dim)])
             assert g.specialize(e).coeffs == char_poly(a, e).coeffs
+
+
+def test_unit_free_char_poly_is_p_at_x1_zero():
+    # P'(Z) = P(Z + X1) is free of X1, so it is P with X1 = 0; over Q, F2,
+    # F4 and the pair ring Z/(p1*p2) of the default modular mode
+    p1, p2 = modular_primes()
+    over_q = [parse_presentation(t) for t in
+              ("Q[x]/(x^5 - x - 1)", "Q[x,y]/(x^2 - x, y^3)",
+               "Q[x,y]/(xy, x^3 + y^3)")]
+    over_f2 = [parse_presentation(t) for t in
+               ("F2[x,y]/(x^2 + x + 1, y^2)", "F2[x]/(x^4 + x + 1)")]
+    presentations = over_q + over_f2
+    presentations += [base_change_presentation(p, GF(2, 2).descriptor)
+                      for p in over_f2]
+    presentations += [base_change_presentation(p, prime_pair(p1, p2))
+                      for p in over_q]
+    kinds = set()
+    for pres in presentations:
+        a = algebra_from_presentation(pres)
+        kinds.add(str(a.field.descriptor))
+        full = generic_char_poly(a).coeffs
+        free = generic_char_poly(a, unit_free=True).coeffs
+        assert len(full) == len(free) == a.dim + 1
+        for f, g in zip(full, free):
+            assert g.terms == {mono: c for mono, c in f.terms.items()
+                               if mono[0] == 0}
+        assert any(len(f.terms) > len(g.terms) for f, g in zip(full, free))
+    assert len(kinds) == 4
 
 
 # -- generator schedules
@@ -203,6 +231,35 @@ def test_production_matches_flat_oracle():
         assert_same_closure(naive, flat_closure(a, 3, "naive"))
 
 
+# Non-local inputs: production divides by gamma - X1, the flat oracle by
+# gamma, so agreement checks the shift identity where P' is not Z^n.
+NONLOCAL_ORACLE_INPUTS = ("Q[x]/(x^5-x-1)", "Q[x]/(x^3-x^2)", "F3[x]/(x^3-x-1)")
+
+
+def test_production_matches_flat_oracle_on_nonlocal_inputs():
+    for text in NONLOCAL_ORACLE_INPUTS:
+        a = alg(text)
+        assert not a.is_local_nilpotent()
+        for m in (2, 3):
+            assert_same_closure(m_closure(a, m), flat_closure(a, m))
+
+
+def test_local_method_matches_general():
+    # "local" checks that A is local, then runs the general schedule
+    inputs = [entry.algebra() for entry in table1_entries()]
+    inputs += [alg("F2[x,y]/(x^2, y^2)"), alg("F3[x,y]/(x^3, y^2, xy)")]
+    for a in inputs:
+        for m in range(2, min(3, a.dim) + 1):
+            gen = m_closure(a, m)
+            loc = m_closure(a, m, method="local")
+            assert loc.method == "local-shortcut"
+            assert (loc.dim, loc.stage_dims, loc.stage_generators) == \
+                (gen.dim, gen.stage_dims, gen.stage_generators)
+            assert [loc.closure.label_str(i) for i in range(loc.dim)] == \
+                [gen.closure.label_str(i) for i in range(gen.dim)]
+            assert [mp.rows for mp in loc.maps] == [mp.rows for mp in gen.maps]
+
+
 # Table 1 rows of dimension 5 whose flat 5-fold tensor power closes in
 # under a second; the other n = 5 rows take longer and add no new shape.
 LAST_STAGE_N5_ROWS = ("(x^3, y^3, xy)", "(x, y, z, w)^2")
@@ -283,6 +340,20 @@ def test_maps_are_ring_morphisms_and_certified():
             assert mp.is_ring_morphism()
         cert = divides_check(result)
         assert cert["certified"]
+
+
+def test_divides_check_requires_unital_maps():
+    # the certificate divides by map_s(gamma - X1), which stands for
+    # map_s(gamma) only when map_s(1) = 1
+    a = alg("Q[x,y]/(x^2 - x, y^2)")
+    result = m_closure(a, 2)
+    assert divides_check(result)["certified"]
+    scaled = AlgebraMap(a, result.closure,
+                        [{k: 2 * v for k, v in row.items()}
+                         for row in result.maps[1].rows])
+    result.maps[1] = scaled
+    with pytest.raises(CertificateFailure, match="map 2 is not unital"):
+        divides_check(result)
 
 
 def test_divides_check_vacuous_cases():
