@@ -7,8 +7,9 @@ Subcommands:
   transform  apply the monic-polynomial transform
   tower      split roots off a monic polynomial one at a time
 
-Exit codes: 0 success, 1 mismatch or failed property, 2 parse error,
-3 budget exceeded, 4 method precondition violated.
+Exit codes: 0 success, 1 mismatch, failed property or other error,
+2 malformed input, 3 budget exceeded, 4 method precondition violated;
+`main` maps each error to its code (`_EXIT_CODES`).
 """
 
 from __future__ import annotations
@@ -37,10 +38,16 @@ EXIT_PARSE = 2
 EXIT_BUDGET = 3
 EXIT_PRECONDITION = 4
 
-_PARSE_ERRORS = (ParseError, UnsupportedField, NotPrime, ReducibleModulus,
-                 NotZeroDimensional)
-_PRECONDITION_ERRORS = (NotLocal, InfiniteFieldUnsupported, DegreeTooSmall,
-                        ModularDisagreement)
+# the first entry whose types match an error raised by a command gives
+# its exit code
+_EXIT_CODES = (
+    (BudgetExceeded, EXIT_BUDGET),
+    ((NotLocal, InfiniteFieldUnsupported, DegreeTooSmall, ModularDisagreement),
+     EXIT_PRECONDITION),
+    ((ParseError, UnsupportedField, NotPrime, ReducibleModulus,
+      NotZeroDimensional, ValueError), EXIT_PARSE),
+    (ClosureLabError, EXIT_MISMATCH),
+)
 
 
 def _field_from_spec(text: str):
@@ -77,31 +84,17 @@ def _emit(record: dict, as_json: bool):
 
 
 def cmd_close(args) -> int:
-    try:
-        pres = parse_presentation(args.algebra)
-    except _PARSE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        t0 = time.perf_counter()
-        if args.method == "naive":
-            algebra = algebra_from_presentation(pres)
-            result = naive_closure(algebra, args.m)
-            mode = str(pres.field)
-        else:
-            method = "general" if args.method == "general" else "local"
-            result, mode = closure_from_presentation(
-                pres, args.m, method=method, exact=args.exact)
-        ms = (time.perf_counter() - t0) * 1e3
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except _PRECONDITION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except _PARSE_ERRORS + (ValueError,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    pres = parse_presentation(args.algebra)
+    t0 = time.perf_counter()
+    if args.method == "naive":
+        algebra = algebra_from_presentation(pres)
+        result = naive_closure(algebra, args.m)
+        mode = str(pres.field)
+    else:
+        method = "general" if args.method == "general" else "local"
+        result, mode = closure_from_presentation(
+            pres, args.m, method=method, exact=args.exact)
+    ms = (time.perf_counter() - t0) * 1e3
 
     record = {
         "name": args.algebra, "m": args.m, "method": result.method,
@@ -156,61 +149,43 @@ def _set_outcome(record, dim, method, mode, generators, rank, ms):
     return record
 
 
-def _table_task(payload):
-    """The record of one manifest row at one m."""
-    entry_dict, m, exact = payload
-    entry = ManifestEntry(**entry_dict)
-    record = _new_record(entry, m)
-    try:
-        t0 = time.perf_counter()
-        result, mode = closure_from_presentation(entry.presentation(), m,
-                                                 exact=exact)
-        _set_outcome(record, result.dim, result.method, mode,
-                     result.generator_count, result.rank,
-                     (time.perf_counter() - t0) * 1e3)
-    except (ClosureLabError, ValueError) as exc:
-        record["error"] = str(exc)
-        record["match"] = False
-    return record
-
-
 def _table_row_task(payload):
     """The records of one manifest row at the ascending `ms`, from one run
     at the largest m.  Stage s of that run is the s-closure, so a smaller m
     reads its dim and generators from the run's stages, and its ms is the
     run's elapsed time at the end of stage s.  If the run fails, or its
-    stages are not what a run at each m would report, each smaller m runs
-    alone; a failed run is the largest m's record as it stands."""
+    stages are not what a run at each m would report, its record stands as
+    it is and the smaller m are the row's records at ms[:-1]."""
     entry_dict, ms, exact = payload
+    if not ms:
+        return []
     entry = ManifestEntry(**entry_dict)
-    top = ms[-1]
+    *rest, top = ms
+    record = _new_record(entry, top)
     try:
         t0 = time.perf_counter()
         result, mode = closure_from_presentation(entry.presentation(), top,
                                                  exact=exact)
-        top_ms = (time.perf_counter() - t0) * 1e3
     except (ClosureLabError, ValueError) as exc:
-        error = _new_record(entry, top)
-        error.update(error=str(exc), match=False)
-        return [_table_task((entry_dict, m, exact)) for m in ms[:-1]] + [error]
-    derive = result.strategy == "staged" and result.stages_agree
+        record.update(error=str(exc), match=False)
+        derive = False
+    else:
+        _set_outcome(record, result.dim, result.method, mode,
+                     result.generator_count, result.rank,
+                     (time.perf_counter() - t0) * 1e3)
+        derive = result.strategy == "staged" and result.stages_agree
+    if not derive:
+        return _table_row_task((entry_dict, rest, exact)) + [record]
     lead_ms = (result.started - t0) * 1e3      # the algebra is built
     n = result.input_algebra.dim
     records = []
-    for m in ms:
-        if m == top:
-            records.append(_set_outcome(
-                _new_record(entry, m), result.dim, result.method, mode,
-                result.generator_count, result.rank, top_ms))
-        elif derive:
-            dim = result.stage_dims[m - 1] if m else 1
-            at_ms = lead_ms + (result.stage_ms[m - 1] if m else 0.0)
-            records.append(_set_outcome(
-                _new_record(entry, m), dim, result.method, mode,
-                sum(result.stage_generators[:m]), n ** m - dim, at_ms))
-        else:
-            records.append(_table_task((entry_dict, m, exact)))
-    return records
+    for m in rest:
+        dim = result.stage_dims[m - 1] if m else 1
+        at_ms = lead_ms + (result.stage_ms[m - 1] if m else 0.0)
+        records.append(_set_outcome(
+            _new_record(entry, m), dim, result.method, mode,
+            sum(result.stage_generators[:m]), n ** m - dim, at_ms))
+    return records + [record]
 
 
 def cmd_table(args) -> int:
@@ -277,42 +252,27 @@ def cmd_verify(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    try:
-        fieldh = _field_from_spec(args.field)
-        if fieldh is None:
-            raise UnsupportedField("transform needs a field; use Q or GF(p[,k])")
-        f, var = parse_univariate(args.f, fieldh)
-        g, _ = parse_univariate(args.g, fieldh, var=None)
-        if not f or f[-1] != fieldh.one:
-            raise ParseError("f must be monic")
-    except _PARSE_ERRORS + (ValueError,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    fieldh = _field_from_spec(args.field)
+    if fieldh is None:
+        raise UnsupportedField("transform needs a field; use Q or GF(p[,k])")
+    f, var = parse_univariate(args.f, fieldh)
+    g, _ = parse_univariate(args.g, fieldh, var=None)
+    if not f or f[-1] != fieldh.one:
+        raise ParseError("f must be monic")
     out = transform_monic(f, g, fieldh)
     print(format_univariate(out, fieldh, var))
     return EXIT_OK
 
 
 def cmd_tower(args) -> int:
-    try:
-        fieldh = _field_from_spec(args.field)
-        parse_field = fieldh if fieldh is not None else QQ()
-        f, _ = parse_univariate(args.f, parse_field)
-        if not f or f[-1] != parse_field.one:
-            raise ParseError("f must be monic")
-        if fieldh is None and any(c.denominator != 1 for c in f):
-            raise ParseError("integer tower needs integer coefficients")
-    except _PARSE_ERRORS + (ValueError,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        tower = monogenic_tower(f, args.m, fieldh)
-    except DegreeTooSmall as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except ValueError as exc:             # negative m
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    fieldh = _field_from_spec(args.field)
+    parse_field = fieldh if fieldh is not None else QQ()
+    f, _ = parse_univariate(args.f, parse_field)
+    if not f or f[-1] != parse_field.one:
+        raise ParseError("f must be monic")
+    if fieldh is None and any(c.denominator != 1 for c in f):
+        raise ParseError("integer tower needs integer coefficients")
+    tower = monogenic_tower(f, args.m, fieldh)
     if args.json:
         print(json.dumps({"base": tower.base, "degree": tower.degree,
                           "m": tower.m, "dim": tower.dim,
@@ -377,7 +337,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ClosureLabError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for kinds, code in _EXIT_CODES
+                    if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

@@ -309,8 +309,7 @@ def _verify_maps(result: ClosureResult):
 
 
 def m_closure(a: StructureAlgebra, m: int, method: str = "general",
-              budget: int | None = None,
-              verify: bool = True) -> ClosureResult:
+              budget: int | None = None) -> ClosureResult:
     """The m-closure of a finite-dimensional commutative algebra.
 
     method "general" works for every algebra; "local-shortcut" requires a
@@ -327,7 +326,7 @@ def m_closure(a: StructureAlgebra, m: int, method: str = "general",
     elif method != "general":
         raise ValueError(f"unknown method {method!r}")
     result = _closure(a, m, method, budget, t0)
-    if verify and result.strategy == "staged":
+    if result.strategy == "staged":
         _verify_maps(result)
     return result
 
@@ -740,7 +739,7 @@ def slot_remainders(a: StructureAlgebra, slot_mults, unit_free: bool = True):
         yield rem
 
 
-def divides_check(result: ClosureResult, dim_limit: int | None = None) -> dict:
+def divides_check(result: ClosureResult) -> dict:
     """Certify that the product of (Z - map_s(gamma)) divides P inside the
     closure: re-run the slot divisions with coefficients in the closure and
     demand a zero remainder at every slot.  By genericity this certifies the
@@ -753,13 +752,13 @@ def divides_check(result: ClosureResult, dim_limit: int | None = None) -> dict:
     (Z - map_s(gamma)) to (Z - map_s(gamma')).  It carries every quotient of
     one chain of divisions onto the other's and fixes the remainders, so the
     remainders of both chains vanish together."""
-    limit = DIVIDES_DIM_LIMIT if dim_limit is None else dim_limit
     c = result.closure
     if result.m == 0 or c.dim == 0:
         return {"certified": True, "mode": "vacuous"}
-    if c.dim > limit:
+    if c.dim > DIVIDES_DIM_LIMIT:
         return {"certified": False, "mode": "skipped",
-                "reason": f"closure dimension {c.dim} above limit {limit}"}
+                "reason": f"closure dimension {c.dim} above limit "
+                          f"{DIVIDES_DIM_LIMIT}"}
     a = result.input_algebra
     for s, mp in enumerate(result.maps):
         if not mp.is_unital():

@@ -162,18 +162,6 @@ class RowSpace:
 # Berkowitz characteristic polynomial
 
 
-class FieldOps:
-    """Ring-operation adapter for plain field scalars."""
-
-    def __init__(self, field: Field):
-        self.add = field.add
-        self.sub = field.sub
-        self.mul = field.mul
-        self.neg = field.neg
-        self.zero = field.zero
-        self.one = field.one
-
-
 class PolyOps:
     """Ring-operation adapter for MultiPoly entries."""
 
@@ -188,7 +176,9 @@ class PolyOps:
 
 def berkowitz_charpoly(matrix, ops):
     """Characteristic polynomial det(Z*I - M) of a square matrix over any
-    commutative ring, by the division-free Berkowitz scheme.
+    commutative ring, by the division-free Berkowitz scheme.  `ops` gives
+    the ring's add/sub/mul/neg/zero/one: a Field, or PolyOps for MultiPoly
+    entries.
 
     Returns coefficients in ascending Z order; the leading entry is 1.
     """
@@ -472,7 +462,6 @@ class TensorPairAlgebra(StructureAlgebra):
         self.field = left.field
         self.n = right.dim
         self.dim = left.dim * right.dim
-        self._cache = {}
 
     @property
     def labels(self):
@@ -492,12 +481,10 @@ class TensorPairAlgebra(StructureAlgebra):
         return _label_to_str(self.pair_label(index))
 
     def basis_product(self, i, j):
-        key = (i, j) if i <= j else (j, i)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        u1, r1 = divmod(key[0], self.n)
-        u2, r2 = divmod(key[1], self.n)
+        if i > j:
+            i, j = j, i
+        u1, r1 = divmod(i, self.n)
+        u2, r2 = divmod(j, self.n)
         lp = self.left.basis_product(u1, u2)
         rp = self.right.basis_product(r1, r2)
         mul = self.field.mul
@@ -516,7 +503,6 @@ class TensorPairAlgebra(StructureAlgebra):
                         del out[idx]
                 elif v:
                     out[idx] = v
-        self._cache[key] = out
         return out
 
     def embed_left(self, vec: dict) -> dict:
@@ -900,7 +886,7 @@ def char_poly(a: StructureAlgebra, elem: AlgebraElement) -> CharPoly:
     """det(Z*I - M_elem) via Berkowitz; division free, so it works over any
     supported field including small characteristic."""
     m = mult_matrix(a, elem)
-    coeffs = berkowitz_charpoly(m, FieldOps(a.field))
+    coeffs = berkowitz_charpoly(m, a.field)
     return CharPoly(coeffs, a.field)
 
 

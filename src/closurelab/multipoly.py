@@ -439,11 +439,15 @@ def _parse_poly(toks: _Tokens, ring: PolyRing, stop_kinds=(",", ")")):
                 c = field.from_int(value)
                 if toks.peek()[0] == "/" and toks.peek(1)[0] == "int":
                     toks.next()
-                    den = toks.next()[1]
+                    _, den, den_pos = toks.next()
+                    d = field.from_int(den)
+                    if not d:
+                        raise ParseError(f"denominator {den} is zero in "
+                                         f"{field.descriptor}", den_pos)
                     if field.descriptor.kind == "rationals":
                         c = Fraction(value, den)
                     else:
-                        c = field.div(c, field.from_int(den))
+                        c = field.div(c, d)
                 term_coeff = field.mul(term_coeff, c)
                 saw_factor = True
             elif kind == "name":

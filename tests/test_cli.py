@@ -3,9 +3,13 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from closurelab import cli as cli_module
 from closurelab.catalog import load_manifest
-from closurelab.cli import _table_task, main
+from closurelab.cli import main
+from closurelab.closure import closure_from_presentation
+from closurelab.errors import CertificateFailure, ClosureLabError
 
 REPORT_KEYS = {"name", "m", "method", "field", "dim", "generators", "rank", "ms"}
 
@@ -229,13 +233,32 @@ def test_table_determinism_modulo_timing():
 
 
 def _per_m_records(manifest, exact=False, min_m=None, max_m=None):
-    """Records as one closure_from_presentation call per (row, m) gives
-    them."""
+    """Records, without ms, as one closure_from_presentation call per
+    (row, m) gives them."""
     records = []
     for entry in load_manifest(manifest):
         for m in sorted(entry.expected):
-            if (min_m is None or m >= min_m) and (max_m is None or m <= max_m):
-                records.append(_table_task((entry.__dict__.copy(), m, exact)))
+            if (min_m is not None and m < min_m) or \
+                    (max_m is not None and m > max_m):
+                continue
+            record = {"name": entry.name, "m": m}
+            if entry.expected.get(m) is not None:
+                record["expected"] = entry.expected[m]
+            try:
+                result, mode = closure_from_presentation(
+                    entry.presentation(), m, exact=exact)
+            except (ClosureLabError, ValueError) as exc:
+                record.update(method="general", field=entry.field, dim=None,
+                              generators=0, rank=0, error=str(exc),
+                              match=False)
+            else:
+                record.update(method=result.method, field=mode,
+                              dim=result.dim,
+                              generators=result.generator_count,
+                              rank=result.rank)
+                if "expected" in record:
+                    record["match"] = result.dim == record["expected"]
+            records.append(record)
     return records
 
 
@@ -308,20 +331,22 @@ def test_table_runs_each_row_once(monkeypatch):
 
 def test_table_row_falls_back_when_stages_are_not_each_m(monkeypatch):
     # two primes that agree on the largest m but not on some stage: a run
-    # at a smaller m would report a disagreement, so each m runs alone
+    # at a smaller m would report a disagreement, so the row falls back to
+    # the next-largest m, and here every run disagrees
     calls = _count_runs(monkeypatch, stages_agree=False)
     code, records = _table_json(["--manifest", "table1.json", "--rows", "(x^4)"])
-    assert code == 0 and calls == [4, 0, 1, 2, 3]
+    assert code == 0 and calls == [4, 3, 2, 1, 0]
     assert _without_ms(records) == _without_ms(
         [r for r in _per_m_records("table1.json") if r["name"] == "(x^4)"])
 
 
 def test_table_row_budget_overrun_falls_back(monkeypatch):
-    # (x^4) stages are 16, 48 and 96 wide, so only m = 4 overruns
+    # (x^4) stages are 16, 48 and 96 wide, so only m = 4 overruns; m = 0..2
+    # are read from the stages of the run at m = 3
     monkeypatch.setenv("CLOSURELAB_BUDGET", "50")
     calls = _count_runs(monkeypatch)
     code, records = _table_json(["--manifest", "table1.json", "--rows", "(x^4)"])
-    assert code == 1 and calls == [4, 0, 1, 2, 3]    # m = 4 is not rerun
+    assert code == 1 and calls == [4, 3]
     assert [r.get("error") for r in records] == \
         [None] * 4 + ["stage 4 width 96 exceeds the budget 50"]
     assert _without_ms(records) == _without_ms(
@@ -340,3 +365,92 @@ def test_table_row_modular_disagreement_falls_back(monkeypatch, tmp_path):
     assert [r["dim"] for r in records[:2]] == [1, 4]
     assert records[2]["error"] == "mod 7 gives dim 13, mod 11 gives dim 12"
     assert _without_ms(records) == _without_ms(_per_m_records(str(path)))
+
+
+# -- exit codes: main maps every error of every command once
+
+
+_MANIFESTS = {
+    "mismatch.json": [{"name": "broken", "field": "Q", "vars": ["x"],
+                       "relations": ["x^2"], "expected": {"2": 999},
+                       "tags": []}],
+    "mixed.json": [{"name": "infinite", "field": "Q", "vars": ["x"],
+                    "relations": [], "expected": {"2": 1}, "tags": []},
+                   {"name": "fine", "field": "Q", "vars": ["x"],
+                    "relations": ["x^2"], "expected": {"2": 2}, "tags": []}],
+}
+
+
+def _fail_etale_suite(monkeypatch):
+    monkeypatch.setitem(cli_module.SUITES, "etale",
+                        lambda seed: [("forced failure", False, "")])
+
+
+def _fail_certificate(monkeypatch):
+    def failing(pres, m, **kwargs):
+        raise CertificateFailure("slot 1 remainder is nonzero in the closure")
+
+    monkeypatch.setattr(cli_module, "closure_from_presentation", failing)
+
+
+# (argv, environment, patch, exit code); {tmp} is the directory holding
+# _MANIFESTS
+EXIT_MATRIX = [
+    (["close", "--algebra", "Q[x]/(x^3)", "--m", "2"], {}, None, 0),
+    (["close", "--algebra", "Q[x]/(x^3)", "--m", "2"], {}, _fail_certificate, 1),
+    (["close", "--algebra", "Q[x", "--m", "2"], {}, None, 2),
+    (["close", "--algebra", "Q[x]/(x^2)", "--m", "-1"], {}, None, 2),
+    (["close", "--algebra", "Q[x]/(x^2)", "--m", "2"],
+     {"CLOSURELAB_PRIMES": "7,7"}, None, 2),
+    (["close", "--algebra", "Q[x]/(x^2)", "--m", "2"],
+     {"CLOSURELAB_PRIMES": "3,5,7"}, None, 2),
+    (["close", "--algebra", "Q[x]/(x^2-1/0)", "--m", "2"], {}, None, 2),
+    (["close", "--algebra", "F5[x]/(x^2-1/5)", "--m", "2"], {}, None, 2),
+    (["close", "--algebra", "Q[x]/(x^2)", "--m", "2"],
+     {"CLOSURELAB_BUDGET": "3"}, None, 3),
+    (["close", "--algebra", "Q[x,y]/(x^2, y^2 - 7*x)", "--m", "2"],
+     {"CLOSURELAB_PRIMES": "7,11"}, None, 4),
+    (["close", "--algebra", "Q[x]/(x^2)", "--m", "2", "--method", "naive"],
+     {}, None, 4),
+    (["close", "--algebra", "Q[x]/(x^2-1)", "--m", "2", "--method", "local"],
+     {}, None, 4),
+    (["table", "--manifest", "table1.json", "--rows", "(x^2)"], {}, None, 0),
+    (["table", "--manifest", "{tmp}/mismatch.json"], {}, None, 1),
+    (["table", "--manifest", "{tmp}/mixed.json"], {}, None, 1),
+    (["table", "--manifest", "{tmp}/missing.json"], {}, None, 2),
+    (["tower", "--f", "Z^2+Z+1", "--m", "2"], {}, None, 0),
+    (["tower", "--f", "Z^3-2", "--m", "-1"], {}, None, 2),
+    (["tower", "--f", "Z^3-2", "--m", "2", "--field", "GF(x)"], {}, None, 2),
+    (["tower", "--f", "Z^2-1/0", "--m", "1"], {}, None, 2),
+    (["tower", "--f", "Z^2+1", "--m", "3"], {}, None, 4),
+    (["transform", "--f", "Z^3-6Z^2+11Z-6", "--g", "X^2"], {}, None, 0),
+    (["transform", "--f", "2Z^2-1", "--g", "X"], {}, None, 2),
+    (["transform", "--f", "Z^2-1", "--g", "X", "--field", "GF(x)"], {}, None, 2),
+    (["transform", "--f", "Z^2", "--g", "1/0"], {}, None, 2),
+    (["verify", "--suite", "etale"], {}, None, 0),
+    (["verify", "--suite", "etale"], {}, _fail_etale_suite, 1),
+    (["verify", "--suite", "nonsense"], {}, None, 2),
+]
+
+
+@pytest.mark.parametrize("argv, env, patch, code", EXIT_MATRIX,
+                         ids=[f"{i}-{case[0][0]}-{case[3]}"
+                              for i, case in enumerate(EXIT_MATRIX)])
+def test_exit_code_matrix(argv, env, patch, code, tmp_path, monkeypatch,
+                          capsys):
+    for name, rows in _MANIFESTS.items():
+        (tmp_path / name).write_text(json.dumps(rows))
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    if patch:
+        patch(monkeypatch)
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    if code == 0 or argv[0] == "table" and code == 1:
+        assert err == ""
+    elif argv[0] == "verify" and code == 1:
+        assert err == "first failing property: (etale) forced failure\n"
+    else:
+        # one line naming the error; no traceback
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -48,6 +48,19 @@ def test_parse_errors_carry_positions():
         parse_presentation("F6[x]/(x^2)")
 
 
+def test_zero_denominator_is_a_parse_error():
+    # the position is the denominator's; a denominator that is a multiple
+    # of the characteristic is zero in the field too
+    for text, pos in (("Q[x]/(x^2-1/0)", 12), ("F5[x]/(x^2-1/5)", 13),
+                      ("F4[x]/(x^2+t*1/2)", 15)):
+        with pytest.raises(ParseError) as err:
+            parse_presentation(text)
+        assert err.value.position == pos
+    with pytest.raises(ParseError):
+        parse_univariate("Z^2-1/0", QQ())
+    assert parse_univariate("Z^2-1/2", GF(5))[0] == [2, 0, 1]
+
+
 def test_poly_mul_examples():
     ring = PolyRing(QQ(), ("x", "y"))
     a = parse_poly("x+y", ring)
