@@ -20,7 +20,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from .arith import GF, QQ, field_from_order
+from .arith import QQ, field_create
 from .catalog import ManifestEntry, load_manifest
 from .closure import (closure_from_presentation, monogenic_tower,
                       naive_closure, transform_monic)
@@ -29,7 +29,8 @@ from .errors import (BudgetExceeded, ClosureLabError, DegreeTooSmall,
                      NotPrime, NotZeroDimensional, ParseError,
                      ReducibleModulus, UnsupportedField)
 from .finalg import algebra_from_presentation
-from .multipoly import format_univariate, parse_presentation, parse_univariate
+from .multipoly import (format_univariate, parse_field, parse_presentation,
+                        parse_univariate)
 from .verify import DEFAULT_SEED, SUITES, run_suites
 
 EXIT_OK = 0
@@ -51,19 +52,10 @@ _EXIT_CODES = (
 
 
 def _field_from_spec(text: str):
-    text = text.strip()
-    if text in ("Q", "q"):
-        return QQ()
-    if text in ("Z", "z"):
+    """The field a --field value names, or None for Z (the integer tower)."""
+    if text.strip() in ("Z", "z"):
         return None
-    if text.startswith("GF(") and text.endswith(")"):
-        inner = text[3:-1].split(",")
-        p = int(inner[0])
-        k = int(inner[1]) if len(inner) > 1 else 1
-        return GF(p, k)
-    if text.startswith("F") and text[1:].isdigit():
-        return field_from_order(int(text[1:]))
-    raise UnsupportedField(f"unknown field {text!r}")
+    return field_create(parse_field(text))
 
 
 def _emit(record: dict, as_json: bool):

@@ -43,9 +43,9 @@ from .errors import (BudgetExceeded, CertificateFailure, ClosureLabError,
 from .finalg import (AlgebraElement, AlgebraMap, CharPoly, PolyOps,
                      QuotientAlgebra, RowSpace, StructureAlgebra, TableAlgebra,
                      TensorPairAlgebra, algebra_from_presentation,
-                     berkowitz_charpoly, char_poly, dedupe_rows, power_budget,
-                     stride_multiplier, vec_add_into)
-from .groebner import GroebnerBasis
+                     berkowitz_charpoly, char_poly, dedupe_rows,
+                     monomial_algebra, power_budget, stride_multiplier,
+                     vec_add_into)
 from .multipoly import (AlgebraPresentation, MultiPoly, PolyRing,
                         grevlex_key, mono_mul)
 
@@ -308,8 +308,7 @@ def _verify_maps(result: ClosureResult):
                 f"structural map {i + 1} is not a ring morphism")
 
 
-def m_closure(a: StructureAlgebra, m: int, method: str = "general",
-              budget: int | None = None) -> ClosureResult:
+def m_closure(a: StructureAlgebra, m: int, method: str = "general") -> ClosureResult:
     """The m-closure of a finite-dimensional commutative algebra.
 
     method "general" works for every algebra; "local-shortcut" requires a
@@ -325,13 +324,10 @@ def m_closure(a: StructureAlgebra, m: int, method: str = "general",
             raise NotLocal("algebra is not local with nilpotent maximal ideal")
     elif method != "general":
         raise ValueError(f"unknown method {method!r}")
-    result = _closure(a, m, method, budget, t0)
-    if result.strategy == "staged":
-        _verify_maps(result)
-    return result
+    return _closure(a, m, method, t0)
 
 
-def _closure(a, m, method, budget, t0):
+def _closure(a, m, method, t0):
     n = a.dim
     if m == 0:
         base = TableAlgebra(a.field, ["1"], {})
@@ -343,7 +339,7 @@ def _closure(a, m, method, budget, t0):
     if m == 1:
         ident = AlgebraMap(a, a, [{i: a.field.one} for i in range(n)])
         return _trivial_result(a, m, method, a, [ident], t0)
-    return _staged_closure(a, m, method, budget, t0)
+    return _staged_closure(a, m, method, t0)
 
 
 def reconstructed_last_map(a: StructureAlgebra, closure: StructureAlgebra,
@@ -394,18 +390,19 @@ def _last_stage_span(pair: TensorPairAlgebra, last: AlgebraMap, seeds):
     return span
 
 
-def _staged_closure(a, m, method, budget, t0):
+def _staged_closure(a, m, method, t0):
     """Quotient one slot at a time.
 
     Stage s works in D = C x A where C is the closure after s-1 slots; the
     schedule's seed rows generate the slot-s relations there, and the
     quotient of D by the ideal they generate is the closure after s slots.
     The ideal of stage n is the kernel of the trace map, inserted directly.
+    Every structural map of the result is checked to be a ring morphism.
     """
     fieldh = a.field
     n = a.dim
     one = fieldh.one
-    limit = budget if budget is not None else power_budget()
+    limit = power_budget()
     schedule = _SCHEDULES[method](a)
 
     current = a
@@ -438,13 +435,15 @@ def _staged_closure(a, m, method, budget, t0):
         stage_dims.append(current.dim)
         stage_ms.append((time.perf_counter() - t0) * 1e3)
 
-    return ClosureResult(
+    result = ClosureResult(
         input_algebra=a, m=m, method=method, closure=current, maps=maps,
         dim=current.dim, generator_count=sum(stage_generators),
         rank=n ** m - current.dim, elapsed_ms=stage_ms[-1],
         field=fieldh.descriptor, stage_dims=tuple(stage_dims),
         stage_generators=tuple(stage_generators), stage_ms=tuple(stage_ms),
         started=t0)
+    _verify_maps(result)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +453,7 @@ def _staged_closure(a, m, method, budget, t0):
 NAIVE_ENUM_LIMIT = 200_000
 
 
-def naive_closure(a: StructureAlgebra, m: int,
-                  budget: int | None = None) -> ClosureResult:
+def naive_closure(a: StructureAlgebra, m: int) -> ClosureResult:
     """Quotient of the tensor power by the remainders of P_a for a in A
     itself (no base change).  Finite fields only: the enumeration runs over
     coset representatives of A modulo constants, which suffices because
@@ -472,69 +470,23 @@ def naive_closure(a: StructureAlgebra, m: int,
     if not (1 <= m <= n):
         raise ValueError("need 1 <= m <= dim")
     q = fieldh.order
-    if q ** (n - 1) > (budget or NAIVE_ENUM_LIMIT):
+    if q ** (n - 1) > NAIVE_ENUM_LIMIT:
         raise BudgetExceeded(f"naive enumeration {q}^{n - 1} is too large")
-    return _closure(a, m, "naive", budget, t0)
+    return _closure(a, m, "naive", t0)
 
 
 # ---------------------------------------------------------------------------
 # monogenic algebras
 
 
-def upoly_mul(fieldh, a, b):
-    out = [fieldh.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = fieldh.add(out[i + j], fieldh.mul(x, y))
-    return out
-
-
 def monogenic_algebra(fieldh: Field, coeffs, varname: str = "x") -> TableAlgebra:
     """K[x]/(f) for a monic f, basis 1, x, ..., x^(n-1)."""
-    n = len(coeffs) - 1
     if coeffs[-1] != fieldh.one:
         raise ValueError("polynomial must be monic")
-    neg = fieldh.neg
-    # powers x^n .. x^(2n-2) as vectors
-    powers = {}
-    cur = {i: neg(c) for i, c in enumerate(coeffs[:-1]) if c}
-    powers[n] = dict(cur)
-    for e in range(n + 1, 2 * n - 1):
-        nxt = {}
-        for i, c in cur.items():
-            if i + 1 < n:
-                nxt[i + 1] = fieldh.add(nxt.get(i + 1, fieldh.zero), c) \
-                    if i + 1 in nxt else c
-            else:
-                for j, rc in powers[n].items():
-                    w = fieldh.mul(c, rc)
-                    if j in nxt:
-                        s = fieldh.add(nxt[j], w)
-                        if s:
-                            nxt[j] = s
-                        else:
-                            del nxt[j]
-                    elif w:
-                        nxt[j] = w
-        cur = nxt
-        powers[e] = dict(cur)
-    table = {}
-    for i in range(n):
-        for j in range(i, n):
-            e = i + j
-            if e < n:
-                table[(i, j)] = {e: fieldh.one}
-            else:
-                table[(i, j)] = dict(powers[e])
-    labels = ["1"] + [varname if e == 1 else f"{varname}^{e}"
-                      for e in range(1, n)]
-    if n >= 2:
-        gen_vec = {1: fieldh.one}
-    else:
-        gen_vec = {0: neg(coeffs[0])} if coeffs[0] else {}
-    return TableAlgebra(fieldh, labels, table,
-                        generators=[(varname, gen_vec)])
+    f = MultiPoly(PolyRing(fieldh, (varname,)),
+                  {(e,): c for e, c in enumerate(coeffs) if c})
+    return algebra_from_presentation(
+        AlgebraPresentation(fieldh.descriptor, (varname,), (f,)))
 
 
 def transform_monic(f_coeffs, g_coeffs, fieldh: Field):
@@ -650,34 +602,16 @@ def monogenic_tower(f_coeffs, m: int, fieldh: Field | None = None,
         return TowerDescription(base="Z", degree=n, m=m, dim=expected,
                                 relations=tuple(relations))
 
-    # assemble the structure algebra on the monomial basis
     basis = sorted(itertools.product(*map(range, bounds)), key=grevlex_key)
-    index = {b: i for i, b in enumerate(basis)}
-
-    def coords(mono):
-        return {index[mo]: c for mo, c in normal_form(mono).items()}
-
-    table = {}
-    for i in range(len(basis)):
-        for j in range(i, len(basis)):
-            vec = coords(mono_mul(basis[i], basis[j]))
-            if vec:
-                table[(i, j)] = vec
-    labels = []
-    for b in basis:
-        if not any(b):
-            labels.append("1")
-        else:
-            labels.append("*".join(
-                nm if e == 1 else f"{nm}^{e}"
-                for nm, e in zip(names, b) if e))
-    gens = [(names[i], coords(power(i, 1))) for i in range(m)]
-    algebra = TableAlgebra(fh, labels, table, generators=gens,
-                           check=len(basis) <= 40)
+    algebra = monomial_algebra(ring, basis, normal_form, check=len(basis) <= 40)
     if algebra.dim != expected:
         raise CertificateFailure("tower dimension mismatch")
-    source = monogenic_algebra(fh, f_coeffs)
-    maps = [AlgebraMap(source, algebra, [coords(power(i, e)) for e in range(n)])
+    index = {b: i for i, b in enumerate(basis)}
+    # with m = 0 there are no maps, and f may be 1, which K[x]/(f) rejects
+    source = monogenic_algebra(fh, f_coeffs) if m else None
+    maps = [AlgebraMap(source, algebra,
+                       [{index[mo]: c for mo, c in normal_form(power(i, e)).items()}
+                        for e in range(n)])
             for i in range(m)]
     return TowerDescription(base=str(fh.descriptor), degree=n, m=m,
                             dim=algebra.dim, relations=tuple(relations),
@@ -831,12 +765,10 @@ def presentation_mod_p(pres: AlgebraPresentation, p: int) -> AlgebraPresentation
     return base_change_presentation(pres, prime_field(p))
 
 
-def _reduce_result(res: ClosureResult, pres_p: AlgebraPresentation) -> ClosureResult:
-    """A result over Z/(p1*p2) reduced mod p = p1, the field of `pres_p`:
-    the same algebra types over GF(p), built from A's table, each stage's
-    row space and the map rows with their residues mod p, zeros dropped."""
-    ring = pres_p.ring
-    fieldh = ring.field
+def _reduce_result(res: ClosureResult, fieldh: Field) -> ClosureResult:
+    """A result over Z/(p1*p2) reduced to `fieldh` = GF(p), p = p1: the
+    same algebra types over GF(p), built from A's table, each stage's row
+    space and the map rows with their residues mod p, zeros dropped."""
     p = fieldh.p
 
     def vec(v):
@@ -854,9 +786,6 @@ def _reduce_result(res: ClosureResult, pres_p: AlgebraPresentation) -> ClosureRe
         {(i, j): vec(a.basis_product(i, j)) for i in range(n) for j in range(i, n)},
         generators=[(name, vec(g)) for name, g in a.generator_elements()],
         check=False)
-    a_p.presentation = pres_p
-    a_p.groebner = GroebnerBasis(
-        ring, [MultiPoly(ring, vec(g.terms)) for g in a.groebner], pres_p)
 
     def reduce_algebra(alg):
         if alg is a:
@@ -875,12 +804,12 @@ def _reduce_result(res: ClosureResult, pres_p: AlgebraPresentation) -> ClosureRe
                    field=fieldh.descriptor)
 
 
-def _two_prime_closure(pres, m, method, budget, p1, p2):
+def _two_prime_closure(pres, m, method, p1, p2):
     """One run per prime: the first prime's result when the ranks agree."""
     res1 = m_closure(algebra_from_presentation(presentation_mod_p(pres, p1)),
-                     m, method=method, budget=budget)
+                     m, method=method)
     res2 = m_closure(algebra_from_presentation(presentation_mod_p(pres, p2)),
-                     m, method=method, budget=budget)
+                     m, method=method)
     if res1.dim != res2.dim or res1.rank != res2.rank:
         raise ModularDisagreement(
             f"mod {p1} gives dim {res1.dim}, mod {p2} gives dim {res2.dim}")
@@ -888,8 +817,7 @@ def _two_prime_closure(pres, m, method, budget, p1, p2):
 
 
 def closure_from_presentation(pres: AlgebraPresentation, m: int,
-                              method: str = "general", exact: bool = False,
-                              budget: int | None = None):
+                              method: str = "general", exact: bool = False):
     """Compute a closure dimension from a presentation.
 
     Over the rationals the default mode works modulo two independent
@@ -908,7 +836,7 @@ def closure_from_presentation(pres: AlgebraPresentation, m: int,
     """
     if pres.field.kind != "rationals" or exact:
         algebra = algebra_from_presentation(pres)
-        result = m_closure(algebra, m, method=method, budget=budget)
+        result = m_closure(algebra, m, method=method)
         mode = "exact" if pres.field.kind == "rationals" else str(pres.field)
         return result, mode
     p1, p2 = modular_primes()
@@ -916,11 +844,11 @@ def closure_from_presentation(pres: AlgebraPresentation, m: int,
         combined = m_closure(
             algebra_from_presentation(
                 base_change_presentation(pres, prime_pair(p1, p2))),
-            m, method=method, budget=budget)
+            m, method=method)
     except BudgetExceeded:
         raise
     except (NonUnitInverse, ClosureLabError):
-        result = _two_prime_closure(pres, m, method, budget, p1, p2)
+        result = _two_prime_closure(pres, m, method, p1, p2)
     else:
-        result = _reduce_result(combined, presentation_mod_p(pres, p1))
+        result = _reduce_result(combined, field_create(prime_field(p1)))
     return result, f"mod {p1}&{p2}"

@@ -16,8 +16,8 @@ from heapq import heapify, heappop, heappush
 
 from .arith import Field
 from .errors import FieldMismatch, RingMismatch
-from .groebner import GroebnerBasis, buchberger, normal_form, standard_monomials
-from .multipoly import AlgebraPresentation, PolyRing
+from .groebner import buchberger, normal_form, standard_monomials
+from .multipoly import AlgebraPresentation, PolyRing, mono_mul
 
 # ---------------------------------------------------------------------------
 # sparse vectors
@@ -220,24 +220,6 @@ def _dot(ops, u, v):
     for a, b in zip(u, v):
         s = ops.add(s, ops.mul(a, b))
     return s
-
-
-def determinant_expansion(matrix, ops):
-    """Cofactor expansion along the first row; the independent oracle used
-    to cross-check Berkowitz."""
-    n = len(matrix)
-    if n == 0:
-        return ops.one
-    if n == 1:
-        return matrix[0][0]
-    total = ops.zero
-    for j in range(n):
-        entry = matrix[0][j]
-        minor = [[matrix[i][k] for k in range(n) if k != j]
-                 for i in range(1, n)]
-        term = ops.mul(entry, determinant_expansion(minor, ops))
-        total = ops.add(total, term) if j % 2 == 0 else ops.sub(total, term)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -662,11 +644,10 @@ class AlgebraMap:
     """Linear map between algebras, given by images of basis elements."""
 
     def __init__(self, source: StructureAlgebra, target: StructureAlgebra,
-                 rows, name=None):
+                 rows):
         self.source = source
         self.target = target
         self.rows = rows      # list over source basis of sparse target dicts
-        self.name = name
 
     def apply_dict(self, vec: dict) -> dict:
         out = {}
@@ -723,34 +704,34 @@ class AlgebraMap:
 # named operations
 
 
-def algebra_from_presentation(pres: AlgebraPresentation,
-                              gb: GroebnerBasis | None = None) -> TableAlgebra:
+def algebra_from_presentation(pres: AlgebraPresentation) -> TableAlgebra:
     """Structure constants of a zero-dimensional presentation: the basis is
     the list of standard monomials (1 first), products are reduced by the
     Groebner normal form."""
-    if gb is None:
-        gb = buchberger(pres)
+    gb = buchberger(pres)
     ring = gb.ring
-    std = standard_monomials(gb)
-    index = {m: i for i, m in enumerate(std)}
-    table = {}
-    for i in range(len(std)):
-        for j in range(i, len(std)):
-            mono = tuple(a + b for a, b in zip(std[i], std[j]))
-            prod = normal_form(ring.monomial(mono), gb)
-            vec = {index[m]: c for m, c in prod.terms.items()}
-            if vec:
-                table[(i, j)] = vec
-    labels = [_mono_label(ring, m) for m in std]
-    generators = []
-    for v, name in enumerate(ring.var_names):
-        img = normal_form(ring.var(v), gb)
-        vec = {index[m]: c for m, c in img.terms.items()}
-        generators.append((name, vec))
-    algebra = TableAlgebra(ring.field, labels, table, generators=generators)
-    algebra.presentation = pres
-    algebra.groebner = gb
-    return algebra
+    return monomial_algebra(
+        ring, standard_monomials(gb),
+        lambda mono: normal_form(ring.monomial(mono), gb).terms)
+
+
+def monomial_algebra(ring: PolyRing, basis, normal_form, check=True) -> TableAlgebra:
+    """The algebra on a basis of monomials of `ring` (1 first), where
+    `normal_form` sends any monomial to its class {basis monomial: c}: the
+    product table, the monomial labels and the ring variables as
+    generators."""
+    index = {m: i for i, m in enumerate(basis)}
+
+    def coords(mono):
+        return {index[m]: c for m, c in normal_form(mono).items()}
+
+    n = len(basis)
+    table = {(i, j): coords(mono_mul(basis[i], basis[j]))
+             for i in range(n) for j in range(i, n)}
+    generators = [(name, coords(tuple(int(k == v) for k in range(ring.nvars))))
+                  for v, name in enumerate(ring.var_names)]
+    return TableAlgebra(ring.field, [_mono_label(ring, m) for m in basis], table,
+                        generators=generators, check=check)
 
 
 def _mono_label(ring: PolyRing, mono):

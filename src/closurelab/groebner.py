@@ -21,10 +21,9 @@ DEFAULT_PAIR_BUDGET = 200_000
 class GroebnerBasis:
     """A reduced Groebner basis under grevlex."""
 
-    def __init__(self, ring: PolyRing, basis, presentation=None):
+    def __init__(self, ring: PolyRing, basis):
         self.ring = ring
         self.basis = list(basis)
-        self.presentation = presentation
         self.leading = [g.leading_monomial() for g in self.basis]
 
     def __iter__(self):
@@ -150,7 +149,7 @@ def buchberger(pres: AlgebraPresentation, pair_budget: int | None = None) -> Gro
         if not r.is_zero():
             reduced.append(r.monic())
     reduced.sort(key=lambda g: grevlex_key(g.leading_monomial()))
-    return GroebnerBasis(ring, reduced, pres)
+    return GroebnerBasis(ring, reduced)
 
 
 def normal_form(p: MultiPoly, gb: GroebnerBasis) -> MultiPoly:

@@ -365,19 +365,26 @@ class _Tokens:
     def at_end(self):
         return self.idx >= len(self.items)
 
+    def expect_end(self):
+        if not self.at_end():
+            tok = self.peek()
+            raise ParseError(f"trailing input {tok[1]!r}", tok[2])
+
 
 def _parse_field_spec(toks: _Tokens) -> FieldDescriptor:
     tok = toks.next()
     if tok[0] != "name":
         raise ParseError("expected a field name", tok[2])
     name = tok[1]
-    if name == "Q":
+    if name in ("Q", "q"):
         return rationals()
     if name == "GF":
         toks.expect("(")
         p = toks.expect("int")[1]
-        toks.expect(",")
-        k = toks.expect("int")[1]
+        k = 1
+        if toks.peek()[0] == ",":
+            toks.next()
+            k = toks.expect("int")[1]
         toks.expect(")")
         if not is_prime(p):
             raise UnsupportedField(f"GF({p},{k}): {p} is not prime")
@@ -558,10 +565,17 @@ def parse_presentation(text: str) -> AlgebraPresentation:
                 break
             if nxt[0] != ",":
                 raise ParseError(f"expected ',' or ')', found {nxt[1]!r}", nxt[2])
-    if not toks.at_end():
-        tok = toks.peek()
-        raise ParseError(f"trailing input {tok[1]!r}", tok[2])
+    toks.expect_end()
     return AlgebraPresentation(desc, tuple(variables), tuple(relations))
+
+
+def parse_field(text: str) -> FieldDescriptor:
+    """Parse a field name alone, as a presentation begins: Q, GF(p[,k]) or
+    Fq."""
+    toks = _Tokens(text)
+    desc = _parse_field_spec(toks)
+    toks.expect_end()
+    return desc
 
 
 def parse_poly(text: str, ring: PolyRing) -> MultiPoly:

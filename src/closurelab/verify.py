@@ -14,10 +14,10 @@ from .closure import (base_change_presentation, closure_from_presentation,
                       m_closure, monogenic_algebra, monogenic_tower,
                       naive_closure, product_formula_dim,
                       reconstructed_last_map, slot_remainders,
-                      transform_monic, upoly_mul)
+                      transform_monic)
 from .finalg import (PolyOps, algebra_from_presentation,
                      algebra_product, berkowitz_charpoly, char_poly,
-                     determinant_expansion, stride_multiplier)
+                     stride_multiplier)
 from .multipoly import PolyRing, parse_presentation
 
 DEFAULT_SEED = 20260808
@@ -25,6 +25,33 @@ DEFAULT_SEED = 20260808
 
 def _check(results, name, ok, detail=""):
     results.append((name, bool(ok), detail))
+
+
+def upoly_mul(fieldh, a, b):
+    out = [fieldh.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = fieldh.add(out[i + j], fieldh.mul(x, y))
+    return out
+
+
+def determinant_expansion(matrix, ops):
+    """Cofactor expansion along the first row; the independent oracle used
+    to cross-check Berkowitz."""
+    n = len(matrix)
+    if n == 0:
+        return ops.one
+    if n == 1:
+        return matrix[0][0]
+    total = ops.zero
+    for j in range(n):
+        entry = matrix[0][j]
+        minor = [[matrix[i][k] for k in range(n) if k != j]
+                 for i in range(1, n)]
+        term = ops.mul(entry, determinant_expansion(minor, ops))
+        total = ops.add(total, term) if j % 2 == 0 else ops.sub(total, term)
+    return total
 
 
 def suite_trivial(seed=DEFAULT_SEED):

@@ -183,6 +183,8 @@ def test_transform_command():
     code3, _ = run_cli(["transform", "--f", "Z^2-1", "--g", "X",
                         "--field", "GF(x)"])
     assert code3 == 2      # malformed field
+    code4, out4 = run_cli(["transform", "--f", "1", "--g", "X^2"])
+    assert code4 == 0 and out4 == ["1"]      # degree 0: the empty product
 
 
 def test_tower_command():
@@ -201,6 +203,36 @@ def test_tower_command():
     assert code5 == 2      # negative m
     code6, _ = run_cli(["tower", "--f", "Z^3-2", "--m", "2", "--field", "GF(x)"])
     assert code6 == 2      # malformed field
+    for field, base in (("Q", "Q"), ("GF(7)", "F7"), ("Z", "Z")):
+        # degree 0: nothing to split, and K[x]/(f) is never built
+        code7, out7 = run_cli(["tower", "--f", "1", "--m", "0", "--field", field])
+        assert code7 == 0 and out7 == ["dim = 1"]
+        code8, out8 = run_cli(["tower", "--f", "1", "--m", "0", "--field", field,
+                               "--json"])
+        assert code8 == 0 and json.loads(out8[0]) == {
+            "base": base, "degree": 0, "dim": 1, "m": 0, "relations": []}
+
+
+def test_field_option_uses_the_presentation_grammar(capsys):
+    for command in (["tower", "--f", "Z^2-1", "--m", "1"],
+                    ["transform", "--f", "Z^2-1", "--g", "X^2"]):
+        for spec, position in (("GF(x)", 3), ("GF(7,)", 5), ("GF()", 3),
+                               ("GF(7,2,1)", 6)):
+            assert run_cli(command + ["--field", spec])[0] == 2, spec
+            assert f"(at position {position})" in capsys.readouterr().err
+        outputs = {}
+        for spec in ("GF(7)", "GF(7,2)", "F49", "Q", "q"):
+            code, out = run_cli(command + ["--field", spec])
+            assert code == 0, spec
+            outputs[spec] = out
+        assert outputs["GF(7,2)"] == outputs["F49"] != outputs["Q"] == outputs["q"]
+    assert run_cli(["tower", "--f", "Z^2-1", "--m", "1", "--field", "Z"])[0] == 0
+    full = ["--m", "2", "--emit", "full", "--json"]
+    gf7 = json.loads(run_cli(["close", "--algebra", "GF(7)[x]/(x^2)"] + full)[1][0])
+    f7 = json.loads(run_cli(["close", "--algebra", "F7[x]/(x^2)"] + full)[1][0])
+    for record in (gf7, f7):
+        del record["name"], record["ms"]
+    assert gf7 == f7
 
 
 def test_cli_subprocess_entry_point():
@@ -430,6 +462,8 @@ EXIT_MATRIX = [
     (["verify", "--suite", "etale"], {}, None, 0),
     (["verify", "--suite", "etale"], {}, _fail_etale_suite, 1),
     (["verify", "--suite", "nonsense"], {}, None, 2),
+    (["tower", "--f", "Z^2-1", "--m", "1", "--field", "GF(7,2,1)"], {}, None, 2),
+    (["transform", "--f", "Z^2-1", "--g", "X", "--field", "GF(7,)"], {}, None, 2),
 ]
 
 

@@ -13,7 +13,7 @@ from closurelab.closure import (base_change_presentation,
                                 monogenic_algebra, monogenic_tower,
                                 naive_closure, presentation_mod_p,
                                 product_formula_dim, reconstructed_last_map,
-                                transform_monic, upoly_mul)
+                                transform_monic)
 from closurelab.errors import (BudgetExceeded, CertificateFailure,
                                ClosureLabError, DegreeTooSmall,
                                InfiniteFieldUnsupported, LengthMismatch,
@@ -23,6 +23,7 @@ from closurelab.finalg import (AlgebraMap, algebra_from_presentation,
                                algebra_product, char_poly, ideal_subspace_dim,
                                vec_add_into)
 from closurelab.multipoly import parse_presentation
+from closurelab.verify import upoly_mul
 from flat_oracle import (flat_closure, j_generators, local_generators,
                          tensor_power)
 
@@ -403,6 +404,14 @@ def test_naive_equals_true_closure_on_small_field_case():
     assert naive_closure(a, 2).dim == m_closure(a, 2).dim == 16
 
 
+def test_naive_closure_checks_its_maps(monkeypatch):
+    # m < n, so no last-stage trace check runs first: the map certificate
+    # that general closures get is what raises
+    monkeypatch.setattr(AlgebraMap, "is_ring_morphism", lambda self, **kw: False)
+    with pytest.raises(CertificateFailure, match="structural map 1 is not"):
+        naive_closure(alg("F2[x,y]/(x^2,y^2)"), 2)
+
+
 def test_naive_enumeration_budget():
     from closurelab.errors import BudgetExceeded
     a = alg("F101[x,y,z]/((x,y,z)^2)")         # 101^3 coset representatives
@@ -574,12 +583,11 @@ def _summary(res):
              for j in range(i, c.dim, 5)])
 
 
-def _two_prime_outcome(pres, m, p1, p2, budget=None):
+def _two_prime_outcome(pres, m, p1, p2):
     """One run per prime, written out: the first prime's result when the
     ranks agree, otherwise the error."""
     try:
-        res1, res2 = [m_closure(algebra_from_presentation(presentation_mod_p(pres, p)),
-                                m, budget=budget)
+        res1, res2 = [m_closure(algebra_from_presentation(presentation_mod_p(pres, p)), m)
                       for p in (p1, p2)]
         if res1.dim != res2.dim or res1.rank != res2.rank:
             raise ModularDisagreement(
@@ -646,15 +654,16 @@ def test_default_mode_runs_the_pipeline_once(monkeypatch):
 
 def test_budget_overrun_is_not_repeated(monkeypatch):
     monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
+    monkeypatch.setenv("CLOSURELAB_BUDGET", "1000")
     p1, p2 = modular_primes()
     pres = parse_presentation("Q[x,y]/(x^2, y^5, xy)")
     calls = _count_m_closure_calls(monkeypatch)
     with pytest.raises(BudgetExceeded) as raised:
-        closure_from_presentation(pres, 5, budget=1000)
+        closure_from_presentation(pres, 5)
     message = "stage 5 width 2358 exceeds the budget 1000"
     assert str(raised.value) == message
     assert len(calls) == 1 and calls[0].descriptor.kind == "pair"
-    assert _two_prime_outcome(pres, 5, p1, p2, budget=1000) == (BudgetExceeded, message)
+    assert _two_prime_outcome(pres, 5, p1, p2) == (BudgetExceeded, message)
 
 
 def test_base_change_presentation():

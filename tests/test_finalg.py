@@ -11,10 +11,10 @@ from closurelab.finalg import (PolyOps, QuotientAlgebra, RowSpace,
                                TableAlgebra, TensorPairAlgebra,
                                algebra_from_presentation, algebra_product,
                                berkowitz_charpoly, char_poly,
-                               determinant_expansion, ideal_subspace_dim,
-                               mult_matrix, quotient_algebra,
-                               stride_multiplier)
+                               ideal_subspace_dim, mult_matrix,
+                               quotient_algebra, stride_multiplier)
 from closurelab.multipoly import PolyRing, parse_presentation
+from closurelab.verify import determinant_expansion
 from flat_oracle import tensor_power
 
 
