@@ -6,7 +6,6 @@ the tower agrees with the generic pipeline run on the same algebra.
 """
 
 import random
-from fractions import Fraction
 
 from closurelab import (GF, QQ, m_closure, monogenic_algebra, monogenic_tower,
                         parse_univariate, transform_monic)

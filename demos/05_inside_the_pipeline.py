@@ -8,8 +8,6 @@ is built one slot at a time: stage s quotients (closure after s-1 slots)
 tensor A by the slot-s relations.
 """
 
-from fractions import Fraction
-
 from closurelab import (algebra_from_presentation, divides_check,
                         generic_char_poly, m_closure, parse_presentation)
 
@@ -21,7 +19,7 @@ for d in range(g.degree, -1, -1):
     print(f"  Z^{d} coefficient: {g.coeffs[d]}")
 
 # specializing X to the coordinates of an element recovers its char poly
-e = a.element([Fraction(2), Fraction(1), Fraction(-1)])
+e = a.element([2, 1, -1])
 print("\nspecialized at (2, 1, -1):", g.specialize(e))
 
 # slot 1 contributes nothing (Cayley-Hamilton); slot 2 carries relations,
@@ -32,7 +30,7 @@ print(f"remainder rows: {result.generator_count} nonzero, "
       f"ideal rank {result.rank} = {a.dim}^2 - {result.dim}")
 print("basis:", ", ".join(result.closure.label_str(i)
                           for i in range(result.dim)))
-x = a.element_from_dict({a.labels.index("x"): Fraction(1)})
+x = a.element_from_dict({a.labels.index("x"): 1})
 print("x under the two maps:", result.maps[0].apply(x), "|",
       result.maps[1].apply(x))
 print("certificate:", divides_check(result))

@@ -4,7 +4,10 @@ primes at once.
 
 Scalars are plain Python values so that hot loops stay cheap:
 
-* rationals      -> fractions.Fraction (always in lowest terms)
+* rationals      -> int when integral, otherwise fractions.Fraction in
+                    lowest terms with denominator > 1.  Integer arithmetic
+                    skips the Fraction constructor and its gcds, and Q
+                    results always come back in this form.
 * GF(p)          -> int in [0, p)
 * GF(p^k)        -> int in [0, p^k); base-p digits are the coefficients of
                     1, t, ..., t^(k-1) where t is the extension generator.
@@ -247,7 +250,8 @@ class Field:
         raise NotImplementedError
 
     def parse_scalar(self, text: str):
-        raise NotImplementedError
+        from .multipoly import parse_scalar_text
+        return parse_scalar_text(self, text)
 
     def format_scalar(self, a) -> str:
         raise NotImplementedError
@@ -262,22 +266,29 @@ class Field:
         return f"Field({self.descriptor})"
 
 
+def _rational(x):
+    """The canonical form of a rational: an int when x is integral."""
+    if x.__class__ is int or x.denominator != 1:
+        return x
+    return x.numerator
+
+
 class RationalField(Field):
     def __init__(self):
         self.descriptor = rationals()
         self.char = 0
         self.order = None
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
+        self.zero = 0
+        self.one = 1
 
     def add(self, a, b):
-        return a + b
+        return _rational(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _rational(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _rational(a * b)
 
     def neg(self, a):
         return -a
@@ -285,16 +296,13 @@ class RationalField(Field):
     def inv(self, a):
         if not a:
             raise DivisionByZero("inverse of zero")
-        return 1 / Fraction(a)
+        return _rational(1 / Fraction(a))
 
     def from_int(self, n):
-        return Fraction(n)
+        return n
 
     def random_element(self, rng):
-        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-
-    def parse_scalar(self, text):
-        return Fraction(text.strip())
+        return _rational(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
 
     def format_scalar(self, a):
         return str(a)
@@ -339,13 +347,6 @@ class PrimeField(Field):
 
     def random_element(self, rng):
         return rng.randrange(self.p)
-
-    def parse_scalar(self, text):
-        text = text.strip()
-        if "/" in text:
-            num, den = text.split("/")
-            return self.mul(self.from_int(int(num)), self.inv(self.from_int(int(den))))
-        return self.from_int(int(text))
 
     def format_scalar(self, a):
         return str(a % self.p)
@@ -535,10 +536,6 @@ class ExtensionField(Field):
 
     def random_element(self, rng):
         return rng.randrange(self.order)
-
-    def parse_scalar(self, text):
-        from .multipoly import parse_scalar_text
-        return parse_scalar_text(self, text)
 
     def format_scalar(self, a):
         digits = self._digits(a)

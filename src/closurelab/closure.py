@@ -495,9 +495,6 @@ def transform_monic(f_coeffs, g_coeffs, fieldh: Field):
     Computed as the characteristic polynomial of multiplication by g(x) in
     K[x]/(f), which needs no knowledge of the roots.  Multiplicative in f.
     """
-    n = len(f_coeffs) - 1
-    if n == 0:
-        return [fieldh.one]
     algebra = monogenic_algebra(fieldh, f_coeffs)
     x = algebra.element_from_dict(algebra.generator_elements()[0][1])
     g_of_x = algebra.zero_element()
@@ -607,8 +604,7 @@ def monogenic_tower(f_coeffs, m: int, fieldh: Field | None = None,
     if algebra.dim != expected:
         raise CertificateFailure("tower dimension mismatch")
     index = {b: i for i, b in enumerate(basis)}
-    # with m = 0 there are no maps, and f may be 1, which K[x]/(f) rejects
-    source = monogenic_algebra(fh, f_coeffs) if m else None
+    source = monogenic_algebra(fh, f_coeffs)
     maps = [AlgebraMap(source, algebra,
                        [{index[mo]: c for mo, c in normal_form(power(i, e)).items()}
                         for e in range(n)])

@@ -291,7 +291,9 @@ class StructureAlgebra:
         """True when every non-unit basis element is nilpotent; the span of
         e_1..e_{n-1} is then the maximal ideal.  A nilpotent element of an
         algebra of dimension n has x^n = 0, so squaring k times with 2^k >= n
-        decides it."""
+        decides it.  The zero algebra has no maximal ideal."""
+        if not self.dim:
+            return False
         for i in range(1, self.dim):
             power = {i: self.field.one}
             steps = 0

@@ -165,9 +165,11 @@ def standard_monomials(gb: GroebnerBasis):
     grevlex.  Raises when the quotient is infinite dimensional."""
     ring = gb.ring
     n = ring.nvars
+    leading = gb.leading
+    if any(not any(lm) for lm in leading):
+        return []   # a constant leads: the unit ideal, the zero quotient
     if n == 0:
         return [()]
-    leading = gb.leading
     # a pure power of every variable must appear among the leading terms
     bounds = [None] * n
     for lm in leading:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .arith import Field, FieldDescriptor, field_create, field_from_order, is_prime
 from .arith import extension_field, prime_field, rationals
@@ -451,10 +450,7 @@ def _parse_poly(toks: _Tokens, ring: PolyRing, stop_kinds=(",", ")")):
                     if not d:
                         raise ParseError(f"denominator {den} is zero in "
                                          f"{field.descriptor}", den_pos)
-                    if field.descriptor.kind == "rationals":
-                        c = Fraction(value, den)
-                    else:
-                        c = field.div(c, d)
+                    c = field.div(c, d)
                 term_coeff = field.mul(term_coeff, c)
                 saw_factor = True
             elif kind == "name":

@@ -6,8 +6,14 @@ import pytest
 from closurelab.arith import (GF, QQ, default_modulus, extension_field,
                               field_create, field_from_order, is_irreducible,
                               is_prime, prime_field)
-from closurelab.errors import (DivisionByZero, NotPrime, ReducibleModulus,
+from closurelab.errors import (DivisionByZero, NotPrime, ParseError,
+                               ReducibleModulus, UnknownVariable,
                                UnsupportedField)
+
+
+def is_canonical_rational(x):
+    """An integral rational is an int; a Fraction is never integral."""
+    return type(x) is int or x.denominator > 1
 
 
 def test_prime_field_basics():
@@ -22,6 +28,9 @@ def test_rationals():
     q = QQ()
     assert q.add(Fraction(1, 3), Fraction(1, 6)) == Fraction(1, 2)
     assert q.inv(Fraction(-2, 3)) == Fraction(-3, 2)
+    assert type(q.add(Fraction(1, 3), Fraction(2, 3))) is int
+    assert type(q.mul(Fraction(3), Fraction(1, 3))) is int
+    assert q.zero == 0 and q.one == 1 and type(q.one) is int
     with pytest.raises(DivisionByZero):
         q.inv(Fraction(0))
 
@@ -73,6 +82,15 @@ def test_field_axioms(field):
         assert field.add(a, field.neg(a)) == field.zero
         if a != field.zero:
             assert field.mul(a, field.inv(a)) == one
+        if field == QQ():
+            ops = [(field.add, b), (field.sub, b), (field.mul, b), (field.neg,)]
+            if a:
+                ops.append((field.inv,))
+            results = [op(a, *rest) for op, *rest in ops]
+            assert all(map(is_canonical_rational, results + [
+                a, field.from_int(a.numerator), field.parse_scalar(str(a))]))
+            # the same value as a Fraction, even Fraction(3): equal results
+            assert [op(Fraction(a), *rest) for op, *rest in ops] == results
 
 
 def test_extension_restricts_to_prime_field():
@@ -94,6 +112,23 @@ def test_scalar_text_round_trip():
         assert f4.parse_scalar(f4.format_scalar(a)) == a
     q = QQ()
     assert q.parse_scalar("-7/3") == Fraction(-7, 3)
+    assert type(q.parse_scalar(" 6/3 ")) is int and q.parse_scalar("6/3") == 2
+    assert GF(7).parse_scalar("1/3") == 5 and GF(7).parse_scalar("-2") == 5
+
+
+@pytest.mark.parametrize("field, text, error, position", [
+    (QQ(), "1/0", ParseError, 2),
+    (QQ(), "1.5", ParseError, 1),
+    (QQ(), "x", UnknownVariable, 0),
+    (GF(7), "x", UnknownVariable, 0),
+    (GF(7), "2/14", ParseError, 2),
+    (GF(7), "3)", ParseError, 1),
+    (GF(2, 2), "", ParseError, 0),
+])
+def test_parse_scalar_errors_have_a_position(field, text, error, position):
+    with pytest.raises(error) as info:
+        field.parse_scalar(text)
+    assert info.value.position == position
 
 
 def test_large_extension_field_without_tables():

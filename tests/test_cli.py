@@ -39,6 +39,17 @@ def test_close_beyond_dimension():
     assert code == 0 and out == ["dim = 0"]
 
 
+def test_close_unit_ideal_is_the_zero_algebra():
+    for mode in ([], ["--exact"]):
+        for m, dim in ((0, 1), (1, 0), (2, 0)):
+            code, out = run_cli(["close", "--algebra", "Q[x]/(1)",
+                                 "--m", str(m)] + mode)
+            assert code == 0 and out == [f"dim = {dim}"]
+        code, out = run_cli(["close", "--algebra", "Q[x]/(x^2, x - 1)",
+                             "--m", "2"] + mode)
+        assert code == 0 and out == ["dim = 0"]
+
+
 def test_close_json_schema():
     code, out = run_cli(["close", "--algebra", "Q[x]/(x^3)", "--m", "2", "--json"])
     assert code == 0
@@ -204,7 +215,7 @@ def test_tower_command():
     code6, _ = run_cli(["tower", "--f", "Z^3-2", "--m", "2", "--field", "GF(x)"])
     assert code6 == 2      # malformed field
     for field, base in (("Q", "Q"), ("GF(7)", "F7"), ("Z", "Z")):
-        # degree 0: nothing to split, and K[x]/(f) is never built
+        # degree 0: nothing to split, and K[x]/(1) is the zero algebra
         code7, out7 = run_cli(["tower", "--f", "1", "--m", "0", "--field", field])
         assert code7 == 0 and out7 == ["dim = 1"]
         code8, out8 = run_cli(["tower", "--f", "1", "--m", "0", "--field", field,
@@ -464,6 +475,12 @@ EXIT_MATRIX = [
     (["verify", "--suite", "nonsense"], {}, None, 2),
     (["tower", "--f", "Z^2-1", "--m", "1", "--field", "GF(7,2,1)"], {}, None, 2),
     (["transform", "--f", "Z^2-1", "--g", "X", "--field", "GF(7,)"], {}, None, 2),
+    (["close", "--algebra", "F5[x]/(x^2, 5*x + 1)", "--m", "1"], {}, None, 0),
+    (["close", "--algebra", "F5[x]/(x^2, 5*x + 1)", "--m", "1", "--exact"],
+     {}, None, 0),
+    (["close", "--algebra", "Q[x,y]/(x^2)", "--m", "1"], {}, None, 2),
+    (["close", "--algebra", "Q[x]/(1)", "--m", "1", "--method", "local"],
+     {}, None, 4),
 ]
 
 

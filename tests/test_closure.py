@@ -149,6 +149,9 @@ def test_local_generators_f2_cube_structure():
 
 
 def test_trivial_cases():
+    zero = alg("Q[x]/(x^2, x - 1)")     # the unit ideal
+    assert zero.dim == 0
+    assert [m_closure(zero, m).dim for m in (0, 1, 2)] == [1, 0, 0]
     a = alg("Q[x,y]/(x^2, y^2)")
     assert m_closure(a, 0).dim == 1
     r1 = m_closure(a, 1)
@@ -527,6 +530,12 @@ def test_modular_vs_exact():
     exact, mode2 = closure_from_presentation(pres, 3, exact=True)
     assert modular.dim == exact.dim == 26
     assert mode.startswith("mod ") and mode2 == "exact"
+    # every exact scalar is canonical: an int when integral, else a Fraction
+    scalars = [c for mp in exact.maps for row in mp.rows for c in row.values()]
+    scalars += [c for row in exact.closure.span.rows.values() for c in row.values()]
+    kinds = {type(c) for c in scalars}
+    assert kinds == {int, Fr}
+    assert all(c.denominator > 1 for c in scalars if type(c) is Fr)
 
 
 def test_presentation_mod_p():

@@ -262,6 +262,7 @@ def test_is_local_nilpotent():
     assert split.mult_vec({1: Fr(1)}, {1: Fr(1)}) == {}
     assert split.mult_vec({2: Fr(1)}, {2: Fr(1)}) == {2: Fr(1)}
     assert not split.is_local_nilpotent()
+    assert not alg("Q[x]/(1)").is_local_nilpotent()
 
 
 def test_structure_algebra_validation():

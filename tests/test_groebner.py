@@ -47,6 +47,12 @@ def test_standard_monomials_dimensions():
     # 1 comes first, then ascending grevlex
     std = standard_monomials(gb_of("Q[x,y]/((x,y)^3)"))
     assert std[0] == (0, 0) and len(std) == 6
+    # the unit ideal, seen or not, has the zero quotient
+    for text in ("Q[x]/(1)", "Q[x]/(x^2, x - 1)", "F5[x]/(x^2, 5*x + 1)",
+                 "Q[x,y]/(x*y - 1, x)"):
+        assert standard_monomials(gb_of(text)) == []
+    with pytest.raises(NotZeroDimensional):
+        standard_monomials(gb_of("Q[x,y]/(x^2)"))
 
 
 def test_generators_reduce_to_zero():
