@@ -1,8 +1,9 @@
 """Reproducing the published dimension tables.
 
 Every bundled manifest row carries its expected dimensions; running a row
-recomputes them from scratch.  Char-0 rows run in two-prime modular mode by
-default, with exact rationals one flag away.
+recomputes them from scratch.  Char-0 rows run in one-prime modular mode by
+default, whose dimensions are proved upper bounds for the ones over Q (and
+equal them on every row here), with exact rationals one flag away.
 """
 
 import time

@@ -7,19 +7,19 @@ rationals and over finite fields, together with the naive element-only
 variant, monogenic towers, and the monic-polynomial transform.
 """
 
-from .arith import (GF, QQ, DEFAULT_MODULAR_PRIMES, ExtensionField, Field,
-                    FieldDescriptor, PrimeField, RationalField,
-                    extension_field, field_create, field_from_order,
-                    is_prime, prime_field, rationals)
+from .arith import (GF, QQ, ExtensionField, Field, FieldDescriptor,
+                    PrimeField, RationalField, extension_field, field_create,
+                    field_from_order, is_prime, next_prime, prime_field,
+                    rationals)
 from .catalog import (ManifestEntry, catalog_entries, load_manifest,
                       manifest_path, table1_entries, table2_entries)
 from .closure import (ClosureResult, GenericCharData, TowerDescription,
                       base_change_presentation, closure_from_presentation,
                       divides_check, etale_closure_dim, galois_factor_count,
-                      generic_char_poly, m_closure, modular_primes,
+                      generic_char_poly, m_closure, modular_prime,
                       monogenic_algebra, monogenic_tower, naive_closure,
                       presentation_mod_p, product_formula_dim,
-                      transform_monic)
+                      reduce_mod_prime, transform_monic)
 from .finalg import (AlgebraElement, AlgebraMap, CharPoly, QuotientAlgebra,
                      RowSpace, StructureAlgebra, TableAlgebra,
                      TensorPairAlgebra, algebra_from_presentation,

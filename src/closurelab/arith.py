@@ -1,6 +1,4 @@
-"""Exact scalar arithmetic over Q, GF(p) and small extension fields GF(p^k),
-and over the ring Z/(p1*p2) that runs the char-0 modular mode for two
-primes at once.
+"""Exact scalar arithmetic over Q, GF(p) and small extension fields GF(p^k).
 
 Scalars are plain Python values so that hot loops stay cheap:
 
@@ -11,9 +9,6 @@ Scalars are plain Python values so that hot loops stay cheap:
 * GF(p)          -> int in [0, p)
 * GF(p^k)        -> int in [0, p^k); base-p digits are the coefficients of
                     1, t, ..., t^(k-1) where t is the extension generator.
-* Z/(p1*p2)      -> int in [0, p1*p2); by the Chinese remainder theorem the
-                    ring is GF(p1) x GF(p2), and a value's residue mod p_i
-                    is its GF(p_i) component.
 
 In every case the zero element is falsy, so sparse containers can drop
 entries with a bare truth test.  Field handles carry the operations.
@@ -27,11 +22,6 @@ from fractions import Fraction
 from .errors import DivisionByZero, NotPrime, ReducibleModulus, UnsupportedField
 
 MAX_FIELD_SIZE = 1 << 61
-
-# Two primes below 2^31 used as char-0 surrogates in modular mode.  One run
-# over Z/(p1*p2) serves both; its residues stay below 2^62, so they take
-# two 30-bit digits of a Python int, as a residue mod one of them does.
-DEFAULT_MODULAR_PRIMES = (2147483629, 2147483587)
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -59,6 +49,13 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def next_prime(n: int) -> int:
+    """The least prime >= n."""
+    while not is_prime(n):
+        n += 1
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -173,19 +170,16 @@ def default_modulus(p: int, k: int) -> tuple:
 class FieldDescriptor:
     """Tag describing one of the supported exact fields."""
 
-    kind: str                 # "rationals" | "prime" | "extension" | "pair"
+    kind: str                 # "rationals" | "prime" | "extension"
     p: int = 0
     k: int = 1
     modulus: tuple = ()       # coefficients of 1, t, ..., t^k; monic
-                              # (for "pair": the primes p1, p2)
 
     def __str__(self):
         if self.kind == "rationals":
             return "Q"
         if self.kind == "prime":
             return f"F{self.p}"
-        if self.kind == "pair":
-            return "Z/({}*{})".format(*self.modulus)
         return f"GF({self.p},{self.k})"
 
 
@@ -195,10 +189,6 @@ def rationals() -> FieldDescriptor:
 
 def prime_field(p: int) -> FieldDescriptor:
     return FieldDescriptor("prime", p=p)
-
-
-def prime_pair(p1: int, p2: int) -> FieldDescriptor:
-    return FieldDescriptor("pair", modulus=(p1, p2))
 
 
 def extension_field(p: int, k: int, modulus=None) -> FieldDescriptor:
@@ -236,11 +226,6 @@ class Field:
 
     def from_int(self, n: int):
         raise NotImplementedError
-
-    @property
-    def primes(self) -> tuple:
-        """The primes a denominator must avoid to have an image here."""
-        return (self.char,) if self.char else ()
 
     def elements(self):
         """Iterate all field elements (finite fields only)."""
@@ -350,46 +335,6 @@ class PrimeField(Field):
 
     def format_scalar(self, a):
         return str(a % self.p)
-
-
-class NonUnitInverse(ArithmeticError):
-    """A zero divisor of Z/(p1*p2) was inverted.  Internal: the char-0
-    orchestration catches it and runs once per prime instead."""
-
-
-class PrimePairRing(PrimeField):
-    """Z/(p1*p2) for distinct primes: GF(p1) x GF(p2) by the Chinese
-    remainder theorem, with the field interface so the pipeline runs over
-    it unchanged.  It is not a field, and `inv` of a zero divisor raises
-    NonUnitInverse.
-
-    A run that never inverts a zero divisor inverts only values that are
-    units mod both primes, so reducing it mod p_i gives the run over
-    GF(p_i): every pivot and leading coefficient is nonzero in both, and an
-    entry that vanishes mod one prime only is an explicit zero there.
-    """
-
-    def __init__(self, p1: int, p2: int):
-        for p in (p1, p2):
-            field_create(prime_field(p))      # NotPrime, or above 2^61
-        if p1 == p2:
-            raise UnsupportedField(f"Z/({p1}*{p2}) needs two distinct primes")
-        self.descriptor = prime_pair(p1, p2)
-        self.p = p1 * p2
-        self.char = self.p
-        self.order = self.p
-        self.zero = 0
-        self.one = 1
-
-    @property
-    def primes(self):
-        return self.descriptor.modulus
-
-    def inv(self, a):
-        try:
-            return pow(a, -1, self.p)
-        except ValueError:
-            raise NonUnitInverse(f"{a} is not a unit mod {self.p}") from None
 
 
 class ExtensionField(Field):
@@ -567,8 +512,6 @@ def field_create(desc: FieldDescriptor) -> Field:
     elif desc.kind == "extension":
         modulus = desc.modulus or default_modulus(desc.p, desc.k)
         f = ExtensionField(desc.p, desc.k, modulus)
-    elif desc.kind == "pair":
-        f = PrimePairRing(*desc.modulus)
     else:
         raise UnsupportedField(f"unknown field kind {desc.kind!r}")
     _FIELD_CACHE[f.descriptor] = f

@@ -25,9 +25,9 @@ from .catalog import ManifestEntry, load_manifest
 from .closure import (closure_from_presentation, monogenic_tower,
                       naive_closure, transform_monic)
 from .errors import (BudgetExceeded, ClosureLabError, DegreeTooSmall,
-                     InfiniteFieldUnsupported, ModularDisagreement, NotLocal,
-                     NotPrime, NotZeroDimensional, ParseError,
-                     ReducibleModulus, UnsupportedField)
+                     InfiniteFieldUnsupported, NotLocal, NotPrime,
+                     NotZeroDimensional, ParseError, ReducibleModulus,
+                     UnsupportedField)
 from .finalg import algebra_from_presentation
 from .multipoly import (format_univariate, parse_field, parse_presentation,
                         parse_univariate)
@@ -43,8 +43,7 @@ EXIT_PRECONDITION = 4
 # its exit code
 _EXIT_CODES = (
     (BudgetExceeded, EXIT_BUDGET),
-    ((NotLocal, InfiniteFieldUnsupported, DegreeTooSmall, ModularDisagreement),
-     EXIT_PRECONDITION),
+    ((NotLocal, InfiniteFieldUnsupported, DegreeTooSmall), EXIT_PRECONDITION),
     ((ParseError, UnsupportedField, NotPrime, ReducibleModulus,
       NotZeroDimensional, ValueError), EXIT_PARSE),
     (ClosureLabError, EXIT_MISMATCH),
@@ -56,6 +55,12 @@ def _field_from_spec(text: str):
     if text.strip() in ("Z", "z"):
         return None
     return field_create(parse_field(text))
+
+
+def _bound(mode: str) -> str:
+    """What a dimension computed in `mode` is: a modular dimension is an
+    upper bound for the one over Q, every other is exact."""
+    return "upper" if mode.startswith("mod ") else "exact"
 
 
 def _emit(record: dict, as_json: bool):
@@ -90,8 +95,9 @@ def cmd_close(args) -> int:
 
     record = {
         "name": args.algebra, "m": args.m, "method": result.method,
-        "field": mode, "dim": result.dim, "generators": result.generator_count,
-        "rank": result.rank, "ms": round(ms, 3),
+        "field": mode, "bound": _bound(mode), "dim": result.dim,
+        "generators": result.generator_count, "rank": result.rank,
+        "ms": round(ms, 3),
     }
     if args.json:
         if args.emit == "full":
@@ -125,8 +131,8 @@ def cmd_close(args) -> int:
 
 def _new_record(entry: ManifestEntry, m: int) -> dict:
     record = {"name": entry.name, "m": m, "method": "general",
-              "field": entry.field, "dim": None, "generators": 0, "rank": 0,
-              "ms": 0.0}
+              "field": entry.field, "bound": None, "dim": None,
+              "generators": 0, "rank": 0, "ms": 0.0}
     expected = entry.expected.get(m)
     if expected is not None:
         record["expected"] = expected
@@ -134,8 +140,8 @@ def _new_record(entry: ManifestEntry, m: int) -> dict:
 
 
 def _set_outcome(record, dim, method, mode, generators, rank, ms):
-    record.update(dim=dim, method=method, field=mode, generators=generators,
-                  rank=rank, ms=round(ms, 3))
+    record.update(dim=dim, method=method, field=mode, bound=_bound(mode),
+                  generators=generators, rank=rank, ms=round(ms, 3))
     if "expected" in record:
         record["match"] = dim == record["expected"]
     return record
@@ -145,9 +151,9 @@ def _table_row_task(payload):
     """The records of one manifest row at the ascending `ms`, from one run
     at the largest m.  Stage s of that run is the s-closure, so a smaller m
     reads its dim and generators from the run's stages, and its ms is the
-    run's elapsed time at the end of stage s.  If the run fails, or its
-    stages are not what a run at each m would report, its record stands as
-    it is and the smaller m are the row's records at ms[:-1]."""
+    run's elapsed time at the end of stage s.  If the run fails, or does
+    not run the stage loop, its record stands as it is and the smaller m
+    are the row's records at ms[:-1]."""
     entry_dict, ms, exact = payload
     if not ms:
         return []
@@ -165,7 +171,7 @@ def _table_row_task(payload):
         _set_outcome(record, result.dim, result.method, mode,
                      result.generator_count, result.rank,
                      (time.perf_counter() - t0) * 1e3)
-        derive = result.strategy == "staged" and result.stages_agree
+        derive = result.strategy == "staged"
     if not derive:
         return _table_row_task((entry_dict, rest, exact)) + [record]
     lead_ms = (result.started - t0) * 1e3      # the algebra is built
@@ -289,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["general", "local", "naive"],
                    default="general")
     p.add_argument("--exact", action="store_true",
-                   help="use rational arithmetic instead of two-prime mode")
+                   help="use rational arithmetic instead of one-prime modular mode")
     p.add_argument("--json", action="store_true")
     p.add_argument("--emit", choices=["dim", "full"], default="dim")
     p.set_defaults(func=cmd_close)

@@ -32,14 +32,19 @@ import itertools
 import math
 import os
 import time
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, field as dataclass_field
 from functools import partial
 
-from .arith import (DEFAULT_MODULAR_PRIMES, Field, FieldDescriptor,
-                    NonUnitInverse, field_create, prime_field, prime_pair)
-from .errors import (BudgetExceeded, CertificateFailure, ClosureLabError,
-                     DegreeTooSmall, InfiniteFieldUnsupported, LengthMismatch,
-                     ModularDisagreement, NotLocal, UnsupportedField)
+try:                             # the builtin module: hashlib loads OpenSSL,
+    from _sha256 import sha256   # about 3.7 MB more resident memory
+except ImportError:
+    from hashlib import sha256
+
+from .arith import (Field, FieldDescriptor, field_create, next_prime,
+                    prime_field)
+from .errors import (BudgetExceeded, CertificateFailure, DegreeTooSmall,
+                     InfiniteFieldUnsupported, LengthMismatch, NotLocal,
+                     UnsupportedField)
 from .finalg import (AlgebraElement, AlgebraMap, CharPoly, PolyOps,
                      QuotientAlgebra, RowSpace, StructureAlgebra, TableAlgebra,
                      TensorPairAlgebra, algebra_from_presentation,
@@ -126,27 +131,19 @@ def _xp_add_into(fieldh, target, src):
     return target
 
 
-def _xp_gamma_mult(fieldh, mults, xp, first=0):
+def _xp_gamma_mult(mults, xp, first=0):
     """Multiply an X-polynomial by sum_{i >= first} mults[i] * X_i; first=1
-    drops the constant part X_1 of gamma."""
+    drops the constant part X_1 of gamma.  Each operator adds its product
+    into the coefficient it lands in."""
     out = {}
     for mono, vec in xp.items():
         for i in range(first, len(mults)):
-            mult = mults[i]
-            if mult is None:      # identity slot
-                mv = vec
-            else:
-                mv = mult(vec)
-                if not mv:
-                    continue
             nm = mono[:i] + (mono[i] + 1,) + mono[i + 1:]
-            if nm in out:
-                vec_add_into(fieldh, out[nm], mv)
-                if not out[nm]:
-                    del out[nm]
-            else:
-                out[nm] = dict(mv)
-    return out
+            acc = out.get(nm)
+            if acc is None:
+                acc = out[nm] = {}
+            mults[i](vec, acc)
+    return {mono: vec for mono, vec in out.items() if vec}
 
 
 def _xp_map(xp, fn):
@@ -209,7 +206,7 @@ class _GeneralSchedule:
         self.fieldh = a.field
         mults = [None] + [stride_multiplier(a, {i: a.field.one}, 1)
                           for i in range(1, a.dim)]
-        self.times_gamma = partial(_xp_gamma_mult, a.field, mults, first=1)
+        self.times_gamma = partial(_xp_gamma_mult, mults, first=1)
         self._start(_lift_scalar_coeffs(
             generic_char_poly(a, unit_free=True).coeffs))
 
@@ -279,8 +276,6 @@ class ClosureResult:
     stage_generators: tuple = ()  # nonzero seed rows of each stage
     stage_ms: tuple = ()        # elapsed_ms at the end of each stage
     started: float = 0.0        # time.perf_counter() when the run began
-    stages_agree: bool = True   # False when two primes agree on dim only,
-                                # not on every stage dim
 
     @property
     def strategy(self) -> str:
@@ -656,16 +651,16 @@ def galois_factor_count(parts) -> int:
 def slot_remainders(a: StructureAlgebra, slot_mults, unit_free: bool = True):
     """Remainders of the chain of divisions of P by (Z - gamma_1),
     (Z - gamma_2), ..., where slot_mults[s][i] multiplies by the slot-s image
-    of e_i (None at index 0 multiplies by 1).  With `unit_free`, the chain
-    of P' by the (Z - gamma'_s) instead, which leaves the same remainders
-    when every slot is unital (see the module docstring)."""
+    of e_i (stride_multiplier operators).  With `unit_free`, the chain of P'
+    by the (Z - gamma'_s) instead, which leaves the same remainders when
+    every slot is unital (see the module docstring); slot_mults[s][0] is
+    then never used."""
     fieldh = a.field
     first = 1 if unit_free else 0
     zc = _lift_scalar_coeffs(generic_char_poly(a, unit_free=unit_free).coeffs)
     for mults in slot_mults:
         zc, rem = _synthetic_divide(fieldh, zc,
-                                    partial(_xp_gamma_mult, fieldh, mults,
-                                            first=first))
+                                    partial(_xp_gamma_mult, mults, first=first))
         yield rem
 
 
@@ -704,40 +699,73 @@ def divides_check(result: ClosureResult) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# char-0 modular orchestration
+# char-0 modular mode
 
 
-def modular_primes():
+MODULAR_PRIME_LOW = 1 << 29     # hashed primes lie in [2^29, 2^30)
+
+
+def modular_prime(pres: AlgebraPresentation) -> int:
+    """The first prime the modular mode tries for a presentation: the one
+    CLOSURELAB_PRIMES names, else the next prime at or above
+    2^29 + (SHA-256 of the presentation text mod 2^29), wrapped to stay
+    below 2^30.  The choice is deterministic, and spread over about 2.6e7
+    primes, so no coefficient is bad for every input."""
     raw = os.environ.get("CLOSURELAB_PRIMES")
     if raw:
-        parts = tuple(int(x) for x in raw.replace(",", " ").split())
-        if len(parts) < 2:
-            raise UnsupportedField("CLOSURELAB_PRIMES needs two primes")
-        if len(parts) > 2:
+        parts = raw.replace(",", " ").split()
+        if len(parts) != 1:
             raise UnsupportedField(
-                f"CLOSURELAB_PRIMES names more than two primes: {raw.strip()}")
-        if parts[0] == parts[1]:
-            # the agreement check would compare a prime with itself
-            raise UnsupportedField(
-                f"CLOSURELAB_PRIMES repeats a prime: {raw.strip()}")
-        return parts
-    return DEFAULT_MODULAR_PRIMES
+                f"CLOSURELAB_PRIMES must name one prime: {raw.strip()}")
+        p = int(parts[0])
+        field_create(prime_field(p))      # NotPrime, or above 2^61
+        return p
+    digest = sha256(str(pres).encode()).digest()
+    low = MODULAR_PRIME_LOW
+    p = next_prime(low + int.from_bytes(digest, "big") % low)
+    return p if p < 2 * low else next_prime(low)
+
+
+def reduce_mod_prime(a: TableAlgebra, p: int) -> TableAlgebra:
+    """A rational algebra reduced modulo the first prime q >= p that
+    divides no numerator or denominator of its structure constants and
+    generator coordinates.  With no denominator divisible by q, the
+    Z_(q)-span of the basis is an order of A and the result is its special
+    fiber; the closure commutes with base change, so Nakayama's lemma gives
+    dim over Q <= dim over GF(q) at every m (README, modular mode)."""
+    n = a.dim
+    table = {(i, j): a.basis_product(i, j) for i in range(n) for j in range(i, n)}
+    generators = a.generator_elements()
+    values = {c for vec in itertools.chain(table.values(),
+                                           (g for _, g in generators))
+              for c in vec.values()}
+    numbers = {abs(x) for c in values for x in (c.numerator, c.denominator)}
+    while any(x % p == 0 for x in numbers):
+        p = next_prime(p + 1)
+    fieldh = field_create(prime_field(p))
+
+    def image(vec):
+        return {k: c.numerator * pow(c.denominator, -1, p) % p
+                for k, c in vec.items()}
+
+    return TableAlgebra(fieldh, a.labels,
+                        {key: image(vec) for key, vec in table.items()},
+                        generators=[(name, image(g)) for name, g in generators],
+                        check=False)
 
 
 def base_change_presentation(pres: AlgebraPresentation,
                              desc: FieldDescriptor) -> AlgebraPresentation:
-    """Map a presentation's coefficients into another ring.  A rational
-    coefficient goes into GF(p), GF(p^k) or Z/(p1*p2) when no prime of the
-    target divides its denominator (checked in order); a GF(p) coefficient
-    goes into a field of characteristic p (all catalog inputs over GF(p^k)
-    have such coefficients)."""
+    """Map a presentation's coefficients into another field.  A rational
+    coefficient goes into GF(p) or GF(p^k) when p does not divide its
+    denominator; a GF(p) coefficient goes into a field of characteristic p
+    (all catalog inputs over GF(p^k) have such coefficients)."""
     target = field_create(desc)
     if pres.field.kind == "rationals":
         def image(c):
-            for p in target.primes:
-                if c.denominator % p == 0:
-                    raise UnsupportedField(
-                        f"denominator of {c} vanishes mod {p}")
+            if target.char and c.denominator % target.char == 0:
+                raise UnsupportedField(
+                    f"denominator of {c} vanishes mod {target.char}")
             return target.mul(target.from_int(c.numerator),
                               target.inv(target.from_int(c.denominator)))
     elif pres.field.kind == "prime" and target.char == pres.field.p:
@@ -761,90 +789,22 @@ def presentation_mod_p(pres: AlgebraPresentation, p: int) -> AlgebraPresentation
     return base_change_presentation(pres, prime_field(p))
 
 
-def _reduce_result(res: ClosureResult, fieldh: Field) -> ClosureResult:
-    """A result over Z/(p1*p2) reduced to `fieldh` = GF(p), p = p1: the
-    same algebra types over GF(p), built from A's table, each stage's row
-    space and the map rows with their residues mod p, zeros dropped."""
-    p = fieldh.p
-
-    def vec(v):
-        out = {}
-        for k, c in v.items():
-            c %= p
-            if c:
-                out[k] = c
-        return out
-
-    a = res.input_algebra
-    n = a.dim
-    a_p = TableAlgebra(
-        fieldh, a.labels,
-        {(i, j): vec(a.basis_product(i, j)) for i in range(n) for j in range(i, n)},
-        generators=[(name, vec(g)) for name, g in a.generator_elements()],
-        check=False)
-
-    def reduce_algebra(alg):
-        if alg is a:
-            return a_p
-        if isinstance(alg, QuotientAlgebra):      # a stage: (closure x A) / span
-            pair = TensorPairAlgebra(reduce_algebra(alg.parent.left), a_p)
-            span = RowSpace(fieldh, pair.dim)
-            span.rows = {c: vec(row) for c, row in alg.span.rows.items()}
-            return QuotientAlgebra(pair, span)
-        return TableAlgebra(fieldh, alg.labels, {})     # m = 0 or m > n
-
-    closure = reduce_algebra(res.closure)
-    maps = [AlgebraMap(a_p, closure, [vec(row) for row in mp.rows])
-            for mp in res.maps]
-    return replace(res, input_algebra=a_p, closure=closure, maps=maps,
-                   field=fieldh.descriptor)
-
-
-def _two_prime_closure(pres, m, method, p1, p2):
-    """One run per prime: the first prime's result when the ranks agree."""
-    res1 = m_closure(algebra_from_presentation(presentation_mod_p(pres, p1)),
-                     m, method=method)
-    res2 = m_closure(algebra_from_presentation(presentation_mod_p(pres, p2)),
-                     m, method=method)
-    if res1.dim != res2.dim or res1.rank != res2.rank:
-        raise ModularDisagreement(
-            f"mod {p1} gives dim {res1.dim}, mod {p2} gives dim {res2.dim}")
-    return replace(res1, stages_agree=res1.stage_dims == res2.stage_dims)
-
-
 def closure_from_presentation(pres: AlgebraPresentation, m: int,
                               method: str = "general", exact: bool = False):
-    """Compute a closure dimension from a presentation.
+    """Compute a closure from a presentation; returns (ClosureResult,
+    mode string).
 
-    Over the rationals the default mode works modulo two independent
-    31-bit primes and requires the ranks to agree; `exact` forces honest
-    rational arithmetic.  Over finite fields the computation is always
-    exact.  Returns (ClosureResult, mode_string).
-
-    The modular mode runs once, over Z/(p1*p2).  When that run inverts
-    nothing but units, its pivots are units mod both primes, so the two
-    runs over GF(p1) and GF(p2) would agree with it, and with each other;
-    the result is reduced to GF(p1).  A budget overrun is raised as it is:
-    with no zero divisor inverted, the run over GF(p1) takes the same steps
-    and overruns first.  If the run meets a zero divisor or raises any
-    other ClosureLabError, which one prime alone may decide, one run per
-    prime decides the outcome instead.
+    Over finite fields, and over the rationals with `exact`, the
+    computation is exact, and the mode names the field or is "exact".  By
+    default a rational input is built over Q once (Groebner basis and
+    structure constants), reduced modulo one prime (`modular_prime`,
+    `reduce_mod_prime`) and closed over GF(p); the mode is "mod <p>" and
+    its dimension is an upper bound for the one over Q.
     """
     if pres.field.kind != "rationals" or exact:
         algebra = algebra_from_presentation(pres)
         result = m_closure(algebra, m, method=method)
         mode = "exact" if pres.field.kind == "rationals" else str(pres.field)
         return result, mode
-    p1, p2 = modular_primes()
-    try:
-        combined = m_closure(
-            algebra_from_presentation(
-                base_change_presentation(pres, prime_pair(p1, p2))),
-            m, method=method)
-    except BudgetExceeded:
-        raise
-    except (NonUnitInverse, ClosureLabError):
-        result = _two_prime_closure(pres, m, method, p1, p2)
-    else:
-        result = _reduce_result(combined, field_create(prime_field(p1)))
-    return result, f"mod {p1}&{p2}"
+    algebra = reduce_mod_prime(algebra_from_presentation(pres), modular_prime(pres))
+    return m_closure(algebra, m, method=method), f"mod {algebra.field.p}"

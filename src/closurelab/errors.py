@@ -76,7 +76,3 @@ class LengthMismatch(ClosureLabError):
 
 class CertificateFailure(ClosureLabError):
     pass
-
-
-class ModularDisagreement(ClosureLabError):
-    """Two surrogate primes produced different ranks; result is unreliable."""

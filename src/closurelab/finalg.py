@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 
-from .arith import Field
+from .arith import Field, PrimeField
 from .errors import FieldMismatch, RingMismatch
 from .groebner import buchberger, normal_form, standard_monomials
 from .multipoly import AlgebraPresentation, PolyRing, mono_mul
@@ -60,34 +60,19 @@ def dedupe_rows(field, rows):
 
 
 # ---------------------------------------------------------------------------
-# canonical row space (reduced row echelon, pivot = largest column)
+# span kernels: the inner loops of reduction and of the multiplication
+# operator, one class per field kind, chosen when a row space or an operator
+# is built.  The generic kernel calls the field's methods and is the oracle
+# for the others.
 
 
-class RowSpace:
-    """Exact row space accumulator with canonical pivots.
+class GenericKernel:
+    """Scalar arithmetic through the Field methods; any field."""
 
-    The pivot of a row is its largest column index, so the set of pivot
-    columns (and hence any quotient basis chosen as the complement) depends
-    only on the span, never on insertion order.  Stored rows are reduced at
-    insertion time and normalized to pivot coefficient 1.
-    """
-
-    def __init__(self, field: Field, width: int):
-        self.field = field
-        self.width = width
-        self.rows = {}          # pivot column -> sparse row
-
-    @property
-    def rank(self):
-        return len(self.rows)
-
-    def pivots(self):
-        return set(self.rows)
-
-    def reduce(self, vec: dict) -> dict:
-        """Fully reduced representative of vec modulo the row space."""
-        rows = self.rows
-        field = self.field
+    @staticmethod
+    def reduce(rows, field, vec):
+        """Fully reduced representative of vec modulo the stored rows
+        {pivot: row with pivot coefficient 1}."""
         sub = field.sub
         mul = field.mul
         out = {k: v for k, v in vec.items() if v}
@@ -115,6 +100,139 @@ class RowSpace:
                     heappush(cand, -c2)
         return out
 
+    @staticmethod
+    def scale(field, row, c):
+        mul = field.mul
+        return {k: mul(c, v) for k, v in row.items()}
+
+    @staticmethod
+    def multiplier(factor, vec, stride):
+        """stride_multiplier(factor, vec, stride) with this kernel."""
+        cols = _Columns(factor, vec, stride)
+        size = factor.dim
+        mul = factor.field.mul
+        add = factor.field.add
+
+        def apply(w, out=None):
+            if out is None:
+                out = {}
+            for col, c in w.items():
+                a = col // stride % size
+                base = col - a * stride
+                for offset, pc in cols[a]:
+                    idx = base + offset
+                    v = mul(c, pc)
+                    if idx in out:
+                        s = add(out[idx], v)
+                        if s:
+                            out[idx] = s
+                        else:
+                            del out[idx]
+                    elif v:
+                        out[idx] = v
+            return out
+
+        return apply
+
+
+class PrimeKernel:
+    """GF(p) with the reduction mod p written inline.  A product of two
+    nonzero residues is nonzero, so a new entry needs no zero test."""
+
+    @staticmethod
+    def reduce(rows, field, vec):
+        p = field.p
+        out = {k: v for k, v in vec.items() if v}
+        cand = [-c for c in out if c in rows]
+        heapify(cand)
+        while cand:
+            c = -heappop(cand)
+            if c not in out:
+                continue
+            coef = out.pop(c)
+            for c2, v2 in rows[c].items():
+                if c2 == c:
+                    continue
+                if c2 in out:
+                    s = (out[c2] - coef * v2) % p
+                    if s:
+                        out[c2] = s
+                    else:
+                        del out[c2]
+                        continue
+                else:
+                    out[c2] = -coef * v2 % p
+                if c2 in rows:
+                    heappush(cand, -c2)
+        return out
+
+    @staticmethod
+    def scale(field, row, c):
+        p = field.p
+        return {k: c * v % p for k, v in row.items()}
+
+    @staticmethod
+    def multiplier(factor, vec, stride):
+        cols = _Columns(factor, vec, stride)
+        size = factor.dim
+        p = factor.field.p
+
+        def apply(w, out=None):
+            if out is None:
+                out = {}
+            for col, c in w.items():
+                a = col // stride % size
+                base = col - a * stride
+                for offset, pc in cols[a]:
+                    idx = base + offset
+                    if idx in out:
+                        s = (out[idx] + c * pc) % p
+                        if s:
+                            out[idx] = s
+                        else:
+                            del out[idx]
+                    else:
+                        out[idx] = c * pc % p
+            return out
+
+        return apply
+
+
+def kernel_for(field: Field):
+    """The span kernel for a field's kind."""
+    return PrimeKernel if isinstance(field, PrimeField) else GenericKernel
+
+
+# ---------------------------------------------------------------------------
+# canonical row space (reduced row echelon, pivot = largest column)
+
+
+class RowSpace:
+    """Exact row space accumulator with canonical pivots.
+
+    The pivot of a row is its largest column index, so the set of pivot
+    columns (and hence any quotient basis chosen as the complement) depends
+    only on the span, never on insertion order.  Stored rows are reduced at
+    insertion time and normalized to pivot coefficient 1.
+    """
+
+    def __init__(self, field: Field, width: int):
+        self.field = field
+        self.width = width
+        self.rows = {}          # pivot column -> sparse row
+        self.kernel = kernel_for(field)
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def pivots(self):
+        return set(self.rows)
+
+    def reduce(self, vec: dict) -> dict:
+        """Fully reduced representative of vec modulo the row space."""
+        return self.kernel.reduce(self.rows, self.field, vec)
+
     def add(self, vec: dict):
         """Reduce and insert with pivot coefficient 1; returns the new pivot
         or None if dependent."""
@@ -124,9 +242,7 @@ class RowSpace:
         pivot = max(row)
         lead = row[pivot]
         if lead != self.field.one:
-            inv = self.field.inv(lead)
-            mul = self.field.mul
-            row = {k: mul(inv, v) for k, v in row.items()}
+            row = self.kernel.scale(self.field, row, self.field.inv(lead))
         self.rows[pivot] = row
         return pivot
 
@@ -343,32 +459,11 @@ def stride_multiplier(factor: StructureAlgebra, vec: dict, stride: int):
     operator.  The right factor of a pair is the digit of stride 1, the
     left one the digit of stride right.dim; on the factor itself, stride 1
     is plain multiplication by vec.
+
+    The operator is `apply(w, out=None)`: it adds the product into `out`
+    when given, and returns it.
     """
-    cols = _Columns(factor, vec, stride)
-    size = factor.dim
-    field = factor.field
-    mul = field.mul
-    add = field.add
-
-    def apply(w):
-        out = {}
-        for col, c in w.items():
-            a = col // stride % size
-            base = col - a * stride
-            for offset, pc in cols[a]:
-                idx = base + offset
-                v = mul(c, pc)
-                if idx in out:
-                    s = add(out[idx], v)
-                    if s:
-                        out[idx] = s
-                    else:
-                        del out[idx]
-                elif v:
-                    out[idx] = v
-        return out
-
-    return apply
+    return kernel_for(factor.field).multiplier(factor, vec, stride)
 
 
 class TableAlgebra(StructureAlgebra):

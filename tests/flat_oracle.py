@@ -129,10 +129,8 @@ def general_rows(a: StructureAlgebra, m: int, tensor: TensorPowerAlgebra):
     zc = _lift_scalar_coeffs(generic_char_poly(a).coeffs)
     rows = []
     for s in range(m):
-        mults = [None] + [tensor.slot_multiplier(s, {i: one})
-                          for i in range(1, a.dim)]
-        zc, rem = _synthetic_divide(a.field, zc,
-                                    partial(_xp_gamma_mult, a.field, mults))
+        mults = [tensor.slot_multiplier(s, {i: one}) for i in range(a.dim)]
+        zc, rem = _synthetic_divide(a.field, zc, partial(_xp_gamma_mult, mults))
         rows.extend(_rows_of(rem))
     return rows
 

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import subprocess
 import sys
@@ -11,7 +10,8 @@ from closurelab.cli import main
 from closurelab.closure import closure_from_presentation
 from closurelab.errors import CertificateFailure, ClosureLabError
 
-REPORT_KEYS = {"name", "m", "method", "field", "dim", "generators", "rank", "ms"}
+REPORT_KEYS = {"name", "m", "method", "field", "bound", "dim", "generators",
+               "rank", "ms"}
 
 
 def run_cli(args):
@@ -88,21 +88,46 @@ def test_close_parse_error_exit_2():
     assert code3 == 0 and out == ["dim = 1"]
 
 
-def test_close_repeated_primes_exit_2(monkeypatch):
-    # one prime twice would make the two-prime agreement check vacuous,
-    # and a third prime would be ignored
+def test_close_repeated_primes_exit_2(monkeypatch, capsys):
+    # the modular mode runs over one prime; naming more is malformed
     for primes in ("7,7", "3,5,7"):
         monkeypatch.setenv("CLOSURELAB_PRIMES", primes)
         code, _ = run_cli(["close", "--algebra", "Q[x]/(x^2)", "--m", "2"])
         assert code == 2
+        assert "must name one prime" in capsys.readouterr().err
 
 
-def test_close_modular_disagreement_exit_4(monkeypatch, capsys):
-    monkeypatch.setenv("CLOSURELAB_PRIMES", "7,11")
-    code, out = run_cli(["close", "--algebra", "Q[x,y]/(x^2, y^2 - 7*x)",
-                         "--m", "2"])
-    assert code == 4 and out == []
-    assert "mod 7 gives dim 13, mod 11 gives dim 12" in capsys.readouterr().err
+def test_close_skips_a_bad_prime(monkeypatch):
+    # a prime dividing a coefficient or a denominator would read the input
+    # as (x^2, y^2), of dim 13 at m = 2; the next prime gives Q[y]/(y^4)'s 12
+    p = 1073741789
+    for text in (f"Q[x,y]/(x^2, y^2 - {p}*x)", f"Q[x,y]/(x^2, y^2 - 1/{p}*x)"):
+        monkeypatch.setenv("CLOSURELAB_PRIMES", str(p))
+        code, out = run_cli(["close", "--algebra", text, "--m", "2", "--json"])
+        record = json.loads(out[0])
+        assert code == 0
+        assert (record["dim"], record["field"]) == (12, "mod 1073741827")
+
+
+def test_close_probe_at_the_former_prime_pair():
+    # the coefficient is the product of the two primes of the former
+    # two-prime mode, which both read it as 0 and agreed on dim 13
+    code, out = run_cli(["close", "--algebra",
+                         "Q[x,y]/(x^2, y^2 - 4611685846628697223*x)", "--m", "2"])
+    assert code == 0 and out == ["dim = 12"]
+
+
+def test_close_json_bound():
+    # a modular dimension is an upper bound for the one over Q
+    for argv, field, bound in ((["Q[x]/(x^3)"], "mod ", "upper"),
+                               (["Q[x]/(x^3)", "--exact"], "exact", "exact"),
+                               (["F5[x]/(x^3)"], "F5", "exact"),
+                               (["F5[x]/(x^3)", "--method", "naive"], "F5", "exact")):
+        code, out = run_cli(["close", "--algebra", argv[0], "--m", "2",
+                             "--json"] + argv[1:])
+        record = json.loads(out[0])
+        assert code == 0 and record["dim"] == 6
+        assert record["field"].startswith(field) and record["bound"] == bound
 
 
 def test_close_budget_exit_3(monkeypatch):
@@ -291,11 +316,12 @@ def _per_m_records(manifest, exact=False, min_m=None, max_m=None):
                 result, mode = closure_from_presentation(
                     entry.presentation(), m, exact=exact)
             except (ClosureLabError, ValueError) as exc:
-                record.update(method="general", field=entry.field, dim=None,
-                              generators=0, rank=0, error=str(exc),
-                              match=False)
+                record.update(method="general", field=entry.field,
+                              bound=None, dim=None, generators=0, rank=0,
+                              error=str(exc), match=False)
             else:
                 record.update(method=result.method, field=mode,
+                              bound="exact" if exact else "upper",
                               dim=result.dim,
                               generators=result.generator_count,
                               rank=result.rank)
@@ -347,19 +373,14 @@ def test_table_rows_once_match_per_m_records():
             [r for r in table1 if min_m <= r["m"] <= max_m])
 
 
-def _count_runs(monkeypatch, stages_agree=True):
-    """Record the m of each closure_from_presentation call from `table`;
-    with stages_agree False, every result claims its two primes disagree
-    on some stage."""
+def _count_runs(monkeypatch):
+    """Record the m of each closure_from_presentation call from `table`."""
     real = cli_module.closure_from_presentation
     calls = []
 
     def counting(pres, m, **kwargs):
         calls.append(m)
-        result, mode = real(pres, m, **kwargs)
-        if not stages_agree:
-            result = dataclasses.replace(result, stages_agree=False)
-        return result, mode
+        return real(pres, m, **kwargs)
 
     monkeypatch.setattr(cli_module, "closure_from_presentation", counting)
     return calls
@@ -370,17 +391,6 @@ def test_table_runs_each_row_once(monkeypatch):
     code, records = _table_json(["--manifest", "table1.json",
                                  "--rows", "(x^4);(x^5)"])
     assert code == 0 and calls == [4, 5] and len(records) == 11
-
-
-def test_table_row_falls_back_when_stages_are_not_each_m(monkeypatch):
-    # two primes that agree on the largest m but not on some stage: a run
-    # at a smaller m would report a disagreement, so the row falls back to
-    # the next-largest m, and here every run disagrees
-    calls = _count_runs(monkeypatch, stages_agree=False)
-    code, records = _table_json(["--manifest", "table1.json", "--rows", "(x^4)"])
-    assert code == 0 and calls == [4, 3, 2, 1, 0]
-    assert _without_ms(records) == _without_ms(
-        [r for r in _per_m_records("table1.json") if r["name"] == "(x^4)"])
 
 
 def test_table_row_budget_overrun_falls_back(monkeypatch):
@@ -396,17 +406,17 @@ def test_table_row_budget_overrun_falls_back(monkeypatch):
         [r for r in _per_m_records("table1.json") if r["name"] == "(x^4)"])
 
 
-def test_table_row_modular_disagreement_falls_back(monkeypatch, tmp_path):
-    monkeypatch.setenv("CLOSURELAB_PRIMES", "7,11")
-    rows = [{"name": "zero divisor", "field": "Q", "vars": ["x", "y"],
+def test_table_row_skips_a_bad_prime(monkeypatch, tmp_path):
+    monkeypatch.setenv("CLOSURELAB_PRIMES", "7")
+    rows = [{"name": "bad prime", "field": "Q", "vars": ["x", "y"],
              "relations": ["x^2", "y^2 - 7*x"],
              "expected": {"0": 1, "1": 4, "2": 12}, "tags": []}]
-    path = tmp_path / "zero_divisor.json"
+    path = tmp_path / "bad_prime.json"
     path.write_text(json.dumps(rows))
     code, records = _table_json(["--manifest", str(path)])
-    assert code == 1
-    assert [r["dim"] for r in records[:2]] == [1, 4]
-    assert records[2]["error"] == "mod 7 gives dim 13, mod 11 gives dim 12"
+    assert code == 0
+    assert [(r["dim"], r["field"], r["bound"]) for r in records] == \
+        [(1, "mod 11", "upper"), (4, "mod 11", "upper"), (12, "mod 11", "upper")]
     assert _without_ms(records) == _without_ms(_per_m_records(str(path)))
 
 
@@ -452,7 +462,7 @@ EXIT_MATRIX = [
     (["close", "--algebra", "Q[x]/(x^2)", "--m", "2"],
      {"CLOSURELAB_BUDGET": "3"}, None, 3),
     (["close", "--algebra", "Q[x,y]/(x^2, y^2 - 7*x)", "--m", "2"],
-     {"CLOSURELAB_PRIMES": "7,11"}, None, 4),
+     {"CLOSURELAB_PRIMES": "7"}, None, 0),
     (["close", "--algebra", "Q[x]/(x^2)", "--m", "2", "--method", "naive"],
      {}, None, 4),
     (["close", "--algebra", "Q[x]/(x^2-1)", "--m", "2", "--method", "local"],

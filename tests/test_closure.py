@@ -1,23 +1,23 @@
+import hashlib
 import random
 from fractions import Fraction as Fr
 
 import pytest
 
 from closurelab import closure as closure_module
-from closurelab.arith import GF, QQ, prime_pair
+from closurelab.arith import GF, QQ, is_prime, next_prime, prime_field
 from closurelab.catalog import table1_entries
 from closurelab.closure import (base_change_presentation,
                                 closure_from_presentation, divides_check,
                                 etale_closure_dim, galois_factor_count,
-                                generic_char_poly, m_closure, modular_primes,
+                                generic_char_poly, m_closure, modular_prime,
                                 monogenic_algebra, monogenic_tower,
                                 naive_closure, presentation_mod_p,
                                 product_formula_dim, reconstructed_last_map,
-                                transform_monic)
+                                reduce_mod_prime, transform_monic)
 from closurelab.errors import (BudgetExceeded, CertificateFailure,
-                               ClosureLabError, DegreeTooSmall,
-                               InfiniteFieldUnsupported, LengthMismatch,
-                               ModularDisagreement, NotLocal, NotPrime,
+                               DegreeTooSmall, InfiniteFieldUnsupported,
+                               LengthMismatch, NotLocal, NotPrime,
                                UnsupportedField)
 from closurelab.finalg import (AlgebraMap, algebra_from_presentation,
                                algebra_product, char_poly, ideal_subspace_dim,
@@ -61,8 +61,7 @@ def test_generic_char_poly_specialization_oracle():
 
 def test_unit_free_char_poly_is_p_at_x1_zero():
     # P'(Z) = P(Z + X1) is free of X1, so it is P with X1 = 0; over Q, F2,
-    # F4 and the pair ring Z/(p1*p2) of the default modular mode
-    p1, p2 = modular_primes()
+    # F4 and a 30-bit GF(p) of the default modular mode
     over_q = [parse_presentation(t) for t in
               ("Q[x]/(x^5 - x - 1)", "Q[x,y]/(x^2 - x, y^3)",
                "Q[x,y]/(xy, x^3 + y^3)")]
@@ -71,7 +70,7 @@ def test_unit_free_char_poly_is_p_at_x1_zero():
     presentations = over_q + over_f2
     presentations += [base_change_presentation(p, GF(2, 2).descriptor)
                       for p in over_f2]
-    presentations += [base_change_presentation(p, prime_pair(p1, p2))
+    presentations += [base_change_presentation(p, prime_field(1073741789))
                       for p in over_q]
     kinds = set()
     for pres in presentations:
@@ -422,13 +421,15 @@ def test_naive_enumeration_budget():
         naive_closure(a, 2)
 
 
-def test_modular_mode_rejects_vanishing_denominators():
-    from closurelab.errors import UnsupportedField
+def test_modular_mode_rejects_vanishing_denominators(monkeypatch):
+    # a prime that divides a denominator has no image of the input; the
+    # modular mode takes the next prime instead
+    monkeypatch.setenv("CLOSURELAB_PRIMES", "2147483629")
     pres = parse_presentation("Q[x]/(x^2 - 1/2147483629)")
-    with pytest.raises(UnsupportedField):
-        closure_from_presentation(pres, 2)
+    res, mode = closure_from_presentation(pres, 2)
     exact, _ = closure_from_presentation(pres, 2, exact=True)
-    assert exact.dim == 2
+    assert res.dim == exact.dim == 2
+    assert mode == f"mod {next_prime(2147483630)}"
 
 
 # -- monogenic towers and the transform
@@ -546,64 +547,37 @@ def test_presentation_mod_p():
 
 
 def test_modular_primes_env(monkeypatch):
-    monkeypatch.setenv("CLOSURELAB_PRIMES", "1000003, 1000033")
-    assert modular_primes() == (1000003, 1000033)
-    monkeypatch.setenv("CLOSURELAB_PRIMES", "7,7")
-    with pytest.raises(UnsupportedField):
-        modular_primes()
-    monkeypatch.setenv("CLOSURELAB_PRIMES", "3,5,7")
-    with pytest.raises(UnsupportedField, match="more than two primes"):
-        modular_primes()
     pres = parse_presentation("Q[x]/(x^2)")
-    monkeypatch.setenv("CLOSURELAB_PRIMES", "5,4")
+    monkeypatch.setenv("CLOSURELAB_PRIMES", " 1000003 ")
+    assert modular_prime(pres) == 1000003
+    for primes in ("7,7", "3,5,7", "1000003, 1000033"):
+        monkeypatch.setenv("CLOSURELAB_PRIMES", primes)
+        with pytest.raises(UnsupportedField, match="must name one prime"):
+            modular_prime(pres)
+    monkeypatch.setenv("CLOSURELAB_PRIMES", "4")
     with pytest.raises(NotPrime, match="4 is not prime"):
         closure_from_presentation(pres, 2)
     # the least prime above 2^61
-    monkeypatch.setenv("CLOSURELAB_PRIMES", "5,2305843009213693967")
+    monkeypatch.setenv("CLOSURELAB_PRIMES", "2305843009213693967")
     with pytest.raises(UnsupportedField, match="exceeds 2\\^61"):
         closure_from_presentation(pres, 2)
     monkeypatch.delenv("CLOSURELAB_PRIMES")
-    assert modular_primes() == (2147483629, 2147483587)
+    # without the variable: the next prime at or above 2^29 + a hash of the
+    # presentation text below 2^29
+    digest = hashlib.sha256(str(pres).encode()).digest()
+    start = (1 << 29) + int.from_bytes(digest, "big") % (1 << 29)
+    p = modular_prime(pres)
+    assert p == next_prime(start) and (1 << 29) <= p < (1 << 30)
+    assert modular_prime(parse_presentation("Q[x]/(x^3)")) != p
 
 
-# -- one modular run over Z/(p1*p2)
+# -- one prime per input
 
-# Coefficients or denominators divisible by 3, 5, 7 or 11: under a prime
-# pair that divides one but not the other, the run over Z/(p1*p2) meets a
-# zero divisor.  Under 3,5, (x^2, y^2 - 15x) vanishes mod both and meets
-# none.
-ZERO_DIVISOR_INPUTS = (
+# Coefficients or denominators divisible by 3, 5, 7 or 11.
+BAD_PRIME_INPUTS = (
     "Q[x,y]/(x^2, y^2 - 7*x)", "Q[x]/(5*x^2 - x)", "Q[x,y]/(x^2 - 3*y, y^2)",
     "Q[x]/(x^3 - 1/11)", "Q[x,y]/(x^2, y^2 - 15*x)", "Q[x]/(x^2 - 35)",
     "Q[x,y]/(x^2 - 7*y - 1, y^2 - 11*x)")
-
-
-def _summary(res):
-    c = res.closure
-    stage_rows = []
-    stage = c
-    while hasattr(stage, "span"):      # (closure x A) / span, stage by stage
-        stage_rows.append(stage.span.rows)
-        stage = stage.parent.left
-    return (res.dim, res.rank, res.generator_count, res.stage_dims, res.field,
-            [c.label_str(i) for i in range(c.dim)],
-            [mp.rows for mp in res.maps], stage_rows,
-            [c.basis_product(i, j) for i in range(0, c.dim, 3)
-             for j in range(i, c.dim, 5)])
-
-
-def _two_prime_outcome(pres, m, p1, p2):
-    """One run per prime, written out: the first prime's result when the
-    ranks agree, otherwise the error."""
-    try:
-        res1, res2 = [m_closure(algebra_from_presentation(presentation_mod_p(pres, p)), m)
-                      for p in (p1, p2)]
-        if res1.dim != res2.dim or res1.rank != res2.rank:
-            raise ModularDisagreement(
-                f"mod {p1} gives dim {res1.dim}, mod {p2} gives dim {res2.dim}")
-    except ClosureLabError as exc:
-        return type(exc), str(exc)
-    return _summary(res1)
 
 
 def _count_m_closure_calls(monkeypatch):
@@ -618,61 +592,93 @@ def _count_m_closure_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("primes", ["3,5", "5,7", "7,11"])
-def test_pair_ring_run_matches_two_prime_runs(monkeypatch, primes):
-    monkeypatch.setenv("CLOSURELAB_PRIMES", primes)
-    p1, p2 = modular_primes()
-    calls = _count_m_closure_calls(monkeypatch)
+def _constant_numbers(a):
+    """Numerators and denominators of A's structure constants and generator
+    coordinates."""
+    vecs = [a.basis_product(i, j) for i in range(a.dim) for j in range(i, a.dim)]
+    vecs += [g for _, g in a.generator_elements()]
+    return {abs(x) for vec in vecs for c in vec.values()
+            for x in (c.numerator, c.denominator)}
+
+
+@pytest.mark.parametrize("prime", [3, 5, 7])
+def test_one_prime_run_bounds_exact(monkeypatch, prime):
+    # the run reduces A over Q mod the first prime >= `prime` that divides
+    # none of its constants; its dims bound the exact ones from above, and
+    # on these inputs they are equal at every prime >= 5
+    monkeypatch.setenv("CLOSURELAB_PRIMES", str(prime))
     presentations = [e.presentation() for e in table1_entries()]
-    presentations += [parse_presentation(t) for t in ZERO_DIVISOR_INPUTS]
-    routes = set()
+    presentations += [parse_presentation(t) for t in BAD_PRIME_INPUTS]
+    skipped = set()
     for pres in presentations:
+        numbers = _constant_numbers(algebra_from_presentation(pres))
         for m in (2, 3):
-            calls.clear()
-            try:
-                res, _ = closure_from_presentation(pres, m)
-                got = _summary(res)
-            except ClosureLabError as exc:
-                got = type(exc), str(exc)
-            assert got == _two_prime_outcome(pres, m, p1, p2), (str(pres), m)
-            routes.add(len(calls) == 1 and calls[0].descriptor.kind == "pair")
-    assert routes == {True, False}      # both the one run and the fallback
+            res, mode = closure_from_presentation(pres, m)
+            exact, _ = closure_from_presentation(pres, m, exact=True)
+            p = res.field.p
+            assert mode == f"mod {p}" and is_prime(p) and p >= prime
+            assert all(x % p for x in numbers)
+            assert all(any(x % q == 0 for x in numbers)
+                       for q in range(prime, p) if is_prime(q))
+            skipped.add(p != prime)
+            assert res.dim >= exact.dim, (str(pres), m)
+            if p >= 5:
+                assert (res.dim, res.rank) == (exact.dim, exact.rank), (str(pres), m)
+    assert skipped == {True, False}
 
 
-def test_pair_ring_zero_divisor_disagreement(monkeypatch):
-    monkeypatch.setenv("CLOSURELAB_PRIMES", "7,11")
-    pres = parse_presentation("Q[x,y]/(x^2, y^2 - 7*x)")
-    with pytest.raises(ModularDisagreement,
-                       match="mod 7 gives dim 13, mod 11 gives dim 12"):
-        closure_from_presentation(pres, 2)
+def test_bad_prime_is_skipped(monkeypatch):
+    # a prime that divides a coefficient or a denominator reads the input as
+    # another algebra, (x^2, y^2) of dim 13 at m = 2 instead of Q[y]/(y^4)
+    # of dim 12; it is skipped for the next prime
+    for text in ("Q[x,y]/(x^2, y^2 - {p}*x)", "Q[x,y]/(x^2, y^2 - 1/{p}*x)"):
+        for p in (7, 1073741789):
+            monkeypatch.setenv("CLOSURELAB_PRIMES", str(p))
+            res, mode = closure_from_presentation(
+                parse_presentation(text.format(p=p)), 2)
+            assert (res.dim, mode) == (12, f"mod {next_prime(p + 1)}")
+    monkeypatch.delenv("CLOSURELAB_PRIMES")
+    # the product of the two primes of the former two-prime mode
+    res, mode = closure_from_presentation(
+        parse_presentation("Q[x,y]/(x^2, y^2 - 4611685846628697223*x)"), 2)
+    assert res.dim == 12 and mode.startswith("mod ")
+
+
+def test_reduce_mod_prime_is_the_special_fiber():
+    a = alg("Q[x,y]/(x^2 - 1/3*y, y^2 - 6*x)")
+    a7 = reduce_mod_prime(a, 7)
+    assert a7.field == GF(7) and a7.labels == a.labels
+    for i in range(a.dim):
+        for j in range(a.dim):
+            assert a7.basis_product(i, j) == {
+                k: c.numerator * pow(c.denominator, -1, 7) % 7
+                for k, c in a.basis_product(i, j).items()}
+    # 2 and 3 divide a constant, 5 does not
+    assert reduce_mod_prime(a, 2).field == GF(5)
 
 
 def test_default_mode_runs_the_pipeline_once(monkeypatch):
     monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
-    p1, p2 = modular_primes()
     calls = _count_m_closure_calls(monkeypatch)
     for entry in table1_entries():
         pres = entry.presentation()
         for m in range(4):
             calls.clear()
             res, mode = closure_from_presentation(pres, m)
-            assert len(calls) == 1 and mode == f"mod {p1}&{p2}"
+            p = modular_prime(pres)
+            assert calls == [GF(p)] and mode == f"mod {p}"
             assert res.dim == entry.expected[m]
-            assert _summary(res) == _two_prime_outcome(pres, m, p1, p2)
 
 
 def test_budget_overrun_is_not_repeated(monkeypatch):
     monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
     monkeypatch.setenv("CLOSURELAB_BUDGET", "1000")
-    p1, p2 = modular_primes()
     pres = parse_presentation("Q[x,y]/(x^2, y^5, xy)")
     calls = _count_m_closure_calls(monkeypatch)
-    with pytest.raises(BudgetExceeded) as raised:
+    with pytest.raises(BudgetExceeded,
+                       match="^stage 5 width 2358 exceeds the budget 1000$"):
         closure_from_presentation(pres, 5)
-    message = "stage 5 width 2358 exceeds the budget 1000"
-    assert str(raised.value) == message
-    assert len(calls) == 1 and calls[0].descriptor.kind == "pair"
-    assert _two_prime_outcome(pres, 5, p1, p2) == (BudgetExceeded, message)
+    assert len(calls) == 1 and calls[0].descriptor.kind == "prime"
 
 
 def test_base_change_presentation():

@@ -7,8 +7,9 @@ from closurelab.arith import GF, QQ
 from closurelab.errors import BudgetExceeded, FieldMismatch
 from closurelab.catalog import table1_entries
 from closurelab.closure import m_closure
-from closurelab.finalg import (PolyOps, QuotientAlgebra, RowSpace,
-                               TableAlgebra, TensorPairAlgebra,
+from closurelab.finalg import (GenericKernel, PolyOps, PrimeKernel,
+                               QuotientAlgebra, RowSpace, TableAlgebra,
+                               TensorPairAlgebra,
                                algebra_from_presentation, algebra_product,
                                berkowitz_charpoly, char_poly,
                                ideal_subspace_dim, mult_matrix,
@@ -303,3 +304,71 @@ def test_rowspace_reduce_is_canonical():
     r2 = space.reduce(space.reduce(dict(v)))
     assert r1 == r2
     assert not (set(r1) & space.pivots())
+
+
+# -- span kernels: every kernel against the generic one
+
+
+def _random_row(rng, field, width, density):
+    row = {}
+    for k in range(width):
+        if rng.random() < density:
+            c = field.random_element(rng)
+            if c:
+                row[k] = c
+    return row
+
+
+def _vec_sum(field, u, v):
+    out = dict(u)
+    for k, c in v.items():
+        out[k] = field.add(out.get(k, field.zero), c)
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 1073741789, (1 << 61) - 1])
+def test_prime_kernel_matches_generic_kernel(p):
+    rng = random.Random(20261018 + p % 1000)
+    f = GF(p)
+    a = alg(f"GF({p})[x,y]/(x^2 - 3*y + 1, y^3 + 5*x*y - 2*x)")
+    pair = TensorPairAlgebra(a, a)
+    width = pair.dim
+    fast, slow = RowSpace(f, width), RowSpace(f, width)
+    slow.kernel = GenericKernel
+    assert fast.kernel is PrimeKernel
+    # add: the same pivots and the same stored rows
+    for _ in range(12):
+        row = _random_row(rng, f, width, 0.3)
+        assert fast.add(dict(row)) == slow.add(dict(row))
+    assert fast.rows == slow.rows and fast.rank > 6
+    # reduce: identical remainders, including rows of the space itself
+    probes = [_random_row(rng, f, width, 0.5) for _ in range(20)]
+    probes += [{k: f.neg(v) for k, v in row.items()} for row in fast.rows.values()]
+    for vec in probes:
+        assert fast.reduce(vec) == slow.reduce(vec)
+    # the multiplication operator, on both digits of the pair, alone and
+    # added into a vector it partly cancels
+    for factor, stride in ((a, pair.n), (a, 1)):
+        for _ in range(4):
+            v = _random_row(rng, f, a.dim, 0.6)
+            prime = stride_multiplier(factor, v, stride)
+            generic = GenericKernel.multiplier(factor, v, stride)
+            for _ in range(4):
+                w = _random_row(rng, f, width, 0.4)
+                out = generic(w)
+                assert prime(w) == out
+                target = {k: c for k, c in out.items() if rng.random() < 0.5}
+                target = {k: f.neg(c) for k, c in target.items()}
+                target.update(_random_row(rng, f, width, 0.2))
+                assert (prime(w, dict(target)) == generic(w, dict(target))
+                        == {k: c for k, c in _vec_sum(f, target, out).items() if c})
+    # close_under: the same closed span from the same seeds
+    seeds = [_random_row(rng, f, width, 0.2) for _ in range(2)]
+    fast, slow = RowSpace(f, width), RowSpace(f, width)
+    slow.kernel = GenericKernel
+    generic_mults = [GenericKernel.multiplier(factor, vec, stride)
+                     for factor, stride in ((a, pair.n), (a, 1))
+                     for _, vec in a.generator_elements()]
+    assert (fast.close_under(seeds, pair.generator_multipliers())
+            == slow.close_under(seeds, generic_mults))
+    assert fast.rows == slow.rows
