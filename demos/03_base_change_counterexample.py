@@ -18,7 +18,7 @@ from closurelab import (GF, algebra_from_presentation,
 
 pres = parse_presentation("F2[x1,x2,x3,x4]/((x1,x2,x3,x4)^2)")
 a2 = algebra_from_presentation(pres)
-a4 = algebra_from_presentation(base_change_presentation(pres, GF(2, 2).descriptor))
+a4 = algebra_from_presentation(base_change_presentation(pres, GF(2, 2)))
 
 naive2 = naive_closure(a2, 3)
 naive4 = naive_closure(a4, 3)

@@ -16,7 +16,6 @@ entries with a bare truth test.  Field handles carry the operations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DivisionByZero, NotPrime, ReducibleModulus, UnsupportedField
@@ -166,43 +165,13 @@ def default_modulus(p: int, k: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FieldDescriptor:
-    """Tag describing one of the supported exact fields."""
-
-    kind: str                 # "rationals" | "prime" | "extension"
-    p: int = 0
-    k: int = 1
-    modulus: tuple = ()       # coefficients of 1, t, ..., t^k; monic
-
-    def __str__(self):
-        if self.kind == "rationals":
-            return "Q"
-        if self.kind == "prime":
-            return f"F{self.p}"
-        return f"GF({self.p},{self.k})"
-
-
-def rationals() -> FieldDescriptor:
-    return FieldDescriptor("rationals")
-
-
-def prime_field(p: int) -> FieldDescriptor:
-    return FieldDescriptor("prime", p=p)
-
-
-def extension_field(p: int, k: int, modulus=None) -> FieldDescriptor:
-    if modulus is None:
-        if not is_prime(p):
-            raise NotPrime(f"{p} is not prime")
-        modulus = default_modulus(p, k)
-    return FieldDescriptor("extension", p=p, k=k, modulus=tuple(modulus))
-
-
 class Field:
-    """Handle providing exact arithmetic on raw scalar values."""
+    """One of the supported exact fields, with arithmetic on raw scalar
+    values.  Build fields with QQ(), GF() or field_from_order(), which
+    return the same object for the same arguments."""
 
-    descriptor: FieldDescriptor
+    kind: str            # "rationals" | "prime" | "extension"
+    key: tuple           # equal fields have equal keys
     char: int
     order: int | None    # None means infinite (the rationals)
 
@@ -242,13 +211,13 @@ class Field:
         raise NotImplementedError
 
     def __eq__(self, other):
-        return isinstance(other, Field) and self.descriptor == other.descriptor
+        return self is other or (isinstance(other, Field) and self.key == other.key)
 
     def __hash__(self):
-        return hash(self.descriptor)
+        return hash(self.key)
 
     def __repr__(self):
-        return f"Field({self.descriptor})"
+        return f"Field({self})"
 
 
 def _rational(x):
@@ -259,8 +228,10 @@ def _rational(x):
 
 
 class RationalField(Field):
+    kind = "rationals"
+
     def __init__(self):
-        self.descriptor = rationals()
+        self.key = (self.kind,)
         self.char = 0
         self.order = None
         self.zero = 0
@@ -292,14 +263,15 @@ class RationalField(Field):
     def format_scalar(self, a):
         return str(a)
 
+    def __str__(self):
+        return "Q"
+
 
 class PrimeField(Field):
+    kind = "prime"
+
     def __init__(self, p: int):
-        if not is_prime(p):
-            raise NotPrime(f"{p} is not prime")
-        if p >= MAX_FIELD_SIZE:
-            raise UnsupportedField(f"field size {p} exceeds 2^61")
-        self.descriptor = prime_field(p)
+        self.key = (self.kind, p)
         self.p = p
         self.char = p
         self.order = p
@@ -336,6 +308,9 @@ class PrimeField(Field):
     def format_scalar(self, a):
         return str(a % self.p)
 
+    def __str__(self):
+        return f"F{self.p}"
+
 
 class ExtensionField(Field):
     """GF(p^k) with elements packed as integers in [0, p^k).
@@ -344,22 +319,17 @@ class ExtensionField(Field):
     orders the multiplication and inverse tables are precomputed.
     """
 
+    kind = "extension"
     _TABLE_LIMIT = 256
 
     def __init__(self, p: int, k: int, modulus):
-        if not is_prime(p):
-            raise NotPrime(f"{p} is not prime")
-        if k < 2:
-            raise UnsupportedField("extension degree must be >= 2")
         modulus = tuple(int(c) % p for c in modulus[:-1]) + (1,)
         if len(modulus) != k + 1:
             raise ReducibleModulus(f"modulus degree must be {k}")
         if not is_irreducible(list(modulus), p):
             raise ReducibleModulus(
                 f"modulus is reducible over GF({p})")
-        if p ** k >= MAX_FIELD_SIZE:
-            raise UnsupportedField(f"field size {p}^{k} exceeds 2^61")
-        self.descriptor = FieldDescriptor("extension", p=p, k=k, modulus=modulus)
+        self.key = (self.kind, p, k, modulus)
         self.p = p
         self.k = k
         self.modulus = modulus
@@ -367,7 +337,7 @@ class ExtensionField(Field):
         self.order = p ** k
         self.zero = 0
         self.one = 1
-        self.gen = p if k >= 1 else 0   # the element t
+        self.gen = p                    # the element t
         self._mul_table = None
         self._inv_table = None
         if self.order <= self._TABLE_LIMIT:
@@ -497,51 +467,51 @@ class ExtensionField(Field):
                 parts.append(f"t^{i}" if c == 1 else f"{c}t^{i}")
         return "+".join(parts) if parts else "0"
 
+    def __str__(self):
+        return f"GF({self.p},{self.k})"
 
-_FIELD_CACHE: dict[FieldDescriptor, Field] = {}
 
-
-def field_create(desc: FieldDescriptor) -> Field:
-    """Instantiate (and cache) the field behind a descriptor."""
-    if desc in _FIELD_CACHE:
-        return _FIELD_CACHE[desc]
-    if desc.kind == "rationals":
-        f = RationalField()
-    elif desc.kind == "prime":
-        f = PrimeField(desc.p)
-    elif desc.kind == "extension":
-        modulus = desc.modulus or default_modulus(desc.p, desc.k)
-        f = ExtensionField(desc.p, desc.k, modulus)
-    else:
-        raise UnsupportedField(f"unknown field kind {desc.kind!r}")
-    _FIELD_CACHE[f.descriptor] = f
-    return f
+_FIELDS: dict = {}     # constructor arguments -> Field
 
 
 def QQ() -> Field:
-    return field_create(rationals())
+    """The rationals."""
+    field = _FIELDS.get("Q")
+    if field is None:
+        field = _FIELDS["Q"] = RationalField()
+    return field
 
 
-def GF(p: int, k: int = 1) -> Field:
-    if k == 1:
-        return field_create(prime_field(p))
-    return field_create(extension_field(p, k))
+def GF(p: int, k: int = 1, modulus=None) -> Field:
+    """GF(p^k).  For k >= 2 the elements are polynomials in t modulo
+    `modulus` (coefficients of 1, t, ..., t^k), by default
+    `default_modulus(p, k)`.  The size checks come before the modulus
+    search, which takes minutes at large k."""
+    key = (p, k, None if modulus is None else tuple(modulus))
+    field = _FIELDS.get(key)
+    if field is None:
+        if not is_prime(p):
+            raise NotPrime(f"{p} is not prime")
+        if k < 1:
+            raise UnsupportedField(f"GF({p},{k}): the degree must be at least 1")
+        if k >= 61 or p ** k >= MAX_FIELD_SIZE:      # p^k >= 2^k
+            size = p if k == 1 else f"{p}^{k}"
+            raise UnsupportedField(f"field size {size} exceeds 2^61")
+        if k == 1:
+            field = PrimeField(p)
+        else:
+            field = ExtensionField(
+                p, k, default_modulus(p, k) if modulus is None else modulus)
+        _FIELDS[key] = field
+    return field
 
 
 def field_from_order(q: int) -> Field:
     """GF(q) for a prime power q, or raise."""
-    if is_prime(q):
-        return GF(q)
-    for p in range(2, q):
-        if q % p == 0:
-            if not is_prime(p):
-                break
-            k = 0
-            v = q
-            while v % p == 0:
-                v //= p
-                k += 1
-            if v == 1:
-                return GF(p, k)
-            break
+    if q >= MAX_FIELD_SIZE:
+        raise UnsupportedField(f"field size {q} exceeds 2^61")
+    for k in range(1, q.bit_length()):
+        p = round(q ** (1 / k))
+        if p ** k == q and is_prime(p):
+            return GF(p, k)
     raise UnsupportedField(f"{q} is not a prime power")

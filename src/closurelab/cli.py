@@ -20,12 +20,12 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from .arith import QQ, field_create
+from .arith import QQ
 from .catalog import ManifestEntry, load_manifest
 from .closure import (closure_from_presentation, monogenic_tower,
                       naive_closure, transform_monic)
 from .errors import (BudgetExceeded, ClosureLabError, DegreeTooSmall,
-                     InfiniteFieldUnsupported, NotLocal, NotPrime,
+                     InfiniteFieldUnsupported, NotPrime,
                      NotZeroDimensional, ParseError, ReducibleModulus,
                      UnsupportedField)
 from .finalg import algebra_from_presentation
@@ -43,7 +43,7 @@ EXIT_PRECONDITION = 4
 # its exit code
 _EXIT_CODES = (
     (BudgetExceeded, EXIT_BUDGET),
-    ((NotLocal, InfiniteFieldUnsupported, DegreeTooSmall), EXIT_PRECONDITION),
+    ((InfiniteFieldUnsupported, DegreeTooSmall), EXIT_PRECONDITION),
     ((ParseError, UnsupportedField, NotPrime, ReducibleModulus,
       NotZeroDimensional, ValueError), EXIT_PARSE),
     (ClosureLabError, EXIT_MISMATCH),
@@ -54,7 +54,7 @@ def _field_from_spec(text: str):
     """The field a --field value names, or None for Z (the integer tower)."""
     if text.strip() in ("Z", "z"):
         return None
-    return field_create(parse_field(text))
+    return parse_field(text)
 
 
 def _bound(mode: str) -> str:
@@ -88,9 +88,7 @@ def cmd_close(args) -> int:
         result = naive_closure(algebra, args.m)
         mode = str(pres.field)
     else:
-        method = "general" if args.method == "general" else "local"
-        result, mode = closure_from_presentation(
-            pres, args.m, method=method, exact=args.exact)
+        result, mode = closure_from_presentation(pres, args.m, exact=args.exact)
     ms = (time.perf_counter() - t0) * 1e3
 
     record = {
@@ -194,8 +192,12 @@ def cmd_table(args) -> int:
         return EXIT_PARSE
     if args.rows:
         wanted = [r.strip() for r in args.rows.split(";") if r.strip()]
-        entries = [e for e in entries if e.name in wanted or
-                   str(entries.index(e)) in wanted]
+        known = {e.name for e in entries} | {str(i) for i in range(len(entries))}
+        unknown = [r for r in wanted if r not in known]
+        if unknown:
+            raise ValueError(f"unknown rows: {'; '.join(unknown)}")
+        entries = [e for i, e in enumerate(entries)
+                   if e.name in wanted or str(i) in wanted]
     tasks = []
     for entry in entries:
         ms = [m for m in sorted(entry.expected)
@@ -292,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algebra", required=True,
                    help="presentation, e.g. 'Q[x,y]/((x,y)^2)'")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--method", choices=["general", "local", "naive"],
+    p.add_argument("--method", choices=["general", "naive"],
                    default="general")
     p.add_argument("--exact", action="store_true",
                    help="use rational arithmetic instead of one-prime modular mode")

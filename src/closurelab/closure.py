@@ -21,8 +21,7 @@ The slot-s relations involve slots 1..s only, so the closure is built one
 slot at a time: stage s quotients (closure after s-1 slots) tensor A by the
 slot-s relations, which is far smaller than the tensor power whenever the
 intermediate closures collapse.  A seed schedule supplies each stage's
-relations: synthetic division of P' (general, and the local shortcut,
-which only checks that A is local), or synthetic division of the
+relations: synthetic division of P' (general), or synthetic division of the
 characteristic polynomial of each element of A (naive).
 """
 
@@ -40,10 +39,9 @@ try:                             # the builtin module: hashlib loads OpenSSL,
 except ImportError:
     from hashlib import sha256
 
-from .arith import (Field, FieldDescriptor, field_create, next_prime,
-                    prime_field)
+from .arith import GF, Field, next_prime
 from .errors import (BudgetExceeded, CertificateFailure, DegreeTooSmall,
-                     InfiniteFieldUnsupported, LengthMismatch, NotLocal,
+                     InfiniteFieldUnsupported, LengthMismatch,
                      UnsupportedField)
 from .finalg import (AlgebraElement, AlgebraMap, CharPoly, PolyOps,
                      QuotientAlgebra, RowSpace, StructureAlgebra, TableAlgebra,
@@ -252,10 +250,6 @@ class _NaiveSchedule(_GeneralSchedule):
                      for k in range(a.dim + 1)])
 
 
-_SCHEDULES = {"general": _GeneralSchedule, "local-shortcut": _GeneralSchedule,
-              "naive": _NaiveSchedule}
-
-
 # ---------------------------------------------------------------------------
 # closure results
 
@@ -264,14 +258,14 @@ _SCHEDULES = {"general": _GeneralSchedule, "local-shortcut": _GeneralSchedule,
 class ClosureResult:
     input_algebra: StructureAlgebra
     m: int
-    method: str                 # general | local-shortcut | naive
+    method: str                 # general | naive
     closure: StructureAlgebra
     maps: list
     dim: int
     generator_count: int
     rank: int
     elapsed_ms: float
-    field: FieldDescriptor
+    field: Field
     stage_dims: tuple = ()      # closure dimension after each stage
     stage_generators: tuple = ()  # nonzero seed rows of each stage
     stage_ms: tuple = ()        # elapsed_ms at the end of each stage
@@ -291,7 +285,7 @@ def _trivial_result(a, m, method, closure, maps, t0):
     return ClosureResult(
         input_algebra=a, m=m, method=method, closure=closure, maps=maps,
         dim=closure.dim, generator_count=0, rank=a.dim ** m - closure.dim,
-        elapsed_ms=(time.perf_counter() - t0) * 1e3, field=a.field.descriptor,
+        elapsed_ms=(time.perf_counter() - t0) * 1e3, field=a.field,
         started=t0)
 
 
@@ -303,23 +297,12 @@ def _verify_maps(result: ClosureResult):
                 f"structural map {i + 1} is not a ring morphism")
 
 
-def m_closure(a: StructureAlgebra, m: int, method: str = "general") -> ClosureResult:
-    """The m-closure of a finite-dimensional commutative algebra.
-
-    method "general" works for every algebra; "local-shortcut" requires a
-    local algebra with nilpotent maximal ideal and then runs the general
-    schedule, whose P' is Z^n there.
-    """
+def m_closure(a: StructureAlgebra, m: int) -> ClosureResult:
+    """The m-closure of a finite-dimensional commutative algebra."""
     t0 = time.perf_counter()
     if m < 0:
         raise ValueError("m must be nonnegative")
-    if method == "local" or method == "local-shortcut":
-        method = "local-shortcut"
-        if not a.is_local_nilpotent():
-            raise NotLocal("algebra is not local with nilpotent maximal ideal")
-    elif method != "general":
-        raise ValueError(f"unknown method {method!r}")
-    return _closure(a, m, method, t0)
+    return _closure(a, m, "general", t0)
 
 
 def _closure(a, m, method, t0):
@@ -398,7 +381,7 @@ def _staged_closure(a, m, method, t0):
     n = a.dim
     one = fieldh.one
     limit = power_budget()
-    schedule = _SCHEDULES[method](a)
+    schedule = (_NaiveSchedule if method == "naive" else _GeneralSchedule)(a)
 
     current = a
     maps = [AlgebraMap(a, a, [{i: one} for i in range(n)])]
@@ -434,7 +417,7 @@ def _staged_closure(a, m, method, t0):
         input_algebra=a, m=m, method=method, closure=current, maps=maps,
         dim=current.dim, generator_count=sum(stage_generators),
         rank=n ** m - current.dim, elapsed_ms=stage_ms[-1],
-        field=fieldh.descriptor, stage_dims=tuple(stage_dims),
+        field=fieldh, stage_dims=tuple(stage_dims),
         stage_generators=tuple(stage_generators), stage_ms=tuple(stage_ms),
         started=t0)
     _verify_maps(result)
@@ -481,7 +464,7 @@ def monogenic_algebra(fieldh: Field, coeffs, varname: str = "x") -> TableAlgebra
     f = MultiPoly(PolyRing(fieldh, (varname,)),
                   {(e,): c for e, c in enumerate(coeffs) if c})
     return algebra_from_presentation(
-        AlgebraPresentation(fieldh.descriptor, (varname,), (f,)))
+        AlgebraPresentation(fieldh, (varname,), (f,)))
 
 
 def transform_monic(f_coeffs, g_coeffs, fieldh: Field):
@@ -502,7 +485,7 @@ def transform_monic(f_coeffs, g_coeffs, fieldh: Field):
 class TowerDescription:
     """Root-by-root splitting tower of a monic polynomial."""
 
-    base: str                    # field descriptor string or "Z"
+    base: str                    # the field's name, or "Z"
     degree: int
     m: int
     dim: int
@@ -604,7 +587,7 @@ def monogenic_tower(f_coeffs, m: int, fieldh: Field | None = None,
                        [{index[mo]: c for mo, c in normal_form(power(i, e)).items()}
                         for e in range(n)])
             for i in range(m)]
-    return TowerDescription(base=str(fh.descriptor), degree=n, m=m,
+    return TowerDescription(base=str(fh), degree=n, m=m,
                             dim=algebra.dim, relations=tuple(relations),
                             algebra=algebra, maps=maps)
 
@@ -718,7 +701,7 @@ def modular_prime(pres: AlgebraPresentation) -> int:
             raise UnsupportedField(
                 f"CLOSURELAB_PRIMES must name one prime: {raw.strip()}")
         p = int(parts[0])
-        field_create(prime_field(p))      # NotPrime, or above 2^61
+        GF(p)       # NotPrime, or above 2^61
         return p
     digest = sha256(str(pres).encode()).digest()
     low = MODULAR_PRIME_LOW
@@ -742,7 +725,7 @@ def reduce_mod_prime(a: TableAlgebra, p: int) -> TableAlgebra:
     numbers = {abs(x) for c in values for x in (c.numerator, c.denominator)}
     while any(x % p == 0 for x in numbers):
         p = next_prime(p + 1)
-    fieldh = field_create(prime_field(p))
+    fieldh = GF(p)
 
     def image(vec):
         return {k: c.numerator * pow(c.denominator, -1, p) % p
@@ -755,12 +738,11 @@ def reduce_mod_prime(a: TableAlgebra, p: int) -> TableAlgebra:
 
 
 def base_change_presentation(pres: AlgebraPresentation,
-                             desc: FieldDescriptor) -> AlgebraPresentation:
+                             target: Field) -> AlgebraPresentation:
     """Map a presentation's coefficients into another field.  A rational
     coefficient goes into GF(p) or GF(p^k) when p does not divide its
     denominator; a GF(p) coefficient goes into a field of characteristic p
     (all catalog inputs over GF(p^k) have such coefficients)."""
-    target = field_create(desc)
     if pres.field.kind == "rationals":
         def image(c):
             if target.char and c.denominator % target.char == 0:
@@ -768,10 +750,10 @@ def base_change_presentation(pres: AlgebraPresentation,
                     f"denominator of {c} vanishes mod {target.char}")
             return target.mul(target.from_int(c.numerator),
                               target.inv(target.from_int(c.denominator)))
-    elif pres.field.kind == "prime" and target.char == pres.field.p:
+    elif pres.field.kind == "prime" and target.char == pres.field.char:
         image = target.from_int
     else:
-        raise UnsupportedField(f"cannot embed {pres.field} into {desc}")
+        raise UnsupportedField(f"cannot embed {pres.field} into {target}")
     ring = PolyRing(target, pres.variables)
     rels = []
     for rel in pres.relations:
@@ -781,16 +763,11 @@ def base_change_presentation(pres: AlgebraPresentation,
             if v:
                 terms[mono] = v
         rels.append(MultiPoly(ring, terms))
-    return AlgebraPresentation(desc, pres.variables, tuple(rels))
-
-
-def presentation_mod_p(pres: AlgebraPresentation, p: int) -> AlgebraPresentation:
-    """Reduce a rational presentation modulo p."""
-    return base_change_presentation(pres, prime_field(p))
+    return AlgebraPresentation(target, pres.variables, tuple(rels))
 
 
 def closure_from_presentation(pres: AlgebraPresentation, m: int,
-                              method: str = "general", exact: bool = False):
+                              exact: bool = False):
     """Compute a closure from a presentation; returns (ClosureResult,
     mode string).
 
@@ -803,8 +780,8 @@ def closure_from_presentation(pres: AlgebraPresentation, m: int,
     """
     if pres.field.kind != "rationals" or exact:
         algebra = algebra_from_presentation(pres)
-        result = m_closure(algebra, m, method=method)
+        result = m_closure(algebra, m)
         mode = "exact" if pres.field.kind == "rationals" else str(pres.field)
         return result, mode
     algebra = reduce_mod_prime(algebra_from_presentation(pres), modular_prime(pres))
-    return m_closure(algebra, m, method=method), f"mod {algebra.field.p}"
+    return m_closure(algebra, m), f"mod {algebra.field.p}"

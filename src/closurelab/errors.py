@@ -58,10 +58,6 @@ class BudgetExceeded(ClosureLabError):
     pass
 
 
-class NotLocal(ClosureLabError):
-    pass
-
-
 class InfiniteFieldUnsupported(ClosureLabError):
     pass
 

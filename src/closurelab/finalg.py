@@ -24,7 +24,7 @@ from .multipoly import AlgebraPresentation, PolyRing, mono_mul
 
 
 def vec_add_into(field, target, vec, c=None):
-    """target += c*vec, in place."""
+    """target += c*vec, in place; c is nonzero."""
     add = field.add
     mul = field.mul
     if c is None:
@@ -37,7 +37,7 @@ def vec_add_into(field, target, vec, c=None):
                 target[k] = s
             else:
                 del target[k]
-        elif w:
+        else:
             target[k] = w
     return target
 
@@ -128,7 +128,7 @@ class GenericKernel:
                             out[idx] = s
                         else:
                             del out[idx]
-                    elif v:
+                    else:
                         out[idx] = v
             return out
 
@@ -421,7 +421,7 @@ class StructureAlgebra:
         return True
 
     def __repr__(self):
-        return f"{type(self).__name__}(dim={self.dim}, field={self.field.descriptor})"
+        return f"{type(self).__name__}(dim={self.dim}, field={self.field})"
 
 
 def _label_to_str(label):
@@ -504,7 +504,7 @@ class TableAlgebra(StructureAlgebra):
             return self._generators
         return super().generator_elements()
 
-    def _check_axioms(self, rng=None):
+    def _check_axioms(self):
         field = self.field
         n = self.dim
         if n <= 20:
@@ -562,27 +562,16 @@ class TensorPairAlgebra(StructureAlgebra):
     def basis_product(self, i, j):
         if i > j:
             i, j = j, i
-        u1, r1 = divmod(i, self.n)
-        u2, r2 = divmod(j, self.n)
-        lp = self.left.basis_product(u1, u2)
+        n = self.n
+        u1, r1 = divmod(i, n)
+        u2, r2 = divmod(j, n)
         rp = self.right.basis_product(r1, r2)
         mul = self.field.mul
-        add = self.field.add
-        out = {}
-        for u, cu in lp.items():
-            base = u * self.n
-            for r, cr in rp.items():
-                idx = base + r
-                v = mul(cu, cr)
-                if idx in out:
-                    s = add(out[idx], v)
-                    if s:
-                        out[idx] = s
-                    else:
-                        del out[idx]
-                elif v:
-                    out[idx] = v
-        return out
+        # the indices u*n + r are distinct and a product of nonzero scalars
+        # is nonzero, so no entry adds up or vanishes
+        return {u * n + r: mul(cu, cr)
+                for u, cu in self.left.basis_product(u1, u2).items()
+                for r, cr in rp.items()}
 
     def embed_left(self, vec: dict) -> dict:
         return {u * self.n: c for u, c in vec.items()}

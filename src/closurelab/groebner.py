@@ -63,9 +63,7 @@ def reduce_poly(p: MultiPoly, basis, leading=None) -> MultiPoly:
                         else:
                             del work[m]
                     else:
-                        nv = field.neg(v)
-                        if nv:
-                            work[m] = nv
+                        work[m] = field.neg(v)
                 break
         else:
             result[mono] = coeff

@@ -9,8 +9,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .arith import Field, FieldDescriptor, field_create, field_from_order, is_prime
-from .arith import extension_field, prime_field, rationals
+from .arith import GF, QQ, Field, field_from_order
 from .errors import (MissingAssignment, ParseError, RingMismatch,
                      UnknownVariable, UnsupportedField)
 
@@ -58,7 +57,7 @@ class PolyRing:
         return hash((self.field, self.var_names))
 
     def __repr__(self):
-        return f"PolyRing({self.field.descriptor}, {list(self.var_names)})"
+        return f"PolyRing({self.field}, {list(self.var_names)})"
 
     def zero(self):
         return MultiPoly(self, {})
@@ -163,12 +162,7 @@ class MultiPoly:
         if not c:
             return self.ring.zero()
         mul = self.ring.field.mul
-        out = {}
-        for m, v in self.terms.items():
-            w = mul(c, v)
-            if w:
-                out[m] = w
-        return MultiPoly(self.ring, out)
+        return MultiPoly(self.ring, {m: mul(c, v) for m, v in self.terms.items()})
 
     def mul_monomial(self, mono: Monomial, coeff=None):
         c = self.ring.field.one if coeff is None else coeff
@@ -291,13 +285,13 @@ class MultiPoly:
 class AlgebraPresentation:
     """A quotient of a polynomial ring by finitely many relations."""
 
-    field: FieldDescriptor
+    field: Field
     variables: tuple
     relations: tuple   # of MultiPoly in the ring over `field` and `variables`
 
     @property
     def ring(self) -> PolyRing:
-        return PolyRing(field_create(self.field), self.variables)
+        return PolyRing(self.field, self.variables)
 
     def __str__(self):
         rels = ", ".join(str(r) for r in self.relations)
@@ -313,7 +307,6 @@ class _Tokens:
 
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
         self.items = []   # (kind, value, position)
         self._scan()
         self.idx = 0
@@ -370,13 +363,13 @@ class _Tokens:
             raise ParseError(f"trailing input {tok[1]!r}", tok[2])
 
 
-def _parse_field_spec(toks: _Tokens) -> FieldDescriptor:
+def _parse_field_spec(toks: _Tokens) -> Field:
     tok = toks.next()
     if tok[0] != "name":
         raise ParseError("expected a field name", tok[2])
     name = tok[1]
     if name in ("Q", "q"):
-        return rationals()
+        return QQ()
     if name == "GF":
         toks.expect("(")
         p = toks.expect("int")[1]
@@ -385,17 +378,9 @@ def _parse_field_spec(toks: _Tokens) -> FieldDescriptor:
             toks.next()
             k = toks.expect("int")[1]
         toks.expect(")")
-        if not is_prime(p):
-            raise UnsupportedField(f"GF({p},{k}): {p} is not prime")
-        if k == 1:
-            return prime_field(p)
-        return extension_field(p, k)
+        return GF(p, k)
     if name.startswith("F") and name[1:].isdigit():
-        q = int(name[1:])
-        try:
-            return field_from_order(q).descriptor
-        except UnsupportedField:
-            raise UnsupportedField(f"F{q}: {q} is not a prime power") from None
+        return field_from_order(int(name[1:]))
     raise UnsupportedField(f"unknown field {name!r}")
 
 
@@ -424,7 +409,7 @@ def _parse_poly(toks: _Tokens, ring: PolyRing, stop_kinds=(",", ")")):
     """Signed sum of terms; `*` between factors is optional."""
     field = ring.field
     var_index = {name: i for i, name in enumerate(ring.var_names)}
-    allow_t = ring.field.descriptor.kind == "extension"
+    allow_t = field.kind == "extension"
     total = ring.zero()
     sign = 1
     tok = toks.peek()
@@ -448,8 +433,8 @@ def _parse_poly(toks: _Tokens, ring: PolyRing, stop_kinds=(",", ")")):
                     _, den, den_pos = toks.next()
                     d = field.from_int(den)
                     if not d:
-                        raise ParseError(f"denominator {den} is zero in "
-                                         f"{field.descriptor}", den_pos)
+                        raise ParseError(f"denominator {den} is zero in {field}",
+                                         den_pos)
                     c = field.div(c, d)
                 term_coeff = field.mul(term_coeff, c)
                 saw_factor = True
@@ -513,13 +498,12 @@ def _expand_ideal_power(ring: PolyRing, names, k: int):
 def parse_presentation(text: str) -> AlgebraPresentation:
     """Parse strings like ``Q[x,y]/(x^2, y^2)`` or ``F2[x,y]/((x,y)^2)``."""
     toks = _Tokens(text)
-    desc = _parse_field_spec(toks)
-    field = field_create(desc)
+    field = _parse_field_spec(toks)
     toks.expect("[")
     variables = []
     while True:
         tok = toks.expect("name")
-        if tok[1] == "t" and desc.kind == "extension":
+        if tok[1] == "t" and field.kind == "extension":
             raise ParseError("'t' is reserved for the extension generator", tok[2])
         variables.append(tok[1])
         nxt = toks.next()
@@ -562,16 +546,16 @@ def parse_presentation(text: str) -> AlgebraPresentation:
             if nxt[0] != ",":
                 raise ParseError(f"expected ',' or ')', found {nxt[1]!r}", nxt[2])
     toks.expect_end()
-    return AlgebraPresentation(desc, tuple(variables), tuple(relations))
+    return AlgebraPresentation(field, tuple(variables), tuple(relations))
 
 
-def parse_field(text: str) -> FieldDescriptor:
+def parse_field(text: str) -> Field:
     """Parse a field name alone, as a presentation begins: Q, GF(p[,k]) or
     Fq."""
     toks = _Tokens(text)
-    desc = _parse_field_spec(toks)
+    field = _parse_field_spec(toks)
     toks.expect_end()
-    return desc
+    return field
 
 
 def parse_poly(text: str, ring: PolyRing) -> MultiPoly:

@@ -195,7 +195,7 @@ def suite_naive(seed=DEFAULT_SEED):
     n2 = naive_closure(a2, 3)
     _check(out, "naive 3-closure over F2 has dimension 111 (rank-14 cube span)",
            n2.dim == 111, f"got {n2.dim}")
-    pres4 = base_change_presentation(pres2, GF(2, 2).descriptor)
+    pres4 = base_change_presentation(pres2, GF(2, 2))
     a4 = algebra_from_presentation(pres4)
     n4 = naive_closure(a4, 3)
     _check(out, "naive 3-closure over F4 has dimension 105", n4.dim == 105,

@@ -18,7 +18,7 @@ from functools import partial
 from closurelab.closure import (_lift_scalar_coeffs, _rows_of,
                                 _synthetic_divide, _xp_add_into,
                                 _xp_gamma_mult, generic_char_poly)
-from closurelab.errors import BudgetExceeded, NotLocal
+from closurelab.errors import BudgetExceeded
 from closurelab.finalg import (AlgebraMap, QuotientAlgebra, RowSpace,
                                StructureAlgebra, TableAlgebra, _label_to_str,
                                char_poly, dedupe_rows, power_budget,
@@ -214,7 +214,7 @@ def local_generators(a: StructureAlgebra, m: int, budget: int | None = None):
     if not (1 <= m <= a.dim):
         raise ValueError("need 1 <= m <= dim")
     if not a.is_local_nilpotent():
-        raise NotLocal("algebra is not local with nilpotent maximal ideal")
+        raise ValueError("algebra is not local with nilpotent maximal ideal")
     tensor, _ = tensor_power(a, m, budget)
     return [tensor.element_from_dict(r) for r in local_rows(a, m, tensor)]
 

@@ -184,7 +184,7 @@ def test_criterion3_transposed_cell_pinned(required_dims):
 def naive_data():
     pres2 = parse_presentation("F2[x1,x2,x3,x4]/((x1,x2,x3,x4)^2)")
     a2 = algebra_from_presentation(pres2)
-    pres4 = base_change_presentation(pres2, GF(2, 2).descriptor)
+    pres4 = base_change_presentation(pres2, GF(2, 2))
     a4 = algebra_from_presentation(pres4)
     return {
         "naive_f2": naive_closure(a2, 3).dim,

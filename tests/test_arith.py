@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from closurelab.arith import (GF, QQ, default_modulus, extension_field,
-                              field_create, field_from_order, is_irreducible,
-                              is_prime, prime_field)
+from closurelab import arith
+from closurelab.arith import (GF, QQ, default_modulus, field_from_order,
+                              is_irreducible, is_prime)
 from closurelab.errors import (DivisionByZero, NotPrime, ParseError,
                                ReducibleModulus, UnknownVariable,
                                UnsupportedField)
+from closurelab.multipoly import parse_field, parse_presentation
 
 
 def is_canonical_rational(x):
@@ -46,11 +47,43 @@ def test_gf4():
 
 def test_field_errors():
     with pytest.raises(NotPrime):
-        field_create(prime_field(15))
+        GF(15)
     with pytest.raises(ReducibleModulus):
-        field_create(extension_field(2, 2, (0, 0, 1)))  # t^2 is reducible
+        GF(2, 2, (0, 0, 1))                       # t^2 is reducible
     with pytest.raises(UnsupportedField):
         field_from_order(12)
+
+
+def test_field_checks_precede_the_modulus_search(monkeypatch):
+    # the search for a degree-200 modulus takes minutes; every check that
+    # needs no modulus must fail first, with its own reason
+    def no_search(p, k):
+        raise AssertionError(f"modulus search for GF({p}^{k})")
+
+    monkeypatch.setattr(arith, "default_modulus", no_search)
+    for text, error, message in (
+            ("GF(2,200)[x]/(x^2)", UnsupportedField, "field size 2^200 exceeds 2^61"),
+            ("GF(7,0)[x]/(x)", UnsupportedField, "degree must be at least 1"),
+            ("GF(15,2)[x]/(x)", NotPrime, "15 is not prime"),
+            ("F4611686018427387904[x]/(x)", UnsupportedField, "exceeds 2^61"),
+            ("F12[x]/(x)", UnsupportedField, "12 is not a prime power")):
+        with pytest.raises(error) as info:
+            parse_presentation(text)
+        assert message in str(info.value), text
+
+
+def test_fields_are_cached_and_compare_by_key():
+    assert GF(7) is GF(7, 1) is field_from_order(7) and QQ() is QQ()
+    assert parse_presentation("F7[x]/(x)").field is GF(7)
+    assert parse_field("F4") == GF(2, 2) != GF(2)
+    assert hash(parse_field("F4")) == hash(GF(2, 2))
+    # str(field) is part of str(presentation), which the modular prime hashes
+    assert [str(f) for f in (QQ(), GF(7), GF(2, 2))] == ["Q", "F7", "GF(2,2)"]
+    # a field with a given modulus is a separate object, equal to the
+    # default one when the moduli agree
+    explicit = GF(2, 2, (1, 1, 1))
+    assert explicit is not GF(2, 2) and explicit == GF(2, 2)
+    assert hash(explicit) == hash(GF(2, 2))
 
 
 def test_primality():

@@ -141,10 +141,6 @@ def test_close_precondition_exit_4():
     code, _ = run_cli(["close", "--algebra", "Q[x]/(x^2)", "--m", "2",
                        "--method", "naive"])
     assert code == 4
-    # local shortcut on a non-local algebra
-    code2, _ = run_cli(["close", "--algebra", "Q[x]/(x^2-1)", "--m", "2",
-                        "--method", "local"])
-    assert code2 == 4
 
 
 def test_close_naive_counterexample():
@@ -465,9 +461,8 @@ EXIT_MATRIX = [
      {"CLOSURELAB_PRIMES": "7"}, None, 0),
     (["close", "--algebra", "Q[x]/(x^2)", "--m", "2", "--method", "naive"],
      {}, None, 4),
-    (["close", "--algebra", "Q[x]/(x^2-1)", "--m", "2", "--method", "local"],
-     {}, None, 4),
-    (["table", "--manifest", "table1.json", "--rows", "(x^2)"], {}, None, 0),
+    (["close", "--algebra", "Q[x]/(x^2-1)", "--m", "2"], {}, None, 0),
+    (["table", "--manifest", "table1.json", "--rows", "(x^3)"], {}, None, 0),
     (["table", "--manifest", "{tmp}/mismatch.json"], {}, None, 1),
     (["table", "--manifest", "{tmp}/mixed.json"], {}, None, 1),
     (["table", "--manifest", "{tmp}/missing.json"], {}, None, 2),
@@ -489,8 +484,9 @@ EXIT_MATRIX = [
     (["close", "--algebra", "F5[x]/(x^2, 5*x + 1)", "--m", "1", "--exact"],
      {}, None, 0),
     (["close", "--algebra", "Q[x,y]/(x^2)", "--m", "1"], {}, None, 2),
-    (["close", "--algebra", "Q[x]/(1)", "--m", "1", "--method", "local"],
-     {}, None, 4),
+    (["close", "--algebra", "Q[x]/(1)", "--m", "1"], {}, None, 0),
+    (["table", "--manifest", "table1.json", "--rows", "(x^2, y^2);nosuchrow;99"],
+     {}, None, 2),
 ]
 
 

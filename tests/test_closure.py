@@ -5,19 +5,19 @@ from fractions import Fraction as Fr
 import pytest
 
 from closurelab import closure as closure_module
-from closurelab.arith import GF, QQ, is_prime, next_prime, prime_field
-from closurelab.catalog import table1_entries
+from closurelab.arith import GF, QQ, is_prime, next_prime
+from closurelab.catalog import catalog_entries, table1_entries
 from closurelab.closure import (base_change_presentation,
                                 closure_from_presentation, divides_check,
                                 etale_closure_dim, galois_factor_count,
                                 generic_char_poly, m_closure, modular_prime,
                                 monogenic_algebra, monogenic_tower,
-                                naive_closure, presentation_mod_p,
-                                product_formula_dim, reconstructed_last_map,
+                                naive_closure, product_formula_dim,
+                                reconstructed_last_map,
                                 reduce_mod_prime, transform_monic)
 from closurelab.errors import (BudgetExceeded, CertificateFailure,
                                DegreeTooSmall, InfiniteFieldUnsupported,
-                               LengthMismatch, NotLocal, NotPrime,
+                               LengthMismatch, NotPrime,
                                UnsupportedField)
 from closurelab.finalg import (AlgebraMap, algebra_from_presentation,
                                algebra_product, char_poly, ideal_subspace_dim,
@@ -68,14 +68,13 @@ def test_unit_free_char_poly_is_p_at_x1_zero():
     over_f2 = [parse_presentation(t) for t in
                ("F2[x,y]/(x^2 + x + 1, y^2)", "F2[x]/(x^4 + x + 1)")]
     presentations = over_q + over_f2
-    presentations += [base_change_presentation(p, GF(2, 2).descriptor)
-                      for p in over_f2]
-    presentations += [base_change_presentation(p, prime_field(1073741789))
+    presentations += [base_change_presentation(p, GF(2, 2)) for p in over_f2]
+    presentations += [base_change_presentation(p, GF(1073741789))
                       for p in over_q]
     kinds = set()
     for pres in presentations:
         a = algebra_from_presentation(pres)
-        kinds.add(str(a.field.descriptor))
+        kinds.add(a.field)
         full = generic_char_poly(a).coeffs
         free = generic_char_poly(a, unit_free=True).coeffs
         assert len(full) == len(free) == a.dim + 1
@@ -130,7 +129,7 @@ def test_local_generators_match_general_schedule():
 def test_local_generators_require_local():
     k = alg("Q[x]/(x)")
     kk, _, _ = algebra_product(k, k)
-    with pytest.raises(NotLocal):
+    with pytest.raises(ValueError, match="not local"):
         local_generators(kk, 2)
 
 
@@ -215,19 +214,19 @@ def test_flat_maps_factor_through_the_projection():
 
 
 def test_production_matches_flat_oracle():
-    # every Table 1 cell with m <= 3, the local shortcut on every local
-    # Table 1 row at m = 2, 3, and the naive counterexample over F2 and F4
+    # every Table 1 cell with m <= 3, also against the oracle's local
+    # shortcut on every local row, and the naive counterexample over F2
+    # and F4
     for entry in table1_entries():
         a = entry.algebra()
         local = a.is_local_nilpotent()
         for m in range(2, min(3, a.dim) + 1):
-            assert_same_closure(m_closure(a, m), flat_closure(a, m))
+            staged = m_closure(a, m)
+            assert_same_closure(staged, flat_closure(a, m))
             if local:
-                assert_same_closure(m_closure(a, m, method="local"),
-                                    flat_closure(a, m, "local-shortcut"))
+                assert_same_closure(staged, flat_closure(a, m, "local-shortcut"))
     pres = parse_presentation("F2[x1,x2,x3,x4]/((x1,x2,x3,x4)^2)")
-    for p, dim in ((pres, 111),
-                   (base_change_presentation(pres, GF(2, 2).descriptor), 105)):
+    for p, dim in ((pres, 111), (base_change_presentation(pres, GF(2, 2)), 105)):
         a = algebra_from_presentation(p)
         naive = naive_closure(a, 3)
         assert naive.dim == dim and naive.strategy == "staged"
@@ -247,22 +246,6 @@ def test_production_matches_flat_oracle_on_nonlocal_inputs():
             assert_same_closure(m_closure(a, m), flat_closure(a, m))
 
 
-def test_local_method_matches_general():
-    # "local" checks that A is local, then runs the general schedule
-    inputs = [entry.algebra() for entry in table1_entries()]
-    inputs += [alg("F2[x,y]/(x^2, y^2)"), alg("F3[x,y]/(x^3, y^2, xy)")]
-    for a in inputs:
-        for m in range(2, min(3, a.dim) + 1):
-            gen = m_closure(a, m)
-            loc = m_closure(a, m, method="local")
-            assert loc.method == "local-shortcut"
-            assert (loc.dim, loc.stage_dims, loc.stage_generators) == \
-                (gen.dim, gen.stage_dims, gen.stage_generators)
-            assert [loc.closure.label_str(i) for i in range(loc.dim)] == \
-                [gen.closure.label_str(i) for i in range(gen.dim)]
-            assert [mp.rows for mp in loc.maps] == [mp.rows for mp in gen.maps]
-
-
 # Table 1 rows of dimension 5 whose flat 5-fold tensor power closes in
 # under a second; the other n = 5 rows take longer and add no new shape.
 LAST_STAGE_N5_ROWS = ("(x^3, y^3, xy)", "(x, y, z, w)^2")
@@ -278,9 +261,9 @@ def test_last_stage_matches_flat_oracle():
     for text in ("F2[x,y]/(x^2, y^2)", "F2[x1,x2,x3]/((x1,x2,x3)^2)"):
         a = alg(text)
         n = a.dim
-        assert_same_closure(m_closure(a, n), flat_closure(a, n))
-        assert_same_closure(m_closure(a, n, method="local"),
-                            flat_closure(a, n, "local-shortcut"))
+        staged = m_closure(a, n)
+        assert_same_closure(staged, flat_closure(a, n))
+        assert_same_closure(staged, flat_closure(a, n, "local-shortcut"))
         assert_same_closure(naive_closure(a, n), flat_closure(a, n, "naive"))
 
 
@@ -330,7 +313,7 @@ def test_last_map_is_trace_minus_the_others():
 def test_local_shortcut_stages_past_the_tensor_power():
     # (x^6) at m=5 would need a 7776-wide tensor power flat
     a = alg("Q[x]/(x^6)")
-    local = m_closure(a, 5, method="local")
+    local = m_closure(a, 5)
     assert local.dim == 720 and local.stage_dims == (6, 30, 120, 360, 720)
     assert local.strategy == "staged"
 
@@ -389,7 +372,7 @@ def test_naive_closure_counterexample():
     a2 = algebra_from_presentation(pres)
     assert naive_closure(a2, 3).dim == 111   # the 15 cube tensors have rank 14
     a4 = algebra_from_presentation(
-        base_change_presentation(pres, GF(2, 2).descriptor))
+        base_change_presentation(pres, GF(2, 2)))
     assert naive_closure(a4, 3).dim == 105
     assert m_closure(a2, 3).dim == m_closure(a4, 3).dim == 105
 
@@ -541,7 +524,7 @@ def test_modular_vs_exact():
 
 def test_presentation_mod_p():
     pres = parse_presentation("Q[x,y]/(x^2 + y^3, xy)")
-    reduced = presentation_mod_p(pres, 7)
+    reduced = base_change_presentation(pres, GF(7))
     assert str(reduced.field) == "F7"
     assert algebra_from_presentation(reduced).dim == 5
 
@@ -644,6 +627,16 @@ def test_bad_prime_is_skipped(monkeypatch):
     assert res.dim == 12 and mode.startswith("mod ")
 
 
+def test_modular_prime_is_pinned(monkeypatch):
+    # the hash reads str(pres), field name included; a change there would
+    # move the "mod <p>" of every report
+    monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
+    entries = {entry.name: entry.presentation() for entry in catalog_entries()}
+    assert str(entries["(x^2 + y^4, xy)"]) == "Q[x,y]/(y^4 + x^2, x*y)"
+    assert modular_prime(entries["(x^2, y^2)"]) == 837474611
+    assert modular_prime(entries["(x^2 + y^4, xy)"]) == 911201129
+
+
 def test_reduce_mod_prime_is_the_special_fiber():
     a = alg("Q[x,y]/(x^2 - 1/3*y, y^2 - 6*x)")
     a7 = reduce_mod_prime(a, 7)
@@ -678,12 +671,12 @@ def test_budget_overrun_is_not_repeated(monkeypatch):
     with pytest.raises(BudgetExceeded,
                        match="^stage 5 width 2358 exceeds the budget 1000$"):
         closure_from_presentation(pres, 5)
-    assert len(calls) == 1 and calls[0].descriptor.kind == "prime"
+    assert len(calls) == 1 and calls[0].kind == "prime"
 
 
 def test_base_change_presentation():
     pres = parse_presentation("F2[x,y]/(x^2,y^2)")
-    over_f4 = base_change_presentation(pres, GF(2, 2).descriptor)
+    over_f4 = base_change_presentation(pres, GF(2, 2))
     a = algebra_from_presentation(over_f4)
     assert a.dim == 4 and a.field.order == 4
     assert m_closure(a, 2).dim == 16
