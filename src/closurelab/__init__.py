@@ -7,8 +7,7 @@ rationals and over finite fields, together with the naive element-only
 variant, monogenic towers, and the monic-polynomial transform.
 """
 
-from .arith import (GF, QQ, ExtensionField, Field, PrimeField, RationalField,
-                    field_from_order, is_prime, next_prime)
+from .arith import GF, QQ, Field, field_from_order, is_prime, next_prime
 from .catalog import (ManifestEntry, catalog_entries, load_manifest,
                       manifest_path, table1_entries, table2_entries)
 from .closure import (ClosureResult, GenericCharData, TowerDescription,

@@ -487,7 +487,7 @@ def GF(p: int, k: int = 1, modulus=None) -> Field:
     `modulus` (coefficients of 1, t, ..., t^k), by default
     `default_modulus(p, k)`.  The size checks come before the modulus
     search, which takes minutes at large k."""
-    key = (p, k, None if modulus is None else tuple(modulus))
+    key = (p, k, None if modulus is None or k == 1 else tuple(modulus))
     field = _FIELDS.get(key)
     if field is None:
         if not is_prime(p):
@@ -510,7 +510,10 @@ def field_from_order(q: int) -> Field:
     """GF(q) for a prime power q, or raise."""
     if q >= MAX_FIELD_SIZE:
         raise UnsupportedField(f"field size {q} exceeds 2^61")
-    for k in range(1, q.bit_length()):
+    if is_prime(q):
+        return GF(q)
+    # for k >= 2 the root is below 2^31, where a float root rounds exactly
+    for k in range(2, q.bit_length()):
         p = round(q ** (1 / k))
         if p ** k == q and is_prime(p):
             return GF(p, k)

@@ -5,7 +5,7 @@ import pytest
 
 from closurelab import arith
 from closurelab.arith import (GF, QQ, default_modulus, field_from_order,
-                              is_irreducible, is_prime)
+                              is_irreducible, is_prime, next_prime)
 from closurelab.errors import (DivisionByZero, NotPrime, ParseError,
                                ReducibleModulus, UnknownVariable,
                                UnsupportedField)
@@ -84,6 +84,20 @@ def test_fields_are_cached_and_compare_by_key():
     explicit = GF(2, 2, (1, 1, 1))
     assert explicit is not GF(2, 2) and explicit == GF(2, 2)
     assert hash(explicit) == hash(GF(2, 2))
+    # at k = 1 a modulus means nothing and makes no second field
+    assert GF(7, 1, (3, 1)) is GF(7)
+
+
+def test_large_prime_fields_parse_exactly():
+    # primes above 2^53 lose their low bits as floats
+    big = 2305843009213693951                     # 2^61 - 1
+    assert parse_presentation(f"F{big}[x]/(x)").field is GF(big)
+    above = next_prime(2 ** 53)
+    assert parse_field(f"F{above}") is GF(above)
+    square = next_prime(2 ** 30) ** 2             # above 2^60
+    assert field_from_order(square) is GF(next_prime(2 ** 30), 2)
+    with pytest.raises(UnsupportedField):
+        field_from_order(above + 1)
 
 
 def test_primality():
