@@ -323,9 +323,9 @@ class ExtensionField(Field):
     _TABLE_LIMIT = 256
 
     def __init__(self, p: int, k: int, modulus):
-        modulus = tuple(int(c) % p for c in modulus[:-1]) + (1,)
-        if len(modulus) != k + 1:
-            raise ReducibleModulus(f"modulus degree must be {k}")
+        modulus = tuple(int(c) % p for c in modulus)
+        if len(modulus) != k + 1 or modulus[-1] != 1:
+            raise ReducibleModulus(f"modulus must be monic of degree {k}")
         if not is_irreducible(list(modulus), p):
             raise ReducibleModulus(
                 f"modulus is reducible over GF({p})")

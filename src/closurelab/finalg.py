@@ -249,28 +249,51 @@ class RowSpace:
     def close_under(self, seeds, multipliers):
         """Grow the span until it is stable under every multiplier map.
 
-        `multipliers` are callables dict -> dict.  Rows spawned from a newly
-        inserted pivot are recomputed from the stored row, keeping the work
-        queue small.  The final span is the smallest multiplier-closed
-        subspace containing the seeds.
+        `multipliers` are commuting linear callables dict -> dict, such as
+        multiplication by generators.  The final span is the smallest
+        multiplier-closed subspace containing the seeds.  It is built in
+        signature order (Faugere's F5; Eder-Faugere, JSC 2017):
+
+        * The signature (mu, k) names the monomial M^mu s_k: seed k times
+          the multipliers indexed by the nondecreasing tuple mu.  Candidates
+          run degree by degree, and within a degree in sorted (mu, k) order.
+          The order is compatible with multiplication: sigma < tau implies
+          j sigma < j tau, since within a degree it is the reverse of lex
+          order on exponent vectors.
+        * The candidate of (mu, k) is multiplier mu[-1] applied to the
+          stored row of (mu[:-1], k), so a row is extended only by the
+          multipliers j >= mu[-1] and each signature is computed once.  A
+          stored row is its monomial (times a unit) plus monomials of
+          smaller signature, and by compatibility so is the candidate.
+        * Every stored row has a smaller signature than the candidate being
+          reduced, and the stored rows span every monomial of smaller
+          signature.  So a candidate reduces to zero exactly when its
+          monomial lies in the span of smaller ones.
+        * A product is computed only if every one-step divisor of its
+          signature (one factor removed) was inserted.  A divisor that was
+          not inserted lies in the span of smaller monomials, and by
+          compatibility so does its product with the missing factor.
         """
-        queue = []
-        seen = set()
-        for vec in seeds:
+        level = {}          # signatures inserted at this degree -> stored row
+        for k, vec in enumerate(seeds):
             pivot = self.add(vec)
-            if pivot is not None and pivot not in seen:
-                seen.add(pivot)
-                queue.append(pivot)
-        qi = 0
-        while qi < len(queue):
-            pivot = queue[qi]
-            qi += 1
-            base = self.rows[pivot]
-            for mult in multipliers:
-                p2 = self.add(mult(base))
-                if p2 is not None and p2 not in seen:
-                    seen.add(p2)
-                    queue.append(p2)
+            if pivot is not None:
+                level[(), k] = self.rows[pivot]
+        count = len(multipliers)
+        while level:
+            # mu + (j,) minus mu[i] is mu[:i] + mu[i+1:] + (j,); minus j it
+            # is mu, inserted by construction
+            candidates = sorted(
+                (mu + (j,), k) for mu, k in level
+                for j in range(mu[-1] if mu else 0, count)
+                if all((mu[:i] + mu[i + 1:] + (j,), k) in level
+                       for i in range(len(mu))))
+            inserted = {}
+            for mu, k in candidates:
+                pivot = self.add(multipliers[mu[-1]](level[mu[:-1], k]))
+                if pivot is not None:
+                    inserted[mu, k] = self.rows[pivot]
+            level = inserted
         return self.rank
 
 

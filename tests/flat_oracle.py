@@ -223,6 +223,20 @@ def local_generators(a: StructureAlgebra, m: int, budget: int | None = None):
 # the flat quotient
 
 
+def breadth_first_close(span: RowSpace, seeds, multipliers):
+    """Close `span` under the multipliers by multiplying every inserted row
+    by every multiplier, in insertion order; returns the rank.  The
+    reference for the signature-ordered `RowSpace.close_under`."""
+    queue = [pivot for pivot in map(span.add, seeds) if pivot is not None]
+    for pivot in queue:                 # grows while it is read
+        base = span.rows[pivot]
+        for mult in multipliers:
+            new = span.add(mult(base))
+            if new is not None:
+                queue.append(new)
+    return span.rank
+
+
 @dataclass
 class FlatClosure:
     closure: QuotientAlgebra
@@ -237,7 +251,8 @@ def flat_closure(a: StructureAlgebra, m: int, method: str = "general",
     tensor, embeddings = tensor_power(a, m, budget)
     rows = SCHEDULES[method](a, m, tensor)
     span = RowSpace(a.field, tensor.dim)
-    span.close_under(dedupe_rows(a.field, rows), tensor.generator_multipliers())
+    breadth_first_close(span, dedupe_rows(a.field, rows),
+                        tensor.generator_multipliers())
     quot = QuotientAlgebra(tensor, span)
     maps = [AlgebraMap(a, quot, [quot.project(row) for row in emb.rows])
             for emb in embeddings]

@@ -50,6 +50,10 @@ def test_field_errors():
         GF(15)
     with pytest.raises(ReducibleModulus):
         GF(2, 2, (0, 0, 1))                       # t^2 is reducible
+    with pytest.raises(ReducibleModulus):
+        GF(3, 2, (2, 2, 2))                       # 2t^2 + 2t + 2 is not monic
+    with pytest.raises(ReducibleModulus):
+        GF(2, 2, (1, 1, 0))                       # 1 + t has degree 1
     with pytest.raises(UnsupportedField):
         field_from_order(12)
 

@@ -6,17 +6,17 @@ import pytest
 from closurelab.arith import GF, QQ
 from closurelab.errors import BudgetExceeded, FieldMismatch
 from closurelab.catalog import table1_entries
-from closurelab.closure import m_closure
+from closurelab.closure import base_change_presentation, m_closure
 from closurelab.finalg import (GenericKernel, PolyOps, PrimeKernel,
                                QuotientAlgebra, RowSpace, TableAlgebra,
                                TensorPairAlgebra,
                                algebra_from_presentation, algebra_product,
                                berkowitz_charpoly, char_poly,
-                               ideal_subspace_dim, mult_matrix,
+                               ideal_subspace_dim, kernel_for, mult_matrix,
                                quotient_algebra, stride_multiplier)
 from closurelab.multipoly import PolyRing, parse_presentation
 from closurelab.verify import determinant_expansion
-from flat_oracle import tensor_power
+from flat_oracle import breadth_first_close, tensor_power
 
 
 def alg(text):
@@ -372,3 +372,67 @@ def test_prime_kernel_matches_generic_kernel(p):
     assert (fast.close_under(seeds, pair.generator_multipliers())
             == slow.close_under(seeds, generic_mults))
     assert fast.rows == slow.rows
+
+
+# -- close_under: the signature-ordered closure against the breadth-first one
+
+
+def _difference_seeds(rng, pair):
+    """Basis multiples of x (x) 1 - 1 (x) x in a pair, so the ideal is
+    proper and rational entries stay small, with a dependent seed and a
+    duplicate one."""
+    f = pair.field
+    (_, u), (_, v) = pair.left.generator_elements()[0], pair.right.generator_elements()[0]
+    diff = _vec_sum(f, pair.embed_left(u),
+                    {k: f.neg(c) for k, c in pair.embed_right(v).items()})
+    seeds = [pair.mult_vec({k: f.one}, diff)
+             for k in rng.sample(range(pair.dim), 3)]
+    seeds.append(_vec_sum(f, seeds[0], seeds[1]))
+    seeds.append(dict(seeds[2]))
+    return seeds
+
+
+@pytest.mark.parametrize("field", [GF(1073741789), QQ(), GF(2, 2)],
+                         ids=str)
+@pytest.mark.parametrize("text", ["Q[x,y]/(x^2, y^3)", "Q[x]/(x^5 - x - 1)"])
+def test_close_under_matches_breadth_first(field, text):
+    rng = random.Random(20261018)
+    a = algebra_from_presentation(
+        base_change_presentation(parse_presentation(text), field))
+    pair = TensorPairAlgebra(m_closure(a, 2).closure, a)      # stage 3
+    seeds = _difference_seeds(rng, pair)
+    probes = [_random_row(rng, field, pair.dim, 0.3) for _ in range(10)]
+    for mults in (pair.generator_multipliers(), []):
+        fast, slow = RowSpace(field, pair.dim), RowSpace(field, pair.dim)
+        assert fast.kernel is kernel_for(field)
+        rank = fast.close_under(seeds, mults)
+        assert rank == breadth_first_close(slow, seeds, mults)
+        assert 0 < rank < pair.dim
+        assert fast.pivots() == slow.pivots()
+        for vec in probes:
+            assert fast.reduce(vec) == slow.reduce(vec)
+
+
+def test_close_under_skips_dead_products(monkeypatch):
+    # breadth first applies every multiplier to every inserted row
+    applied = 0
+    breadth_first = 0
+    close_under = RowSpace.close_under
+
+    def counting(mult):
+        def apply(w):
+            nonlocal applied
+            applied += 1
+            return mult(w)
+        return apply
+
+    def counted(space, seeds, multipliers):
+        nonlocal breadth_first
+        before = space.rank
+        rank = close_under(space, seeds, [counting(m) for m in multipliers])
+        breadth_first += len(seeds) + (rank - before) * len(multipliers)
+        return rank
+
+    monkeypatch.setattr(RowSpace, "close_under", counted)
+    assert m_closure(alg("Q[x,y]/(x^2, y^5, xy)"), 4).dim == 393
+    assert 2 * applied < breadth_first
