@@ -46,13 +46,11 @@ from .errors import (BudgetExceeded, CertificateFailure, DegreeTooSmall,
 from .finalg import (AlgebraElement, AlgebraMap, CharPoly, PolyOps,
                      QuotientAlgebra, RowSpace, StructureAlgebra, TableAlgebra,
                      TensorPairAlgebra, algebra_from_presentation,
-                     berkowitz_charpoly, char_poly, dedupe_rows,
-                     monomial_algebra, power_budget, stride_multiplier,
-                     vec_add_into)
+                     berkowitz_charpoly, char_poly, monomial_algebra,
+                     power_budget, stride_multiplier, vec_add_into)
 from .multipoly import (AlgebraPresentation, MultiPoly, PolyRing,
                         grevlex_key, mono_mul)
 
-MORPHISM_PAIR_BUDGET = 512  # basis pairs checked per map on huge closures
 DIVIDES_DIM_LIMIT = 600     # closures above this skip the full recomputation
 
 
@@ -159,8 +157,9 @@ def _synthetic_divide(fieldh, zcoeffs, times_gamma):
 
     Horner in Z: the quotient coefficients are the intermediate
     accumulators, the remainder is the value at gamma.  Coefficients are
-    dicts of algebra vectors (X-polynomials, or one entry per point of A);
-    `times_gamma` multiplies one by gamma.
+    dicts of algebra vectors (X-polynomials, one entry per point of A, or
+    X-polynomials over the scalars as {0: c} in a tower); `times_gamma`
+    multiplies one by gamma.
     """
     d = len(zcoeffs) - 1
     quot = [None] * d
@@ -290,9 +289,8 @@ def _trivial_result(a, m, method, closure, maps, t0):
 
 
 def _verify_maps(result: ClosureResult):
-    budget = None if result.closure.dim <= DIVIDES_DIM_LIMIT else MORPHISM_PAIR_BUDGET
     for i, mp in enumerate(result.maps):
-        if not mp.is_ring_morphism(pair_budget=budget):
+        if not mp.is_ring_morphism():
             raise CertificateFailure(
                 f"structural map {i + 1} is not a ring morphism")
 
@@ -356,7 +354,7 @@ def _last_stage_span(pair: TensorPairAlgebra, last: AlgebraMap, seeds):
     n = pair.n
     one = fieldh.one
     minus_one = fieldh.neg(one)
-    span = RowSpace(fieldh, pair.dim)
+    span = RowSpace(fieldh)
     for i in range(1, n):
         times_t = stride_multiplier(pair.left, last.rows[i], n)
         for c in range(pair.left.dim):
@@ -395,13 +393,12 @@ def _staged_closure(a, m, method, t0):
         pair = TensorPairAlgebra(current, a)
         rows = schedule.stage(pair.embed_left)
         stage_generators.append(sum(1 for r in rows if r))
-        seeds = dedupe_rows(fieldh, rows)
         if s == n:
             span = _last_stage_span(
-                pair, reconstructed_last_map(a, current, maps), seeds)
+                pair, reconstructed_last_map(a, current, maps), rows)
         else:
-            span = RowSpace(fieldh, pair.dim)
-            span.close_under(seeds, pair.generator_multipliers())
+            span = RowSpace(fieldh)
+            span.close_under(rows, pair.generator_multipliers())
         quot = QuotientAlgebra(pair, span)
         maps = [AlgebraMap(a, quot, [quot.project(pair.embed_left(row))
                                      for row in mp.rows])
@@ -512,72 +509,60 @@ def monogenic_tower(f_coeffs, m: int, fieldh: Field | None = None,
         raise DegreeTooSmall(f"cannot split {m} roots off degree {n}")
     if m < 0:
         raise ValueError("m must be nonnegative")
+    if f_coeffs[-1] != fh.one:
+        raise ValueError("polynomial must be monic")
 
     names = tuple(f"{varname}{i + 1}" for i in range(m))
     ring = PolyRing(fh, names)
-    # rewrite rules: bounds[i] = n - i, and x_i^(n-i) rewrites to rule[i]
-    bounds = [n - i for i in range(m)]
-    rules = {}
-    # Normal form of each monomial met, cleared when a rule is added.  The
-    # rules are a triangular Groebner basis with pairwise coprime leading
-    # terms x_i^bounds[i], so the normal form is unique.
-    normal = {}
-
-    def normal_form(mono):
-        nf = normal.get(mono)
-        if nf is None:
-            nf = {mono: fh.one}
-            for i in rules:
-                if mono[i] >= bounds[i]:
-                    drop = list(mono)
-                    drop[i] -= bounds[i]
-                    nf = {}
-                    for rmono, c in rules[i].terms.items():
-                        vec_add_into(fh, nf, normal_form(mono_mul(rmono, drop)), c)
-                    break
-            normal[mono] = nf
-        return nf
-
-    def reduce_tower(p: MultiPoly) -> MultiPoly:
-        out = {}
-        for mono, c in p.terms.items():
-            vec_add_into(fh, out, normal_form(mono), c)
-        return MultiPoly(ring, out)
 
     def power(i, e):
         return tuple(e if j == i else 0 for j in range(m))
 
-    # current polynomial: Z-coefficients as MultiPoly in x_1..x_m
-    cur = [ring.const(c) for c in f_coeffs]
+    def times_root(i, xp):
+        # copies each coefficient: _synthetic_divide adds into them
+        return {mono[:i] + (mono[i] + 1,) + mono[i + 1:]: dict(vec)
+                for mono, vec in xp.items()}
+
+    # running polynomial: Z-coefficients as X-polynomials over the scalars.
+    # Dividing by (Z - x_i) leaves the value at x_i as the remainder, the
+    # stage-i relation; its quotient coefficients have x_i-degree below
+    # n - i, so they are already in normal form.
+    cur = _lift_scalar_coeffs(ring.const(c) for c in f_coeffs)
     relations = []
+    rules = []          # x_i^(n-i) rewrites to rules[i], {monomial: c}
     for i in range(m):
-        deg = len(cur) - 1
-        rel_poly = ring.monomial(power(i, deg))
-        for e in range(deg):
-            coeff = cur[e]
-            if not coeff.is_zero():
-                rel_poly = rel_poly + coeff.mul_monomial(power(i, e))
-        relations.append(str(rel_poly))
-        # rewrite rule: x_i^deg = -(lower part)
-        low = ring.zero()
-        for e in range(deg):
-            low = low - cur[e].mul_monomial(power(i, e))
-        rules[i] = low
-        normal.clear()
-        # divide by (Z - x_i): quotient via Horner, coefficients reduced
-        xi = ring.var(i)
-        quot = [ring.zero()] * deg
-        quot[deg - 1] = cur[deg]
-        for k in range(deg - 1, 0, -1):
-            quot[k - 1] = reduce_tower(cur[k] + xi * quot[k])
-        cur = quot
+        cur, rem = _synthetic_divide(fh, cur, partial(times_root, i))
+        rel = {mono: vec[0] for mono, vec in rem.items()}
+        relations.append(str(MultiPoly(ring, rel)))
+        top = power(i, n - i)
+        rules.append({mono: fh.neg(c) for mono, c in rel.items() if mono != top})
 
     expected = etale_closure_dim(n, m)
     if integral:
         return TowerDescription(base="Z", degree=n, m=m, dim=expected,
                                 relations=tuple(relations))
 
-    basis = sorted(itertools.product(*map(range, bounds)), key=grevlex_key)
+    # The rules are a triangular Groebner basis with pairwise coprime leading
+    # terms x_i^(n-i), so the normal form is unique.
+    normal = {}
+
+    def normal_form(mono):
+        nf = normal.get(mono)
+        if nf is None:
+            nf = {mono: fh.one}
+            for i, rule in enumerate(rules):
+                if mono[i] >= n - i:
+                    drop = list(mono)
+                    drop[i] -= n - i
+                    nf = {}
+                    for rmono, c in rule.items():
+                        vec_add_into(fh, nf, normal_form(mono_mul(rmono, drop)), c)
+                    break
+            normal[mono] = nf
+        return nf
+
+    basis = sorted(itertools.product(*(range(n - i) for i in range(m))),
+                   key=grevlex_key)
     algebra = monomial_algebra(ring, basis, normal_form, check=len(basis) <= 40)
     if algebra.dim != expected:
         raise CertificateFailure("tower dimension mismatch")

@@ -42,23 +42,6 @@ def vec_add_into(field, target, vec, c=None):
     return target
 
 
-def dedupe_rows(field, rows):
-    """Drop zero rows and rows equal up to scaling."""
-    out = []
-    seen = set()
-    for vec in rows:
-        vec = {k: v for k, v in vec.items() if v}
-        if not vec:
-            continue
-        pivot = max(vec)
-        inv = field.inv(vec[pivot])
-        key = frozenset((k, field.mul(inv, v)) for k, v in vec.items())
-        if key not in seen:
-            seen.add(key)
-            out.append(vec)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # span kernels: the inner loops of reduction and of the multiplication
 # operator, one class per field kind, chosen when a row space or an operator
@@ -216,9 +199,8 @@ class RowSpace:
     insertion time and normalized to pivot coefficient 1.
     """
 
-    def __init__(self, field: Field, width: int):
+    def __init__(self, field: Field):
         self.field = field
-        self.width = width
         self.rows = {}          # pivot column -> sparse row
         self.kernel = kernel_for(field)
 
@@ -528,7 +510,7 @@ class TableAlgebra(StructureAlgebra):
         return super().generator_elements()
 
     def _check_axioms(self):
-        field = self.field
+        one = self.field.one
         n = self.dim
         if n <= 20:
             triples = ((i, j, k) for i in range(n) for j in range(i, n)
@@ -539,12 +521,8 @@ class TableAlgebra(StructureAlgebra):
             triples = ((r.randrange(n), r.randrange(n), r.randrange(n))
                        for _ in range(200))
         for i, j, k in triples:
-            left = {}
-            for t, c in self.basis_product(i, j).items():
-                vec_add_into(field, left, self.basis_product(t, k), c)
-            right = {}
-            for t, c in self.basis_product(j, k).items():
-                vec_add_into(field, right, self.basis_product(i, t), c)
+            left = self.mult_vec(self.basis_product(i, j), {k: one})
+            right = self.mult_vec({i: one}, self.basis_product(j, k))
             if left != right:
                 raise ValueError(f"associativity fails at basis triple {(i, j, k)}")
 
@@ -578,9 +556,6 @@ class TensorPairAlgebra(StructureAlgebra):
         if not isinstance(llabel, tuple):
             llabel = (llabel,)
         return llabel + (self.right.label(i),)
-
-    def label_str(self, index):
-        return _label_to_str(self.pair_label(index))
 
     def basis_product(self, i, j):
         if i > j:
@@ -775,38 +750,17 @@ class AlgebraMap:
     def is_unital(self) -> bool:
         return self.apply_dict(self.source.unit()) == self.target.unit()
 
-    def is_ring_morphism(self, pair_budget: int | None = None) -> bool:
-        """Check multiplicativity on basis pairs.
-
-        With a budget, a deterministic subsample of pairs is checked (used
-        for very large targets); pass None to check every pair.
-        """
+    def is_ring_morphism(self) -> bool:
+        """Unital, and multiplicative on every pair of basis elements."""
         if not self.is_unital():
             return False
         n = self.source.dim
-        pairs = [(i, j) for i in range(n) for j in range(i, n)]
-        if pair_budget is not None and len(pairs) > pair_budget:
-            step = len(pairs) // pair_budget
-            pairs = pairs[::step][:pair_budget]
-        for i, j in pairs:
-            left = self.target.mult_vec(self.rows[i], self.rows[j])
-            right = {}
-            for k, c in self.source.basis_product(i, j).items():
-                vec_add_into(self.target.field, right, self.rows[k], c)
-            if left != right:
-                return False
+        for i in range(n):
+            for j in range(i, n):
+                left = self.target.mult_vec(self.rows[i], self.rows[j])
+                if left != self.apply_dict(self.source.basis_product(i, j)):
+                    return False
         return True
-
-    def matrix(self):
-        """Dense matrix, row i = coordinates of the image of e_i."""
-        out = []
-        zero = self.target.field.zero
-        for row in self.rows:
-            dense = [zero] * self.target.dim
-            for k, v in row.items():
-                dense[k] = v
-            out.append(dense)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -983,10 +937,10 @@ def char_poly(a: StructureAlgebra, elem: AlgebraElement) -> CharPoly:
 def ideal_subspace_dim(a: StructureAlgebra, gens):
     """Dimension of the smallest multiplication-closed subspace containing
     the generators, with the row space that spans it."""
-    span = RowSpace(a.field, a.dim)
+    span = RowSpace(a.field)
     seeds = [g.to_dict() if isinstance(g, AlgebraElement) else dict(g)
              for g in gens]
-    span.close_under(dedupe_rows(a.field, seeds), a.generator_multipliers())
+    span.close_under(seeds, a.generator_multipliers())
     return span.rank, span
 
 

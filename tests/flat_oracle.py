@@ -21,8 +21,8 @@ from closurelab.closure import (_lift_scalar_coeffs, _rows_of,
 from closurelab.errors import BudgetExceeded
 from closurelab.finalg import (AlgebraMap, QuotientAlgebra, RowSpace,
                                StructureAlgebra, TableAlgebra, _label_to_str,
-                               char_poly, dedupe_rows, power_budget,
-                               stride_multiplier, vec_add_into)
+                               char_poly, power_budget, stride_multiplier,
+                               vec_add_into)
 
 
 class TensorPowerAlgebra(StructureAlgebra):
@@ -250,9 +250,8 @@ def flat_closure(a: StructureAlgebra, m: int, method: str = "general",
     """Quotient of the m-fold tensor power by every slot's relations."""
     tensor, embeddings = tensor_power(a, m, budget)
     rows = SCHEDULES[method](a, m, tensor)
-    span = RowSpace(a.field, tensor.dim)
-    breadth_first_close(span, dedupe_rows(a.field, rows),
-                        tensor.generator_multipliers())
+    span = RowSpace(a.field)
+    breadth_first_close(span, rows, tensor.generator_multipliers())
     quot = QuotientAlgebra(tensor, span)
     maps = [AlgebraMap(a, quot, [quot.project(row) for row in emb.rows])
             for emb in embeddings]

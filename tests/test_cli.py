@@ -487,6 +487,9 @@ EXIT_MATRIX = [
     (["close", "--algebra", "Q[x]/(1)", "--m", "1"], {}, None, 0),
     (["table", "--manifest", "table1.json", "--rows", "(x^2, y^2);nosuchrow;99"],
      {}, None, 2),
+    (["tower", "--f", "2Z^2+1", "--m", "1"], {}, None, 2),
+    (["tower", "--f", "Z^2+1/2", "--m", "1", "--field", "Z"], {}, None, 2),
+    (["transform", "--f", "Z^2-1", "--g", "X", "--field", "Z"], {}, None, 2),
 ]
 
 

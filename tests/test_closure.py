@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 from fractions import Fraction as Fr
@@ -349,6 +350,31 @@ def test_divides_check_vacuous_cases():
     assert divides_check(m_closure(a, 1))["certified"]
 
 
+def test_divides_check_skips_closures_above_the_limit(monkeypatch):
+    result = m_closure(alg("Q[x]/(x^3)"), 2)
+    assert result.dim == 6
+    monkeypatch.setattr(closure_module, "DIVIDES_DIM_LIMIT", 5)
+    assert divides_check(result) == {
+        "certified": False, "mode": "skipped",
+        "reason": "closure dimension 6 above limit 5"}
+
+
+@pytest.mark.parametrize("text", ["Q[x]/(x^3)", "F7[x]/(x^3)"])
+def test_map_check_rejects_a_unital_map_that_is_not_multiplicative(text):
+    # 1 -> 1, x -> x, x^2 -> 0: unital and linear, but x*x -> x^2 != 0
+    a = alg(text)
+    one = a.field.one
+    bad = AlgebraMap(a, a, [{0: one}, {1: one}, {}])
+    assert bad.is_unital() and not bad.is_ring_morphism()
+    result = m_closure(a, 2)
+    assert all(mp.is_ring_morphism() for mp in result.maps)
+    identity = AlgebraMap(a, a, [{i: one} for i in range(3)])
+    broken = dataclasses.replace(result, maps=[identity, bad])
+    with pytest.raises(CertificateFailure,
+                       match="structural map 2 is not a ring morphism"):
+        closure_module._verify_maps(broken)
+
+
 def test_rank_two_involution():
     # the 2-closure of a rank-2 algebra is the algebra with a -> tr(a) - a
     a = alg("Q[x]/(x^2)")
@@ -392,7 +418,7 @@ def test_naive_equals_true_closure_on_small_field_case():
 def test_naive_closure_checks_its_maps(monkeypatch):
     # m < n, so no last-stage trace check runs first: the map certificate
     # that general closures get is what raises
-    monkeypatch.setattr(AlgebraMap, "is_ring_morphism", lambda self, **kw: False)
+    monkeypatch.setattr(AlgebraMap, "is_ring_morphism", lambda self: False)
     with pytest.raises(CertificateFailure, match="structural map 1 is not"):
         naive_closure(alg("F2[x,y]/(x^2,y^2)"), 2)
 
@@ -432,6 +458,42 @@ def test_monogenic_tower_over_integers():
     t = monogenic_tower([Fr(1), Fr(0), Fr(0), Fr(0), Fr(1)], 2, None)  # Z^4+1
     assert t.base == "Z" and t.dim == 12
     assert len(t.relations) == 2 and t.algebra is None
+    with pytest.raises(ValueError, match="monic"):
+        monogenic_tower([1, 0, 2], 1, None)                     # 2Z^2 + 1
+
+
+def test_tower_relations_are_the_division_remainders():
+    t = monogenic_tower([-2, 0, 0, 1], 3, None)                 # Z^3 - 2
+    assert t.relations == ("x1^3 - 2", "x1^2 + x1*x2 + x2^2", "x1 + x2 + x3")
+
+
+@pytest.mark.parametrize("fieldh", [QQ(), GF(7)], ids=["Q", "F7"])
+def test_tower_with_lower_terms(fieldh):
+    # Z^3 + Z + 1 = (Z - x1)(Z^2 + x1 Z + x1^2 + 1), and the quadratic
+    # factor is (Z - x2)(Z + x1 + x2) once x2 is a root
+    one = fieldh.one
+    t = monogenic_tower([one, one, fieldh.zero, one], 3, fieldh)
+    assert t.relations == ("x1^3 + x1 + 1", "x1^2 + x1*x2 + x2^2 + 1",
+                           "x1 + x2 + x3")
+    a = t.algebra
+    assert t.dim == a.dim == 6
+    assert a.labels == ["1", "x2", "x1", "x1*x2", "x1^2", "x1^2*x2"]
+    # map i sends x to x_(i+1), and the images satisfy the relations; with
+    # the monomial basis below, this fixes every structure constant
+    assert all(mp.is_ring_morphism() for mp in t.maps)
+    x1, x2, x3 = (a.element_from_dict(mp.rows[1]) for mp in t.maps)
+    unit, zero = a.one_element(), a.zero_element()
+    assert x1 ** 3 + x1 + unit == zero
+    assert x1 ** 2 + x1 * x2 + x2 ** 2 + unit == zero
+    assert x1 + x2 + x3 == zero
+    for k, (e1, e2) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]):
+        assert x1 ** e1 * x2 ** e2 == a.element_from_dict({k: one})
+    if fieldh.char == 7:
+        q = monogenic_tower([1, 1, 0, 1], 3, QQ()).algebra
+        reduced = reduce_mod_prime(q, 7)
+        assert reduced.field == fieldh
+        assert all(reduced.basis_product(i, j) == a.basis_product(i, j)
+                   for i in range(6) for j in range(6))
 
 
 def test_tower_agrees_with_pipeline():

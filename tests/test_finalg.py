@@ -286,7 +286,7 @@ def test_rowspace_canonical_pivots():
     import itertools
     pivot_sets = set()
     for perm in itertools.permutations(rows):
-        space = RowSpace(f, 4)
+        space = RowSpace(f)
         for r in perm:
             space.add(dict(r))
         pivot_sets.add(frozenset(space.pivots()))
@@ -296,7 +296,7 @@ def test_rowspace_canonical_pivots():
 
 def test_rowspace_reduce_is_canonical():
     f = GF(7)
-    space = RowSpace(f, 5)
+    space = RowSpace(f)
     space.add({0: 1, 4: 1})
     space.add({1: 2, 3: 1, 4: 3})
     v = {0: 3, 1: 1, 3: 0, 4: 5}
@@ -333,7 +333,7 @@ def test_prime_kernel_matches_generic_kernel(p):
     a = alg(f"GF({p})[x,y]/(x^2 - 3*y + 1, y^3 + 5*x*y - 2*x)")
     pair = TensorPairAlgebra(a, a)
     width = pair.dim
-    fast, slow = RowSpace(f, width), RowSpace(f, width)
+    fast, slow = RowSpace(f), RowSpace(f)
     slow.kernel = GenericKernel
     assert fast.kernel is PrimeKernel
     # add: the same pivots and the same stored rows
@@ -364,7 +364,7 @@ def test_prime_kernel_matches_generic_kernel(p):
                         == {k: c for k, c in _vec_sum(f, target, out).items() if c})
     # close_under: the same closed span from the same seeds
     seeds = [_random_row(rng, f, width, 0.2) for _ in range(2)]
-    fast, slow = RowSpace(f, width), RowSpace(f, width)
+    fast, slow = RowSpace(f), RowSpace(f)
     slow.kernel = GenericKernel
     generic_mults = [GenericKernel.multiplier(factor, vec, stride)
                      for factor, stride in ((a, pair.n), (a, 1))
@@ -403,7 +403,7 @@ def test_close_under_matches_breadth_first(field, text):
     seeds = _difference_seeds(rng, pair)
     probes = [_random_row(rng, field, pair.dim, 0.3) for _ in range(10)]
     for mults in (pair.generator_multipliers(), []):
-        fast, slow = RowSpace(field, pair.dim), RowSpace(field, pair.dim)
+        fast, slow = RowSpace(field), RowSpace(field)
         assert fast.kernel is kernel_for(field)
         rank = fast.close_under(seeds, mults)
         assert rank == breadth_first_close(slow, seeds, mults)
