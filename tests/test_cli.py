@@ -58,13 +58,38 @@ def test_close_json_schema():
     assert record["dim"] == 6
 
 
+EMIT_FULL_TEXT = {
+    ("Q[x]/(x^2)", "--exact"): [
+        "dim = 2",
+        "method = general (staged), field = exact, generators = 1, rank = 2",
+        "basis [2]: (1,1), (1,x)",
+        "map alpha_1:",
+        "    1 -> 1*(1,1)",
+        "    x -> -1*(1,x)",
+        "map alpha_2:",
+        "    1 -> 1*(1,1)",
+        "    x -> 1*(1,x)",
+    ],
+    # a map image with two terms, and a scalar that is not an integer
+    ("GF(2,2)[x]/(x^2 + t*x + 1)",): [
+        "dim = 2",
+        "method = general (staged), field = GF(2,2), generators = 1, rank = 2",
+        "basis [2]: (1,1), (1,x)",
+        "map alpha_1:",
+        "    1 -> 1*(1,1)",
+        "    x -> t*(1,1) + 1*(1,x)",
+        "map alpha_2:",
+        "    1 -> 1*(1,1)",
+        "    x -> 1*(1,x)",
+    ],
+}
+
+
 def test_close_emit_full():
-    code, out = run_cli(["close", "--algebra", "Q[x]/(x^2)", "--m", "2",
-                         "--emit", "full", "--exact"])
-    assert code == 0
-    assert out[0] == "dim = 2"
-    assert any(line.startswith("basis") for line in out)
-    assert any(line.startswith("map alpha_2") for line in out)
+    for (algebra, *mode), text in EMIT_FULL_TEXT.items():
+        code, out = run_cli(["close", "--algebra", algebra, "--m", "2",
+                             "--emit", "full"] + mode)
+        assert code == 0 and out == text
 
 
 def test_close_emit_full_json():
