@@ -19,7 +19,7 @@ for d in range(g.degree, -1, -1):
     print(f"  Z^{d} coefficient: {g.coeffs[d]}")
 
 # specializing X to the coordinates of an element recovers its char poly
-e = a.element([2, 1, -1])
+e = {0: 2, 1: 1, 2: -1}
 print("\nspecialized at (2, 1, -1):", g.specialize(e))
 
 # slot 1 contributes nothing (Cayley-Hamilton); slot 2 carries relations,
@@ -30,9 +30,10 @@ print(f"remainder rows: {result.generator_count} nonzero, "
       f"ideal rank {result.rank} = {a.dim}^2 - {result.dim}")
 print("basis:", ", ".join(result.closure.label_str(i)
                           for i in range(result.dim)))
-x = a.element_from_dict({a.labels.index("x"): 1})
-print("x under the two maps:", result.maps[0].apply(x), "|",
-      result.maps[1].apply(x))
+x = {a.labels.index("x"): 1}
+print("x under the two maps:",
+      " | ".join(result.closure.format_vec(mp.apply_dict(x))
+                 for mp in result.maps))
 print("certificate:", divides_check(result))
 
 # each stage works inside (previous closure) tensor A, never inside the

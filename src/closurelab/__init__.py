@@ -16,11 +16,11 @@ from .closure import (ClosureResult, GenericCharData, TowerDescription,
                       generic_char_poly, m_closure, modular_prime,
                       monogenic_algebra, monogenic_tower, naive_closure,
                       product_formula_dim, reduce_mod_prime, transform_monic)
-from .finalg import (AlgebraElement, AlgebraMap, CharPoly, QuotientAlgebra,
-                     RowSpace, StructureAlgebra, TableAlgebra,
-                     TensorPairAlgebra, algebra_from_presentation,
-                     algebra_product, berkowitz_charpoly, char_poly,
-                     ideal_subspace_dim, mult_matrix, quotient_algebra)
+from .finalg import (AlgebraMap, CharPoly, QuotientAlgebra, RowSpace,
+                     StructureAlgebra, TableAlgebra, TensorPairAlgebra,
+                     algebra_from_presentation, algebra_product,
+                     berkowitz_charpoly, char_poly, ideal_subspace_dim,
+                     mult_matrix)
 from .groebner import GroebnerBasis, buchberger, normal_form, standard_monomials
 from .multipoly import (AlgebraPresentation, Monomial, MultiPoly, PolyRing,
                         parse_poly, parse_presentation, parse_univariate)

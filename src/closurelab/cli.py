@@ -115,15 +115,10 @@ def cmd_close(args) -> int:
                                for i in range(result.closure.dim))
             print(f"basis [{result.closure.dim}]: {labels}")
             for s, mp in enumerate(result.maps, start=1):
-                fmt = result.closure.field.format_scalar
-                rows = []
-                for i, row in enumerate(mp.rows):
-                    body = " + ".join(
-                        f"{fmt(v)}*{result.closure.label_str(k)}"
-                        for k, v in sorted(row.items())) or "0"
-                    rows.append(f"    {result.input_algebra.label_str(i)} -> {body}")
                 print(f"map alpha_{s}:")
-                print("\n".join(rows))
+                for i, row in enumerate(mp.rows):
+                    print(f"    {result.input_algebra.label_str(i)} -> "
+                          f"{result.closure.format_vec(row)}")
     return EXIT_OK
 
 
@@ -185,6 +180,8 @@ def _table_row_task(payload):
 
 
 def cmd_table(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     try:
         entries = load_manifest(args.manifest)
     except (FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
@@ -205,7 +202,7 @@ def cmd_table(args) -> int:
               and (args.min_m is None or m >= args.min_m)]
         if ms:
             tasks.append((entry.__dict__.copy(), ms, args.exact))
-    if args.jobs and args.jobs > 1:
+    if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_table_row_task, tasks))
     else:
@@ -266,9 +263,9 @@ def cmd_transform(args) -> int:
 
 def cmd_tower(args) -> int:
     fieldh = _field_from_spec(args.field)
-    parse_field = fieldh if fieldh is not None else QQ()
-    f, _ = parse_univariate(args.f, parse_field)
-    if not f or f[-1] != parse_field.one:
+    coeff_field = fieldh if fieldh is not None else QQ()
+    f, _ = parse_univariate(args.f, coeff_field)
+    if not f or f[-1] != coeff_field.one:
         raise ParseError("f must be monic")
     if fieldh is None and any(c.denominator != 1 for c in f):
         raise ParseError("integer tower needs integer coefficients")

@@ -43,7 +43,7 @@ from .arith import GF, Field, next_prime
 from .errors import (BudgetExceeded, CertificateFailure, DegreeTooSmall,
                      InfiniteFieldUnsupported, LengthMismatch,
                      UnsupportedField)
-from .finalg import (AlgebraElement, AlgebraMap, CharPoly, PolyOps,
+from .finalg import (AlgebraMap, CharPoly, PolyOps,
                      QuotientAlgebra, RowSpace, StructureAlgebra, TableAlgebra,
                      TensorPairAlgebra, algebra_from_presentation,
                      berkowitz_charpoly, char_poly, monomial_algebra,
@@ -81,10 +81,11 @@ class GenericCharData:
     def degree(self):
         return len(self.coeffs) - 1
 
-    def specialize(self, elem: AlgebraElement) -> CharPoly:
-        """P at X = coordinates of elem equals the characteristic polynomial
-        of elem."""
-        point = list(elem.coords)
+    def specialize(self, vec: dict) -> CharPoly:
+        """P at X = coordinates of vec equals the characteristic polynomial
+        of vec."""
+        zero = self.algebra.field.zero
+        point = [vec.get(i, zero) for i in range(self.algebra.dim)]
         return CharPoly([c.evaluate(point) for c in self.coeffs],
                         self.algebra.field)
 
@@ -231,9 +232,9 @@ class _NaiveSchedule(_GeneralSchedule):
     def __init__(self, a: StructureAlgebra):
         fieldh = a.field
         self.fieldh = fieldh
-        points = [a.element((fieldh.zero,) + tail) for tail in
+        points = [{i: c for i, c in enumerate(tail, start=1) if c} for tail in
                   itertools.product(list(fieldh.elements()), repeat=a.dim - 1)]
-        mults = [stride_multiplier(a, p.to_dict(), 1) for p in points]
+        mults = [stride_multiplier(a, p, 1) for p in points]
 
         def times_gamma(coeff):
             out = {}
@@ -305,6 +306,11 @@ def m_closure(a: StructureAlgebra, m: int) -> ClosureResult:
 
 def _closure(a, m, method, t0):
     n = a.dim
+    limit = power_budget()
+    # a result carries m maps of n rows; the zero algebra (n = 0) still m maps
+    if m * max(n, 1) > limit:
+        raise BudgetExceeded(
+            f"{m} maps of a dimension-{n} algebra exceed the budget {limit}")
     if m == 0:
         base = TableAlgebra(a.field, ["1"], {})
         return _trivial_result(a, m, method, base, [], t0)
@@ -315,7 +321,7 @@ def _closure(a, m, method, t0):
     if m == 1:
         ident = AlgebraMap(a, a, [{i: a.field.one} for i in range(n)])
         return _trivial_result(a, m, method, a, [ident], t0)
-    return _staged_closure(a, m, method, t0)
+    return _staged_closure(a, m, method, t0, limit)
 
 
 def reconstructed_last_map(a: StructureAlgebra, closure: StructureAlgebra,
@@ -366,7 +372,7 @@ def _last_stage_span(pair: TensorPairAlgebra, last: AlgebraMap, seeds):
     return span
 
 
-def _staged_closure(a, m, method, t0):
+def _staged_closure(a, m, method, t0, limit):
     """Quotient one slot at a time.
 
     Stage s works in D = C x A where C is the closure after s-1 slots; the
@@ -378,7 +384,6 @@ def _staged_closure(a, m, method, t0):
     fieldh = a.field
     n = a.dim
     one = fieldh.one
-    limit = power_budget()
     schedule = (_NaiveSchedule if method == "naive" else _GeneralSchedule)(a)
 
     current = a
@@ -471,10 +476,12 @@ def transform_monic(f_coeffs, g_coeffs, fieldh: Field):
     K[x]/(f), which needs no knowledge of the roots.  Multiplicative in f.
     """
     algebra = monogenic_algebra(fieldh, f_coeffs)
-    x = algebra.element_from_dict(algebra.generator_elements()[0][1])
-    g_of_x = algebra.zero_element()
+    x = algebra.generator_elements()[0][1]
+    g_of_x = {}
     for c in reversed(g_coeffs):
-        g_of_x = g_of_x * x + algebra.one_element().scale(c)
+        g_of_x = algebra.mult_vec(g_of_x, x)
+        if c:
+            vec_add_into(fieldh, g_of_x, algebra.unit(), c)
     return char_poly(algebra, g_of_x).coeffs
 
 

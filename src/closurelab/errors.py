@@ -46,10 +46,6 @@ class FieldMismatch(ClosureLabError):
     pass
 
 
-class MissingAssignment(ClosureLabError):
-    pass
-
-
 class NotZeroDimensional(ClosureLabError):
     pass
 

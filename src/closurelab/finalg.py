@@ -1,8 +1,8 @@
 """Finite-dimensional commutative algebras given by structure constants.
 
 An algebra is a basis e_0, ..., e_{n-1} with e_0 = 1 and sparse products
-e_i e_j = sum_k c_ijk e_k.  Elements handled internally are sparse dicts
-{basis index: scalar}; the public AlgebraElement wraps dense coordinates.
+e_i e_j = sum_k c_ijk e_k.  An element is a sparse dict {basis index:
+nonzero scalar}, in the library and at its interface alike.
 
 The module also houses the exact linear algebra: a canonical reduced row
 space over any of the supported fields (pivot = largest column index, so the
@@ -12,10 +12,11 @@ division-free Berkowitz characteristic polynomial.
 
 from __future__ import annotations
 
+import itertools
 from heapq import heapify, heappop, heappush
 
 from .arith import Field, PrimeField
-from .errors import FieldMismatch, RingMismatch
+from .errors import FieldMismatch
 from .groebner import buchberger, normal_form, standard_monomials
 from .multipoly import AlgebraPresentation, PolyRing, mono_mul
 
@@ -390,23 +391,11 @@ class StructureAlgebra:
     def label_str(self, i: int) -> str:
         return _label_to_str(self.label(i))
 
-    def element(self, coords) -> "AlgebraElement":
-        return AlgebraElement(self, list(coords))
-
-    def element_from_dict(self, vec: dict) -> "AlgebraElement":
-        coords = [self.field.zero] * self.dim
-        for k, v in vec.items():
-            coords[k] = v
-        return AlgebraElement(self, coords)
-
-    def zero_element(self):
-        return AlgebraElement(self, [self.field.zero] * self.dim)
-
-    def one_element(self):
-        coords = [self.field.zero] * self.dim
-        if self.dim:
-            coords[0] = self.field.one
-        return AlgebraElement(self, coords)
+    def format_vec(self, vec: dict) -> str:
+        """`c*label + ...` in basis order, or `0`."""
+        fmt = self.field.format_scalar
+        return " + ".join(f"{fmt(c)}*{self.label_str(k)}"
+                          for k, c in sorted(vec.items())) or "0"
 
     def is_local_nilpotent(self) -> bool:
         """True when every non-unit basis element is nilpotent; the span of
@@ -512,15 +501,7 @@ class TableAlgebra(StructureAlgebra):
     def _check_axioms(self):
         one = self.field.one
         n = self.dim
-        if n <= 20:
-            triples = ((i, j, k) for i in range(n) for j in range(i, n)
-                       for k in range(j, n))
-        else:
-            import random
-            r = random.Random(0)
-            triples = ((r.randrange(n), r.randrange(n), r.randrange(n))
-                       for _ in range(200))
-        for i, j, k in triples:
+        for i, j, k in itertools.combinations_with_replacement(range(n), 3):
             left = self.mult_vec(self.basis_product(i, j), {k: one})
             right = self.mult_vec({i: one}, self.basis_product(j, k))
             if left != right:
@@ -638,11 +619,6 @@ class QuotientAlgebra(StructureAlgebra):
         self._cache[key] = out
         return out
 
-    def projection_map(self) -> "AlgebraMap":
-        rows = [self.project({c: self.field.one})
-                for c in range(self.parent.dim)]
-        return AlgebraMap(self.parent, self, rows)
-
     def generator_elements(self):
         out = []
         for name, vec in self.parent.generator_elements():
@@ -650,78 +626,6 @@ class QuotientAlgebra(StructureAlgebra):
             if img:
                 out.append((name, img))
         return out
-
-
-class AlgebraElement:
-    """Dense element of a structure algebra."""
-
-    __slots__ = ("algebra", "coords")
-
-    def __init__(self, algebra: StructureAlgebra, coords):
-        if len(coords) != algebra.dim:
-            raise ValueError("coordinate length does not match the dimension")
-        self.algebra = algebra
-        self.coords = list(coords)
-
-    def to_dict(self):
-        return {i: c for i, c in enumerate(self.coords) if c}
-
-    def _check(self, other):
-        if self.algebra is not other.algebra and self.algebra != other.algebra:
-            raise RingMismatch("elements of different algebras")
-
-    def __add__(self, other):
-        self._check(other)
-        add = self.algebra.field.add
-        return AlgebraElement(self.algebra,
-                              [add(a, b) for a, b in zip(self.coords, other.coords)])
-
-    def __sub__(self, other):
-        self._check(other)
-        sub = self.algebra.field.sub
-        return AlgebraElement(self.algebra,
-                              [sub(a, b) for a, b in zip(self.coords, other.coords)])
-
-    def __neg__(self):
-        neg = self.algebra.field.neg
-        return AlgebraElement(self.algebra, [neg(a) for a in self.coords])
-
-    def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            self._check(other)
-            prod = self.algebra.mult_vec(self.to_dict(), other.to_dict())
-            return self.algebra.element_from_dict(prod)
-        return self.scale(other)
-
-    def scale(self, c):
-        mul = self.algebra.field.mul
-        return AlgebraElement(self.algebra, [mul(c, a) for a in self.coords])
-
-    def __pow__(self, e: int):
-        acc = self.algebra.one_element()
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
-
-    def is_zero(self):
-        return not any(self.coords)
-
-    def __eq__(self, other):
-        return (isinstance(other, AlgebraElement)
-                and self.algebra == other.algebra
-                and self.coords == other.coords)
-
-    def __repr__(self):
-        terms = []
-        for i, c in enumerate(self.coords):
-            if c:
-                terms.append(f"{self.algebra.field.format_scalar(c)}*"
-                             f"{self.algebra.label_str(i)}")
-        return " + ".join(terms) if terms else "0"
 
 
 class AlgebraMap:
@@ -738,14 +642,6 @@ class AlgebraMap:
         for i, c in vec.items():
             vec_add_into(self.target.field, out, self.rows[i], c)
         return out
-
-    def apply(self, elem: AlgebraElement) -> AlgebraElement:
-        return self.target.element_from_dict(self.apply_dict(elem.to_dict()))
-
-    def compose(self, after: "AlgebraMap") -> "AlgebraMap":
-        """after o self."""
-        rows = [after.apply_dict(row) for row in self.rows]
-        return AlgebraMap(self.source, after.target, rows)
 
     def is_unital(self) -> bool:
         return self.apply_dict(self.source.unit()) == self.target.unit()
@@ -875,9 +771,9 @@ def power_budget() -> int:
     return int(raw) if raw else DEFAULT_POWER_BUDGET
 
 
-def mult_matrix(a: StructureAlgebra, elem: AlgebraElement):
-    """Dense matrix of multiplication by elem; column j holds a*e_j."""
-    times = stride_multiplier(a, elem.to_dict(), 1)
+def mult_matrix(a: StructureAlgebra, vec: dict):
+    """Dense matrix of multiplication by vec; column j holds vec*e_j."""
+    times = stride_multiplier(a, vec, 1)
     one = a.field.one
     zero = a.field.zero
     out = [[zero] * a.dim for _ in range(a.dim)]
@@ -907,13 +803,6 @@ class CharPoly:
     def __eq__(self, other):
         return isinstance(other, CharPoly) and self.coeffs == other.coeffs
 
-    def evaluate_element(self, elem: AlgebraElement) -> AlgebraElement:
-        algebra = elem.algebra
-        acc = algebra.zero_element()
-        for c in reversed(self.coeffs):
-            acc = acc * elem + algebra.one_element().scale(c)
-        return acc
-
     def evaluate_scalar(self, x):
         f = self.field
         acc = f.zero
@@ -926,30 +815,17 @@ class CharPoly:
         return format_univariate(self.coeffs, self.field)
 
 
-def char_poly(a: StructureAlgebra, elem: AlgebraElement) -> CharPoly:
-    """det(Z*I - M_elem) via Berkowitz; division free, so it works over any
+def char_poly(a: StructureAlgebra, vec: dict) -> CharPoly:
+    """det(Z*I - M_vec) via Berkowitz; division free, so it works over any
     supported field including small characteristic."""
-    m = mult_matrix(a, elem)
+    m = mult_matrix(a, vec)
     coeffs = berkowitz_charpoly(m, a.field)
     return CharPoly(coeffs, a.field)
 
 
 def ideal_subspace_dim(a: StructureAlgebra, gens):
     """Dimension of the smallest multiplication-closed subspace containing
-    the generators, with the row space that spans it."""
+    the generators (sparse dicts), with the row space that spans it."""
     span = RowSpace(a.field)
-    seeds = [g.to_dict() if isinstance(g, AlgebraElement) else dict(g)
-             for g in gens]
-    span.close_under(seeds, a.generator_multipliers())
+    span.close_under(gens, a.generator_multipliers())
     return span.rank, span
-
-
-def quotient_algebra(a: StructureAlgebra, gens):
-    """Quotient by the ideal generated by `gens`, with the projection map.
-
-    The quotient basis keeps the smallest-labelled complement of the pivot
-    columns; a unit ideal yields the zero algebra (dimension 0).
-    """
-    _, span = ideal_subspace_dim(a, gens)
-    quot = QuotientAlgebra(a, span)
-    return quot, quot.projection_map()

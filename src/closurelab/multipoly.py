@@ -10,8 +10,8 @@ import operator
 from dataclasses import dataclass
 
 from .arith import GF, QQ, Field, field_from_order
-from .errors import (MissingAssignment, ParseError, RingMismatch,
-                     UnknownVariable, UnsupportedField)
+from .errors import (ParseError, RingMismatch, UnknownVariable,
+                     UnsupportedField)
 
 Monomial = tuple  # exponent tuple, one entry per ambient variable
 
@@ -173,18 +173,6 @@ class MultiPoly:
                          {mono_mul(m, mono): mul(c, v)
                           for m, v in self.terms.items()})
 
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative power")
-        acc = self.ring.one()
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
-
     def monic(self):
         lc = self.leading_coeff()
         if lc == self.ring.field.one:
@@ -197,40 +185,6 @@ class MultiPoly:
 
     def __hash__(self):
         return hash((self.ring, frozenset(self.terms.items())))
-
-    # -- morphisms
-
-    def substitute(self, images: dict):
-        """Apply the ring morphism sending variable index i to images[i].
-
-        Every variable occurring in the polynomial must have an image; all
-        images must live in one common ring.
-        """
-        target = None
-        for img in images.values():
-            if target is None:
-                target = img.ring
-            elif img.ring != target:
-                raise RingMismatch("substitution images live in different rings")
-        if target is None:
-            target = self.ring
-        out = MultiPoly(target, {})
-        # cache powers of each image
-        powers = {}
-        for m, c in self.terms.items():
-            part = target.const(c)
-            for i, e in enumerate(m):
-                if not e:
-                    continue
-                if i not in images:
-                    raise MissingAssignment(
-                        f"no image for variable {self.ring.var_names[i]!r}")
-                key = (i, e)
-                if key not in powers:
-                    powers[key] = images[i] ** e
-                part = part * powers[key]
-            out = out + part
-        return out
 
     def evaluate(self, point):
         """Value at a tuple of scalars, one per ambient variable."""
@@ -442,7 +396,7 @@ def _parse_poly(toks: _Tokens, ring: PolyRing, stop_kinds=(",", ")")):
                 toks.next()
                 symbols = _split_identifier(value, pos, ring.var_names, allow_t)
                 for sym in symbols:
-                    if sym == "t":
+                    if allow_t and sym == "t":
                         term_coeff = field.mul(term_coeff, ring.field.gen)
                     else:
                         exps[var_index[sym]] += 1
@@ -451,7 +405,7 @@ def _parse_poly(toks: _Tokens, ring: PolyRing, stop_kinds=(",", ")")):
                     toks.next()
                     e = toks.expect("int")[1]
                     last = symbols[-1]
-                    if last == "t":
+                    if allow_t and last == "t":
                         for _ in range(e - 1):
                             term_coeff = field.mul(term_coeff, ring.field.gen)
                     else:
@@ -577,15 +531,21 @@ def parse_univariate(text: str, field: Field, var: str | None = None):
     """Parse a univariate polynomial; returns (coeff list low->high, var name).
 
     The variable is inferred when not given; a polynomial mentioning two
-    distinct names is rejected.
+    distinct names is rejected.  Over an extension field `t` is the field
+    generator, as in a presentation, and never the variable.
     """
     toks = _Tokens(text)
+    generator = field.kind == "extension"
+    if generator and var == "t":
+        raise ParseError("'t' is reserved for the extension generator", 0)
     seen = None
     for kind, value, pos in toks.items:
         if kind == "name":
             base = value
             if not base.isalpha():
                 raise ParseError(f"invalid variable {value!r}", pos)
+            if generator and base == "t":
+                continue
             if var is not None and base != var:
                 raise UnknownVariable(f"expected variable {var!r}", pos)
             if seen is None:

@@ -177,9 +177,8 @@ def naive_rows(a: StructureAlgebra, m: int, tensor: TensorPowerAlgebra):
     fieldh = a.field
     rows = []
     for tail in itertools.product(list(fieldh.elements()), repeat=a.dim - 1):
-        elem = a.element((fieldh.zero,) + tail)
-        zc = [{0: c} if c else {} for c in char_poly(a, elem).coeffs]
-        vec = elem.to_dict()
+        vec = {i: c for i, c in enumerate(tail, start=1) if c}
+        zc = [{0: c} if c else {} for c in char_poly(a, vec).coeffs]
         for s in range(m):
             mult = tensor.slot_multiplier(s, vec) if vec else None
             d = len(zc) - 1
@@ -201,22 +200,22 @@ SCHEDULES = {"general": general_rows, "local-shortcut": local_rows,
 
 
 def j_generators(a: StructureAlgebra, m: int, budget: int | None = None):
-    """The general schedule's relations as elements of the tensor power."""
+    """The tensor power and the general schedule's relations in it."""
     if m < 1:
         raise ValueError("m must be at least 1")
     tensor, _ = tensor_power(a, m, budget)
-    return [tensor.element_from_dict(r) for r in general_rows(a, m, tensor)]
+    return tensor, general_rows(a, m, tensor)
 
 
 def local_generators(a: StructureAlgebra, m: int, budget: int | None = None):
-    """Elements of the tensor power generating the same ideal as
+    """The tensor power and relations in it generating the same ideal as
     `j_generators`, via the nilpotent shortcut."""
     if not (1 <= m <= a.dim):
         raise ValueError("need 1 <= m <= dim")
     if not a.is_local_nilpotent():
         raise ValueError("algebra is not local with nilpotent maximal ideal")
     tensor, _ = tensor_power(a, m, budget)
-    return [tensor.element_from_dict(r) for r in local_rows(a, m, tensor)]
+    return tensor, local_rows(a, m, tensor)
 
 
 # ---------------------------------------------------------------------------

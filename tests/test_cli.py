@@ -270,6 +270,18 @@ def test_tower_command():
             "base": base, "degree": 0, "dim": 1, "m": 0, "relations": []}
 
 
+def test_univariate_input_over_an_extension_field():
+    # `t` is the generator of GF(4), as in `close --algebra`
+    code, out = run_cli(["tower", "--field", "GF(2,2)", "--f", "x^2 + t*x + 1",
+                         "--m", "2"])
+    assert code == 0 and out == ["dim = 2", "stage 1: x1^2 + t*x1 + 1 = 0",
+                                 "stage 2: x1 + x2 + t = 0"]
+    # the roots a, b have a + b = t and ab = 1, so a^2 + b^2 = t^2 = t + 1
+    code, out = run_cli(["transform", "--field", "GF(2,2)", "--f", "Z^2+t*Z+1",
+                         "--g", "X^2"])
+    assert code == 0 and out == ["Z^2+(t+1)*Z+1"]
+
+
 def test_field_option_uses_the_presentation_grammar(capsys):
     for command in (["tower", "--f", "Z^2-1", "--m", "1"],
                     ["transform", "--f", "Z^2-1", "--g", "X^2"]):
@@ -515,6 +527,11 @@ EXIT_MATRIX = [
     (["tower", "--f", "2Z^2+1", "--m", "1"], {}, None, 2),
     (["tower", "--f", "Z^2+1/2", "--m", "1", "--field", "Z"], {}, None, 2),
     (["transform", "--f", "Z^2-1", "--g", "X", "--field", "Z"], {}, None, 2),
+    (["table", "--manifest", "table1.json", "--rows", "(x^3)", "--jobs", "0"],
+     {}, None, 2),
+    (["table", "--manifest", "table1.json", "--rows", "(x^3)", "--jobs", "-2"],
+     {}, None, 2),
+    (["close", "--algebra", "Q[x]/(x^2)", "--m", str(10 ** 12)], {}, None, 3),
 ]
 
 

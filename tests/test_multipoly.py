@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from closurelab.arith import GF, QQ
-from closurelab.errors import (MissingAssignment, ParseError, RingMismatch,
-                               UnknownVariable, UnsupportedField)
+from closurelab.errors import (ParseError, RingMismatch, UnknownVariable,
+                               UnsupportedField)
 from closurelab.multipoly import (PolyRing, grevlex_key, parse_poly,
                                   parse_presentation, parse_univariate)
 
@@ -81,42 +81,6 @@ def test_homogeneous_flag_propagates():
     assert not (a + ring.one()).is_homogeneous()
 
 
-def test_substitute_examples():
-    ring = PolyRing(QQ(), ("x", "y"))
-    target = PolyRing(QQ(), ("u", "v"))
-    x2 = parse_poly("x^2", ring)
-    img = x2.substitute({0: parse_poly("u+v", target), 1: target.zero()})
-    assert img == parse_poly("u^2 + 2*u*v + v^2", target)
-    const = ring.const(Fraction(5))
-    assert const.substitute({0: target.zero(), 1: target.zero()}).coeff(
-        (0, 0)) == Fraction(5)
-    with pytest.raises(MissingAssignment):
-        parse_poly("x*y", ring).substitute({0: parse_poly("u", target)})
-
-
-def test_substitute_is_morphism():
-    rng = random.Random(20260808)
-    for field in (QQ(), GF(7)):
-        ring = PolyRing(field, ("x", "y", "z"))
-        target = PolyRing(field, ("u", "v"))
-
-        def rand_poly(r, nv, deg):
-            out = r.zero()
-            for _ in range(4):
-                exps = tuple(rng.randint(0, deg) for _ in range(nv))
-                out = out + r.monomial(exps, field.random_element(rng))
-            return out
-
-        images = {i: rand_poly(target, 2, 2) for i in range(3)}
-        for _ in range(40):
-            a = rand_poly(ring, 3, 2)
-            b = rand_poly(ring, 3, 2)
-            assert (a * b).substitute(images) == \
-                a.substitute(images) * b.substitute(images)
-            assert (a + b).substitute(images) == \
-                a.substitute(images) + b.substitute(images)
-
-
 @pytest.mark.parametrize("field", [QQ(), GF(7), GF(2, 2)])
 def test_ring_axioms(field):
     rng = random.Random(42)
@@ -159,3 +123,20 @@ def test_parse_univariate():
     assert coeffs2 == [Fraction(0), Fraction(0), Fraction(1)]
     with pytest.raises(ParseError):
         parse_univariate("X^2 + Y", QQ())
+
+
+def test_parse_univariate_reads_t_as_the_generator():
+    # over GF(4) `t` is the field generator, as in a presentation
+    f4 = GF(2, 2)
+    t = f4.gen
+    coeffs, var = parse_univariate("x^2 + t*x + 1", f4)
+    assert var == "x" and coeffs == [f4.one, t, f4.one]
+    assert parse_univariate("t^2", f4) == ([f4.mul(t, t)], "Z")
+    with pytest.raises(ParseError, match="reserved"):
+        parse_univariate("t^2 + 1", f4, var="t")
+    # elsewhere it is an ordinary variable name
+    assert parse_univariate("t^2 + 1", QQ()) == ([1, 0, 1], "t")
+    pres = parse_presentation("F7[t]/(t^2 + 1)")
+    assert pres.relations[0].terms == {(2,): 1, (0,): 1}
+    with pytest.raises(ParseError, match="two variables"):
+        parse_univariate("x^2 + t", QQ())
