@@ -7,6 +7,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from closurelab import closure as closure_module
+from closurelab import finalg as finalg_module
 from closurelab.arith import GF, QQ, is_prime, next_prime
 from closurelab.catalog import catalog_entries, table1_entries
 from closurelab.closure import (base_change_presentation,
@@ -372,6 +373,18 @@ def test_divides_check_requires_unital_maps():
         divides_check(result)
 
 
+@pytest.mark.parametrize("text", ["Q[x]/(x^2)", "F7[x]/(x^3)"])
+def test_divides_check_rejects_a_repeated_map(text):
+    # two equal slots: the slot-2 quotient evaluated at gamma'_1 is
+    # n * gamma'_1^(n-1), nonzero in the closure
+    result = m_closure(alg(text), 2)
+    assert divides_check(result)["certified"]
+    result.maps[1] = result.maps[0]
+    with pytest.raises(CertificateFailure,
+                       match="slot 2 remainder is nonzero in the closure"):
+        divides_check(result)
+
+
 def test_divides_check_vacuous_cases():
     a = alg("Q[x]/(x^2)")
     assert divides_check(m_closure(a, 0))["mode"] == "vacuous"
@@ -450,6 +463,24 @@ def test_naive_closure_checks_its_maps(monkeypatch):
     monkeypatch.setattr(AlgebraMap, "is_ring_morphism", lambda self: False)
     with pytest.raises(CertificateFailure, match="structural map 1 is not"):
         naive_closure(alg("F2[x,y]/(x^2,y^2)"), 2)
+
+
+def test_naive_closure_checks_cayley_hamilton(monkeypatch):
+    # P_a + 1 is not annihilated by a, so the naive slot-1 remainders are
+    # nonzero; the general pipeline divides its own generic P and is
+    # untouched
+    original = finalg_module.berkowitz_charpoly
+
+    def shifted(matrix, ops):
+        coeffs = original(matrix, ops)
+        return [ops.add(coeffs[0], ops.one)] + coeffs[1:]
+
+    monkeypatch.setattr(finalg_module, "berkowitz_charpoly", shifted)
+    a = alg("F2[x,y]/(x^2,y^2)")
+    with pytest.raises(CertificateFailure,
+                       match="Cayley-Hamilton remainder is nonzero"):
+        naive_closure(a, 2)
+    assert m_closure(a, 2).dim == 16
 
 
 def test_naive_enumeration_budget():
