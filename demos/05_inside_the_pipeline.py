@@ -10,6 +10,7 @@ tensor A by the slot-s relations.
 
 from closurelab import (algebra_from_presentation, divides_check,
                         generic_char_poly, m_closure, parse_presentation)
+from closurelab.multipoly import format_univariate
 
 a = algebra_from_presentation(parse_presentation("Q[x,y]/((x,y)^2)"))
 g = generic_char_poly(a)
@@ -20,7 +21,8 @@ for d in range(g.degree, -1, -1):
 
 # specializing X to the coordinates of an element recovers its char poly
 e = {0: 2, 1: 1, 2: -1}
-print("\nspecialized at (2, 1, -1):", g.specialize(e))
+print("\nspecialized at (2, 1, -1):",
+      format_univariate(g.specialize(e), a.field))
 
 # slot 1 contributes nothing (Cayley-Hamilton); slot 2 carries relations,
 # quotiented out of the 9-dimensional A tensor A

@@ -16,7 +16,7 @@ from .closure import (ClosureResult, GenericCharData, TowerDescription,
                       generic_char_poly, m_closure, modular_prime,
                       monogenic_algebra, monogenic_tower, naive_closure,
                       product_formula_dim, reduce_mod_prime, transform_monic)
-from .finalg import (AlgebraMap, CharPoly, QuotientAlgebra, RowSpace,
+from .finalg import (AlgebraMap, QuotientAlgebra, RowSpace,
                      StructureAlgebra, TableAlgebra, TensorPairAlgebra,
                      algebra_from_presentation, algebra_product,
                      berkowitz_charpoly, char_poly, ideal_subspace_dim,

@@ -203,10 +203,6 @@ class Field:
     def random_element(self, rng):
         raise NotImplementedError
 
-    def parse_scalar(self, text: str):
-        from .multipoly import parse_scalar_text
-        return parse_scalar_text(self, text)
-
     def format_scalar(self, a) -> str:
         raise NotImplementedError
 
@@ -441,10 +437,6 @@ class ExtensionField(Field):
 
     def from_int(self, n):
         return n % self.p
-
-    def embed_prime(self, a):
-        """Image of a GF(p) residue in this field."""
-        return a % self.p
 
     def elements(self):
         return range(self.order)

@@ -38,9 +38,6 @@ class ManifestEntry:
     def algebra(self) -> TableAlgebra:
         return algebra_from_presentation(self.presentation())
 
-    def has_tag(self, tag: str) -> bool:
-        return tag in self.tags
-
 
 def manifest_path(name: str) -> Path:
     """Resolve a manifest argument: an existing path wins, then the bundled

@@ -22,7 +22,8 @@ slot at a time: stage s quotients (closure after s-1 slots) tensor A by the
 slot-s relations, which is far smaller than the tensor power whenever the
 intermediate closures collapse.  A seed schedule supplies each stage's
 relations: synthetic division of P' (general), or synthetic division of the
-characteristic polynomial of each element of A (naive).
+characteristic polynomial of each of a given set of points of A; the naive
+closure takes as points the coset representatives of A modulo constants.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .arith import GF, Field, next_prime
 from .errors import (BudgetExceeded, CertificateFailure, DegreeTooSmall,
                      InfiniteFieldUnsupported, LengthMismatch,
                      UnsupportedField)
-from .finalg import (AlgebraMap, CharPoly, PolyOps,
+from .finalg import (AlgebraMap, PolyOps,
                      QuotientAlgebra, RowSpace, StructureAlgebra, TableAlgebra,
                      TensorPairAlgebra, algebra_from_presentation,
                      berkowitz_charpoly, char_poly, monomial_algebra,
@@ -81,13 +82,12 @@ class GenericCharData:
     def degree(self):
         return len(self.coeffs) - 1
 
-    def specialize(self, vec: dict) -> CharPoly:
-        """P at X = coordinates of vec equals the characteristic polynomial
-        of vec."""
+    def specialize(self, vec: dict) -> list:
+        """P at X = coordinates of vec: the characteristic polynomial of vec,
+        in ascending order."""
         zero = self.algebra.field.zero
         point = [vec.get(i, zero) for i in range(self.algebra.dim)]
-        return CharPoly([c.evaluate(point) for c in self.coeffs],
-                        self.algebra.field)
+        return [c.evaluate(point) for c in self.coeffs]
 
 
 def generic_char_poly(a: StructureAlgebra,
@@ -222,18 +222,17 @@ class _GeneralSchedule:
         self.zc = [_xp_map(coeff, project) for coeff in self.zc]
 
 
-class _NaiveSchedule(_GeneralSchedule):
-    """Divisibility imposed for the elements of A only: the same division,
-    run on the characteristic polynomial P_a of each coset representative
-    a = (0, t_2..t_n) of A modulo constants, with coefficients keyed by a
-    instead of by X-monomial.  Evaluating the generic remainder at X = a
-    gives the same rows, but needs the symbolic P, which is far larger."""
+class _PointSchedule(_GeneralSchedule):
+    """Divisibility imposed at the given points of A only: the same
+    division, run on the characteristic polynomial P_p of each point p, with
+    coefficients keyed by the index of p instead of by X-monomial.
+    Evaluating the generic remainder at X = p gives the same rows, but needs
+    the symbolic P, which is far larger.  `points` is read once, so it may
+    be a generator."""
 
-    def __init__(self, a: StructureAlgebra):
-        fieldh = a.field
-        self.fieldh = fieldh
-        points = [{i: c for i, c in enumerate(tail, start=1) if c} for tail in
-                  itertools.product(list(fieldh.elements()), repeat=a.dim - 1)]
+    def __init__(self, a: StructureAlgebra, points):
+        self.fieldh = a.field
+        points = list(points)
         mults = [stride_multiplier(a, p, 1) for p in points]
 
         def times_gamma(coeff):
@@ -245,7 +244,7 @@ class _NaiveSchedule(_GeneralSchedule):
             return out
 
         self.times_gamma = times_gamma
-        polys = [char_poly(a, p).coeffs for p in points]
+        polys = [char_poly(a, p) for p in points]
         self._start([{j: {0: c[k]} for j, c in enumerate(polys) if c[k]}
                      for k in range(a.dim + 1)])
 
@@ -301,10 +300,12 @@ def m_closure(a: StructureAlgebra, m: int) -> ClosureResult:
     t0 = time.perf_counter()
     if m < 0:
         raise ValueError("m must be nonnegative")
-    return _closure(a, m, "general", t0)
+    return _closure(a, m, "general", _GeneralSchedule, t0)
 
 
-def _closure(a, m, method, t0):
+def _closure(a, m, method, make_schedule, t0):
+    """The m-closure seeded by the schedule `make_schedule(a)`; `method`
+    only names it in the result."""
     n = a.dim
     limit = power_budget()
     # a result carries m maps of n rows; the zero algebra (n = 0) still m maps
@@ -321,7 +322,7 @@ def _closure(a, m, method, t0):
     if m == 1:
         ident = AlgebraMap(a, a, [{i: a.field.one} for i in range(n)])
         return _trivial_result(a, m, method, a, [ident], t0)
-    return _staged_closure(a, m, method, t0, limit)
+    return _staged_closure(a, m, method, make_schedule, t0, limit)
 
 
 def reconstructed_last_map(a: StructureAlgebra, closure: StructureAlgebra,
@@ -372,7 +373,7 @@ def _last_stage_span(pair: TensorPairAlgebra, last: AlgebraMap, seeds):
     return span
 
 
-def _staged_closure(a, m, method, t0, limit):
+def _staged_closure(a, m, method, make_schedule, t0, limit):
     """Quotient one slot at a time.
 
     Stage s works in D = C x A where C is the closure after s-1 slots; the
@@ -384,7 +385,7 @@ def _staged_closure(a, m, method, t0, limit):
     fieldh = a.field
     n = a.dim
     one = fieldh.one
-    schedule = (_NaiveSchedule if method == "naive" else _GeneralSchedule)(a)
+    schedule = make_schedule(a)
 
     current = a
     maps = [AlgebraMap(a, a, [{i: one} for i in range(n)])]
@@ -452,7 +453,10 @@ def naive_closure(a: StructureAlgebra, m: int) -> ClosureResult:
     q = fieldh.order
     if q ** (n - 1) > NAIVE_ENUM_LIMIT:
         raise BudgetExceeded(f"naive enumeration {q}^{n - 1} is too large")
-    return _closure(a, m, "naive", t0)
+    # a generator: m = 1 builds no schedule, so it enumerates nothing
+    points = ({i: c for i, c in enumerate(tail, start=1) if c} for tail in
+              itertools.product(list(fieldh.elements()), repeat=n - 1))
+    return _closure(a, m, "naive", partial(_PointSchedule, points=points), t0)
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +486,7 @@ def transform_monic(f_coeffs, g_coeffs, fieldh: Field):
         g_of_x = algebra.mult_vec(g_of_x, x)
         if c:
             vec_add_into(fieldh, g_of_x, algebra.unit(), c)
-    return char_poly(algebra, g_of_x).coeffs
+    return char_poly(algebra, g_of_x)
 
 
 @dataclass

@@ -4,10 +4,11 @@ An algebra is a basis e_0, ..., e_{n-1} with e_0 = 1 and sparse products
 e_i e_j = sum_k c_ijk e_k.  An element is a sparse dict {basis index:
 nonzero scalar}, in the library and at its interface alike.
 
-The module also houses the exact linear algebra: a canonical reduced row
-space over any of the supported fields (pivot = largest column index, so the
-lexicographically smallest basis labels survive into quotients), and the
-division-free Berkowitz characteristic polynomial.
+The module also houses the exact linear algebra: a canonical row space over
+any of the supported fields, each row reduced against the earlier rows when
+it is inserted (pivot = largest column index, so the lexicographically
+smallest basis labels survive into quotients), and the division-free
+Berkowitz characteristic polynomial.
 """
 
 from __future__ import annotations
@@ -188,7 +189,8 @@ def kernel_for(field: Field):
 
 
 # ---------------------------------------------------------------------------
-# canonical row space (reduced row echelon, pivot = largest column)
+# canonical row space (pivot = largest column; each row reduced against
+# the earlier rows at insertion, never back-reduced)
 
 
 class RowSpace:
@@ -196,8 +198,10 @@ class RowSpace:
 
     The pivot of a row is its largest column index, so the set of pivot
     columns (and hence any quotient basis chosen as the complement) depends
-    only on the span, never on insertion order.  Stored rows are reduced at
-    insertion time and normalized to pivot coefficient 1.
+    only on the span, never on insertion order.  Each row is reduced
+    against the rows stored before it and normalized to pivot coefficient 1
+    when it is inserted; later rows do not reduce it further, so the stored
+    rows are echelon but not reduced echelon.
     """
 
     def __init__(self, field: Field):
@@ -314,19 +318,13 @@ def berkowitz_charpoly(matrix, ops):
         entries = [ops.one, ops.neg(d)]
         w = list(row)
         for _ in range(r - 2):
-            s = ops.zero
-            for a, b in zip(w, col):
-                s = ops.add(s, ops.mul(a, b))
-            entries.append(ops.neg(s))
+            entries.append(ops.neg(_dot(ops, w, col)))
             w = [  # w <- w A, over the leading (r-1)x(r-1) block
                 _dot(ops, w, [matrix[i][j] for i in range(r - 1)])
                 for j in range(r - 1)
             ]
         if r >= 2:
-            s = ops.zero
-            for a, b in zip(w, col):
-                s = ops.add(s, ops.mul(a, b))
-            entries.append(ops.neg(s))
+            entries.append(ops.neg(_dot(ops, w, col)))
         new_poly = [ops.zero] * (r + 1)
         for j, pj in enumerate(poly):
             for i in range(len(entries)):
@@ -501,10 +499,13 @@ class TableAlgebra(StructureAlgebra):
     def _check_axioms(self):
         one = self.field.one
         n = self.dim
+        # by commutativity the three bracketings (e_i e_j) e_k, (e_i e_k) e_j
+        # and (e_j e_k) e_i cover every product of e_i, e_j, e_k
         for i, j, k in itertools.combinations_with_replacement(range(n), 3):
             left = self.mult_vec(self.basis_product(i, j), {k: one})
+            middle = self.mult_vec(self.basis_product(i, k), {j: one})
             right = self.mult_vec({i: one}, self.basis_product(j, k))
-            if left != right:
+            if not left == middle == right:
                 raise ValueError(f"associativity fails at basis triple {(i, j, k)}")
 
 
@@ -783,44 +784,11 @@ def mult_matrix(a: StructureAlgebra, vec: dict):
     return out
 
 
-class CharPoly:
-    """Monic characteristic polynomial with its trace coefficients."""
-
-    def __init__(self, coeffs, field):
-        self.coeffs = coeffs          # ascending; leading entry is 1
-        self.field = field
-        n = len(coeffs) - 1
-        # P(Z) = sum (-1)^i s_i Z^(n-i), so s_i = (-1)^i * coeff of Z^(n-i)
-        self.traces = []
-        for i in range(1, n + 1):
-            c = coeffs[n - i]
-            self.traces.append(c if i % 2 == 0 else field.neg(c))
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def __eq__(self, other):
-        return isinstance(other, CharPoly) and self.coeffs == other.coeffs
-
-    def evaluate_scalar(self, x):
-        f = self.field
-        acc = f.zero
-        for c in reversed(self.coeffs):
-            acc = f.add(f.mul(acc, x), c)
-        return acc
-
-    def __repr__(self):
-        from .multipoly import format_univariate
-        return format_univariate(self.coeffs, self.field)
-
-
-def char_poly(a: StructureAlgebra, vec: dict) -> CharPoly:
-    """det(Z*I - M_vec) via Berkowitz; division free, so it works over any
-    supported field including small characteristic."""
-    m = mult_matrix(a, vec)
-    coeffs = berkowitz_charpoly(m, a.field)
-    return CharPoly(coeffs, a.field)
+def char_poly(a: StructureAlgebra, vec: dict) -> list:
+    """det(Z*I - M_vec) via Berkowitz, in ascending order with leading 1;
+    division free, so it works over any supported field including small
+    characteristic."""
+    return berkowitz_charpoly(mult_matrix(a, vec), a.field)
 
 
 def ideal_subspace_dim(a: StructureAlgebra, gens):

@@ -99,10 +99,6 @@ class MultiPoly:
     def total_degree(self):
         return max((sum(m) for m in self.terms), default=-1)
 
-    def is_homogeneous(self):
-        degs = {sum(m) for m in self.terms}
-        return len(degs) <= 1
-
     def leading_monomial(self) -> Monomial:
         return max(self.terms, key=grevlex_key)
 
@@ -517,14 +513,6 @@ def parse_poly(text: str, ring: PolyRing) -> MultiPoly:
     toks = _Tokens(text)
     p = _parse_poly(toks, ring, stop_kinds=())
     return p
-
-
-def parse_scalar_text(field, text: str):
-    """Parse a scalar in the field's text syntax (ints, a/b, t-polynomials)."""
-    ring = PolyRing(field, ())
-    toks = _Tokens(text)
-    p = _parse_poly(toks, ring, stop_kinds=())
-    return p.coeff(())
 
 
 def parse_univariate(text: str, field: Field, var: str | None = None):

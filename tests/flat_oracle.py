@@ -178,7 +178,7 @@ def naive_rows(a: StructureAlgebra, m: int, tensor: TensorPowerAlgebra):
     rows = []
     for tail in itertools.product(list(fieldh.elements()), repeat=a.dim - 1):
         vec = {i: c for i, c in enumerate(tail, start=1) if c}
-        zc = [{0: c} if c else {} for c in char_poly(a, vec).coeffs]
+        zc = [{0: c} if c else {} for c in char_poly(a, vec)]
         for s in range(m):
             mult = tensor.slot_multiplier(s, vec) if vec else None
             d = len(zc) - 1

@@ -75,7 +75,7 @@ def test_criterion1_table1_both_modes():
 
 def test_criterion2_table2_m23():
     t0 = time.time()
-    rows = [e for e in table2_entries() if not e.has_tag("erratum")]
+    rows = [e for e in table2_entries() if "erratum" not in e.tags]
     assert len(rows) == 24
     mismatches = []
     for entry in rows:
@@ -96,7 +96,7 @@ def test_criterion2_inconsistent_row_documented():
     """The 25th printed row is internally inconsistent: its ideal string
     yields 164 at m=3, not the printed 168 (confirmed by an independent
     first-principles recomputation).  Pin the honest values."""
-    entry = next(e for e in table2_entries() if e.has_tag("erratum"))
+    entry = next(e for e in table2_entries() if "erratum" in e.tags)
     pres = entry.presentation()
     dims = {m: closure_from_presentation(pres, m)[0].dim for m in (2, 3)}
     report("criterion 2 note (inconsistent row recomputed)",

@@ -77,7 +77,7 @@ def test_generic_char_poly_specialization_oracle():
         g = generic_char_poly(a)
         for _ in range(10):
             e = sparse([Fr(rng.randint(-5, 5)) for _ in range(a.dim)])
-            assert g.specialize(e).coeffs == char_poly(a, e).coeffs
+            assert g.specialize(e) == char_poly(a, e)
 
 
 def test_unit_free_char_poly_is_p_at_x1_zero():
@@ -336,7 +336,7 @@ def test_last_map_is_trace_minus_the_others():
         for mp in res.maps:
             for k, v in mp.rows[j].items():
                 total[k] = total.get(k, 0) + v
-        trace = char_poly(a, {j: Fr(1)}).traces[0]
+        trace = -char_poly(a, {j: Fr(1)})[a.dim - 1]
         assert {k: v for k, v in total.items() if v} == ({0: trace} if trace else {})
     assert last.is_ring_morphism()
 
