@@ -24,6 +24,14 @@ intermediate closures collapse.  A seed schedule supplies each stage's
 relations: synthetic division of P' (general), or synthetic division of the
 characteristic polynomial of each of a given set of points of A; the naive
 closure takes as points the coset representatives of A modulo constants.
+
+The default modular mode closes a non-local A at m = 2 from random points
+instead (`closure_from_presentation`): P' there is large, while the stage
+ideal is spanned by the remainder at a few points.  One random point
+seeds the run, and two fresh points check it; a check that fails adds its
+points to the seeds and runs again.  Every seed lies in the true ideal, so
+the result stays an upper bound, and it is too large only if both check
+points of a round miss the rest of the ideal (Schwartz-Zippel).
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import random
 import time
 from dataclasses import dataclass, field as dataclass_field
 from functools import partial
@@ -183,6 +192,25 @@ def _rows_of(xp):
     return [vec for _, vec in sorted(xp.items())]
 
 
+def _xp_point_mult(mults, coeff):
+    """Multiply a coefficient keyed by point index j by point j, which
+    mults[j] multiplies by."""
+    out = {}
+    for j, vec in coeff.items():
+        img = mults[j](vec)
+        if img:
+            out[j] = img
+    return out
+
+
+def _point_char_coeffs(a: StructureAlgebra, points):
+    """The Z-coefficients of the characteristic polynomials of the points,
+    ascending, each keyed by point index as a multiple of 1."""
+    polys = [char_poly(a, p) for p in points]
+    return [{j: {0: c[k]} for j, c in enumerate(polys) if c[k]}
+            for k in range(a.dim + 1)]
+
+
 # ---------------------------------------------------------------------------
 # seed schedules
 #
@@ -233,20 +261,9 @@ class _PointSchedule(_GeneralSchedule):
     def __init__(self, a: StructureAlgebra, points):
         self.fieldh = a.field
         points = list(points)
-        mults = [stride_multiplier(a, p, 1) for p in points]
-
-        def times_gamma(coeff):
-            out = {}
-            for j, vec in coeff.items():
-                img = mults[j](vec)
-                if img:
-                    out[j] = img
-            return out
-
-        self.times_gamma = times_gamma
-        polys = [char_poly(a, p) for p in points]
-        self._start([{j: {0: c[k]} for j, c in enumerate(polys) if c[k]}
-                     for k in range(a.dim + 1)])
+        self.times_gamma = partial(
+            _xp_point_mult, [stride_multiplier(a, p, 1) for p in points])
+        self._start(_point_char_coeffs(a, points))
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +274,7 @@ class _PointSchedule(_GeneralSchedule):
 class ClosureResult:
     input_algebra: StructureAlgebra
     m: int
-    method: str                 # general | naive
+    method: str                 # general | naive | points
     closure: StructureAlgebra
     maps: list
     dim: int
@@ -269,6 +286,7 @@ class ClosureResult:
     stage_generators: tuple = ()  # nonzero seed rows of each stage
     stage_ms: tuple = ()        # elapsed_ms at the end of each stage
     started: float = 0.0        # time.perf_counter() when the run began
+    miss_bound: float | None = None  # point seeds: chance the dim is too large
 
     @property
     def strategy(self) -> str:
@@ -643,6 +661,14 @@ def slot_remainders(a: StructureAlgebra, slot_mults, unit_free: bool = True):
         yield rem
 
 
+def _slot_multipliers(result: ClosureResult, elements):
+    """mults[s][j] multiplies the closure by map_s(elements[j]), one list
+    per slot."""
+    c = result.closure
+    return [[stride_multiplier(c, mp.apply_dict(x), 1) for x in elements]
+            for mp in result.maps[:result.m]]
+
+
 def divides_check(result: ClosureResult) -> dict:
     """Certify that the product of (Z - map_s(gamma)) divides P inside the
     closure: re-run the slot divisions with coefficients in the closure and
@@ -667,14 +693,26 @@ def divides_check(result: ClosureResult) -> dict:
     for s, mp in enumerate(result.maps):
         if not mp.is_unital():
             raise CertificateFailure(f"structural map {s + 1} is not unital")
-    slot_mults = [[None] + [stride_multiplier(c, mp.rows[i], 1)
-                            for i in range(1, a.dim)]
-                  for mp in result.maps[:result.m]]
-    for s, rem in enumerate(slot_remainders(a, slot_mults)):
+    # the multipliers by map_s(e_0) are built lazily and never applied
+    basis = [{i: c.field.one} for i in range(a.dim)]
+    for s, rem in enumerate(slot_remainders(a, _slot_multipliers(result, basis))):
         if any(rem.values()):
             raise CertificateFailure(
                 f"slot {s + 1} remainder is nonzero in the closure")
     return {"certified": True, "mode": "recomputed"}
+
+
+def _points_divide(result: ClosureResult, points) -> bool:
+    """Whether, in the closure, the product of (Z - map_s(q)) over the
+    slots divides the characteristic polynomial of q, for each given point
+    q of A: the chain of divisions of divides_check, run at X = q."""
+    zc = _point_char_coeffs(result.input_algebra, points)
+    for mults in _slot_multipliers(result, points):
+        zc, rem = _synthetic_divide(result.field, zc,
+                                    partial(_xp_point_mult, mults))
+        if any(rem.values()):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -762,6 +800,52 @@ def base_change_presentation(pres: AlgebraPresentation,
     return AlgebraPresentation(target, pres.variables, tuple(rels))
 
 
+POINT_CHECKS = 2            # fresh points that test each point-seeded round
+POINT_MISS_LOG2 = 40        # a round misses with probability <= 2^-40
+
+
+def _random_point(rng: random.Random, a: StructureAlgebra) -> dict:
+    """A point of A over GF(p) with no unit coordinate and the others
+    uniform, zero coordinates dropped."""
+    coords = (rng.randrange(a.field.p) for _ in range(1, a.dim))
+    return {i: c for i, c in enumerate(coords, start=1) if c}
+
+
+def _takes_point_seeds(a: StructureAlgebra, m: int) -> bool:
+    """m = 2 <= n, ((n - 1)/p)^2 <= 2^-40, and A is not local: there the
+    generic characteristic polynomial is large, and the check is sharp."""
+    n, k = a.dim, POINT_CHECKS
+    return (m == 2 <= n
+            and ((n - 1) ** k << POINT_MISS_LOG2) <= a.field.p ** k
+            and not a.is_local_nilpotent())
+
+
+def _point_seeded_closure(a: StructureAlgebra) -> ClosureResult:
+    """The 2-closure over GF(p) seeded by random points of A, drawn from
+    random.Random(p), checked at POINT_CHECKS fresh points per round.
+
+    A check point that fails joins the seeds for the next round.  Its
+    remainder lies in the true stage ideal and not in the current one, so
+    the dimension falls from round to round, and never below the true one.
+    A round that passes wrongly has both check points on the zero set of a
+    nonzero remainder, homogeneous of degree n - 1 in them: by
+    Schwartz-Zippel, probability at most ((n - 1)/p)^2.  `miss_bound` is
+    that times the rounds run."""
+    t0 = time.perf_counter()
+    rng = random.Random(a.field.p)
+    seeds = [_random_point(rng, a)]
+    rounds = 1
+    while True:
+        result = _closure(a, 2, "points", partial(_PointSchedule, points=seeds),
+                          t0)
+        checks = [_random_point(rng, a) for _ in range(POINT_CHECKS)]
+        if _points_divide(result, checks):
+            result.miss_bound = rounds * ((a.dim - 1) / a.field.p) ** POINT_CHECKS
+            return result
+        seeds += checks
+        rounds += 1
+
+
 def closure_from_presentation(pres: AlgebraPresentation, m: int,
                               exact: bool = False):
     """Compute a closure from a presentation; returns (ClosureResult,
@@ -772,7 +856,9 @@ def closure_from_presentation(pres: AlgebraPresentation, m: int,
     default a rational input is built over Q once (Groebner basis and
     structure constants), reduced modulo one prime (`modular_prime`,
     `reduce_mod_prime`) and closed over GF(p); the mode is "mod <p>" and
-    its dimension is an upper bound for the one over Q.
+    its dimension is an upper bound for the one over Q.  A non-local A at
+    m = 2 is closed from random points (`_point_seeded_closure`) when p is
+    large enough for the check to be sharp.
     """
     if pres.field.kind != "rationals" or exact:
         algebra = algebra_from_presentation(pres)
@@ -780,4 +866,7 @@ def closure_from_presentation(pres: AlgebraPresentation, m: int,
         mode = "exact" if pres.field.kind == "rationals" else str(pres.field)
         return result, mode
     algebra = reduce_mod_prime(algebra_from_presentation(pres), modular_prime(pres))
-    return m_closure(algebra, m), f"mod {algebra.field.p}"
+    mode = f"mod {algebra.field.p}"
+    if _takes_point_seeds(algebra, m):
+        return _point_seeded_closure(algebra), mode
+    return m_closure(algebra, m), mode

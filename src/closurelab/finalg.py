@@ -453,8 +453,10 @@ def stride_multiplier(factor: StructureAlgebra, vec: dict, stride: int):
     is plain multiplication by vec.
 
     The operator is `apply(w, out=None)`: it adds the product into `out`
-    when given, and returns it.
+    when given, and returns it.  Zero coefficients of vec are dropped, so
+    a kernel may take every column entry to be nonzero.
     """
+    vec = {k: c for k, c in vec.items() if c}
     return kernel_for(factor.field).multiplier(factor, vec, stride)
 
 

@@ -82,6 +82,24 @@ EMIT_FULL_TEXT = {
         "    1 -> 1*(1,1)",
         "    x -> 1*(1,x)",
     ],
+    # a non-local input, seeded by one random point; the symbolic seeds
+    # give the same text with "method = general" and "generators = 5"
+    ("Q[x,y]/(x^2-1, y^2)",): [
+        "dim = 12",
+        "method = points (staged), field = mod 674022607, generators = 1, rank = 4",
+        "basis [12]: (1,1), (1,y), (1,x), (1,x*y), (y,1), (y,y), (y,x), "
+        "(y,x*y), (x,1), (x,y), (x,x), (x,x*y)",
+        "map alpha_1:",
+        "    1 -> 1*(1,1)",
+        "    y -> 1*(y,1)",
+        "    x -> 1*(x,1)",
+        "    x*y -> 674022606*(1,x*y) + 674022606*(y,x) + 674022606*(x,y)",
+        "map alpha_2:",
+        "    1 -> 1*(1,1)",
+        "    y -> 1*(1,y)",
+        "    x -> 1*(1,x)",
+        "    x*y -> 1*(1,x*y)",
+    ],
 }
 
 
@@ -153,6 +171,28 @@ def test_close_json_bound():
         record = json.loads(out[0])
         assert code == 0 and record["dim"] == 6
         assert record["field"].startswith(field) and record["bound"] == bound
+
+
+def test_point_seeded_records_carry_a_miss_bound(monkeypatch, tmp_path):
+    # rounds * ((n - 1)/p)^2, only where random points seeded the run
+    monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
+    text = "Q[x,y]/(x^2-x, y^3)"
+    code, out = run_cli(["close", "--algebra", text, "--m", "2", "--json"])
+    record = json.loads(out[0])
+    p = int(record["field"].split()[1])
+    assert code == 0 and record["method"] == "points"
+    assert (record["dim"], record["miss_bound"]) == (30, (5 / p) ** 2)
+    rows = [{"name": "mixed", "field": "Q", "vars": ["x", "y"],
+             "relations": ["x^2-x", "y^3"], "expected": {"1": 6, "2": 30},
+             "tags": []}]
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(rows))
+    code, out = run_cli(["table", "--manifest", str(path), "--json"])
+    records = {r["m"]: r for r in map(json.loads, out)}
+    assert code == 0 and records[2]["miss_bound"] == record["miss_bound"]
+    assert "miss_bound" not in records[1]
+    code, out = run_cli(["close", "--algebra", text, "--m", "3", "--json"])
+    assert code == 0 and "miss_bound" not in json.loads(out[0])
 
 
 def test_close_budget_exit_3(monkeypatch):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import random
 import time
@@ -794,6 +795,101 @@ def test_budget_overrun_is_not_repeated(monkeypatch):
                        match="^stage 5 width 2358 exceeds the budget 1000$"):
         closure_from_presentation(pres, 5)
     assert len(calls) == 1 and calls[0].kind == "prime"
+
+
+# -- point seeds for non-local inputs at m = 2
+
+# Non-local inputs: two fields, a product of local algebras and two mixed
+# ones (a product of a field factor and a local one).
+POINT_SEED_INPUTS = ("Q[x,y,z]/(x^2-2, y^2-3, z^2-5)", "Q[x]/(x^6-x-1)",
+                     "Q[x,y]/(x^2-1, y^2)", "Q[x,y]/(x^2-x, y^3)",
+                     "Q[x,y]/(x^3-x, y^2)")
+
+
+def _modular_algebra(pres):
+    return reduce_mod_prime(algebra_from_presentation(pres), modular_prime(pres))
+
+
+@pytest.mark.parametrize("d", [9, 10])
+def test_point_seeds_give_the_etale_dims(monkeypatch, d):
+    monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
+    res, mode = closure_from_presentation(parse_presentation(f"Q[x]/(x^{d}-x-1)"), 2)
+    p = res.field.p
+    assert mode == f"mod {p}" and res.method == "points"
+    assert res.dim == etale_closure_dim(d, 2)
+    assert res.generator_count == 1 and res.stage_generators == (0, 1)
+    assert res.miss_bound == ((d - 1) / p) ** 2 <= 2 ** -40
+
+
+@pytest.mark.parametrize("text", POINT_SEED_INPUTS)
+def test_point_seeds_match_the_symbolic_seeds(monkeypatch, text):
+    monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
+    pres = parse_presentation(text)
+    res, _ = closure_from_presentation(pres, 2)
+    assert res.method == "points"
+    assert_same_closure(res, m_closure(_modular_algebra(pres), 2))
+
+
+def test_point_seeds_only_at_m_2(monkeypatch):
+    monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
+    # two copies of K[y]/(y^3), and three of K[y]/(y^2)
+    cube, square = [1, 3, 6, 6], [1, 2, 2, 0]
+    two_squares = [product_formula_dim(square, square, m) for m in range(4)]
+    for text, dim in (("Q[x,y]/(x^2-x, y^3)", product_formula_dim(cube, cube, 3)),
+                      ("Q[x,y]/(x^3-x, y^2)",
+                       product_formula_dim(two_squares, square, 3))):
+        res, _ = closure_from_presentation(parse_presentation(text), 3)
+        assert (res.method, res.dim, res.miss_bound) == ("general", dim, None)
+    # local inputs, --exact and finite fields keep the symbolic seeds at m = 2
+    for text, exact in (("Q[x,y]/(x^2, y^3)", False), ("Q[x]/(x^3-x)", True),
+                        ("F101[x]/(x^3-x)", False)):
+        res, _ = closure_from_presentation(parse_presentation(text), 2, exact)
+        assert res.method == "general"
+
+
+def test_small_prime_keeps_the_symbolic_seeds(monkeypatch):
+    # ((n - 1)/p)^2 = (5/5)^2 is no bound on a miss
+    monkeypatch.setenv("CLOSURELAB_PRIMES", "5")
+    res, mode = closure_from_presentation(parse_presentation("Q[x,y]/(x^2-x, y^3)"), 2)
+    assert (mode, res.method, res.dim, res.miss_bound) == ("mod 5", "general", 30, None)
+
+
+def test_explicit_zero_coordinate_in_a_point():
+    # an explicit 0 coefficient once became a stored zero entry of the GF(p)
+    # multiplier, and the point's Cayley-Hamilton remainder looked nonzero
+    a = alg("F7[x]/(x^3-2)")
+    times = finalg_module.stride_multiplier(a, {1: 0, 2: 1}, 1)
+    assert times({0: 1}) == {2: 1}
+    for point in ({1: 0, 2: 1}, {2: 1}):
+        res = closure_module._closure(
+            a, 2, "points", functools.partial(closure_module._PointSchedule,
+                                              points=[point]), time.perf_counter())
+        assert res.dim == 6
+
+
+def test_fresh_points_carry_the_point_seeded_result(monkeypatch):
+    # mutant: the first seed is the zero point, whose remainders vanish, so
+    # the first round closes nothing; the check must catch it
+    monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
+    pres = parse_presentation("Q[x]/(x^8-x-1)")
+    draw = closure_module._random_point
+    draws = []
+
+    def zero_first(rng, a):
+        draws.append(draw(rng, a) if draws else {})
+        return draws[-1]
+
+    monkeypatch.setattr(closure_module, "_random_point", zero_first)
+    res, _ = closure_from_presentation(pres, 2)
+    p = res.field.p
+    # the zero seed, two check points that fail and join the seeds (the zero
+    # seed gives no row), then two that pass
+    assert (res.dim, len(draws), res.generator_count) == (56, 5, 2)
+    assert res.miss_bound == 2 * (7 / p) ** 2
+    draws.clear()
+    monkeypatch.setattr(closure_module, "_points_divide", lambda *args: True)
+    res, _ = closure_from_presentation(pres, 2)
+    assert (res.dim, len(draws)) == (64, 3)
 
 
 def test_base_change_presentation():
