@@ -90,6 +90,8 @@ class GenericKernel:
         mul = field.mul
         return {k: mul(c, v) for k, v in row.items()}
 
+    add_into = staticmethod(vec_add_into)
+
     @staticmethod
     def multiplier(factor, vec, stride):
         """stride_multiplier(factor, vec, stride) with this kernel."""
@@ -155,6 +157,21 @@ class PrimeKernel:
     def scale(field, row, c):
         p = field.p
         return {k: c * v % p for k, v in row.items()}
+
+    @staticmethod
+    def add_into(field, target, vec, c):
+        """vec_add_into with c nonzero."""
+        p = field.p
+        for k, v in vec.items():
+            if k in target:
+                s = (target[k] + c * v) % p
+                if s:
+                    target[k] = s
+                else:
+                    del target[k]
+            else:
+                target[k] = c * v % p
+        return target
 
     @staticmethod
     def multiplier(factor, vec, stride):
@@ -238,8 +255,10 @@ class RowSpace:
 
         `multipliers` are commuting linear callables dict -> dict, such as
         multiplication by generators.  The final span is the smallest
-        multiplier-closed subspace containing the seeds.  It is built in
-        signature order (Faugere's F5; Eder-Faugere, JSC 2017):
+        multiplier-closed subspace containing the seeds, for any order of
+        the multipliers; the order sets only which rows are stored and how
+        many entries they have.  It is built in signature order (Faugere's
+        F5; Eder-Faugere, JSC 2017):
 
         * The signature (mu, k) names the monomial M^mu s_k: seed k times
           the multipliers indexed by the nondecreasing tuple mu.  Candidates
@@ -569,15 +588,28 @@ class TensorPairAlgebra(StructureAlgebra):
         return out
 
     def generator_multipliers(self):
-        out = [stride_multiplier(self.left, vec, self.n)
-               for _, vec in self.left.generator_elements()]
-        out.extend(stride_multiplier(self.right, vec, 1)
-                   for _, vec in self.right.generator_elements())
+        """The right factor's multipliers first, then the left factor's.
+
+        The closed span does not depend on the order, but the stored rows
+        do: a right multiplier moves a basis column to a few columns of the
+        same left digit, so the first row stored for each pivot is sparse.
+        """
+        out = [stride_multiplier(self.right, vec, 1)
+               for _, vec in self.right.generator_elements()]
+        out.extend(stride_multiplier(self.left, vec, self.n)
+                   for _, vec in self.left.generator_elements())
         return out
 
 
 class QuotientAlgebra(StructureAlgebra):
-    """Quotient of a parent algebra by a multiplier-closed row space."""
+    """Quotient of a parent algebra by a multiplier-closed row space.
+
+    Reduction modulo the span is linear, so `project` combines the normal
+    forms of the parent basis columns a vector has.  The normal form of a
+    column is reduced once, the first time the column is projected, and
+    kept for the quotient's life: products, map images and certificate
+    columns meet the same columns again and again.
+    """
 
     def __init__(self, parent: StructureAlgebra, span: RowSpace):
         self.parent = parent
@@ -587,7 +619,8 @@ class QuotientAlgebra(StructureAlgebra):
         self.basis_cols = [c for c in range(parent.dim) if c not in pivots]
         self.dim = len(self.basis_cols)
         self.col_to_index = {c: i for i, c in enumerate(self.basis_cols)}
-        self._cache = {}
+        self._products = {}     # (i, j), i <= j -> e_i e_j in the quotient
+        self._forms = {}        # parent column -> its normal form
         if self.dim and self.basis_cols[0] != 0:
             # the identity column was absorbed into the span: unit ideal
             self.basis_cols = []
@@ -605,21 +638,33 @@ class QuotientAlgebra(StructureAlgebra):
         return self.parent.label_str(self.basis_cols[i])
 
     def project(self, parent_vec: dict) -> dict:
-        """Canonical image of a parent element in quotient coordinates."""
-        reduced = self.span.reduce(parent_vec)
+        """Canonical image of a parent element in quotient coordinates: the
+        combination of the normal forms of its columns."""
         if not self.dim:
             return {}
-        return {self.col_to_index[c]: v for c, v in reduced.items()}
+        field = self.field
+        add_into = self.span.kernel.add_into
+        forms = self._forms
+        out = {}
+        for c, v in parent_vec.items():
+            if v:
+                form = forms.get(c)
+                if form is None:
+                    form = forms[c] = {
+                        self.col_to_index[k]: w
+                        for k, w in self.span.reduce({c: field.one}).items()}
+                add_into(field, out, form, v)
+        return out
 
     def basis_product(self, i, j):
         key = (i, j) if i <= j else (j, i)
-        hit = self._cache.get(key)
+        hit = self._products.get(key)
         if hit is not None:
             return hit
         prod = self.parent.basis_product(self.basis_cols[key[0]],
                                          self.basis_cols[key[1]])
         out = self.project(prod)
-        self._cache[key] = out
+        self._products[key] = out
         return out
 
     def generator_elements(self):

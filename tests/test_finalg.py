@@ -6,7 +6,8 @@ import pytest
 from closurelab.arith import GF, QQ
 from closurelab.errors import BudgetExceeded, FieldMismatch
 from closurelab.catalog import table1_entries
-from closurelab.closure import base_change_presentation, m_closure
+from closurelab.closure import (base_change_presentation,
+                               closure_from_presentation, m_closure)
 from closurelab.finalg import (AlgebraMap, GenericKernel, PolyOps,
                                PrimeKernel, QuotientAlgebra, RowSpace,
                                TableAlgebra, TensorPairAlgebra,
@@ -267,6 +268,30 @@ def test_quotient_examples():
         assert proj2.rows[col] == {i: Fr(1)}
 
 
+@pytest.mark.parametrize("field", [GF(1073741789), QQ(), GF(2, 2)],
+                         ids=str)
+def test_project_combines_cached_column_forms(field):
+    rng = random.Random(20261019)
+    a = algebra_from_presentation(
+        base_change_presentation(parse_presentation("Q[x,y]/(x^2, y^3)"), field))
+    pair = TensorPairAlgebra(a, a)
+    seeds = _difference_seeds(rng, pair)
+    proper = QuotientAlgebra(pair, ideal_subspace_dim(pair, seeds)[1])
+    unit = QuotientAlgebra(pair, ideal_subspace_dim(pair, [pair.unit()])[1])
+    assert 0 < proper.dim < pair.dim and unit.dim == 0
+    for quot in (proper, unit):
+        span = quot.span
+        # multi-term vectors first, then every single column
+        probes = [_random_row(rng, field, pair.dim, 0.4) for _ in range(8)]
+        probes += [{c: field.one} for c in range(pair.dim)]
+        expected = [{quot.col_to_index[c]: v for c, v in span.reduce(vec).items()}
+                    for vec in probes]
+        assert [quot.project(vec) for vec in probes] == expected
+        # every column is cached now: a second pass reduces nothing
+        span.reduce = None
+        assert [quot.project(vec) for vec in probes] == expected
+
+
 def test_is_local_nilpotent():
     assert alg("Q[x,y]/((x,y)^2)").is_local_nilpotent()
     assert alg("Q[x]/(x^6)").is_local_nilpotent()
@@ -409,7 +434,7 @@ def test_prime_kernel_matches_generic_kernel(p):
     fast, slow = RowSpace(f), RowSpace(f)
     slow.kernel = GenericKernel
     generic_mults = [GenericKernel.multiplier(factor, vec, stride)
-                     for factor, stride in ((a, pair.n), (a, 1))
+                     for factor, stride in ((a, 1), (a, pair.n))
                      for _, vec in a.generator_elements()]
     assert (fast.close_under(seeds, pair.generator_multipliers())
             == slow.close_under(seeds, generic_mults))
@@ -444,7 +469,12 @@ def test_close_under_matches_breadth_first(field, text):
     pair = TensorPairAlgebra(m_closure(a, 2).closure, a)      # stage 3
     seeds = _difference_seeds(rng, pair)
     probes = [_random_row(rng, field, pair.dim, 0.3) for _ in range(10)]
-    for mults in (pair.generator_multipliers(), []):
+    # the left factor's multipliers first: another order, the same span
+    left_first = [stride_multiplier(factor, vec, stride)
+                  for factor, stride in ((pair.left, pair.n), (pair.right, 1))
+                  for _, vec in factor.generator_elements()]
+    closed = []
+    for mults in (pair.generator_multipliers(), left_first, []):
         fast, slow = RowSpace(field), RowSpace(field)
         assert fast.kernel is kernel_for(field)
         rank = fast.close_under(seeds, mults)
@@ -453,6 +483,28 @@ def test_close_under_matches_breadth_first(field, text):
         assert fast.pivots() == slow.pivots()
         for vec in probes:
             assert fast.reduce(vec) == slow.reduce(vec)
+        closed.append(fast)
+    new, old, _ = closed
+    assert new.pivots() == old.pivots()
+    for vec in probes:
+        assert new.reduce(vec) == old.reduce(vec)
+
+
+def test_new_slot_multipliers_first_store_sparse_rows(monkeypatch):
+    monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
+    spans = []
+    close_under = RowSpace.close_under
+
+    def recorded(space, seeds, multipliers):
+        spans.append(space)
+        return close_under(space, seeds, multipliers)
+
+    monkeypatch.setattr(RowSpace, "close_under", recorded)
+    result, mode = closure_from_presentation(
+        parse_presentation("Q[x,y]/(x^2, y^5, xy)"), 4)
+    assert (mode, result.dim, spans[-1].rank) == ("mod 587814103", 393, 381)
+    # with the left factor's multipliers first they hold 3,964 entries
+    assert sum(len(row) for row in spans[-1].rows.values()) == 3253
 
 
 def test_close_under_skips_dead_products(monkeypatch):
