@@ -91,12 +91,9 @@ def cmd_close(args) -> int:
         result, mode = closure_from_presentation(pres, args.m, exact=args.exact)
     ms = (time.perf_counter() - t0) * 1e3
 
-    record = {
-        "name": args.algebra, "m": args.m, "method": result.method,
-        "field": mode, "bound": _bound(mode), "dim": result.dim,
-        "generators": result.generator_count, "rank": result.rank,
-        "ms": round(ms, 3),
-    }
+    record = _set_outcome({"name": args.algebra, "m": args.m}, result.dim,
+                          result.method, mode, result.generator_count,
+                          result.rank, ms)
     _add_miss_bound(record, result)
     if args.json:
         if args.emit == "full":

@@ -61,9 +61,6 @@ from .finalg import (AlgebraMap, PolyOps,
 from .multipoly import (AlgebraPresentation, MultiPoly, PolyRing,
                         grevlex_key, mono_mul)
 
-DIVIDES_DIM_LIMIT = 600     # closures above this skip the full recomputation
-
-
 # ---------------------------------------------------------------------------
 # generic element and its characteristic polynomial
 
@@ -277,16 +274,29 @@ class ClosureResult:
     method: str                 # general | naive | points
     closure: StructureAlgebra
     maps: list
-    dim: int
-    generator_count: int
-    rank: int
-    elapsed_ms: float
-    field: Field
     stage_dims: tuple = ()      # closure dimension after each stage
     stage_generators: tuple = ()  # nonzero seed rows of each stage
-    stage_ms: tuple = ()        # elapsed_ms at the end of each stage
+    stage_ms: tuple = ()        # ms since `started` at the end of each stage
     started: float = 0.0        # time.perf_counter() when the run began
     miss_bound: float | None = None  # point seeds: chance the dim is too large
+
+    @property
+    def dim(self) -> int:
+        return self.closure.dim
+
+    @property
+    def rank(self) -> int:
+        """Dimension of the defining ideal in the m-fold tensor power."""
+        return self.input_algebra.dim ** self.m - self.closure.dim
+
+    @property
+    def generator_count(self) -> int:
+        """Nonzero seed rows over all stages."""
+        return sum(self.stage_generators)
+
+    @property
+    def field(self) -> Field:
+        return self.input_algebra.field
 
     @property
     def strategy(self) -> str:
@@ -296,14 +306,6 @@ class ClosureResult:
     def __repr__(self):
         return (f"ClosureResult(m={self.m}, dim={self.dim}, "
                 f"method={self.method}, strategy={self.strategy})")
-
-
-def _trivial_result(a, m, method, closure, maps, t0):
-    return ClosureResult(
-        input_algebra=a, m=m, method=method, closure=closure, maps=maps,
-        dim=closure.dim, generator_count=0, rank=a.dim ** m - closure.dim,
-        elapsed_ms=(time.perf_counter() - t0) * 1e3, field=a.field,
-        started=t0)
 
 
 def _verify_maps(result: ClosureResult):
@@ -331,16 +333,17 @@ def _closure(a, m, method, make_schedule, t0):
         raise BudgetExceeded(
             f"{m} maps of a dimension-{n} algebra exceed the budget {limit}")
     if m == 0:
-        base = TableAlgebra(a.field, ["1"], {})
-        return _trivial_result(a, m, method, base, [], t0)
-    if m > n:
-        zero = TableAlgebra(a.field, [], {})
-        maps = [AlgebraMap(a, zero, [{} for _ in range(n)]) for _ in range(m)]
-        return _trivial_result(a, m, method, zero, maps, t0)
-    if m == 1:
-        ident = AlgebraMap(a, a, [{i: a.field.one} for i in range(n)])
-        return _trivial_result(a, m, method, a, [ident], t0)
-    return _staged_closure(a, m, method, make_schedule, t0, limit)
+        closure, maps = TableAlgebra(a.field, ["1"], {}), []
+    elif m > n:
+        closure = TableAlgebra(a.field, [], {})
+        maps = [AlgebraMap(a, closure, [{} for _ in range(n)]) for _ in range(m)]
+    elif m == 1:
+        closure = a
+        maps = [AlgebraMap(a, a, [{i: a.field.one} for i in range(n)])]
+    else:
+        return _staged_closure(a, m, method, make_schedule, t0, limit)
+    return ClosureResult(input_algebra=a, m=m, method=method, closure=closure,
+                         maps=maps, started=t0)
 
 
 def reconstructed_last_map(a: StructureAlgebra, closure: StructureAlgebra,
@@ -391,6 +394,24 @@ def _last_stage_span(pair: TensorPairAlgebra, last: AlgebraMap, seeds):
     return span
 
 
+def _stage_multipliers(pair: TensorPairAlgebra, generators, maps):
+    """Multipliers by generators of C x A, where C = pair.left carries
+    `maps` from A = pair.right: A's generators on the new digit (stride 1),
+    then their images under each map, in slot order, on the C digit
+    (stride n), zero images dropped.  C is spanned by products of the map
+    images of A, so the images of A's generators generate it.
+
+    The closed span does not depend on the order, but the stored rows do: a
+    multiplier on the new digit moves a basis column to a few columns of the
+    same C digit, so the first row stored for each pivot is sparse.
+    """
+    out = [stride_multiplier(pair.right, g, 1) for g in generators]
+    images = (mp.apply_dict(g) for mp in maps for g in generators)
+    out.extend(stride_multiplier(pair.left, img, pair.n)
+               for img in images if img)
+    return out
+
+
 def _staged_closure(a, m, method, make_schedule, t0, limit):
     """Quotient one slot at a time.
 
@@ -404,6 +425,7 @@ def _staged_closure(a, m, method, make_schedule, t0, limit):
     n = a.dim
     one = fieldh.one
     schedule = make_schedule(a)
+    generators = [vec for _, vec in a.generator_elements()]
 
     current = a
     maps = [AlgebraMap(a, a, [{i: one} for i in range(n)])]
@@ -422,7 +444,7 @@ def _staged_closure(a, m, method, make_schedule, t0, limit):
                 pair, reconstructed_last_map(a, current, maps), rows)
         else:
             span = RowSpace(fieldh)
-            span.close_under(rows, pair.generator_multipliers())
+            span.close_under(rows, _stage_multipliers(pair, generators, maps))
         quot = QuotientAlgebra(pair, span)
         maps = [AlgebraMap(a, quot, [quot.project(pair.embed_left(row))
                                      for row in mp.rows])
@@ -436,11 +458,8 @@ def _staged_closure(a, m, method, make_schedule, t0, limit):
 
     result = ClosureResult(
         input_algebra=a, m=m, method=method, closure=current, maps=maps,
-        dim=current.dim, generator_count=sum(stage_generators),
-        rank=n ** m - current.dim, elapsed_ms=stage_ms[-1],
-        field=fieldh, stage_dims=tuple(stage_dims),
-        stage_generators=tuple(stage_generators), stage_ms=tuple(stage_ms),
-        started=t0)
+        stage_dims=tuple(stage_dims), stage_generators=tuple(stage_generators),
+        stage_ms=tuple(stage_ms), started=t0)
     _verify_maps(result)
     return result
 
@@ -685,10 +704,6 @@ def divides_check(result: ClosureResult) -> dict:
     c = result.closure
     if result.m == 0 or c.dim == 0:
         return {"certified": True, "mode": "vacuous"}
-    if c.dim > DIVIDES_DIM_LIMIT:
-        return {"certified": False, "mode": "skipped",
-                "reason": f"closure dimension {c.dim} above limit "
-                          f"{DIVIDES_DIM_LIMIT}"}
     a = result.input_algebra
     for s, mp in enumerate(result.maps):
         if not mp.is_unital():

@@ -287,13 +287,19 @@ class RowSpace:
                 level[(), k] = self.rows[pivot]
         count = len(multipliers)
         while level:
-            # mu + (j,) minus mu[i] is mu[:i] + mu[i+1:] + (j,); minus j it
-            # is mu, inserted by construction
-            candidates = sorted(
-                (mu + (j,), k) for mu, k in level
-                for j in range(mu[-1] if mu else 0, count)
-                if all((mu[:i] + mu[i + 1:] + (j,), k) in level
-                       for i in range(len(mu))))
+            candidates = []
+            for mu, k in level:
+                # mu + (j,) minus mu[i] is mu[:i] + mu[i+1:] + (j,), the
+                # same tuple for every copy of a repeated value
+                drops = [mu[:i] + mu[i + 1:] for i in range(len(mu))
+                         if i == 0 or mu[i] != mu[i - 1]]
+                first = mu[-1] if mu else 0
+                for j in range(first, count):
+                    # minus a copy of j it is mu, inserted by construction
+                    tested = drops[:-1] if mu and j == first else drops
+                    if all((d + (j,), k) in level for d in tested):
+                        candidates.append((mu + (j,), k))
+            candidates.sort()
             inserted = {}
             for mu, k in candidates:
                 pivot = self.add(multipliers[mu[-1]](level[mu[:-1], k]))
@@ -577,29 +583,6 @@ class TensorPairAlgebra(StructureAlgebra):
     def embed_left(self, vec: dict) -> dict:
         return {u * self.n: c for u, c in vec.items()}
 
-    def embed_right(self, vec: dict) -> dict:
-        return dict(vec)
-
-    def generator_elements(self):
-        out = [(f"{name}(x)1", self.embed_left(vec))
-               for name, vec in self.left.generator_elements()]
-        out.extend((f"1(x){name}", self.embed_right(vec))
-                   for name, vec in self.right.generator_elements())
-        return out
-
-    def generator_multipliers(self):
-        """The right factor's multipliers first, then the left factor's.
-
-        The closed span does not depend on the order, but the stored rows
-        do: a right multiplier moves a basis column to a few columns of the
-        same left digit, so the first row stored for each pivot is sparse.
-        """
-        out = [stride_multiplier(self.right, vec, 1)
-               for _, vec in self.right.generator_elements()]
-        out.extend(stride_multiplier(self.left, vec, self.n)
-                   for _, vec in self.left.generator_elements())
-        return out
-
 
 class QuotientAlgebra(StructureAlgebra):
     """Quotient of a parent algebra by a multiplier-closed row space.
@@ -665,14 +648,6 @@ class QuotientAlgebra(StructureAlgebra):
                                          self.basis_cols[key[1]])
         out = self.project(prod)
         self._products[key] = out
-        return out
-
-    def generator_elements(self):
-        out = []
-        for name, vec in self.parent.generator_elements():
-            img = self.project(vec)
-            if img:
-                out.append((name, img))
         return out
 
 

@@ -70,11 +70,6 @@ class PolyRing:
             return MultiPoly(self, {})
         return MultiPoly(self, {(0,) * self.nvars: c})
 
-    def var(self, i: int):
-        exps = [0] * self.nvars
-        exps[i] = 1
-        return MultiPoly(self, {tuple(exps): self.field.one})
-
     def monomial(self, exps, coeff=None):
         c = self.field.one if coeff is None else coeff
         if not c:

@@ -393,13 +393,10 @@ def test_divides_check_vacuous_cases():
     assert divides_check(m_closure(a, 1))["certified"]
 
 
-def test_divides_check_skips_closures_above_the_limit(monkeypatch):
-    result = m_closure(alg("Q[x]/(x^3)"), 2)
-    assert result.dim == 6
-    monkeypatch.setattr(closure_module, "DIVIDES_DIM_LIMIT", 5)
-    assert divides_check(result) == {
-        "certified": False, "mode": "skipped",
-        "reason": "closure dimension 6 above limit 5"}
+def test_divides_check_certifies_a_large_closure():
+    result = m_closure(alg("Q[x]/(x^6)"), 5)
+    assert result.dim == 720
+    assert divides_check(result) == {"certified": True, "mode": "recomputed"}
 
 
 @pytest.mark.parametrize("text", ["Q[x]/(x^3)", "F7[x]/(x^3)"])

@@ -88,8 +88,8 @@ def test_stride_multiplier_matches_product():
         w = _random_vec(rng, pair)
         assert (stride_multiplier(pair.left, v, pair.n)(w)
                 == pair.mult_vec(pair.embed_left(v), w))
-        assert (stride_multiplier(pair.right, u, 1)(w)
-                == pair.mult_vec(pair.embed_right(u), w))
+        # the right digit is the low one: u sits in the pair as itself
+        assert stride_multiplier(pair.right, u, 1)(w) == pair.mult_vec(u, w)
 
 
 # -- products
@@ -275,9 +275,17 @@ def test_project_combines_cached_column_forms(field):
     a = algebra_from_presentation(
         base_change_presentation(parse_presentation("Q[x,y]/(x^2, y^3)"), field))
     pair = TensorPairAlgebra(a, a)
-    seeds = _difference_seeds(rng, pair)
-    proper = QuotientAlgebra(pair, ideal_subspace_dim(pair, seeds)[1])
-    unit = QuotientAlgebra(pair, ideal_subspace_dim(pair, [pair.unit()])[1])
+    right, left = _pair_generators(pair)
+    seeds = _difference_seeds(rng, pair, left[0], right[0])
+    mults = _pair_multipliers(pair, right, left)
+
+    def closed(seeds):
+        span = RowSpace(field)
+        span.close_under(seeds, mults)
+        return span
+
+    proper = QuotientAlgebra(pair, closed(seeds))
+    unit = QuotientAlgebra(pair, closed([pair.unit()]))
     assert 0 < proper.dim < pair.dim and unit.dim == 0
     for quot in (proper, unit):
         span = quot.span
@@ -436,7 +444,8 @@ def test_prime_kernel_matches_generic_kernel(p):
     generic_mults = [GenericKernel.multiplier(factor, vec, stride)
                      for factor, stride in ((a, 1), (a, pair.n))
                      for _, vec in a.generator_elements()]
-    assert (fast.close_under(seeds, pair.generator_multipliers())
+    mults = _pair_multipliers(pair, *_pair_generators(pair))
+    assert (fast.close_under(seeds, mults)
             == slow.close_under(seeds, generic_mults))
     assert fast.rows == slow.rows
 
@@ -444,14 +453,33 @@ def test_prime_kernel_matches_generic_kernel(p):
 # -- close_under: the signature-ordered closure against the breadth-first one
 
 
-def _difference_seeds(rng, pair):
-    """Basis multiples of x (x) 1 - 1 (x) x in a pair, so the ideal is
-    proper and rational entries stay small, with a dependent seed and a
-    duplicate one."""
+def _pair_generators(pair, maps=None):
+    """Generators of a pair's right and left factors, in the order a closure
+    stage takes them.  The left factor's are its own, or, for a closure
+    carrying `maps` from the right factor, the images of the right factor's
+    generators under each map, slot by slot, zero images dropped."""
+    right = [vec for _, vec in pair.right.generator_elements()]
+    if maps is None:
+        left = [vec for _, vec in pair.left.generator_elements()]
+    else:
+        left = [img for mp in maps for g in right if (img := mp.apply_dict(g))]
+    return right, left
+
+
+def _pair_multipliers(pair, right, left):
+    """The right generators at stride 1, then the left ones at stride
+    pair.n."""
+    return ([stride_multiplier(pair.right, vec, 1) for vec in right]
+            + [stride_multiplier(pair.left, vec, pair.n) for vec in left])
+
+
+def _difference_seeds(rng, pair, u, v):
+    """Basis multiples of u (x) 1 - 1 (x) v in a pair, for u and v the first
+    generators of its factors (x (x) 1 - 1 (x) x), so the ideal is proper
+    and rational entries stay small, with a dependent seed and a duplicate
+    one."""
     f = pair.field
-    (_, u), (_, v) = pair.left.generator_elements()[0], pair.right.generator_elements()[0]
-    diff = _vec_sum(f, pair.embed_left(u),
-                    {k: f.neg(c) for k, c in pair.embed_right(v).items()})
+    diff = _vec_sum(f, pair.embed_left(u), {k: f.neg(c) for k, c in v.items()})
     seeds = [pair.mult_vec({k: f.one}, diff)
              for k in rng.sample(range(pair.dim), 3)]
     seeds.append(_vec_sum(f, seeds[0], seeds[1]))
@@ -466,15 +494,16 @@ def test_close_under_matches_breadth_first(field, text):
     rng = random.Random(20261018)
     a = algebra_from_presentation(
         base_change_presentation(parse_presentation(text), field))
-    pair = TensorPairAlgebra(m_closure(a, 2).closure, a)      # stage 3
-    seeds = _difference_seeds(rng, pair)
+    result = m_closure(a, 2)
+    pair = TensorPairAlgebra(result.closure, a)      # stage 3
+    right, left = _pair_generators(pair, result.maps)
+    seeds = _difference_seeds(rng, pair, left[0], right[0])
     probes = [_random_row(rng, field, pair.dim, 0.3) for _ in range(10)]
     # the left factor's multipliers first: another order, the same span
-    left_first = [stride_multiplier(factor, vec, stride)
-                  for factor, stride in ((pair.left, pair.n), (pair.right, 1))
-                  for _, vec in factor.generator_elements()]
+    left_first = ([stride_multiplier(pair.left, vec, pair.n) for vec in left]
+                  + [stride_multiplier(pair.right, vec, 1) for vec in right])
     closed = []
-    for mults in (pair.generator_multipliers(), left_first, []):
+    for mults in (_pair_multipliers(pair, right, left), left_first, []):
         fast, slow = RowSpace(field), RowSpace(field)
         assert fast.kernel is kernel_for(field)
         rank = fast.close_under(seeds, mults)
