@@ -20,10 +20,11 @@ algebra.
 The slot-s relations involve slots 1..s only, so the closure is built one
 slot at a time: stage s quotients (closure after s-1 slots) tensor A by the
 slot-s relations, which is far smaller than the tensor power whenever the
-intermediate closures collapse.  A seed schedule supplies each stage's
-relations: synthetic division of P' (general), or synthetic division of the
-characteristic polynomial of each of a given set of points of A; the naive
-closure takes as points the coset representatives of A modulo constants.
+intermediate closures collapse.  A seed, the polynomial the chain of
+divisions starts from, supplies each stage's relations: P' (general), or
+the characteristic polynomial of each of a given set of points of A; the
+naive closure takes as points the coset representatives of A modulo
+constants.
 
 The default modular mode closes a non-local A at m = 2 from random points
 instead (`closure_from_presentation`): P' there is large, while the stage
@@ -73,9 +74,8 @@ class GenericCharData:
     degree i.
     """
 
-    def __init__(self, algebra: StructureAlgebra, ring: PolyRing, coeffs):
+    def __init__(self, algebra: StructureAlgebra, coeffs):
         self.algebra = algebra
-        self.ring = ring
         self.coeffs = coeffs
         n = algebra.dim
         for j, c in enumerate(coeffs):
@@ -112,7 +112,7 @@ def generic_char_poly(a: StructureAlgebra,
                 exps[k] = 1
                 entries[i][j] = entries[i][j] + ring.monomial(tuple(exps), c)
     coeffs = berkowitz_charpoly(entries, PolyOps(ring))
-    return GenericCharData(a, ring, coeffs)
+    return GenericCharData(a, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -200,67 +200,46 @@ def _xp_point_mult(mults, coeff):
     return out
 
 
-def _point_char_coeffs(a: StructureAlgebra, points):
-    """The Z-coefficients of the characteristic polynomials of the points,
-    ascending, each keyed by point index as a multiple of 1."""
-    polys = [char_poly(a, p) for p in points]
-    return [{j: {0: c[k]} for j, c in enumerate(polys) if c[k]}
-            for k in range(a.dim + 1)]
-
-
 # ---------------------------------------------------------------------------
-# seed schedules
-#
-# A schedule carries the state it needs from stage to stage, with
-# coefficients in the closure built so far.  `stage(embed)` embeds that
-# state into (closure) tensor A, advances it by the new slot's gamma and
-# returns the stage's seed rows; `project` maps the state into the stage's
-# quotient.  Stage 1 runs in A itself.
+# seeds
 
 
-class _GeneralSchedule:
-    """Synthetic division of the running quotient of P' by (Z - gamma'_s),
-    which leaves the slot remainders of P (module docstring); the seeds are
-    their X-monomial coefficients.  The multipliers by e_1..e_{n-1} act on
-    the last tensor digit, of A and of every (closure) tensor A.  The slot-1
-    remainder is the Cayley-Hamilton identity and must vanish."""
+@dataclass
+class _Seed:
+    """Where a chain of divisions starts: the Z-coefficients of the
+    polynomial divided, ascending, and the elements of A whose slot images
+    make up gamma_s.  `times(mults)`, given one multiplier by the slot image
+    of each element, multiplies a coefficient by gamma_s."""
 
-    def __init__(self, a: StructureAlgebra):
-        self.fieldh = a.field
-        mults = [None] + [stride_multiplier(a, {i: a.field.one}, 1)
-                          for i in range(1, a.dim)]
-        self.times_gamma = partial(_xp_gamma_mult, mults, first=1)
-        self._start(_lift_scalar_coeffs(
-            generic_char_poly(a, unit_free=True).coeffs))
-
-    def _start(self, zc):
-        self.zc, rem = _synthetic_divide(self.fieldh, zc, self.times_gamma)
-        if any(rem.values()):
-            raise CertificateFailure("Cayley-Hamilton remainder is nonzero")
-
-    def stage(self, embed):
-        zc = [_xp_map(coeff, embed) for coeff in self.zc]
-        self.zc, rem = _synthetic_divide(self.fieldh, zc, self.times_gamma)
-        return _rows_of(rem)
-
-    def project(self, project):
-        self.zc = [_xp_map(coeff, project) for coeff in self.zc]
+    coeffs: list
+    elements: list
+    times: object
 
 
-class _PointSchedule(_GeneralSchedule):
+def _generic_seed(a: StructureAlgebra, unit_free: bool = True) -> _Seed:
+    """The generic P over the basis of A, or with `unit_free` P' divided by
+    the (Z - gamma'_s), which leaves the same remainders when every slot is
+    unital (module docstring); the multiplier by the image of e_0 is then
+    never used.  The seed rows are the remainders' X-monomial
+    coefficients."""
+    first = 1 if unit_free else 0
+    return _Seed(_lift_scalar_coeffs(generic_char_poly(a, unit_free).coeffs),
+                 [{i: a.field.one} for i in range(a.dim)],
+                 lambda mults: partial(_xp_gamma_mult, mults, first=first))
+
+
+def _point_seed(a: StructureAlgebra, points) -> _Seed:
     """Divisibility imposed at the given points of A only: the same
     division, run on the characteristic polynomial P_p of each point p, with
     coefficients keyed by the index of p instead of by X-monomial.
     Evaluating the generic remainder at X = p gives the same rows, but needs
     the symbolic P, which is far larger.  `points` is read once, so it may
     be a generator."""
-
-    def __init__(self, a: StructureAlgebra, points):
-        self.fieldh = a.field
-        points = list(points)
-        self.times_gamma = partial(
-            _xp_point_mult, [stride_multiplier(a, p, 1) for p in points])
-        self._start(_point_char_coeffs(a, points))
+    points = list(points)
+    polys = [char_poly(a, p) for p in points]
+    coeffs = [{j: {0: c[k]} for j, c in enumerate(polys) if c[k]}
+              for k in range(a.dim + 1)]
+    return _Seed(coeffs, points, lambda mults: partial(_xp_point_mult, mults))
 
 
 # ---------------------------------------------------------------------------
@@ -320,12 +299,12 @@ def m_closure(a: StructureAlgebra, m: int) -> ClosureResult:
     t0 = time.perf_counter()
     if m < 0:
         raise ValueError("m must be nonnegative")
-    return _closure(a, m, "general", _GeneralSchedule, t0)
+    return _closure(a, m, "general", _generic_seed, t0)
 
 
-def _closure(a, m, method, make_schedule, t0):
-    """The m-closure seeded by the schedule `make_schedule(a)`; `method`
-    only names it in the result."""
+def _closure(a, m, method, make_seed, t0):
+    """The m-closure seeded by `make_seed(a)`; `method` only names it in
+    the result."""
     n = a.dim
     limit = power_budget()
     # a result carries m maps of n rows; the zero algebra (n = 0) still m maps
@@ -341,7 +320,7 @@ def _closure(a, m, method, make_schedule, t0):
         closure = a
         maps = [AlgebraMap(a, a, [{i: a.field.one} for i in range(n)])]
     else:
-        return _staged_closure(a, m, method, make_schedule, t0, limit)
+        return _staged_closure(a, m, method, make_seed, t0, limit)
     return ClosureResult(input_algebra=a, m=m, method=method, closure=closure,
                          maps=maps, started=t0)
 
@@ -412,19 +391,26 @@ def _stage_multipliers(pair: TensorPairAlgebra, generators, maps):
     return out
 
 
-def _staged_closure(a, m, method, make_schedule, t0, limit):
+def _staged_closure(a, m, method, make_seed, t0, limit):
     """Quotient one slot at a time.
 
-    Stage s works in D = C x A where C is the closure after s-1 slots; the
-    schedule's seed rows generate the slot-s relations there, and the
-    quotient of D by the ideal they generate is the closure after s slots.
-    The ideal of stage n is the kernel of the trace map, inserted directly.
+    Stage s works in D = C x A where C is the closure after s-1 slots: it
+    divides the seed's running quotient, carried in C, by (Z - gamma_s),
+    and the remainder's rows generate the slot-s relations.  The quotient
+    of D by the ideal they generate is the closure after s slots.  The
+    ideal of stage n is the kernel of the trace map, inserted directly.
     Every structural map of the result is checked to be a ring morphism.
     """
     fieldh = a.field
     n = a.dim
     one = fieldh.one
-    schedule = make_schedule(a)
+    seed = make_seed(a)
+    # gamma_s acts on the last tensor digit, of A and of every C x A; the
+    # slot-1 remainder, in A itself, is the Cayley-Hamilton identity
+    times = seed.times([stride_multiplier(a, x, 1) for x in seed.elements])
+    zc, rem = _synthetic_divide(fieldh, seed.coeffs, times)
+    if any(rem.values()):
+        raise CertificateFailure("Cayley-Hamilton remainder is nonzero")
     generators = [vec for _, vec in a.generator_elements()]
 
     current = a
@@ -437,7 +423,9 @@ def _staged_closure(a, m, method, make_schedule, t0, limit):
             raise BudgetExceeded(
                 f"stage {s} width {current.dim * n} exceeds the budget {limit}")
         pair = TensorPairAlgebra(current, a)
-        rows = schedule.stage(pair.embed_left)
+        zc, rem = _synthetic_divide(
+            fieldh, [_xp_map(coeff, pair.embed_left) for coeff in zc], times)
+        rows = _rows_of(rem)
         stage_generators.append(sum(1 for r in rows if r))
         if s == n:
             span = _last_stage_span(
@@ -450,8 +438,8 @@ def _staged_closure(a, m, method, make_schedule, t0, limit):
                                      for row in mp.rows])
                 for mp in maps]
         maps.append(AlgebraMap(a, quot, [quot.project({i: one}) for i in range(n)]))
-        if s < m:             # the last stage's state is never used
-            schedule.project(quot.project)
+        if s < m:             # the last running quotient is never used
+            zc = [_xp_map(coeff, quot.project) for coeff in zc]
         current = quot
         stage_dims.append(current.dim)
         stage_ms.append((time.perf_counter() - t0) * 1e3)
@@ -490,10 +478,10 @@ def naive_closure(a: StructureAlgebra, m: int) -> ClosureResult:
     q = fieldh.order
     if q ** (n - 1) > NAIVE_ENUM_LIMIT:
         raise BudgetExceeded(f"naive enumeration {q}^{n - 1} is too large")
-    # a generator: m = 1 builds no schedule, so it enumerates nothing
+    # a generator: m = 1 builds no seed, so it enumerates nothing
     points = ({i: c for i, c in enumerate(tail, start=1) if c} for tail in
               itertools.product(list(fieldh.elements()), repeat=n - 1))
-    return _closure(a, m, "naive", partial(_PointSchedule, points=points), t0)
+    return _closure(a, m, "naive", partial(_point_seed, points=points), t0)
 
 
 # ---------------------------------------------------------------------------
@@ -664,28 +652,23 @@ def galois_factor_count(parts) -> int:
 # divisibility certificate
 
 
-def slot_remainders(a: StructureAlgebra, slot_mults, unit_free: bool = True):
-    """Remainders of the chain of divisions of P by (Z - gamma_1),
-    (Z - gamma_2), ..., where slot_mults[s][i] multiplies by the slot-s image
-    of e_i (stride_multiplier operators).  With `unit_free`, the chain of P'
-    by the (Z - gamma'_s) instead, which leaves the same remainders when
-    every slot is unital (see the module docstring); slot_mults[s][0] is
-    then never used."""
-    fieldh = a.field
-    first = 1 if unit_free else 0
-    zc = _lift_scalar_coeffs(generic_char_poly(a, unit_free=unit_free).coeffs)
+def slot_remainders(a: StructureAlgebra, seed: _Seed, slot_mults):
+    """Remainders of the seed's chain of divisions by (Z - gamma_1),
+    (Z - gamma_2), ..., where slot_mults[s][j] multiplies by the slot-s image
+    of seed.elements[j] (stride_multiplier operators)."""
+    zc = seed.coeffs
     for mults in slot_mults:
-        zc, rem = _synthetic_divide(fieldh, zc,
-                                    partial(_xp_gamma_mult, mults, first=first))
+        zc, rem = _synthetic_divide(a.field, zc, seed.times(mults))
         yield rem
 
 
-def _slot_multipliers(result: ClosureResult, elements):
-    """mults[s][j] multiplies the closure by map_s(elements[j]), one list
-    per slot."""
+def _closure_remainders(result: ClosureResult, seed: _Seed):
+    """The seed's slot remainders with coefficients in the closure, slot s
+    multiplying by the images of seed.elements under map_s."""
     c = result.closure
-    return [[stride_multiplier(c, mp.apply_dict(x), 1) for x in elements]
-            for mp in result.maps[:result.m]]
+    slot_mults = [[stride_multiplier(c, mp.apply_dict(x), 1)
+                   for x in seed.elements] for mp in result.maps[:result.m]]
+    return slot_remainders(result.input_algebra, seed, slot_mults)
 
 
 def divides_check(result: ClosureResult) -> dict:
@@ -709,8 +692,7 @@ def divides_check(result: ClosureResult) -> dict:
         if not mp.is_unital():
             raise CertificateFailure(f"structural map {s + 1} is not unital")
     # the multipliers by map_s(e_0) are built lazily and never applied
-    basis = [{i: c.field.one} for i in range(a.dim)]
-    for s, rem in enumerate(slot_remainders(a, _slot_multipliers(result, basis))):
+    for s, rem in enumerate(_closure_remainders(result, _generic_seed(a))):
         if any(rem.values()):
             raise CertificateFailure(
                 f"slot {s + 1} remainder is nonzero in the closure")
@@ -721,13 +703,9 @@ def _points_divide(result: ClosureResult, points) -> bool:
     """Whether, in the closure, the product of (Z - map_s(q)) over the
     slots divides the characteristic polynomial of q, for each given point
     q of A: the chain of divisions of divides_check, run at X = q."""
-    zc = _point_char_coeffs(result.input_algebra, points)
-    for mults in _slot_multipliers(result, points):
-        zc, rem = _synthetic_divide(result.field, zc,
-                                    partial(_xp_point_mult, mults))
-        if any(rem.values()):
-            return False
-    return True
+    seed = _point_seed(result.input_algebra, points)
+    return not any(any(rem.values())
+                   for rem in _closure_remainders(result, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -851,8 +829,7 @@ def _point_seeded_closure(a: StructureAlgebra) -> ClosureResult:
     seeds = [_random_point(rng, a)]
     rounds = 1
     while True:
-        result = _closure(a, 2, "points", partial(_PointSchedule, points=seeds),
-                          t0)
+        result = _closure(a, 2, "points", partial(_point_seed, points=seeds), t0)
         checks = [_random_point(rng, a) for _ in range(POINT_CHECKS)]
         if _points_divide(result, checks):
             result.miss_bound = rounds * ((a.dim - 1) / a.field.p) ** POINT_CHECKS

@@ -14,6 +14,7 @@ Berkowitz characteristic polynomial.
 from __future__ import annotations
 
 import itertools
+import os
 from heapq import heapify, heappop, heappush
 
 from .arith import Field, PrimeField
@@ -554,12 +555,9 @@ class TensorPairAlgebra(StructureAlgebra):
 
     @property
     def labels(self):
-        return [self.pair_label(i) for i in range(self.dim)]
+        return [self.label(i) for i in range(self.dim)]
 
-    def label(self, i: int):
-        return self.pair_label(i)
-
-    def pair_label(self, index):
+    def label(self, index: int):
         u, i = divmod(index, self.n)
         llabel = self.left.label(u)
         if not isinstance(llabel, tuple):
@@ -789,7 +787,6 @@ DEFAULT_POWER_BUDGET = 20_000
 def power_budget() -> int:
     """Cap on the width of any staged product, from CLOSURELAB_BUDGET when
     set."""
-    import os
     raw = os.environ.get("CLOSURELAB_BUDGET")
     return int(raw) if raw else DEFAULT_POWER_BUDGET
 

@@ -13,7 +13,7 @@ from .closure import (base_change_presentation, closure_from_presentation,
                       m_closure, monogenic_algebra, monogenic_tower,
                       naive_closure, product_formula_dim,
                       reconstructed_last_map, slot_remainders,
-                      transform_monic)
+                      transform_monic, _generic_seed)
 from .finalg import (PolyOps, algebra_from_presentation,
                      algebra_product, berkowitz_charpoly, char_poly,
                      stride_multiplier, vec_add_into)
@@ -356,7 +356,7 @@ def suite_generators(seed=DEFAULT_SEED):
     gamma' = gamma - X_1, leave the same slot remainders in the tensor
     cube of A (square for n = 2), for the dimension-up-to-5 catalog and a
     few non-local algebras: the shift identity behind the production
-    schedule."""
+    seed."""
     out = []
     algebras = [(entry.name, entry.algebra()) for entry in table1_entries()]
     algebras += [(text, algebra_from_presentation(parse_presentation(text)))
@@ -366,8 +366,8 @@ def suite_generators(seed=DEFAULT_SEED):
         one = a.field.one
         slots = [[stride_multiplier(a, {i: one}, stride) for i in range(n)]
                  for stride in reversed([n ** s for s in range(min(n, 3))])]
-        full = list(slot_remainders(a, slots, unit_free=False))
-        shifted = list(slot_remainders(a, slots))
+        full = list(slot_remainders(a, _generic_seed(a, unit_free=False), slots))
+        shifted = list(slot_remainders(a, _generic_seed(a), slots))
         _check(out, f"{name}: gamma and gamma - X1 leave the same slot remainders",
                full == shifted,
                f"{sum(map(len, full))} vs {sum(map(len, shifted))} remainder terms")

@@ -386,6 +386,19 @@ def test_divides_check_rejects_a_repeated_map(text):
         divides_check(result)
 
 
+@pytest.mark.parametrize("text", ["Q[x]/(x^3-x-1)", "Q[x,y]/(x^2-x, y^3)"])
+def test_points_divide_rejects_a_repeated_map(monkeypatch, text):
+    monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
+    result, _ = closure_from_presentation(parse_presentation(text), 2)
+    assert result.method == "points"
+    rng = random.Random(5)
+    points = [closure_module._random_point(rng, result.input_algebra)
+              for _ in range(2)]
+    assert closure_module._points_divide(result, points)
+    result.maps[1] = result.maps[0]
+    assert not closure_module._points_divide(result, points)
+
+
 def test_divides_check_vacuous_cases():
     a = alg("Q[x]/(x^2)")
     assert divides_check(m_closure(a, 0))["mode"] == "vacuous"
@@ -859,9 +872,48 @@ def test_explicit_zero_coordinate_in_a_point():
     assert times({0: 1}) == {2: 1}
     for point in ({1: 0, 2: 1}, {2: 1}):
         res = closure_module._closure(
-            a, 2, "points", functools.partial(closure_module._PointSchedule,
+            a, 2, "points", functools.partial(closure_module._point_seed,
                                               points=[point]), time.perf_counter())
         assert res.dim == 6
+
+
+def _at_point(fieldh, xp, point):
+    """An X-polynomial with vector coefficients evaluated at X = point."""
+    out = {}
+    for mono, vec in xp.items():
+        c = fieldh.one
+        for i, e in enumerate(mono):
+            for _ in range(e):
+                c = fieldh.mul(c, point.get(i, fieldh.zero))
+        if c:
+            vec_add_into(fieldh, out, vec, c)
+    return out
+
+
+@pytest.mark.parametrize("text", ["Q[x]/(x^3-x-1)", "Q[x,y]/(x^2-x, y^3)",
+                                  "F7[x,y]/(x^2, y^2)", "GF(2,2)[x]/(x^3+t*x+1)",
+                                  "Q[x,y]/(x^2, y^3)", "F101[x]/(x^4-2)"])
+def test_point_remainders_are_the_generic_ones_at_the_points(text):
+    # what the point seed rests on: the chain run on the characteristic
+    # polynomial of q leaves the generic chain's remainders at X = q.  The
+    # slots are those of A x A: slot 1 on the left digit (stride n), slot 2
+    # on the right one (stride 1).
+    a = alg(text)
+    fieldh, n = a.field, a.dim
+    rng = random.Random(3)
+    points = [sparse([fieldh.random_element(rng) for _ in range(n)])
+              for _ in range(3)]
+
+    def remainders(seed):
+        slots = [[finalg_module.stride_multiplier(a, x, stride)
+                  for x in seed.elements] for stride in (n, 1)]
+        return list(closure_module.slot_remainders(a, seed, slots))
+
+    generic = remainders(closure_module._generic_seed(a))
+    at_points = remainders(closure_module._point_seed(a, points))
+    assert not any(generic[0].values()) and not any(at_points[0].values())
+    for j, q in enumerate(points):
+        assert at_points[1].get(j, {}) == _at_point(fieldh, generic[1], q)
 
 
 def test_fresh_points_carry_the_point_seeded_result(monkeypatch):
