@@ -26,6 +26,12 @@ the characteristic polynomial of each of a given set of points of A; the
 naive closure takes as points the coset representatives of A modulo
 constants.
 
+At s = n the trace forces the last map, so the n-closure is the
+(n-1)-closure C with one more map (Bhargava-Satriano, JEMS 2014).  The
+result stores that pair; the canonical quotient of C x A, whose basis
+and maps the outputs print, is built only when the result's `closure` or
+`maps` is read.
+
 The default modular mode closes a non-local A at m = 2 from random points
 instead (`closure_from_presentation`): P' there is large, while the stage
 ideal is spanned by the remainder at a few points.  One random point
@@ -246,27 +252,58 @@ def _point_seed(a: StructureAlgebra, points) -> _Seed:
 # closure results
 
 
+class _StoredPair:
+    """The `closure` and `maps` fields of a ClosureResult.  The value lives
+    in `_closure` / `_maps`, which the pipeline and the certificate read.
+    Reading or assigning either field first runs the result's pending
+    canonical build, if it has one (m = n, `_staged_closure`), so the two
+    stay one pair.  Class access raises AttributeError, which makes the
+    dataclass field a required one."""
+
+    def __set_name__(self, owner, name):
+        self.slot = "_" + name
+
+    def __get__(self, result, owner=None):
+        if result is None:
+            raise AttributeError(self.slot)
+        result._canonicalize()
+        return result.__dict__[self.slot]
+
+    def __set__(self, result, value):
+        result._canonicalize()
+        result.__dict__[self.slot] = value
+
+
 @dataclass
 class ClosureResult:
     input_algebra: StructureAlgebra
     m: int
     method: str                 # general | naive | points
-    closure: StructureAlgebra
-    maps: list
+    closure: StructureAlgebra = _StoredPair()
+    maps: list = _StoredPair()
     stage_dims: tuple = ()      # closure dimension after each stage
     stage_generators: tuple = ()  # nonzero seed rows of each stage
     stage_ms: tuple = ()        # ms since `started` at the end of each stage
     started: float = 0.0        # time.perf_counter() when the run began
     miss_bound: float | None = None  # point seeds: chance the dim is too large
+    # builds the canonical (closure, maps) that replace the stored pair
+    _canonical: object = dataclass_field(default=None, init=False,
+                                         repr=False, compare=False)
+
+    def _canonicalize(self):
+        if self._canonical is not None:
+            self._closure, self._maps = self._canonical()
+            _verify_maps(self)
+            self._canonical = None
 
     @property
     def dim(self) -> int:
-        return self.closure.dim
+        return self._closure.dim
 
     @property
     def rank(self) -> int:
         """Dimension of the defining ideal in the m-fold tensor power."""
-        return self.input_algebra.dim ** self.m - self.closure.dim
+        return self.input_algebra.dim ** self.m - self.dim
 
     @property
     def generator_count(self) -> int:
@@ -288,7 +325,7 @@ class ClosureResult:
 
 
 def _verify_maps(result: ClosureResult):
-    for i, mp in enumerate(result.maps):
+    for i, mp in enumerate(result._maps):
         if not mp.is_ring_morphism():
             raise CertificateFailure(
                 f"structural map {i + 1} is not a ring morphism")
@@ -345,19 +382,43 @@ def reconstructed_last_map(a: StructureAlgebra, closure: StructureAlgebra,
     return AlgebraMap(a, closure, rows)
 
 
-def _last_stage_span(pair: TensorPairAlgebra, last: AlgebraMap, seeds):
-    """The slot-n ideal of C x A, C the (n-1)-closure, as the kernel of
-    c x a -> c * last(a), spanned by e_(c,i) - (c * t_i) x 1 for i >= 1 with
-    t_i = last(e_i).
+def _last_map(pair: TensorPairAlgebra, maps, seeds) -> AlgebraMap:
+    """The slot-n map of the n-closure, given C = pair.left, the
+    (n-1)-closure carrying `maps`, and the slot-n seed rows in C x A.
 
-    The kernel lies in the slot-n ideal J by the trace identity, which holds
-    in the n-closure (C x A)/J.  It is an ideal when `last` is a ring
+    Let last = reconstructed_last_map and phi: C x A -> C,
+    c x a -> c * last(a).  phi is onto, as last(1) = 1, and its kernel is
+    spanned by e_(c,i) - (c * t_i) x 1 for i >= 1, t_i = last(e_i).  The
+    kernel lies in the slot-n ideal J by the trace identity, which holds in
+    the n-closure (C x A)/J.  It is an ideal when `last` is a ring
     morphism, and it then contains J once it contains the seeds; both are
-    checked here, so the kernel is J."""
-    fieldh = pair.field
+    checked here.  So the kernel is J, and phi identifies the n-closure
+    with C, slot s < n with map_s and slot n with last."""
+    last = reconstructed_last_map(pair.right, pair.left, maps)
     if not last.is_ring_morphism():
         raise CertificateFailure("the trace map on the (n-1)-closure is not "
                                  "a ring morphism")
+    n = pair.n
+    times_t = [stride_multiplier(pair.left, row, 1) for row in last.rows]
+    for seed in seeds:
+        parts = {}              # i -> the C coefficient of e_i in seed
+        for k, v in seed.items():
+            u, i = divmod(k, n)
+            parts.setdefault(i, {})[u] = v
+        image = {}
+        for i, part in parts.items():
+            times_t[i](part, image)
+        if image:
+            raise CertificateFailure("a slot-n seed lies outside the trace kernel")
+    return last
+
+
+def _last_stage_span(pair: TensorPairAlgebra, maps, last: AlgebraMap):
+    """The canonical n-closure (C x A)/ker phi and its maps (`_last_map`),
+    built the first time a result's `closure` or `maps` is read.  The rows
+    e_(c,i) - (c * t_i) x 1 go straight into the row space: they span
+    ker phi, so the span needs no closing."""
+    fieldh = pair.field
     n = pair.n
     one = fieldh.one
     minus_one = fieldh.neg(one)
@@ -368,9 +429,21 @@ def _last_stage_span(pair: TensorPairAlgebra, last: AlgebraMap, seeds):
             row = times_t({c * n: minus_one})
             row[c * n + i] = one
             span.add(row)
-    if any(span.reduce(seed) for seed in seeds):
-        raise CertificateFailure("a slot-n seed lies outside the trace kernel")
-    return span
+    quot = QuotientAlgebra(pair, span)
+    return quot, _quotient_maps(quot, pair, maps)
+
+
+def _quotient_maps(quot: QuotientAlgebra, pair: TensorPairAlgebra, maps):
+    """The maps into C = pair.left carried into a quotient of C x A, then
+    the new slot's map a -> 1 x a."""
+    a = pair.right
+    one = a.field.one
+    out = [AlgebraMap(a, quot, [quot.project(pair.embed_left(row))
+                                for row in mp.rows])
+           for mp in maps]
+    out.append(AlgebraMap(a, quot, [quot.project({i: one})
+                                    for i in range(a.dim)]))
+    return out
 
 
 def _stage_multipliers(pair: TensorPairAlgebra, generators, maps):
@@ -397,9 +470,13 @@ def _staged_closure(a, m, method, make_seed, t0, limit):
     Stage s works in D = C x A where C is the closure after s-1 slots: it
     divides the seed's running quotient, carried in C, by (Z - gamma_s),
     and the remainder's rows generate the slot-s relations.  The quotient
-    of D by the ideal they generate is the closure after s slots.  The
-    ideal of stage n is the kernel of the trace map, inserted directly.
-    Every structural map of the result is checked to be a ring morphism.
+    of D by the ideal they generate is the closure after s slots.  Stage n
+    builds no quotient: the n-closure is C with one more map, the trace
+    map, once its checks pass (`_last_map`).  The result stores that pair;
+    its canonical quotient of C x A is built when `closure` or `maps` is
+    first read (`_last_stage_span`).  Every structural map is checked to
+    be a ring morphism: the trace map on C by `_last_map`, the others here
+    and, after the canonical build, every canonical map.
     """
     fieldh = a.field
     n = a.dim
@@ -428,19 +505,15 @@ def _staged_closure(a, m, method, make_seed, t0, limit):
         rows = _rows_of(rem)
         stage_generators.append(sum(1 for r in rows if r))
         if s == n:
-            span = _last_stage_span(
-                pair, reconstructed_last_map(a, current, maps), rows)
+            last = _last_map(pair, maps, rows)
         else:
             span = RowSpace(fieldh)
             span.close_under(rows, _stage_multipliers(pair, generators, maps))
-        quot = QuotientAlgebra(pair, span)
-        maps = [AlgebraMap(a, quot, [quot.project(pair.embed_left(row))
-                                     for row in mp.rows])
-                for mp in maps]
-        maps.append(AlgebraMap(a, quot, [quot.project({i: one}) for i in range(n)]))
-        if s < m:             # the last running quotient is never used
-            zc = [_xp_map(coeff, quot.project) for coeff in zc]
-        current = quot
+            quot = QuotientAlgebra(pair, span)
+            maps = _quotient_maps(quot, pair, maps)
+            if s < m:             # the last running quotient is never used
+                zc = [_xp_map(coeff, quot.project) for coeff in zc]
+            current = quot
         stage_dims.append(current.dim)
         stage_ms.append((time.perf_counter() - t0) * 1e3)
 
@@ -449,6 +522,9 @@ def _staged_closure(a, m, method, make_seed, t0, limit):
         stage_dims=tuple(stage_dims), stage_generators=tuple(stage_generators),
         stage_ms=tuple(stage_ms), started=t0)
     _verify_maps(result)
+    if m == n:
+        result._maps = maps + [last]
+        result._canonical = partial(_last_stage_span, pair, maps, last)
     return result
 
 
@@ -665,9 +741,9 @@ def slot_remainders(a: StructureAlgebra, seed: _Seed, slot_mults):
 def _closure_remainders(result: ClosureResult, seed: _Seed):
     """The seed's slot remainders with coefficients in the closure, slot s
     multiplying by the images of seed.elements under map_s."""
-    c = result.closure
+    c = result._closure
     slot_mults = [[stride_multiplier(c, mp.apply_dict(x), 1)
-                   for x in seed.elements] for mp in result.maps[:result.m]]
+                   for x in seed.elements] for mp in result._maps[:result.m]]
     return slot_remainders(result.input_algebra, seed, slot_mults)
 
 
@@ -684,11 +760,10 @@ def divides_check(result: ClosureResult) -> dict:
     (Z - map_s(gamma)) to (Z - map_s(gamma')).  It carries every quotient of
     one chain of divisions onto the other's and fixes the remainders, so the
     remainders of both chains vanish together."""
-    c = result.closure
-    if result.m == 0 or c.dim == 0:
+    if result.m == 0 or result.dim == 0:
         return {"certified": True, "mode": "vacuous"}
     a = result.input_algebra
-    for s, mp in enumerate(result.maps):
+    for s, mp in enumerate(result._maps):
         if not mp.is_unital():
             raise CertificateFailure(f"structural map {s + 1} is not unital")
     # the multipliers by map_s(e_0) are built lazily and never applied

@@ -55,7 +55,8 @@ def determinant_expansion(matrix, ops):
 
 def suite_trivial(seed=DEFAULT_SEED):
     """m = 0, 1, n-1 = n, > n identities plus non-vanishing, over the
-    dimension-up-to-5 catalog; every computed closure is certified."""
+    dimension-up-to-5 catalog; every computed closure is certified, and so
+    is the canonical m = n quotient once it is read."""
     out = []
     for entry in table1_entries():
         a = entry.algebra()
@@ -81,6 +82,15 @@ def suite_trivial(seed=DEFAULT_SEED):
             cert = divides_check(res)
             _check(out, f"{entry.name}: divisibility certificate at m={m}",
                    cert.get("certified", False), cert.get("mode", ""))
+        # at m = n the result stores the (n-1)-closure with the trace map;
+        # reading `closure` builds the canonical quotient of C x A
+        stored = rn.dim
+        canonical = rn.closure.dim
+        cert = divides_check(rn)
+        _check(out, f"{entry.name}: canonical quotient at m=n has the stored dim "
+                    f"and is certified",
+               canonical == stored and cert.get("certified", False),
+               f"{canonical} vs {stored}")
     return out
 
 

@@ -328,6 +328,75 @@ def test_last_stage_rejects_a_wrong_last_map(monkeypatch):
             assert m_closure(a, a.dim - 1).dim > 0     # earlier stages unaffected
 
 
+def test_last_stage_rejects_a_seed_outside_the_trace_kernel(monkeypatch):
+    # 1 x x, column 1 of C x A, goes to last(x) != 0 under c x a -> c*last(a)
+    checked = closure_module._last_map
+
+    def with_mutant(pair, maps, seeds):
+        return checked(pair, maps, seeds + [{1: pair.field.one}])
+
+    monkeypatch.setattr(closure_module, "_last_map", with_mutant)
+    for text in ("Q[x]/(x^2)", "Q[x]/(x^3)", "F3[x,y]/(x^2, y^2)",
+                 "Q[x,y]/(x^2 - x, y^2)"):
+        a = alg(text)
+        with pytest.raises(CertificateFailure, match="outside the trace kernel"):
+            m_closure(a, a.dim)
+
+
+def _record_quotients(monkeypatch):
+    """The widths of the algebras that the pipeline builds quotients of."""
+    widths = []
+
+    class Recorded(closure_module.QuotientAlgebra):
+        def __init__(self, parent, span):
+            widths.append(parent.dim)
+            super().__init__(parent, span)
+
+    monkeypatch.setattr(closure_module, "QuotientAlgebra", Recorded)
+    return widths
+
+
+@pytest.mark.parametrize("text", ["Q[x]/(x^2)", "Q[x]/(x^3)",
+                                  "Q[x,y]/(x^2, y^2)", "F2[x,y]/(x^2, y^2)",
+                                  "Q[x]/(x^3-x-1)"])
+def test_last_stage_builds_the_canonical_quotient_once_when_read(monkeypatch, text):
+    widths = _record_quotients(monkeypatch)
+    a = alg(text)
+    n = a.dim
+    result = m_closure(a, n)
+    # stage s quotients a pair of width stage_dims[s - 2] * n
+    pair_widths = [d * n for d in result.stage_dims[:-1]]
+    assert widths == pair_widths[:-1]
+    assert result.dim == result.stage_dims[-1] == result.stage_dims[-2]
+    assert result.rank == n ** n - result.dim
+    assert result.generator_count == sum(result.stage_generators)
+    assert divides_check(result)["certified"]
+    assert widths == pair_widths[:-1]
+    closure, maps = result.closure, result.maps
+    assert widths == pair_widths
+    assert result.closure is closure and result.maps is maps
+    assert widths == pair_widths
+    assert closure.dim == result.dim and len(maps) == n
+    assert divides_check(result)["certified"]
+
+
+def test_m_equals_n_records_build_no_canonical_quotient(monkeypatch, capsys):
+    from closurelab.catalog import load_manifest
+    from closurelab.cli import main
+    widths = _record_quotients(monkeypatch)
+    # every Table 1 row runs to m = n: stages 2 .. n - 1 build quotients
+    assert main(["table", "--manifest", "table1.json", "--json"]) == 0
+    assert len(widths) == sum(e.algebra().dim - 2
+                              for e in load_manifest("table1.json"))
+    del widths[:]
+    close = ["close", "--algebra", "Q[x,y]/(x^2, y^2)", "--m", "4"]
+    capsys.readouterr()
+    assert main(close) == 0 and capsys.readouterr().out == "dim = 26\n"
+    assert widths == [16, 52]
+    assert main(close + ["--emit", "full"]) == 0
+    assert widths == [16, 52, 16, 52, 104]
+
+
 def test_last_map_is_trace_minus_the_others():
     a = alg("Q[x,y]/(x^2, y^2 - x)")
     res = m_closure(a, a.dim - 1)
