@@ -8,8 +8,8 @@ variant, monogenic towers, and the monic-polynomial transform.
 """
 
 from .arith import GF, QQ, Field, field_from_order, is_prime, next_prime
-from .catalog import (ManifestEntry, catalog_entries, load_manifest,
-                      manifest_path, table1_entries, table2_entries)
+from .catalog import (ManifestEntry, load_manifest, manifest_path,
+                      table1_entries, table2_entries)
 from .closure import (ClosureResult, GenericCharData, TowerDescription,
                       base_change_presentation, closure_from_presentation,
                       divides_check, etale_closure_dim, galois_factor_count,
@@ -19,8 +19,7 @@ from .closure import (ClosureResult, GenericCharData, TowerDescription,
 from .finalg import (AlgebraMap, QuotientAlgebra, RowSpace,
                      StructureAlgebra, TableAlgebra, TensorPairAlgebra,
                      algebra_from_presentation, algebra_product,
-                     berkowitz_charpoly, char_poly, ideal_subspace_dim,
-                     mult_matrix)
+                     berkowitz_charpoly, char_poly, mult_matrix)
 from .groebner import GroebnerBasis, buchberger, normal_form, standard_monomials
 from .multipoly import (AlgebraPresentation, Monomial, MultiPoly, PolyRing,
                         parse_poly, parse_presentation, parse_univariate)

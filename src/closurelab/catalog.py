@@ -76,8 +76,3 @@ def table1_entries():
 
 def table2_entries():
     return load_manifest("table2.json")
-
-
-def catalog_entries():
-    """Every bundled algebra, Table 1 first."""
-    return table1_entries() + table2_entries()

@@ -46,10 +46,10 @@ def vec_add_into(field, target, vec, c=None):
 
 
 # ---------------------------------------------------------------------------
-# span kernels: the inner loops of reduction and of the multiplication
-# operator, one class per field kind, chosen when a row space or an operator
-# is built.  The generic kernel calls the field's methods and is the oracle
-# for the others.
+# span kernels: the inner loops of reduction and of the one sparse operator
+# (multiplication by an element, projection onto a quotient), one class per
+# field kind, chosen when a row space or an operator is built.  The generic
+# kernel calls the field's methods and is the oracle for the others.
 
 
 class GenericKernel:
@@ -91,20 +91,21 @@ class GenericKernel:
         mul = field.mul
         return {k: mul(c, v) for k, v in row.items()}
 
-    add_into = staticmethod(vec_add_into)
-
     @staticmethod
-    def multiplier(factor, vec, stride):
-        """stride_multiplier(factor, vec, stride) with this kernel."""
-        cols = _Columns(factor, vec, stride)
-        size = factor.dim
-        mul = factor.field.mul
-        add = factor.field.add
+    def operator(field, cols, stride, size):
+        """`apply(w, out=None)` over lazily filled columns: a term c*e_col
+        of w, c nonzero, adds c times column a = col // stride % size, a
+        sequence of (offset, nonzero scalar), at col - a*stride + offset.
+        It adds into `out` when given, and returns it."""
+        mul = field.mul
+        add = field.add
 
         def apply(w, out=None):
             if out is None:
                 out = {}
             for col, c in w.items():
+                if not c:
+                    continue
                 a = col // stride % size
                 base = col - a * stride
                 for offset, pc in cols[a]:
@@ -160,30 +161,15 @@ class PrimeKernel:
         return {k: c * v % p for k, v in row.items()}
 
     @staticmethod
-    def add_into(field, target, vec, c):
-        """vec_add_into with c nonzero."""
+    def operator(field, cols, stride, size):
         p = field.p
-        for k, v in vec.items():
-            if k in target:
-                s = (target[k] + c * v) % p
-                if s:
-                    target[k] = s
-                else:
-                    del target[k]
-            else:
-                target[k] = c * v % p
-        return target
-
-    @staticmethod
-    def multiplier(factor, vec, stride):
-        cols = _Columns(factor, vec, stride)
-        size = factor.dim
-        p = factor.field.p
 
         def apply(w, out=None):
             if out is None:
                 out = {}
             for col, c in w.items():
+                if not c:
+                    continue
                 a = col // stride % size
                 base = col - a * stride
                 for offset, pc in cols[a]:
@@ -403,12 +389,6 @@ class StructureAlgebra:
         return [(self.label_str(i), {i: self.field.one})
                 for i in range(1, self.dim)]
 
-    def generator_multipliers(self):
-        """Multiplier callables whose closure generates the action of the
-        whole algebra on any subspace."""
-        return [stride_multiplier(self, vec, 1)
-                for _, vec in self.generator_elements()]
-
     def label(self, i: int):
         return self.labels[i]
 
@@ -449,22 +429,15 @@ def _label_to_str(label):
 
 
 class _Columns(dict):
-    """Columns of multiplication by a fixed factor element, each computed
-    the first time it is looked up: column a lists (k*stride, c) for the
-    terms c*e_k of vec*e_a."""
+    """Lazy column cache of an operator: column a is fill(a), a tuple of
+    (offset, nonzero scalar), computed on first lookup and then kept."""
 
-    def __init__(self, factor: StructureAlgebra, vec: dict, stride: int):
+    def __init__(self, fill):
         super().__init__()
-        self.factor = factor
-        self.terms = tuple(vec.items())
-        self.stride = stride
+        self.fill = fill
 
     def __missing__(self, a):
-        factor = self.factor
-        col = {}
-        for i, c in self.terms:
-            vec_add_into(factor.field, col, factor.basis_product(i, a), c)
-        out = self[a] = [(k * self.stride, v) for k, v in col.items()]
+        out = self[a] = self.fill(a)
         return out
 
 
@@ -472,18 +445,26 @@ def stride_multiplier(factor: StructureAlgebra, vec: dict, stride: int):
     """Multiplication by a factor element on one digit of a tensor basis.
 
     A basis index decomposes as base + a*stride with a = index // stride %
-    factor.dim the factor digit; the product replaces e_a by vec*e_a.  The
-    column for e_a is computed on first use and kept for the life of the
-    operator.  The right factor of a pair is the digit of stride 1, the
-    left one the digit of stride right.dim; on the factor itself, stride 1
-    is plain multiplication by vec.
+    factor.dim the factor digit; the product replaces e_a by vec*e_a, so
+    column a of the kernel's operator lists (k*stride, c) for the terms
+    c*e_k of vec*e_a.  The right factor of a pair is the digit of stride 1,
+    the left one the digit of stride right.dim; on the factor itself,
+    stride 1 is plain multiplication by vec.
 
     The operator is `apply(w, out=None)`: it adds the product into `out`
     when given, and returns it.  Zero coefficients of vec are dropped, so
-    a kernel may take every column entry to be nonzero.
+    every column entry is nonzero.
     """
-    vec = {k: c for k, c in vec.items() if c}
-    return kernel_for(factor.field).multiplier(factor, vec, stride)
+    field = factor.field
+    terms = [(k, c) for k, c in vec.items() if c]
+
+    def fill(a):
+        col = {}
+        for i, c in terms:
+            vec_add_into(field, col, factor.basis_product(i, a), c)
+        return tuple([(k * stride, v) for k, v in col.items()])
+
+    return kernel_for(field).operator(field, _Columns(fill), stride, factor.dim)
 
 
 class TableAlgebra(StructureAlgebra):
@@ -585,11 +566,12 @@ class TensorPairAlgebra(StructureAlgebra):
 class QuotientAlgebra(StructureAlgebra):
     """Quotient of a parent algebra by a multiplier-closed row space.
 
-    Reduction modulo the span is linear, so `project` combines the normal
-    forms of the parent basis columns a vector has.  The normal form of a
-    column is reduced once, the first time the column is projected, and
-    kept for the quotient's life: products, map images and certificate
-    columns meet the same columns again and again.
+    Reduction modulo the span is linear, so `project` is the span kernel's
+    operator over the normal forms of the parent basis columns, in
+    quotient indices.  The normal form of a column is reduced once, the
+    first time the column is projected, and kept in `_forms` for the
+    quotient's life: products, map images and certificate columns meet the
+    same columns again and again.
     """
 
     def __init__(self, parent: StructureAlgebra, span: RowSpace):
@@ -601,12 +583,20 @@ class QuotientAlgebra(StructureAlgebra):
         self.dim = len(self.basis_cols)
         self.col_to_index = {c: i for i, c in enumerate(self.basis_cols)}
         self._products = {}     # (i, j), i <= j -> e_i e_j in the quotient
-        self._forms = {}        # parent column -> its normal form
         if self.dim and self.basis_cols[0] != 0:
             # the identity column was absorbed into the span: unit ideal
             self.basis_cols = []
             self.dim = 0
             self.col_to_index = {}
+        # a closure over the span, not a method of the quotient: no cycle
+        col_to_index, one = self.col_to_index, self.field.one
+
+        def fill(c):
+            form = span.reduce({c: one})
+            return tuple([(col_to_index[k], w) for k, w in form.items()])
+
+        self._forms = _Columns(fill)    # parent column -> its form, ((index, c), ...)
+        self._project = span.kernel.operator(self.field, self._forms, 1, parent.dim)
 
     @property
     def labels(self):
@@ -623,19 +613,7 @@ class QuotientAlgebra(StructureAlgebra):
         combination of the normal forms of its columns."""
         if not self.dim:
             return {}
-        field = self.field
-        add_into = self.span.kernel.add_into
-        forms = self._forms
-        out = {}
-        for c, v in parent_vec.items():
-            if v:
-                form = forms.get(c)
-                if form is None:
-                    form = forms[c] = {
-                        self.col_to_index[k]: w
-                        for k, w in self.span.reduce({c: field.one}).items()}
-                add_into(field, out, form, v)
-        return out
+        return self._project(parent_vec)
 
     def basis_product(self, i, j):
         key = (i, j) if i <= j else (j, i)
@@ -809,10 +787,3 @@ def char_poly(a: StructureAlgebra, vec: dict) -> list:
     characteristic."""
     return berkowitz_charpoly(mult_matrix(a, vec), a.field)
 
-
-def ideal_subspace_dim(a: StructureAlgebra, gens):
-    """Dimension of the smallest multiplication-closed subspace containing
-    the generators (sparse dicts), with the row space that spans it."""
-    span = RowSpace(a.field)
-    span.close_under(gens, a.generator_multipliers())
-    return span.rank, span

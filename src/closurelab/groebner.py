@@ -79,15 +79,13 @@ def _s_poly(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     return a - b
 
 
-def buchberger(pres: AlgebraPresentation, pair_budget: int | None = None) -> GroebnerBasis:
+def buchberger(pres: AlgebraPresentation) -> GroebnerBasis:
     """Reduced Groebner basis of the relation ideal under grevlex.
 
     Pair selection is by sugar degree; the coprime-leading-term criterion
-    prunes useless pairs.  A configurable ceiling on processed pairs guards
-    against runaway inputs.
+    prunes useless pairs.  A ceiling of DEFAULT_PAIR_BUDGET processed pairs
+    guards against runaway inputs.
     """
-    if pair_budget is None:
-        pair_budget = DEFAULT_PAIR_BUDGET
     ring = pres.ring
     basis = []
     sugars = []
@@ -113,8 +111,9 @@ def buchberger(pres: AlgebraPresentation, pair_budget: int | None = None) -> Gro
     processed = 0
     while pairs:
         processed += 1
-        if processed > pair_budget:
-            raise BudgetExceeded(f"Buchberger pair budget {pair_budget} exceeded")
+        if processed > DEFAULT_PAIR_BUDGET:
+            raise BudgetExceeded(
+                f"Buchberger pair budget {DEFAULT_PAIR_BUDGET} exceeded")
         _, _, (i, j) = heappop(pairs)
         li, lj = leading[i], leading[j]
         if mono_lcm(li, lj) == mono_mul(li, lj):

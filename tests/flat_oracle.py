@@ -236,6 +236,15 @@ def breadth_first_close(span: RowSpace, seeds, multipliers):
     return span.rank
 
 
+def ideal_subspace_dim(a: StructureAlgebra, gens):
+    """Dimension of the smallest multiplication-closed subspace of A
+    containing the generators (sparse dicts), with the row space."""
+    span = RowSpace(a.field)
+    span.close_under(gens, [stride_multiplier(a, g, 1)
+                            for _, g in a.generator_elements()])
+    return span.rank, span
+
+
 @dataclass
 class FlatClosure:
     closure: QuotientAlgebra

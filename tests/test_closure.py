@@ -10,7 +10,7 @@ import pytest
 from closurelab import closure as closure_module
 from closurelab import finalg as finalg_module
 from closurelab.arith import GF, QQ, is_prime, next_prime
-from closurelab.catalog import catalog_entries, table1_entries
+from closurelab.catalog import table1_entries, table2_entries
 from closurelab.closure import (base_change_presentation,
                                 closure_from_presentation, divides_check,
                                 etale_closure_dim, galois_factor_count,
@@ -24,12 +24,11 @@ from closurelab.errors import (BudgetExceeded, CertificateFailure,
                                LengthMismatch, NotPrime,
                                UnsupportedField)
 from closurelab.finalg import (AlgebraMap, algebra_from_presentation,
-                               algebra_product, char_poly, ideal_subspace_dim,
-                               vec_add_into)
+                               algebra_product, char_poly, vec_add_into)
 from closurelab.multipoly import parse_presentation
 from closurelab.verify import upoly_mul
-from flat_oracle import (flat_closure, j_generators, local_generators,
-                         tensor_power)
+from flat_oracle import (flat_closure, ideal_subspace_dim, j_generators,
+                         local_generators, tensor_power)
 
 
 def alg(text):
@@ -833,7 +832,8 @@ def test_modular_prime_is_pinned(monkeypatch):
     # the hash reads str(pres), field name included; a change there would
     # move the "mod <p>" of every report
     monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
-    entries = {entry.name: entry.presentation() for entry in catalog_entries()}
+    entries = {entry.name: entry.presentation()
+               for entry in table1_entries() + table2_entries()}
     assert str(entries["(x^2 + y^4, xy)"]) == "Q[x,y]/(y^4 + x^2, x*y)"
     assert modular_prime(entries["(x^2, y^2)"]) == 837474611
     assert modular_prime(entries["(x^2 + y^4, xy)"]) == 911201129

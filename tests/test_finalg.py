@@ -12,12 +12,11 @@ from closurelab.finalg import (AlgebraMap, GenericKernel, PolyOps,
                                PrimeKernel, QuotientAlgebra, RowSpace,
                                TableAlgebra, TensorPairAlgebra,
                                algebra_from_presentation, algebra_product,
-                               berkowitz_charpoly, char_poly,
-                               ideal_subspace_dim, kernel_for, mult_matrix,
-                               stride_multiplier, vec_add_into)
+                               berkowitz_charpoly, char_poly, kernel_for,
+                               mult_matrix, stride_multiplier, vec_add_into)
 from closurelab.multipoly import PolyRing, parse_presentation
 from closurelab.verify import determinant_expansion
-from flat_oracle import breadth_first_close, tensor_power
+from flat_oracle import breadth_first_close, ideal_subspace_dim, tensor_power
 
 
 def alg(text):
@@ -300,6 +299,45 @@ def test_project_combines_cached_column_forms(field):
         assert [quot.project(vec) for vec in probes] == expected
 
 
+@pytest.mark.parametrize("field", [GF(1073741789), QQ(), GF(2, 2)],
+                         ids=str)
+def test_project_ignores_explicit_zero_coefficients(field):
+    rng = random.Random(20261019)
+    a = algebra_from_presentation(
+        base_change_presentation(parse_presentation("Q[x,y]/(x^2, y^3)"), field))
+    quot = m_closure(a, 2).closure
+    assert isinstance(quot, QuotientAlgebra) and 0 < quot.dim < quot.parent.dim
+    width = quot.parent.dim
+    # a zero coefficient is skipped before its column is reduced
+    span, reduce = quot.span, quot.span.reduce
+    span.reduce = None
+    assert [quot.project({c: field.zero}) for c in range(width)] == [{}] * width
+    span.reduce = reduce
+    for _ in range(8):
+        vec = _random_row(rng, field, width, 0.4)
+        padded = {c: vec.get(c, field.zero) for c in range(width)}
+        image = quot.project(padded)
+        assert image == quot.project(vec) and all(image.values())
+
+
+@pytest.mark.parametrize("field", [GF(7), GF(2, 2)], ids=str)
+def test_map_check_rejects_a_perturbed_row_into_a_quotient(field):
+    a = algebra_from_presentation(
+        base_change_presentation(parse_presentation("Q[x,y]/(x^2, y^2)"), field))
+    result = m_closure(a, 2)
+    quot = result.closure
+    assert isinstance(quot, QuotientAlgebra)
+    for mp in result.maps:
+        assert mp.target is quot and mp.is_ring_morphism()
+        # adding 1 to the image of a non-unit basis element keeps the map
+        # unital; e_i e_j for the perturbed j and some i <= j then breaks
+        for j in range(1, a.dim):
+            rows = list(mp.rows)
+            rows[j] = vec_add_into(field, dict(rows[j]), quot.unit())
+            bad = AlgebraMap(a, quot, rows)
+            assert bad.is_unital() and not bad.is_ring_morphism()
+
+
 def test_is_local_nilpotent():
     assert alg("Q[x,y]/((x,y)^2)").is_local_nilpotent()
     assert alg("Q[x]/(x^6)").is_local_nilpotent()
@@ -421,33 +459,53 @@ def test_prime_kernel_matches_generic_kernel(p):
     probes += [{k: f.neg(v) for k, v in row.items()} for row in fast.rows.values()]
     for vec in probes:
         assert fast.reduce(vec) == slow.reduce(vec)
-    # the multiplication operator, on both digits of the pair, alone and
-    # added into a vector it partly cancels
-    for factor, stride in ((a, pair.n), (a, 1)):
-        for _ in range(4):
-            v = _random_row(rng, f, a.dim, 0.6)
-            prime = stride_multiplier(factor, v, stride)
-            generic = GenericKernel.multiplier(factor, v, stride)
-            for _ in range(4):
-                w = _random_row(rng, f, width, 0.4)
-                out = generic(w)
-                assert prime(w) == out
-                target = {k: c for k, c in out.items() if rng.random() < 0.5}
-                target = {k: f.neg(c) for k, c in target.items()}
-                target.update(_random_row(rng, f, width, 0.2))
-                assert (prime(w, dict(target)) == generic(w, dict(target))
-                        == {k: c for k, c in _vec_sum(f, target, out).items() if c})
     # close_under: the same closed span from the same seeds
     seeds = [_random_row(rng, f, width, 0.2) for _ in range(2)]
     fast, slow = RowSpace(f), RowSpace(f)
     slow.kernel = GenericKernel
-    generic_mults = [GenericKernel.multiplier(factor, vec, stride)
-                     for factor, stride in ((a, 1), (a, pair.n))
+    generic_mults = [GenericKernel.operator(f, _stride_columns(a, vec, stride),
+                                            stride, a.dim)
+                     for stride in (1, pair.n)
                      for _, vec in a.generator_elements()]
     mults = _pair_multipliers(pair, *_pair_generators(pair))
     assert (fast.close_under(seeds, mults)
             == slow.close_under(seeds, generic_mults))
     assert fast.rows == slow.rows
+    # the operator over stride columns (both digits of the pair) and over a
+    # quotient's projection columns, each against its production caller
+    span = RowSpace(f)
+    right, left = _pair_generators(pair)
+    span.close_under(_difference_seeds(rng, pair, left[0], right[0]), mults)
+    quot = QuotientAlgebra(pair, span)
+    assert 0 < quot.dim < width
+    forms = {c: [(quot.col_to_index[k], x) for k, x in span.reduce({c: f.one}).items()]
+             for c in range(width)}
+    cases = [(quot.project, forms, 1, width)]
+    for stride in (pair.n, 1):
+        for _ in range(3):
+            v = _random_row(rng, f, a.dim, 0.6)
+            cases.append((stride_multiplier(a, v, stride),
+                          _stride_columns(a, v, stride), stride, a.dim))
+    for caller, cols, stride, size in cases:
+        prime = PrimeKernel.operator(f, cols, stride, size)
+        generic = GenericKernel.operator(f, cols, stride, size)
+        for _ in range(4):
+            # alone, and added into a vector it partly cancels
+            w = _random_row(rng, f, width, 0.4)
+            out = generic(w)
+            assert prime(w) == caller(w) == out
+            target = {k: f.neg(c) for k, c in out.items() if rng.random() < 0.5}
+            target.update(_random_row(rng, f, width, 0.2))
+            assert (prime(w, dict(target)) == generic(w, dict(target))
+                    == {k: c for k, c in _vec_sum(f, target, out).items() if c})
+
+
+def _stride_columns(factor, vec, stride):
+    """Every column of multiplication by vec on the digit of `stride`,
+    from the factor's products: {a: [(k*stride, c) for c*e_k in vec*e_a]}."""
+    one = factor.field.one
+    return {a: [(k * stride, c) for k, c in factor.mult_vec(vec, {a: one}).items()]
+            for a in range(factor.dim)}
 
 
 # -- close_under: the signature-ordered closure against the breadth-first one

@@ -1,12 +1,13 @@
 import pytest
 
+from closurelab import groebner as groebner_module
 from closurelab.errors import BudgetExceeded, NotZeroDimensional
 from closurelab.groebner import (buchberger, normal_form, standard_monomials)
 from closurelab.multipoly import parse_poly, parse_presentation
 
 
-def gb_of(text, **kw):
-    return buchberger(parse_presentation(text), **kw)
+def gb_of(text):
+    return buchberger(parse_presentation(text))
 
 
 def test_monomial_ideal_is_its_own_basis():
@@ -109,10 +110,13 @@ def test_dimension_matches_multiplication_action():
         assert len(basis_monos) == len(std)
 
 
-def test_pair_budget_counts_popped_pairs():
+def test_pair_budget_counts_popped_pairs(monkeypatch):
     # ten pairs are popped, coprime ones included, before the basis is
     # complete; one fewer allowed pair must stop the run
     text = "Q[x,y,z]/(x^2 - y*z, y^2 - x*z, z^2 - x*y, x^3)"
-    assert len(gb_of(text, pair_budget=10)) == len(gb_of(text))
+    full = len(gb_of(text))
+    monkeypatch.setattr(groebner_module, "DEFAULT_PAIR_BUDGET", 10)
+    assert len(gb_of(text)) == full
+    monkeypatch.setattr(groebner_module, "DEFAULT_PAIR_BUDGET", 9)
     with pytest.raises(BudgetExceeded):
-        gb_of(text, pair_budget=9)
+        gb_of(text)
