@@ -123,18 +123,15 @@ def is_irreducible(modulus, p: int) -> bool:
     k = len(modulus) - 1
     if k < 1:
         return False
-    x = [0, 1]
-    for i in range(1, k):
-        xi = _frobenius_power(i, modulus, p)
-        diff = [((xi[j] if j < len(xi) else 0) - (x[j] if j < len(x) else 0)) % p
-                for j in range(max(len(xi), len(x)))]
-        g = _poly_gcd(modulus, diff, p)
-        if len(g) != 1:
-            return False
-    xk = _frobenius_power(k, modulus, p)
-    diff = [(xk[j] if j < len(xk) else 0) - (x[j] if j < len(x) else 0)
-            for j in range(max(len(xk), len(x)))]
-    return not _poly_trim([d % p for d in diff])
+
+    def frobenius_minus_x(i):
+        xi = _frobenius_power(i, modulus, p) + [0, 0]
+        xi[1] -= 1
+        return _poly_trim([c % p for c in xi])
+
+    return (all(len(_poly_gcd(modulus, frobenius_minus_x(i), p)) == 1
+                for i in range(1, k))
+            and not frobenius_minus_x(k))
 
 
 # Fixed moduli for the most common small extensions (reproducible runs).

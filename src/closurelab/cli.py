@@ -258,7 +258,7 @@ def cmd_transform(args) -> int:
     if fieldh is None:
         raise UnsupportedField("transform needs a field; use Q or GF(p[,k])")
     f, var = parse_univariate(args.f, fieldh)
-    g, _ = parse_univariate(args.g, fieldh, var=None)
+    g, _ = parse_univariate(args.g, fieldh)
     if not f or f[-1] != fieldh.one:
         raise ParseError("f must be monic")
     out = transform_monic(f, g, fieldh)

@@ -564,14 +564,13 @@ def naive_closure(a: StructureAlgebra, m: int) -> ClosureResult:
 # monogenic algebras
 
 
-def monogenic_algebra(fieldh: Field, coeffs, varname: str = "x") -> TableAlgebra:
+def monogenic_algebra(fieldh: Field, coeffs) -> TableAlgebra:
     """K[x]/(f) for a monic f, basis 1, x, ..., x^(n-1)."""
     if coeffs[-1] != fieldh.one:
         raise ValueError("polynomial must be monic")
-    f = MultiPoly(PolyRing(fieldh, (varname,)),
+    f = MultiPoly(PolyRing(fieldh, ("x",)),
                   {(e,): c for e, c in enumerate(coeffs) if c})
-    return algebra_from_presentation(
-        AlgebraPresentation(fieldh, (varname,), (f,)))
+    return algebra_from_presentation(AlgebraPresentation(fieldh, ("x",), (f,)))
 
 
 def transform_monic(f_coeffs, g_coeffs, fieldh: Field):
@@ -603,8 +602,7 @@ class TowerDescription:
     maps: list = dataclass_field(default_factory=list)
 
 
-def monogenic_tower(f_coeffs, m: int, fieldh: Field | None = None,
-                    varname: str = "x") -> TowerDescription:
+def monogenic_tower(f_coeffs, m: int, fieldh: Field | None = None) -> TowerDescription:
     """Split off m roots of a monic polynomial one at a time.
 
     Stage i adjoins a root x_i of the running polynomial and divides it out,
@@ -624,7 +622,7 @@ def monogenic_tower(f_coeffs, m: int, fieldh: Field | None = None,
     if f_coeffs[-1] != fh.one:
         raise ValueError("polynomial must be monic")
 
-    names = tuple(f"{varname}{i + 1}" for i in range(m))
+    names = tuple(f"x{i + 1}" for i in range(m))
     ring = PolyRing(fh, names)
 
     def power(i, e):
@@ -695,14 +693,7 @@ def monogenic_tower(f_coeffs, m: int, fieldh: Field | None = None,
 
 def etale_closure_dim(n: int, m: int) -> int:
     """Number of injective maps from an m-set into an n-set."""
-    if m == 0:
-        return 1
-    if m > n:
-        return 0
-    out = 1
-    for i in range(m):
-        out *= n - i
-    return out
+    return math.perm(n, m)
 
 
 def product_formula_dim(dims_a, dims_b, m: int) -> int:
@@ -717,11 +708,7 @@ def product_formula_dim(dims_a, dims_b, m: int) -> int:
 def galois_factor_count(parts) -> int:
     """n!/(n_1! ... n_t!) identical tensor factors in the full closure of a
     product of algebras of dimensions n_1..n_t."""
-    n = sum(parts)
-    out = math.factorial(n)
-    for p in parts:
-        out //= math.factorial(p)
-    return out
+    return math.factorial(sum(parts)) // math.prod(map(math.factorial, parts))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from heapq import heapify, heappop, heappush
 from .arith import Field, PrimeField
 from .errors import FieldMismatch
 from .groebner import buchberger, normal_form, standard_monomials
-from .multipoly import AlgebraPresentation, PolyRing, mono_mul
+from .multipoly import AlgebraPresentation, PolyRing, mono_mul, mono_str
 
 # ---------------------------------------------------------------------------
 # sparse vectors
@@ -48,7 +48,8 @@ def vec_add_into(field, target, vec, c=None):
 # ---------------------------------------------------------------------------
 # span kernels: the inner loops of reduction and of the one sparse operator
 # (multiplication by an element, projection onto a quotient), one class per
-# field kind, chosen when a row space or an operator is built.  The generic
+# field kind, chosen when a row space or an operator is built.  An
+# operator's column entries are offsets from the input index.  The generic
 # kernel calls the field's methods and is the oracle for the others.
 
 
@@ -94,9 +95,9 @@ class GenericKernel:
     @staticmethod
     def operator(field, cols, stride, size):
         """`apply(w, out=None)` over lazily filled columns: a term c*e_col
-        of w, c nonzero, adds c times column a = col // stride % size, a
-        sequence of (offset, nonzero scalar), at col - a*stride + offset.
-        It adds into `out` when given, and returns it."""
+        of w, c nonzero, adds c times column col // stride % size, a
+        sequence of (offset, nonzero scalar), at col + offset.  It adds
+        into `out` when given, and returns it."""
         mul = field.mul
         add = field.add
 
@@ -106,10 +107,8 @@ class GenericKernel:
             for col, c in w.items():
                 if not c:
                     continue
-                a = col // stride % size
-                base = col - a * stride
-                for offset, pc in cols[a]:
-                    idx = base + offset
+                for offset, pc in cols[col // stride % size]:
+                    idx = col + offset
                     v = mul(c, pc)
                     if idx in out:
                         s = add(out[idx], v)
@@ -170,10 +169,8 @@ class PrimeKernel:
             for col, c in w.items():
                 if not c:
                     continue
-                a = col // stride % size
-                base = col - a * stride
-                for offset, pc in cols[a]:
-                    idx = base + offset
+                for offset, pc in cols[col // stride % size]:
+                    idx = col + offset
                     if idx in out:
                         s = (out[idx] + c * pc) % p
                         if s:
@@ -216,9 +213,6 @@ class RowSpace:
     @property
     def rank(self):
         return len(self.rows)
-
-    def pivots(self):
-        return set(self.rows)
 
     def reduce(self, vec: dict) -> dict:
         """Fully reduced representative of vec modulo the row space."""
@@ -430,7 +424,8 @@ def _label_to_str(label):
 
 class _Columns(dict):
     """Lazy column cache of an operator: column a is fill(a), a tuple of
-    (offset, nonzero scalar), computed on first lookup and then kept."""
+    (offset from the input column, nonzero scalar), computed on first
+    lookup and then kept."""
 
     def __init__(self, fill):
         super().__init__()
@@ -446,10 +441,11 @@ def stride_multiplier(factor: StructureAlgebra, vec: dict, stride: int):
 
     A basis index decomposes as base + a*stride with a = index // stride %
     factor.dim the factor digit; the product replaces e_a by vec*e_a, so
-    column a of the kernel's operator lists (k*stride, c) for the terms
-    c*e_k of vec*e_a.  The right factor of a pair is the digit of stride 1,
-    the left one the digit of stride right.dim; on the factor itself,
-    stride 1 is plain multiplication by vec.
+    column a of the kernel's operator lists ((k - a)*stride, c) for the
+    terms c*e_k of vec*e_a: offsets from the input index.  The right
+    factor of a pair is the digit of stride 1, the left one the digit of
+    stride right.dim; on the factor itself, stride 1 is plain
+    multiplication by vec.
 
     The operator is `apply(w, out=None)`: it adds the product into `out`
     when given, and returns it.  Zero coefficients of vec are dropped, so
@@ -462,7 +458,7 @@ def stride_multiplier(factor: StructureAlgebra, vec: dict, stride: int):
         col = {}
         for i, c in terms:
             vec_add_into(field, col, factor.basis_product(i, a), c)
-        return tuple([(k * stride, v) for k, v in col.items()])
+        return tuple([((k - a) * stride, v) for k, v in col.items()])
 
     return kernel_for(field).operator(field, _Columns(fill), stride, factor.dim)
 
@@ -567,19 +563,18 @@ class QuotientAlgebra(StructureAlgebra):
     """Quotient of a parent algebra by a multiplier-closed row space.
 
     Reduction modulo the span is linear, so `project` is the span kernel's
-    operator over the normal forms of the parent basis columns, in
-    quotient indices.  The normal form of a column is reduced once, the
-    first time the column is projected, and kept in `_forms` for the
-    quotient's life: products, map images and certificate columns meet the
-    same columns again and again.
+    operator over the normal forms of the parent basis columns, each
+    quotient index stored as its offset from the parent column.  The
+    normal form of a column is reduced once, the first time the column is
+    projected, and kept in `_forms` for the quotient's life: products, map
+    images and certificate columns meet the same columns again and again.
     """
 
     def __init__(self, parent: StructureAlgebra, span: RowSpace):
         self.parent = parent
         self.span = span
         self.field = parent.field
-        pivots = span.pivots()
-        self.basis_cols = [c for c in range(parent.dim) if c not in pivots]
+        self.basis_cols = [c for c in range(parent.dim) if c not in span.rows]
         self.dim = len(self.basis_cols)
         self.col_to_index = {c: i for i, c in enumerate(self.basis_cols)}
         self._products = {}     # (i, j), i <= j -> e_i e_j in the quotient
@@ -593,9 +588,9 @@ class QuotientAlgebra(StructureAlgebra):
 
         def fill(c):
             form = span.reduce({c: one})
-            return tuple([(col_to_index[k], w) for k, w in form.items()])
+            return tuple([(col_to_index[k] - c, w) for k, w in form.items()])
 
-        self._forms = _Columns(fill)    # parent column -> its form, ((index, c), ...)
+        self._forms = _Columns(fill)    # parent column c -> ((index - c, w), ...)
         self._project = span.kernel.operator(self.field, self._forms, 1, parent.dim)
 
     @property
@@ -688,20 +683,9 @@ def monomial_algebra(ring: PolyRing, basis, normal_form, check=True) -> TableAlg
              for i in range(n) for j in range(i, n)}
     generators = [(name, coords(tuple(int(k == v) for k in range(ring.nvars))))
                   for v, name in enumerate(ring.var_names)]
-    return TableAlgebra(ring.field, [_mono_label(ring, m) for m in basis], table,
-                        generators=generators, check=check)
-
-
-def _mono_label(ring: PolyRing, mono):
-    if not any(mono):
-        return "1"
-    parts = []
-    for name, e in zip(ring.var_names, mono):
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append(f"{name}^{e}")
-    return "*".join(parts)
+    labels = [mono_str(ring.var_names, m) or "1" for m in basis]
+    return TableAlgebra(ring.field, labels, table, generators=generators,
+                        check=check)
 
 
 def algebra_product(a: StructureAlgebra, b: StructureAlgebra):

@@ -36,6 +36,12 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
+def mono_str(var_names, mono: Monomial) -> str:
+    """`x*y^2`: the factors of a monomial, or "" for the constant one."""
+    return "*".join(name if e == 1 else f"{name}^{e}"
+                    for name, e in zip(var_names, mono) if e)
+
+
 def grevlex_key(m: Monomial):
     """Sort key; larger key means larger monomial in grevlex."""
     return (sum(m), tuple(-e for e in reversed(m)))
@@ -155,13 +161,11 @@ class MultiPoly:
         mul = self.ring.field.mul
         return MultiPoly(self.ring, {m: mul(c, v) for m, v in self.terms.items()})
 
-    def mul_monomial(self, mono: Monomial, coeff=None):
-        c = self.ring.field.one if coeff is None else coeff
-        if not c:
-            return self.ring.zero()
+    def mul_monomial(self, mono: Monomial, coeff):
+        """coeff*mono*self, for a nonzero coeff."""
         mul = self.ring.field.mul
         return MultiPoly(self.ring,
-                         {mono_mul(m, mono): mul(c, v)
+                         {mono_mul(m, mono): mul(coeff, v)
                           for m, v in self.terms.items()})
 
     def monic(self):
@@ -198,23 +202,16 @@ class MultiPoly:
         parts = []
         for m, c in self.sorted_terms():
             cs = f.format_scalar(c)
-            mono_parts = []
-            for name, e in zip(self.ring.var_names, m):
-                if e == 1:
-                    mono_parts.append(name)
-                elif e > 1:
-                    mono_parts.append(f"{name}^{e}")
+            body = mono_str(self.ring.var_names, m)
             negative = cs.startswith("-")
             if negative:
                 cs = cs[1:]
             if ("+" in cs or "-" in cs):
                 cs = f"({cs})"
-            if mono_parts:
-                body = "*".join(mono_parts)
-                if cs != "1":
-                    body = f"{cs}*{body}"
-            else:
+            if not body:
                 body = cs
+            elif cs != "1":
+                body = f"{cs}*{body}"
             parts.append(("-" if negative else "+", body))
         sign, body = parts[0]
         text = ("-" if sign == "-" else "") + body
@@ -510,32 +507,28 @@ def parse_poly(text: str, ring: PolyRing) -> MultiPoly:
     return p
 
 
-def parse_univariate(text: str, field: Field, var: str | None = None):
+def parse_univariate(text: str, field: Field):
     """Parse a univariate polynomial; returns (coeff list low->high, var name).
 
-    The variable is inferred when not given; a polynomial mentioning two
-    distinct names is rejected.  Over an extension field `t` is the field
-    generator, as in a presentation, and never the variable.
+    The variable is the one name the text mentions, `Z` when it mentions
+    none; a polynomial mentioning two distinct names is rejected.  Over an
+    extension field `t` is the field generator, as in a presentation, and
+    never the variable.
     """
     toks = _Tokens(text)
     generator = field.kind == "extension"
-    if generator and var == "t":
-        raise ParseError("'t' is reserved for the extension generator", 0)
     seen = None
     for kind, value, pos in toks.items:
         if kind == "name":
-            base = value
-            if not base.isalpha():
+            if not value.isalpha():
                 raise ParseError(f"invalid variable {value!r}", pos)
-            if generator and base == "t":
+            if generator and value == "t":
                 continue
-            if var is not None and base != var:
-                raise UnknownVariable(f"expected variable {var!r}", pos)
             if seen is None:
-                seen = base
-            elif seen != base:
-                raise ParseError(f"two variables {seen!r} and {base!r}", pos)
-    name = var or seen or "Z"
+                seen = value
+            elif seen != value:
+                raise ParseError(f"two variables {seen!r} and {value!r}", pos)
+    name = seen or "Z"
     ring = PolyRing(field, (name,))
     p = _parse_poly(_Tokens(text), ring, stop_kinds=())
     deg = p.total_degree()

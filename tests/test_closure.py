@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import hashlib
+import itertools
 import random
 import time
 from fractions import Fraction as Fr
@@ -704,6 +705,30 @@ def test_product_formula():
         product_formula_dim([1, 1], [1, 1, 0], 2)
     assert galois_factor_count([1, 1, 1]) == 6
     assert galois_factor_count([2, 3]) == 10
+
+
+def _compositions(n):
+    """Every tuple of positive parts summing to n."""
+    if not n:
+        yield ()
+    for first in range(1, n + 1):
+        for rest in _compositions(n - first):
+            yield (first,) + rest
+
+
+def test_closed_forms_count_by_brute_force():
+    for n in range(7):
+        for m in range(8):
+            assert etale_closure_dim(n, m) == \
+                sum(1 for _ in itertools.permutations(range(n), m)), (n, m)
+    for n in range(7):
+        compositions = list(_compositions(n))
+        assert len(compositions) == (2 ** (n - 1) if n else 1)
+        for parts in compositions:
+            assert sum(parts) == n and all(parts)
+            word = [i for i, size in enumerate(parts) for _ in range(size)]
+            assert galois_factor_count(parts) == \
+                len(set(itertools.permutations(word))), parts
 
 
 # -- modular orchestration

