@@ -94,7 +94,6 @@ def cmd_close(args) -> int:
     record = _set_outcome({"name": args.algebra, "m": args.m}, result.dim,
                           result.method, mode, result.generator_count,
                           result.rank, ms)
-    _add_miss_bound(record, result)
     if args.json:
         if args.emit == "full":
             record["basis"] = [result.closure.label_str(i)
@@ -138,12 +137,6 @@ def _set_outcome(record, dim, method, mode, generators, rank, ms):
     return record
 
 
-def _add_miss_bound(record, result):
-    """A point-seeded result's record says how likely its dim is too large."""
-    if result.miss_bound is not None:
-        record["miss_bound"] = result.miss_bound
-
-
 def _table_row_task(payload):
     """The records of one manifest row at the ascending `ms`, from one run
     at the largest m.  Stage s of that run is the s-closure, so a smaller m
@@ -168,7 +161,6 @@ def _table_row_task(payload):
         _set_outcome(record, result.dim, result.method, mode,
                      result.generator_count, result.rank,
                      (time.perf_counter() - t0) * 1e3)
-        _add_miss_bound(record, result)
         derive = result.strategy == "staged"
     if not derive:
         return _table_row_task((entry_dict, rest, exact)) + [record]

@@ -32,13 +32,14 @@ result stores that pair; the canonical quotient of C x A, whose basis
 and maps the outputs print, is built only when the result's `closure` or
 `maps` is read.
 
-The default modular mode closes a non-local A at m = 2 from random points
-instead (`closure_from_presentation`): P' there is large, while the stage
-ideal is spanned by the remainder at a few points.  One random point
-seeds the run, and two fresh points check it; a check that fails adds its
-points to the seeds and runs again.  Every seed lies in the true ideal, so
-the result stays an upper bound, and it is too large only if both check
-points of a round miss the rest of the ideal (Schwartz-Zippel).
+The default modular mode closes a non-local A at m = 2 from one point x
+with K[x] = A instead (`closure_from_presentation`): P' there is large,
+while A = K[Z]/(f), f the characteristic polynomial of x, makes the
+2-closure the splitting tower K[Z_1, Z_2]/(f(Z_1), f[Z_1, Z_2]), of
+dimension n(n - 1) (`monogenic_tower`).  The divided difference
+f[Z_1, Z_2] is the stage-2 remainder at x.  It lies in the stage ideal and
+already cuts A x A = K[Z_1, Z_2]/(f(Z_1), f(Z_2)) down to the tower, so it
+generates the ideal, and the result is exact over GF(p).
 """
 
 from __future__ import annotations
@@ -285,7 +286,6 @@ class ClosureResult:
     stage_generators: tuple = ()  # nonzero seed rows of each stage
     stage_ms: tuple = ()        # ms since `started` at the end of each stage
     started: float = 0.0        # time.perf_counter() when the run began
-    miss_bound: float | None = None  # point seeds: chance the dim is too large
     # builds the canonical (closure, maps) that replace the stored pair
     _canonical: object = dataclass_field(default=None, init=False,
                                          repr=False, compare=False)
@@ -761,15 +761,6 @@ def divides_check(result: ClosureResult) -> dict:
     return {"certified": True, "mode": "recomputed"}
 
 
-def _points_divide(result: ClosureResult, points) -> bool:
-    """Whether, in the closure, the product of (Z - map_s(q)) over the
-    slots divides the characteristic polynomial of q, for each given point
-    q of A: the chain of divisions of divides_check, run at X = q."""
-    seed = _point_seed(result.input_algebra, points)
-    return not any(any(rem.values())
-                   for rem in _closure_remainders(result, seed))
-
-
 # ---------------------------------------------------------------------------
 # char-0 modular mode
 
@@ -855,10 +846,6 @@ def base_change_presentation(pres: AlgebraPresentation,
     return AlgebraPresentation(target, pres.variables, tuple(rels))
 
 
-POINT_CHECKS = 2            # fresh points that test each point-seeded round
-POINT_MISS_LOG2 = 40        # a round misses with probability <= 2^-40
-
-
 def _random_point(rng: random.Random, a: StructureAlgebra) -> dict:
     """A point of A over GF(p) with no unit coordinate and the others
     uniform, zero coordinates dropped."""
@@ -866,38 +853,15 @@ def _random_point(rng: random.Random, a: StructureAlgebra) -> dict:
     return {i: c for i, c in enumerate(coords, start=1) if c}
 
 
-def _takes_point_seeds(a: StructureAlgebra, m: int) -> bool:
-    """m = 2 <= n, ((n - 1)/p)^2 <= 2^-40, and A is not local: there the
-    generic characteristic polynomial is large, and the check is sharp."""
-    n, k = a.dim, POINT_CHECKS
-    return (m == 2 <= n
-            and ((n - 1) ** k << POINT_MISS_LOG2) <= a.field.p ** k
-            and not a.is_local_nilpotent())
-
-
-def _point_seeded_closure(a: StructureAlgebra) -> ClosureResult:
-    """The 2-closure over GF(p) seeded by random points of A, drawn from
-    random.Random(p), checked at POINT_CHECKS fresh points per round.
-
-    A check point that fails joins the seeds for the next round.  Its
-    remainder lies in the true stage ideal and not in the current one, so
-    the dimension falls from round to round, and never below the true one.
-    A round that passes wrongly has both check points on the zero set of a
-    nonzero remainder, homogeneous of degree n - 1 in them: by
-    Schwartz-Zippel, probability at most ((n - 1)/p)^2.  `miss_bound` is
-    that times the rounds run."""
-    t0 = time.perf_counter()
-    rng = random.Random(a.field.p)
-    seeds = [_random_point(rng, a)]
-    rounds = 1
-    while True:
-        result = _closure(a, 2, "points", partial(_point_seed, points=seeds), t0)
-        checks = [_random_point(rng, a) for _ in range(POINT_CHECKS)]
-        if _points_divide(result, checks):
-            result.miss_bound = rounds * ((a.dim - 1) / a.field.p) ** POINT_CHECKS
-            return result
-        seeds += checks
-        rounds += 1
+def _generates(a: StructureAlgebra, x: dict) -> bool:
+    """Whether 1, x, ..., x^(n-1) span A, that is K[x] = A."""
+    times_x = stride_multiplier(a, x, 1)
+    span = RowSpace(a.field)
+    power = a.unit()
+    for _ in range(a.dim):
+        span.add(power)
+        power = times_x(power)
+    return span.rank == a.dim
 
 
 def closure_from_presentation(pres: AlgebraPresentation, m: int,
@@ -911,8 +875,9 @@ def closure_from_presentation(pres: AlgebraPresentation, m: int,
     structure constants), reduced modulo one prime (`modular_prime`,
     `reduce_mod_prime`) and closed over GF(p); the mode is "mod <p>" and
     its dimension is an upper bound for the one over Q.  A non-local A at
-    m = 2 is closed from random points (`_point_seeded_closure`) when p is
-    large enough for the check to be sharp.
+    m = 2 draws one point x from random.Random(p).  If K[x] = A, x alone
+    seeds the closure, exactly (module docstring), and the dimension must
+    be n(n - 1); otherwise A takes the symbolic seed.
     """
     if pres.field.kind != "rationals" or exact:
         algebra = algebra_from_presentation(pres)
@@ -921,6 +886,15 @@ def closure_from_presentation(pres: AlgebraPresentation, m: int,
         return result, mode
     algebra = reduce_mod_prime(algebra_from_presentation(pres), modular_prime(pres))
     mode = f"mod {algebra.field.p}"
-    if _takes_point_seeds(algebra, m):
-        return _point_seeded_closure(algebra), mode
+    if m == 2 <= algebra.dim and not algebra.is_local_nilpotent():
+        t0 = time.perf_counter()
+        x = _random_point(random.Random(algebra.field.p), algebra)
+        if _generates(algebra, x):
+            result = _closure(algebra, 2, "points",
+                              partial(_point_seed, points=[x]), t0)
+            if result.dim != math.perm(algebra.dim, 2):
+                raise CertificateFailure(
+                    f"a generating point gives dimension {result.dim}, "
+                    f"not {math.perm(algebra.dim, 2)}")
+            return result, mode
     return m_closure(algebra, m), mode

@@ -385,16 +385,19 @@ def suite_generators(seed=DEFAULT_SEED):
 
 def suite_primes(seed=DEFAULT_SEED):
     """One-prime modular closure dimensions, upper bounds for the exact
-    ones, equal them on the dimension-up-to-5 catalog."""
+    ones, equal them on the dimension-up-to-5 catalog and at m = 2 on
+    non-local inputs: two that one point closes, and one it cannot."""
+    cases = [(e.name, e.presentation(), m) for e in table1_entries()
+             for m in {2, min(3, max(e.expected))}]
+    cases += [(text, parse_presentation(text), 2)
+              for text in ("Q[x]/(x^3-x-1)", "Q[x,y]/(x^2-x, y^3)",
+                           "Q[x,y,z]/(x^2-x, y^2, z^2)")]
     out = []
-    for entry in table1_entries():
-        pres = entry.presentation()
-        n = max(entry.expected)
-        for m in {2, min(3, n)}:
-            modular, mode = closure_from_presentation(pres, m)
-            exact, _ = closure_from_presentation(pres, m, exact=True)
-            _check(out, f"{entry.name} m={m}: modular ({mode}) matches exact",
-                   modular.dim == exact.dim, f"{modular.dim} vs {exact.dim}")
+    for name, pres, m in cases:
+        modular, mode = closure_from_presentation(pres, m)
+        exact, _ = closure_from_presentation(pres, m, exact=True)
+        _check(out, f"{name} m={m}: modular ({mode}) matches exact",
+               modular.dim == exact.dim, f"{modular.dim} vs {exact.dim}")
     return out
 
 

@@ -1,10 +1,13 @@
+import functools
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
 from closurelab import cli as cli_module
+from closurelab import closure as closure_module
 from closurelab.catalog import load_manifest
 from closurelab.cli import main
 from closurelab.closure import closure_from_presentation
@@ -173,26 +176,50 @@ def test_close_json_bound():
         assert record["field"].startswith(field) and record["bound"] == bound
 
 
-def test_point_seeded_records_carry_a_miss_bound(monkeypatch, tmp_path):
-    # rounds * ((n - 1)/p)^2, only where random points seeded the run
+def test_point_seeded_records_carry_no_miss_bound(monkeypatch, tmp_path):
+    # one generating point closes the 2-closure exactly, so no record says
+    # how likely its dim is too large
     monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
     text = "Q[x,y]/(x^2-x, y^3)"
     code, out = run_cli(["close", "--algebra", text, "--m", "2", "--json"])
     record = json.loads(out[0])
-    p = int(record["field"].split()[1])
-    assert code == 0 and record["method"] == "points"
-    assert (record["dim"], record["miss_bound"]) == (30, (5 / p) ** 2)
+    assert code == 0 and (record["method"], record["dim"]) == ("points", 30)
+    assert set(record) == REPORT_KEYS
     rows = [{"name": "mixed", "field": "Q", "vars": ["x", "y"],
              "relations": ["x^2-x", "y^3"], "expected": {"1": 6, "2": 30},
              "tags": []}]
     path = tmp_path / "mixed.json"
     path.write_text(json.dumps(rows))
-    code, out = run_cli(["table", "--manifest", str(path), "--json"])
-    records = {r["m"]: r for r in map(json.loads, out)}
-    assert code == 0 and records[2]["miss_bound"] == record["miss_bound"]
-    assert "miss_bound" not in records[1]
+    code, records = _table_json(["--manifest", str(path)])
+    assert code == 0 and records[-1]["method"] == "points"
+    assert not any("miss_bound" in r for r in records)
     code, out = run_cli(["close", "--algebra", text, "--m", "3", "--json"])
     assert code == 0 and "miss_bound" not in json.loads(out[0])
+
+
+def test_another_generating_point_prints_the_same_record(monkeypatch):
+    # the canonical basis and maps depend only on the stage ideal, which
+    # every generating point gives
+    monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
+    argv = ["close", "--algebra", "Q[x,y]/(x^2-1, y^2)", "--m", "2",
+            "--emit", "full", "--json"]
+    draw = closure_module._random_point
+    points = []
+
+    def drawing(rng, a, seed):
+        points.append(draw(random.Random(seed), a))
+        return points[-1]
+
+    records = []
+    for seed in (1, 2):
+        monkeypatch.setattr(closure_module, "_random_point",
+                            functools.partial(drawing, seed=seed))
+        code, out = run_cli(argv)
+        assert code == 0
+        records.extend(_without_ms([json.loads(out[0])]))
+    assert points[0] != points[1]
+    assert records[0] == records[1]
+    assert (records[0]["method"], records[0]["generators"]) == ("points", 1)
 
 
 def test_close_budget_exit_3(monkeypatch):
@@ -444,6 +471,36 @@ def test_table_rows_once_match_per_m_records():
         assert code == 0
         assert _without_ms(records) == _without_ms(
             [r for r in table1 if min_m <= r["m"] <= max_m])
+
+
+def test_table_records_name_the_run_they_are_read_from(monkeypatch, tmp_path):
+    # a non-local row: the m = 2 close takes one point, every other m the
+    # symbolic seed.  A table record has a separate run's dim, rank, field
+    # and bound; its method and generators are those of the row's run.
+    monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
+    text = "Q[x]/(x^3-x-1)"
+    close = {}
+    for m in range(4):
+        code, out = run_cli(["close", "--algebra", text, "--m", str(m), "--json"])
+        assert code == 0
+        close[m] = json.loads(out[0])
+    assert [close[m]["method"] for m in range(4)] == \
+        ["general", "general", "points", "general"]
+    assert close[2]["generators"] == 1
+    for top, method, generators in ((3, "general", 3), (2, "points", 1)):
+        rows = [{"name": text, "field": "Q", "vars": ["x"],
+                 "relations": ["x^3-x-1"],
+                 "expected": {str(m): close[m]["dim"] for m in range(top + 1)},
+                 "tags": []}]
+        path = tmp_path / "row.json"
+        path.write_text(json.dumps(rows))
+        code, records = _table_json(["--manifest", str(path)])
+        assert code == 0 and [r["m"] for r in records] == list(range(top + 1))
+        for r in records:
+            for key in ("dim", "rank", "field", "bound"):
+                assert r[key] == close[r["m"]][key], (top, r["m"], key)
+            assert r["method"] == method
+        assert records[2]["generators"] == generators
 
 
 def _count_runs(monkeypatch):

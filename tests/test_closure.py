@@ -455,19 +455,6 @@ def test_divides_check_rejects_a_repeated_map(text):
         divides_check(result)
 
 
-@pytest.mark.parametrize("text", ["Q[x]/(x^3-x-1)", "Q[x,y]/(x^2-x, y^3)"])
-def test_points_divide_rejects_a_repeated_map(monkeypatch, text):
-    monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
-    result, _ = closure_from_presentation(parse_presentation(text), 2)
-    assert result.method == "points"
-    rng = random.Random(5)
-    points = [closure_module._random_point(rng, result.input_algebra)
-              for _ in range(2)]
-    assert closure_module._points_divide(result, points)
-    result.maps[1] = result.maps[0]
-    assert not closure_module._points_divide(result, points)
-
-
 def test_divides_check_vacuous_cases():
     a = alg("Q[x]/(x^2)")
     assert divides_check(m_closure(a, 0))["mode"] == "vacuous"
@@ -922,7 +909,6 @@ def test_point_seeds_give_the_etale_dims(monkeypatch, d):
     assert mode == f"mod {p}" and res.method == "points"
     assert res.dim == etale_closure_dim(d, 2)
     assert res.generator_count == 1 and res.stage_generators == (0, 1)
-    assert res.miss_bound == ((d - 1) / p) ** 2 <= 2 ** -40
 
 
 @pytest.mark.parametrize("text", POINT_SEED_INPUTS)
@@ -943,19 +929,12 @@ def test_point_seeds_only_at_m_2(monkeypatch):
                       ("Q[x,y]/(x^3-x, y^2)",
                        product_formula_dim(two_squares, square, 3))):
         res, _ = closure_from_presentation(parse_presentation(text), 3)
-        assert (res.method, res.dim, res.miss_bound) == ("general", dim, None)
+        assert (res.method, res.dim) == ("general", dim)
     # local inputs, --exact and finite fields keep the symbolic seeds at m = 2
     for text, exact in (("Q[x,y]/(x^2, y^3)", False), ("Q[x]/(x^3-x)", True),
                         ("F101[x]/(x^3-x)", False)):
         res, _ = closure_from_presentation(parse_presentation(text), 2, exact)
         assert res.method == "general"
-
-
-def test_small_prime_keeps_the_symbolic_seeds(monkeypatch):
-    # ((n - 1)/p)^2 = (5/5)^2 is no bound on a miss
-    monkeypatch.setenv("CLOSURELAB_PRIMES", "5")
-    res, mode = closure_from_presentation(parse_presentation("Q[x,y]/(x^2-x, y^3)"), 2)
-    assert (mode, res.method, res.dim, res.miss_bound) == ("mod 5", "general", 30, None)
 
 
 def test_explicit_zero_coordinate_in_a_point():
@@ -1010,29 +989,54 @@ def test_point_remainders_are_the_generic_ones_at_the_points(text):
         assert at_points[1].get(j, {}) == _at_point(fieldh, generic[1], q)
 
 
-def test_fresh_points_carry_the_point_seeded_result(monkeypatch):
-    # mutant: the first seed is the zero point, whose remainders vanish, so
-    # the first round closes nothing; the check must catch it
+# Non-local, and not monogenic: its local factor K[y,z]/(y^2, z^2) needs two
+# generators.
+NOT_MONOGENIC = "Q[x,y,z]/(x^2-x, y^2, z^2)"
+
+
+def test_point_seeds_follow_monogenicity_not_locality(monkeypatch):
+    monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
+    pres = parse_presentation(NOT_MONOGENIC)
+    algebra = _modular_algebra(pres)
+    assert not algebra.is_local_nilpotent()
+    res, _ = closure_from_presentation(pres, 2)
+    assert (res.method, res.dim) == ("general", 58)
+    assert_same_closure(res, m_closure(algebra, 2))
+
+
+def test_non_generating_point_falls_back_to_the_symbolic_seed(monkeypatch):
+    # mutant: the drawn point is 0, and K[0] = K is not A
     monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
     pres = parse_presentation("Q[x]/(x^8-x-1)")
-    draw = closure_module._random_point
-    draws = []
-
-    def zero_first(rng, a):
-        draws.append(draw(rng, a) if draws else {})
-        return draws[-1]
-
-    monkeypatch.setattr(closure_module, "_random_point", zero_first)
+    drawn, _ = closure_from_presentation(pres, 2)
+    monkeypatch.setattr(closure_module, "_random_point", lambda rng, a: {})
     res, _ = closure_from_presentation(pres, 2)
-    p = res.field.p
-    # the zero seed, two check points that fail and join the seeds (the zero
-    # seed gives no row), then two that pass
-    assert (res.dim, len(draws), res.generator_count) == (56, 5, 2)
-    assert res.miss_bound == 2 * (7 / p) ** 2
-    draws.clear()
-    monkeypatch.setattr(closure_module, "_points_divide", lambda *args: True)
-    res, _ = closure_from_presentation(pres, 2)
-    assert (res.dim, len(draws)) == (64, 3)
+    assert (drawn.method, res.method) == ("points", "general")
+    assert res.dim == drawn.dim == 56
+    assert_same_closure(res, drawn)
+
+
+def test_forced_generation_trips_the_dimension_guard(monkeypatch):
+    # mutant: the drawn point is taken to generate a non-monogenic A; its
+    # one remainder leaves dimension 60, where the closure has 58 and a
+    # monogenic A of dimension 8 would have 8 * 7 = 56
+    monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
+    monkeypatch.setattr(closure_module, "_generates", lambda a, x: True)
+    with pytest.raises(CertificateFailure,
+                       match="^a generating point gives dimension 60, not 56$"):
+        closure_from_presentation(parse_presentation(NOT_MONOGENIC), 2)
+
+
+def test_generates_asks_for_n_independent_powers():
+    # K[y]/(y^2) x K[y]/(y^2), basis 1, y, x, xy: y and xy are nilpotent,
+    # x is idempotent, and x + y has minimal polynomial Z^2 (Z - 1)^2
+    a = alg("Q[x,y]/(x^2-x, y^2)")
+    points = [{}, {1: 1}, {2: 1}, {3: 1}, {1: 1, 2: 1}]
+    assert [closure_module._generates(a, x) for x in points] == \
+        [False, False, False, False, True]
+    a = alg("Q[x]/(x^3-x-1)")
+    assert [closure_module._generates(a, x) for x in ({}, {1: 1}, {2: 1})] == \
+        [False, True, True]
 
 
 def test_base_change_presentation():

@@ -33,6 +33,8 @@ COMMANDS = {
                             "--m", "4", "--exact"] + FULL_JSON,
     "close-points-m2": ["close", "--algebra", "Q[x]/(x^8-x-1)", "--m", "2"]
     + FULL_JSON,
+    "close-not-monogenic-m2": ["close", "--algebra",
+                               "Q[x,y,z]/(x^2-x, y^2, z^2)", "--m", "2", "--json"],
     "close-gf4-naive": ["close", "--algebra", "GF(2,2)[x,y]/(x^2, y^2)",
                         "--m", "2", "--method", "naive"] + FULL_JSON,
     "close-f2-text": ["close", "--algebra", "F2[x,y]/(x^2, y^2)", "--m", "4",
@@ -51,7 +53,8 @@ COMMANDS = {
 PINNED = {
     "close-f2-text": "c42d74a5203701cdf4834830487ab39cdb28c6b153c87449a1d774f20029e7c2",
     "close-gf4-naive": "947d2c529c6fefafc956600edc1547991e56c384af51aef4d4f5aaa3d17c8b68",
-    "close-points-m2": "b1a2a44f280b6b6cdacbc9c30fbc220908f7ba2eb02e8ad69b0c6776df1d633b",
+    "close-not-monogenic-m2": "5f5a4e113216ec44c7b806c8ffbec97273958ac284d3ec6dc033f7a277c48371",
+    "close-points-m2": "3d93d69796bcad43a2dff6187d9e0986bb4f901d1e40dc15bf95d1517edfdf6c",
     "close-x2-m2": "c22ccd6a498cba10ca87558741005e9c688821057623fb446cc9a1125b3bd18b",
     "close-x2y2-m4": "a96d75b98c9a34beeee618440a2162ab6bf93acf8478292bf48e995aba618bba",
     "close-x2y2-m4-exact": "2c1c71e6e970be2f535eca69fb6952f178cc3f6641f1a93e517574193bfdc9d0",
