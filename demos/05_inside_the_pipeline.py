@@ -16,13 +16,13 @@ a = algebra_from_presentation(parse_presentation("Q[x,y]/((x,y)^2)"))
 g = generic_char_poly(a)
 print("generic characteristic polynomial of (x, y)^2  (a local algebra,")
 print("so it collapses to a perfect power of Z - X1):")
-for d in range(g.degree, -1, -1):
+for d in range(len(g.coeffs) - 1, -1, -1):
     print(f"  Z^{d} coefficient: {g.coeffs[d]}")
 
-# specializing X to the coordinates of an element recovers its char poly
-e = {0: 2, 1: 1, 2: -1}
+# evaluating X at the coordinates of an element recovers its char poly
+point = (2, 1, -1)
 print("\nspecialized at (2, 1, -1):",
-      format_univariate(g.specialize(e), a.field))
+      format_univariate([c.evaluate(point) for c in g.coeffs], a.field))
 
 # slot 1 contributes nothing (Cayley-Hamilton); slot 2 carries relations,
 # quotiented out of the 9-dimensional A tensor A

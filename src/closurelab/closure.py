@@ -49,7 +49,7 @@ import math
 import os
 import random
 import time
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from functools import partial
 
 try:                             # the builtin module: hashlib loads OpenSSL,
@@ -57,7 +57,7 @@ try:                             # the builtin module: hashlib loads OpenSSL,
 except ImportError:
     from hashlib import sha256
 
-from .arith import GF, Field, next_prime
+from .arith import GF, QQ, Field, next_prime
 from .errors import (BudgetExceeded, CertificateFailure, DegreeTooSmall,
                      InfiniteFieldUnsupported, LengthMismatch,
                      UnsupportedField)
@@ -81,26 +81,14 @@ class GenericCharData:
     degree i.
     """
 
-    def __init__(self, algebra: StructureAlgebra, coeffs):
-        self.algebra = algebra
+    def __init__(self, coeffs):
         self.coeffs = coeffs
-        n = algebra.dim
+        n = len(coeffs) - 1
         for j, c in enumerate(coeffs):
             for mono in c.terms:
                 if sum(mono) != n - j:
                     raise CertificateFailure(
                         "generic characteristic polynomial is not homogeneous")
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def specialize(self, vec: dict) -> list:
-        """P at X = coordinates of vec: the characteristic polynomial of vec,
-        in ascending order."""
-        zero = self.algebra.field.zero
-        point = [vec.get(i, zero) for i in range(self.algebra.dim)]
-        return [c.evaluate(point) for c in self.coeffs]
 
 
 def generic_char_poly(a: StructureAlgebra,
@@ -119,7 +107,7 @@ def generic_char_poly(a: StructureAlgebra,
                 exps[k] = 1
                 entries[i][j] = entries[i][j] + ring.monomial(tuple(exps), c)
     coeffs = berkowitz_charpoly(entries, PolyOps(ring))
-    return GenericCharData(a, coeffs)
+    return GenericCharData(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -253,52 +241,39 @@ def _point_seed(a: StructureAlgebra, points) -> _Seed:
 # closure results
 
 
-class _StoredPair:
-    """The `closure` and `maps` fields of a ClosureResult.  The value lives
-    in `_closure` / `_maps`, which the pipeline and the certificate read.
-    Reading or assigning either field first runs the result's pending
-    canonical build, if it has one (m = n, `_staged_closure`), so the two
-    stay one pair.  Class access raises AttributeError, which makes the
-    dataclass field a required one."""
-
-    def __set_name__(self, owner, name):
-        self.slot = "_" + name
-
-    def __get__(self, result, owner=None):
-        if result is None:
-            raise AttributeError(self.slot)
-        result._canonicalize()
-        return result.__dict__[self.slot]
-
-    def __set__(self, result, value):
-        result._canonicalize()
-        result.__dict__[self.slot] = value
-
-
 @dataclass
 class ClosureResult:
     input_algebra: StructureAlgebra
     m: int
     method: str                 # general | naive | points
-    closure: StructureAlgebra = _StoredPair()
-    maps: list = _StoredPair()
+    stored_closure: StructureAlgebra  # the pair that `dim`, the map check
+    stored_maps: list                 # and the certificate read
     stage_dims: tuple = ()      # closure dimension after each stage
     stage_generators: tuple = ()  # nonzero seed rows of each stage
     stage_ms: tuple = ()        # ms since `started` at the end of each stage
     started: float = 0.0        # time.perf_counter() when the run began
-    # builds the canonical (closure, maps) that replace the stored pair
-    _canonical: object = dataclass_field(default=None, init=False,
-                                         repr=False, compare=False)
+    # at m = n, builds the canonical (closure, maps) that replace the stored
+    # pair when `closure` or `maps` is first read
+    build: object = None
 
-    def _canonicalize(self):
-        if self._canonical is not None:
-            self._closure, self._maps = self._canonical()
+    def _read(self):
+        if self.build is not None:
+            self.stored_closure, self.stored_maps = self.build()
             _verify_maps(self)
-            self._canonical = None
+            self.build = None
+        return self.stored_closure, self.stored_maps
+
+    @property
+    def closure(self) -> StructureAlgebra:
+        return self._read()[0]
+
+    @property
+    def maps(self) -> list:
+        return self._read()[1]
 
     @property
     def dim(self) -> int:
-        return self._closure.dim
+        return self.stored_closure.dim
 
     @property
     def rank(self) -> int:
@@ -325,7 +300,7 @@ class ClosureResult:
 
 
 def _verify_maps(result: ClosureResult):
-    for i, mp in enumerate(result._maps):
+    for i, mp in enumerate(result.stored_maps):
         if not mp.is_ring_morphism():
             raise CertificateFailure(
                 f"structural map {i + 1} is not a ring morphism")
@@ -358,8 +333,8 @@ def _closure(a, m, method, make_seed, t0):
         maps = [AlgebraMap(a, a, [{i: a.field.one} for i in range(n)])]
     else:
         return _staged_closure(a, m, method, make_seed, t0, limit)
-    return ClosureResult(input_algebra=a, m=m, method=method, closure=closure,
-                         maps=maps, started=t0)
+    return ClosureResult(input_algebra=a, m=m, method=method,
+                         stored_closure=closure, stored_maps=maps, started=t0)
 
 
 def reconstructed_last_map(a: StructureAlgebra, closure: StructureAlgebra,
@@ -518,13 +493,14 @@ def _staged_closure(a, m, method, make_seed, t0, limit):
         stage_ms.append((time.perf_counter() - t0) * 1e3)
 
     result = ClosureResult(
-        input_algebra=a, m=m, method=method, closure=current, maps=maps,
-        stage_dims=tuple(stage_dims), stage_generators=tuple(stage_generators),
-        stage_ms=tuple(stage_ms), started=t0)
+        input_algebra=a, m=m, method=method, stored_closure=current,
+        stored_maps=maps, stage_dims=tuple(stage_dims),
+        stage_generators=tuple(stage_generators), stage_ms=tuple(stage_ms),
+        started=t0)
     _verify_maps(result)
     if m == n:
-        result._maps = maps + [last]
-        result._canonical = partial(_last_stage_span, pair, maps, last)
+        result.stored_maps = maps + [last]
+        result.build = partial(_last_stage_span, pair, maps, last)
     return result
 
 
@@ -598,22 +574,38 @@ class TowerDescription:
     m: int
     dim: int
     relations: tuple             # human-readable relation strings
-    algebra: StructureAlgebra | None = None
-    maps: list = dataclass_field(default_factory=list)
+    stored_algebra: StructureAlgebra | None = None
+    stored_maps: list | None = None
+    # builds (algebra, maps) when `algebra` or `maps` is first read
+    build: object = None
+
+    def _read(self):
+        if self.build is not None:
+            self.stored_algebra, self.stored_maps = self.build()
+            self.build = None
+        return self.stored_algebra, self.stored_maps
+
+    @property
+    def algebra(self) -> StructureAlgebra:
+        return self._read()[0]
+
+    @property
+    def maps(self) -> list:
+        return self._read()[1]
 
 
 def monogenic_tower(f_coeffs, m: int, fieldh: Field | None = None) -> TowerDescription:
     """Split off m roots of a monic polynomial one at a time.
 
     Stage i adjoins a root x_i of the running polynomial and divides it out,
-    so the result is free of dimension n(n-1)...(n-m+1).  Over a field the
-    tower is returned as a structure algebra with its maps x -> x_i; over
-    the integers (fieldh None) only the symbolic description is built, and
-    monicness keeps every division integral.
+    so the result is free of dimension n(n-1)...(n-m+1).  The description
+    holds the relations; the tower as a structure algebra, with its maps
+    x -> x_i, is built when `algebra` or `maps` is first read.  Over the
+    integers (fieldh None) the arithmetic runs over Q: monicness keeps every
+    division integral, so the relations and the structure constants are
+    integers.
     """
-    from .arith import QQ
-    integral = fieldh is None
-    fh = QQ() if integral else fieldh
+    fh = QQ() if fieldh is None else fieldh
     n = len(f_coeffs) - 1
     if m > n:
         raise DegreeTooSmall(f"cannot split {m} roots off degree {n}")
@@ -647,44 +639,41 @@ def monogenic_tower(f_coeffs, m: int, fieldh: Field | None = None) -> TowerDescr
         top = power(i, n - i)
         rules.append({mono: fh.neg(c) for mono, c in rel.items() if mono != top})
 
-    expected = etale_closure_dim(n, m)
-    if integral:
-        return TowerDescription(base="Z", degree=n, m=m, dim=expected,
-                                relations=tuple(relations))
+    def build():
+        # The rules are a triangular Groebner basis with pairwise coprime
+        # leading terms x_i^(n-i), so the normal form is unique.
+        normal = {}
 
-    # The rules are a triangular Groebner basis with pairwise coprime leading
-    # terms x_i^(n-i), so the normal form is unique.
-    normal = {}
+        def normal_form(mono):
+            nf = normal.get(mono)
+            if nf is None:
+                nf = {mono: fh.one}
+                for i, rule in enumerate(rules):
+                    if mono[i] >= n - i:
+                        drop = list(mono)
+                        drop[i] -= n - i
+                        nf = {}
+                        for rmono, c in rule.items():
+                            vec_add_into(fh, nf, normal_form(mono_mul(rmono, drop)), c)
+                        break
+                normal[mono] = nf
+            return nf
 
-    def normal_form(mono):
-        nf = normal.get(mono)
-        if nf is None:
-            nf = {mono: fh.one}
-            for i, rule in enumerate(rules):
-                if mono[i] >= n - i:
-                    drop = list(mono)
-                    drop[i] -= n - i
-                    nf = {}
-                    for rmono, c in rule.items():
-                        vec_add_into(fh, nf, normal_form(mono_mul(rmono, drop)), c)
-                    break
-            normal[mono] = nf
-        return nf
+        basis = sorted(itertools.product(*(range(n - i) for i in range(m))),
+                       key=grevlex_key)
+        algebra = monomial_algebra(ring, basis, normal_form,
+                                   check=len(basis) <= 40)
+        index = {b: i for i, b in enumerate(basis)}
+        source = monogenic_algebra(fh, f_coeffs)
+        maps = [AlgebraMap(source, algebra,
+                           [{index[mo]: c for mo, c in normal_form(power(i, e)).items()}
+                            for e in range(n)])
+                for i in range(m)]
+        return algebra, maps
 
-    basis = sorted(itertools.product(*(range(n - i) for i in range(m))),
-                   key=grevlex_key)
-    algebra = monomial_algebra(ring, basis, normal_form, check=len(basis) <= 40)
-    if algebra.dim != expected:
-        raise CertificateFailure("tower dimension mismatch")
-    index = {b: i for i, b in enumerate(basis)}
-    source = monogenic_algebra(fh, f_coeffs)
-    maps = [AlgebraMap(source, algebra,
-                       [{index[mo]: c for mo, c in normal_form(power(i, e)).items()}
-                        for e in range(n)])
-            for i in range(m)]
-    return TowerDescription(base=str(fh), degree=n, m=m,
-                            dim=algebra.dim, relations=tuple(relations),
-                            algebra=algebra, maps=maps)
+    return TowerDescription(base="Z" if fieldh is None else str(fh), degree=n,
+                            m=m, dim=math.perm(n, m),
+                            relations=tuple(relations), build=build)
 
 
 # ---------------------------------------------------------------------------
@@ -728,9 +717,9 @@ def slot_remainders(a: StructureAlgebra, seed: _Seed, slot_mults):
 def _closure_remainders(result: ClosureResult, seed: _Seed):
     """The seed's slot remainders with coefficients in the closure, slot s
     multiplying by the images of seed.elements under map_s."""
-    c = result._closure
+    c = result.stored_closure
     slot_mults = [[stride_multiplier(c, mp.apply_dict(x), 1)
-                   for x in seed.elements] for mp in result._maps[:result.m]]
+                   for x in seed.elements] for mp in result.stored_maps[:result.m]]
     return slot_remainders(result.input_algebra, seed, slot_mults)
 
 
@@ -750,7 +739,7 @@ def divides_check(result: ClosureResult) -> dict:
     if result.m == 0 or result.dim == 0:
         return {"certified": True, "mode": "vacuous"}
     a = result.input_algebra
-    for s, mp in enumerate(result._maps):
+    for s, mp in enumerate(result.stored_maps):
         if not mp.is_unital():
             raise CertificateFailure(f"structural map {s + 1} is not unital")
     # the multipliers by map_s(e_0) are built lazily and never applied

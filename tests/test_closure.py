@@ -77,8 +77,9 @@ def test_generic_char_poly_specialization_oracle():
     for a in (alg("Q[x,y]/(xy, x^3 + y^3)"), kk, alg("Q[x,y]/(x^2, y^2)")):
         g = generic_char_poly(a)
         for _ in range(10):
-            e = sparse([Fr(rng.randint(-5, 5)) for _ in range(a.dim)])
-            assert g.specialize(e) == char_poly(a, e)
+            point = [Fr(rng.randint(-5, 5)) for _ in range(a.dim)]
+            assert ([c.evaluate(point) for c in g.coeffs]
+                    == char_poly(a, sparse(point)))
 
 
 def test_unit_free_char_poly_is_p_at_x1_zero():
@@ -478,10 +479,28 @@ def test_map_check_rejects_a_unital_map_that_is_not_multiplicative(text):
     result = m_closure(a, 2)
     assert all(mp.is_ring_morphism() for mp in result.maps)
     identity = AlgebraMap(a, a, [{i: one} for i in range(3)])
-    broken = dataclasses.replace(result, maps=[identity, bad])
+    broken = dataclasses.replace(result, stored_maps=[identity, bad])
     with pytest.raises(CertificateFailure,
                        match="structural map 2 is not a ring morphism"):
         closure_module._verify_maps(broken)
+
+
+def test_first_read_checks_the_canonical_maps():
+    # at m = n the first read replaces the stored pair and checks its maps;
+    # a unital last map that sends x^2 to 0 is not multiplicative
+    a = alg("Q[x]/(x^3)")
+    result = m_closure(a, 3)
+    build = result.build
+
+    def broken():
+        quot, maps = build()
+        bad = AlgebraMap(a, quot, [quot.unit(), maps[2].rows[1], {}])
+        return quot, maps[:2] + [bad]
+
+    result.build = broken
+    with pytest.raises(CertificateFailure,
+                       match="structural map 3 is not a ring morphism"):
+        result.closure
 
 
 def test_rank_two_involution():
@@ -582,11 +601,57 @@ def test_monogenic_tower_dimensions():
 
 
 def test_monogenic_tower_over_integers():
-    t = monogenic_tower([Fr(1), Fr(0), Fr(0), Fr(0), Fr(1)], 2, None)  # Z^4+1
-    assert t.base == "Z" and t.dim == 12
-    assert len(t.relations) == 2 and t.algebra is None
+    for f in ([Fr(1), Fr(0), Fr(0), Fr(0), Fr(1)],             # Z^4 + 1
+              [5, -3, 0, 1]):                                  # Z^3 - 3Z + 5
+        n = len(f) - 1
+        t = monogenic_tower(f, 2, None)
+        assert t.base == "Z" and t.dim == n * (n - 1)
+        assert len(t.relations) == 2
+        # the tower over Q, whose structure constants are integers
+        a, q = t.algebra, monogenic_tower(f, 2, QQ()).algebra
+        assert a.field == q.field == QQ() and a.labels == q.labels
+        table = [a.basis_product(i, j) for i in range(a.dim) for j in range(a.dim)]
+        assert table == [q.basis_product(i, j)
+                         for i in range(q.dim) for j in range(q.dim)]
+        assert all(c.denominator == 1 for vec in table for c in vec.values())
     with pytest.raises(ValueError, match="monic"):
         monogenic_tower([1, 0, 2], 1, None)                     # 2Z^2 + 1
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_tower_command_builds_no_algebra(monkeypatch, capsys):
+    from closurelab.cli import main
+    calls = _count_calls(monkeypatch, closure_module, "monomial_algebra")
+    for field in ("Q", "F7", "GF(2,2)", "Z"):
+        assert main(["tower", "--f", "Z^4+1", "--m", "3", "--field", field]) == 0
+        assert capsys.readouterr().out.startswith("dim = 24\n")
+    assert main(["tower", "--f", "Z^5-2", "--m", "3", "--json"]) == 0
+    assert '"dim": 60' in capsys.readouterr().out
+    assert calls == []
+
+
+@pytest.mark.parametrize("fieldh", [QQ(), GF(7), None], ids=["Q", "F7", "Z"])
+def test_tower_builds_its_algebra_once_when_read(monkeypatch, fieldh):
+    calls = _count_calls(monkeypatch, closure_module, "monomial_algebra")
+    t = monogenic_tower([1, 1, 0, 1], 3, fieldh)                # Z^3 + Z + 1
+    assert t.dim == 6 and calls == []
+    algebra = t.algebra
+    assert len(calls) == 1 and algebra.dim == 6
+    maps = t.maps
+    assert t.algebra is algebra and t.maps is maps and len(calls) == 1
+    assert len(maps) == 3
+    assert all(mp.target is algebra and mp.is_ring_morphism() for mp in maps)
 
 
 def test_tower_relations_are_the_division_remainders():

@@ -42,6 +42,8 @@ COMMANDS = {
     "tower-q": ["tower", "--f", "Z^4+1", "--m", "3"],
     "tower-gf4": ["tower", "--field", "GF(2,2)", "--f", "x^3 + t*x + 1",
                   "--m", "3"],
+    "tower-z": ["tower", "--f", "Z^3-2", "--m", "2", "--field", "Z"],
+    "tower-q-json": ["tower", "--f", "Z^5-2", "--m", "3", "--json"],
     "transform": ["transform", "--f", "Z^3-6Z^2+11Z-6", "--g", "X^2"],
     "transform-gf4": ["transform", "--field", "GF(2,2)", "--f", "Z^2+t*Z+1",
                       "--g", "X^2"],
@@ -66,6 +68,8 @@ PINNED = {
     "table2-m3": "b45c6b539399e1190411aba3836efa4f9e333b7b5df3a0e825305f156b952dd8",
     "tower-gf4": "4a03b3f99bdbbcb1adf1d5b8f705543833e60a6f02af65f8d7ae8b8db7b79d16",
     "tower-q": "c477597d2dce6df31a29142a198f5d936c6ccf4c9fa060a054ab57da4da35dbb",
+    "tower-q-json": "76d785d91026827bcc0795fc4e9a896f64f6052c3db2974869e771617e03b912",
+    "tower-z": "1ef8601093f83d03deafe5b6c9e47c96f5a84344d11a1447bf79e299180e22ad",
     "transform": "3842e19c262a87cd33a484f22e127ce8956da576a6fdbd7a9a77c2154db95657",
     "transform-gf4": "3db8fa6a6be8e92375b42d25687576d4418d9b7fb833b12eab74418b77a4900b",
 }
