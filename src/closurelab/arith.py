@@ -29,7 +29,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid for all n < 2^64."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -58,8 +58,18 @@ def next_prime(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# dense univariate arithmetic over GF(p), used only for modulus validation
-# and the first-irreducible search
+# dense univariate arithmetic over GF(p): coefficient lists, lowest first.
+# It checks and searches moduli, and GF(p^k) = GF(p)[t]/(g) multiplies and
+# takes powers with it.
+
+
+def _digits(v, p, k):
+    """The k base-p digits of v, lowest first."""
+    out = []
+    for _ in range(k):
+        out.append(v % p)
+        v //= p
+    return out
 
 
 def _poly_trim(f):
@@ -72,48 +82,52 @@ def _poly_mulmod(f, g, mod, p):
     prod = [0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         if a:
-            for j, b in enumerate(g):
-                prod[i + j] = (prod[i + j] + a * b) % p
+            for j, b in enumerate(g, i):
+                prod[j] += a * b
     return _poly_remmod(prod, mod, p)
 
 
 def _poly_remmod(f, mod, p):
+    """The remainder of f by `mod`, reduced mod p and trimmed.  The
+    coefficients of f may be any ints, and zero high ones are allowed."""
     f = list(f)
     dm = len(mod) - 1
-    inv_lead = pow(mod[-1], p - 2, p)
-    while len(f) - 1 >= dm and _poly_trim(f):
-        shift = len(f) - 1 - dm
-        c = f[-1] * inv_lead % p
-        for i, m in enumerate(mod):
-            f[shift + i] = (f[shift + i] - c * m) % p
-        _poly_trim(f)
-    return f
+    inv_lead = 1 if mod[-1] == 1 else pow(mod[-1], p - 2, p)
+    for top in range(len(f) - 1, dm - 1, -1):
+        c = f[top] * inv_lead % p
+        if c:
+            for i, m in enumerate(mod, top - dm):
+                f[i] -= c * m
+    del f[dm:]
+    for i, c in enumerate(f):
+        f[i] = c % p
+    return _poly_trim(f)
 
 
 def _poly_gcd(f, g, p):
-    f, g = list(f), list(g)
-    _poly_trim(f)
-    _poly_trim(g)
+    f, g = _poly_trim(list(f)), _poly_trim(list(g))
     while g:
-        f = _poly_remmod(f, g, p)
-        f, g = g, f
-        _poly_trim(g)
+        f, g = g, _poly_remmod(f, g, p)
     return f
+
+
+def _poly_powmod(f, e, mod, p):
+    """f^e reduced mod `mod`, by square-and-multiply."""
+    acc = [1]
+    while e:
+        if e & 1:
+            acc = _poly_mulmod(acc, f, mod, p)
+        e >>= 1
+        if e:
+            f = _poly_mulmod(f, f, mod, p)
+    return acc
 
 
 def _frobenius_power(i, mod, p):
     """X^(p^i) reduced mod `mod`, via repeated X -> X^p."""
     x = _poly_remmod([0, 1], mod, p)
     for _ in range(i):
-        acc = [1]
-        base = list(x)
-        e = p
-        while e:
-            if e & 1:
-                acc = _poly_mulmod(acc, base, mod, p)
-            base = _poly_mulmod(base, base, mod, p)
-            e >>= 1
-        x = acc
+        x = _poly_powmod(x, p, mod, p)
     return x
 
 
@@ -134,11 +148,10 @@ def is_irreducible(modulus, p: int) -> bool:
             and not frobenius_minus_x(k))
 
 
-# Fixed moduli for the most common small extensions (reproducible runs).
+# Moduli that differ from the search's choice.  GF(9) keeps t^2 + 2t + 2,
+# where the search finds t^2 + 1, so that its outputs stay as they were.
 _FIXED_MODULI = {
-    (2, 2): (1, 1, 1),        # t^2 + t + 1
-    (2, 3): (1, 1, 0, 1),     # t^3 + t + 1
-    (3, 2): (2, 2, 1),        # t^2 + 2t + 2
+    (3, 2): (2, 2, 1),
 }
 
 
@@ -148,12 +161,7 @@ def default_modulus(p: int, k: int) -> tuple:
     if (p, k) in _FIXED_MODULI:
         return _FIXED_MODULI[(p, k)]
     for low in range(p ** k):
-        coeffs = []
-        v = low
-        for _ in range(k):
-            coeffs.append(v % p)
-            v //= p
-        cand = tuple(coeffs) + (1,)
+        cand = tuple(_digits(low, p, k)) + (1,)
         if is_irreducible(list(cand), p):
             return cand
     raise ReducibleModulus(f"no irreducible modulus found for GF({p}^{k})")
@@ -308,7 +316,8 @@ class PrimeField(Field):
 class ExtensionField(Field):
     """GF(p^k) with elements packed as integers in [0, p^k).
 
-    Base-p digit i of an element is the coefficient of t^i.  For small
+    Base-p digit i of an element is the coefficient of t^i.  Products and
+    powers are those of the digit polynomials mod the modulus; for small
     orders the multiplication and inverse tables are precomputed.
     """
 
@@ -338,17 +347,10 @@ class ExtensionField(Field):
 
     # -- digit helpers
 
-    def _digits(self, a):
-        out = []
-        for _ in range(self.k):
-            out.append(a % self.p)
-            a //= self.p
-        return out
-
     def _pack(self, digits):
         v = 0
         for d in reversed(digits):
-            v = v * self.p + d % self.p
+            v = v * self.p + d
         return v
 
     def _build_tables(self):
@@ -356,34 +358,14 @@ class ExtensionField(Field):
         table = [[0] * q for _ in range(q)]
         for a in range(q):
             for b in range(a, q):
-                v = self._mul_raw(a, b)
-                table[a][b] = v
-                table[b][a] = v
+                table[a][b] = table[b][a] = self._mul_raw(a, b)
         self._mul_table = table
-        inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if table[a][b] == 1:
-                    inv[a] = b
-                    break
-        self._inv_table = inv
+        self._inv_table = [0] + [table[a].index(1) for a in range(1, q)]
 
     def _mul_raw(self, a, b):
-        da, db = self._digits(a), self._digits(b)
-        p = self.p
-        prod = [0] * (2 * self.k - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        # reduce by the monic modulus
-        for i in range(len(prod) - 1, self.k - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(self.k):
-                    prod[i - self.k + j] = (prod[i - self.k + j] - c * self.modulus[j]) % p
-        return self._pack(prod[: self.k])
+        p, k = self.p, self.k
+        return self._pack(_poly_mulmod(_digits(a, p, k), _digits(b, p, k),
+                                       self.modulus, p))
 
     # -- field ops
 
@@ -424,13 +406,8 @@ class ExtensionField(Field):
         return self.pow(a, self.order - 2)
 
     def pow(self, a, e):
-        acc = 1
-        while e:
-            if e & 1:
-                acc = self.mul(acc, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return acc
+        return self._pack(_poly_powmod(_digits(a, self.p, self.k), e,
+                                       self.modulus, self.p))
 
     def from_int(self, n):
         return n % self.p
@@ -442,7 +419,7 @@ class ExtensionField(Field):
         return rng.randrange(self.order)
 
     def format_scalar(self, a):
-        digits = self._digits(a)
+        digits = _digits(a, self.p, self.k)
         parts = []
         for i in range(self.k - 1, -1, -1):
             c = digits[i]

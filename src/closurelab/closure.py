@@ -601,18 +601,20 @@ def monogenic_tower(f_coeffs, m: int, fieldh: Field | None = None) -> TowerDescr
     so the result is free of dimension n(n-1)...(n-m+1).  The description
     holds the relations; the tower as a structure algebra, with its maps
     x -> x_i, is built when `algebra` or `maps` is first read.  Over the
-    integers (fieldh None) the arithmetic runs over Q: monicness keeps every
-    division integral, so the relations and the structure constants are
-    integers.
+    integers (fieldh None) the coefficients must be integers and the
+    arithmetic runs over Q: monicness keeps every division integral, so the
+    relations and the structure constants are integers.
     """
     fh = QQ() if fieldh is None else fieldh
     n = len(f_coeffs) - 1
+    if f_coeffs[-1] != fh.one:
+        raise ValueError("polynomial must be monic")
+    if fieldh is None and any(c.denominator != 1 for c in f_coeffs):
+        raise ValueError("integer tower needs integer coefficients")
     if m > n:
         raise DegreeTooSmall(f"cannot split {m} roots off degree {n}")
     if m < 0:
         raise ValueError("m must be nonnegative")
-    if f_coeffs[-1] != fh.one:
-        raise ValueError("polynomial must be monic")
 
     names = tuple(f"x{i + 1}" for i in range(m))
     ring = PolyRing(fh, names)

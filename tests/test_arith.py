@@ -200,3 +200,75 @@ def test_large_extension_field_without_tables():
     t = f.gen
     # t^343 = t (Frobenius fixed points of the full field)
     assert f.pow(t, 343) == t
+
+
+def schoolbook_mul(field, a, b):
+    """Product in GF(p^k) by the schoolbook loop on base-p digits, an
+    oracle independent of `arith`'s polynomial routines."""
+    p, k, modulus = field.p, field.k, field.modulus
+    da, db = [], []
+    for _ in range(k):
+        da.append(a % p)
+        db.append(b % p)
+        a //= p
+        b //= p
+    prod = [0] * (2 * k - 1)
+    for i, x in enumerate(da):
+        if x:
+            for j, y in enumerate(db):
+                prod[i + j] = (prod[i + j] + x * y) % p
+    for i in range(len(prod) - 1, k - 1, -1):
+        c = prod[i]
+        if c:
+            prod[i] = 0
+            for j in range(k):
+                prod[i - k + j] = (prod[i - k + j] - c * modulus[j]) % p
+    v = 0
+    for d in reversed(prod[:k]):
+        v = v * p + d
+    return v
+
+
+def schoolbook_logs(field):
+    """Powers of a primitive element g, and the log to base g of each
+    nonzero element, from the schoolbook product."""
+    for g in range(2, field.order):
+        powers = [1]
+        x = g
+        while x != 1:
+            powers.append(x)
+            x = schoolbook_mul(field, x, g)
+        if len(powers) == field.order - 1:
+            return powers, {v: i for i, v in enumerate(powers)}
+
+
+@pytest.mark.parametrize("p, k", [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6),
+                                  (3, 2), (3, 3), (5, 2), (7, 2)])
+def test_extension_tables_match_the_schoolbook_product(p, k):
+    f = GF(p, k)
+    q = f.order
+    table = [[schoolbook_mul(f, a, b) for b in range(q)] for a in range(q)]
+    assert f._mul_table == table
+    assert f._inv_table == [0] + [row.index(1) for row in table[1:]]
+
+
+@pytest.mark.parametrize("p, k", [(2, 8), (7, 3), (2, 10)])
+def test_extension_arithmetic_matches_the_schoolbook_product(p, k):
+    # GF(2^8) is the largest tabled field; GF(7^3) and GF(2^10) have no tables
+    f = GF(p, k)
+    assert (f._mul_table is None) == (f.order > 256)
+    powers, log = schoolbook_logs(f)
+    assert all(f.inv(a) == powers[-i % len(powers)] for a, i in log.items())
+    rng = random.Random(f.order)
+    for _ in range(2000):
+        a, b, e = (rng.randrange(1, f.order), rng.randrange(f.order),
+                   rng.randrange(f.order))
+        assert f.mul(a, b) == schoolbook_mul(f, a, b)
+        assert f.pow(a, e) == powers[log[a] * e % len(powers)]
+    assert f.pow(0, 0) == 1 and f.pow(0, 5) == 0
+
+
+def test_poly_remmod_trims_its_input():
+    # zero high coefficients must not count as degree
+    assert arith._poly_remmod([5, 3, 0, 0], (1, 1, 1), 7) == [5, 3]
+    assert arith._poly_remmod([1, 0, 0], (1, 1, 1), 2) == [1]

@@ -618,6 +618,16 @@ def test_monogenic_tower_over_integers():
         monogenic_tower([1, 0, 2], 1, None)                     # 2Z^2 + 1
 
 
+def test_integer_tower_rejects_fractional_coefficients():
+    with pytest.raises(ValueError, match="integer coefficients"):
+        monogenic_tower([Fr(1, 2), 0, 1], 2, None)              # Z^2 + 1/2
+    # the checks on f come before the one on m, as in the command line
+    with pytest.raises(ValueError, match="integer coefficients"):
+        monogenic_tower([Fr(1, 2), 0, 1], 3, None)
+    with pytest.raises(ValueError, match="monic"):
+        monogenic_tower([1, 0, 2], 3, None)
+
+
 def _count_calls(monkeypatch, module, name):
     calls = []
     original = getattr(module, name)

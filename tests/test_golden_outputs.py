@@ -37,16 +37,24 @@ COMMANDS = {
                                "Q[x,y,z]/(x^2-x, y^2, z^2)", "--m", "2", "--json"],
     "close-gf4-naive": ["close", "--algebra", "GF(2,2)[x,y]/(x^2, y^2)",
                         "--m", "2", "--method", "naive"] + FULL_JSON,
+    "close-gf49": ["close", "--algebra", "GF(7,2)[x,y]/(x^2, y^2)", "--m", "2"]
+    + FULL_JSON,
+    "close-gf343": ["close", "--algebra", "GF(7,3)[x]/(x^3 - t)", "--m", "2"]
+    + FULL_JSON,
     "close-f2-text": ["close", "--algebra", "F2[x,y]/(x^2, y^2)", "--m", "4",
                       "--emit", "full"],
     "tower-q": ["tower", "--f", "Z^4+1", "--m", "3"],
     "tower-gf4": ["tower", "--field", "GF(2,2)", "--f", "x^3 + t*x + 1",
                   "--m", "3"],
     "tower-z": ["tower", "--f", "Z^3-2", "--m", "2", "--field", "Z"],
+    "tower-gf343": ["tower", "--field", "GF(7,3)", "--f", "x^3 + t*x + 1",
+                    "--m", "2"],
     "tower-q-json": ["tower", "--f", "Z^5-2", "--m", "3", "--json"],
     "transform": ["transform", "--f", "Z^3-6Z^2+11Z-6", "--g", "X^2"],
     "transform-gf4": ["transform", "--field", "GF(2,2)", "--f", "Z^2+t*Z+1",
                       "--g", "X^2"],
+    "transform-gf343": ["transform", "--field", "GF(7,3)", "--f", "Z^3+t*Z+1",
+                        "--g", "X^2+t"],
     "malformed-paren": ["close", "--algebra", "Q[x]/(x^2", "--m", "2"],
     "malformed-variable": ["close", "--algebra", "Q[x]/(x^2, y)", "--m", "2"],
     "malformed-exponent": ["close", "--algebra", "Q[x]/(x^)", "--m", "2"],
@@ -54,7 +62,9 @@ COMMANDS = {
 
 PINNED = {
     "close-f2-text": "c42d74a5203701cdf4834830487ab39cdb28c6b153c87449a1d774f20029e7c2",
+    "close-gf343": "f9e078aa0f708bae3797df8baf42585ea6e7dbe6a42639be7dc044082c304de3",
     "close-gf4-naive": "947d2c529c6fefafc956600edc1547991e56c384af51aef4d4f5aaa3d17c8b68",
+    "close-gf49": "ce787f2660093d258da4721151790b67e88b26024e30f853d353b828e3149709",
     "close-not-monogenic-m2": "5f5a4e113216ec44c7b806c8ffbec97273958ac284d3ec6dc033f7a277c48371",
     "close-points-m2": "3d93d69796bcad43a2dff6187d9e0986bb4f901d1e40dc15bf95d1517edfdf6c",
     "close-x2-m2": "c22ccd6a498cba10ca87558741005e9c688821057623fb446cc9a1125b3bd18b",
@@ -66,11 +76,13 @@ PINNED = {
     "table1": "b1ed9882eb107d2da063b56a93aee95da34cbf9acd08aeaa74ae3388d58a52d0",
     "table1-exact": "56b2887bedfd718e11dd006dcbb53b8091decb17eaa62a59eaad216cf9dd4e71",
     "table2-m3": "b45c6b539399e1190411aba3836efa4f9e333b7b5df3a0e825305f156b952dd8",
+    "tower-gf343": "2df1f064bc22378fec9289d338b49d31ef37210e74b45c3c54194540d0690ad9",
     "tower-gf4": "4a03b3f99bdbbcb1adf1d5b8f705543833e60a6f02af65f8d7ae8b8db7b79d16",
     "tower-q": "c477597d2dce6df31a29142a198f5d936c6ccf4c9fa060a054ab57da4da35dbb",
     "tower-q-json": "76d785d91026827bcc0795fc4e9a896f64f6052c3db2974869e771617e03b912",
     "tower-z": "1ef8601093f83d03deafe5b6c9e47c96f5a84344d11a1447bf79e299180e22ad",
     "transform": "3842e19c262a87cd33a484f22e127ce8956da576a6fdbd7a9a77c2154db95657",
+    "transform-gf343": "b884a7c8615037b3d2f2d010a1580d815936860d570fb54561503654cb4e7a05",
     "transform-gf4": "3db8fa6a6be8e92375b42d25687576d4418d9b7fb833b12eab74418b77a4900b",
 }
 
