@@ -157,11 +157,15 @@ _FIXED_MODULI = {
 
 def default_modulus(p: int, k: int) -> tuple:
     """Fixed table entry when available, otherwise the first monic
-    irreducible of degree k in lexicographic order of the low digits."""
+    irreducible of degree k >= 2 in lexicographic order of the low digits.
+    A root at 0 (constant digit 0) or at 1 (digit sum 0 mod p) is a linear
+    factor, so those candidates skip the full test."""
     if (p, k) in _FIXED_MODULI:
         return _FIXED_MODULI[(p, k)]
     for low in range(p ** k):
         cand = tuple(_digits(low, p, k)) + (1,)
+        if cand[0] == 0 or sum(cand) % p == 0:
+            continue
         if is_irreducible(list(cand), p):
             return cand
     raise ReducibleModulus(f"no irreducible modulus found for GF({p}^{k})")

@@ -57,10 +57,13 @@ def _field_from_spec(text: str):
     return parse_field(text)
 
 
-def _bound(mode: str) -> str:
-    """What a dimension computed in `mode` is: a modular dimension is an
-    upper bound for the one over Q, every other is exact."""
-    return "upper" if mode.startswith("mod ") else "exact"
+def _bound(mode: str, method: str) -> str:
+    """What a dimension computed in `mode` by `method` is: a modular one is
+    an upper bound for the one over Q, unless a point that generates A gave
+    it ("points", "tower"; `closure_from_presentation`); every other is
+    exact."""
+    modular = mode.startswith("mod ") and method not in ("points", "tower")
+    return "upper" if modular else "exact"
 
 
 def _emit(record: dict, as_json: bool):
@@ -130,8 +133,9 @@ def _new_record(entry: ManifestEntry, m: int) -> dict:
 
 
 def _set_outcome(record, dim, method, mode, generators, rank, ms):
-    record.update(dim=dim, method=method, field=mode, bound=_bound(mode),
-                  generators=generators, rank=rank, ms=round(ms, 3))
+    record.update(dim=dim, method=method, field=mode,
+                  bound=_bound(mode, method), generators=generators,
+                  rank=rank, ms=round(ms, 3))
     if "expected" in record:
         record["match"] = dim == record["expected"]
     return record

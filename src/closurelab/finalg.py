@@ -395,23 +395,6 @@ class StructureAlgebra:
         return " + ".join(f"{fmt(c)}*{self.label_str(k)}"
                           for k, c in sorted(vec.items())) or "0"
 
-    def is_local_nilpotent(self) -> bool:
-        """True when every non-unit basis element is nilpotent; the span of
-        e_1..e_{n-1} is then the maximal ideal.  A nilpotent element of an
-        algebra of dimension n has x^n = 0, so squaring k times with 2^k >= n
-        decides it.  The zero algebra has no maximal ideal."""
-        if not self.dim:
-            return False
-        for i in range(1, self.dim):
-            power = {i: self.field.one}
-            steps = 0
-            while (1 << steps) < self.dim:
-                power = self.mult_vec(power, power)
-                steps += 1
-            if power:
-                return False
-        return True
-
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim}, field={self.field})"
 

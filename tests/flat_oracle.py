@@ -207,12 +207,30 @@ def j_generators(a: StructureAlgebra, m: int, budget: int | None = None):
     return tensor, general_rows(a, m, tensor)
 
 
+def is_local_nilpotent(a: StructureAlgebra) -> bool:
+    """True when every non-unit basis element is nilpotent; the span of
+    e_1..e_{n-1} is then the maximal ideal.  A nilpotent element of an
+    algebra of dimension n has x^n = 0, so squaring k times with 2^k >= n
+    decides it.  The zero algebra has no maximal ideal."""
+    if not a.dim:
+        return False
+    for i in range(1, a.dim):
+        power = {i: a.field.one}
+        steps = 0
+        while (1 << steps) < a.dim:
+            power = a.mult_vec(power, power)
+            steps += 1
+        if power:
+            return False
+    return True
+
+
 def local_generators(a: StructureAlgebra, m: int, budget: int | None = None):
     """The tensor power and relations in it generating the same ideal as
     `j_generators`, via the nilpotent shortcut."""
     if not (1 <= m <= a.dim):
         raise ValueError("need 1 <= m <= dim")
-    if not a.is_local_nilpotent():
+    if not is_local_nilpotent(a):
         raise ValueError("algebra is not local with nilpotent maximal ideal")
     tensor, _ = tensor_power(a, m, budget)
     return tensor, local_rows(a, m, tensor)

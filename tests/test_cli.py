@@ -1,8 +1,10 @@
 import functools
+import hashlib
 import json
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -164,8 +166,10 @@ def test_close_probe_at_the_former_prime_pair():
 
 
 def test_close_json_bound():
-    # a modular dimension is an upper bound for the one over Q
-    for argv, field, bound in ((["Q[x]/(x^3)"], "mod ", "upper"),
+    # a modular dimension is an upper bound for the one over Q; from a
+    # point that generates A it is exact
+    for argv, field, bound in ((["Q[x,y]/((x,y)^2)"], "mod ", "upper"),
+                               (["Q[x]/(x^3)"], "mod ", "exact"),
                                (["Q[x]/(x^3)", "--exact"], "exact", "exact"),
                                (["F5[x]/(x^3)"], "F5", "exact"),
                                (["F5[x]/(x^3)", "--method", "naive"], "F5", "exact")):
@@ -220,6 +224,44 @@ def test_another_generating_point_prints_the_same_record(monkeypatch):
     assert points[0] != points[1]
     assert records[0] == records[1]
     assert (records[0]["method"], records[0]["generators"]) == ("points", 1)
+
+
+# SHA-256 of the JSON [basis, maps] that `close --emit full --json` printed
+# for these inputs when every m >= 3 ran the staged pipeline eagerly
+TOWER_FULL_DIGESTS = {
+    ("Q[x]/(x^5-x-1)", 3):
+        "263af2a86cff7205fc70e9b6e6828497c983f57a35dd584ad116533c0079702b",
+    ("Q[x]/(x^4)", 3):
+        "b952c89813c2d1784de0b229d3e030708860402d7403052d1a8f886d1d04db5d",
+    ("Q[x]/(x^4)", 4):
+        "7cad605bab31d99d546c79cdadb06bc129239adb560059dfadfc59466bc7bec2",
+    ("Q[x,y]/(x^2-x, y^3)", 3):
+        "06faa68b2964ef33702f2b885f219b0df70ad29bcfe5c95d1ae7d6cd74e8d5d9",
+}
+
+
+@pytest.mark.parametrize("text,m", sorted(TOWER_FULL_DIGESTS))
+def test_tower_prints_the_staged_basis_and_maps(monkeypatch, text, m):
+    # a tower record builds its closure when --emit full reads it, and
+    # prints the basis and maps the staged pipeline always printed
+    monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
+    code, out = run_cli(["close", "--algebra", text, "--m", str(m),
+                         "--emit", "full", "--json"])
+    record = json.loads(out[0])
+    assert code == 0 and (record["method"], record["bound"]) == ("tower", "exact")
+    blob = json.dumps([record["basis"], record["maps"]], sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == TOWER_FULL_DIGESTS[(text, m)]
+
+
+def test_tower_dims_skip_the_stages():
+    # the parent took 4.6 s on the first and overran the stage budget on
+    # the second
+    for text, m, dim in (("Q[x]/(x^8-x-1)", 3, 336),
+                         ("Q[x]/(x^10-x-1)", 5, 30240)):
+        start = time.perf_counter()
+        code, out = run_cli(["close", "--algebra", text, "--m", str(m)])
+        assert code == 0 and out == [f"dim = {dim}"]
+        assert time.perf_counter() - start < 1
 
 
 def test_close_budget_exit_3(monkeypatch):
@@ -402,10 +444,14 @@ def test_table_determinism_modulo_timing():
 
 def _per_m_records(manifest, exact=False, min_m=None, max_m=None):
     """Records, without ms, as one closure_from_presentation call per
-    (row, m) gives them."""
+    (row, m) gives them, named by their run: below a row's largest m whose
+    run has stages, a record's method, generators and bound are those of
+    that run, as `table` reads them from its stages."""
     records = []
     for entry in load_manifest(manifest):
-        for m in sorted(entry.expected):
+        row = []
+        run = None
+        for m in sorted(entry.expected, reverse=True):
             if (min_m is not None and m < min_m) or \
                     (max_m is not None and m > max_m):
                 continue
@@ -420,14 +466,19 @@ def _per_m_records(manifest, exact=False, min_m=None, max_m=None):
                               bound=None, dim=None, generators=0, rank=0,
                               error=str(exc), match=False)
             else:
-                record.update(method=result.method, field=mode,
-                              bound="exact" if exact else "upper",
+                if run is None and result.strategy == "staged":
+                    run = result
+                source = run or result
+                proved = exact or source.method in ("points", "tower")
+                record.update(method=source.method, field=mode,
+                              bound="exact" if proved else "upper",
                               dim=result.dim,
-                              generators=result.generator_count,
+                              generators=sum(source.stage_generators[:m]),
                               rank=result.rank)
                 if "expected" in record:
                     record["match"] = result.dim == record["expected"]
-            records.append(record)
+            row.append(record)
+        records.extend(reversed(row))
     return records
 
 
@@ -462,21 +513,20 @@ def test_table_rows_once_match_per_m_records():
                 assert _without_ms(records) == _without_ms(per_m), \
                     (manifest, exact, jobs)
                 _assert_stage_times(records)
-            if manifest == "table1.json" and not exact:
-                table1 = per_m
     # --min-m / --max-m pick the m; the row still runs once, at the largest
     for min_m, max_m in ((2, 3), (4, 5), (1, 1)):
         code, records = _table_json(["--manifest", "table1.json",
                                      "--min-m", str(min_m), "--max-m", str(max_m)])
         assert code == 0
         assert _without_ms(records) == _without_ms(
-            [r for r in table1 if min_m <= r["m"] <= max_m])
+            _per_m_records("table1.json", min_m=min_m, max_m=max_m))
 
 
 def test_table_records_name_the_run_they_are_read_from(monkeypatch, tmp_path):
-    # a non-local row: the m = 2 close takes one point, every other m the
-    # symbolic seed.  A table record has a separate run's dim, rank, field
-    # and bound; its method and generators are those of the row's run.
+    # a monogenic row: the m = 2 close takes one point, m = 3 the tower, and
+    # m = 0, 1 the symbolic seed.  A table record has a separate run's dim,
+    # rank and field; its method, generators and bound are those of the
+    # row's run.
     monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
     text = "Q[x]/(x^3-x-1)"
     close = {}
@@ -484,10 +534,11 @@ def test_table_records_name_the_run_they_are_read_from(monkeypatch, tmp_path):
         code, out = run_cli(["close", "--algebra", text, "--m", str(m), "--json"])
         assert code == 0
         close[m] = json.loads(out[0])
-    assert [close[m]["method"] for m in range(4)] == \
-        ["general", "general", "points", "general"]
-    assert close[2]["generators"] == 1
-    for top, method, generators in ((3, "general", 3), (2, "points", 1)):
+    assert [(close[m]["method"], close[m]["bound"]) for m in range(4)] == \
+        [("general", "upper"), ("general", "upper"), ("points", "exact"),
+         ("tower", "exact")]
+    assert close[2]["generators"] == close[3]["generators"] == 1
+    for top, method in ((3, "tower"), (2, "points")):
         rows = [{"name": text, "field": "Q", "vars": ["x"],
                  "relations": ["x^3-x-1"],
                  "expected": {str(m): close[m]["dim"] for m in range(top + 1)},
@@ -497,10 +548,10 @@ def test_table_records_name_the_run_they_are_read_from(monkeypatch, tmp_path):
         code, records = _table_json(["--manifest", str(path)])
         assert code == 0 and [r["m"] for r in records] == list(range(top + 1))
         for r in records:
-            for key in ("dim", "rank", "field", "bound"):
+            for key in ("dim", "rank", "field"):
                 assert r[key] == close[r["m"]][key], (top, r["m"], key)
-            assert r["method"] == method
-        assert records[2]["generators"] == generators
+            assert (r["method"], r["bound"]) == (method, "exact")
+        assert [r["generators"] for r in records] == [0, 0, 1, 1][:top + 1]
 
 
 def _count_runs(monkeypatch):
@@ -524,16 +575,18 @@ def test_table_runs_each_row_once(monkeypatch):
 
 
 def test_table_row_budget_overrun_falls_back(monkeypatch):
-    # (x^4) stages are 16, 48 and 96 wide, so only m = 4 overruns; m = 0..2
-    # are read from the stages of the run at m = 3
-    monkeypatch.setenv("CLOSURELAB_BUDGET", "50")
+    # (x^2, y^2) stages are 16, 52 and 104 wide, so only m = 4 overruns;
+    # m = 0..2 are read from the stages of the run at m = 3.  The row is not
+    # monogenic: a monogenic one runs no stage past the 2-closure.
+    monkeypatch.setenv("CLOSURELAB_BUDGET", "60")
     calls = _count_runs(monkeypatch)
-    code, records = _table_json(["--manifest", "table1.json", "--rows", "(x^4)"])
+    code, records = _table_json(["--manifest", "table1.json", "--rows",
+                                 "(x^2, y^2)"])
     assert code == 1 and calls == [4, 3]
     assert [r.get("error") for r in records] == \
-        [None] * 4 + ["stage 4 width 96 exceeds the budget 50"]
+        [None] * 4 + ["stage 4 width 104 exceeds the budget 60"]
     assert _without_ms(records) == _without_ms(
-        [r for r in _per_m_records("table1.json") if r["name"] == "(x^4)"])
+        [r for r in _per_m_records("table1.json") if r["name"] == "(x^2, y^2)"])
 
 
 def test_table_row_skips_a_bad_prime(monkeypatch, tmp_path):
@@ -545,8 +598,9 @@ def test_table_row_skips_a_bad_prime(monkeypatch, tmp_path):
     path.write_text(json.dumps(rows))
     code, records = _table_json(["--manifest", str(path)])
     assert code == 0
-    assert [(r["dim"], r["field"], r["bound"]) for r in records] == \
-        [(1, "mod 11", "upper"), (4, "mod 11", "upper"), (12, "mod 11", "upper")]
+    # GF(11) reads the row as K[y]/(y^4), which one point generates
+    assert [(r["dim"], r["field"], r["method"], r["bound"]) for r in records] == \
+        [(d, "mod 11", "points", "exact") for d in (1, 4, 12)]
     assert _without_ms(records) == _without_ms(_per_m_records(str(path)))
 
 

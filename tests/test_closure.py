@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import hashlib
 import itertools
+import math
 import random
 import time
 from fractions import Fraction as Fr
@@ -28,8 +29,13 @@ from closurelab.finalg import (AlgebraMap, algebra_from_presentation,
                                algebra_product, char_poly, vec_add_into)
 from closurelab.multipoly import parse_presentation
 from closurelab.verify import upoly_mul
-from flat_oracle import (flat_closure, ideal_subspace_dim, j_generators,
-                         local_generators, tensor_power)
+from flat_oracle import (flat_closure, ideal_subspace_dim,
+                         is_local_nilpotent, j_generators, local_generators,
+                         tensor_power)
+
+
+# the rows of Table 1 that one element generates
+TABLE1_MONOGENIC = ("(x^3)", "(x^4)", "(x^5)")
 
 
 def alg(text):
@@ -252,7 +258,7 @@ def test_production_matches_flat_oracle():
     # and F4
     for entry in table1_entries():
         a = entry.algebra()
-        local = a.is_local_nilpotent()
+        local = is_local_nilpotent(a)
         for m in range(2, min(3, a.dim) + 1):
             staged = m_closure(a, m)
             assert_same_closure(staged, flat_closure(a, m))
@@ -274,7 +280,7 @@ NONLOCAL_ORACLE_INPUTS = ("Q[x]/(x^5-x-1)", "Q[x]/(x^3-x^2)", "F3[x]/(x^3-x-1)")
 def test_production_matches_flat_oracle_on_nonlocal_inputs():
     for text in NONLOCAL_ORACLE_INPUTS:
         a = alg(text)
-        assert not a.is_local_nilpotent()
+        assert not is_local_nilpotent(a)
         for m in (2, 3):
             assert_same_closure(m_closure(a, m), flat_closure(a, m))
 
@@ -385,10 +391,13 @@ def test_m_equals_n_records_build_no_canonical_quotient(monkeypatch, capsys):
     from closurelab.catalog import load_manifest
     from closurelab.cli import main
     widths = _record_quotients(monkeypatch)
-    # every Table 1 row runs to m = n: stages 2 .. n - 1 build quotients
+    # every Table 1 row runs to m = n: stages 2 .. n - 1 build quotients,
+    # except on a monogenic row, whose one quotient is the one-point
+    # 2-closure
     assert main(["table", "--manifest", "table1.json", "--json"]) == 0
-    assert len(widths) == sum(e.algebra().dim - 2
-                              for e in load_manifest("table1.json"))
+    assert len(widths) == sum(
+        1 if e.name in TABLE1_MONOGENIC else e.algebra().dim - 2
+        for e in load_manifest("table1.json"))
     del widths[:]
     close = ["close", "--algebra", "Q[x,y]/(x^2, y^2)", "--m", "4"]
     capsys.readouterr()
@@ -940,6 +949,8 @@ def test_reduce_mod_prime_is_the_special_fiber():
 
 
 def test_default_mode_runs_the_pipeline_once(monkeypatch):
+    # a monogenic row runs it no time at m >= 2: one point closes m = 2,
+    # and the tower gives every larger m
     monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
     calls = _count_m_closure_calls(monkeypatch)
     for entry in table1_entries():
@@ -948,7 +959,8 @@ def test_default_mode_runs_the_pipeline_once(monkeypatch):
             calls.clear()
             res, mode = closure_from_presentation(pres, m)
             p = modular_prime(pres)
-            assert calls == [GF(p)] and mode == f"mod {p}"
+            tower = m >= 2 and entry.name in TABLE1_MONOGENIC
+            assert calls == ([] if tower else [GF(p)]) and mode == f"mod {p}"
             assert res.dim == entry.expected[m]
 
 
@@ -963,7 +975,7 @@ def test_budget_overrun_is_not_repeated(monkeypatch):
     assert len(calls) == 1 and calls[0].kind == "prime"
 
 
-# -- point seeds for non-local inputs at m = 2
+# -- point seeds at m = 2, and the tower at m >= 3, for monogenic inputs
 
 # Non-local inputs: two fields, a product of local algebras and two mixed
 # ones (a product of a field factor and a local one).
@@ -997,15 +1009,22 @@ def test_point_seeds_match_the_symbolic_seeds(monkeypatch, text):
 
 def test_point_seeds_only_at_m_2(monkeypatch):
     monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
-    # two copies of K[y]/(y^3), and three of K[y]/(y^2)
+    # two copies of K[y]/(y^3), and three of K[y]/(y^2): at m = 3 the tower
+    # gives the dim, which the product formula confirms, and no stage past
+    # the 2-closure takes a seed
     cube, square = [1, 3, 6, 6], [1, 2, 2, 0]
     two_squares = [product_formula_dim(square, square, m) for m in range(4)]
     for text, dim in (("Q[x,y]/(x^2-x, y^3)", product_formula_dim(cube, cube, 3)),
                       ("Q[x,y]/(x^3-x, y^2)",
                        product_formula_dim(two_squares, square, 3))):
         res, _ = closure_from_presentation(parse_presentation(text), 3)
-        assert (res.method, res.dim) == ("general", dim)
-    # local inputs, --exact and finite fields keep the symbolic seeds at m = 2
+        assert (res.method, res.dim) == ("tower", dim)
+        assert res.stage_generators == (0, 1, 0)
+    # a local monogenic input takes one point too
+    res, _ = closure_from_presentation(parse_presentation("Q[x]/(x^4)"), 2)
+    assert (res.method, res.dim) == ("points", 12)
+    # local non-monogenic inputs, --exact and finite fields keep the
+    # symbolic seeds at m = 2
     for text, exact in (("Q[x,y]/(x^2, y^3)", False), ("Q[x]/(x^3-x)", True),
                         ("F101[x]/(x^3-x)", False)):
         res, _ = closure_from_presentation(parse_presentation(text), 2, exact)
@@ -1073,7 +1092,7 @@ def test_point_seeds_follow_monogenicity_not_locality(monkeypatch):
     monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
     pres = parse_presentation(NOT_MONOGENIC)
     algebra = _modular_algebra(pres)
-    assert not algebra.is_local_nilpotent()
+    assert not is_local_nilpotent(algebra)
     res, _ = closure_from_presentation(pres, 2)
     assert (res.method, res.dim) == ("general", 58)
     assert_same_closure(res, m_closure(algebra, 2))
@@ -1112,6 +1131,83 @@ def test_generates_asks_for_n_independent_powers():
     a = alg("Q[x]/(x^3-x-1)")
     assert [closure_module._generates(a, x) for x in ({}, {1: 1}, {2: 1})] == \
         [False, True, True]
+
+
+# Monogenic inputs: the (x^k) rows of Tables 1 and 2, a field, and two
+# products of local algebras.
+MONOGENIC_INPUTS = ("Q[x]/(x^3)", "Q[x]/(x^4)", "Q[x]/(x^5)", "Q[x]/(x^6)",
+                    "Q[x]/(x^5-x-1)", "Q[x,y]/(x^2-x, y^3)",
+                    "Q[x,y]/(x^2-1, y^2)")
+
+
+@pytest.mark.parametrize("text", MONOGENIC_INPUTS)
+def test_tower_dims_match_the_pipeline(monkeypatch, text):
+    # the theorem against the staged pipeline on the same reduced algebra
+    monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
+    pres = parse_presentation(text)
+    algebra = _modular_algebra(pres)
+    for m in (2, 3, 4):
+        res, _ = closure_from_presentation(pres, m)
+        expected = m_closure(algebra, m)
+        assert res.dim == expected.dim and res.rank == expected.rank
+        if 3 <= m <= algebra.dim:
+            assert res.method == "tower"
+            assert res.stage_dims == tuple(math.perm(algebra.dim, s)
+                                           for s in range(1, m + 1))
+
+
+def test_tower_runs_no_pipeline_until_read(monkeypatch):
+    monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
+    calls = _count_m_closure_calls(monkeypatch)
+    res, _ = closure_from_presentation(parse_presentation("Q[x]/(x^6)"), 5)
+    assert (res.method, res.dim, calls) == ("tower", 720, [])
+    assert res.stage_dims == (6, 30, 120, 360, 720)
+    assert res.stage_generators == (0, 1, 0, 0, 0)
+    closure, maps = res.closure, res.maps
+    assert len(calls) == 1 and closure.dim == 720 and len(maps) == 5
+    assert res.closure is closure and len(calls) == 1
+    assert divides_check(res)["certified"] and len(calls) == 1
+
+
+def test_certificate_builds_a_tower_first(monkeypatch):
+    monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
+    calls = _count_m_closure_calls(monkeypatch)
+    res, _ = closure_from_presentation(parse_presentation("Q[x]/(x^4-x-1)"), 3)
+    assert calls == []
+    assert divides_check(res)["certified"] and len(calls) == 1
+    assert res.closure.dim == 24 and len(calls) == 1
+
+
+def test_forced_generation_trips_the_guard_before_the_tower(monkeypatch):
+    # mutant: as in the m = 2 case, the one-point 2-closure runs first at
+    # m = 3 and refuses the non-monogenic A before any tower is returned
+    monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
+    monkeypatch.setattr(closure_module, "_generates", lambda a, x: True)
+    with pytest.raises(CertificateFailure,
+                       match="^a generating point gives dimension 60, not 56$"):
+        closure_from_presentation(parse_presentation(NOT_MONOGENIC), 3)
+
+
+def test_tower_build_checks_its_dimension(monkeypatch):
+    # mutant: the build stops a stage short; the tower reports 24 without
+    # building, and its first read refuses the 12-dimensional closure
+    monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
+    real = closure_module.m_closure
+    monkeypatch.setattr(closure_module, "m_closure",
+                        lambda a, m: real(a, m - 1))
+    res, _ = closure_from_presentation(parse_presentation("Q[x]/(x^4)"), 3)
+    assert (res.method, res.dim) == ("tower", 24)
+    with pytest.raises(CertificateFailure, match=(
+            "^the closure of a monogenic algebra has dimension 12, not 24$")):
+        res.closure
+
+
+def test_tower_keeps_the_map_budget(monkeypatch):
+    monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
+    monkeypatch.setenv("CLOSURELAB_BUDGET", "23")
+    with pytest.raises(BudgetExceeded,
+                       match="^3 maps of a dimension-8 algebra exceed the budget 23$"):
+        closure_from_presentation(parse_presentation("Q[x]/(x^8-x-1)"), 3)
 
 
 def test_base_change_presentation():

@@ -66,16 +66,16 @@ PINNED = {
     "close-gf4-naive": "947d2c529c6fefafc956600edc1547991e56c384af51aef4d4f5aaa3d17c8b68",
     "close-gf49": "ce787f2660093d258da4721151790b67e88b26024e30f853d353b828e3149709",
     "close-not-monogenic-m2": "5f5a4e113216ec44c7b806c8ffbec97273958ac284d3ec6dc033f7a277c48371",
-    "close-points-m2": "3d93d69796bcad43a2dff6187d9e0986bb4f901d1e40dc15bf95d1517edfdf6c",
-    "close-x2-m2": "c22ccd6a498cba10ca87558741005e9c688821057623fb446cc9a1125b3bd18b",
+    "close-points-m2": "898f388417744b0113f45af97d80a5bcb017e294f262c5978cbc45ea82b42efa",
+    "close-x2-m2": "db0fa3e08aaae5691288e41d647be9f85fb08be924c69f1859158925a5fe2486",
     "close-x2y2-m4": "a96d75b98c9a34beeee618440a2162ab6bf93acf8478292bf48e995aba618bba",
     "close-x2y2-m4-exact": "2c1c71e6e970be2f535eca69fb6952f178cc3f6641f1a93e517574193bfdc9d0",
     "malformed-exponent": "1135cc60d3d17ed441ff527019ff966362200253860342a90caf10dd02b3bd67",
     "malformed-paren": "8f3da2d22ccce112ec7cfa5f5ff7cee13f2ec6f4e055e3ee8be1c3b0a2aa8440",
     "malformed-variable": "8b7ec09964d6f838665a47790c7a5637bada671a826ffd7610fed72e5603e8ea",
-    "table1": "b1ed9882eb107d2da063b56a93aee95da34cbf9acd08aeaa74ae3388d58a52d0",
+    "table1": "be3823a62c6dd7df7799f2ad79389991532d79b07fe6100e61dbc64d0ab305e6",
     "table1-exact": "56b2887bedfd718e11dd006dcbb53b8091decb17eaa62a59eaad216cf9dd4e71",
-    "table2-m3": "b45c6b539399e1190411aba3836efa4f9e333b7b5df3a0e825305f156b952dd8",
+    "table2-m3": "c8bb0db97fb6c8815f1d06549450d53fc6398d12fa5bea087ed139c6a8bae263",
     "tower-gf343": "2df1f064bc22378fec9289d338b49d31ef37210e74b45c3c54194540d0690ad9",
     "tower-gf4": "4a03b3f99bdbbcb1adf1d5b8f705543833e60a6f02af65f8d7ae8b8db7b79d16",
     "tower-q": "c477597d2dce6df31a29142a198f5d936c6ccf4c9fa060a054ab57da4da35dbb",

@@ -7,6 +7,7 @@ value must be deliberate and re-pinned here after review.
 import hashlib
 
 from closurelab.catalog import manifest_path, table1_entries, table2_entries
+from flat_oracle import is_local_nilpotent
 
 PINNED = {
     "table1.json": "4574db389ec98daacc0a71e53c36068ae0aba7272787f4aa4c5fa178a5d5bf6b",
@@ -67,4 +68,4 @@ def test_every_entry_parses_to_the_stated_dimension():
     for entry in table1_entries() + table2_entries():
         algebra = entry.algebra()
         assert algebra.dim == entry.expected[1], entry.name
-        assert algebra.is_local_nilpotent(), entry.name
+        assert is_local_nilpotent(algebra), entry.name
