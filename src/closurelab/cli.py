@@ -57,15 +57,6 @@ def _field_from_spec(text: str):
     return parse_field(text)
 
 
-def _bound(mode: str, method: str) -> str:
-    """What a dimension computed in `mode` by `method` is: a modular one is
-    an upper bound for the one over Q, unless a point that generates A gave
-    it ("points", "tower"; `closure_from_presentation`); every other is
-    exact."""
-    modular = mode.startswith("mod ") and method not in ("points", "tower")
-    return "upper" if modular else "exact"
-
-
 def _emit(record: dict, as_json: bool):
     if as_json:
         print(json.dumps(record, sort_keys=True))
@@ -94,9 +85,8 @@ def cmd_close(args) -> int:
         result, mode = closure_from_presentation(pres, args.m, exact=args.exact)
     ms = (time.perf_counter() - t0) * 1e3
 
-    record = _set_outcome({"name": args.algebra, "m": args.m}, result.dim,
-                          result.method, mode, result.generator_count,
-                          result.rank, ms)
+    record = _set_outcome({"name": args.algebra, "m": args.m}, result, mode,
+                          result.dim, result.generator_count, ms)
     if args.json:
         if args.emit == "full":
             record["basis"] = [result.closure.label_str(i)
@@ -132,10 +122,13 @@ def _new_record(entry: ManifestEntry, m: int) -> dict:
     return record
 
 
-def _set_outcome(record, dim, method, mode, generators, rank, ms):
-    record.update(dim=dim, method=method, field=mode,
-                  bound=_bound(mode, method), generators=generators,
-                  rank=rank, ms=round(ms, 3))
+def _set_outcome(record, result, mode, dim, generators, ms):
+    """Fill `record` with the outcome at its m of the run that gave
+    `result`."""
+    record.update(dim=dim, method=result.method, field=mode,
+                  bound=result.bound, generators=generators,
+                  rank=result.input_algebra.dim ** record["m"] - dim,
+                  ms=round(ms, 3))
     if "expected" in record:
         record["match"] = dim == record["expected"]
     return record
@@ -162,21 +155,19 @@ def _table_row_task(payload):
         record.update(error=str(exc), match=False)
         derive = False
     else:
-        _set_outcome(record, result.dim, result.method, mode,
-                     result.generator_count, result.rank,
+        _set_outcome(record, result, mode, result.dim, result.generator_count,
                      (time.perf_counter() - t0) * 1e3)
         derive = result.strategy == "staged"
     if not derive:
         return _table_row_task((entry_dict, rest, exact)) + [record]
     lead_ms = (result.started - t0) * 1e3      # the algebra is built
-    n = result.input_algebra.dim
     records = []
     for m in rest:
         dim = result.stage_dims[m - 1] if m else 1
         at_ms = lead_ms + (result.stage_ms[m - 1] if m else 0.0)
         records.append(_set_outcome(
-            _new_record(entry, m), dim, result.method, mode,
-            sum(result.stage_generators[:m]), n ** m - dim, at_ms))
+            _new_record(entry, m), result, mode, dim,
+            sum(result.stage_generators[:m]), at_ms))
     return records + [record]
 
 

@@ -249,12 +249,15 @@ class ClosureResult:
     input_algebra: StructureAlgebra
     m: int
     method: str                 # general | naive | points | tower
-    stored_closure: StructureAlgebra  # the pair that the map check and the
-    stored_maps: list                 # certificate read; None in a tower
+    stored_closure: StructureAlgebra  # the pair that the certificate
+    stored_maps: list                 # reads; None in a tower
     stage_dims: tuple = ()      # closure dimension after each stage
     stage_generators: tuple = ()  # nonzero seed rows of each stage
     stage_ms: tuple = ()        # ms since `started` at the end of each stage
     started: float = 0.0        # time.perf_counter() when the run began
+    # "upper" when the dim is a modular upper bound for the one over Q
+    # (`closure_from_presentation`)
+    bound: str = "exact"
     # builds the canonical (closure, maps) when `closure` or `maps` is
     # first read: at m = n they replace the stored pair, in a tower they
     # are the first pair
@@ -263,7 +266,6 @@ class ClosureResult:
     def _read(self):
         if self.build is not None:
             self.stored_closure, self.stored_maps = self.build()
-            _verify_maps(self)
             self.build = None
         return self.stored_closure, self.stored_maps
 
@@ -310,8 +312,8 @@ class ClosureResult:
                 f"method={self.method}, strategy={self.strategy})")
 
 
-def _verify_maps(result: ClosureResult):
-    for i, mp in enumerate(result.stored_maps):
+def _verify_maps(maps):
+    for i, mp in enumerate(maps):
         if not mp.is_ring_morphism():
             raise CertificateFailure(
                 f"structural map {i + 1} is not a ring morphism")
@@ -407,9 +409,10 @@ def _last_map(pair: TensorPairAlgebra, maps, seeds) -> AlgebraMap:
 
 def _last_stage_span(pair: TensorPairAlgebra, maps, last: AlgebraMap):
     """The canonical n-closure (C x A)/ker phi and its maps (`_last_map`),
-    built the first time a result's `closure` or `maps` is read.  The rows
-    e_(c,i) - (c * t_i) x 1 go straight into the row space: they span
-    ker phi, so the span needs no closing."""
+    built the first time a result's `closure` or `maps` is read, with its
+    maps checked to be ring morphisms.  The rows e_(c,i) - (c * t_i) x 1 go
+    straight into the row space: they span ker phi, so the span needs no
+    closing."""
     fieldh = pair.field
     n = pair.n
     one = fieldh.one
@@ -422,7 +425,9 @@ def _last_stage_span(pair: TensorPairAlgebra, maps, last: AlgebraMap):
             row[c * n + i] = one
             span.add(row)
     quot = QuotientAlgebra(pair, span)
-    return quot, _quotient_maps(quot, pair, maps)
+    maps = _quotient_maps(quot, pair, maps)
+    _verify_maps(maps)
+    return quot, maps
 
 
 def _quotient_maps(quot: QuotientAlgebra, pair: TensorPairAlgebra, maps):
@@ -467,8 +472,9 @@ def _staged_closure(a, m, method, make_seed, t0, limit):
     map, once its checks pass (`_last_map`).  The result stores that pair;
     its canonical quotient of C x A is built when `closure` or `maps` is
     first read (`_last_stage_span`).  Every structural map is checked to
-    be a ring morphism: the trace map on C by `_last_map`, the others here
-    and, after the canonical build, every canonical map.
+    be a ring morphism once, where it is made: the trace map on C by
+    `_last_map`, the others here, and the canonical maps by
+    `_last_stage_span`.
     """
     fieldh = a.field
     n = a.dim
@@ -509,12 +515,12 @@ def _staged_closure(a, m, method, make_seed, t0, limit):
         stage_dims.append(current.dim)
         stage_ms.append((time.perf_counter() - t0) * 1e3)
 
+    _verify_maps(maps)
     result = ClosureResult(
         input_algebra=a, m=m, method=method, stored_closure=current,
         stored_maps=maps, stage_dims=tuple(stage_dims),
         stage_generators=tuple(stage_generators), stage_ms=tuple(stage_ms),
         started=t0)
-    _verify_maps(result)
     if m == n:
         result.stored_maps = maps + [last]
         result.build = partial(_last_stage_span, pair, maps, last)
@@ -882,7 +888,7 @@ def closure_from_presentation(pres: AlgebraPresentation, m: int,
     default a rational input is built over Q once (Groebner basis and
     structure constants), reduced modulo one prime (`modular_prime`,
     `reduce_mod_prime`) and closed over GF(p); the mode is "mod <p>" and
-    its dimension is an upper bound for the one over Q.
+    its dimension is an upper bound for the one over Q (`bound` "upper").
 
     At 2 <= m <= n it first draws one point x from random.Random(p).  If
     K[x] = A, x alone seeds the 2-closure (module docstring), which must
@@ -926,7 +932,9 @@ def closure_from_presentation(pres: AlgebraPresentation, m: int,
                 stage_generators=two.stage_generators + (0,) * (m - 2),
                 stage_ms=two.stage_ms + two.stage_ms[-1:] * (m - 2),
                 started=t0, build=partial(_tower_build, algebra, m)), mode
-    return m_closure(algebra, m), mode
+    result = m_closure(algebra, m)
+    result.bound = "upper"
+    return result, mode
 
 
 def _tower_build(a: StructureAlgebra, m: int):

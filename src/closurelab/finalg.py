@@ -561,11 +561,6 @@ class QuotientAlgebra(StructureAlgebra):
         self.dim = len(self.basis_cols)
         self.col_to_index = {c: i for i, c in enumerate(self.basis_cols)}
         self._products = {}     # (i, j), i <= j -> e_i e_j in the quotient
-        if self.dim and self.basis_cols[0] != 0:
-            # the identity column was absorbed into the span: unit ideal
-            self.basis_cols = []
-            self.dim = 0
-            self.col_to_index = {}
         # a closure over the span, not a method of the quotient: no cycle
         col_to_index, one = self.col_to_index, self.field.one
 

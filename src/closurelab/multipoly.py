@@ -6,6 +6,7 @@ scalars.  The canonical term order is graded reverse lexicographic.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 
@@ -326,10 +327,9 @@ def _parse_field_spec(toks: _Tokens) -> Field:
     raise UnsupportedField(f"unknown field {name!r}")
 
 
-def _split_identifier(run: str, pos: int, var_names, allow_t: bool):
-    """Split a letter/digit run into declared variable names (longest match
-    first) and optional `t` factors."""
-    names = sorted(var_names, key=len, reverse=True)
+def _split_identifier(run: str, pos: int, names):
+    """Split a letter/digit run into symbols, longest match first."""
+    names = sorted(names, key=len, reverse=True)
     out = []
     i = 0
     while i < len(run):
@@ -339,19 +339,19 @@ def _split_identifier(run: str, pos: int, var_names, allow_t: bool):
                 i += len(name)
                 break
         else:
-            if allow_t and run[i] == "t":
-                out.append("t")
-                i += 1
-            else:
-                raise UnknownVariable(f"unknown variable in {run!r}", pos + i)
+            raise UnknownVariable(f"unknown variable in {run!r}", pos + i)
     return out
 
 
 def _parse_poly(toks: _Tokens, ring: PolyRing, stop_kinds=(",", ")")):
-    """Signed sum of terms; `*` between factors is optional."""
+    """Signed sum of terms; `*` between two factors is optional.  Over an
+    extension field `t` is the generator unless a ring variable has that
+    name: one more exponent, folded into the term's coefficient."""
     field = ring.field
-    var_index = {name: i for i, name in enumerate(ring.var_names)}
-    allow_t = field.kind == "extension"
+    symbols = ring.var_names
+    if field.kind == "extension" and "t" not in symbols:
+        symbols += ("t",)
+    var_index = {name: i for i, name in enumerate(symbols)}
     total = ring.zero()
     sign = 1
     tok = toks.peek()
@@ -363,7 +363,7 @@ def _parse_poly(toks: _Tokens, ring: PolyRing, stop_kinds=(",", ")")):
             if toks.next()[0] == "-":
                 sign = -sign
         term_coeff = field.one
-        exps = [0] * ring.nvars
+        exps = [0] * len(symbols)
         saw_factor = False
         while True:
             kind, value, pos = toks.peek()
@@ -382,31 +382,24 @@ def _parse_poly(toks: _Tokens, ring: PolyRing, stop_kinds=(",", ")")):
                 saw_factor = True
             elif kind == "name":
                 toks.next()
-                symbols = _split_identifier(value, pos, ring.var_names, allow_t)
-                for sym in symbols:
-                    if allow_t and sym == "t":
-                        term_coeff = field.mul(term_coeff, ring.field.gen)
-                    else:
-                        exps[var_index[sym]] += 1
+                run = _split_identifier(value, pos, symbols)
+                for sym in run:
+                    exps[var_index[sym]] += 1
                 # an exponent applies to the final symbol of the run
                 if toks.peek()[0] == "^":
                     toks.next()
-                    e = toks.expect("int")[1]
-                    last = symbols[-1]
-                    if allow_t and last == "t":
-                        for _ in range(e - 1):
-                            term_coeff = field.mul(term_coeff, ring.field.gen)
-                    else:
-                        exps[var_index[last]] += e - 1
+                    exps[var_index[run[-1]]] += toks.expect("int")[1] - 1
                 saw_factor = True
-            elif kind == "*":
+            elif (kind == "*" and saw_factor
+                  and toks.peek(1)[0] in ("int", "name")):
                 toks.next()
-                continue
             else:
                 break
         if not saw_factor:
             kind, value, pos = toks.peek()
             raise ParseError(f"expected a term, found {value!r}", pos)
+        if len(symbols) > ring.nvars:
+            term_coeff = field.mul(term_coeff, field.pow(field.gen, exps.pop()))
         c = term_coeff if sign > 0 else field.neg(term_coeff)
         total = total + ring.monomial(tuple(exps), c)
         sign = 1
@@ -418,23 +411,18 @@ def _parse_poly(toks: _Tokens, ring: PolyRing, stop_kinds=(",", ")")):
         raise ParseError(f"unexpected token {value!r} in polynomial", pos)
 
 
-def _expand_ideal_power(ring: PolyRing, names, k: int):
-    """All monomials of degree k in the listed variables."""
-    idx = [ring.var_names.index(n) for n in names]
-
-    def rec(start, remaining, exps):
-        if remaining == 0:
-            yield tuple(exps)
-            return
-        if start == len(idx):
-            return
-        for e in range(remaining, -1, -1):
-            exps[idx[start]] = e
-            yield from rec(start + 1, remaining - e, exps)
-        exps[idx[start]] = 0
-
-    monos = sorted(rec(0, k, [0] * ring.nvars), key=grevlex_key, reverse=True)
-    return [ring.monomial(m) for m in monos]
+def _comma_list(toks: _Tokens, read_item, close: str) -> list:
+    """Items read by `read_item()`, separated by commas, up to and
+    including the token `close`."""
+    items = []
+    while True:
+        items.append(read_item())
+        nxt = toks.next()
+        if nxt[0] == close:
+            return items
+        if nxt[0] != ",":
+            raise ParseError(f"expected ',' or {close!r}, found {nxt[1]!r}",
+                             nxt[2])
 
 
 def parse_presentation(text: str) -> AlgebraPresentation:
@@ -442,17 +430,14 @@ def parse_presentation(text: str) -> AlgebraPresentation:
     toks = _Tokens(text)
     field = _parse_field_spec(toks)
     toks.expect("[")
-    variables = []
-    while True:
+
+    def variable():
         tok = toks.expect("name")
         if tok[1] == "t" and field.kind == "extension":
             raise ParseError("'t' is reserved for the extension generator", tok[2])
-        variables.append(tok[1])
-        nxt = toks.next()
-        if nxt[0] == "]":
-            break
-        if nxt[0] != ",":
-            raise ParseError(f"expected ',' or ']', found {nxt[1]!r}", nxt[2])
+        return tok[1]
+
+    variables = _comma_list(toks, variable, "]")
     if len(set(variables)) != len(variables):
         raise ParseError("duplicate variable name", 0)
     toks.expect("/")
@@ -462,31 +447,26 @@ def parse_presentation(text: str) -> AlgebraPresentation:
     if toks.peek()[0] == ")":
         toks.next()
     elif toks.peek()[0] == "(":
-        # ideal power sugar: (v1,...,vg)^k
+        # ideal power sugar (v1,...,vg)^k: every monomial of degree k in the
+        # distinct listed variables
         toks.next()
-        names = []
-        while True:
+
+        def listed():
             tok = toks.expect("name")
             if tok[1] not in variables:
                 raise UnknownVariable(f"unknown variable {tok[1]!r}", tok[2])
-            names.append(tok[1])
-            nxt = toks.next()
-            if nxt[0] == ")":
-                break
-            if nxt[0] != ",":
-                raise ParseError(f"expected ',' or ')', found {nxt[1]!r}", nxt[2])
+            return variables.index(tok[1])
+
+        idx = dict.fromkeys(_comma_list(toks, listed, ")"))
         toks.expect("^")
-        k = toks.expect("int")[1]
-        relations = _expand_ideal_power(ring, names, k)
+        combos = itertools.combinations_with_replacement(
+            idx, toks.expect("int")[1])
+        monos = [tuple(c.count(i) for i in range(ring.nvars)) for c in combos]
+        relations = [ring.monomial(m) for m in
+                     sorted(monos, key=grevlex_key, reverse=True)]
         toks.expect(")")
     else:
-        while True:
-            relations.append(_parse_poly(toks, ring))
-            nxt = toks.next()
-            if nxt[0] == ")":
-                break
-            if nxt[0] != ",":
-                raise ParseError(f"expected ',' or ')', found {nxt[1]!r}", nxt[2])
+        relations = _comma_list(toks, lambda: _parse_poly(toks, ring), ")")
     toks.expect_end()
     return AlgebraPresentation(field, tuple(variables), tuple(relations))
 
@@ -530,7 +510,7 @@ def parse_univariate(text: str, field: Field):
                 raise ParseError(f"two variables {seen!r} and {value!r}", pos)
     name = seen or "Z"
     ring = PolyRing(field, (name,))
-    p = _parse_poly(_Tokens(text), ring, stop_kinds=())
+    p = _parse_poly(toks, ring, stop_kinds=())
     deg = p.total_degree()
     coeffs = [field.zero] * (deg + 1) if deg >= 0 else [field.zero]
     for m, c in p.terms.items():
@@ -539,8 +519,6 @@ def parse_univariate(text: str, field: Field):
 
 
 def format_univariate(coeffs, field: Field, var: str = "Z") -> str:
-    ring = PolyRing(field, (var,))
-    p = ring.zero()
-    for e, c in enumerate(coeffs):
-        p = p + ring.monomial((e,), c)
+    p = MultiPoly(PolyRing(field, (var,)),
+                  {(e,): c for e, c in enumerate(coeffs) if c})
     return str(p).replace(" ", "")

@@ -389,6 +389,20 @@ def test_univariate_input_over_an_extension_field():
     code, out = run_cli(["transform", "--field", "GF(2,2)", "--f", "Z^2+t*Z+1",
                          "--g", "X^2"])
     assert code == 0 and out == ["Z^2+(t+1)*Z+1"]
+    # t^0 is 1: the roots of Z^2+Z+1 are t and t + 1, whose squares are
+    # t + 1 and t
+    code, out = run_cli(["transform", "--field", "GF(2,2)", "--f",
+                         "Z^2+t^0*Z+1", "--g", "X^2"])
+    assert code == 0 and out == ["Z^2+Z+1"]
+    code, out = run_cli(["tower", "--field", "GF(2,2)", "--f", "x^3+t^0",
+                         "--m", "2"])
+    assert code == 0 and out[:2] == ["dim = 6", "stage 1: x1^3 + 1 = 0"]
+
+
+def test_ideal_power_sugar_with_a_repeated_name():
+    for text, dim in (("Q[x]/((x,x)^2)", 2), ("Q[x,y]/((x,y,x)^2)", 3)):
+        assert run_cli(["close", "--algebra", text, "--m", "1"]) \
+            == (0, [f"dim = {dim}"])
 
 
 def test_field_option_uses_the_presentation_grammar(capsys):
@@ -683,6 +697,9 @@ EXIT_MATRIX = [
     (["table", "--manifest", "table1.json", "--rows", "(x^3)", "--jobs", "-2"],
      {}, None, 2),
     (["close", "--algebra", "Q[x]/(x^2)", "--m", str(10 ** 12)], {}, None, 3),
+    (["close", "--algebra", "Q[x]/(x**2)", "--m", "1"], {}, None, 2),
+    (["close", "--algebra", "Q[x]/(x*)", "--m", "1"], {}, None, 2),
+    (["close", "--algebra", "Q[x]/(*x)", "--m", "1"], {}, None, 2),
 ]
 
 

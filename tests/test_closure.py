@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import hashlib
 import itertools
@@ -478,38 +477,60 @@ def test_divides_check_certifies_a_large_closure():
     assert divides_check(result) == {"certified": True, "mode": "recomputed"}
 
 
+def _break_last_map(monkeypatch, a):
+    """Make `_quotient_maps` send x^2 to 0 under its last map: unital and
+    linear, but x*x goes to the square of x's image, which is not 0."""
+    quotient_maps = closure_module._quotient_maps
+
+    def broken(quot, pair, maps):
+        out = quotient_maps(quot, pair, maps)
+        bad = AlgebraMap(a, quot, [quot.unit(), out[-1].rows[1], {}])
+        return out[:-1] + [bad]
+
+    monkeypatch.setattr(closure_module, "_quotient_maps", broken)
+
+
 @pytest.mark.parametrize("text", ["Q[x]/(x^3)", "F7[x]/(x^3)"])
-def test_map_check_rejects_a_unital_map_that_is_not_multiplicative(text):
-    # 1 -> 1, x -> x, x^2 -> 0: unital and linear, but x*x -> x^2 != 0
+def test_map_check_rejects_a_unital_map_that_is_not_multiplicative(
+        text, monkeypatch):
+    # each stage's maps are checked where the stage makes them
     a = alg(text)
-    one = a.field.one
-    bad = AlgebraMap(a, a, [{0: one}, {1: one}, {}])
-    assert bad.is_unital() and not bad.is_ring_morphism()
-    result = m_closure(a, 2)
-    assert all(mp.is_ring_morphism() for mp in result.maps)
-    identity = AlgebraMap(a, a, [{i: one} for i in range(3)])
-    broken = dataclasses.replace(result, stored_maps=[identity, bad])
+    assert all(mp.is_ring_morphism() for mp in m_closure(a, 2).maps)
+    _break_last_map(monkeypatch, a)
     with pytest.raises(CertificateFailure,
                        match="structural map 2 is not a ring morphism"):
-        closure_module._verify_maps(broken)
+        m_closure(a, 2)
 
 
-def test_first_read_checks_the_canonical_maps():
-    # at m = n the first read replaces the stored pair and checks its maps;
-    # a unital last map that sends x^2 to 0 is not multiplicative
+def test_first_read_checks_the_canonical_maps(monkeypatch):
+    # at m = n the first read builds the canonical pair and checks its maps
     a = alg("Q[x]/(x^3)")
     result = m_closure(a, 3)
-    build = result.build
-
-    def broken():
-        quot, maps = build()
-        bad = AlgebraMap(a, quot, [quot.unit(), maps[2].rows[1], {}])
-        return quot, maps[:2] + [bad]
-
-    result.build = broken
+    _break_last_map(monkeypatch, a)
     with pytest.raises(CertificateFailure,
                        match="structural map 3 is not a ring morphism"):
         result.closure
+
+
+def test_each_map_is_checked_once(monkeypatch):
+    # a tower record's first read builds the closure with `m_closure`,
+    # whose maps were checked where they were made; at m = n the canonical
+    # maps too
+    checked = []
+    is_ring_morphism = AlgebraMap.is_ring_morphism
+
+    def recorded(mp):
+        checked.append(mp)
+        return is_ring_morphism(mp)
+
+    monkeypatch.setattr(AlgebraMap, "is_ring_morphism", recorded)
+    for text in ("Q[x]/(x^6)", "Q[x]/(x^5)"):
+        checked.clear()
+        result, _ = closure_from_presentation(parse_presentation(text), 5)
+        assert result.method == "tower"
+        maps = result.maps
+        assert len({id(mp) for mp in checked}) == len(checked)
+        assert all(any(mp is seen for seen in checked) for mp in maps)
 
 
 def test_rank_two_involution():

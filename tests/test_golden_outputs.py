@@ -43,6 +43,16 @@ COMMANDS = {
     + FULL_JSON,
     "close-f2-text": ["close", "--algebra", "F2[x,y]/(x^2, y^2)", "--m", "4",
                       "--emit", "full"],
+    # valid inputs that use t-powers, the ideal-power sugar, juxtaposed
+    # factors and a/b coefficients
+    "close-gf49-tpowers": ["close", "--algebra",
+                           "GF(7,2)[x]/(x^3 + t^2x^2 + 3t^1x + t)", "--m", "3"]
+    + FULL_JSON,
+    "close-q-fractions": ["close", "--algebra",
+                          "Q[x,y]/(x^2 - 1/2xy + 3/4y^2, y^3, 2/3x^2y - xy^2)",
+                          "--m", "2", "--exact"] + FULL_JSON,
+    "close-sugar-cube": ["close", "--algebra", "Q[x,y]/((y,x)^3)", "--m", "2"]
+    + FULL_JSON,
     "tower-q": ["tower", "--f", "Z^4+1", "--m", "3"],
     "tower-gf4": ["tower", "--field", "GF(2,2)", "--f", "x^3 + t*x + 1",
                   "--m", "3"],
@@ -50,11 +60,15 @@ COMMANDS = {
     "tower-gf343": ["tower", "--field", "GF(7,3)", "--f", "x^3 + t*x + 1",
                     "--m", "2"],
     "tower-q-json": ["tower", "--f", "Z^5-2", "--m", "3", "--json"],
+    "tower-gf343-tpowers": ["tower", "--field", "GF(7,3)",
+                            "--f", "x^3 + t^2x^2 + t^1", "--m", "2"],
     "transform": ["transform", "--f", "Z^3-6Z^2+11Z-6", "--g", "X^2"],
     "transform-gf4": ["transform", "--field", "GF(2,2)", "--f", "Z^2+t*Z+1",
                       "--g", "X^2"],
     "transform-gf343": ["transform", "--field", "GF(7,3)", "--f", "Z^3+t*Z+1",
                         "--g", "X^2+t"],
+    "transform-gf4-tpowers": ["transform", "--field", "GF(2,2)",
+                              "--f", "Z^2+t^2*Z+t^1", "--g", "X^2+t*X"],
     "malformed-paren": ["close", "--algebra", "Q[x]/(x^2", "--m", "2"],
     "malformed-variable": ["close", "--algebra", "Q[x]/(x^2, y)", "--m", "2"],
     "malformed-exponent": ["close", "--algebra", "Q[x]/(x^)", "--m", "2"],
@@ -65,8 +79,11 @@ PINNED = {
     "close-gf343": "f9e078aa0f708bae3797df8baf42585ea6e7dbe6a42639be7dc044082c304de3",
     "close-gf4-naive": "947d2c529c6fefafc956600edc1547991e56c384af51aef4d4f5aaa3d17c8b68",
     "close-gf49": "ce787f2660093d258da4721151790b67e88b26024e30f853d353b828e3149709",
+    "close-gf49-tpowers": "bb020712699674ae78bfe0f1b1ee58ab2c9defbaaf1d0422073e4b402e34eb66",
     "close-not-monogenic-m2": "5f5a4e113216ec44c7b806c8ffbec97273958ac284d3ec6dc033f7a277c48371",
     "close-points-m2": "898f388417744b0113f45af97d80a5bcb017e294f262c5978cbc45ea82b42efa",
+    "close-q-fractions": "dc1a768d9e28fb83678f0923782a0980e9c90fcc420fb8131e94bf2edb95eca2",
+    "close-sugar-cube": "22b6c85e7375916ad25d47230449cfe79073fcb4d0a73312e1130b5f8f96b68b",
     "close-x2-m2": "db0fa3e08aaae5691288e41d647be9f85fb08be924c69f1859158925a5fe2486",
     "close-x2y2-m4": "a96d75b98c9a34beeee618440a2162ab6bf93acf8478292bf48e995aba618bba",
     "close-x2y2-m4-exact": "2c1c71e6e970be2f535eca69fb6952f178cc3f6641f1a93e517574193bfdc9d0",
@@ -77,6 +94,7 @@ PINNED = {
     "table1-exact": "56b2887bedfd718e11dd006dcbb53b8091decb17eaa62a59eaad216cf9dd4e71",
     "table2-m3": "c8bb0db97fb6c8815f1d06549450d53fc6398d12fa5bea087ed139c6a8bae263",
     "tower-gf343": "2df1f064bc22378fec9289d338b49d31ef37210e74b45c3c54194540d0690ad9",
+    "tower-gf343-tpowers": "e1fd76ab8c7168b2f876e6379e183b918b04b461a57bb02dd1bb3419efea8064",
     "tower-gf4": "4a03b3f99bdbbcb1adf1d5b8f705543833e60a6f02af65f8d7ae8b8db7b79d16",
     "tower-q": "c477597d2dce6df31a29142a198f5d936c6ccf4c9fa060a054ab57da4da35dbb",
     "tower-q-json": "76d785d91026827bcc0795fc4e9a896f64f6052c3db2974869e771617e03b912",
@@ -84,6 +102,7 @@ PINNED = {
     "transform": "3842e19c262a87cd33a484f22e127ce8956da576a6fdbd7a9a77c2154db95657",
     "transform-gf343": "b884a7c8615037b3d2f2d010a1580d815936860d570fb54561503654cb4e7a05",
     "transform-gf4": "3db8fa6a6be8e92375b42d25687576d4418d9b7fb833b12eab74418b77a4900b",
+    "transform-gf4-tpowers": "4f14dd4dfe5723115df3ecbc585b5662fa1721a9caa647fa756edaca40558a23",
 }
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from closurelab.arith import GF, QQ
+from closurelab.catalog import load_manifest
 from closurelab.errors import (ParseError, RingMismatch, UnknownVariable,
                                UnsupportedField)
 from closurelab.finalg import monomial_algebra
@@ -23,6 +24,12 @@ def test_parse_ideal_power_sugar():
     p = parse_presentation("F2[x1,x2,x3,x4]/((x1,x2,x3,x4)^2)")
     assert len(p.relations) == 10          # all quadratic monomials in 4 vars
     assert all(r.total_degree() == 2 and len(r.terms) == 1 for r in p.relations)
+    # a repeated name adds no relation: (x,x)^2 is (x)^2
+    for text, expected in (("Q[x]/((x,x)^2)", "Q[x]/((x)^2)"),
+                           ("Q[x,y]/((x,y,x)^2)", "Q[x,y]/((y,x)^2)")):
+        assert parse_presentation(text) == parse_presentation(expected)
+    assert [str(r) for r in parse_presentation("Q[x,y]/((x,y,x)^2)").relations] \
+        == ["x^2", "x*y", "y^2"]
 
 
 def test_parse_empty_relations():
@@ -35,8 +42,10 @@ def test_round_trip():
              "F2[x1,x2,x3,x4]/((x1,x2,x3,x4)^2)",
              "GF(2,2)[x,y]/(x^2 + t*y, xy)",
              "Q[x,y,z]/(xy, z^2, xz - yz, x^2 + y^2 - xz)"]
-    for text in texts:
-        p = parse_presentation(text)
+    presentations = [parse_presentation(text) for text in texts]
+    for manifest in ("table1.json", "table2.json"):
+        presentations += [e.presentation() for e in load_manifest(manifest)]
+    for p in presentations:
         assert parse_presentation(str(p)) == p
 
 
@@ -48,6 +57,12 @@ def test_parse_errors_carry_positions():
         parse_presentation("Q[x]/(x*w)")
     with pytest.raises(UnsupportedField):
         parse_presentation("F6[x]/(x^2)")
+    # `*` stands only between two factors
+    for text, pos in (("Q[x]/(x**2)", 7), ("Q[x]/(x*)", 7), ("Q[x]/(*x)", 6),
+                      ("Q[x]/(x*-1)", 7)):
+        with pytest.raises(ParseError) as err:
+            parse_presentation(text)
+        assert err.value.position == pos
 
 
 def test_zero_denominator_is_a_parse_error():
@@ -143,6 +158,19 @@ def test_parse_univariate_reads_t_as_the_generator():
     assert pres.relations[0].terms == {(2,): 1, (0,): 1}
     with pytest.raises(ParseError, match="two variables"):
         parse_univariate("x^2 + t", QQ())
+
+
+def test_generator_powers_fold_into_the_coefficient():
+    # t^k is the generator to the k, t^0 = 1 included
+    f4 = GF(2, 2)
+    t = f4.gen
+    pres = parse_presentation("GF(2,2)[x]/(x^2 + t^0*x + t^2, t^1x^3 + xt^0)")
+    assert [r.terms for r in pres.relations] == [
+        {(2,): 1, (1,): 1, (0,): f4.mul(t, t)}, {(3,): t, (1,): 1}]
+    assert parse_univariate("Z^2 + t^0*Z + t^3", f4) == ([1, 1, 1], "Z")
+    # a ring variable named `t` takes precedence over the generator
+    ring = PolyRing(f4, ("t",))
+    assert parse_poly("t^0 + t", ring).terms == {(0,): 1, (1,): 1}
 
 
 def test_labels_and_polynomials_print_monomials_alike():
