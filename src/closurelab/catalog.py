@@ -11,7 +11,6 @@ with the recomputed values.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -21,15 +20,19 @@ from .multipoly import AlgebraPresentation, parse_presentation
 BUNDLED = ("table1.json", "table2.json")
 
 
-@dataclass(frozen=True)
 class ManifestEntry:
-    name: str
-    field: str
-    vars: tuple
-    relations: tuple          # relation strings
-    expected: dict            # m -> dimension
-    tags: tuple = ()
-    note: str = ""
+    """One manifest row; its attributes are its constructor's keywords, so
+    `ManifestEntry(**entry.__dict__)` copies it."""
+
+    def __init__(self, name: str, field: str, vars: tuple, relations: tuple,
+                 expected: dict, tags: tuple = (), note: str = ""):
+        self.name = name
+        self.field = field
+        self.vars = vars
+        self.relations = relations      # relation strings
+        self.expected = expected        # m -> dimension
+        self.tags = tags
+        self.note = note
 
     def presentation(self) -> AlgebraPresentation:
         text = f"{self.field}[{','.join(self.vars)}]/({', '.join(self.relations)})"

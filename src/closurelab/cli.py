@@ -18,7 +18,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from .arith import QQ
 from .catalog import ManifestEntry, load_manifest
@@ -31,7 +30,6 @@ from .errors import (BudgetExceeded, ClosureLabError, DegreeTooSmall,
 from .finalg import algebra_from_presentation
 from .multipoly import (format_univariate, parse_field, parse_presentation,
                         parse_univariate)
-from .verify import DEFAULT_SEED, SUITES, run_suites
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -195,6 +193,7 @@ def cmd_table(args) -> int:
         if ms:
             tasks.append((entry.__dict__.copy(), ms, args.exact))
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_table_row_task, tasks))
     else:
@@ -214,13 +213,10 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
     names = [s.strip() for s in args.suite.split(",")]
-    try:
-        ok, results = run_suites(names if names != ["all"] else "all",
-                                 seed=args.seed)
-    except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    seed = verify.DEFAULT_SEED if args.seed is None else args.seed
+    _, results = verify.run_suites(names, seed=seed)
     failed = None
     for suite, name, good, detail in results:
         if args.json:
@@ -297,8 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run property suites")
     p.add_argument("--suite", default="all",
-                   help="comma list of: " + ", ".join(SUITES) + ", or 'all'")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+                   help="comma list of suite names, or 'all'")
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed of the randomized checks (default: fixed)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
@@ -317,8 +314,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None     # built on the first call of main, then reused
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except (ClosureLabError, ValueError) as exc:

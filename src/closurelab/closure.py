@@ -52,7 +52,7 @@ import math
 import os
 import random
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 
 try:                             # the builtin module: hashlib loads OpenSSL,
@@ -202,16 +202,13 @@ def _xp_point_mult(mults, coeff):
 # seeds
 
 
-@dataclass
-class _Seed:
+class _Seed(namedtuple("_Seed", "coeffs elements times")):
     """Where a chain of divisions starts: the Z-coefficients of the
     polynomial divided, ascending, and the elements of A whose slot images
     make up gamma_s.  `times(mults)`, given one multiplier by the slot image
     of each element, multiplies a coefficient by gamma_s."""
 
-    coeffs: list
-    elements: list
-    times: object
+    __slots__ = ()
 
 
 def _generic_seed(a: StructureAlgebra, unit_free: bool = True) -> _Seed:
@@ -244,24 +241,32 @@ def _point_seed(a: StructureAlgebra, points) -> _Seed:
 # closure results
 
 
-@dataclass
 class ClosureResult:
-    input_algebra: StructureAlgebra
-    m: int
-    method: str                 # general | naive | points | tower
-    stored_closure: StructureAlgebra  # the pair that the certificate
-    stored_maps: list                 # reads; None in a tower
-    stage_dims: tuple = ()      # closure dimension after each stage
-    stage_generators: tuple = ()  # nonzero seed rows of each stage
-    stage_ms: tuple = ()        # ms since `started` at the end of each stage
-    started: float = 0.0        # time.perf_counter() when the run began
-    # "upper" when the dim is a modular upper bound for the one over Q
-    # (`closure_from_presentation`)
-    bound: str = "exact"
-    # builds the canonical (closure, maps) when `closure` or `maps` is
-    # first read: at m = n they replace the stored pair, in a tower they
-    # are the first pair
-    build: object = None
+    def __init__(self, input_algebra: StructureAlgebra, m: int, method: str,
+                 stored_closure: StructureAlgebra, stored_maps: list,
+                 stage_dims: tuple = (), stage_generators: tuple = (),
+                 stage_ms: tuple = (), started: float = 0.0,
+                 bound: str = "exact", build=None):
+        self.input_algebra = input_algebra
+        self.m = m
+        self.method = method    # general | naive | points | tower
+        # the pair that the certificate reads; None in a tower
+        self.stored_closure = stored_closure
+        self.stored_maps = stored_maps
+        # per stage: the closure dimension after it, its nonzero seed rows,
+        # and the ms since `started` (time.perf_counter() when the run
+        # began) at its end
+        self.stage_dims = stage_dims
+        self.stage_generators = stage_generators
+        self.stage_ms = stage_ms
+        self.started = started
+        # "upper" when the dim is a modular upper bound for the one over Q
+        # (`closure_from_presentation`)
+        self.bound = bound
+        # builds the canonical (closure, maps) when `closure` or `maps` is
+        # first read: at m = n they replace the stored pair, in a tower they
+        # are the first pair
+        self.build = build
 
     def _read(self):
         if self.build is not None:
@@ -588,19 +593,22 @@ def transform_monic(f_coeffs, g_coeffs, fieldh: Field):
     return char_poly(algebra, g_of_x)
 
 
-@dataclass
 class TowerDescription:
     """Root-by-root splitting tower of a monic polynomial."""
 
-    base: str                    # the field's name, or "Z"
-    degree: int
-    m: int
-    dim: int
-    relations: tuple             # human-readable relation strings
-    stored_algebra: StructureAlgebra | None = None
-    stored_maps: list | None = None
-    # builds (algebra, maps) when `algebra` or `maps` is first read
-    build: object = None
+    def __init__(self, base: str, degree: int, m: int, dim: int,
+                 relations: tuple,
+                 stored_algebra: StructureAlgebra | None = None,
+                 stored_maps: list | None = None, build=None):
+        self.base = base                # the field's name, or "Z"
+        self.degree = degree
+        self.m = m
+        self.dim = dim
+        self.relations = relations      # human-readable relation strings
+        self.stored_algebra = stored_algebra
+        self.stored_maps = stored_maps
+        # builds (algebra, maps) when `algebra` or `maps` is first read
+        self.build = build
 
     def _read(self):
         if self.build is not None:

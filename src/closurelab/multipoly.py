@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .arith import GF, QQ, Field, field_from_order
 from .errors import (ParseError, RingMismatch, UnknownVariable,
@@ -224,13 +224,13 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
 
-@dataclass(frozen=True)
-class AlgebraPresentation:
-    """A quotient of a polynomial ring by finitely many relations."""
+class AlgebraPresentation(namedtuple("AlgebraPresentation",
+                                     "field variables relations")):
+    """A quotient of a polynomial ring by finitely many relations: a field,
+    a tuple of variable names, and a tuple of MultiPoly in the ring over
+    them."""
 
-    field: Field
-    variables: tuple
-    relations: tuple   # of MultiPoly in the ring over `field` and `variables`
+    __slots__ = ()
 
     @property
     def ring(self) -> PolyRing:
@@ -493,21 +493,21 @@ def parse_univariate(text: str, field: Field):
     The variable is the one name the text mentions, `Z` when it mentions
     none; a polynomial mentioning two distinct names is rejected.  Over an
     extension field `t` is the field generator, as in a presentation, and
-    never the variable.
+    never the variable or part of it: a run such as `tx` or `xt` is t*x.
     """
     toks = _Tokens(text)
     generator = field.kind == "extension"
     seen = None
     for kind, value, pos in toks.items:
-        if kind == "name":
-            if not value.isalpha():
-                raise ParseError(f"invalid variable {value!r}", pos)
-            if generator and value == "t":
-                continue
-            if seen is None:
-                seen = value
-            elif seen != value:
-                raise ParseError(f"two variables {seen!r} and {value!r}", pos)
+        if kind != "name":
+            continue
+        if not value.isalpha():
+            raise ParseError(f"invalid variable {value!r}", pos)
+        for name in value.split("t") if generator else (value,):
+            if name and seen is None:
+                seen = name
+            elif name and name != seen:
+                raise ParseError(f"two variables {seen!r} and {name!r}", pos)
     name = seen or "Z"
     ring = PolyRing(field, (name,))
     p = _parse_poly(toks, ring, stop_kinds=())

@@ -428,13 +428,17 @@ SUITES = {
 
 
 def run_suites(names, seed=DEFAULT_SEED):
-    """Run the named suites; returns (all_ok, list of result triples)."""
+    """Run the named suites, or every suite for "all" or ["all"]; returns
+    (all_ok, list of (suite, name, ok, detail)).  An unknown name raises
+    ValueError, listing the known ones, before any suite runs."""
     if names == ["all"] or names == "all":
         names = list(SUITES)
+    unknown = [name for name in names if name not in SUITES]
+    if unknown:
+        raise ValueError(f"unknown suite {', '.join(map(repr, unknown))}; "
+                         f"known suites: {', '.join(SUITES)}")
     results = []
     for name in names:
-        if name not in SUITES:
-            raise KeyError(f"unknown suite {name!r}")
         for item in SUITES[name](seed):
             results.append((name,) + item)
     all_ok = all(ok for _, _, ok, _ in results)

@@ -1,15 +1,18 @@
 import functools
 import hashlib
 import json
+import os
 import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from closurelab import cli as cli_module
 from closurelab import closure as closure_module
+from closurelab import verify as verify_module
 from closurelab.catalog import load_manifest
 from closurelab.cli import main
 from closurelab.closure import closure_from_presentation
@@ -327,11 +330,59 @@ def test_table_row_error_recorded_not_fatal(tmp_path):
     assert any(r.get("match") for r in records)
 
 
-def test_verify_suite_exit_codes():
+def test_verify_suite_exit_codes(capsys):
     code, out = run_cli(["verify", "--suite", "etale"])
     assert code == 0
     code2, _ = run_cli(["verify", "--suite", "nonsense"])
     assert code2 == 2
+    # the error names every known suite
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown suite 'nonsense'; known suites: ")
+    assert all(name in err for name in verify_module.SUITES)
+
+
+def test_unknown_suite_fails_before_any_suite_runs(monkeypatch):
+    ran = []
+    monkeypatch.setitem(verify_module.SUITES, "etale",
+                        lambda seed: ran.append(seed) or [])
+    with pytest.raises(ValueError, match="known suites: trivial, product"):
+        verify_module.run_suites(["etale", "nonsense"])
+    assert ran == []
+
+
+@pytest.mark.parametrize("module", ["closurelab.cli", "closurelab.closure"])
+def test_start_up_leaves_out_the_pool_the_suites_and_dataclasses(module):
+    # what `table --jobs 1`, `close` and the library never use stays
+    # unloaded: the pool loads in `table --jobs N` (N > 1), the suites in
+    # `verify`
+    probe = ("import sys; before = set(sys.modules); import " + module
+             + "; print(' '.join(sorted(set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, cwd=Path(__file__).resolve().parents[1],
+                          env={**os.environ, "PYTHONPATH": "src"})
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert module in loaded
+    assert not loaded & {"concurrent.futures", "multiprocessing",
+                         "closurelab.verify", "dataclasses"}
+
+
+def test_main_builds_its_parser_once(monkeypatch):
+    built = []
+
+    def counted():
+        built.append(1)
+        return build_parser()
+
+    build_parser = cli_module.build_parser
+    monkeypatch.setattr(cli_module, "build_parser", counted)
+    monkeypatch.setattr(cli_module, "_parser", None)
+    for _ in range(3):
+        assert run_cli(["close", "--algebra", "Q[x]/(x^3)", "--m", "2"]) \
+            == (0, ["dim = 6"])
+    assert run_cli(["transform", "--f", "Z^2-1", "--g", "X^2"]) \
+        == (0, ["Z^2-2*Z+1"])
+    assert built == [1]
 
 
 def test_verify_seed_deterministic():
@@ -397,6 +448,18 @@ def test_univariate_input_over_an_extension_field():
     code, out = run_cli(["tower", "--field", "GF(2,2)", "--f", "x^3+t^0",
                          "--m", "2"])
     assert code == 0 and out[:2] == ["dim = 6", "stage 1: x1^3 + 1 = 0"]
+
+
+def test_juxtaposed_generator_runs_in_univariate_input():
+    # `tX` is t*X, as `tx` is t*x in a presentation
+    assert run_cli(["transform", "--field", "GF(2,2)", "--f", "Z^2+t^2*Z+t^1",
+                    "--g", "X^2+tX"]) == (0, ["Z^2+(t+1)*Z"])
+    spelled = run_cli(["tower", "--field", "GF(2,2)", "--f", "x^3+t*x+1",
+                       "--m", "2"])
+    assert spelled[0] == 0
+    for f in ("x^3+tx+1", "x^3+xt+1"):
+        assert run_cli(["tower", "--field", "GF(2,2)", "--f", f,
+                        "--m", "2"]) == spelled, f
 
 
 def test_ideal_power_sugar_with_a_repeated_name():
@@ -633,7 +696,7 @@ _MANIFESTS = {
 
 
 def _fail_etale_suite(monkeypatch):
-    monkeypatch.setitem(cli_module.SUITES, "etale",
+    monkeypatch.setitem(verify_module.SUITES, "etale",
                         lambda seed: [("forced failure", False, "")])
 
 

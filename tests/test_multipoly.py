@@ -160,6 +160,23 @@ def test_parse_univariate_reads_t_as_the_generator():
         parse_univariate("x^2 + t", QQ())
 
 
+def test_univariate_runs_with_the_generator_read_as_in_a_presentation():
+    # over GF(7^3) a run such as `tx`, `xt` or `txt` is t times x, in a
+    # univariate polynomial as in a relation of GF(7,3)[x]
+    f343 = GF(7, 3)
+    for text in ("x^3 + tx + 1", "x^3 + xt + 1", "tx^2 + txt + t^2xt",
+                 "xt^2 + t^2x^3 - 3t", "tt + x"):
+        coeffs, var = parse_univariate(text, f343)
+        relation = parse_presentation(f"GF(7,3)[x]/({text})").relations[0]
+        assert var == "x", text
+        assert {(e,): c for e, c in enumerate(coeffs) if c} == relation.terms
+    # only the letters between the t's name the variable
+    with pytest.raises(ParseError, match="two variables 'x' and 'y'"):
+        parse_univariate("x^2 + tyt", f343)
+    # over a prime field a run is one name
+    assert parse_univariate("tx^2 + 1", QQ()) == ([1, 0, 1], "tx")
+
+
 def test_generator_powers_fold_into_the_coefficient():
     # t^k is the generator to the k, t^0 = 1 included
     f4 = GF(2, 2)
