@@ -85,28 +85,27 @@ def cmd_close(args) -> int:
 
     record = _set_outcome({"name": args.algebra, "m": args.m}, result, mode,
                           result.dim, result.generator_count, ms)
+    if args.emit == "full":     # built, or refused, before any output
+        closure, maps = result.closure, result.maps
+        basis = [closure.label_str(i) for i in range(closure.dim)]
     if args.json:
         if args.emit == "full":
-            record["basis"] = [result.closure.label_str(i)
-                               for i in range(result.closure.dim)]
-            record["maps"] = [
-                [{str(k): result.closure.field.format_scalar(v)
-                  for k, v in row.items()} for row in mp.rows]
-                for mp in result.maps]
+            record["basis"] = basis
+            record["maps"] = [[{str(k): closure.field.format_scalar(v)
+                                for k, v in row.items()} for row in mp.rows]
+                              for mp in maps]
         print(json.dumps(record, sort_keys=True))
     else:
         print(f"dim = {result.dim}")
         if args.emit == "full":
             print(f"method = {result.method} ({result.strategy}), field = {mode}, "
                   f"generators = {result.generator_count}, rank = {result.rank}")
-            labels = ", ".join(result.closure.label_str(i)
-                               for i in range(result.closure.dim))
-            print(f"basis [{result.closure.dim}]: {labels}")
-            for s, mp in enumerate(result.maps, start=1):
+            print(f"basis [{closure.dim}]: {', '.join(basis)}")
+            for s, mp in enumerate(maps, start=1):
                 print(f"map alpha_{s}:")
                 for i, row in enumerate(mp.rows):
                     print(f"    {result.input_algebra.label_str(i)} -> "
-                          f"{result.closure.format_vec(row)}")
+                          f"{closure.format_vec(row)}")
     return EXIT_OK
 
 

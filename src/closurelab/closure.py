@@ -32,17 +32,16 @@ result stores that pair; the canonical quotient of C x A, whose basis
 and maps the outputs print, is built only when the result's `closure` or
 `maps` is read.
 
-The default modular mode closes a monogenic A at every 2 <= m <= n from
-one point x with K[x] = A instead (`closure_from_presentation`).  With f
-the characteristic polynomial of x, A = K[Z]/(f), and the m-closure is
-the splitting tower K[Z_1..Z_m]/(f(Z_1), f[Z_1, Z_2], ...), free of rank
-n!/(n - m)! (Bhargava-Satriano, JEMS 2014; `monogenic_tower`).  The
-divided difference f[Z_1, Z_2] is the stage-2 remainder at x.  It lies in
-the stage ideal and already cuts A x A = K[Z_1, Z_2]/(f(Z_1), f(Z_2))
-down to the tower, so x alone closes stage 2, and the 2-closure run from
-it must have dimension n(n - 1).  At m >= 3 the result takes its
-dimension from the theorem, and builds the closure, with the staged
-pipeline and the symbolic seed, only when `closure` or `maps` is read.
+A monogenic A is closed at every 2 <= m <= n from one point x with
+K[x] = A instead, in every mode (`closure_from_presentation`).  With f the
+characteristic polynomial of x, the m-closure is the splitting tower of
+A = K[Z]/(f), free of rank n!/(n - m)! over any base (Bhargava-Satriano,
+JEMS 2014; `monogenic_tower`).  With C the tower after s - 1 roots and f_s
+the quotient of f by (Z - x_1)...(Z - x_(s-1)) in C[Z], the stage-s
+remainder at x is f_s(x_s), which generates the kernel of
+C x A = C[Z]/(f) -> C[Z]/(f_s).  So x alone closes every stage; at m >= 3
+the result takes its dimension from the theorem and builds the closure,
+from x, only when `closure` or `maps` is read.
 """
 
 from __future__ import annotations
@@ -747,15 +746,6 @@ def slot_remainders(a: StructureAlgebra, seed: _Seed, slot_mults):
         yield rem
 
 
-def _closure_remainders(result: ClosureResult, seed: _Seed):
-    """The seed's slot remainders with coefficients in the closure, slot s
-    multiplying by the images of seed.elements under map_s."""
-    c, maps = result._stored()
-    slot_mults = [[stride_multiplier(c, mp.apply_dict(x), 1)
-                   for x in seed.elements] for mp in maps[:result.m]]
-    return slot_remainders(result.input_algebra, seed, slot_mults)
-
-
 def divides_check(result: ClosureResult) -> dict:
     """Certify that the product of (Z - map_s(gamma)) divides P inside the
     closure: re-run the slot divisions with coefficients in the closure and
@@ -772,11 +762,16 @@ def divides_check(result: ClosureResult) -> dict:
     if result.m == 0 or result.dim == 0:
         return {"certified": True, "mode": "vacuous"}
     a = result.input_algebra
-    for s, mp in enumerate(result._stored()[1]):
+    c, maps = result._stored()
+    for s, mp in enumerate(maps):
         if not mp.is_unital():
             raise CertificateFailure(f"structural map {s + 1} is not unital")
-    # the multipliers by map_s(e_0) are built lazily and never applied
-    for s, rem in enumerate(_closure_remainders(result, _generic_seed(a))):
+    # slot s multiplies by the images of the basis under map_s; those by
+    # map_s(e_0) are built lazily and never applied
+    seed = _generic_seed(a)
+    slot_mults = [[stride_multiplier(c, mp.apply_dict(x), 1)
+                   for x in seed.elements] for mp in maps[:result.m]]
+    for s, rem in enumerate(slot_remainders(a, seed, slot_mults)):
         if any(rem.values()):
             raise CertificateFailure(
                 f"slot {s + 1} remainder is nonzero in the closure")
@@ -868,11 +863,19 @@ def base_change_presentation(pres: AlgebraPresentation,
     return AlgebraPresentation(target, pres.variables, tuple(rels))
 
 
-def _random_point(rng: random.Random, a: StructureAlgebra) -> dict:
-    """A point of A over GF(p) with no unit coordinate and the others
-    uniform, zero coordinates dropped."""
-    coords = (rng.randrange(a.field.p) for _ in range(1, a.dim))
-    return {i: c for i, c in enumerate(coords, start=1) if c}
+def _generating_point(a: StructureAlgebra):
+    """A point x of A with K[x] = A, or None: each of A's generators, then
+    one combination of them, coefficients from random.Random(char) in
+    [1, char), or [1, 256) over Q.  A sparse point keeps each chain short."""
+    fieldh = a.field
+    rng = random.Random(fieldh.char)
+    generators = [g for _, g in a.generator_elements()]
+    combination = {}
+    for g in generators:
+        vec_add_into(fieldh, combination, g,
+                     fieldh.from_int(rng.randrange(1, fieldh.char or 256)))
+    return next(filter(partial(_generates, a), generators + [combination]),
+                None)
 
 
 def _generates(a: StructureAlgebra, x: dict) -> bool:
@@ -895,42 +898,36 @@ def closure_from_presentation(pres: AlgebraPresentation, m: int,
     computation is exact, and the mode names the field or is "exact".  By
     default a rational input is built over Q once (Groebner basis and
     structure constants), reduced modulo one prime (`modular_prime`,
-    `reduce_mod_prime`) and closed over GF(p); the mode is "mod <p>" and
-    its dimension is an upper bound for the one over Q (`bound` "upper").
+    `reduce_mod_prime`) and closed over GF(p); the mode is "mod <p>".
 
-    At 2 <= m <= n it first draws one point x from random.Random(p).  If
-    K[x] = A, x alone seeds the 2-closure (module docstring), which must
-    have dimension n(n - 1); at m = 2 that is the result ("points").  At
-    m >= 3 the result is the tower's ("tower"): dimension n!/(n - m)!,
-    with the closure and maps that the symbolic seed gives built when
-    first read (`_tower_build`).  Otherwise A takes the symbolic seed.
+    In every mode, at 2 <= m <= n, a point x with K[x] = A
+    (`_generating_point`) alone seeds the 2-closure, and that is the
+    result at m = 2 ("points").  At m >= 3 the result is the tower's
+    ("tower"): dimension n!/(n - m)!, with the closure and maps that x
+    seeds built when first read (`_point_closure`).  Without such a point
+    A takes the symbolic seed, and in the modular mode its dimension is an
+    upper bound for the one over Q (`bound` "upper").
 
-    Both dimensions are exact over Q as well.  Let S be the basis of A
-    and O its Z_(p)-span (`reduce_mod_prime`), and lift x to a point y of
-    O with the same residues.  The determinant of 1, y, ..., y^(n-1) in S
-    lies in Z_(p), and mod p it is that of the powers of x, which is
+    The tower's dimensions are exact over Q as well.  Let S be the basis
+    of A and O its Z_(p)-span (`reduce_mod_prime`), and lift x to a point
+    y of O with the same residues.  The determinant of 1, y, ..., y^(n-1)
+    in S lies in Z_(p), and mod p it is that of the powers of x, which is
     nonzero.  So Q[y] = A, A is monogenic over Q, and its m-closure has
     the same dimension n!/(n - m)!.
     """
-    if pres.field.kind != "rationals" or exact:
-        algebra = algebra_from_presentation(pres)
-        result = m_closure(algebra, m)
-        mode = "exact" if pres.field.kind == "rationals" else str(pres.field)
-        return result, mode
-    algebra = reduce_mod_prime(algebra_from_presentation(pres), modular_prime(pres))
-    mode = f"mod {algebra.field.p}"
+    algebra = algebra_from_presentation(pres)
+    modular = pres.field.kind == "rationals" and not exact
+    mode = "exact" if pres.field.kind == "rationals" else str(pres.field)
+    if modular:
+        algebra = reduce_mod_prime(algebra, modular_prime(pres))
+        mode = f"mod {algebra.field.p}"
     n = algebra.dim
     if 2 <= m <= n:
         _map_budget(n, m)
         t0 = time.perf_counter()
-        x = _random_point(random.Random(algebra.field.p), algebra)
-        if _generates(algebra, x):
-            two = _closure(algebra, 2, "points",
-                           partial(_point_seed, points=[x]), t0)
-            if two.dim != math.perm(n, 2):
-                raise CertificateFailure(
-                    f"a generating point gives dimension {two.dim}, "
-                    f"not {math.perm(n, 2)}")
+        x = _generating_point(algebra)
+        if x is not None:
+            two = _point_closure(algebra, x, 2, t0)
             if m == 2:
                 return two, mode
             return ClosureResult(
@@ -939,18 +936,20 @@ def closure_from_presentation(pres: AlgebraPresentation, m: int,
                 stage_dims=tuple(math.perm(n, s) for s in range(1, m + 1)),
                 stage_generators=two.stage_generators + (0,) * (m - 2),
                 stage_ms=two.stage_ms + two.stage_ms[-1:] * (m - 2),
-                started=t0, build=partial(_tower_build, algebra, m)), mode
+                started=t0, build=lambda: _point_closure(
+                    algebra, x, m, time.perf_counter())._read()), mode
     result = m_closure(algebra, m)
-    result.bound = "upper"
+    if modular:
+        result.bound = "upper"
     return result, mode
 
 
-def _tower_build(a: StructureAlgebra, m: int):
-    """A tower record's closure and maps: those of `m_closure`, whose
-    dimension must be the tower's."""
-    built = m_closure(a, m)
+def _point_closure(a: StructureAlgebra, x: dict, m: int, t0):
+    """The m-closure seeded by a point x with K[x] = A alone, which must
+    have the tower's dimension n!/(n - m)! (module docstring)."""
+    built = _closure(a, m, "points", partial(_point_seed, points=[x]), t0)
     if built.dim != math.perm(a.dim, m):
         raise CertificateFailure(
-            f"the closure of a monogenic algebra has dimension {built.dim}, "
+            f"a generating point gives dimension {built.dim}, "
             f"not {math.perm(a.dim, m)}")
-    return built.closure, built.maps
+    return built

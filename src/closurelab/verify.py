@@ -10,10 +10,10 @@ from .arith import GF, QQ
 from .catalog import table1_entries
 from .closure import (base_change_presentation, closure_from_presentation,
                       divides_check, etale_closure_dim, galois_factor_count,
-                      m_closure, modular_prime, monogenic_algebra,
-                      monogenic_tower, naive_closure, product_formula_dim,
-                      reconstructed_last_map, reduce_mod_prime,
-                      slot_remainders, transform_monic, _generic_seed)
+                      m_closure, monogenic_algebra, monogenic_tower,
+                      naive_closure, product_formula_dim,
+                      reconstructed_last_map, slot_remainders,
+                      transform_monic, _generic_seed)
 from .finalg import (PolyOps, algebra_from_presentation,
                      algebra_product, berkowitz_charpoly, char_poly,
                      stride_multiplier, vec_add_into)
@@ -138,8 +138,9 @@ def suite_product(seed=DEFAULT_SEED):
 
 def suite_monogenic(seed=DEFAULT_SEED):
     """Towers of monic polynomials are free of the falling-factorial rank
-    and agree with the generic pipeline, and so do the default mode's
-    one-point and tower records on a local and a non-local input."""
+    and agree with the generic pipeline, and so do the one-point and tower
+    records on a local and a non-local input, in the default mode, with
+    --exact and over F7."""
     out = []
     rng = random.Random(seed)
     f7 = GF(7)
@@ -170,15 +171,16 @@ def suite_monogenic(seed=DEFAULT_SEED):
                     break
     for text in ("Q[x]/(x^5)", "Q[x]/(x^5-x-1)"):
         pres = parse_presentation(text)
-        reduced = reduce_mod_prime(algebra_from_presentation(pres),
-                                   modular_prime(pres))
-        for m in (2, 3, 4):
-            record, _ = closure_from_presentation(pres, m)
-            pipe = m_closure(reduced, m).dim
-            method = "points" if m == 2 else "tower"
-            _check(out, f"{text} at m={m}: the {method} record has the pipeline's dim",
-                   record.method == method and record.dim == pipe,
-                   f"{record.method} {record.dim} vs {pipe}")
+        for source, exact in ((pres, False), (pres, True),
+                              (base_change_presentation(pres, f7), False)):
+            for m in (2, 3, 4):
+                record, mode = closure_from_presentation(source, m, exact)
+                pipe = m_closure(record.input_algebra, m).dim
+                method = "points" if m == 2 else "tower"
+                _check(out, f"{text} {mode} at m={m}: the {method} record "
+                       "has the pipeline's dim",
+                       record.method == method and record.dim == pipe,
+                       f"{record.method} {record.dim} vs {pipe}")
     return out
 
 

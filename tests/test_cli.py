@@ -69,7 +69,7 @@ def test_close_json_schema():
 EMIT_FULL_TEXT = {
     ("Q[x]/(x^2)", "--exact"): [
         "dim = 2",
-        "method = general (staged), field = exact, generators = 1, rank = 2",
+        "method = points (staged), field = exact, generators = 1, rank = 2",
         "basis [2]: (1,1), (1,x)",
         "map alpha_1:",
         "    1 -> 1*(1,1)",
@@ -81,7 +81,7 @@ EMIT_FULL_TEXT = {
     # a map image with two terms, and a scalar that is not an integer
     ("GF(2,2)[x]/(x^2 + t*x + 1)",): [
         "dim = 2",
-        "method = general (staged), field = GF(2,2), generators = 1, rank = 2",
+        "method = points (staged), field = GF(2,2), generators = 1, rank = 2",
         "basis [2]: (1,1), (1,x)",
         "map alpha_1:",
         "    1 -> 1*(1,1)",
@@ -90,8 +90,9 @@ EMIT_FULL_TEXT = {
         "    1 -> 1*(1,1)",
         "    x -> 1*(1,x)",
     ],
-    # a non-local input, seeded by one random point; the symbolic seeds
-    # give the same text with "method = general" and "generators = 5"
+    # a non-local input, seeded by one combination of x and y; the
+    # symbolic seeds give the same text with "method = general" and
+    # "generators = 5"
     ("Q[x,y]/(x^2-1, y^2)",): [
         "dim = 12",
         "method = points (staged), field = mod 674022607, generators = 1, rank = 4",
@@ -210,17 +211,21 @@ def test_another_generating_point_prints_the_same_record(monkeypatch):
     monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
     argv = ["close", "--algebra", "Q[x,y]/(x^2-1, y^2)", "--m", "2",
             "--emit", "full", "--json"]
-    draw = closure_module._random_point
+    find = closure_module._generating_point
     points = []
 
-    def drawing(rng, a, seed):
-        points.append(draw(random.Random(seed), a))
-        return points[-1]
+    def finding(a, scale):
+        # the point found, then the same point with its y coordinate scaled
+        x = {k: c * scale % a.field.p if k == 1 else c
+             for k, c in find(a).items()}
+        assert closure_module._generates(a, x)
+        points.append(x)
+        return x
 
     records = []
-    for seed in (1, 2):
-        monkeypatch.setattr(closure_module, "_random_point",
-                            functools.partial(drawing, seed=seed))
+    for scale in (1, 2):
+        monkeypatch.setattr(closure_module, "_generating_point",
+                            functools.partial(finding, scale=scale))
         code, out = run_cli(argv)
         assert code == 0
         records.extend(_without_ms([json.loads(out[0])]))
@@ -257,14 +262,65 @@ def test_tower_prints_the_staged_basis_and_maps(monkeypatch, text, m):
 
 
 def test_tower_dims_skip_the_stages():
-    # the parent took 4.6 s on the first and overran the stage budget on
-    # the second
-    for text, m, dim in (("Q[x]/(x^8-x-1)", 3, 336),
-                         ("Q[x]/(x^10-x-1)", 5, 30240)):
+    # the staged pipeline took 4.6 s on the first, 36 s on it with --exact
+    # and 2.2 s over GF(101), and overran the stage budget on the last
+    for text, m, dim, mode in (("Q[x]/(x^8-x-1)", 3, 336, []),
+                               ("Q[x]/(x^8-x-1)", 3, 336, ["--exact"]),
+                               ("GF(101)[x]/(x^8-x-1)", 3, 336, []),
+                               ("Q[x]/(x^10-x-1)", 5, 30240, [])):
         start = time.perf_counter()
-        code, out = run_cli(["close", "--algebra", text, "--m", str(m)])
+        code, out = run_cli(["close", "--algebra", text, "--m", str(m)] + mode)
         assert code == 0 and out == [f"dim = {dim}"]
         assert time.perf_counter() - start < 1
+
+
+# SHA-256 of the `close --emit full --json` record without its `ms`,
+# `method` and `generators` keys, as the symbolic seed printed it before
+# --exact and finite fields took the point and the tower
+POINT_FULL_DIGESTS = {
+    ("Q[x]/(x^5-x-1)", 3, "--exact"):
+        "b2cb1d14e5bebcc64880b4a91278e4fcd7e121f306ccc12b154465e9c797182b",
+    ("Q[x]/(x^6)", 5, "--exact"):
+        "aa6eb076b9329a3755429cec6dd5953941c499a23a6c52e8f499df6794e32da4",
+    ("Q[x,y]/(x^2-x, y^3)", 3, "--exact"):
+        "501e52aabf6615280e7d53bd57cb8ee20b755b83c59ac41788ac753d85043774",
+    ("F5[x]/(x^4-2)", 3, ""):
+        "44f130d0edccfc91395d8d685b7a74f67c82730264342529ca72752e5eb24caa",
+    ("GF(7,3)[x]/(x^3 - t)", 2, ""):
+        "e5926be1216ba8c124134ea369a30e88d340274aad51cba7cb086d84731bd762",
+}
+
+
+@pytest.mark.parametrize("text,m,mode", sorted(POINT_FULL_DIGESTS))
+def test_point_prints_the_symbolic_record(text, m, mode):
+    code, out = run_cli(["close", "--algebra", text, "--m", str(m),
+                         "--emit", "full", "--json"] + mode.split())
+    record = json.loads(out[0])
+    assert code == 0 and record["method"] == ("points" if m == 2 else "tower")
+    for key in ("ms", "method", "generators"):
+        del record[key]
+    blob = json.dumps(record, sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == \
+        POINT_FULL_DIGESTS[(text, m, mode)]
+
+
+def test_budget_stops_a_tower_read_before_memory():
+    # --emit full reads the tower's closure; its stage 5 is
+    # (10 * 9 * 8 * 7) * 10 wide, so the budget stops it before the work,
+    # in a process whose address space is capped at 1 GB
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = {k: v for k, v in os.environ.items() if not k.startswith("CLOSURELAB_")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "closurelab.cli", "close", "--algebra",
+         "Q[x]/(x^10-x-1)", "--m", "5", "--emit", "full"],
+        capture_output=True, text=True, timeout=60, preexec_fn=cap,
+        cwd=Path(__file__).resolve().parents[1], env={**env, "PYTHONPATH": "src"})
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "error: stage 5 width 50400 exceeds the budget 20000\n"
 
 
 def test_close_budget_exit_3(monkeypatch):

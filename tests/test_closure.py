@@ -513,9 +513,9 @@ def test_first_read_checks_the_canonical_maps(monkeypatch):
 
 
 def test_each_map_is_checked_once(monkeypatch):
-    # a tower record's first read builds the closure with `m_closure`,
-    # whose maps were checked where they were made; at m = n the canonical
-    # maps too
+    # a tower record's first read builds the closure from its point, whose
+    # maps were checked where they were made; at m = n the canonical maps
+    # too
     checked = []
     is_ring_morphism = AlgebraMap.is_ring_morphism
 
@@ -1041,15 +1041,15 @@ def test_point_seeds_only_at_m_2(monkeypatch):
         res, _ = closure_from_presentation(parse_presentation(text), 3)
         assert (res.method, res.dim) == ("tower", dim)
         assert res.stage_generators == (0, 1, 0)
-    # a local monogenic input takes one point too
-    res, _ = closure_from_presentation(parse_presentation("Q[x]/(x^4)"), 2)
-    assert (res.method, res.dim) == ("points", 12)
-    # local non-monogenic inputs, --exact and finite fields keep the
-    # symbolic seeds at m = 2
-    for text, exact in (("Q[x,y]/(x^2, y^3)", False), ("Q[x]/(x^3-x)", True),
-                        ("F101[x]/(x^3-x)", False)):
+    # a local monogenic input takes one point too, and so do --exact and
+    # finite fields
+    for text, exact, dim in (("Q[x]/(x^4)", False, 12), ("Q[x]/(x^3-x)", True, 6),
+                             ("F101[x]/(x^3-x)", False, 6)):
         res, _ = closure_from_presentation(parse_presentation(text), 2, exact)
-        assert res.method == "general"
+        assert (res.method, res.dim) == ("points", dim)
+    # a local non-monogenic input keeps the symbolic seed at m = 2
+    res, _ = closure_from_presentation(parse_presentation("Q[x,y]/(x^2, y^3)"), 2)
+    assert res.method == "general"
 
 
 def test_explicit_zero_coordinate_in_a_point():
@@ -1114,29 +1114,34 @@ def test_point_seeds_follow_monogenicity_not_locality(monkeypatch):
     pres = parse_presentation(NOT_MONOGENIC)
     algebra = _modular_algebra(pres)
     assert not is_local_nilpotent(algebra)
+    assert closure_module._generating_point(algebra) is None
     res, _ = closure_from_presentation(pres, 2)
     assert (res.method, res.dim) == ("general", 58)
     assert_same_closure(res, m_closure(algebra, 2))
 
 
 def test_non_generating_point_falls_back_to_the_symbolic_seed(monkeypatch):
-    # mutant: the drawn point is 0, and K[0] = K is not A
+    # mutant: no generating point is found, as if K[x] were not A
     monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
     pres = parse_presentation("Q[x]/(x^8-x-1)")
     drawn, _ = closure_from_presentation(pres, 2)
-    monkeypatch.setattr(closure_module, "_random_point", lambda rng, a: {})
+    monkeypatch.setattr(closure_module, "_generating_point", lambda a: None)
     res, _ = closure_from_presentation(pres, 2)
     assert (drawn.method, res.method) == ("points", "general")
     assert res.dim == drawn.dim == 56
     assert_same_closure(res, drawn)
 
 
+def _sum_of_generators(a):
+    return {k: 1 for _, g in a.generator_elements() for k in g}
+
+
 def test_forced_generation_trips_the_dimension_guard(monkeypatch):
-    # mutant: the drawn point is taken to generate a non-monogenic A; its
-    # one remainder leaves dimension 60, where the closure has 58 and a
+    # mutant: x + y + z is taken to generate a non-monogenic A; its one
+    # remainder leaves dimension 60, where the closure has 58 and a
     # monogenic A of dimension 8 would have 8 * 7 = 56
     monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
-    monkeypatch.setattr(closure_module, "_generates", lambda a, x: True)
+    monkeypatch.setattr(closure_module, "_generating_point", _sum_of_generators)
     with pytest.raises(CertificateFailure,
                        match="^a generating point gives dimension 60, not 56$"):
         closure_from_presentation(parse_presentation(NOT_MONOGENIC), 2)
@@ -1152,6 +1157,20 @@ def test_generates_asks_for_n_independent_powers():
     a = alg("Q[x]/(x^3-x-1)")
     assert [closure_module._generates(a, x) for x in ({}, {1: 1}, {2: 1})] == \
         [False, True, True]
+
+
+def test_generating_point_is_a_generator_or_one_combination():
+    # x itself; then c*x + d*y, c and d nonzero, when neither variable
+    # generates; F2 x F2 x F2 x F2 has no generating point, since every
+    # element takes at most two values, and keeps the symbolic seed
+    assert closure_module._generating_point(alg("Q[x]/(x^3-x-1)")) == {1: 1}
+    for text in ("Q[x,y]/(x^2-x, y^2)", "F7[x,y]/(x^2-x, y^2)"):
+        point = closure_module._generating_point(alg(text))
+        assert sorted(point) == [1, 2] and all(point.values())
+    text = "F2[x,y]/(x^2+x, y^2+y)"
+    assert closure_module._generating_point(alg(text)) is None
+    res, mode = closure_from_presentation(parse_presentation(text), 2)
+    assert (res.method, res.dim, mode) == ("general", 12, "F2")
 
 
 # Monogenic inputs: the (x^k) rows of Tables 1 and 2, a field, and two
@@ -1177,50 +1196,79 @@ def test_tower_dims_match_the_pipeline(monkeypatch, text):
                                            for s in range(1, m + 1))
 
 
+def _count_charpoly_calls(monkeypatch):
+    calls = []
+    real = closure_module.generic_char_poly
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.field)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(closure_module, "generic_char_poly", counting)
+    return calls
+
+
+# a monogenic input in the default modular mode, with --exact, and over a
+# finite field
+TOWER_MODES = (("Q[x]/({})", False), ("Q[x]/({})", True), ("F7[x]/({})", False))
+
+
 def test_tower_runs_no_pipeline_until_read(monkeypatch):
+    # neither the record nor its first read takes the symbolic seed: the
+    # point builds the closure; the certificate divides P, by design
     monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
-    calls = _count_m_closure_calls(monkeypatch)
-    res, _ = closure_from_presentation(parse_presentation("Q[x]/(x^6)"), 5)
-    assert (res.method, res.dim, calls) == ("tower", 720, [])
-    assert res.stage_dims == (6, 30, 120, 360, 720)
-    assert res.stage_generators == (0, 1, 0, 0, 0)
-    closure, maps = res.closure, res.maps
-    assert len(calls) == 1 and closure.dim == 720 and len(maps) == 5
-    assert res.closure is closure and len(calls) == 1
-    assert divides_check(res)["certified"] and len(calls) == 1
+    calls = _count_charpoly_calls(monkeypatch)
+    for text, exact in TOWER_MODES:
+        calls.clear()
+        pres = parse_presentation(text.format("x^6"))
+        res, _ = closure_from_presentation(pres, 5, exact)
+        assert (res.method, res.dim, res.bound, calls) == ("tower", 720, "exact", [])
+        assert res.stage_dims == (6, 30, 120, 360, 720)
+        assert res.stage_generators == (0, 1, 0, 0, 0)
+        closure, maps = res.closure, res.maps
+        assert calls == [] and closure.dim == 720 and len(maps) == 5
+        assert res.closure is closure and calls == []
+        assert divides_check(res)["certified"] and calls == [res.field]
 
 
 def test_certificate_builds_a_tower_first(monkeypatch):
     monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
-    calls = _count_m_closure_calls(monkeypatch)
-    res, _ = closure_from_presentation(parse_presentation("Q[x]/(x^4-x-1)"), 3)
-    assert calls == []
-    assert divides_check(res)["certified"] and len(calls) == 1
-    assert res.closure.dim == 24 and len(calls) == 1
+    calls = _count_charpoly_calls(monkeypatch)
+    for text, exact in TOWER_MODES:
+        calls.clear()
+        pres = parse_presentation(text.format("x^4-x-1"))
+        res, _ = closure_from_presentation(pres, 3, exact)
+        assert res.method == "tower" and calls == []
+        assert divides_check(res)["certified"] and len(calls) == 1
+        assert res.closure.dim == 24 and len(calls) == 1
 
 
 def test_forced_generation_trips_the_guard_before_the_tower(monkeypatch):
     # mutant: as in the m = 2 case, the one-point 2-closure runs first at
     # m = 3 and refuses the non-monogenic A before any tower is returned
     monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
-    monkeypatch.setattr(closure_module, "_generates", lambda a, x: True)
+    monkeypatch.setattr(closure_module, "_generating_point", _sum_of_generators)
     with pytest.raises(CertificateFailure,
                        match="^a generating point gives dimension 60, not 56$"):
         closure_from_presentation(parse_presentation(NOT_MONOGENIC), 3)
 
 
 def test_tower_build_checks_its_dimension(monkeypatch):
-    # mutant: the build stops a stage short; the tower reports 24 without
-    # building, and its first read refuses the 12-dimensional closure
+    # mutant: once the tower reports 24, the build seeds its closure from
+    # the point 0, which imposes no relation; the first read refuses the
+    # 4^3-dimensional closure
     monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
-    real = closure_module.m_closure
-    monkeypatch.setattr(closure_module, "m_closure",
-                        lambda a, m: real(a, m - 1))
-    res, _ = closure_from_presentation(parse_presentation("Q[x]/(x^4)"), 3)
-    assert (res.method, res.dim) == ("tower", 24)
-    with pytest.raises(CertificateFailure, match=(
-            "^the closure of a monogenic algebra has dimension 12, not 24$")):
-        res.closure
+    real = closure_module._point_seed
+    for text, exact in TOWER_MODES:
+        res, _ = closure_from_presentation(parse_presentation(text.format("x^4")),
+                                           3, exact)
+        assert (res.method, res.dim) == ("tower", 24)
+        with monkeypatch.context() as patch:
+            patch.setattr(closure_module, "_point_seed",
+                          lambda a, points: real(a, [{}]))
+            with pytest.raises(CertificateFailure, match=(
+                    "^a generating point gives dimension 64, not 24$")):
+                res.closure
 
 
 def test_tower_keeps_the_map_budget(monkeypatch):

@@ -76,10 +76,10 @@ COMMANDS = {
 
 PINNED = {
     "close-f2-text": "c42d74a5203701cdf4834830487ab39cdb28c6b153c87449a1d774f20029e7c2",
-    "close-gf343": "f9e078aa0f708bae3797df8baf42585ea6e7dbe6a42639be7dc044082c304de3",
+    "close-gf343": "20341fed2d00dcff65ac08498e0df44e3c63d033dc1281fe2bc14ca6dbf35145",
     "close-gf4-naive": "947d2c529c6fefafc956600edc1547991e56c384af51aef4d4f5aaa3d17c8b68",
     "close-gf49": "ce787f2660093d258da4721151790b67e88b26024e30f853d353b828e3149709",
-    "close-gf49-tpowers": "bb020712699674ae78bfe0f1b1ee58ab2c9defbaaf1d0422073e4b402e34eb66",
+    "close-gf49-tpowers": "a88417cecff42832b31c1b4d3430a349ce2690ce6879f795bda976ea1e338c9d",
     "close-not-monogenic-m2": "5f5a4e113216ec44c7b806c8ffbec97273958ac284d3ec6dc033f7a277c48371",
     "close-points-m2": "898f388417744b0113f45af97d80a5bcb017e294f262c5978cbc45ea82b42efa",
     "close-q-fractions": "dc1a768d9e28fb83678f0923782a0980e9c90fcc420fb8131e94bf2edb95eca2",
@@ -91,7 +91,7 @@ PINNED = {
     "malformed-paren": "8f3da2d22ccce112ec7cfa5f5ff7cee13f2ec6f4e055e3ee8be1c3b0a2aa8440",
     "malformed-variable": "8b7ec09964d6f838665a47790c7a5637bada671a826ffd7610fed72e5603e8ea",
     "table1": "be3823a62c6dd7df7799f2ad79389991532d79b07fe6100e61dbc64d0ab305e6",
-    "table1-exact": "56b2887bedfd718e11dd006dcbb53b8091decb17eaa62a59eaad216cf9dd4e71",
+    "table1-exact": "d2a699405c5af20fea33a86e0ec30856b0560e6d6b069152701bb5ce28d367c3",
     "table2-m3": "c8bb0db97fb6c8815f1d06549450d53fc6398d12fa5bea087ed139c6a8bae263",
     "tower-gf343": "2df1f064bc22378fec9289d338b49d31ef37210e74b45c3c54194540d0690ad9",
     "tower-gf343-tpowers": "e1fd76ab8c7168b2f876e6379e183b918b04b461a57bb02dd1bb3419efea8064",
