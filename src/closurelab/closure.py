@@ -20,11 +20,15 @@ algebra.
 The slot-s relations involve slots 1..s only, so the closure is built one
 slot at a time: stage s quotients (closure after s-1 slots) tensor A by the
 slot-s relations, which is far smaller than the tensor power whenever the
-intermediate closures collapse.  A seed, the polynomial the chain of
-divisions starts from, supplies each stage's relations: P' (general), or
-the characteristic polynomial of each of a given set of points of A; the
-naive closure takes as points the coset representatives of A modulo
-constants.
+intermediate closures collapse.  Each stage multiplies by the map images
+of A's generators on the closure's digit; from stage 3 on, the closure is
+a quotient of the previous stage's pair, and those operators are lifted
+from the previous stage's (lift, multiply, project, as in FGLM), so no
+intermediate closure builds a product table.  A seed, the polynomial the
+chain of divisions starts from, supplies each stage's relations: P'
+(general), or the characteristic polynomial of each of a given set of
+points of A; the naive closure takes as points the coset representatives
+of A modulo constants.
 
 At s = n the trace forces the last map, so the n-closure is the
 (n-1)-closure C with one more map (Bhargava-Satriano, JEMS 2014).  The
@@ -41,7 +45,8 @@ the quotient of f by (Z - x_1)...(Z - x_(s-1)) in C[Z], the stage-s
 remainder at x is f_s(x_s), which generates the kernel of
 C x A = C[Z]/(f) -> C[Z]/(f_s).  So x alone closes every stage; at m >= 3
 the result takes its dimension from the theorem and builds the closure,
-from x, only when `closure` or `maps` is read.
+from x, only when `closure` or `maps` is read or the certificate reads
+the stored pair.
 """
 
 from __future__ import annotations
@@ -66,8 +71,9 @@ from .errors import (BudgetExceeded, CertificateFailure, DegreeTooSmall,
 from .finalg import (AlgebraMap, PolyOps,
                      QuotientAlgebra, RowSpace, StructureAlgebra, TableAlgebra,
                      TensorPairAlgebra, algebra_from_presentation,
-                     berkowitz_charpoly, char_poly, monomial_algebra,
-                     power_budget, stride_multiplier, vec_add_into)
+                     berkowitz_charpoly, char_poly, digit_operator,
+                     monomial_algebra, power_budget, stride_multiplier,
+                     vec_add_into)
 from .multipoly import (AlgebraPresentation, MultiPoly, PolyRing,
                         grevlex_key, mono_mul)
 
@@ -249,7 +255,7 @@ class ClosureResult:
         self.input_algebra = input_algebra
         self.m = m
         self.method = method    # general | naive | points | tower
-        # the pair that the certificate reads; None in a tower
+        # the pair that the certificate reads; None in a tower until then
         self.stored_closure = stored_closure
         self.stored_maps = stored_maps
         # per stage: the closure dimension after it, its nonzero seed rows,
@@ -263,20 +269,25 @@ class ClosureResult:
         # (`closure_from_presentation`)
         self.bound = bound
         # builds the canonical (closure, maps) when `closure` or `maps` is
-        # first read: at m = n they replace the stored pair, in a tower they
-        # are the first pair
+        # first read, and they replace the stored pair (at m = n).  A tower
+        # stores no pair: its build returns the result its point seeds,
+        # whose stored pair and build the tower takes over
         self.build = build
 
     def _read(self):
+        self._stored()
         if self.build is not None:
             self.stored_closure, self.stored_maps = self.build()
             self.build = None
         return self.stored_closure, self.stored_maps
 
     def _stored(self):
-        """The stored pair, built first if the result has none."""
+        """The stored pair; a tower takes it over from its seeded result."""
         if self.stored_closure is None:
-            self._read()
+            seeded = self.build()
+            self.stored_closure = seeded.stored_closure
+            self.stored_maps = seeded.stored_maps
+            self.build = seeded.build
         return self.stored_closure, self.stored_maps
 
     @property
@@ -447,22 +458,40 @@ def _quotient_maps(quot: QuotientAlgebra, pair: TensorPairAlgebra, maps):
     return out
 
 
-def _stage_multipliers(pair: TensorPairAlgebra, generators, maps):
-    """Multipliers by generators of C x A, where C = pair.left carries
-    `maps` from A = pair.right: A's generators on the new digit (stride 1),
-    then their images under each map, in slot order, on the C digit
-    (stride n), zero images dropped.  C is spanned by products of the map
-    images of A, so the images of A's generators generate it.
+def _stage_multipliers(pair: TensorPairAlgebra, generators, maps, previous):
+    """Per map into C = pair.left and per generator g of A = pair.right,
+    the multiplier by map_s(g) on the C digit of C x A (stride n), or None
+    when the image is zero.  C is spanned by products of the map images of
+    A, so with A's generators on the new digit they generate C x A.
 
-    The closed span does not depend on the order, but the stored rows do: a
-    multiplier on the new digit moves a basis column to a few columns of the
-    same C digit, so the first row stored for each pivot is sparse.
+    When C is the quotient of the previous stage's pair by an ideal J,
+    `previous` holds that stage's operators by the elements whose classes
+    the images are: map'_s(g) x 1 for the older maps, 1 x g for the newest.
+    J is closed under them, so column a of map_s(g) is the projection of
+    the previous operator applied to the parent column of e_a, and C builds
+    no product table.  On C = A (`previous` [None]) they are A's products.
     """
-    out = [stride_multiplier(pair.right, g, 1) for g in generators]
-    images = (mp.apply_dict(g) for mp in maps for g in generators)
-    out.extend(stride_multiplier(pair.left, img, pair.n)
-               for img in images if img)
+    left = pair.left
+    out = []
+    for mp, before in zip(maps, previous):
+        ops = []
+        for k, g in enumerate(generators):
+            img = mp.apply_dict(g)
+            if not img:
+                ops.append(None)
+            elif before is None:
+                ops.append(stride_multiplier(left, img, pair.n))
+            else:
+                column = partial(_lifted_column, left, before[k])
+                ops.append(digit_operator(left.field, column, pair.n, left.dim))
+        out.append(ops)
     return out
+
+
+def _lifted_column(quot: QuotientAlgebra, times, a):
+    """The product of e_a by the class of the element that `times`
+    multiplies by, in the quotient's coordinates."""
+    return quot.project(times({quot.basis_cols[a]: quot.field.one}))
 
 
 def _staged_closure(a, m, method, make_seed, t0, limit):
@@ -491,6 +520,10 @@ def _staged_closure(a, m, method, make_seed, t0, limit):
     if any(rem.values()):
         raise CertificateFailure("Cayley-Hamilton remainder is nonzero")
     generators = [vec for _, vec in a.generator_elements()]
+    # A's generators on the new digit: the same operators at every stage
+    new_digit = [stride_multiplier(a, g, 1) for g in generators]
+    # the last stage's operators per map, then new_digit; none on C = A
+    previous = [None]
 
     current = a
     maps = [AlgebraMap(a, a, [{i: one} for i in range(n)])]
@@ -509,8 +542,15 @@ def _staged_closure(a, m, method, make_seed, t0, limit):
         if s == n:
             last = _last_map(pair, maps, rows)
         else:
+            # the closed span does not depend on the order of the
+            # multipliers, but the stored rows do: one on the new digit
+            # moves a basis column to a few columns of the same C digit, so
+            # the first row stored for each pivot is sparse
+            slots = _stage_multipliers(pair, generators, maps, previous)
             span = RowSpace(fieldh)
-            span.close_under(rows, _stage_multipliers(pair, generators, maps))
+            span.close_under(rows, new_digit + [op for ops in slots
+                                                for op in ops if op is not None])
+            previous = slots + [new_digit]
             quot = QuotientAlgebra(pair, span)
             maps = _quotient_maps(quot, pair, maps)
             if s < m:             # the last running quotient is never used
@@ -937,7 +977,7 @@ def closure_from_presentation(pres: AlgebraPresentation, m: int,
                 stage_generators=two.stage_generators + (0,) * (m - 2),
                 stage_ms=two.stage_ms + two.stage_ms[-1:] * (m - 2),
                 started=t0, build=lambda: _point_closure(
-                    algebra, x, m, time.perf_counter())._read()), mode
+                    algebra, x, m, time.perf_counter())), mode
     result = m_closure(algebra, m)
     if modular:
         result.bound = "upper"

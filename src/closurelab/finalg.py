@@ -419,31 +419,46 @@ class _Columns(dict):
         return out
 
 
-def stride_multiplier(factor: StructureAlgebra, vec: dict, stride: int):
-    """Multiplication by a factor element on one digit of a tensor basis.
+def digit_operator(field: Field, column, stride: int, size: int):
+    """The span kernel's operator that acts on one digit of a tensor basis.
 
     A basis index decomposes as base + a*stride with a = index // stride %
-    factor.dim the factor digit; the product replaces e_a by vec*e_a, so
-    column a of the kernel's operator lists ((k - a)*stride, c) for the
-    terms c*e_k of vec*e_a: offsets from the input index.  The right
-    factor of a pair is the digit of stride 1, the left one the digit of
-    stride right.dim; on the factor itself, stride 1 is plain
-    multiplication by vec.
+    size the digit; the operator replaces e_a by column(a), a sparse dict
+    {k: nonzero c} over the digit's basis, so column a of the kernel's
+    operator lists ((k - a)*stride, c): offsets from the input index.
+    column(a) is called the first time digit a is met, and equal entries
+    of the columns are one tuple.
 
     The operator is `apply(w, out=None)`: it adds the product into `out`
-    when given, and returns it.  Zero coefficients of vec are dropped, so
-    every column entry is nonzero.
+    when given, and returns it.
+    """
+    entries = {}
+
+    def fill(a):
+        return tuple([entries.setdefault(e, e) for e in
+                      [((k - a) * stride, c) for k, c in column(a).items()]])
+
+    return kernel_for(field).operator(field, _Columns(fill), stride, size)
+
+
+def stride_multiplier(factor: StructureAlgebra, vec: dict, stride: int):
+    """Multiplication by a factor element on one digit of a tensor basis
+    (`digit_operator`), from the factor's products: column a is vec*e_a.
+    The right factor of a pair is the digit of stride 1, the left one the
+    digit of stride right.dim; on the factor itself, stride 1 is plain
+    multiplication by vec.  Zero coefficients of vec are dropped, so every
+    column entry is nonzero.
     """
     field = factor.field
     terms = [(k, c) for k, c in vec.items() if c]
 
-    def fill(a):
+    def column(a):
         col = {}
         for i, c in terms:
             vec_add_into(field, col, factor.basis_product(i, a), c)
-        return tuple([((k - a) * stride, v) for k, v in col.items()])
+        return col
 
-    return kernel_for(field).operator(field, _Columns(fill), stride, factor.dim)
+    return digit_operator(field, column, stride, factor.dim)
 
 
 class TableAlgebra(StructureAlgebra):
@@ -545,12 +560,14 @@ class TensorPairAlgebra(StructureAlgebra):
 class QuotientAlgebra(StructureAlgebra):
     """Quotient of a parent algebra by a multiplier-closed row space.
 
-    Reduction modulo the span is linear, so `project` is the span kernel's
-    operator over the normal forms of the parent basis columns, each
-    quotient index stored as its offset from the parent column.  The
-    normal form of a column is reduced once, the first time the column is
-    projected, and kept in `_forms` for the quotient's life: products, map
-    images and certificate columns meet the same columns again and again.
+    Reduction modulo the span is linear, so `project` is the digit
+    operator (stride 1) whose column c is the normal form of the parent
+    column c in quotient indices.  The normal form of a column is reduced
+    once, the first time the column is projected, and kept for the
+    quotient's life: lifted multiplier columns, map images and certificate
+    columns meet the same columns again and again.  `basis_product` caches
+    the quotient's products; only a closure whose products are read (map
+    checks, the certificate) builds that table.
     """
 
     def __init__(self, parent: StructureAlgebra, span: RowSpace):
@@ -564,12 +581,10 @@ class QuotientAlgebra(StructureAlgebra):
         # a closure over the span, not a method of the quotient: no cycle
         col_to_index, one = self.col_to_index, self.field.one
 
-        def fill(c):
-            form = span.reduce({c: one})
-            return tuple([(col_to_index[k] - c, w) for k, w in form.items()])
+        def column(c):
+            return {col_to_index[k]: w for k, w in span.reduce({c: one}).items()}
 
-        self._forms = _Columns(fill)    # parent column c -> ((index - c, w), ...)
-        self._project = span.kernel.operator(self.field, self._forms, 1, parent.dim)
+        self._project = digit_operator(self.field, column, 1, parent.dim)
 
     @property
     def labels(self):

@@ -707,6 +707,25 @@ def test_table_runs_each_row_once(monkeypatch):
     assert code == 0 and calls == [4, 5] and len(records) == 11
 
 
+def test_table_wide_row_memory_peak(monkeypatch):
+    # each stage multiplies by operators lifted from the previous stage, so
+    # no intermediate closure keeps a product table: the row peaks near
+    # 4.9 MB under tracemalloc, where building those tables took 7.8 MB.
+    # m = 5 computes 1857 where the paper prints 1875 (test_acceptance)
+    import tracemalloc
+    monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
+    tracemalloc.start()
+    try:
+        code, out = run_cli(["table", "--manifest", "table2.json", "--rows",
+                             "(x, y, z, w, v)^2", "--max-m", "5", "--jobs", "1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert out[-1] == "-- 5/6 expected dimensions matched (6 computations)"
+    assert peak < 6.5e6
+
+
 def test_table_row_budget_overrun_falls_back(monkeypatch):
     # (x^2, y^2) stages are 16, 52 and 104 wide, so only m = 4 overruns;
     # m = 0..2 are read from the stages of the run at m = 3.  The row is not

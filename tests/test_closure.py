@@ -1208,6 +1208,82 @@ def _count_charpoly_calls(monkeypatch):
     return calls
 
 
+# -- stage multipliers lifted from the previous stage
+
+
+# a staged run over GF(p), over Q and over GF(4), each below m = n
+LIFTED_RUNS = (("Q[x,y]/(x^2, y^5, x*y)", 4, False),
+               ("Q[x,y]/(x^2, y^2)", 3, True),
+               ("GF(2,2)[x,y]/(x^2+t*x*y, y^2+x*y)", 3, False))
+
+
+def _record_stage_multipliers(monkeypatch):
+    stages = []
+    real = closure_module._stage_multipliers
+
+    def recording(pair, generators, maps, previous):
+        slots = real(pair, generators, maps, previous)
+        stages.append((pair, generators, maps, previous, slots))
+        return slots
+
+    monkeypatch.setattr(closure_module, "_stage_multipliers", recording)
+    return stages
+
+
+@pytest.mark.parametrize("text, m, exact", LIFTED_RUNS)
+def test_lifted_multipliers_are_the_products(monkeypatch, text, m, exact):
+    # from stage 3 on, C is a quotient and each operator by map_s(g) on its
+    # digit is lifted from the previous stage; on every basis vector of
+    # C x A it must agree with the product in C
+    monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
+    stages = _record_stage_multipliers(monkeypatch)
+    result, _ = closure_from_presentation(parse_presentation(text), m, exact)
+    assert result.method == "general" and len(stages) == m - 1
+    assert [previous == [None] for *_, previous, _ in stages] == [True] + [False] * (m - 2)
+    for pair, generators, maps, previous, slots in stages[1:]:
+        one = pair.field.one
+        assert len(slots) == len(maps) == len(previous)
+        for mp, ops in zip(maps, slots):
+            for g, op in zip(generators, ops):
+                image = mp.apply_dict(g)
+                assert (op is None) == (not image)
+                if op is None:
+                    continue
+                oracle = finalg_module.stride_multiplier(pair.left, image, pair.n)
+                for i in range(pair.dim):
+                    assert op({i: one}) == oracle({i: one})
+
+
+@pytest.mark.parametrize("text, m, exact", LIFTED_RUNS)
+def test_staged_run_reads_only_the_closure_products(monkeypatch, text, m, exact):
+    # below m = n quotient products are read only by the map check of the
+    # final closure (which reads its ancestors' through its parent pair):
+    # the stage loop builds no product table
+    monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
+    targets, outside, checking = [], [], [False]
+    real_check = AlgebraMap.is_ring_morphism
+    real_product = finalg_module.QuotientAlgebra.basis_product
+
+    def check(mp):
+        targets.append(mp.target)
+        checking[0] = True
+        try:
+            return real_check(mp)
+        finally:
+            checking[0] = False
+
+    def product(quot, i, j):
+        if not checking[0]:
+            outside.append(quot)
+        return real_product(quot, i, j)
+
+    monkeypatch.setattr(AlgebraMap, "is_ring_morphism", check)
+    monkeypatch.setattr(finalg_module.QuotientAlgebra, "basis_product", product)
+    result, _ = closure_from_presentation(parse_presentation(text), m, exact)
+    assert result.method == "general" and outside == []
+    assert len(targets) == m and all(t is result.closure for t in targets)
+
+
 # a monogenic input in the default modular mode, with --exact, and over a
 # finite field
 TOWER_MODES = (("Q[x]/({})", False), ("Q[x]/({})", True), ("F7[x]/({})", False))
@@ -1241,6 +1317,27 @@ def test_certificate_builds_a_tower_first(monkeypatch):
         assert res.method == "tower" and calls == []
         assert divides_check(res)["certified"] and len(calls) == 1
         assert res.closure.dim == 24 and len(calls) == 1
+
+
+def test_certificate_reads_the_stored_pair_of_a_tower(monkeypatch):
+    # at m = n a tower takes over the (n-1)-closure and the trace map that
+    # its point's result stores, which the certificate reads as it does
+    # m_closure's; the canonical quotient of C x A waits for `closure`
+    monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
+    built = []
+    real = closure_module._last_stage_span
+    monkeypatch.setattr(closure_module, "_last_stage_span",
+                        lambda *args: built.append(args) or real(*args))
+    for text, exact in TOWER_MODES:
+        built.clear()
+        pres = parse_presentation(text.format("x^4"))
+        res, _ = closure_from_presentation(pres, 4, exact)
+        assert res.method == "tower" and res.stored_closure is None
+        assert divides_check(res)["certified"] and built == []
+        assert res.stored_closure.dim == 24 and len(res.stored_maps) == 4
+        fresh, _ = closure_from_presentation(pres, 4, exact)
+        assert res.closure.labels == fresh.closure.labels and len(built) == 2
+        assert [mp.rows for mp in res.maps] == [mp.rows for mp in fresh.maps]
 
 
 def test_forced_generation_trips_the_guard_before_the_tower(monkeypatch):

@@ -10,10 +10,11 @@ from closurelab.closure import (base_change_presentation,
                                closure_from_presentation, m_closure)
 from closurelab.finalg import (AlgebraMap, GenericKernel, PolyOps,
                                PrimeKernel, QuotientAlgebra, RowSpace,
-                               TableAlgebra, TensorPairAlgebra,
+                               TableAlgebra, TensorPairAlgebra, _Columns,
                                algebra_from_presentation, algebra_product,
-                               berkowitz_charpoly, char_poly, kernel_for,
-                               mult_matrix, stride_multiplier, vec_add_into)
+                               berkowitz_charpoly, char_poly, digit_operator,
+                               kernel_for, mult_matrix, stride_multiplier,
+                               vec_add_into)
 from closurelab.multipoly import PolyRing, parse_presentation
 from closurelab.verify import determinant_expansion
 from flat_oracle import (breadth_first_close, ideal_subspace_dim,
@@ -90,6 +91,58 @@ def test_stride_multiplier_matches_product():
                 == pair.mult_vec(pair.embed_left(v), w))
         # the right digit is the low one: u sits in the pair as itself
         assert stride_multiplier(pair.right, u, 1)(w) == pair.mult_vec(u, w)
+
+
+def _column_entries(op):
+    """The (offset, scalar) entries of an operator's filled columns."""
+    cols = next(cell.cell_contents for cell in op.__closure__
+                if isinstance(cell.cell_contents, _Columns))
+    return [e for col in cols.values() for e in col]
+
+
+@pytest.mark.parametrize("field", [GF(1073741789), QQ(), GF(2, 2)], ids=str)
+def test_equal_column_entries_are_one_object(field):
+    one = field.one
+    three = field.from_int(3)
+    a = algebra_from_presentation(
+        base_change_presentation(parse_presentation("Q[x,y]/(x^2, y^3)"), field))
+    pair = TensorPairAlgebra(a, a)
+    # a scalar multiple: every column is the one entry (0, 3), made anew
+    # by each column's product
+    times_three = stride_multiplier(a, {0: three}, pair.n)
+    span = RowSpace(field)
+    span.close_under([{1: one, pair.n: field.neg(one)}],
+                     [stride_multiplier(a, {1: one}, 1),
+                      stride_multiplier(a, {1: one}, pair.n)])
+    quot = QuotientAlgebra(pair, span)
+    for c in range(pair.dim):
+        times_three({c: one})
+        quot.project({c: one})
+    entries = _column_entries(times_three)
+    assert len(entries) == a.dim and entries[0] == (0, three)
+    assert all(e is entries[0] for e in entries)
+    for op in (times_three, quot._project):
+        entries = _column_entries(op)
+        assert len({id(e) for e in entries}) == len(set(entries)) < len(entries)
+
+
+def test_digit_operator_replaces_one_digit():
+    # the digit of stride 3 and size 2: column a sends e_a to 2*e_(1 - a),
+    # so the operator swaps that digit and doubles; each column is filled
+    # once, on first use
+    field = GF(7)
+    filled = []
+
+    def column(a):
+        filled.append(a)
+        return {1 - a: field.from_int(2)}
+
+    swap = digit_operator(field, column, 3, 2)
+    assert swap({0: 1, 4: 1, 7: 3, 11: 5}) == {3: 2, 1: 2, 10: 6, 8: 3}
+    # it adds into `out`, where 5 + 2 cancels
+    out = {0: 5, 2: 1}
+    assert swap({3: 1}, out) is out and out == {2: 1}
+    assert sorted(filled) == [0, 1]
 
 
 # -- products
