@@ -176,44 +176,22 @@ def default_modulus(p: int, k: int) -> tuple:
 
 class Field:
     """One of the supported exact fields, with arithmetic on raw scalar
-    values.  Build fields with QQ(), GF() or field_from_order(), which
-    return the same object for the same arguments."""
+    values: each concrete field provides add, sub, mul, neg, inv,
+    from_int, random_element and format_scalar.  Build fields with QQ(),
+    GF() or field_from_order(), which return the same object for the same
+    arguments."""
 
     kind: str            # "rationals" | "prime" | "extension"
     key: tuple           # equal fields have equal keys
     char: int
     order: int | None    # None means infinite (the rationals)
 
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
-
     def div(self, a, b):
         return self.mul(a, self.inv(b))
-
-    def from_int(self, n: int):
-        raise NotImplementedError
 
     def elements(self):
         """Iterate all field elements (finite fields only)."""
         raise UnsupportedField("field is not finite")
-
-    def random_element(self, rng):
-        raise NotImplementedError
-
-    def format_scalar(self, a) -> str:
-        raise NotImplementedError
 
     def __eq__(self, other):
         return self is other or (isinstance(other, Field) and self.key == other.key)

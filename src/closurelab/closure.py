@@ -250,8 +250,7 @@ class ClosureResult:
     def __init__(self, input_algebra: StructureAlgebra, m: int, method: str,
                  stored_closure: StructureAlgebra, stored_maps: list,
                  stage_dims: tuple = (), stage_generators: tuple = (),
-                 stage_ms: tuple = (), started: float = 0.0,
-                 bound: str = "exact", build=None):
+                 stage_ms: tuple = (), started: float = 0.0, build=None):
         self.input_algebra = input_algebra
         self.m = m
         self.method = method    # general | naive | points | tower
@@ -267,7 +266,7 @@ class ClosureResult:
         self.started = started
         # "upper" when the dim is a modular upper bound for the one over Q
         # (`closure_from_presentation`)
-        self.bound = bound
+        self.bound = "exact"
         # builds the canonical (closure, maps) when `closure` or `maps` is
         # first read, and they replace the stored pair (at m = n).  A tower
         # stores no pair: its build returns the result its point seeds,
@@ -636,17 +635,16 @@ class TowerDescription:
     """Root-by-root splitting tower of a monic polynomial."""
 
     def __init__(self, base: str, degree: int, m: int, dim: int,
-                 relations: tuple,
-                 stored_algebra: StructureAlgebra | None = None,
-                 stored_maps: list | None = None, build=None):
+                 relations: tuple, build):
         self.base = base                # the field's name, or "Z"
         self.degree = degree
         self.m = m
         self.dim = dim
         self.relations = relations      # human-readable relation strings
-        self.stored_algebra = stored_algebra
-        self.stored_maps = stored_maps
-        # builds (algebra, maps) when `algebra` or `maps` is first read
+        # builds (algebra, maps) when `algebra` or `maps` is first read,
+        # and they are stored here
+        self.stored_algebra = None
+        self.stored_maps = None
         self.build = build
 
     def _read(self):

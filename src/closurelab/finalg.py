@@ -353,14 +353,11 @@ def _dot(ops, u, v):
 
 
 class StructureAlgebra:
-    """Base class; concrete subclasses provide basis products."""
+    """Base class; concrete subclasses provide `basis_product(i, j)`."""
 
     field: Field
     dim: int
     labels: list
-
-    def basis_product(self, i: int, j: int) -> dict:
-        raise NotImplementedError
 
     # -- generic derived operations
 

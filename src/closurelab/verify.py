@@ -27,6 +27,16 @@ def _check(results, name, ok, detail=""):
     results.append((name, bool(ok), detail))
 
 
+def _closure_dims(a, max_m):
+    """The closure dims of `a` at m = 0..max_m from one run at the largest
+    m up to n: stage s of a staged run is the s-closure, and m > n gives
+    the zero algebra."""
+    top = min(max_m, a.dim)
+    run = m_closure(a, top)
+    stages = run.stage_dims or (run.dim,) * top     # trivial at top <= 1
+    return [1, *stages] + [0] * (max_m - top)
+
+
 def upoly_mul(fieldh, a, b):
     out = [fieldh.zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -77,8 +87,8 @@ def suite_trivial(seed=DEFAULT_SEED):
                extra.is_ring_morphism())
         rbig = m_closure(a, n + 1)
         _check(out, f"{entry.name}: m=n+1 gives the zero algebra", rbig.dim == 0)
-        positive = all(m_closure(a, m).dim > 0 for m in range(1, n + 1))
-        _check(out, f"{entry.name}: closures are nonzero for 1 <= m <= n", positive)
+        _check(out, f"{entry.name}: closures are nonzero for 1 <= m <= n",
+               all(rn.stage_dims))
         for m, res in ((n - 1, rn1), (n, rn)):
             cert = divides_check(res)
             _check(out, f"{entry.name}: divisibility certificate at m={m}",
@@ -110,26 +120,23 @@ def suite_product(seed=DEFAULT_SEED):
     factors = [(name, algebra_from_presentation(parse_presentation(t)))
                for name, t in factor_texts]
     max_m = 3
-    dims = {}
-    for name, alg in factors:
-        dims[name] = [m_closure(alg, m).dim for m in range(max_m + 1)]
+    dims = {name: _closure_dims(alg, max_m) for name, alg in factors}
+    products = {}
     for i, (na, a) in enumerate(factors):
         for nb, b in factors[i:]:
             if a.dim + b.dim > 6:
                 continue
             prod, _, _ = algebra_product(a, b)
+            products[na, nb] = _closure_dims(prod, max_m)
             for m in range(2, max_m + 1):
-                direct = m_closure(prod, m).dim
+                direct = products[na, nb][m]
                 formula = product_formula_dim(dims[na], dims[nb], m)
                 _check(out, f"({na}) x ({nb}) at m={m}: direct {direct} = formula",
                        direct == formula, f"formula gives {formula}")
     # full-closure factor count: K x K[x]/(x^2) has 3!/(1!2!) identical factors
     _check(out, "full closure of K x K[x]/(x^2) has 3 identical tensor factors",
            galois_factor_count([1, 2]) == 3)
-    k = algebra_from_presentation(parse_presentation("Q[x]/(x)"))
-    x2 = algebra_from_presentation(parse_presentation("Q[x]/(x^2)"))
-    prod, _, _ = algebra_product(k, x2)
-    full = m_closure(prod, 3).dim
+    full = products["K", "K[x]/(x^2)"][3]
     factor_dim = dims["K"][1] * dims["K[x]/(x^2)"][2]
     _check(out, "full closure of K x K[x]/(x^2) matches the factor-count formula",
            full == 3 * factor_dim, f"{full} vs 3*{factor_dim}")
@@ -154,17 +161,16 @@ def suite_monogenic(seed=DEFAULT_SEED):
     for trial in range(6):
         deg = rng.randint(2, 4)
         coeffs = [f7.random_element(rng) for _ in range(deg)] + [f7.one]
+        pipe = _closure_dims(monogenic_algebra(f7, coeffs), min(3, deg))
         for m in range(1, min(3, deg) + 1):
             tower = monogenic_tower(coeffs, m, f7)
             expected = etale_closure_dim(deg, m)
             _check(out,
                    f"trial {trial}: tower rank deg={deg} m={m} is the falling factorial",
                    tower.dim == expected, f"{tower.dim} vs {expected}")
-            alg = monogenic_algebra(f7, coeffs)
-            pipe = m_closure(alg, m)
             _check(out,
                    f"trial {trial}: tower and pipeline dims agree (deg={deg}, m={m})",
-                   pipe.dim == tower.dim, f"{pipe.dim} vs {tower.dim}")
+                   pipe[m] == tower.dim, f"{pipe[m]} vs {tower.dim}")
             for mp in tower.maps:
                 if not mp.is_ring_morphism():
                     _check(out, f"trial {trial}: tower maps multiplicative", False)
@@ -173,14 +179,16 @@ def suite_monogenic(seed=DEFAULT_SEED):
         pres = parse_presentation(text)
         for source, exact in ((pres, False), (pres, True),
                               (base_change_presentation(pres, f7), False)):
-            for m in (2, 3, 4):
-                record, mode = closure_from_presentation(source, m, exact)
-                pipe = m_closure(record.input_algebra, m).dim
+            records = [closure_from_presentation(source, m, exact)
+                       for m in (2, 3, 4)]
+            pipe = _closure_dims(records[0][0].input_algebra, 4)
+            for record, mode in records:
+                m = record.m
                 method = "points" if m == 2 else "tower"
                 _check(out, f"{text} {mode} at m={m}: the {method} record "
                        "has the pipeline's dim",
-                       record.method == method and record.dim == pipe,
-                       f"{record.method} {record.dim} vs {pipe}")
+                       record.method == method and record.dim == pipe[m],
+                       f"{record.method} {record.dim} vs {pipe[m]}")
     return out
 
 
@@ -192,11 +200,11 @@ def suite_etale(seed=DEFAULT_SEED):
     power = k
     for n in range(2, 6):
         power, _, _ = algebra_product(power, k)
+        dims = _closure_dims(power, n)
         for m in range(0, n + 1):
             expected = etale_closure_dim(n, m)
-            got = m_closure(power, m).dim
             _check(out, f"K^{n} at m={m}: dimension {expected}",
-                   got == expected, f"got {got}")
+                   dims[m] == expected, f"got {dims[m]}")
     _check(out, "injective-map count vanishes for m > n",
            etale_closure_dim(4, 5) == 0)
     _check(out, "injective-map count at m=0 is 1", etale_closure_dim(7, 0) == 1)
@@ -364,8 +372,9 @@ def suite_family(seed=DEFAULT_SEED):
     _check(out, "square-zero n=5: 2-closure is the whole 25-dimensional square",
            m_closure(a, 2).dim == 25)
     b = algebra_from_presentation(parse_presentation("Q[x,y,z,w,v]/((x,y,z,w,v)^2)"))
+    dims = _closure_dims(b, 3)
     _check(out, "square-zero n=6: 2- and 3-closures fill the tensor powers",
-           m_closure(b, 2).dim == 36 and m_closure(b, 3).dim == 216)
+           dims[2] == 36 and dims[3] == 216)
     return out
 
 

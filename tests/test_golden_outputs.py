@@ -72,6 +72,9 @@ COMMANDS = {
     "malformed-paren": ["close", "--algebra", "Q[x]/(x^2", "--m", "2"],
     "malformed-variable": ["close", "--algebra", "Q[x]/(x^2, y)", "--m", "2"],
     "malformed-exponent": ["close", "--algebra", "Q[x]/(x^)", "--m", "2"],
+    # the cheap property suites: each check's name, verdict and detail
+    "verify-product-etale-family": ["verify", "--suite", "product,etale,family",
+                                    "--json"],
 }
 
 PINNED = {
@@ -103,6 +106,7 @@ PINNED = {
     "transform-gf343": "b884a7c8615037b3d2f2d010a1580d815936860d570fb54561503654cb4e7a05",
     "transform-gf4": "3db8fa6a6be8e92375b42d25687576d4418d9b7fb833b12eab74418b77a4900b",
     "transform-gf4-tpowers": "4f14dd4dfe5723115df3ecbc585b5662fa1721a9caa647fa756edaca40558a23",
+    "verify-product-etale-family": "f43a324b0fa93ebe05c7928827742671802c951365f1c98075307b73c72230fe",
 }
 
 
