@@ -1,8 +1,9 @@
 """Monogenic algebras: splitting off one root at a time.
 
 For A = K[x]/(f) the m-closure is a tower: adjoin a root, divide it out,
-repeat.  The dimensions are the falling factorials n(n-1)...(n-m+1), and
-the tower agrees with the generic pipeline run on the same algebra.
+repeat.  `monogenic_tower` gives the tower's dimension, the falling
+factorial n(n-1)...(n-m+1), and the relation each division leaves; the
+dimension agrees with the generic pipeline run on the same algebra.
 """
 
 import random

@@ -10,7 +10,7 @@ variant, monogenic towers, and the monic-polynomial transform.
 from .arith import GF, QQ, Field, field_from_order, is_prime, next_prime
 from .catalog import (ManifestEntry, load_manifest, manifest_path,
                       table1_entries, table2_entries)
-from .closure import (ClosureResult, GenericCharData, TowerDescription,
+from .closure import (ClosureResult, GenericCharData,
                       base_change_presentation, closure_from_presentation,
                       divides_check, etale_closure_dim, galois_factor_count,
                       generic_char_poly, m_closure, modular_prime,

@@ -40,13 +40,13 @@ A monogenic A is closed at every 2 <= m <= n from one point x with
 K[x] = A instead, in every mode (`closure_from_presentation`).  With f the
 characteristic polynomial of x, the m-closure is the splitting tower of
 A = K[Z]/(f), free of rank n!/(n - m)! over any base (Bhargava-Satriano,
-JEMS 2014; `monogenic_tower`).  With C the tower after s - 1 roots and f_s
-the quotient of f by (Z - x_1)...(Z - x_(s-1)) in C[Z], the stage-s
-remainder at x is f_s(x_s), which generates the kernel of
-C x A = C[Z]/(f) -> C[Z]/(f_s).  So x alone closes every stage; at m >= 3
-the result takes its dimension from the theorem and builds the closure,
-from x, only when `closure` or `maps` is read or the certificate reads
-the stored pair.
+JEMS 2014); `monogenic_tower` gives its relations.  With C the tower
+after s - 1 roots and f_s the quotient of f by (Z - x_1)...(Z - x_(s-1))
+in C[Z], the stage-s remainder at x is f_s(x_s), which generates the
+kernel of C x A = C[Z]/(f) -> C[Z]/(f_s).  So x alone closes every
+stage; at m >= 3 the result takes its dimension from the theorem and
+builds the closure, from x, only when `closure` or `maps` is read or the
+certificate reads the stored pair.
 """
 
 from __future__ import annotations
@@ -72,10 +72,8 @@ from .finalg import (AlgebraMap, PolyOps,
                      QuotientAlgebra, RowSpace, StructureAlgebra, TableAlgebra,
                      TensorPairAlgebra, algebra_from_presentation,
                      berkowitz_charpoly, char_poly, digit_operator,
-                     monomial_algebra, power_budget, stride_multiplier,
-                     vec_add_into)
-from .multipoly import (AlgebraPresentation, MultiPoly, PolyRing,
-                        grevlex_key, mono_mul)
+                     power_budget, stride_multiplier, vec_add_into)
+from .multipoly import AlgebraPresentation, MultiPoly, PolyRing
 
 # ---------------------------------------------------------------------------
 # generic element and its characteristic polynomial
@@ -631,47 +629,24 @@ def transform_monic(f_coeffs, g_coeffs, fieldh: Field):
     return char_poly(algebra, g_of_x)
 
 
-class TowerDescription:
-    """Root-by-root splitting tower of a monic polynomial."""
+class Tower(namedtuple("Tower", "base degree m dim relations")):
+    """Root-by-root splitting tower of a monic polynomial: the base field's
+    name, or "Z", the degree n, the number m of roots split off, the
+    dimension n!/(n - m)! and the relation strings, one per stage."""
 
-    def __init__(self, base: str, degree: int, m: int, dim: int,
-                 relations: tuple, build):
-        self.base = base                # the field's name, or "Z"
-        self.degree = degree
-        self.m = m
-        self.dim = dim
-        self.relations = relations      # human-readable relation strings
-        # builds (algebra, maps) when `algebra` or `maps` is first read,
-        # and they are stored here
-        self.stored_algebra = None
-        self.stored_maps = None
-        self.build = build
-
-    def _read(self):
-        if self.build is not None:
-            self.stored_algebra, self.stored_maps = self.build()
-            self.build = None
-        return self.stored_algebra, self.stored_maps
-
-    @property
-    def algebra(self) -> StructureAlgebra:
-        return self._read()[0]
-
-    @property
-    def maps(self) -> list:
-        return self._read()[1]
+    __slots__ = ()
 
 
-def monogenic_tower(f_coeffs, m: int, fieldh: Field | None = None) -> TowerDescription:
+def monogenic_tower(f_coeffs, m: int, fieldh: Field | None = None) -> Tower:
     """Split off m roots of a monic polynomial one at a time.
 
     Stage i adjoins a root x_i of the running polynomial and divides it out,
     so the result is free of dimension n(n-1)...(n-m+1).  The description
-    holds the relations; the tower as a structure algebra, with its maps
-    x -> x_i, is built when `algebra` or `maps` is first read.  Over the
-    integers (fieldh None) the coefficients must be integers and the
-    arithmetic runs over Q: monicness keeps every division integral, so the
-    relations and the structure constants are integers.
+    holds the relations, the remainders of those divisions; the closure
+    itself is built from a generating point (`closure_from_presentation`).
+    Over the integers (fieldh None) the coefficients must be integers and
+    the arithmetic runs over Q: monicness keeps every division integral, so
+    the relations are integral.
     """
     fh = QQ() if fieldh is None else fieldh
     n = len(f_coeffs) - 1
@@ -684,11 +659,7 @@ def monogenic_tower(f_coeffs, m: int, fieldh: Field | None = None) -> TowerDescr
     if m < 0:
         raise ValueError("m must be nonnegative")
 
-    names = tuple(f"x{i + 1}" for i in range(m))
-    ring = PolyRing(fh, names)
-
-    def power(i, e):
-        return tuple(e if j == i else 0 for j in range(m))
+    ring = PolyRing(fh, tuple(f"x{i + 1}" for i in range(m)))
 
     def times_root(i, xp):
         # copies each coefficient: _synthetic_divide adds into them
@@ -697,53 +668,15 @@ def monogenic_tower(f_coeffs, m: int, fieldh: Field | None = None) -> TowerDescr
 
     # running polynomial: Z-coefficients as X-polynomials over the scalars.
     # Dividing by (Z - x_i) leaves the value at x_i as the remainder, the
-    # stage-i relation; its quotient coefficients have x_i-degree below
-    # n - i, so they are already in normal form.
+    # stage-i relation.
     cur = _lift_scalar_coeffs(ring.const(c) for c in f_coeffs)
     relations = []
-    rules = []          # x_i^(n-i) rewrites to rules[i], {monomial: c}
     for i in range(m):
         cur, rem = _synthetic_divide(fh, cur, partial(times_root, i))
         rel = {mono: vec[0] for mono, vec in rem.items()}
         relations.append(str(MultiPoly(ring, rel)))
-        top = power(i, n - i)
-        rules.append({mono: fh.neg(c) for mono, c in rel.items() if mono != top})
-
-    def build():
-        # The rules are a triangular Groebner basis with pairwise coprime
-        # leading terms x_i^(n-i), so the normal form is unique.
-        normal = {}
-
-        def normal_form(mono):
-            nf = normal.get(mono)
-            if nf is None:
-                nf = {mono: fh.one}
-                for i, rule in enumerate(rules):
-                    if mono[i] >= n - i:
-                        drop = list(mono)
-                        drop[i] -= n - i
-                        nf = {}
-                        for rmono, c in rule.items():
-                            vec_add_into(fh, nf, normal_form(mono_mul(rmono, drop)), c)
-                        break
-                normal[mono] = nf
-            return nf
-
-        basis = sorted(itertools.product(*(range(n - i) for i in range(m))),
-                       key=grevlex_key)
-        algebra = monomial_algebra(ring, basis, normal_form,
-                                   check=len(basis) <= 40)
-        index = {b: i for i, b in enumerate(basis)}
-        source = monogenic_algebra(fh, f_coeffs)
-        maps = [AlgebraMap(source, algebra,
-                           [{index[mo]: c for mo, c in normal_form(power(i, e)).items()}
-                            for e in range(n)])
-                for i in range(m)]
-        return algebra, maps
-
-    return TowerDescription(base="Z" if fieldh is None else str(fh), degree=n,
-                            m=m, dim=math.perm(n, m),
-                            relations=tuple(relations), build=build)
+    return Tower(base="Z" if fieldh is None else str(fh), degree=n, m=m,
+                 dim=math.perm(n, m), relations=tuple(relations))
 
 
 # ---------------------------------------------------------------------------
@@ -903,17 +836,19 @@ def base_change_presentation(pres: AlgebraPresentation,
 
 def _generating_point(a: StructureAlgebra):
     """A point x of A with K[x] = A, or None: each of A's generators, then
-    one combination of them, coefficients from random.Random(char) in
-    [1, char), or [1, 256) over Q.  A sparse point keeps each chain short."""
+    their sum, then one combination of them, coefficients from
+    random.Random(char) in [1, char), or [1, 256) over Q.  A sparse point
+    with small coefficients keeps each chain short."""
     fieldh = a.field
     rng = random.Random(fieldh.char)
     generators = [g for _, g in a.generator_elements()]
-    combination = {}
+    plain, combination = {}, {}
     for g in generators:
+        vec_add_into(fieldh, plain, g)
         vec_add_into(fieldh, combination, g,
                      fieldh.from_int(rng.randrange(1, fieldh.char or 256)))
-    return next(filter(partial(_generates, a), generators + [combination]),
-                None)
+    return next(filter(partial(_generates, a),
+                       generators + [plain, combination]), None)
 
 
 def _generates(a: StructureAlgebra, x: dict) -> bool:

@@ -490,10 +490,11 @@ def parse_poly(text: str, ring: PolyRing) -> MultiPoly:
 def parse_univariate(text: str, field: Field):
     """Parse a univariate polynomial; returns (coeff list low->high, var name).
 
-    The variable is the one name the text mentions, `Z` when it mentions
-    none; a polynomial mentioning two distinct names is rejected.  Over an
-    extension field `t` is the field generator, as in a presentation, and
-    never the variable or part of it: a run such as `tx` or `xt` is t*x.
+    The variable is the one letter the text mentions, `Z` when it mentions
+    none.  As in a presentation, each letter of a run is a factor, so `xx^2`
+    is x^3, and a polynomial mentioning two distinct letters is rejected.
+    Over an extension field `t` is the field generator, never the variable:
+    a run such as `tx` or `xt` is t*x.
     """
     toks = _Tokens(text)
     generator = field.kind == "extension"
@@ -503,10 +504,12 @@ def parse_univariate(text: str, field: Field):
             continue
         if not value.isalpha():
             raise ParseError(f"invalid variable {value!r}", pos)
-        for name in value.split("t") if generator else (value,):
-            if name and seen is None:
+        for name in value:
+            if generator and name == "t":
+                continue
+            if seen is None:
                 seen = name
-            elif name and name != seen:
+            elif name != seen:
                 raise ParseError(f"two variables {seen!r} and {name!r}", pos)
     name = seen or "Z"
     ring = PolyRing(field, (name,))

@@ -171,10 +171,6 @@ def suite_monogenic(seed=DEFAULT_SEED):
             _check(out,
                    f"trial {trial}: tower and pipeline dims agree (deg={deg}, m={m})",
                    pipe[m] == tower.dim, f"{pipe[m]} vs {tower.dim}")
-            for mp in tower.maps:
-                if not mp.is_ring_morphism():
-                    _check(out, f"trial {trial}: tower maps multiplicative", False)
-                    break
     for text in ("Q[x]/(x^5)", "Q[x]/(x^5-x-1)"):
         pres = parse_presentation(text)
         for source, exact in ((pres, False), (pres, True),

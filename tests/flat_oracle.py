@@ -7,6 +7,10 @@ staging.  Three relation schedules are provided: the general synthetic
 division, the local shortcut (complete homogeneous sums), and the naive
 schedule, which keeps its own numeric Horner over the characteristic
 polynomial of each element of A rather than evaluating a generic remainder.
+
+`tower_algebra` is the oracle for monogenic towers: it builds K[x]/(f)'s
+splitting tower from the relations `monogenic_tower` prints, with its own
+Groebner basis, and the maps x -> x_i.
 """
 
 from __future__ import annotations
@@ -15,14 +19,17 @@ import itertools
 from dataclasses import dataclass
 from functools import partial
 
+from closurelab.arith import QQ
 from closurelab.closure import (_lift_scalar_coeffs, _rows_of,
                                 _synthetic_divide, _xp_add_into,
-                                _xp_gamma_mult, generic_char_poly)
+                                _xp_gamma_mult, generic_char_poly,
+                                monogenic_algebra, monogenic_tower)
 from closurelab.errors import BudgetExceeded
 from closurelab.finalg import (AlgebraMap, QuotientAlgebra, RowSpace,
                                StructureAlgebra, TableAlgebra, _label_to_str,
-                               char_poly, power_budget, stride_multiplier,
-                               vec_add_into)
+                               algebra_from_presentation, char_poly,
+                               power_budget, stride_multiplier, vec_add_into)
+from closurelab.multipoly import AlgebraPresentation, PolyRing, parse_poly
 
 
 class TensorPowerAlgebra(StructureAlgebra):
@@ -282,3 +289,27 @@ def flat_closure(a: StructureAlgebra, m: int, method: str = "general",
     maps = [AlgebraMap(a, quot, [quot.project(row) for row in emb.rows])
             for emb in embeddings]
     return FlatClosure(closure=quot, maps=maps, dim=quot.dim, rank=span.rank)
+
+
+# ---------------------------------------------------------------------------
+# monogenic towers
+
+
+def tower_algebra(f, m: int, fieldh=None):
+    """(algebra, maps): the quotient of K[x1..xm] by the printed relations
+    of `monogenic_tower(f, m, fieldh)`, over Q when fieldh is None, and the
+    maps K[x]/(f) -> it sending x to x_i."""
+    fh = QQ() if fieldh is None else fieldh
+    names = tuple(f"x{i + 1}" for i in range(m))
+    ring = PolyRing(fh, names)
+    relations = tuple(parse_poly(text, ring)
+                      for text in monogenic_tower(f, m, fieldh).relations)
+    algebra = algebra_from_presentation(AlgebraPresentation(fh, names, relations))
+    source = monogenic_algebra(fh, f)
+    maps = []
+    for _, root in algebra.generator_elements():
+        rows = [algebra.unit()]
+        while len(rows) < source.dim:
+            rows.append(algebra.mult_vec(rows[-1], root))
+        maps.append(AlgebraMap(source, algebra, rows))
+    return algebra, maps

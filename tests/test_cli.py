@@ -518,6 +518,15 @@ def test_juxtaposed_generator_runs_in_univariate_input():
                         "--m", "2"]) == spelled, f
 
 
+def test_univariate_letter_runs_are_products():
+    # `xx^2` is x*x^2, in a univariate polynomial as in a presentation
+    spelled = run_cli(["tower", "--f", "x^3-2", "--m", "2"])
+    assert spelled[0] == 0 and spelled[1][0] == "dim = 6"
+    assert run_cli(["tower", "--f", "xx^2-2", "--m", "2"]) == spelled
+    assert run_cli(["close", "--algebra", "Q[x]/(xx^2-2)", "--m", "2"]) \
+        == (0, ["dim = 6"])
+
+
 def test_ideal_power_sugar_with_a_repeated_name():
     for text, dim in (("Q[x]/((x,x)^2)", 2), ("Q[x,y]/((x,y,x)^2)", 3)):
         assert run_cli(["close", "--algebra", text, "--m", "1"]) \
@@ -838,6 +847,8 @@ EXIT_MATRIX = [
     (["close", "--algebra", "Q[x]/(x**2)", "--m", "1"], {}, None, 2),
     (["close", "--algebra", "Q[x]/(x*)", "--m", "1"], {}, None, 2),
     (["close", "--algebra", "Q[x]/(*x)", "--m", "1"], {}, None, 2),
+    (["tower", "--f", "xx^2-2", "--m", "2"], {}, None, 0),
+    (["tower", "--f", "xy^2-2", "--m", "2"], {}, None, 2),
 ]
 
 

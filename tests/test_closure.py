@@ -24,13 +24,14 @@ from closurelab.errors import (BudgetExceeded, CertificateFailure,
                                DegreeTooSmall, InfiniteFieldUnsupported,
                                LengthMismatch, NotPrime,
                                UnsupportedField)
-from closurelab.finalg import (AlgebraMap, algebra_from_presentation,
+from closurelab.finalg import (AlgebraMap, RowSpace, algebra_from_presentation,
                                algebra_product, char_poly, vec_add_into)
-from closurelab.multipoly import parse_presentation
+from closurelab.multipoly import (PolyRing, parse_poly, parse_presentation,
+                                  parse_univariate)
 from closurelab.verify import upoly_mul
 from flat_oracle import (flat_closure, ideal_subspace_dim,
                          is_local_nilpotent, j_generators, local_generators,
-                         tensor_power)
+                         tensor_power, tower_algebra)
 
 
 # the rows of Table 1 that one element generates
@@ -637,8 +638,10 @@ def test_monogenic_tower_over_integers():
         t = monogenic_tower(f, 2, None)
         assert t.base == "Z" and t.dim == n * (n - 1)
         assert len(t.relations) == 2
-        # the tower over Q, whose structure constants are integers
-        a, q = t.algebra, monogenic_tower(f, 2, QQ()).algebra
+        # the oracle over Z is the tower over Q, whose structure constants
+        # are integers
+        a, _ = tower_algebra(f, 2, None)
+        q, _ = tower_algebra(f, 2, QQ())
         assert a.field == q.field == QQ() and a.labels == q.labels
         table = [a.basis_product(i, j) for i in range(a.dim) for j in range(a.dim)]
         assert table == [q.basis_product(i, j)
@@ -658,42 +661,6 @@ def test_integer_tower_rejects_fractional_coefficients():
         monogenic_tower([1, 0, 2], 3, None)
 
 
-def _count_calls(monkeypatch, module, name):
-    calls = []
-    original = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
-def test_tower_command_builds_no_algebra(monkeypatch, capsys):
-    from closurelab.cli import main
-    calls = _count_calls(monkeypatch, closure_module, "monomial_algebra")
-    for field in ("Q", "F7", "GF(2,2)", "Z"):
-        assert main(["tower", "--f", "Z^4+1", "--m", "3", "--field", field]) == 0
-        assert capsys.readouterr().out.startswith("dim = 24\n")
-    assert main(["tower", "--f", "Z^5-2", "--m", "3", "--json"]) == 0
-    assert '"dim": 60' in capsys.readouterr().out
-    assert calls == []
-
-
-@pytest.mark.parametrize("fieldh", [QQ(), GF(7), None], ids=["Q", "F7", "Z"])
-def test_tower_builds_its_algebra_once_when_read(monkeypatch, fieldh):
-    calls = _count_calls(monkeypatch, closure_module, "monomial_algebra")
-    t = monogenic_tower([1, 1, 0, 1], 3, fieldh)                # Z^3 + Z + 1
-    assert t.dim == 6 and calls == []
-    algebra = t.algebra
-    assert len(calls) == 1 and algebra.dim == 6
-    maps = t.maps
-    assert t.algebra is algebra and t.maps is maps and len(calls) == 1
-    assert len(maps) == 3
-    assert all(mp.target is algebra and mp.is_ring_morphism() for mp in maps)
-
-
 def test_tower_relations_are_the_division_remainders():
     t = monogenic_tower([-2, 0, 0, 1], 3, None)                 # Z^3 - 2
     assert t.relations == ("x1^3 - 2", "x1^2 + x1*x2 + x2^2", "x1 + x2 + x3")
@@ -707,25 +674,71 @@ def test_tower_with_lower_terms(fieldh):
     t = monogenic_tower([one, one, fieldh.zero, one], 3, fieldh)
     assert t.relations == ("x1^3 + x1 + 1", "x1^2 + x1*x2 + x2^2 + 1",
                            "x1 + x2 + x3")
-    a = t.algebra
+    a, maps = tower_algebra([one, one, fieldh.zero, one], 3, fieldh)
     assert t.dim == a.dim == 6
-    assert a.labels == ["1", "x2", "x1", "x1*x2", "x1^2", "x1^2*x2"]
-    # map i sends x to x_(i+1), and the images satisfy the relations; with
-    # the monomial basis below, this fixes every structure constant
-    assert all(mp.is_ring_morphism() for mp in t.maps)
-    x1, x2, x3 = (mp.rows[1] for mp in t.maps)
+    # map i sends x to x_(i+1), the images satisfy the relations, and the
+    # monomials x1^e1 x2^e2 with e1 < 3, e2 < 2 are a basis: the tower is
+    # free on them
+    assert all(mp.is_ring_morphism() for mp in maps)
+    x1, x2, x3 = (mp.rows[1] for mp in maps)
     mul = a.mult_vec
     assert vec_sum(fieldh, power(a, x1, 3), x1, a.unit()) == {}
     assert vec_sum(fieldh, mul(x1, x1), mul(x1, x2), mul(x2, x2), a.unit()) == {}
     assert vec_sum(fieldh, x1, x2, x3) == {}
-    for k, (e1, e2) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]):
-        assert mul(power(a, x1, e1), power(a, x2, e2)) == {k: one}
+    monomials = RowSpace(fieldh)
+    for e1, e2 in itertools.product(range(3), range(2)):
+        monomials.add(mul(power(a, x1, e1), power(a, x2, e2)))
+    assert monomials.rank == 6
     if fieldh.char == 7:
-        q = monogenic_tower([1, 1, 0, 1], 3, QQ()).algebra
+        q, _ = tower_algebra([1, 1, 0, 1], 3, QQ())
         reduced = reduce_mod_prime(q, 7)
-        assert reduced.field == fieldh
+        assert reduced.field == fieldh and reduced.labels == a.labels
         assert all(reduced.basis_product(i, j) == a.basis_product(i, j)
                    for i in range(6) for j in range(6))
+
+
+TOWER_CASES = [("Z^4+1", 3, QQ(), 24), ("Z^3+Z+1", 3, GF(7), 6),
+               ("x^3+t^2x^2+t", 2, GF(7, 3), 6), ("Z^3-3Z+5", 2, None, 6)]
+
+
+@pytest.mark.parametrize("text,m,fieldh,dim", TOWER_CASES,
+                         ids=["Q", "F7", "GF343", "Z"])
+def test_tower_oracle_has_the_tower_dim(text, m, fieldh, dim):
+    f, _ = parse_univariate(text, fieldh or QQ())
+    algebra, maps = tower_algebra(f, m, fieldh)
+    assert algebra.dim == monogenic_tower(f, m, fieldh).dim == dim
+    assert len(maps) == m and all(mp.is_ring_morphism() for mp in maps)
+
+
+def relation_value(closure, roots, relation):
+    """A polynomial in x1..xm evaluated at the roots in the closure."""
+    fieldh = closure.field
+    out = {}
+    for mono, c in relation.terms.items():
+        term = closure.unit()
+        for root, e in zip(roots, mono):
+            term = closure.mult_vec(term, power(closure, root, e))
+        vec_add_into(fieldh, out, term, c)
+    return out
+
+
+@pytest.mark.parametrize("text,m,exact", [
+    ("Q[x]/(x^4+1)", 3, True), ("F7[x]/(x^3+x+1)", 3, False),
+    ("GF(7,3)[x]/(x^3 + t^2x^2 + t)", 2, False)])
+def test_point_closure_satisfies_the_printed_relations(text, m, exact):
+    pres = parse_presentation(text)
+    result, _ = closure_from_presentation(pres, m, exact)
+    a = result.input_algebra
+    assert a.generator_elements()[0][1] == {1: a.field.one}    # x is e_1
+    f = char_poly(a, {1: a.field.one})
+    tower = monogenic_tower(f, m, a.field)
+    closure, maps = result.closure, result.maps
+    assert result.dim == closure.dim == tower.dim
+    roots = [mp.rows[1] for mp in maps]
+    ring = PolyRing(a.field, tuple(f"x{i + 1}" for i in range(m)))
+    for relation in tower.relations:
+        assert relation_value(closure, roots, parse_poly(relation, ring)) == {}, \
+            relation
 
 
 def test_tower_agrees_with_pipeline():
@@ -736,10 +749,10 @@ def test_tower_agrees_with_pipeline():
         coeffs = [f7.random_element(rng) for _ in range(deg)] + [f7.one]
         m = rng.randint(1, min(3, deg))
         tower = monogenic_tower(coeffs, m, f7)
+        oracle, maps = tower_algebra(coeffs, m, f7)
         a = monogenic_algebra(f7, coeffs)
-        assert m_closure(a, m).dim == tower.dim
-        for mp in tower.maps:
-            assert mp.is_ring_morphism()
+        assert m_closure(a, m).dim == oracle.dim == tower.dim
+        assert all(mp.is_ring_morphism() for mp in maps)
 
 
 def test_transform_examples():
@@ -1160,13 +1173,17 @@ def test_generates_asks_for_n_independent_powers():
 
 
 def test_generating_point_is_a_generator_or_one_combination():
-    # x itself; then c*x + d*y, c and d nonzero, when neither variable
-    # generates; F2 x F2 x F2 x F2 has no generating point, since every
-    # element takes at most two values, and keeps the symbolic seed
+    # x itself; then x + y when neither variable generates; then c*x + d*y,
+    # c and d nonzero, when x + y does not either; F2 x F2 x F2 x F2 has no
+    # generating point, since every element takes at most two values, and
+    # keeps the symbolic seed
     assert closure_module._generating_point(alg("Q[x]/(x^3-x-1)")) == {1: 1}
     for text in ("Q[x,y]/(x^2-x, y^2)", "F7[x,y]/(x^2-x, y^2)"):
+        assert closure_module._generating_point(alg(text)) == {1: 1, 2: 1}
+    # on Q^4 = Q[x,y]/(x^2-1, y^2-1), x + y takes the value 0 twice
+    for text in ("Q[x,y]/(x^2-1, y^2-1)", "F7[x,y]/(x^2-1, y^2-1)"):
         point = closure_module._generating_point(alg(text))
-        assert sorted(point) == [1, 2] and all(point.values())
+        assert sorted(point) == [1, 2] and point[1] != point[2]
     text = "F2[x,y]/(x^2+x, y^2+y)"
     assert closure_module._generating_point(alg(text)) is None
     res, mode = closure_from_presentation(parse_presentation(text), 2)

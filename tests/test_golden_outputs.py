@@ -75,6 +75,7 @@ COMMANDS = {
     # the cheap property suites: each check's name, verdict and detail
     "verify-product-etale-family": ["verify", "--suite", "product,etale,family",
                                     "--json"],
+    "verify-monogenic": ["verify", "--suite", "monogenic", "--json"],
 }
 
 PINNED = {
@@ -106,6 +107,7 @@ PINNED = {
     "transform-gf343": "b884a7c8615037b3d2f2d010a1580d815936860d570fb54561503654cb4e7a05",
     "transform-gf4": "3db8fa6a6be8e92375b42d25687576d4418d9b7fb833b12eab74418b77a4900b",
     "transform-gf4-tpowers": "4f14dd4dfe5723115df3ecbc585b5662fa1721a9caa647fa756edaca40558a23",
+    "verify-monogenic": "d0c10a10b7f28371d6f3760698002d72ce4ee98d5d426cc0b6c9949ccf10c802",
     "verify-product-etale-family": "f43a324b0fa93ebe05c7928827742671802c951365f1c98075307b73c72230fe",
 }
 

@@ -173,8 +173,10 @@ def test_univariate_runs_with_the_generator_read_as_in_a_presentation():
     # only the letters between the t's name the variable
     with pytest.raises(ParseError, match="two variables 'x' and 'y'"):
         parse_univariate("x^2 + tyt", f343)
-    # over a prime field a run is one name
-    assert parse_univariate("tx^2 + 1", QQ()) == ([1, 0, 1], "tx")
+    # over a prime field `t` is a letter like any other, so a run of two
+    # distinct letters names two variables
+    with pytest.raises(ParseError, match="two variables 't' and 'x'"):
+        parse_univariate("tx^2 + 1", QQ())
 
 
 def test_generator_powers_fold_into_the_coefficient():
