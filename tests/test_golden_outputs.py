@@ -72,15 +72,24 @@ COMMANDS = {
     "malformed-paren": ["close", "--algebra", "Q[x]/(x^2", "--m", "2"],
     "malformed-variable": ["close", "--algebra", "Q[x]/(x^2, y)", "--m", "2"],
     "malformed-exponent": ["close", "--algebra", "Q[x]/(x^)", "--m", "2"],
+    # stage maps below m = n over Q, and the canonical m = n quotient over
+    # GF(4): map rows that the products of each closure decide
+    "close-x2y3xy-m3-exact": ["close", "--algebra", "Q[x,y]/(x^2, y^3, x*y)",
+                              "--m", "3", "--exact"] + FULL_JSON,
+    "close-gf4-m4": ["close", "--algebra",
+                     "GF(2,2)[x,y]/(x^2+t*x*y, y^2+x*y)", "--m", "4"] + FULL_JSON,
     # the cheap property suites: each check's name, verdict and detail
     "verify-product-etale-family": ["verify", "--suite", "product,etale,family",
                                     "--json"],
     "verify-monogenic": ["verify", "--suite", "monogenic", "--json"],
+    # the trace-map check and the certificate on every Table 1 entry
+    "verify-trivial": ["verify", "--suite", "trivial", "--json"],
 }
 
 PINNED = {
     "close-f2-text": "c42d74a5203701cdf4834830487ab39cdb28c6b153c87449a1d774f20029e7c2",
     "close-gf343": "20341fed2d00dcff65ac08498e0df44e3c63d033dc1281fe2bc14ca6dbf35145",
+    "close-gf4-m4": "e6d66560e4aa61ee744e695f93499912111847e443bd0ca7827ce3ab68390013",
     "close-gf4-naive": "947d2c529c6fefafc956600edc1547991e56c384af51aef4d4f5aaa3d17c8b68",
     "close-gf49": "ce787f2660093d258da4721151790b67e88b26024e30f853d353b828e3149709",
     "close-gf49-tpowers": "a88417cecff42832b31c1b4d3430a349ce2690ce6879f795bda976ea1e338c9d",
@@ -91,6 +100,7 @@ PINNED = {
     "close-x2-m2": "db0fa3e08aaae5691288e41d647be9f85fb08be924c69f1859158925a5fe2486",
     "close-x2y2-m4": "a96d75b98c9a34beeee618440a2162ab6bf93acf8478292bf48e995aba618bba",
     "close-x2y2-m4-exact": "2c1c71e6e970be2f535eca69fb6952f178cc3f6641f1a93e517574193bfdc9d0",
+    "close-x2y3xy-m3-exact": "16a18b00a8e72d8997c9fb0abb7d0372ac4b5035788a60672a63a9e93b9d21b5",
     "malformed-exponent": "1135cc60d3d17ed441ff527019ff966362200253860342a90caf10dd02b3bd67",
     "malformed-paren": "8f3da2d22ccce112ec7cfa5f5ff7cee13f2ec6f4e055e3ee8be1c3b0a2aa8440",
     "malformed-variable": "8b7ec09964d6f838665a47790c7a5637bada671a826ffd7610fed72e5603e8ea",
@@ -109,6 +119,7 @@ PINNED = {
     "transform-gf4-tpowers": "4f14dd4dfe5723115df3ecbc585b5662fa1721a9caa647fa756edaca40558a23",
     "verify-monogenic": "d0c10a10b7f28371d6f3760698002d72ce4ee98d5d426cc0b6c9949ccf10c802",
     "verify-product-etale-family": "f43a324b0fa93ebe05c7928827742671802c951365f1c98075307b73c72230fe",
+    "verify-trivial": "96b1eba5ea37410ec3806eb617529058cf21730bb25deaeaeb2d81f91f47b045",
 }
 
 
