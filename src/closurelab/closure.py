@@ -21,10 +21,9 @@ The slot-s relations involve slots 1..s only, so the closure is built one
 slot at a time: stage s quotients (closure after s-1 slots) tensor A by the
 slot-s relations, which is far smaller than the tensor power whenever the
 intermediate closures collapse.  Each stage multiplies by the map images
-of A's generators on the closure's digit; from stage 3 on, the closure is
-a quotient of the previous stage's pair, and those operators are lifted
-from the previous stage's (lift, multiply, project, as in FGLM), so no
-intermediate closure builds a product table.  A seed, the polynomial the
+of A's generators on the closure's digit, by operators that each map
+lifts from the previous stage's (`AlgebraMap.operator`), so no closure
+builds a product table.  A seed, the polynomial the
 chain of divisions starts from, supplies each stage's relations: P'
 (general), or the characteristic polynomial of each of a given set of
 points of A; the naive closure takes as points the coset representatives
@@ -68,7 +67,7 @@ from .arith import GF, QQ, Field, next_prime
 from .errors import (BudgetExceeded, CertificateFailure, DegreeTooSmall,
                      InfiniteFieldUnsupported, LengthMismatch,
                      UnsupportedField)
-from .finalg import (AlgebraMap, PolyOps,
+from .finalg import (AlgebraMap, LiftedMap, PolyOps,
                      QuotientAlgebra, RowSpace, StructureAlgebra, TableAlgebra,
                      TensorPairAlgebra, algebra_from_presentation,
                      berkowitz_charpoly, char_poly, digit_operator,
@@ -368,24 +367,49 @@ def _closure(a, m, method, make_seed, t0):
                          stored_closure=closure, stored_maps=maps, started=t0)
 
 
+class _TraceMap(AlgebraMap):
+    """a -> trace(a)*1 - sum_s map_s(a), whose operator by x is
+    trace(x)*id minus the maps' operators by x."""
+
+    def __init__(self, a, closure, maps):
+        fieldh = a.field
+        minus_one = fieldh.neg(fieldh.one)
+        self.maps, self.traces, rows = maps, [], []
+        for j in range(a.dim):
+            trace = fieldh.zero
+            for k in range(a.dim):
+                trace = fieldh.add(trace, a.basis_product(j, k).get(k, fieldh.zero))
+            self.traces.append(trace)
+            vec = {0: trace} if trace else {}
+            for mp in maps:
+                vec_add_into(fieldh, vec, mp.rows[j], minus_one)
+            rows.append(vec)
+        super().__init__(a, closure, rows)
+
+    def _multiplier(self, x, stride):
+        fieldh = self.target.field
+        minus_one = fieldh.neg(fieldh.one)
+        trace = fieldh.zero
+        for j, c in x.items():
+            trace = fieldh.add(trace, fieldh.mul(c, self.traces[j]))
+        others = [mp.operator(x, 1) for mp in self.maps]
+
+        def column(a):
+            out = {a: trace} if trace else {}
+            for times in others:
+                times({a: minus_one}, out)
+            return out
+
+        return digit_operator(fieldh, column, stride, self.target.dim)
+
+
 def reconstructed_last_map(a: StructureAlgebra, closure: StructureAlgebra,
                            maps) -> AlgebraMap:
     """The map a -> trace(a)*1 - sum_s map_s(a) into the closure carrying
     `maps`.  In the n-closure the images of a sum to the trace of a (the
     Z^(n-1) coefficient of P = prod (Z - gamma_s)), so on an (n-1)-closure
     this is the only candidate for the last map."""
-    fieldh = a.field
-    minus_one = fieldh.neg(fieldh.one)
-    rows = []
-    for j in range(a.dim):
-        trace = fieldh.zero
-        for k in range(a.dim):
-            trace = fieldh.add(trace, a.basis_product(j, k).get(k, fieldh.zero))
-        vec = {0: trace} if trace else {}
-        for mp in maps:
-            vec_add_into(fieldh, vec, mp.rows[j], minus_one)
-        rows.append(vec)
-    return AlgebraMap(a, closure, rows)
+    return _TraceMap(a, closure, maps)
 
 
 def _last_map(pair: TensorPairAlgebra, maps, seeds) -> AlgebraMap:
@@ -404,22 +428,19 @@ def _last_map(pair: TensorPairAlgebra, maps, seeds) -> AlgebraMap:
     if not last.is_ring_morphism():
         raise CertificateFailure("the trace map on the (n-1)-closure is not "
                                  "a ring morphism")
-    n = pair.n
-    times_t = [stride_multiplier(pair.left, row, 1) for row in last.rows]
+    one = pair.field.one
+    times_t = [last.operator({i: one}, 1) for i in range(pair.n)]
     for seed in seeds:
-        parts = {}              # i -> the C coefficient of e_i in seed
-        for k, v in seed.items():
-            u, i = divmod(k, n)
-            parts.setdefault(i, {})[u] = v
         image = {}
-        for i, part in parts.items():
-            times_t[i](part, image)
+        for k, v in seed.items():
+            u, i = divmod(k, pair.n)
+            times_t[i]({u: v}, image)
         if image:
             raise CertificateFailure("a slot-n seed lies outside the trace kernel")
     return last
 
 
-def _last_stage_span(pair: TensorPairAlgebra, maps, last: AlgebraMap):
+def _last_stage_span(pair: TensorPairAlgebra, maps, last: AlgebraMap, ident):
     """The canonical n-closure (C x A)/ker phi and its maps (`_last_map`),
     built the first time a result's `closure` or `maps` is read, with its
     maps checked to be ring morphisms.  The rows e_(c,i) - (c * t_i) x 1 go
@@ -431,64 +452,22 @@ def _last_stage_span(pair: TensorPairAlgebra, maps, last: AlgebraMap):
     minus_one = fieldh.neg(one)
     span = RowSpace(fieldh)
     for i in range(1, n):
-        times_t = stride_multiplier(pair.left, last.rows[i], n)
+        times_t = last.operator({i: one}, 1)
         for c in range(pair.left.dim):
-            row = times_t({c * n: minus_one})
+            row = pair.embed_left(times_t({c: minus_one}))
             row[c * n + i] = one
             span.add(row)
     quot = QuotientAlgebra(pair, span)
-    maps = _quotient_maps(quot, pair, maps)
+    maps = _quotient_maps(quot, maps, ident)
     _verify_maps(maps)
     return quot, maps
 
 
-def _quotient_maps(quot: QuotientAlgebra, pair: TensorPairAlgebra, maps):
-    """The maps into C = pair.left carried into a quotient of C x A, then
-    the new slot's map a -> 1 x a."""
-    a = pair.right
-    one = a.field.one
-    out = [AlgebraMap(a, quot, [quot.project(pair.embed_left(row))
-                                for row in mp.rows])
-           for mp in maps]
-    out.append(AlgebraMap(a, quot, [quot.project({i: one})
-                                    for i in range(a.dim)]))
-    return out
-
-
-def _stage_multipliers(pair: TensorPairAlgebra, generators, maps, previous):
-    """Per map into C = pair.left and per generator g of A = pair.right,
-    the multiplier by map_s(g) on the C digit of C x A (stride n), or None
-    when the image is zero.  C is spanned by products of the map images of
-    A, so with A's generators on the new digit they generate C x A.
-
-    When C is the quotient of the previous stage's pair by an ideal J,
-    `previous` holds that stage's operators by the elements whose classes
-    the images are: map'_s(g) x 1 for the older maps, 1 x g for the newest.
-    J is closed under them, so column a of map_s(g) is the projection of
-    the previous operator applied to the parent column of e_a, and C builds
-    no product table.  On C = A (`previous` [None]) they are A's products.
-    """
-    left = pair.left
-    out = []
-    for mp, before in zip(maps, previous):
-        ops = []
-        for k, g in enumerate(generators):
-            img = mp.apply_dict(g)
-            if not img:
-                ops.append(None)
-            elif before is None:
-                ops.append(stride_multiplier(left, img, pair.n))
-            else:
-                column = partial(_lifted_column, left, before[k])
-                ops.append(digit_operator(left.field, column, pair.n, left.dim))
-        out.append(ops)
-    return out
-
-
-def _lifted_column(quot: QuotientAlgebra, times, a):
-    """The product of e_a by the class of the element that `times`
-    multiplies by, in the quotient's coordinates."""
-    return quot.project(times({quot.basis_cols[a]: quot.field.one}))
+def _quotient_maps(quot: QuotientAlgebra, maps, ident: AlgebraMap):
+    """The maps into C carried into a quotient of C x A (C the digit of
+    stride n), then the new slot's map a -> 1 x a, from A's `ident`."""
+    return ([LiftedMap(mp, quot, ident.target.dim) for mp in maps]
+            + [LiftedMap(ident, quot, 1)])
 
 
 def _staged_closure(a, m, method, make_seed, t0, limit):
@@ -508,22 +487,20 @@ def _staged_closure(a, m, method, make_seed, t0, limit):
     """
     fieldh = a.field
     n = a.dim
-    one = fieldh.one
     seed = make_seed(a)
+    ident = AlgebraMap(a, a, [{i: fieldh.one} for i in range(n)])
     # gamma_s acts on the last tensor digit, of A and of every C x A; the
     # slot-1 remainder, in A itself, is the Cayley-Hamilton identity
-    times = seed.times([stride_multiplier(a, x, 1) for x in seed.elements])
+    times = seed.times([ident.operator(x, 1) for x in seed.elements])
     zc, rem = _synthetic_divide(fieldh, seed.coeffs, times)
     if any(rem.values()):
         raise CertificateFailure("Cayley-Hamilton remainder is nonzero")
     generators = [vec for _, vec in a.generator_elements()]
     # A's generators on the new digit: the same operators at every stage
-    new_digit = [stride_multiplier(a, g, 1) for g in generators]
-    # the last stage's operators per map, then new_digit; none on C = A
-    previous = [None]
+    new_digit = [ident.operator(g, 1) for g in generators]
 
     current = a
-    maps = [AlgebraMap(a, a, [{i: one} for i in range(n)])]
+    maps = [ident]
     stage_dims = [n]
     stage_generators = [0]
     stage_ms = [(time.perf_counter() - t0) * 1e3]
@@ -539,17 +516,18 @@ def _staged_closure(a, m, method, make_seed, t0, limit):
         if s == n:
             last = _last_map(pair, maps, rows)
         else:
-            # the closed span does not depend on the order of the
-            # multipliers, but the stored rows do: one on the new digit
-            # moves a basis column to a few columns of the same C digit, so
-            # the first row stored for each pivot is sparse
-            slots = _stage_multipliers(pair, generators, maps, previous)
+            # C x A is generated by the images of A's generators, on the C
+            # digit, and by A's generators on the new digit.  The closed
+            # span does not depend on the order of the multipliers, but the
+            # stored rows do: one on the new digit moves a basis column to a
+            # few columns of the same C digit, so the first row stored for
+            # each pivot is sparse
             span = RowSpace(fieldh)
-            span.close_under(rows, new_digit + [op for ops in slots
-                                                for op in ops if op is not None])
-            previous = slots + [new_digit]
+            span.close_under(rows, new_digit + [
+                mp.operator(g, n) for mp in maps for g in generators
+                if mp.apply_dict(g)])
             quot = QuotientAlgebra(pair, span)
-            maps = _quotient_maps(quot, pair, maps)
+            maps = _quotient_maps(quot, maps, ident)
             if s < m:             # the last running quotient is never used
                 zc = [_xp_map(coeff, quot.project) for coeff in zc]
             current = quot
@@ -564,7 +542,7 @@ def _staged_closure(a, m, method, make_seed, t0, limit):
         started=t0)
     if m == n:
         result.stored_maps = maps + [last]
-        result.build = partial(_last_stage_span, pair, maps, last)
+        result.build = partial(_last_stage_span, pair, maps, last, ident)
     return result
 
 
@@ -710,7 +688,7 @@ def galois_factor_count(parts) -> int:
 def slot_remainders(a: StructureAlgebra, seed: _Seed, slot_mults):
     """Remainders of the seed's chain of divisions by (Z - gamma_1),
     (Z - gamma_2), ..., where slot_mults[s][j] multiplies by the slot-s image
-    of seed.elements[j] (stride_multiplier operators)."""
+    of seed.elements[j] (`AlgebraMap.operator`)."""
     zc = seed.coeffs
     for mults in slot_mults:
         zc, rem = _synthetic_divide(a.field, zc, seed.times(mults))
@@ -733,15 +711,20 @@ def divides_check(result: ClosureResult) -> dict:
     if result.m == 0 or result.dim == 0:
         return {"certified": True, "mode": "vacuous"}
     a = result.input_algebra
-    c, maps = result._stored()
+    maps = result._stored()[1]
     for s, mp in enumerate(maps):
         if not mp.is_unital():
             raise CertificateFailure(f"structural map {s + 1} is not unital")
-    # slot s multiplies by the images of the basis under map_s; those by
-    # map_s(e_0) are built lazily and never applied
+    # slot s multiplies by the images of the basis under map_s, each
+    # operator checked to send 1 to its row
     seed = _generic_seed(a)
-    slot_mults = [[stride_multiplier(c, mp.apply_dict(x), 1)
-                   for x in seed.elements] for mp in maps[:result.m]]
+    slot_mults = [[mp.operator(x, 1) for x in seed.elements]
+                  for mp in maps[:result.m]]
+    for s, (mp, mults) in enumerate(zip(maps, slot_mults)):
+        unit = mp.target.unit()
+        if any(times(unit) != row for times, row in zip(mults, mp.rows)):
+            raise CertificateFailure(
+                f"structural map {s + 1} does not multiply by its images")
     for s, rem in enumerate(slot_remainders(a, seed, slot_mults)):
         if any(rem.values()):
             raise CertificateFailure(

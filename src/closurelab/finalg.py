@@ -353,7 +353,8 @@ def _dot(ops, u, v):
 
 
 class StructureAlgebra:
-    """Base class; concrete subclasses provide `basis_product(i, j)`."""
+    """Base class; only `TableAlgebra` has products (`basis_product`), and
+    the maps into a pair or a quotient multiply in it (`AlgebraMap`)."""
 
     field: Field
     dim: int
@@ -363,16 +364,6 @@ class StructureAlgebra:
 
     def unit(self) -> dict:
         return {0: self.field.one} if self.dim else {}
-
-    def mult_vec(self, u: dict, v: dict) -> dict:
-        """Product of two sparse elements."""
-        out = {}
-        field = self.field
-        mul = field.mul
-        for i, a in u.items():
-            for j, b in v.items():
-                vec_add_into(field, out, self.basis_product(i, j), mul(a, b))
-        return out
 
     def generator_elements(self):
         """Ring generators as (name, sparse vector); defaults to the whole
@@ -491,6 +482,16 @@ class TableAlgebra(StructureAlgebra):
         key = (i, j) if i <= j else (j, i)
         return self._table.get(key, {})
 
+    def mult_vec(self, u: dict, v: dict) -> dict:
+        """Product of two sparse elements."""
+        out = {}
+        field = self.field
+        mul = field.mul
+        for i, a in u.items():
+            for j, b in v.items():
+                vec_add_into(field, out, self.basis_product(i, j), mul(a, b))
+        return out
+
     def generator_elements(self):
         if self._generators is not None:
             return self._generators
@@ -536,20 +537,6 @@ class TensorPairAlgebra(StructureAlgebra):
             llabel = (llabel,)
         return llabel + (self.right.label(i),)
 
-    def basis_product(self, i, j):
-        if i > j:
-            i, j = j, i
-        n = self.n
-        u1, r1 = divmod(i, n)
-        u2, r2 = divmod(j, n)
-        rp = self.right.basis_product(r1, r2)
-        mul = self.field.mul
-        # the indices u*n + r are distinct and a product of nonzero scalars
-        # is nonzero, so no entry adds up or vanishes
-        return {u * n + r: mul(cu, cr)
-                for u, cu in self.left.basis_product(u1, u2).items()
-                for r, cr in rp.items()}
-
     def embed_left(self, vec: dict) -> dict:
         return {u * self.n: c for u, c in vec.items()}
 
@@ -562,9 +549,9 @@ class QuotientAlgebra(StructureAlgebra):
     column c in quotient indices.  The normal form of a column is reduced
     once, the first time the column is projected, and kept for the
     quotient's life: lifted multiplier columns, map images and certificate
-    columns meet the same columns again and again.  `basis_product` caches
-    the quotient's products; only a closure whose products are read (map
-    checks, the certificate) builds that table.
+    columns meet the same columns again and again.  The quotient keeps no
+    products: the maps into it multiply by lift, multiply, project
+    (`LiftedMap`).
     """
 
     def __init__(self, parent: StructureAlgebra, span: RowSpace):
@@ -574,7 +561,6 @@ class QuotientAlgebra(StructureAlgebra):
         self.basis_cols = [c for c in range(parent.dim) if c not in span.rows]
         self.dim = len(self.basis_cols)
         self.col_to_index = {c: i for i, c in enumerate(self.basis_cols)}
-        self._products = {}     # (i, j), i <= j -> e_i e_j in the quotient
         # a closure over the span, not a method of the quotient: no cycle
         col_to_index, one = self.col_to_index, self.field.one
 
@@ -600,26 +586,32 @@ class QuotientAlgebra(StructureAlgebra):
             return {}
         return self._project(parent_vec)
 
-    def basis_product(self, i, j):
-        key = (i, j) if i <= j else (j, i)
-        hit = self._products.get(key)
-        if hit is not None:
-            return hit
-        prod = self.parent.basis_product(self.basis_cols[key[0]],
-                                         self.basis_cols[key[1]])
-        out = self.project(prod)
-        self._products[key] = out
-        return out
 
 
 class AlgebraMap:
-    """Linear map between algebras, given by images of basis elements."""
+    """Linear map between algebras, given by images of basis elements.
+
+    `operator(x, stride)`, memoised, multiplies by the image of x on the
+    target's digit of `stride` in a tensor basis: here from the target's
+    products, by a `LiftedMap` from the map it came from, and by the trace
+    map (`closure.reconstructed_last_map`) from the other maps."""
 
     def __init__(self, source: StructureAlgebra, target: StructureAlgebra,
                  rows):
         self.source = source
         self.target = target
         self.rows = rows      # list over source basis of sparse target dicts
+        self._operators = {}  # (x's nonzero terms, stride) -> operator
+
+    def operator(self, x: dict, stride: int):
+        key = (tuple(sorted((k, c) for k, c in x.items() if c)), stride)
+        op = self._operators.get(key)
+        if op is None:
+            op = self._operators[key] = self._multiplier(x, stride)
+        return op
+
+    def _multiplier(self, x, stride):
+        return stride_multiplier(self.target, self.apply_dict(x), stride)
 
     def apply_dict(self, vec: dict) -> dict:
         out = {}
@@ -631,16 +623,41 @@ class AlgebraMap:
         return self.apply_dict(self.source.unit()) == self.target.unit()
 
     def is_ring_morphism(self) -> bool:
-        """Unital, and multiplicative on every pair of basis elements."""
+        """Unital, and f(g e_j) = f(g) f(e_j) for every generator g and
+        basis element e_j, f(g) by `operator` (at e_j = 1, the row f(g)):
+        the a with f(ax) = f(a) f(x) for all x are a subspace that holds 1
+        and the generators and is closed under products."""
         if not self.is_unital():
             return False
-        n = self.source.dim
-        for i in range(n):
-            for j in range(i, n):
-                left = self.target.mult_vec(self.rows[i], self.rows[j])
-                if left != self.apply_dict(self.source.basis_product(i, j)):
+        one = self.source.field.one
+        for _, g in self.source.generator_elements():
+            times_image = self.operator(g, 1)
+            times_g = stride_multiplier(self.source, g, 1)
+            for j, row in enumerate(self.rows):
+                if times_image(row) != self.apply_dict(times_g({j: one})):
                     return False
         return True
+
+
+class LiftedMap(AlgebraMap):
+    """x -> the class of parent(x) on the digit of `stride`, into a
+    quotient of a tensor basis.  Its span is an ideal, so e_a times that
+    class is the projection of parent's operator applied to e_a's parent
+    column: lift, multiply, project, as in FGLM (Faugere-Gianni-Lazard-Mora,
+    JSC 1993)."""
+
+    def __init__(self, parent: AlgebraMap, quot: QuotientAlgebra, stride: int):
+        super().__init__(parent.source, quot,
+                         [quot.project({k * stride: c for k, c in row.items()})
+                          for row in parent.rows])
+        self.parent, self.stride = parent, stride
+
+    def _multiplier(self, x, stride):
+        quot = self.target
+        times = self.parent.operator(x, self.stride)
+        cols, one = quot.basis_cols, quot.field.one
+        return digit_operator(quot.field, lambda a: quot.project(times({cols[a]: one})),
+                              stride, quot.dim)
 
 
 # ---------------------------------------------------------------------------

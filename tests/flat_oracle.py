@@ -11,13 +11,19 @@ polynomial of each element of A rather than evaluating a generic remainder.
 `tower_algebra` is the oracle for monogenic towers: it builds K[x]/(f)'s
 splitting tower from the relations `monogenic_tower` prints, with its own
 Groebner basis, and the maps x -> x_i.
+
+`basis_product` and `mult_vec` multiply in any pair or quotient the library
+builds, down its chain of pairs and quotients, and `is_ring_morphism_pairwise`
+checks a map on every pair of basis elements.  The library multiplies in a
+closure only by map images (`AlgebraMap.operator`) and checks maps on
+generators; these are the oracle for both.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 from closurelab.arith import QQ
 from closurelab.closure import (_lift_scalar_coeffs, _rows_of,
@@ -25,10 +31,12 @@ from closurelab.closure import (_lift_scalar_coeffs, _rows_of,
                                 _xp_gamma_mult, generic_char_poly,
                                 monogenic_algebra, monogenic_tower)
 from closurelab.errors import BudgetExceeded
-from closurelab.finalg import (AlgebraMap, QuotientAlgebra, RowSpace,
-                               StructureAlgebra, TableAlgebra, _label_to_str,
+from closurelab.finalg import (AlgebraMap, LiftedMap, QuotientAlgebra,
+                               RowSpace, StructureAlgebra, TableAlgebra,
+                               TensorPairAlgebra, _label_to_str,
                                algebra_from_presentation, char_poly,
-                               power_budget, stride_multiplier, vec_add_into)
+                               digit_operator, power_budget, stride_multiplier,
+                               vec_add_into)
 from closurelab.multipoly import AlgebraPresentation, PolyRing, parse_poly
 
 
@@ -123,6 +131,60 @@ def tensor_power(a: StructureAlgebra, m: int, budget: int | None = None):
         return TableAlgebra(a.field, ["1"], {}), []
     power = TensorPowerAlgebra(a, m)
     return power, [power.embedding_map(s) for s in range(m)]
+
+
+# ---------------------------------------------------------------------------
+# products in pairs and quotients
+
+
+@lru_cache(maxsize=1 << 16)
+def basis_product(algebra: StructureAlgebra, i: int, j: int) -> dict:
+    """e_i e_j: in a pair, the factors' products digit by digit; in a
+    quotient, the projection of the parent's product of the two basis
+    columns; otherwise from the algebra's table.  Cached, so callers must
+    not change the dict."""
+    if i > j:
+        return basis_product(algebra, j, i)
+    if isinstance(algebra, TensorPairAlgebra):
+        n = algebra.n
+        (u1, r1), (u2, r2) = divmod(i, n), divmod(j, n)
+        right = basis_product(algebra.right, r1, r2)
+        mul = algebra.field.mul
+        return {u * n + r: mul(cu, cr)
+                for u, cu in basis_product(algebra.left, u1, u2).items()
+                for r, cr in right.items()}
+    if isinstance(algebra, QuotientAlgebra):
+        cols = algebra.basis_cols
+        return algebra.project(basis_product(algebra.parent, cols[i], cols[j]))
+    return algebra.basis_product(i, j)
+
+
+def mult_vec(algebra: StructureAlgebra, u: dict, v: dict) -> dict:
+    """The product of two sparse elements from `basis_product`."""
+    field = algebra.field
+    out = {}
+    for i, a in u.items():
+        for j, b in v.items():
+            vec_add_into(field, out, basis_product(algebra, i, j), field.mul(a, b))
+    return out
+
+
+def multiplier(algebra: StructureAlgebra, vec: dict, stride: int):
+    """Multiplication by vec on the digit of `stride` of a tensor basis over
+    the algebra, from `basis_product`."""
+    one = algebra.field.one
+    return digit_operator(algebra.field, lambda a: mult_vec(algebra, vec, {a: one}),
+                          stride, algebra.dim)
+
+
+def is_ring_morphism_pairwise(mp: AlgebraMap) -> bool:
+    """Unital, and f(e_i) f(e_j) = f(e_i e_j) for every pair of basis
+    elements, each product from `basis_product`."""
+    n = mp.source.dim
+    return mp.is_unital() and all(
+        mult_vec(mp.target, mp.rows[i], mp.rows[j])
+        == mp.apply_dict(basis_product(mp.source, i, j))
+        for i in range(n) for j in range(i, n))
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +348,7 @@ def flat_closure(a: StructureAlgebra, m: int, method: str = "general",
     span = RowSpace(a.field)
     breadth_first_close(span, rows, tensor.generator_multipliers())
     quot = QuotientAlgebra(tensor, span)
-    maps = [AlgebraMap(a, quot, [quot.project(row) for row in emb.rows])
-            for emb in embeddings]
+    maps = [LiftedMap(emb, quot, 1) for emb in embeddings]
     return FlatClosure(closure=quot, maps=maps, dim=quot.dim, rank=span.rank)
 
 

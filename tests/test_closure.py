@@ -1,5 +1,8 @@
+import contextlib
+import copy
 import functools
 import hashlib
+import io
 import itertools
 import math
 import random
@@ -24,14 +27,16 @@ from closurelab.errors import (BudgetExceeded, CertificateFailure,
                                DegreeTooSmall, InfiniteFieldUnsupported,
                                LengthMismatch, NotPrime,
                                UnsupportedField)
-from closurelab.finalg import (AlgebraMap, RowSpace, algebra_from_presentation,
+from closurelab.finalg import (AlgebraMap, LiftedMap, RowSpace,
+                               algebra_from_presentation,
                                algebra_product, char_poly, vec_add_into)
 from closurelab.multipoly import (PolyRing, parse_poly, parse_presentation,
                                   parse_univariate)
 from closurelab.verify import upoly_mul
 from flat_oracle import (flat_closure, ideal_subspace_dim,
-                         is_local_nilpotent, j_generators, local_generators,
-                         tensor_power, tower_algebra)
+                         is_local_nilpotent, is_ring_morphism_pairwise,
+                         j_generators, local_generators, mult_vec,
+                         multiplier, tensor_power, tower_algebra)
 
 
 # the rows of Table 1 that one element generates
@@ -49,7 +54,7 @@ def sparse(coords):
 def power(a, vec, e):
     out = a.unit()
     for _ in range(e):
-        out = a.mult_vec(out, vec)
+        out = mult_vec(a, out, vec)
     return out
 
 
@@ -479,13 +484,17 @@ def test_divides_check_certifies_a_large_closure():
 
 
 def _break_last_map(monkeypatch, a):
-    """Make `_quotient_maps` send x^2 to 0 under its last map: unital and
-    linear, but x*x goes to the square of x's image, which is not 0."""
+    """Make `_quotient_maps` send x^2 to 0 under its last map, whose
+    operators stay those of the map it replaces: unital and linear, but x*x
+    goes to the square of x's image, which is not 0.  The pairwise oracle
+    rejects it too."""
     quotient_maps = closure_module._quotient_maps
 
-    def broken(quot, pair, maps):
-        out = quotient_maps(quot, pair, maps)
-        bad = AlgebraMap(a, quot, [quot.unit(), out[-1].rows[1], {}])
+    def broken(quot, maps, ident):
+        out = quotient_maps(quot, maps, ident)
+        bad = copy.copy(out[-1])
+        bad.rows = [quot.unit(), out[-1].rows[1], {}]
+        assert not is_ring_morphism_pairwise(bad)
         return out[:-1] + [bad]
 
     monkeypatch.setattr(closure_module, "_quotient_maps", broken)
@@ -496,7 +505,8 @@ def test_map_check_rejects_a_unital_map_that_is_not_multiplicative(
         text, monkeypatch):
     # each stage's maps are checked where the stage makes them
     a = alg(text)
-    assert all(mp.is_ring_morphism() for mp in m_closure(a, 2).maps)
+    assert all(mp.is_ring_morphism() and is_ring_morphism_pairwise(mp)
+               for mp in m_closure(a, 2).maps)
     _break_last_map(monkeypatch, a)
     with pytest.raises(CertificateFailure,
                        match="structural map 2 is not a ring morphism"):
@@ -506,6 +516,7 @@ def test_map_check_rejects_a_unital_map_that_is_not_multiplicative(
 def test_first_read_checks_the_canonical_maps(monkeypatch):
     # at m = n the first read builds the canonical pair and checks its maps
     a = alg("Q[x]/(x^3)")
+    assert all(is_ring_morphism_pairwise(mp) for mp in m_closure(a, 3).maps)
     result = m_closure(a, 3)
     _break_last_map(monkeypatch, a)
     with pytest.raises(CertificateFailure,
@@ -717,7 +728,7 @@ def relation_value(closure, roots, relation):
     for mono, c in relation.terms.items():
         term = closure.unit()
         for root, e in zip(roots, mono):
-            term = closure.mult_vec(term, power(closure, root, e))
+            term = mult_vec(closure, term, power(closure, root, e))
         vec_add_into(fieldh, out, term, c)
     return out
 
@@ -1225,7 +1236,7 @@ def _count_charpoly_calls(monkeypatch):
     return calls
 
 
-# -- stage multipliers lifted from the previous stage
+# -- products in a closure: the operators the maps hand out
 
 
 # a staged run over GF(p), over Q and over GF(4), each below m = n
@@ -1234,71 +1245,162 @@ LIFTED_RUNS = (("Q[x,y]/(x^2, y^5, x*y)", 4, False),
                ("GF(2,2)[x,y]/(x^2+t*x*y, y^2+x*y)", 3, False))
 
 
-def _record_stage_multipliers(monkeypatch):
-    stages = []
-    real = closure_module._stage_multipliers
+def _map_chain(maps):
+    """The maps and every map they were lifted from, down to A's
+    identity."""
+    seen = {}
+    todo = list(maps)
+    while todo:
+        mp = todo.pop()
+        if id(mp) not in seen:
+            seen[id(mp)] = mp
+            if isinstance(mp, LiftedMap):
+                todo.append(mp.parent)
+    return list(seen.values())
 
-    def recording(pair, generators, maps, previous):
-        slots = real(pair, generators, maps, previous)
-        stages.append((pair, generators, maps, previous, slots))
-        return slots
 
-    monkeypatch.setattr(closure_module, "_stage_multipliers", recording)
-    return stages
+def _assert_operators_are_the_products(mp, elements):
+    """Each operator by the image of an element, on the target itself and
+    on the target's digit of a pair with A, against the oracle's product on
+    every basis vector."""
+    target, n = mp.target, mp.source.dim
+    one = target.field.one
+    for x in elements:
+        image = mp.apply_dict(x)
+        for stride, width in ((1, target.dim), (n, target.dim * n)):
+            op, oracle = mp.operator(x, stride), multiplier(target, image, stride)
+            for i in range(width):
+                assert op({i: one}) == oracle({i: one}), (mp, x, stride, i)
 
 
 @pytest.mark.parametrize("text, m, exact", LIFTED_RUNS)
 def test_lifted_multipliers_are_the_products(monkeypatch, text, m, exact):
-    # from stage 3 on, C is a quotient and each operator by map_s(g) on its
-    # digit is lifted from the previous stage; on every basis vector of
-    # C x A it must agree with the product in C
+    # a map into a quotient lifts its operators from the map it came from,
+    # and the trace map at m = n takes them from the other maps: by the
+    # images of A's generators and of its basis elements, at strides 1 and
+    # n, each must agree with the product in its target on every basis
+    # vector
     monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
-    stages = _record_stage_multipliers(monkeypatch)
-    result, _ = closure_from_presentation(parse_presentation(text), m, exact)
-    assert result.method == "general" and len(stages) == m - 1
-    assert [previous == [None] for *_, previous, _ in stages] == [True] + [False] * (m - 2)
-    for pair, generators, maps, previous, slots in stages[1:]:
-        one = pair.field.one
-        assert len(slots) == len(maps) == len(previous)
-        for mp, ops in zip(maps, slots):
-            for g, op in zip(generators, ops):
-                image = mp.apply_dict(g)
-                assert (op is None) == (not image)
-                if op is None:
-                    continue
-                oracle = finalg_module.stride_multiplier(pair.left, image, pair.n)
-                for i in range(pair.dim):
-                    assert op({i: one}) == oracle({i: one})
+    pres = parse_presentation(text)
+    result, _ = closure_from_presentation(pres, m, exact)
+    a = result.input_algebra
+    assert result.method == "general" and m < a.dim
+    elements = ([g for _, g in a.generator_elements()]
+                + [{i: a.field.one} for i in range(a.dim)])
+    chain = _map_chain(result.maps)
+    # A's identity, then each stage's maps: 1 + 2 + ... + m
+    assert len(chain) == 1 + sum(range(2, m + 1))
+    for mp in chain:
+        _assert_operators_are_the_products(mp, elements)
+    if a.dim == 4:
+        # the trace map on the (n-1)-closure, then the canonical maps
+        full, _ = closure_from_presentation(pres, a.dim, exact)
+        last = full.stored_maps[-1]
+        assert type(last).__name__ == "_TraceMap"
+        _assert_operators_are_the_products(last, elements)
+        for mp in full.maps:
+            _assert_operators_are_the_products(mp, elements)
 
 
 @pytest.mark.parametrize("text, m, exact", LIFTED_RUNS)
 def test_staged_run_reads_only_the_closure_products(monkeypatch, text, m, exact):
-    # below m = n quotient products are read only by the map check of the
-    # final closure (which reads its ancestors' through its parent pair):
-    # the stage loop builds no product table
+    # no pair or quotient has a product table: the stages, the map checks,
+    # the m = n read, a table row and the certificate read only the input
+    # algebra's products (and, in the modular mode, those of the algebra
+    # over Q that it reduces)
+    from closurelab import cli as cli_module
     monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
-    targets, outside, checking = [], [], [False]
-    real_check = AlgebraMap.is_ring_morphism
-    real_product = finalg_module.QuotientAlgebra.basis_product
+    for cls in (finalg_module.QuotientAlgebra, finalg_module.TensorPairAlgebra):
+        assert not hasattr(cls, "basis_product") and not hasattr(cls, "mult_vec")
+    inputs, read = {}, {}
+    real_product = finalg_module.TableAlgebra.basis_product
 
-    def check(mp):
-        targets.append(mp.target)
-        checking[0] = True
-        try:
-            return real_check(mp)
-        finally:
-            checking[0] = False
+    def product(algebra, i, j):
+        read[id(algebra)] = algebra
+        return real_product(algebra, i, j)
 
-    def product(quot, i, j):
-        if not checking[0]:
-            outside.append(quot)
-        return real_product(quot, i, j)
+    def recording(build):
+        def recorded(*args):
+            algebra = build(*args)
+            inputs[id(algebra)] = algebra
+            return algebra
+        return recorded
 
-    monkeypatch.setattr(AlgebraMap, "is_ring_morphism", check)
-    monkeypatch.setattr(finalg_module.QuotientAlgebra, "basis_product", product)
-    result, _ = closure_from_presentation(parse_presentation(text), m, exact)
-    assert result.method == "general" and outside == []
-    assert len(targets) == m and all(t is result.closure for t in targets)
+    monkeypatch.setattr(finalg_module.TableAlgebra, "basis_product", product)
+    for module in (closure_module, cli_module):
+        monkeypatch.setattr(module, "algebra_from_presentation",
+                            recording(module.algebra_from_presentation))
+    monkeypatch.setattr(closure_module, "reduce_mod_prime",
+                        recording(closure_module.reduce_mod_prime))
+    pres = parse_presentation(text)
+    flags = ["--exact"] if exact else []
+    n = closure_from_presentation(pres, 1, exact)[0].dim
+    for top in (m, n):
+        argv = ["close", "--algebra", text, "--m", str(top), "--emit", "full",
+                "--json"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli_module.main(argv + flags) == 0
+        result, _ = closure_from_presentation(pres, top, exact)
+        assert result.method == "general"
+        assert divides_check(result)["certified"]
+        result.closure
+        assert divides_check(result)["certified"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli_module.main(["table", "--manifest", "table1.json", "--rows",
+                                "(x^2, y^2)", "--json"] + flags) == 0
+    assert read and set(read) <= set(inputs)
+
+
+@pytest.mark.parametrize("field", [QQ(), GF(7), GF(2, 2)], ids=str)
+def test_a_wrong_lifted_column_fails_the_check_or_the_certificate(
+        monkeypatch, field):
+    # one wrong entry in one column of one operator that the map checks,
+    # the trace map or the certificate multiply by (stride 1); the stage
+    # multipliers (stride n) only grow the span, see CHANGES.md
+    a = algebra_from_presentation(base_change_presentation(
+        parse_presentation("Q[x,y]/(x^2, y^2)"), field))
+    real = LiftedMap._multiplier
+    one = field.one
+
+    def mutated(k, shift):
+        built = []
+
+        def multiplier(mp, x, stride):
+            op = real(mp, x, stride)
+            if stride != 1:
+                return op
+            built.append(op)
+            if len(built) != k + 1:
+                return op
+            wrong = []
+
+            def column(c):
+                col = dict(op({c: one}))
+                if not wrong:
+                    t = (c + shift) % mp.target.dim
+                    wrong.append(t)
+                    col = vec_add_into(field, col, {t: one})
+                return col
+
+            return finalg_module.digit_operator(field, column, 1, mp.target.dim)
+
+        return multiplier, built
+
+    caught = 0
+    for m in (3, 4):
+        counting, built = mutated(-1, 0)
+        monkeypatch.setattr(LiftedMap, "_multiplier", counting)
+        divides_check(m_closure(a, m))
+        assert built
+        for k in range(len(built)):
+            for shift in (0, 1):
+                multiplier, _ = mutated(k, shift)
+                monkeypatch.setattr(LiftedMap, "_multiplier", multiplier)
+                with pytest.raises(CertificateFailure):
+                    result = m_closure(a, m)
+                    divides_check(result)
+                caught += 1
+    assert caught > 40
 
 
 # a monogenic input in the default modular mode, with --exact, and over a

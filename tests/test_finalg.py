@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction as Fr
 
@@ -8,7 +9,7 @@ from closurelab.errors import BudgetExceeded, FieldMismatch
 from closurelab.catalog import table1_entries
 from closurelab.closure import (base_change_presentation,
                                closure_from_presentation, m_closure)
-from closurelab.finalg import (AlgebraMap, GenericKernel, PolyOps,
+from closurelab.finalg import (AlgebraMap, GenericKernel, LiftedMap, PolyOps,
                                PrimeKernel, QuotientAlgebra, RowSpace,
                                TableAlgebra, TensorPairAlgebra, _Columns,
                                algebra_from_presentation, algebra_product,
@@ -18,7 +19,8 @@ from closurelab.finalg import (AlgebraMap, GenericKernel, PolyOps,
 from closurelab.multipoly import PolyRing, parse_presentation
 from closurelab.verify import determinant_expansion
 from flat_oracle import (breadth_first_close, ideal_subspace_dim,
-                         is_local_nilpotent, tensor_power)
+                         is_local_nilpotent, is_ring_morphism_pairwise,
+                         multiplier, mult_vec, tensor_power)
 
 
 def alg(text):
@@ -71,26 +73,35 @@ def test_stride_multiplier_matches_product():
     rng = random.Random(20261018)
     a = alg("Q[x,y]/(x^2, y^2)")
     pair = TensorPairAlgebra(alg("Q[x]/(x^3)"), a)
-    closure = m_closure(a, 2).closure
+    result = m_closure(a, 2)
+    closure = result.closure
     assert isinstance(closure, QuotientAlgebra)
     algebras = [e.algebra() for e in table1_entries()]
-    algebras += [alg("F7[x,y]/(x^3 - y, y^2)"), pair, closure]
+    algebras += [alg("F7[x,y]/(x^3 - y, y^2)")]
     for algebra in algebras:
         for _ in range(3):
             v = _random_vec(rng, algebra)
             times_v = stride_multiplier(algebra, v, 1)
             for _ in range(3):          # later calls reuse the cached columns
                 w = _random_vec(rng, algebra)
-                assert times_v(w) == algebra.mult_vec(v, w), algebra
+                assert times_v(w) == algebra.mult_vec(v, w) == mult_vec(algebra, v, w)
     # the left digit of a pair has stride pair.n, the right one stride 1
     for _ in range(5):
         v = _random_vec(rng, pair.left)
         u = _random_vec(rng, pair.right)
         w = _random_vec(rng, pair)
         assert (stride_multiplier(pair.left, v, pair.n)(w)
-                == pair.mult_vec(pair.embed_left(v), w))
+                == mult_vec(pair, pair.embed_left(v), w))
         # the right digit is the low one: u sits in the pair as itself
-        assert stride_multiplier(pair.right, u, 1)(w) == pair.mult_vec(u, w)
+        assert stride_multiplier(pair.right, u, 1)(w) == mult_vec(pair, u, w)
+    # a closure multiplies by map images, through the maps' operators
+    for mp in result.maps:
+        for _ in range(3):
+            v = _random_vec(rng, a)
+            times_v = mp.operator(v, 1)
+            for _ in range(3):
+                w = _random_vec(rng, closure)
+                assert times_v(w) == mult_vec(closure, mp.apply_dict(v), w)
 
 
 def _column_entries(op):
@@ -268,7 +279,7 @@ def test_tensor_embedding_products():
     t, (e1, e2) = tensor_power(a, 2)
     u = e1.apply_dict({0: Fr(2), 1: Fr(3)})
     v = e2.apply_dict({0: Fr(5), 1: Fr(7)})
-    prod = t.mult_vec(u, v)
+    prod = mult_vec(t, u, v)
     # coordinates must be the outer product a_i * b_j at tuple (i, j)
     assert prod == {0: Fr(10), 1: Fr(14), 2: Fr(15), 3: Fr(21)}
     assert e1.is_ring_morphism() and e2.is_ring_morphism()
@@ -307,12 +318,14 @@ def test_ideal_span_order_and_duplicates():
 def test_quotient_examples():
     def quotient(a, gens):
         q = QuotientAlgebra(a, ideal_subspace_dim(a, gens)[1])
-        return q, AlgebraMap(a, q, [q.project({c: Fr(1)}) for c in range(a.dim)])
+        identity = AlgebraMap(a, a, [{c: Fr(1)} for c in range(a.dim)])
+        return q, LiftedMap(identity, q, 1)
 
     a = alg("Q[x]/(x^3)")
     q, proj = quotient(a, [{1: Fr(1)}])
     assert q.dim == 1
-    assert proj.is_ring_morphism()
+    assert proj.is_ring_morphism() and is_ring_morphism_pairwise(proj)
+    assert proj.rows == [q.project({c: Fr(1)}) for c in range(a.dim)]
     qz, _ = quotient(a, [a.unit()])
     assert qz.dim == 0
     # projection then inclusion of the complement basis is the identity
@@ -374,22 +387,41 @@ def test_project_ignores_explicit_zero_coefficients(field):
         assert image == quot.project(vec) and all(image.values())
 
 
-@pytest.mark.parametrize("field", [GF(7), GF(2, 2)], ids=str)
+def with_rows(mp, rows):
+    """A copy of a map with other rows and the same operators: a lifted
+    map's operators come from its parent, not from its rows."""
+    bad = copy.copy(mp)
+    bad.rows = rows
+    return bad
+
+
+@pytest.mark.parametrize("field", [GF(7), QQ(), GF(2, 2)], ids=str)
 def test_map_check_rejects_a_perturbed_row_into_a_quotient(field):
-    a = algebra_from_presentation(
-        base_change_presentation(parse_presentation("Q[x,y]/(x^2, y^2)"), field))
-    result = m_closure(a, 2)
-    quot = result.closure
-    assert isinstance(quot, QuotientAlgebra)
-    for mp in result.maps:
-        assert mp.target is quot and mp.is_ring_morphism()
-        # adding 1 to the image of a non-unit basis element keeps the map
-        # unital; e_i e_j for the perturbed j and some i <= j then breaks
-        for j in range(1, a.dim):
-            rows = list(mp.rows)
-            rows[j] = vec_add_into(field, dict(rows[j]), quot.unit())
-            bad = AlgebraMap(a, quot, rows)
-            assert bad.is_unital() and not bad.is_ring_morphism()
+    # every map at 2 <= m <= n; at m = n those of the canonical quotient
+    cases = []
+    for text in ("Q[x,y]/(x^2, y^2)", "Q[x,y]/(x^3, y^2, x^2*y)"):
+        a = algebra_from_presentation(
+            base_change_presentation(parse_presentation(text), field))
+        cases += [(a, m) for m in range(2, a.dim + 1)]
+    rejected = 0
+    for a, m in cases:
+        result = m_closure(a, m)
+        quot = result.closure
+        assert isinstance(quot, QuotientAlgebra) and len(result.maps) == m
+        for mp in result.maps:
+            assert mp.target is quot
+            assert mp.is_ring_morphism() and is_ring_morphism_pairwise(mp)
+            # adding 1 to the image of a non-unit basis element keeps the
+            # map unital; f(g e_i) for a generator g with g e_i = e_j, and
+            # e_i e_j for some i <= j, then break
+            for j in range(1, a.dim):
+                rows = list(mp.rows)
+                rows[j] = vec_add_into(field, dict(rows[j]), quot.unit())
+                bad = with_rows(mp, rows)
+                assert bad.is_unital() and not bad.is_ring_morphism()
+                assert not is_ring_morphism_pairwise(bad)
+                rejected += 1
+    assert rejected == sum(m * (a.dim - 1) for a, m in cases) == 83
 
 
 def test_is_local_nilpotent():
@@ -583,9 +615,9 @@ def _pair_generators(pair, maps=None):
 
 def _pair_multipliers(pair, right, left):
     """The right generators at stride 1, then the left ones at stride
-    pair.n."""
-    return ([stride_multiplier(pair.right, vec, 1) for vec in right]
-            + [stride_multiplier(pair.left, vec, pair.n) for vec in left])
+    pair.n, from the oracle's products."""
+    return ([multiplier(pair.right, vec, 1) for vec in right]
+            + [multiplier(pair.left, vec, pair.n) for vec in left])
 
 
 def _difference_seeds(rng, pair, u, v):
@@ -595,7 +627,7 @@ def _difference_seeds(rng, pair, u, v):
     one."""
     f = pair.field
     diff = _vec_sum(f, pair.embed_left(u), {k: f.neg(c) for k, c in v.items()})
-    seeds = [pair.mult_vec({k: f.one}, diff)
+    seeds = [mult_vec(pair, {k: f.one}, diff)
              for k in rng.sample(range(pair.dim), 3)]
     seeds.append(_vec_sum(f, seeds[0], seeds[1]))
     seeds.append(dict(seeds[2]))
@@ -615,8 +647,8 @@ def test_close_under_matches_breadth_first(field, text):
     seeds = _difference_seeds(rng, pair, left[0], right[0])
     probes = [_random_row(rng, field, pair.dim, 0.3) for _ in range(10)]
     # the left factor's multipliers first: another order, the same span
-    left_first = ([stride_multiplier(pair.left, vec, pair.n) for vec in left]
-                  + [stride_multiplier(pair.right, vec, 1) for vec in right])
+    left_first = ([multiplier(pair.left, vec, pair.n) for vec in left]
+                  + [multiplier(pair.right, vec, 1) for vec in right])
     closed = []
     for mults in (_pair_multipliers(pair, right, left), left_first, []):
         fast, slow = RowSpace(field), RowSpace(field)
