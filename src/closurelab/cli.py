@@ -123,7 +123,7 @@ def _set_outcome(record, result, mode, dim, generators, ms):
     """Fill `record` with the outcome at its m of the run that gave
     `result`."""
     record.update(dim=dim, method=result.method, field=mode,
-                  bound=result.bound, generators=generators,
+                  bound=result.bound_at(record["m"]), generators=generators,
                   rank=result.input_algebra.dim ** record["m"] - dim,
                   ms=round(ms, 3))
     if "expected" in record:

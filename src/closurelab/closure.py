@@ -261,9 +261,9 @@ class ClosureResult:
         self.stage_generators = stage_generators
         self.stage_ms = stage_ms
         self.started = started
-        # "upper" when the dim is a modular upper bound for the one over Q
-        # (`closure_from_presentation`)
-        self.bound = "exact"
+        # "upper" when a staged dim (2 <= m <= n) of this run is a modular
+        # upper bound for the one over Q (`closure_from_presentation`)
+        self.staged_bound = "exact"
         # builds the canonical (closure, maps) when `closure` or `maps` is
         # first read, and they replace the stored pair (at m = n).  A tower
         # stores no pair: its build returns the result its point seeds,
@@ -311,6 +311,14 @@ class ClosureResult:
     @property
     def field(self) -> Field:
         return self.input_algebra.field
+
+    @property
+    def bound(self) -> str:
+        return self.bound_at(self.m)
+
+    def bound_at(self, m: int) -> str:
+        """This run's bound at m; dims 1, n, 0 at m = 0, 1, > n are exact."""
+        return self.staged_bound if 2 <= m <= self.input_algebra.dim else "exact"
 
     @property
     def strategy(self) -> str:
@@ -368,8 +376,7 @@ def _closure(a, m, method, make_seed, t0):
 
 
 class _TraceMap(AlgebraMap):
-    """a -> trace(a)*1 - sum_s map_s(a), whose operator by x is
-    trace(x)*id minus the maps' operators by x."""
+    """`reconstructed_last_map`: by x, trace(x)*id minus the maps' operators."""
 
     def __init__(self, a, closure, maps):
         fieldh = a.field
@@ -516,12 +523,11 @@ def _staged_closure(a, m, method, make_seed, t0, limit):
         if s == n:
             last = _last_map(pair, maps, rows)
         else:
-            # C x A is generated by the images of A's generators, on the C
-            # digit, and by A's generators on the new digit.  The closed
-            # span does not depend on the order of the multipliers, but the
-            # stored rows do: one on the new digit moves a basis column to a
-            # few columns of the same C digit, so the first row stored for
-            # each pivot is sparse
+            # the images of A's generators on the C digit and A's generators
+            # on the new digit generate C x A.  The closed span does not
+            # depend on their order, but the stored rows do: one on the new
+            # digit moves a basis column to a few columns of the same C
+            # digit, so the first row stored for each pivot is sparse
             span = RowSpace(fieldh)
             span.close_under(rows, new_digit + [
                 mp.operator(g, n) for mp in maps for g in generators
@@ -862,7 +868,7 @@ def closure_from_presentation(pres: AlgebraPresentation, m: int,
     ("tower"): dimension n!/(n - m)!, with the closure and maps that x
     seeds built when first read (`_point_closure`).  Without such a point
     A takes the symbolic seed, and in the modular mode its dimension is an
-    upper bound for the one over Q (`bound` "upper").
+    upper bound for the one over Q at 2 <= m <= n (`bound` "upper").
 
     The tower's dimensions are exact over Q as well.  Let S be the basis
     of A and O its Z_(p)-span (`reduce_mod_prime`), and lift x to a point
@@ -896,7 +902,7 @@ def closure_from_presentation(pres: AlgebraPresentation, m: int,
                     algebra, x, m, time.perf_counter())), mode
     result = m_closure(algebra, m)
     if modular:
-        result.bound = "upper"
+        result.staged_bound = "upper"
     return result, mode
 
 

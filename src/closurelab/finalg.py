@@ -549,9 +549,8 @@ class QuotientAlgebra(StructureAlgebra):
     column c in quotient indices.  The normal form of a column is reduced
     once, the first time the column is projected, and kept for the
     quotient's life: lifted multiplier columns, map images and certificate
-    columns meet the same columns again and again.  The quotient keeps no
-    products: the maps into it multiply by lift, multiply, project
-    (`LiftedMap`).
+    columns meet the same columns again and again.  It has no products:
+    the maps into it multiply (`LiftedMap`).
     """
 
     def __init__(self, parent: StructureAlgebra, span: RowSpace):
@@ -627,16 +626,12 @@ class AlgebraMap:
         basis element e_j, f(g) by `operator` (at e_j = 1, the row f(g)):
         the a with f(ax) = f(a) f(x) for all x are a subspace that holds 1
         and the generators and is closed under products."""
-        if not self.is_unital():
-            return False
         one = self.source.field.one
-        for _, g in self.source.generator_elements():
-            times_image = self.operator(g, 1)
-            times_g = stride_multiplier(self.source, g, 1)
-            for j, row in enumerate(self.rows):
-                if times_image(row) != self.apply_dict(times_g({j: one})):
-                    return False
-        return True
+        return self.is_unital() and all(
+            self.operator(g, 1)(row)
+            == self.apply_dict(stride_multiplier(self.source, g, 1)({j: one}))
+            for _, g in self.source.generator_elements()
+            for j, row in enumerate(self.rows))
 
 
 class LiftedMap(AlgebraMap):
@@ -653,8 +648,7 @@ class LiftedMap(AlgebraMap):
         self.parent, self.stride = parent, stride
 
     def _multiplier(self, x, stride):
-        quot = self.target
-        times = self.parent.operator(x, self.stride)
+        quot, times = self.target, self.parent.operator(x, self.stride)
         cols, one = quot.basis_cols, quot.field.one
         return digit_operator(quot.field, lambda a: quot.project(times({cols[a]: one})),
                               stride, quot.dim)

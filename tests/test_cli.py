@@ -17,6 +17,7 @@ from closurelab.catalog import load_manifest
 from closurelab.cli import main
 from closurelab.closure import closure_from_presentation
 from closurelab.errors import CertificateFailure, ClosureLabError
+from closurelab.multipoly import parse_presentation
 
 REPORT_KEYS = {"name", "m", "method", "field", "bound", "dim", "generators",
                "rank", "ms"}
@@ -182,6 +183,23 @@ def test_close_json_bound():
         record = json.loads(out[0])
         assert code == 0 and record["dim"] == 6
         assert record["field"].startswith(field) and record["bound"] == bound
+
+
+def test_free_cases_are_exact_in_the_modular_mode(monkeypatch):
+    # the dims 1, n and 0 at m = 0, 1 and m > n hold by definition: the
+    # library result, close and the table's records say so alike
+    monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
+    text = "Q[x,y]/(x^2, y^2)"
+    for m, dim, bound in ((0, 1, "exact"), (1, 4, "exact"), (2, 13, "upper"),
+                          (4, 26, "upper"), (5, 0, "exact")):
+        result, mode = closure_from_presentation(parse_presentation(text), m)
+        assert mode.startswith("mod ") and (result.dim, result.bound) == (dim, bound)
+        code, out = run_cli(["close", "--algebra", text, "--m", str(m), "--json"])
+        assert code == 0 and json.loads(out[0])["bound"] == bound
+    code, records = _table_json(["--manifest", "table1.json", "--rows", "(x^2, y^2)"])
+    assert code == 0
+    assert [(r["m"], r["bound"]) for r in records] == \
+        [(0, "exact"), (1, "exact"), (2, "upper"), (3, "upper"), (4, "upper")]
 
 
 def test_point_seeded_records_carry_no_miss_bound(monkeypatch, tmp_path):
@@ -588,7 +606,8 @@ def _per_m_records(manifest, exact=False, min_m=None, max_m=None):
     """Records, without ms, as one closure_from_presentation call per
     (row, m) gives them, named by their run: below a row's largest m whose
     run has stages, a record's method, generators and bound are those of
-    that run, as `table` reads them from its stages."""
+    that run, as `table` reads them from its stages.  The dims 1, n and 0
+    at m = 0, 1 and m > n are exact in every mode."""
     records = []
     for entry in load_manifest(manifest):
         row = []
@@ -611,7 +630,8 @@ def _per_m_records(manifest, exact=False, min_m=None, max_m=None):
                 if run is None and result.strategy == "staged":
                     run = result
                 source = run or result
-                proved = exact or source.method in ("points", "tower")
+                proved = (exact or source.method in ("points", "tower")
+                          or not 2 <= m <= result.input_algebra.dim)
                 record.update(method=source.method, field=mode,
                               bound="exact" if proved else "upper",
                               dim=result.dim,
@@ -666,9 +686,9 @@ def test_table_rows_once_match_per_m_records():
 
 def test_table_records_name_the_run_they_are_read_from(monkeypatch, tmp_path):
     # a monogenic row: the m = 2 close takes one point, m = 3 the tower, and
-    # m = 0, 1 the symbolic seed.  A table record has a separate run's dim,
-    # rank and field; its method, generators and bound are those of the
-    # row's run.
+    # m = 0, 1 the symbolic seed, whose dims 1 and n are exact.  A table
+    # record has a separate run's dim, rank and field; its method,
+    # generators and bound are those of the row's run.
     monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
     text = "Q[x]/(x^3-x-1)"
     close = {}
@@ -677,7 +697,7 @@ def test_table_records_name_the_run_they_are_read_from(monkeypatch, tmp_path):
         assert code == 0
         close[m] = json.loads(out[0])
     assert [(close[m]["method"], close[m]["bound"]) for m in range(4)] == \
-        [("general", "upper"), ("general", "upper"), ("points", "exact"),
+        [("general", "exact"), ("general", "exact"), ("points", "exact"),
          ("tower", "exact")]
     assert close[2]["generators"] == close[3]["generators"] == 1
     for top, method in ((3, "tower"), (2, "points")):

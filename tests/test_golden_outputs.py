@@ -104,9 +104,9 @@ PINNED = {
     "malformed-exponent": "1135cc60d3d17ed441ff527019ff966362200253860342a90caf10dd02b3bd67",
     "malformed-paren": "8f3da2d22ccce112ec7cfa5f5ff7cee13f2ec6f4e055e3ee8be1c3b0a2aa8440",
     "malformed-variable": "8b7ec09964d6f838665a47790c7a5637bada671a826ffd7610fed72e5603e8ea",
-    "table1": "be3823a62c6dd7df7799f2ad79389991532d79b07fe6100e61dbc64d0ab305e6",
+    "table1": "6133780576e85259925c09e33ad2a76a3201b28908bfaec38ef4a1030e781fa0",
     "table1-exact": "d2a699405c5af20fea33a86e0ec30856b0560e6d6b069152701bb5ce28d367c3",
-    "table2-m3": "c8bb0db97fb6c8815f1d06549450d53fc6398d12fa5bea087ed139c6a8bae263",
+    "table2-m3": "3d127538bbbe6ce71ce17a09efd60c986747210df46953d7ba2ce1a4bd02e7d5",
     "tower-gf343": "2df1f064bc22378fec9289d338b49d31ef37210e74b45c3c54194540d0690ad9",
     "tower-gf343-tpowers": "e1fd76ab8c7168b2f876e6379e183b918b04b461a57bb02dd1bb3419efea8064",
     "tower-gf4": "4a03b3f99bdbbcb1adf1d5b8f705543833e60a6f02af65f8d7ae8b8db7b79d16",
