@@ -23,11 +23,11 @@ slot-s relations, which is far smaller than the tensor power whenever the
 intermediate closures collapse.  Each stage multiplies by the map images
 of A's generators on the closure's digit, by operators that each map
 lifts from the previous stage's (`AlgebraMap.operator`), so no closure
-builds a product table.  A seed, the polynomial the
-chain of divisions starts from, supplies each stage's relations: P'
-(general), or the characteristic polynomial of each of a given set of
-points of A; the naive closure takes as points the coset representatives
-of A modulo constants.
+builds a product table.  A seed, the polynomial the chain of divisions
+starts from, supplies each stage's relations: P' (general), or the
+characteristic polynomial of each of a given set of points of A; the
+naive closure takes as points the coset representatives of A modulo
+constants.
 
 At s = n the trace forces the last map, so the n-closure is the
 (n-1)-closure C with one more map (Bhargava-Satriano, JEMS 2014).  The

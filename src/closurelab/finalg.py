@@ -586,7 +586,6 @@ class QuotientAlgebra(StructureAlgebra):
         return self._project(parent_vec)
 
 
-
 class AlgebraMap:
     """Linear map between algebras, given by images of basis elements.
 
@@ -622,15 +621,15 @@ class AlgebraMap:
         return self.apply_dict(self.source.unit()) == self.target.unit()
 
     def is_ring_morphism(self) -> bool:
-        """Unital, and f(g e_j) = f(g) f(e_j) for every generator g and
-        basis element e_j, f(g) by `operator` (at e_j = 1, the row f(g)):
-        the a with f(ax) = f(a) f(x) for all x are a subspace that holds 1
-        and the generators and is closed under products."""
-        one = self.source.field.one
+        """Unital, and f(g) f(e_j) = f(g e_j) for every generator g and
+        basis element e_j, multiplying by f(g) with `operator` (at e_j = 1
+        that compares it with the row f(g)).  That suffices: the a with
+        f(ax) = f(a) f(x) for all x form a subspace that holds 1 and the
+        generators and is closed under products."""
+        source, one = self.source, self.source.field.one
         return self.is_unital() and all(
-            self.operator(g, 1)(row)
-            == self.apply_dict(stride_multiplier(self.source, g, 1)({j: one}))
-            for _, g in self.source.generator_elements()
+            self.operator(g, 1)(row) == self.apply_dict(source.mult_vec(g, {j: one}))
+            for _, g in source.generator_elements()
             for j, row in enumerate(self.rows))
 
 
