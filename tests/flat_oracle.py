@@ -22,8 +22,9 @@ generators; these are the oracle for both.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 from closurelab.arith import QQ
 from closurelab.closure import (_lift_scalar_coeffs, _rows_of,
@@ -137,14 +138,16 @@ def tensor_power(a: StructureAlgebra, m: int, budget: int | None = None):
 # products in pairs and quotients
 
 
-@lru_cache(maxsize=1 << 16)
+_QUOTIENT_PRODUCTS = weakref.WeakKeyDictionary()  # quotient -> {(i, j): e_i e_j}
+
+
 def basis_product(algebra: StructureAlgebra, i: int, j: int) -> dict:
     """e_i e_j: in a pair, the factors' products digit by digit; in a
     quotient, the projection of the parent's product of the two basis
-    columns; otherwise from the algebra's table.  Cached, so callers must
-    not change the dict."""
+    columns, cached for the quotient's life, so callers must not change
+    the dict; otherwise from the algebra's table."""
     if i > j:
-        return basis_product(algebra, j, i)
+        i, j = j, i
     if isinstance(algebra, TensorPairAlgebra):
         n = algebra.n
         (u1, r1), (u2, r2) = divmod(i, n), divmod(j, n)
@@ -154,8 +157,12 @@ def basis_product(algebra: StructureAlgebra, i: int, j: int) -> dict:
                 for u, cu in basis_product(algebra.left, u1, u2).items()
                 for r, cr in right.items()}
     if isinstance(algebra, QuotientAlgebra):
-        cols = algebra.basis_cols
-        return algebra.project(basis_product(algebra.parent, cols[i], cols[j]))
+        products = _QUOTIENT_PRODUCTS.setdefault(algebra, {})
+        if (i, j) not in products:
+            cols = algebra.basis_cols
+            products[i, j] = algebra.project(
+                basis_product(algebra.parent, cols[i], cols[j]))
+        return products[i, j]
     return algebra.basis_product(i, j)
 
 
