@@ -602,6 +602,7 @@ class AlgebraMap:
         self._operators = {}  # (x's nonzero terms, stride) -> operator
 
     def operator(self, x: dict, stride: int):
+        """Multiplication by the image of x on the target's digit of `stride`."""
         key = (tuple(sorted((k, c) for k, c in x.items() if c)), stride)
         op = self._operators.get(key)
         if op is None:
@@ -635,7 +636,7 @@ class AlgebraMap:
 
 class LiftedMap(AlgebraMap):
     """x -> the class of parent(x) on the digit of `stride`, into a
-    quotient of a tensor basis.  Its span is an ideal, so e_a times that
+    quotient of a tensor basis.  The span is an ideal, so e_a times that
     class is the projection of parent's operator applied to e_a's parent
     column: lift, multiply, project, as in FGLM (Faugere-Gianni-Lazard-Mora,
     JSC 1993)."""
