@@ -505,6 +505,11 @@ def _staged_closure(a, m, method, make_seed, t0, limit):
     generators = [vec for _, vec in a.generator_elements()]
     # A's generators on the new digit: the same operators at every stage
     new_digit = [ident.operator(g, 1) for g in generators]
+    # the pairs with g_i g_j = 0 in A: zero products of the multipliers on
+    # the new digit (1 x g_i g_j) and on each slot (map_t(g_i g_j)), since
+    # the maps are ring morphisms
+    zero = [(i, j) for j, g in enumerate(generators) for i in range(j + 1)
+            if not new_digit[i](g)]
 
     current = a
     maps = [ident]
@@ -528,10 +533,17 @@ def _staged_closure(a, m, method, make_seed, t0, limit):
             # depend on their order, but the stored rows do: one on the new
             # digit moves a basis column to a few columns of the same C
             # digit, so the first row stored for each pivot is sparse
+            mults, pairs = list(new_digit), set(zero)
+            for mp in maps:
+                idx = {}            # generator -> its nonzero image's index
+                for i, g in enumerate(generators):
+                    if mp.apply_dict(g):
+                        idx[i] = len(mults)
+                        mults.append(mp.operator(g, n))
+                pairs.update((idx[i], idx[j]) for i, j in zero
+                             if i in idx and j in idx)
             span = RowSpace(fieldh)
-            span.close_under(rows, new_digit + [
-                mp.operator(g, n) for mp in maps for g in generators
-                if mp.apply_dict(g)])
+            span.close_under(rows, mults, pairs)
             quot = QuotientAlgebra(pair, span)
             maps = _quotient_maps(quot, maps, ident)
             if s < m:             # the last running quotient is never used

@@ -231,7 +231,7 @@ class RowSpace:
         self.rows[pivot] = row
         return pivot
 
-    def close_under(self, seeds, multipliers):
+    def close_under(self, seeds, multipliers, zero_pairs=()):
         """Grow the span until it is stable under every multiplier map.
 
         `multipliers` are commuting linear callables dict -> dict, such as
@@ -260,33 +260,44 @@ class RowSpace:
           signature (one factor removed) was inserted.  A divisor that was
           not inserted lies in the span of smaller monomials, and by
           compatibility so does its product with the missing factor.
+          So the candidates of (mu, k) are j >= mu[-1] in the ends of
+          every drop of mu, where the ends of (d, k) are the last entries
+          j of the inserted (d + (j,), k).
+        * `zero_pairs` holds pairs (i, j), i <= j, of multipliers whose
+          product is zero.  The monomial (i, j) of every seed is then zero
+          and lies in the span of smaller ones, so its candidate would
+          reduce to zero: it is skipped, and by the rule above so is every
+          multiple of it.
         """
         level = {}          # signatures inserted at this degree -> stored row
         for k, vec in enumerate(seeds):
             pivot = self.add(vec)
             if pivot is not None:
                 level[(), k] = self.rows[pivot]
-        count = len(multipliers)
-        while level:
-            candidates = []
-            for mu, k in level:
-                # mu + (j,) minus mu[i] is mu[:i] + mu[i+1:] + (j,), the
-                # same tuple for every copy of a repeated value
-                drops = [mu[:i] + mu[i + 1:] for i in range(len(mu))
-                         if i == 0 or mu[i] != mu[i - 1]]
-                first = mu[-1] if mu else 0
-                for j in range(first, count):
-                    # minus a copy of j it is mu, inserted by construction
-                    tested = drops[:-1] if mu and j == first else drops
-                    if all((d + (j,), k) in level for d in tested):
-                        candidates.append((mu + (j,), k))
+        candidates = [((j,), k) for _, k in level
+                      for j in range(len(multipliers))]
+        while candidates:
             candidates.sort()
-            inserted = {}
+            inserted, ends = {}, {}
             for mu, k in candidates:
-                pivot = self.add(multipliers[mu[-1]](level[mu[:-1], k]))
+                vec = multipliers[mu[-1]](level[mu[:-1], k])
+                pivot = self.add(vec) if vec else None
                 if pivot is not None:
                     inserted[mu, k] = self.rows[pivot]
-            level = inserted
+                    ends.setdefault((mu[:-1], k), set()).add(mu[-1])
+            level, candidates = inserted, []
+            for mu, k in level:
+                # mu + (j,) minus a copy of mu[i] is mu[:i] + mu[i+1:] + (j,),
+                # the same for every copy of a value; minus a copy of mu[-1]
+                # it is mu, and the ends of mu[:-1] hold mu[-1]
+                last = mu[-1]
+                js = ends[mu[:-1], k]
+                for i in range(mu.index(last)):
+                    if i == 0 or mu[i] != mu[i - 1]:
+                        js = js.intersection(
+                            ends.get((mu[:i] + mu[i + 1:], k), ()))
+                candidates += [(mu + (j,), k) for j in js
+                               if j >= last and (last, j) not in zero_pairs]
         return self.rank
 
 

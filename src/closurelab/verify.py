@@ -402,21 +402,33 @@ def suite_generators(seed=DEFAULT_SEED):
     return out
 
 
+def _dims_at(pres, ms, exact):
+    """`closure_from_presentation`'s dims at each m of the ascending ms, and
+    its mode, from one run at the largest m: the m = 2 dim is that run's
+    `stage_dims[1]` when 2 < m <= n."""
+    top, mode = closure_from_presentation(pres, ms[-1], exact=exact)
+    dims = [top.stage_dims[1] if m == 2 < ms[-1] <= top.input_algebra.dim
+            else closure_from_presentation(pres, m, exact=exact)[0].dim
+            for m in ms[:-1]]
+    return dims + [top.dim], mode
+
+
 def suite_primes(seed=DEFAULT_SEED):
     """One-prime modular closure dimensions, upper bounds for the exact
     ones, equal them on the dimension-up-to-5 catalog and at m = 2 on
     non-local inputs: two that one point closes, and one it cannot."""
-    cases = [(e.name, e.presentation(), m) for e in table1_entries()
-             for m in {2, min(3, max(e.expected))}]
-    cases += [(text, parse_presentation(text), 2)
+    cases = [(e.name, e.presentation(), sorted({2, min(3, max(e.expected))}))
+             for e in table1_entries()]
+    cases += [(text, parse_presentation(text), [2])
               for text in ("Q[x]/(x^3-x-1)", "Q[x,y]/(x^2-x, y^3)",
                            "Q[x,y,z]/(x^2-x, y^2, z^2)")]
     out = []
-    for name, pres, m in cases:
-        modular, mode = closure_from_presentation(pres, m)
-        exact, _ = closure_from_presentation(pres, m, exact=True)
-        _check(out, f"{name} m={m}: modular ({mode}) matches exact",
-               modular.dim == exact.dim, f"{modular.dim} vs {exact.dim}")
+    for name, pres, ms in cases:
+        (modular, mode), (exact, _) = (_dims_at(pres, ms, flag)
+                                       for flag in (False, True))
+        for m, u, v in zip(ms, modular, exact):
+            _check(out, f"{name} m={m}: modular ({mode}) matches exact",
+                   u == v, f"{u} vs {v}")
     return out
 
 

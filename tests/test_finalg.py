@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import random
 from fractions import Fraction as Fr
 
@@ -634,6 +635,29 @@ def _difference_seeds(rng, pair, u, v):
     return seeds
 
 
+def _slot_indices(right, maps):
+    """Each slot's {generator index: multiplier index} in the order of
+    `_pair_multipliers`: the right generators on the new digit, then each
+    map's nonzero images of them."""
+    slots, count = [{i: i for i in range(len(right))}], len(right)
+    for mp in maps:
+        slots.append({})
+        for i, g in enumerate(right):
+            if mp.apply_dict(g):
+                slots[-1][i] = count
+                count += 1
+    return slots
+
+
+def _zero_pairs(a, right, slots):
+    """The pairs g_i g_j = 0 in A, i <= j, from the oracle's products,
+    carried to each slot's multiplier indices."""
+    zero = [(i, j) for i in range(len(right)) for j in range(i, len(right))
+            if not mult_vec(a, right[i], right[j])]
+    return {(idx[i], idx[j]) for idx in slots for i, j in zero
+            if i in idx and j in idx}
+
+
 @pytest.mark.parametrize("field", [GF(1073741789), QQ(), GF(2, 2)],
                          ids=str)
 @pytest.mark.parametrize("text", ["Q[x,y]/(x^2, y^3)", "Q[x]/(x^5 - x - 1)"])
@@ -646,14 +670,26 @@ def test_close_under_matches_breadth_first(field, text):
     right, left = _pair_generators(pair, result.maps)
     seeds = _difference_seeds(rng, pair, left[0], right[0])
     probes = [_random_row(rng, field, pair.dim, 0.3) for _ in range(10)]
+    slots = _slot_indices(right, result.maps)
+    zero = _zero_pairs(a, right, slots)
+    assert bool(zero) == (text == "Q[x,y]/(x^2, y^3)")
+
     # the left factor's multipliers first: another order, the same span
-    left_first = ([multiplier(pair.left, vec, pair.n) for vec in left]
-                  + [multiplier(pair.right, vec, 1) for vec in right])
+    def left_first(x):
+        return x + len(left) if x < len(right) else x - len(right)
+
+    orders = [(_pair_multipliers(pair, right, left), zero),
+              ([multiplier(pair.left, vec, pair.n) for vec in left]
+               + [multiplier(pair.right, vec, 1) for vec in right],
+               {(left_first(x), left_first(y)) for x, y in zero}),
+              ([], set())]
     closed = []
-    for mults in (_pair_multipliers(pair, right, left), left_first, []):
+    for mults, pairs in orders:
+        for x, y in pairs:
+            assert all(not mults[x](mults[y](vec)) for vec in probes)
         fast, slow = RowSpace(field), RowSpace(field)
         assert fast.kernel is kernel_for(field)
-        rank = fast.close_under(seeds, mults)
+        rank = fast.close_under(seeds, mults, pairs)
         assert rank == breadth_first_close(slow, seeds, mults)
         assert 0 < rank < pair.dim
         assert set(fast.rows) == set(slow.rows)
@@ -664,6 +700,14 @@ def test_close_under_matches_breadth_first(field, text):
     assert set(new.rows) == set(old.rows)
     for vec in probes:
         assert new.reduce(vec) == old.reduce(vec)
+    # a pair whose product is not zero, marked zero, changes the rows: the
+    # square of the last generator (y, or x) in the first slot
+    mults, pairs = orders[0]
+    last = slots[1][len(right) - 1]
+    assert (last, last) not in pairs
+    mutant = RowSpace(field)
+    mutant.close_under(seeds, mults, pairs | {(last, last)})
+    assert mutant.rows != new.rows
 
 
 def test_new_slot_multipliers_first_store_sparse_rows(monkeypatch):
@@ -671,9 +715,9 @@ def test_new_slot_multipliers_first_store_sparse_rows(monkeypatch):
     spans = []
     close_under = RowSpace.close_under
 
-    def recorded(space, seeds, multipliers):
+    def recorded(space, seeds, multipliers, zero_pairs=()):
         spans.append(space)
-        return close_under(space, seeds, multipliers)
+        return close_under(space, seeds, multipliers, zero_pairs)
 
     monkeypatch.setattr(RowSpace, "close_under", recorded)
     result, mode = closure_from_presentation(
@@ -683,10 +727,49 @@ def test_new_slot_multipliers_first_store_sparse_rows(monkeypatch):
     assert sum(len(row) for row in spans[-1].rows.values()) == 3253
 
 
+# every stage span's stored rows, in the order the spans are closed, with
+# the canonical last stage of a result whose closure is read
+STAGE_ROW_CASES = [("Q[x,y,z,w,v]/((x,y,z,w,v)^2)", 5, False, False),
+                   ("Q[x,y]/(x^2, y^5, xy)", 5, False, False),
+                   ("Q[x,y,z]/(xy, z^2, xz - yz, x^2 + y^2 - xz)", 4, False,
+                    False),
+                   ("Q[x,y]/(x^3, y^2, x^2y)", 4, True, False),
+                   ("GF(2,2)[x,y]/(x^2+t*x*y, y^2+x*y)", 4, False, True)]
+STAGE_ROW_DIGEST = (
+    "dda67916dbdebacaba91b733ad63d7bfe76149c636176521a07b8917b68d0ddb")
+
+
+def test_stage_span_rows_are_pinned(monkeypatch):
+    # a change to the span work that drops only candidates reducing to
+    # zero stores the same rows, pivots and entries
+    monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
+    spans = []
+    close_under = RowSpace.close_under
+
+    def recorded(space, *args):
+        rank = close_under(space, *args)
+        spans.append(space)
+        return rank
+
+    monkeypatch.setattr(RowSpace, "close_under", recorded)
+    for text, m, exact, read in STAGE_ROW_CASES:
+        result, _ = closure_from_presentation(parse_presentation(text), m,
+                                              exact=exact)
+        if read:
+            spans.append(result.closure.span)
+    digest = hashlib.sha256()
+    for space in spans:
+        for pivot in sorted(space.rows):
+            digest.update(repr((pivot, sorted(space.rows[pivot].items())))
+                          .encode())
+    assert (len(spans), digest.hexdigest()) == (17, STAGE_ROW_DIGEST)
+
+
 def test_close_under_skips_dead_products(monkeypatch):
     # breadth first applies every multiplier to every inserted row
     applied = 0
     breadth_first = 0
+    per_span = []
     close_under = RowSpace.close_under
 
     def counting(mult):
@@ -696,13 +779,24 @@ def test_close_under_skips_dead_products(monkeypatch):
             return mult(w)
         return apply
 
-    def counted(space, seeds, multipliers):
+    def counted(space, seeds, multipliers, zero_pairs=()):
         nonlocal breadth_first
-        before = space.rank
-        rank = close_under(space, seeds, [counting(m) for m in multipliers])
+        before, start = space.rank, applied
+        rank = close_under(space, seeds, [counting(m) for m in multipliers],
+                           zero_pairs)
         breadth_first += len(seeds) + (rank - before) * len(multipliers)
+        per_span.append(applied - start)
         return rank
 
     monkeypatch.setattr(RowSpace, "close_under", counted)
     assert m_closure(alg("Q[x,y]/(x^2, y^5, xy)"), 4).dim == 393
     assert 2 * applied < breadth_first
+    # the zero pairs of A (x^2 = xy = 0) take 1,103 applications to 943;
+    # breadth first makes 3,410 and reads 73 seeds
+    assert (applied, breadth_first) == (943, 3410 + 73)
+    # and stages 4 and 5 of the wide cell from 3,094 and 7,971
+    monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
+    per_span.clear()
+    result, _ = closure_from_presentation(
+        parse_presentation("Q[x,y,z,w,v]/((x,y,z,w,v)^2)"), 5)
+    assert (result.dim, per_span) == (1857, [0, 0, 2107, 7071])
