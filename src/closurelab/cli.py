@@ -8,8 +8,8 @@ Subcommands:
   tower      split roots off a monic polynomial one at a time
 
 Exit codes: 0 success, 1 mismatch, failed property or other error,
-2 malformed input, 3 budget exceeded, 4 method precondition violated;
-`main` maps each error to its code (`_EXIT_CODES`).
+2 malformed input, 3 budget exceeded, 4 method precondition violated,
+130 interrupted; `main` maps each error to its code (`_EXIT_CODES`).
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ EXIT_MISMATCH = 1
 EXIT_PARSE = 2
 EXIT_BUDGET = 3
 EXIT_PRECONDITION = 4
+EXIT_INTERRUPT = 130
 
 # the first entry whose types match an error raised by a command gives
 # its exit code
@@ -55,21 +56,19 @@ def _field_from_spec(text: str):
     return parse_field(text)
 
 
-def _emit(record: dict, as_json: bool):
+def _record_line(record: dict, as_json: bool) -> str:
     if as_json:
-        print(json.dumps(record, sort_keys=True))
-    else:
-        expected = record.get("expected")
-        tail = ""
-        if expected is not None:
-            tail = f"  expected={expected}  match={'yes' if record.get('match') else 'NO'}"
-        if record.get("error"):
-            print(f"{record['name']}  m={record['m']}  ERROR: {record['error']}")
-        else:
-            print(f"{record['name']}  m={record['m']}  dim={record['dim']}  "
-                  f"[{record['method']}, {record['field']}, "
-                  f"gens={record['generators']}, rank={record['rank']}, "
-                  f"{record['ms']:.0f}ms]{tail}")
+        return json.dumps(record, sort_keys=True)
+    expected = record.get("expected")
+    tail = ""
+    if expected is not None:
+        tail = f"  expected={expected}  match={'yes' if record.get('match') else 'NO'}"
+    if record.get("error"):
+        return f"{record['name']}  m={record['m']}  ERROR: {record['error']}"
+    return (f"{record['name']}  m={record['m']}  dim={record['dim']}  "
+            f"[{record['method']}, {record['field']}, "
+            f"gens={record['generators']}, rank={record['rank']}, "
+            f"{record['ms']:.0f}ms]{tail}")
 
 
 def cmd_close(args) -> int:
@@ -168,6 +167,18 @@ def _table_row_task(payload):
     return records + [record]
 
 
+def _emit_rows(rows, as_json: bool) -> list:
+    """Print each row's records, in row order, as soon as the row is done
+    and in one write, so that an interrupted run keeps the rows it
+    finished, whole; returns them all."""
+    records = []
+    for row in rows:
+        sys.stdout.write("".join(_record_line(r, as_json) + "\n" for r in row))
+        sys.stdout.flush()
+        records += row
+    return records
+
+
 def cmd_table(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
@@ -192,17 +203,21 @@ def cmd_table(args) -> int:
         if ms:
             tasks.append((entry.__dict__.copy(), ms, args.exact))
     if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_table_row_task, tasks))
+        import signal
+        from multiprocessing import get_context
+        # workers start with SIGINT ignored, so an interrupt stops the
+        # parent alone, and leaving the pool terminates them
+        handler = signal.signal(signal.SIGINT, signal.SIG_IGN)
+        try:
+            pool = get_context("spawn").Pool(args.jobs)
+        finally:
+            signal.signal(signal.SIGINT, handler)
+        with pool:
+            records = _emit_rows(pool.imap(_table_row_task, tasks), args.json)
     else:
-        rows = [_table_row_task(t) for t in tasks]
-    records = [record for row in rows for record in row]
-    all_match = True
-    for record in records:
-        _emit(record, args.json)
-        if record.get("match") is False or record.get("error"):
-            all_match = False
+        records = _emit_rows(map(_table_row_task, tasks), args.json)
+    all_match = not any(record.get("match") is False or record.get("error")
+                        for record in records)
     if not args.json:
         n_match = sum(1 for r in records if r.get("match"))
         n_exp = sum(1 for r in records if "expected" in r)
@@ -327,6 +342,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kinds, code in _EXIT_CODES
                     if isinstance(exc, kinds))
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPT
 
 
 if __name__ == "__main__":

@@ -14,8 +14,8 @@ slot embeds 1 as 1.  The substitution Z -> Z + X_1 sends P to P', the
 characteristic polynomial of gamma', and each (Z - gamma_s) to
 (Z - gamma'_s); it carries the chain of divisions of P onto that of P' and
 fixes the remainders, which do not involve Z.  So the pipeline divides P',
-which is free of X_1, has about half the terms of P, and is Z^n on a local
-algebra.
+which is free of X_1 and has about half the terms of P; on a local
+algebra it is Z^n, returned without Berkowitz (`generic_char_poly`).
 
 The slot-s relations involve slots 1..s only, so the closure is built one
 slot at a time: stage s quotients (closure after s-1 slots) tensor A by the
@@ -100,9 +100,13 @@ def generic_char_poly(a: StructureAlgebra,
                       unit_free: bool = False) -> GenericCharData:
     """Berkowitz applied to sum_k X_(k+1) * (multiplication matrix of e_k).
     `unit_free` skips the unit e_0: the characteristic polynomial
-    P'(Z) = P(Z + X_1) of gamma' = gamma - X_1, which is P at X_1 = 0."""
+    P'(Z) = P(Z + X_1) of gamma' = gamma - X_1, which is P at X_1 = 0.
+    When every e_i with i >= 1 is nilpotent, so is gamma' (the nilradical
+    is an ideal), and P' = Z^n is returned without Berkowitz."""
     n = a.dim
     ring = PolyRing(a.field, tuple(f"X{i + 1}" for i in range(n)))
+    if unit_free and all(_nilpotent(a, i) for i in range(1, n)):
+        return GenericCharData([ring.zero()] * n + [ring.one()])
     entries = [[ring.zero() for _ in range(n)] for _ in range(n)]
     for k in range(1 if unit_free else 0, n):
         cols = [a.basis_product(k, j) for j in range(n)]
@@ -113,6 +117,15 @@ def generic_char_poly(a: StructureAlgebra,
                 entries[i][j] = entries[i][j] + ring.monomial(tuple(exps), c)
     coeffs = berkowitz_charpoly(entries, PolyOps(ring))
     return GenericCharData(coeffs)
+
+
+def _nilpotent(a: StructureAlgebra, i: int) -> bool:
+    """Whether e_i^(2^k) = 0 for the first 2^k >= n, by repeated squaring:
+    a nilpotent element of an n-dimensional algebra has e^n = 0."""
+    power, vec = 1, {i: a.field.one}
+    while vec and power < a.dim:
+        power, vec = 2 * power, a.mult_vec(vec, vec)
+    return not vec
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +211,58 @@ def _xp_point_mult(mults, coeff):
         if img:
             out[j] = img
     return out
+
+
+def _generator_tree(a: StructureAlgebra):
+    """A's basis as a tree from the unit, breadth first: edges (i, j, x)
+    with e_i = e_j x exactly in A, x a generator and e_j the unit or an
+    earlier edge's e_i; an e_i that is no such product (never a standard
+    monomial) hangs off the unit with x = e_i."""
+    one = a.field.one
+    generators = [g for _, g in a.generator_elements()]
+    tree, reached = [], [0]
+    for j in reached:
+        for g in generators:
+            prod = a.mult_vec({j: one}, g)
+            i = max(prod, default=0)
+            if prod == {i: one} and i not in reached:
+                tree.append((i, j, g))
+                reached.append(i)
+    return tree + [(i, 0, {i: one}) for i in range(1, a.dim)
+                   if i not in reached]
+
+
+def _tree_products(tree, ops, vec):
+    """vec times the image of each e_i under a ring morphism, by index;
+    ops[t] multiplies by the image of edge t's x."""
+    products = [vec] * (len(tree) + 1)
+    for (i, j, _), times in zip(tree, ops):
+        products[i] = times(products[j])
+    return products
+
+
+def _tree_sum(tree, ops, parts):
+    """sum_i parts[i] times the image of e_i, by Horner from the leaves,
+    adding into `parts`."""
+    for (i, j, _), times in reversed(list(zip(tree, ops))):
+        if parts[i]:
+            times(parts[i], parts[j])
+    return parts[0]
+
+
+def _xp_tree_mult(fieldh, products, xp):
+    """Multiply an X-polynomial by the image of gamma' =
+    sum_{i >= 1} e_i X_i, given its products by each e_i's image."""
+    out = {}
+    for mono, vec in xp.items():
+        for i, prod in enumerate(products(vec)):
+            if i and prod:
+                nm = mono[:i] + (mono[i] + 1,) + mono[i + 1:]
+                if nm in out:
+                    vec_add_into(fieldh, out[nm], prod)
+                else:
+                    out[nm] = prod
+    return {mono: vec for mono, vec in out.items() if vec}
 
 
 # ---------------------------------------------------------------------------
@@ -429,20 +494,21 @@ def _last_map(pair: TensorPairAlgebra, maps, seeds) -> AlgebraMap:
     kernel lies in the slot-n ideal J by the trace identity, which holds in
     the n-closure (C x A)/J.  It is an ideal when `last` is a ring
     morphism, and it then contains J once it contains the seeds; both are
-    checked here.  So the kernel is J, and phi identifies the n-closure
+    checked here, the seeds through last's operators by A's generators
+    (`_tree_sum`).  So the kernel is J, and phi identifies the n-closure
     with C, slot s < n with map_s and slot n with last."""
     last = reconstructed_last_map(pair.right, pair.left, maps)
     if not last.is_ring_morphism():
         raise CertificateFailure("the trace map on the (n-1)-closure is not "
                                  "a ring morphism")
-    one = pair.field.one
-    times_t = [last.operator({i: one}, 1) for i in range(pair.n)]
+    tree = _generator_tree(pair.right)
+    ops = [last.operator(x, 1) for _, _, x in tree]
     for seed in seeds:
-        image = {}
+        parts = [{} for _ in range(pair.n)]
         for k, v in seed.items():
             u, i = divmod(k, pair.n)
-            times_t[i]({u: v}, image)
-        if image:
+            parts[i][u] = v
+        if _tree_sum(tree, ops, parts):
             raise CertificateFailure("a slot-n seed lies outside the trace kernel")
     return last
 
@@ -452,16 +518,19 @@ def _last_stage_span(pair: TensorPairAlgebra, maps, last: AlgebraMap, ident):
     built the first time a result's `closure` or `maps` is read, with its
     maps checked to be ring morphisms.  The rows e_(c,i) - (c * t_i) x 1 go
     straight into the row space: they span ker phi, so the span needs no
-    closing."""
+    closing; c * t_i is a product along A's generator tree."""
     fieldh = pair.field
     n = pair.n
     one = fieldh.one
     minus_one = fieldh.neg(one)
+    tree = _generator_tree(pair.right)
+    ops = [last.operator(x, 1) for _, _, x in tree]
+    products = [_tree_products(tree, ops, {c: minus_one})
+                for c in range(pair.left.dim)]
     span = RowSpace(fieldh)
     for i in range(1, n):
-        times_t = last.operator({i: one}, 1)
-        for c in range(pair.left.dim):
-            row = pair.embed_left(times_t({c: minus_one}))
+        for c, times_t in enumerate(products):
+            row = pair.embed_left(times_t[i])
             row[c * n + i] = one
             span.add(row)
     quot = QuotientAlgebra(pair, span)
@@ -725,7 +794,13 @@ def divides_check(result: ClosureResult) -> dict:
     ring automorphism of C[X_1..X_n][Z], sends P to P' and each
     (Z - map_s(gamma)) to (Z - map_s(gamma')).  It carries every quotient of
     one chain of divisions onto the other's and fixes the remainders, so the
-    remainders of both chains vanish together."""
+    remainders of both chains vanish together.
+
+    Multiplication by map_s(e_i) runs as map_s(g) times map_s(e_j) for
+    e_i = e_j g (`_generator_tree`), through the operators by the images of
+    A's generators, which the map checks built.  The closure is
+    associative, so that is the product by map_s(e_i) once the products of
+    1 along the tree are the rows of map_s, which is checked first."""
     if result.m == 0 or result.dim == 0:
         return {"certified": True, "mode": "vacuous"}
     a = result.input_algebra
@@ -733,17 +808,18 @@ def divides_check(result: ClosureResult) -> dict:
     for s, mp in enumerate(maps):
         if not mp.is_unital():
             raise CertificateFailure(f"structural map {s + 1} is not unital")
-    # slot s multiplies by the images of the basis under map_s, each
-    # operator checked to send 1 to its row
-    seed = _generic_seed(a)
-    slot_mults = [[mp.operator(x, 1) for x in seed.elements]
-                  for mp in maps[:result.m]]
-    for s, (mp, mults) in enumerate(zip(maps, slot_mults)):
-        unit = mp.target.unit()
-        if any(times(unit) != row for times, row in zip(mults, mp.rows)):
+    tree = _generator_tree(a)
+    slot_products = [partial(_tree_products, tree,
+                             [mp.operator(x, 1) for _, _, x in tree])
+                     for mp in maps[:result.m]]
+    for s, (mp, products) in enumerate(zip(maps, slot_products)):
+        if products(mp.target.unit()) != mp.rows:
             raise CertificateFailure(
                 f"structural map {s + 1} does not multiply by its images")
-    for s, rem in enumerate(slot_remainders(a, seed, slot_mults)):
+    zc = _generic_seed(a).coeffs
+    for s, products in enumerate(slot_products):
+        zc, rem = _synthetic_divide(a.field, zc,
+                                    partial(_xp_tree_mult, a.field, products))
         if any(rem.values()):
             raise CertificateFailure(
                 f"slot {s + 1} remainder is nonzero in the closure")

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 import time
@@ -339,6 +340,51 @@ def test_budget_stops_a_tower_read_before_memory():
         cwd=Path(__file__).resolve().parents[1], env={**env, "PYTHONPATH": "src"})
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr == "error: stage 5 width 50400 exceeds the budget 20000\n"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_an_interrupt_keeps_the_finished_rows_and_exits_130(jobs):
+    # SIGINT to the run's own process group once its first row is out: the
+    # rows done so far stay on stdout, one error line, and no worker left
+    env = {k: v for k, v in os.environ.items() if not k.startswith("CLOSURELAB_")}
+    argv = ["table", "--manifest", "table2.json", "--min-m", "4", "--max-m",
+            "5", "--json"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "closurelab.cli", *argv, "--jobs", jobs],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True, cwd=Path(__file__).resolve().parents[1],
+        env={**env, "PYTHONPATH": "src"})
+    try:
+        out = proc.stdout.readline()
+        os.killpg(proc.pid, signal.SIGINT)
+        out += proc.stdout.read()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert (code, err) == (130, "error: interrupted\n")
+    records = [json.loads(line) for line in out.splitlines()]
+    entries = load_manifest("table2.json")
+    cells = [(e.name, m) for e in entries for m in sorted(e.expected)
+             if 4 <= m <= 5]
+    # whole rows, in manifest order, and not all of them
+    assert 2 <= len(records) < len(cells)
+    assert [(r["name"], r["m"]) for r in records] == cells[:len(records)]
+    assert cells[len(records)][0] != records[-1]["name"]
+    # the pool's workers are gone; a process that has exited but is not
+    # yet reaped (state Z) no longer runs
+    for _ in range(50):
+        table = subprocess.run(["ps", "-e", "-o", "pgid=,stat="],
+                               capture_output=True, text=True).stdout
+        running = [stat for pgid, stat in map(str.split, table.splitlines())
+                   if int(pgid) == proc.pid and not stat.startswith("Z")]
+        if not running:
+            break
+        time.sleep(0.1)
+    else:
+        pytest.fail(f"processes of the interrupted run still run: {running}")
 
 
 def test_close_budget_exit_3(monkeypatch):

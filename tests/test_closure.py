@@ -13,6 +13,7 @@ import pytest
 
 from closurelab import closure as closure_module
 from closurelab import finalg as finalg_module
+from closurelab import verify as verify_module
 from closurelab.arith import GF, QQ, is_prime, next_prime
 from closurelab.catalog import table1_entries, table2_entries
 from closurelab.closure import (base_change_presentation,
@@ -117,6 +118,50 @@ def test_unit_free_char_poly_is_p_at_x1_zero():
                                if mono[0] == 0}
         assert any(len(f.terms) > len(g.terms) for f, g in zip(full, free))
     assert len(kinds) == 4
+
+
+def _berkowitz_unit_free(monkeypatch, a):
+    """P' by Berkowitz, with the nilpotent shortcut switched off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(closure_module, "_nilpotent", lambda a, i: False)
+        return generic_char_poly(a, unit_free=True).coeffs
+
+
+def test_unit_free_char_poly_of_a_local_algebra_is_z_to_the_n(monkeypatch):
+    # every Table 1 and Table 2 input is local, so P' = Z^n comes without
+    # Berkowitz; the non-local inputs of the generators suite run it.  Over
+    # Q, a 30-bit GF(p) and GF(4), P' agrees with Berkowitz's
+    texts = [entry.presentation() for entry in table1_entries() + table2_entries()]
+    texts += [parse_presentation(t) for t in verify_module.SHIFT_INPUTS]
+    shortcuts = 0
+    for pres in texts:
+        fields = [pres.field]
+        if pres.field == QQ():
+            fields += [GF(1073741789), GF(2, 2)]
+        elif pres.field == GF(2):
+            fields += [GF(2, 2)]
+        for fieldh in fields:
+            a = algebra_from_presentation(
+                base_change_presentation(pres, fieldh)
+                if fieldh != pres.field else pres)
+            free = generic_char_poly(a, unit_free=True).coeffs
+            assert free == _berkowitz_unit_free(monkeypatch, a)
+            shortcuts += free[:-1] == [free[0].ring.zero()] * a.dim
+    assert shortcuts == 3 * (len(table1_entries()) + len(table2_entries()))
+
+
+@pytest.mark.parametrize("text", ["Q[x,y]/(x^2 - x, y^2)", "Q[x]/(x^3 - x - 1)"])
+def test_the_nilpotent_shortcut_needs_every_basis_element_nilpotent(
+        monkeypatch, text):
+    # an idempotent x, or a field: Berkowitz runs, and P' is not Z^n
+    calls = []
+    real = closure_module.berkowitz_charpoly
+    monkeypatch.setattr(closure_module, "berkowitz_charpoly",
+                        lambda *args: calls.append(1) or real(*args))
+    a = alg(text)
+    free = generic_char_poly(a, unit_free=True).coeffs
+    assert calls == [1]
+    assert any(c.terms for c in free[:-1])
 
 
 # -- generator schedules
@@ -1356,9 +1401,11 @@ def test_staged_run_reads_only_the_closure_products(monkeypatch, text, m, exact)
 def test_a_wrong_lifted_column_fails_the_check_or_the_certificate(
         monkeypatch, field):
     # one wrong entry in one column of one operator that the map checks,
-    # the trace map or the certificate multiply by (stride 1).  A wrong
-    # stage multiplier (stride n) can instead grow a stage's span to an
-    # ideal of its own, whose smaller quotient both checks accept
+    # the trace map or the certificate multiply by (stride 1): 6 at each m,
+    # by the images of x and y under 3 maps (at m = 4 the trace map
+    # multiplies through the other 3 maps').  A wrong stage multiplier
+    # (stride n) can instead grow a stage's span to an ideal of its own,
+    # whose smaller quotient both checks accept
     a = algebra_from_presentation(base_change_presentation(
         parse_presentation("Q[x,y]/(x^2, y^2)"), field))
     real = LiftedMap._multiplier
@@ -1393,7 +1440,7 @@ def test_a_wrong_lifted_column_fails_the_check_or_the_certificate(
         counting, built = mutated(-1, 0)
         monkeypatch.setattr(LiftedMap, "_multiplier", counting)
         divides_check(m_closure(a, m))
-        assert built
+        assert len(built) == 6
         for k in range(len(built)):
             for shift in (0, 1):
                 multiplier, _ = mutated(k, shift)
@@ -1402,7 +1449,151 @@ def test_a_wrong_lifted_column_fails_the_check_or_the_certificate(
                     result = m_closure(a, m)
                     divides_check(result)
                 caught += 1
-    assert caught == 48
+    assert caught == 24
+
+
+def test_a_wrong_generator_column_that_only_a_product_reads_fails_the_certificate(
+        monkeypatch):
+    # the certificate multiplies by x^2 as x times x: the second product
+    # reads columns of the operator by x that neither the map check nor the
+    # products by x alone fill.  One wrong entry there lets the closure
+    # pass its checks, and the certificate must fail
+    a = alg("Q[x,y]/(x^3, y^2, x^2*y)")
+    field, one = a.field, a.field.one
+    x = a.generator_elements()[0][1]
+    tree = closure_module._generator_tree(a)
+    square = next(t for t, (_, j, g) in enumerate(tree) if g == x == {j: one})
+    real, real_products = LiftedMap._multiplier, closure_module._tree_products
+
+    def operators(wrong):
+        """Operators by x at stride 1, with their filled columns and where
+        each was first filled; `wrong` maps (operator number, column) to
+        the extra entry added there."""
+        built = []
+
+        def multiplier(mp, y, stride):
+            op = real(mp, y, stride)
+            if stride != 1 or y != x:
+                return op
+            k, filled = len(built), {}
+
+            def column(c):
+                filled[c] = phase[0]
+                col = op({c: one})
+                if (k, c) in wrong:
+                    col = vec_add_into(field, col, {wrong[k, c]: one})
+                return col
+
+            built.append((filled, finalg_module.digit_operator(
+                field, column, 1, mp.target.dim)))
+            return built[-1][1]
+
+        monkeypatch.setattr(LiftedMap, "_multiplier", multiplier)
+        return built
+
+    phase = ["closure"]
+    built = operators({})
+    result = m_closure(a, 4)
+    reads = {}              # operator id -> columns read alone, and as x^2
+
+    def products(tree, ops, vec):
+        out = real_products(tree, ops, vec)
+        for t, ((_, j, _), op) in enumerate(zip(tree, ops)):
+            alone, squared = reads.setdefault(id(op), (set(), set()))
+            (squared if t == square else alone).update(out[j])
+        return out
+
+    monkeypatch.setattr(closure_module, "_tree_products", products)
+    phase[0] = "certificate"
+    divides_check(result)
+    monkeypatch.setattr(closure_module, "_tree_products", real_products)
+    targets = []
+    for k, (filled, op) in enumerate(built):
+        alone, squared = reads.get(id(op), (set(), set()))
+        only = {c for c in squared - alone if filled[c] == "certificate"}
+        if only:
+            targets.append((k, min(only)))
+    assert len(targets) == 3
+    for k, c in targets:
+        for shift in (0, 1):
+            operators({(k, c): (c + shift) % result.dim})
+            mutant = m_closure(a, 4)
+            with pytest.raises(CertificateFailure, match="remainder is nonzero"):
+                divides_check(mutant)
+
+
+def _record_operators(monkeypatch):
+    """(map class, x's terms, stride) of each operator a map builds."""
+    built = []
+    real = AlgebraMap.operator
+
+    def operator(mp, x, stride):
+        before = len(mp._operators)
+        op = real(mp, x, stride)
+        if len(mp._operators) > before:
+            built.append((type(mp).__name__, tuple(sorted(x.items())), stride))
+        return op
+
+    monkeypatch.setattr(AlgebraMap, "operator", operator)
+    return built
+
+
+@pytest.mark.parametrize("text", ["Q[x,y]/(x^3, y^2, x^2*y)",
+                                  "Q[x,y,z]/(x^2, y^2, z^2, x*y, x*z)"])
+def test_the_certificate_builds_operators_by_generators_only(monkeypatch, text):
+    # standard monomials are products of generators along A's tree, so a
+    # slot's stride-1 operators are those by the generators, which the map
+    # checks (and at m = n the trace map) build before the certificate
+    a = alg(text)
+    generators = {tuple(sorted(g.items())) for _, g in a.generator_elements()}
+    tree = closure_module._generator_tree(a)
+    assert len(tree) == a.dim - 1
+    assert all(tuple(sorted(x.items())) in generators for _, _, x in tree)
+    built = _record_operators(monkeypatch)
+    for m in range(2, a.dim + 1):
+        del built[:]
+        result = m_closure(a, m)
+        run = len(built)
+        assert divides_check(result)["certified"]
+        assert len(built) == run
+        lifted = [x for kind, x, stride in built
+                  if kind == "LiftedMap" and stride == 1]
+        assert set(lifted) == generators
+        assert len(lifted) == min(m, a.dim - 1) * len(generators)
+
+
+def _with_a_fallback(fieldh):
+    """K[x]/(x^3) on the basis 1, x, x^2 + x: x * x = e_2 - e_1, so e_2 is
+    no basis element times the generator x."""
+    one = fieldh.one
+    square = {1: fieldh.neg(one), 2: one}
+    return finalg_module.TableAlgebra(
+        fieldh, ["1", "x", "x^2+x"],
+        {(1, 1): square, (1, 2): square, (2, 2): square},
+        generators=[("x", {1: one})])
+
+
+@pytest.mark.parametrize("fieldh", [QQ(), GF(7)])
+def test_a_basis_element_off_the_generator_tree_takes_its_own_operator(
+        monkeypatch, fieldh):
+    a = _with_a_fallback(fieldh)
+    one = fieldh.one
+    assert closure_module._generator_tree(a) == [(1, 0, {1: one}),
+                                                 (2, 0, {2: one})]
+    built = _record_operators(monkeypatch)
+    for m in (2, 3):
+        result = m_closure(a, m)
+        assert result.dim == 6
+        del built[:]
+        assert divides_check(result) == {"certified": True, "mode": "recomputed"}
+        # at m < n each slot builds the operator by e_2 in the certificate;
+        # at m = n the trace map built them for the slot-n seed test
+        assert {x for _, x, _ in built} <= {((2, one),)}
+        assert len([k for k, _, s in built if k == "LiftedMap" and s == 1]) == (
+            m if m < a.dim else 0)
+    # the canonical n-closure, whose rows c * t_2 use the fallback too
+    assert all(is_ring_morphism_pairwise(mp) for mp in result.maps)
+    assert result.closure.dim == 6
 
 
 # a monogenic input in the default modular mode, with --exact, and over a
