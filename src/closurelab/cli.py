@@ -168,9 +168,8 @@ def _table_row_task(payload):
 
 
 def _emit_rows(rows, as_json: bool) -> list:
-    """Print each row's records, in row order, as soon as the row is done
-    and in one write, so that an interrupted run keeps the rows it
-    finished, whole; returns them all."""
+    """Print each row's records in one write as soon as the row is done,
+    so an interrupted run keeps its finished rows whole; return them all."""
     records = []
     for row in rows:
         sys.stdout.write("".join(_record_line(r, as_json) + "\n" for r in row))
@@ -204,12 +203,12 @@ def cmd_table(args) -> int:
             tasks.append((entry.__dict__.copy(), ms, args.exact))
     if args.jobs > 1:
         import signal
-        from multiprocessing import get_context
+        from multiprocessing import Pool
         # workers start with SIGINT ignored, so an interrupt stops the
         # parent alone, and leaving the pool terminates them
         handler = signal.signal(signal.SIGINT, signal.SIG_IGN)
         try:
-            pool = get_context("spawn").Pool(args.jobs)
+            pool = Pool(args.jobs)
         finally:
             signal.signal(signal.SIGINT, handler)
         with pool:

@@ -241,15 +241,6 @@ def _tree_products(tree, ops, vec):
     return products
 
 
-def _tree_sum(tree, ops, parts):
-    """sum_i parts[i] times the image of e_i, by Horner from the leaves,
-    adding into `parts`."""
-    for (i, j, _), times in reversed(list(zip(tree, ops))):
-        if parts[i]:
-            times(parts[i], parts[j])
-    return parts[0]
-
-
 def _xp_tree_mult(fieldh, products, xp):
     """Multiply an X-polynomial by the image of gamma' =
     sum_{i >= 1} e_i X_i, given its products by each e_i's image."""
@@ -494,9 +485,9 @@ def _last_map(pair: TensorPairAlgebra, maps, seeds) -> AlgebraMap:
     kernel lies in the slot-n ideal J by the trace identity, which holds in
     the n-closure (C x A)/J.  It is an ideal when `last` is a ring
     morphism, and it then contains J once it contains the seeds; both are
-    checked here, the seeds through last's operators by A's generators
-    (`_tree_sum`).  So the kernel is J, and phi identifies the n-closure
-    with C, slot s < n with map_s and slot n with last."""
+    checked here, the seeds by Horner along A's generator tree.  So the
+    kernel is J, and phi identifies the n-closure with C, slot s < n with
+    map_s and slot n with last."""
     last = reconstructed_last_map(pair.right, pair.left, maps)
     if not last.is_ring_morphism():
         raise CertificateFailure("the trace map on the (n-1)-closure is not "
@@ -508,7 +499,10 @@ def _last_map(pair: TensorPairAlgebra, maps, seeds) -> AlgebraMap:
         for k, v in seed.items():
             u, i = divmod(k, pair.n)
             parts[i][u] = v
-        if _tree_sum(tree, ops, parts):
+        for (i, j, _), times in reversed(list(zip(tree, ops))):
+            if parts[i]:
+                times(parts[i], parts[j])
+        if parts[0]:
             raise CertificateFailure("a slot-n seed lies outside the trace kernel")
     return last
 

@@ -184,62 +184,9 @@ class PrimeKernel:
         return apply
 
 
-class RationalKernel:
-    """Q with the native int and Fraction operators, and `arith._rational`'s
-    canonical form (an int when integral) inline."""
-
-    scale = staticmethod(GenericKernel.scale)
-
-    @staticmethod
-    def reduce(rows, field, vec):
-        out = {k: v for k, v in vec.items() if v}
-        cand = [-c for c in out if c in rows]
-        heapify(cand)
-        while cand:
-            c = -heappop(cand)
-            if c not in out:
-                continue
-            coef = out.pop(c)
-            for c2, v2 in rows[c].items():
-                if c2 != c:
-                    s = out[c2] - coef * v2 if c2 in out else -coef * v2
-                    if not s:
-                        del out[c2]
-                        continue
-                    if s.__class__ is not int and s.denominator == 1:
-                        s = s.numerator
-                    out[c2] = s
-                    if c2 in rows:
-                        heappush(cand, -c2)
-        return out
-
-    @staticmethod
-    def operator(field, cols, stride, size):
-        def apply(w, out=None):
-            if out is None:
-                out = {}
-            for col, c in w.items():
-                if not c:
-                    continue
-                for offset, pc in cols[col // stride % size]:
-                    idx = col + offset
-                    v = out[idx] + c * pc if idx in out else c * pc
-                    if not v:
-                        del out[idx]
-                        continue
-                    if v.__class__ is not int and v.denominator == 1:
-                        v = v.numerator
-                    out[idx] = v
-            return out
-
-        return apply
-
-
 def kernel_for(field: Field):
     """The span kernel for a field's kind."""
-    if isinstance(field, PrimeField):
-        return PrimeKernel
-    return RationalKernel if field.kind == "rationals" else GenericKernel
+    return PrimeKernel if isinstance(field, PrimeField) else GenericKernel
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,7 @@ from closurelab.catalog import table1_entries
 from closurelab.closure import (base_change_presentation,
                                closure_from_presentation, m_closure)
 from closurelab.finalg import (AlgebraMap, GenericKernel, LiftedMap, PolyOps,
-                               PrimeKernel, QuotientAlgebra, RationalKernel,
-                               RowSpace,
+                               PrimeKernel, QuotientAlgebra, RowSpace,
                                TableAlgebra, TensorPairAlgebra, _Columns,
                                algebra_from_presentation, algebra_product,
                                berkowitz_charpoly, char_poly, digit_operator,
@@ -530,36 +529,13 @@ def _vec_sum(field, u, v):
 @pytest.mark.parametrize("p", [2, 3, 1073741789, (1 << 61) - 1])
 def test_prime_kernel_matches_generic_kernel(p):
     rng = random.Random(20261018 + p % 1000)
+    f = GF(p)
     a = alg(f"GF({p})[x,y]/(x^2 - 3*y + 1, y^3 + 5*x*y - 2*x)")
-    _assert_kernel_matches_generic(PrimeKernel, a, rng)
-
-
-def _canonical(vec):
-    """Every value nonzero, and a rational one an int when integral."""
-    return all(c and (c.__class__ is int or c.denominator != 1)
-               for c in vec.values())
-
-
-def test_rational_kernel_matches_generic_kernel():
-    # rows and structure constants with fractions; every output of the
-    # kernel, like every value of the field's arithmetic, is canonical
-    rng = random.Random(20261020)
-    a = alg("Q[x,y]/(x^2 - 3/2*y + 1, y^3 + 5/3*x*y - 2*x)")
-    assert any(c.__class__ is not int for i in range(a.dim)
-               for j in range(a.dim) for c in a.basis_product(i, j).values())
-    _assert_kernel_matches_generic(RationalKernel, a, rng, _canonical)
-
-
-def _assert_kernel_matches_generic(kernel, a, rng, canonical=lambda vec: True):
-    """The span kernel for a's field against the generic one: row space
-    insertion, reduction, closure and the operator, each output
-    `canonical`."""
-    f = a.field
     pair = TensorPairAlgebra(a, a)
     width = pair.dim
     fast, slow = RowSpace(f), RowSpace(f)
     slow.kernel = GenericKernel
-    assert fast.kernel is kernel
+    assert fast.kernel is PrimeKernel
     # add: the same pivots and the same stored rows
     for _ in range(12):
         row = _random_row(rng, f, width, 0.3)
@@ -568,10 +544,8 @@ def _assert_kernel_matches_generic(kernel, a, rng, canonical=lambda vec: True):
     # reduce: identical remainders, including rows of the space itself
     probes = [_random_row(rng, f, width, 0.5) for _ in range(20)]
     probes += [{k: f.neg(v) for k, v in row.items()} for row in fast.rows.values()]
-    assert all(canonical(row) for row in fast.rows.values())
     for vec in probes:
-        reduced = fast.reduce(vec)
-        assert reduced == slow.reduce(vec) and canonical(reduced)
+        assert fast.reduce(vec) == slow.reduce(vec)
     # close_under: the same closed span from the same seeds
     seeds = [_random_row(rng, f, width, 0.2) for _ in range(2)]
     fast, slow = RowSpace(f), RowSpace(f)
@@ -601,33 +575,17 @@ def _assert_kernel_matches_generic(kernel, a, rng, canonical=lambda vec: True):
             cases.append((stride_multiplier(a, v, stride),
                           _stride_columns(a, v, stride), stride, a.dim))
     for caller, cols, stride, size in cases:
-        apply = kernel.operator(f, cols, stride, size)
+        prime = PrimeKernel.operator(f, cols, stride, size)
         generic = GenericKernel.operator(f, cols, stride, size)
         for _ in range(4):
             # alone, and added into a vector it partly cancels
             w = _random_row(rng, f, width, 0.4)
             out = generic(w)
-            assert apply(w) == caller(w) == out and canonical(out)
+            assert prime(w) == caller(w) == out
             target = {k: f.neg(c) for k, c in out.items() if rng.random() < 0.5}
             target.update(_random_row(rng, f, width, 0.2))
-            added = apply(w, dict(target))
-            assert (added == generic(w, dict(target))
+            assert (prime(w, dict(target)) == generic(w, dict(target))
                     == {k: c for k, c in _vec_sum(f, target, out).items() if c})
-            assert canonical(added)
-    # scale: stored rows times 2, 3 and their inverses (1/2 and 1/3 over Q)
-    scalars = [c for c in map(f.from_int, (2, 3)) if c]
-    for row in list(fast.rows.values())[:4]:
-        for c in scalars + [f.inv(c) for c in scalars]:
-            scaled = kernel.scale(f, row, c)
-            assert scaled == GenericKernel.scale(f, row, c) and canonical(scaled)
-    # reduce: a multiple of a stored row plus small integers on free
-    # columns leaves those integers, where the row's entries cancel
-    for row in span.rows.values():
-        w = {k: c for k in rng.sample(quot.basis_cols, min(3, quot.dim))
-             if (c := f.from_int(rng.randint(1, 5)))}
-        vec = _vec_sum(f, kernel.scale(f, row, scalars[-1]), w)
-        reduced = span.reduce(vec)
-        assert reduced == w and canonical(reduced)
 
 
 def _stride_columns(factor, vec, stride):
