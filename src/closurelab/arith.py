@@ -92,7 +92,7 @@ def _poly_remmod(f, mod, p):
     coefficients of f may be any ints, and zero high ones are allowed."""
     f = list(f)
     dm = len(mod) - 1
-    inv_lead = 1 if mod[-1] == 1 else pow(mod[-1], p - 2, p)
+    inv_lead = 1 if mod[-1] == 1 else pow(mod[-1], -1, p)
     for top in range(len(f) - 1, dm - 1, -1):
         c = f[top] * inv_lead % p
         if c:
@@ -277,7 +277,7 @@ class PrimeField(Field):
         a %= self.p
         if not a:
             raise DivisionByZero("inverse of zero")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def from_int(self, n):
         return n % self.p

@@ -134,9 +134,9 @@ def _table_row_task(payload):
     """The records of one manifest row at the ascending `ms`, from one run
     at the largest m.  Stage s of that run is the s-closure, so a smaller m
     reads its dim and generators from the run's stages, and its ms is the
-    run's elapsed time at the end of stage s.  If the run fails, or does
-    not run the stage loop, its record stands as it is and the smaller m
-    are the row's records at ms[:-1]."""
+    run's elapsed time at the end of stage s (stage 1 for m = 0).  If the
+    run fails, or does not run the stage loop, its record stands as it is
+    and the smaller m are the row's records at ms[:-1]."""
     entry_dict, ms, exact = payload
     if not ms:
         return []
@@ -156,14 +156,13 @@ def _table_row_task(payload):
         derive = result.strategy == "staged"
     if not derive:
         return _table_row_task((entry_dict, rest, exact)) + [record]
-    lead_ms = (result.started - t0) * 1e3      # the algebra is built
     records = []
     for m in rest:
-        dim = result.stage_dims[m - 1] if m else 1
-        at_ms = lead_ms + (result.stage_ms[m - 1] if m else 0.0)
+        stage = result.stages[max(m, 1) - 1]
         records.append(_set_outcome(
-            _new_record(entry, m), result, mode, dim,
-            sum(result.stage_generators[:m]), at_ms))
+            _new_record(entry, m), result, mode, stage.dim if m else 1,
+            sum(st.generators for st in result.stages[:m]),
+            (stage.ended - t0) * 1e3))
     return records + [record]
 
 

@@ -132,8 +132,9 @@ def _nilpotent(a: StructureAlgebra, i: int) -> bool:
 # X-polynomials with coefficients in an algebra
 #
 # Represented as dicts {exponent tuple -> sparse algebra vector}.  The only
-# multiplications that occur are by the slot images of gamma, supplied as a
-# list of per-basis multiplier callables (index 0 being the identity).
+# multiplications that occur are by the slot images of gamma, through the
+# products by the images of A's basis along its generator tree
+# (`_xp_tree_mult`).
 
 
 def _xp_add_into(fieldh, target, src):
@@ -145,21 +146,6 @@ def _xp_add_into(fieldh, target, src):
         else:
             target[mono] = dict(vec)
     return target
-
-
-def _xp_gamma_mult(mults, xp, first=0):
-    """Multiply an X-polynomial by sum_{i >= first} mults[i] * X_i; first=1
-    drops the constant part X_1 of gamma.  Each operator adds its product
-    into the coefficient it lands in."""
-    out = {}
-    for mono, vec in xp.items():
-        for i in range(first, len(mults)):
-            nm = mono[:i] + (mono[i] + 1,) + mono[i + 1:]
-            acc = out.get(nm)
-            if acc is None:
-                acc = out[nm] = {}
-            mults[i](vec, acc)
-    return {mono: vec for mono, vec in out.items() if vec}
 
 
 def _xp_map(xp, fn):
@@ -241,18 +227,20 @@ def _tree_products(tree, ops, vec):
     return products
 
 
-def _xp_tree_mult(fieldh, products, xp):
-    """Multiply an X-polynomial by the image of gamma' =
-    sum_{i >= 1} e_i X_i, given its products by each e_i's image."""
+def _xp_tree_mult(fieldh, products, xp, first=1):
+    """Multiply an X-polynomial by the image of sum_{i >= first} e_i X_i,
+    given its products by each e_i's image (`_tree_products`): gamma' by
+    default, gamma with first=0.  The unit's product is the coefficient
+    itself, so it is copied, and `xp` is left as it is."""
     out = {}
     for mono, vec in xp.items():
         for i, prod in enumerate(products(vec)):
-            if i and prod:
+            if i >= first and prod:
                 nm = mono[:i] + (mono[i] + 1,) + mono[i + 1:]
                 if nm in out:
                     vec_add_into(fieldh, out[nm], prod)
                 else:
-                    out[nm] = prod
+                    out[nm] = prod if i else dict(prod)
     return {mono: vec for mono, vec in out.items() if vec}
 
 
@@ -272,13 +260,17 @@ class _Seed(namedtuple("_Seed", "coeffs elements times")):
 def _generic_seed(a: StructureAlgebra, unit_free: bool = True) -> _Seed:
     """The generic P over the basis of A, or with `unit_free` P' divided by
     the (Z - gamma'_s), which leaves the same remainders when every slot is
-    unital (module docstring); the multiplier by the image of e_0 is then
-    never used.  The seed rows are the remainders' X-monomial
-    coefficients."""
+    unital (module docstring).  Its elements are the x of A's generator
+    tree, and gamma_s is applied as the products by the slot images of the
+    e_i along the tree (`_tree_products`), as in the certificate.  The seed
+    rows are the remainders' X-monomial coefficients."""
+    tree = _generator_tree(a)
     first = 1 if unit_free else 0
     return _Seed(_lift_scalar_coeffs(generic_char_poly(a, unit_free).coeffs),
-                 [{i: a.field.one} for i in range(a.dim)],
-                 lambda mults: partial(_xp_gamma_mult, mults, first=first))
+                 [x for _, _, x in tree],
+                 lambda ops: partial(_xp_tree_mult, a.field,
+                                     partial(_tree_products, tree, ops),
+                                     first=first))
 
 
 def _point_seed(a: StructureAlgebra, points) -> _Seed:
@@ -299,24 +291,24 @@ def _point_seed(a: StructureAlgebra, points) -> _Seed:
 # closure results
 
 
+Stage = namedtuple("Stage", "dim generators ended")
+
+
 class ClosureResult:
+    """An m-closure.  `stages` holds one `Stage` per slot of a staged run:
+    the dim of the s-closure, the stage's nonzero seed rows, and
+    time.perf_counter() at its end; m = 0, 1 and m > n have none."""
+
     def __init__(self, input_algebra: StructureAlgebra, m: int, method: str,
                  stored_closure: StructureAlgebra, stored_maps: list,
-                 stage_dims: tuple = (), stage_generators: tuple = (),
-                 stage_ms: tuple = (), started: float = 0.0, build=None):
+                 stages: tuple = (), build=None):
         self.input_algebra = input_algebra
         self.m = m
         self.method = method    # general | naive | points | tower
         # the pair that the certificate reads; None in a tower until then
         self.stored_closure = stored_closure
         self.stored_maps = stored_maps
-        # per stage: the closure dimension after it, its nonzero seed rows,
-        # and the ms since `started` (time.perf_counter() when the run
-        # began) at its end
-        self.stage_dims = stage_dims
-        self.stage_generators = stage_generators
-        self.stage_ms = stage_ms
-        self.started = started
+        self.stages = stages
         # "upper" when a staged dim (2 <= m <= n) of this run is a modular
         # upper bound for the one over Q (`closure_from_presentation`)
         self.staged_bound = "exact"
@@ -351,8 +343,12 @@ class ClosureResult:
         return self._read()[1]
 
     @property
+    def stage_dims(self) -> tuple:
+        return tuple(stage.dim for stage in self.stages)
+
+    @property
     def dim(self) -> int:
-        return self.stage_dims[-1] if self.stage_dims else self.stored_closure.dim
+        return self.stages[-1].dim if self.stages else self.stored_closure.dim
 
     @property
     def rank(self) -> int:
@@ -362,7 +358,7 @@ class ClosureResult:
     @property
     def generator_count(self) -> int:
         """Nonzero seed rows over all stages."""
-        return sum(self.stage_generators)
+        return sum(stage.generators for stage in self.stages)
 
     @property
     def field(self) -> Field:
@@ -380,7 +376,7 @@ class ClosureResult:
     def strategy(self) -> str:
         """"staged" when the result has stage dims (a tower's are the
         falling factorials); "trivial" for m = 0, 1 or m > n."""
-        return "staged" if self.stage_dims else "trivial"
+        return "staged" if self.stages else "trivial"
 
     def __repr__(self):
         return (f"ClosureResult(m={self.m}, dim={self.dim}, "
@@ -396,10 +392,9 @@ def _verify_maps(maps):
 
 def m_closure(a: StructureAlgebra, m: int) -> ClosureResult:
     """The m-closure of a finite-dimensional commutative algebra."""
-    t0 = time.perf_counter()
     if m < 0:
         raise ValueError("m must be nonnegative")
-    return _closure(a, m, "general", _generic_seed, t0)
+    return _closure(a, m, "general", _generic_seed)
 
 
 def _map_budget(n, m):
@@ -412,7 +407,7 @@ def _map_budget(n, m):
     return limit
 
 
-def _closure(a, m, method, make_seed, t0):
+def _closure(a, m, method, make_seed):
     """The m-closure seeded by `make_seed(a)`; `method` only names it in
     the result."""
     n = a.dim
@@ -426,9 +421,9 @@ def _closure(a, m, method, make_seed, t0):
         closure = a
         maps = [AlgebraMap(a, a, [{i: a.field.one} for i in range(n)])]
     else:
-        return _staged_closure(a, m, method, make_seed, t0, limit)
+        return _staged_closure(a, m, method, make_seed, limit)
     return ClosureResult(input_algebra=a, m=m, method=method,
-                         stored_closure=closure, stored_maps=maps, started=t0)
+                         stored_closure=closure, stored_maps=maps)
 
 
 class _TraceMap(AlgebraMap):
@@ -540,7 +535,7 @@ def _quotient_maps(quot: QuotientAlgebra, maps, ident: AlgebraMap):
             + [LiftedMap(ident, quot, 1)])
 
 
-def _staged_closure(a, m, method, make_seed, t0, limit):
+def _staged_closure(a, m, method, make_seed, limit):
     """Quotient one slot at a time.
 
     Stage s works in D = C x A where C is the closure after s-1 slots: it
@@ -560,7 +555,8 @@ def _staged_closure(a, m, method, make_seed, t0, limit):
     seed = make_seed(a)
     ident = AlgebraMap(a, a, [{i: fieldh.one} for i in range(n)])
     # gamma_s acts on the last tensor digit, of A and of every C x A; the
-    # slot-1 remainder, in A itself, is the Cayley-Hamilton identity
+    # slot-1 remainder, in A itself, is the Cayley-Hamilton identity; the
+    # generic seed's operators are the new-digit ones below
     times = seed.times([ident.operator(x, 1) for x in seed.elements])
     zc, rem = _synthetic_divide(fieldh, seed.coeffs, times)
     if any(rem.values()):
@@ -576,9 +572,7 @@ def _staged_closure(a, m, method, make_seed, t0, limit):
 
     current = a
     maps = [ident]
-    stage_dims = [n]
-    stage_generators = [0]
-    stage_ms = [(time.perf_counter() - t0) * 1e3]
+    stages = [Stage(n, 0, time.perf_counter())]
     for s in range(2, m + 1):
         if current.dim * n > limit:
             raise BudgetExceeded(
@@ -587,7 +581,6 @@ def _staged_closure(a, m, method, make_seed, t0, limit):
         zc, rem = _synthetic_divide(
             fieldh, [_xp_map(coeff, pair.embed_left) for coeff in zc], times)
         rows = _rows_of(rem)
-        stage_generators.append(sum(1 for r in rows if r))
         if s == n:
             last = _last_map(pair, maps, rows)
         else:
@@ -612,15 +605,13 @@ def _staged_closure(a, m, method, make_seed, t0, limit):
             if s < m:             # the last running quotient is never used
                 zc = [_xp_map(coeff, quot.project) for coeff in zc]
             current = quot
-        stage_dims.append(current.dim)
-        stage_ms.append((time.perf_counter() - t0) * 1e3)
+        stages.append(Stage(current.dim, sum(1 for r in rows if r),
+                            time.perf_counter()))
 
     _verify_maps(maps)
     result = ClosureResult(
         input_algebra=a, m=m, method=method, stored_closure=current,
-        stored_maps=maps, stage_dims=tuple(stage_dims),
-        stage_generators=tuple(stage_generators), stage_ms=tuple(stage_ms),
-        started=t0)
+        stored_maps=maps, stages=tuple(stages))
     if m == n:
         result.stored_maps = maps + [last]
         result.build = partial(_last_stage_span, pair, maps, last, ident)
@@ -641,7 +632,6 @@ def naive_closure(a: StructureAlgebra, m: int) -> ClosureResult:
     shifting an element by a constant shifts both P_a and the linear factors
     together.  Over an infinite field the construction coincides with the
     true closure, so it is deliberately not re-implemented."""
-    t0 = time.perf_counter()
     fieldh = a.field
     if fieldh.order is None:
         raise InfiniteFieldUnsupported(
@@ -656,7 +646,7 @@ def naive_closure(a: StructureAlgebra, m: int) -> ClosureResult:
     # a generator: m = 1 builds no seed, so it enumerates nothing
     points = ({i: c for i, c in enumerate(tail, start=1) if c} for tail in
               itertools.product(list(fieldh.elements()), repeat=n - 1))
-    return _closure(a, m, "naive", partial(_point_seed, points=points), t0)
+    return _closure(a, m, "naive", partial(_point_seed, points=points))
 
 
 # ---------------------------------------------------------------------------
@@ -769,7 +759,8 @@ def galois_factor_count(parts) -> int:
 def slot_remainders(a: StructureAlgebra, seed: _Seed, slot_mults):
     """Remainders of the seed's chain of divisions by (Z - gamma_1),
     (Z - gamma_2), ..., where slot_mults[s][j] multiplies by the slot-s image
-    of seed.elements[j] (`AlgebraMap.operator`)."""
+    of seed.elements[j] (`AlgebraMap.operator`): for the generic seed, the
+    x of A's generator tree, as in the stage loop and the certificate."""
     zc = seed.coeffs
     for mults in slot_mults:
         zc, rem = _synthetic_divide(a.field, zc, seed.times(mults))
@@ -790,9 +781,10 @@ def divides_check(result: ClosureResult) -> dict:
     one chain of divisions onto the other's and fixes the remainders, so the
     remainders of both chains vanish together.
 
-    Multiplication by map_s(e_i) runs as map_s(g) times map_s(e_j) for
-    e_i = e_j g (`_generator_tree`), through the operators by the images of
-    A's generators, which the map checks built.  The closure is
+    The chain is `slot_remainders` on the generic seed, as in the stage
+    loop.  Multiplication by map_s(e_i) runs as map_s(g) times map_s(e_j)
+    for e_i = e_j g (`_generator_tree`), through the operators by the
+    images of A's generators, which the map checks built.  The closure is
     associative, so that is the product by map_s(e_i) once the products of
     1 along the tree are the rows of map_s, which is checked first."""
     if result.m == 0 or result.dim == 0:
@@ -803,17 +795,13 @@ def divides_check(result: ClosureResult) -> dict:
         if not mp.is_unital():
             raise CertificateFailure(f"structural map {s + 1} is not unital")
     tree = _generator_tree(a)
-    slot_products = [partial(_tree_products, tree,
-                             [mp.operator(x, 1) for _, _, x in tree])
-                     for mp in maps[:result.m]]
-    for s, (mp, products) in enumerate(zip(maps, slot_products)):
-        if products(mp.target.unit()) != mp.rows:
+    slot_ops = [[mp.operator(x, 1) for _, _, x in tree]
+                for mp in maps[:result.m]]
+    for s, (mp, ops) in enumerate(zip(maps, slot_ops)):
+        if _tree_products(tree, ops, mp.target.unit()) != mp.rows:
             raise CertificateFailure(
                 f"structural map {s + 1} does not multiply by its images")
-    zc = _generic_seed(a).coeffs
-    for s, products in enumerate(slot_products):
-        zc, rem = _synthetic_divide(a.field, zc,
-                                    partial(_xp_tree_mult, a.field, products))
+    for s, rem in enumerate(slot_remainders(a, _generic_seed(a), slot_ops)):
         if any(rem.values()):
             raise CertificateFailure(
                 f"slot {s + 1} remainder is nonzero in the closure")
@@ -909,8 +897,19 @@ def _generating_point(a: StructureAlgebra):
     """A point x of A with K[x] = A, or None: each of A's generators, then
     their sum, then one combination of them, coefficients from
     random.Random(char) in [1, char), or [1, 256) over Q.  A sparse point
-    with small coefficients keeps each chain short."""
+    with small coefficients keeps each chain short.
+
+    A local A (every e_i, i >= 1, nilpotent) has none if dim m/m^2 >= 2:
+    with x = c + y, y in m, K[x] = A gives m = yA, so y spans m/m^2, and
+    m^2 is spanned by the e_i e_j, i, j >= 1."""
     fieldh = a.field
+    nonunits = range(1, a.dim)
+    if all(_nilpotent(a, i) for i in nonunits):
+        squares = RowSpace(fieldh)
+        for i, j in itertools.combinations_with_replacement(nonunits, 2):
+            squares.add(a.basis_product(i, j))
+        if len(nonunits) - squares.rank >= 2:
+            return None
     rng = random.Random(fieldh.char)
     generators = [g for _, g in a.generator_elements()]
     plain, combination = {}, {}
@@ -968,30 +967,28 @@ def closure_from_presentation(pres: AlgebraPresentation, m: int,
     n = algebra.dim
     if 2 <= m <= n:
         _map_budget(n, m)
-        t0 = time.perf_counter()
         x = _generating_point(algebra)
         if x is not None:
-            two = _point_closure(algebra, x, 2, t0)
+            two = _point_closure(algebra, x, 2)
             if m == 2:
                 return two, mode
+            ended = two.stages[-1].ended
             return ClosureResult(
                 input_algebra=algebra, m=m, method="tower",
                 stored_closure=None, stored_maps=None,
-                stage_dims=tuple(math.perm(n, s) for s in range(1, m + 1)),
-                stage_generators=two.stage_generators + (0,) * (m - 2),
-                stage_ms=two.stage_ms + two.stage_ms[-1:] * (m - 2),
-                started=t0, build=lambda: _point_closure(
-                    algebra, x, m, time.perf_counter())), mode
+                stages=two.stages + tuple(Stage(math.perm(n, s), 0, ended)
+                                          for s in range(3, m + 1)),
+                build=lambda: _point_closure(algebra, x, m)), mode
     result = m_closure(algebra, m)
     if modular:
         result.staged_bound = "upper"
     return result, mode
 
 
-def _point_closure(a: StructureAlgebra, x: dict, m: int, t0):
+def _point_closure(a: StructureAlgebra, x: dict, m: int):
     """The m-closure seeded by a point x with K[x] = A alone, which must
     have the tower's dimension n!/(n - m)! (module docstring)."""
-    built = _closure(a, m, "points", partial(_point_seed, points=[x]), t0)
+    built = _closure(a, m, "points", partial(_point_seed, points=[x]))
     if built.dim != math.perm(a.dim, m):
         raise CertificateFailure(
             f"a generating point gives dimension {built.dim}, "

@@ -384,17 +384,18 @@ def suite_generators(seed=DEFAULT_SEED):
     gamma' = gamma - X_1, leave the same slot remainders in the tensor
     cube of A (square for n = 2), for the dimension-up-to-5 catalog and a
     few non-local algebras: the shift identity behind the production
-    seed."""
+    seed.  Both chains multiply along A's generator tree, as the stage loop
+    and the certificate do."""
     out = []
     algebras = [(entry.name, entry.algebra()) for entry in table1_entries()]
     algebras += [(text, algebra_from_presentation(parse_presentation(text)))
                  for text in SHIFT_INPUTS]
     for name, a in algebras:
         n = a.dim
-        one = a.field.one
-        slots = [[stride_multiplier(a, {i: one}, stride) for i in range(n)]
+        full_seed = _generic_seed(a, unit_free=False)
+        slots = [[stride_multiplier(a, x, stride) for x in full_seed.elements]
                  for stride in reversed([n ** s for s in range(min(n, 3))])]
-        full = list(slot_remainders(a, _generic_seed(a, unit_free=False), slots))
+        full = list(slot_remainders(a, full_seed, slots))
         shifted = list(slot_remainders(a, _generic_seed(a), slots))
         _check(out, f"{name}: gamma and gamma - X1 leave the same slot remainders",
                full == shifted,

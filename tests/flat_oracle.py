@@ -29,8 +29,8 @@ from functools import partial
 from closurelab.arith import QQ
 from closurelab.closure import (_lift_scalar_coeffs, _rows_of,
                                 _synthetic_divide, _xp_add_into,
-                                _xp_gamma_mult, generic_char_poly,
-                                monogenic_algebra, monogenic_tower)
+                                generic_char_poly, monogenic_algebra,
+                                monogenic_tower)
 from closurelab.errors import BudgetExceeded
 from closurelab.finalg import (AlgebraMap, LiftedMap, QuotientAlgebra,
                                RowSpace, StructureAlgebra, TableAlgebra,
@@ -196,6 +196,22 @@ def is_ring_morphism_pairwise(mp: AlgebraMap) -> bool:
 
 # ---------------------------------------------------------------------------
 # relation schedules inside the tensor power
+
+
+def _xp_gamma_mult(mults, xp):
+    """Multiply an X-polynomial by gamma = sum_i mults[i] * X_i, one
+    operator per basis element, independent of the pipeline's generator
+    tree.  Each operator adds its product into the coefficient it lands
+    in."""
+    out = {}
+    for mono, vec in xp.items():
+        for i, times in enumerate(mults):
+            nm = mono[:i] + (mono[i] + 1,) + mono[i + 1:]
+            acc = out.get(nm)
+            if acc is None:
+                acc = out[nm] = {}
+            times(vec, acc)
+    return {mono: vec for mono, vec in out.items() if vec}
 
 
 def general_rows(a: StructureAlgebra, m: int, tensor: TensorPowerAlgebra):

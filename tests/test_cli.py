@@ -681,7 +681,8 @@ def _per_m_records(manifest, exact=False, min_m=None, max_m=None):
                 record.update(method=source.method, field=mode,
                               bound="exact" if proved else "upper",
                               dim=result.dim,
-                              generators=sum(source.stage_generators[:m]),
+                              generators=sum(st.generators
+                                             for st in source.stages[:m]),
                               rank=result.rank)
                 if "expected" in record:
                     record["match"] = result.dim == record["expected"]

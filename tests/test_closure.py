@@ -34,7 +34,7 @@ from closurelab.finalg import (AlgebraMap, LiftedMap, RowSpace,
 from closurelab.multipoly import (PolyRing, parse_poly, parse_presentation,
                                   parse_univariate)
 from closurelab.verify import upoly_mul
-from flat_oracle import (flat_closure, ideal_subspace_dim,
+from flat_oracle import (_xp_gamma_mult, flat_closure, ideal_subspace_dim,
                          is_local_nilpotent, is_ring_morphism_pairwise,
                          j_generators, local_generators, mult_vec,
                          multiplier, tensor_power, tower_algebra)
@@ -426,7 +426,7 @@ def test_last_stage_builds_the_canonical_quotient_once_when_read(monkeypatch, te
     assert widths == pair_widths[:-1]
     assert result.dim == result.stage_dims[-1] == result.stage_dims[-2]
     assert result.rank == n ** n - result.dim
-    assert result.generator_count == sum(result.stage_generators)
+    assert result.generator_count == sum(st.generators for st in result.stages)
     assert divides_check(result)["certified"]
     assert widths == pair_widths[:-1]
     closure, maps = result.closure, result.maps
@@ -1086,7 +1086,8 @@ def test_point_seeds_give_the_etale_dims(monkeypatch, d):
     p = res.field.p
     assert mode == f"mod {p}" and res.method == "points"
     assert res.dim == etale_closure_dim(d, 2)
-    assert res.generator_count == 1 and res.stage_generators == (0, 1)
+    assert res.generator_count == 1
+    assert [st.generators for st in res.stages] == [0, 1]
 
 
 @pytest.mark.parametrize("text", POINT_SEED_INPUTS)
@@ -1110,7 +1111,7 @@ def test_point_seeds_only_at_m_2(monkeypatch):
                        product_formula_dim(two_squares, square, 3))):
         res, _ = closure_from_presentation(parse_presentation(text), 3)
         assert (res.method, res.dim) == ("tower", dim)
-        assert res.stage_generators == (0, 1, 0)
+        assert [st.generators for st in res.stages] == [0, 1, 0]
     # a local monogenic input takes one point too, and so do --exact and
     # finite fields
     for text, exact, dim in (("Q[x]/(x^4)", False, 12), ("Q[x]/(x^3-x)", True, 6),
@@ -1131,7 +1132,7 @@ def test_explicit_zero_coordinate_in_a_point():
     for point in ({1: 0, 2: 1}, {2: 1}):
         res = closure_module._closure(
             a, 2, "points", functools.partial(closure_module._point_seed,
-                                              points=[point]), time.perf_counter())
+                                              points=[point]))
         assert res.dim == 6
 
 
@@ -1245,6 +1246,38 @@ def test_generating_point_is_a_generator_or_one_combination():
     assert closure_module._generating_point(alg(text)) is None
     res, mode = closure_from_presentation(parse_presentation(text), 2)
     assert (res.method, res.dim, mode) == ("general", 12, "F2")
+
+
+def test_a_local_algebra_with_two_generators_skips_the_point_search(monkeypatch):
+    # with x = c + y, y in the maximal ideal m, K[x] = A gives m = yA, so no
+    # point generates a local A with dim m/m^2 >= 2.  Over one Table 1
+    # pass only the (x^k) rows test a point, x itself, at each m from 2 to
+    # n: 2 + 3 + 4 tests, in the modular mode and with --exact
+    monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
+    tested, real = [], closure_module._generates
+    monkeypatch.setattr(closure_module, "_generates",
+                        lambda a, x: tested.append(x) or real(a, x))
+    for exact in (False, True):
+        del tested[:]
+        for entry in table1_entries():
+            for m in sorted(entry.expected):
+                closure_from_presentation(entry.presentation(), m, exact)
+        assert len(tested) == 9 and all(x == {1: 1} for x in tested)
+    del tested[:]
+    assert closure_module._generating_point(alg("Q[x,y]/(x^2, y^3)")) is None
+    assert tested == []
+
+
+@pytest.mark.parametrize("text", ["Q[x]/(x^3)", "Q[x]/(x^6)", "Q[x]/(x^8-x-1)",
+                                  *verify_module.SHIFT_INPUTS, NOT_MONOGENIC])
+def test_inputs_with_a_generating_point_still_find_it(monkeypatch, text):
+    # a local A with one generator, fields and mixed products take the
+    # point and the tower; a product with a two-generator factor does not
+    monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
+    methods = ["general"] * 2 if text == NOT_MONOGENIC else ["points", "tower"]
+    for exact in (False, True):
+        assert [closure_from_presentation(parse_presentation(text), m, exact)[0]
+                .method for m in (2, 3)] == methods
 
 
 # Monogenic inputs: the (x^k) rows of Tables 1 and 2, a field, and two
@@ -1562,6 +1595,47 @@ def test_the_certificate_builds_operators_by_generators_only(monkeypatch, text):
         assert len(lifted) == min(m, a.dim - 1) * len(generators)
 
 
+@pytest.mark.parametrize("text", ["Q[x,y]/(x^3, y^2, x^2*y)",
+                                  "Q[x,y,z]/(x^2, y^2, z^2, x*y, x*z)",
+                                  "Q[x]/(x^3-x-1)"])
+def test_the_stage_loop_builds_operators_by_tree_elements_only(monkeypatch, text):
+    # the generic seed multiplies by gamma' along A's generator tree, so the
+    # stage loop's operators on A are those by the tree's elements, one
+    # each, shared with the new digit; nothing else builds one on A
+    a = alg(text)
+    elements = {tuple(sorted(x.items()))
+                for _, _, x in closure_module._generator_tree(a)}
+    built = _record_operators(monkeypatch)
+    for m in range(2, a.dim + 1):
+        del built[:]
+        assert divides_check(m_closure(a, m))["certified"]
+        assert {x for _, x, _ in built} <= elements
+        on_a = [x for kind, x, stride in built
+                if kind == "AlgebraMap" and stride == 1]
+        assert len(on_a) == len(set(on_a)) == len(elements)
+
+
+def test_the_full_gamma_product_leaves_its_input_as_it_is():
+    # with first=0 the unit's product is the input coefficient itself; it
+    # must be copied before a later product is added into it.  The product
+    # is the flat oracle's, one operator per basis element
+    a = alg("Q[x,y]/(x^3, y^2, x^2*y)")
+    one, n = a.field.one, a.dim
+    tree = closure_module._generator_tree(a)
+    products = functools.partial(
+        closure_module._tree_products, tree,
+        [finalg_module.stride_multiplier(a, x, 1) for _, _, x in tree])
+    xp = {(0, 1, 0, 0, 0): {0: one, 3: Fr(2)}, (1, 0, 0, 0, 0): {0: one}}
+    before = copy.deepcopy(xp)
+    full = closure_module._xp_tree_mult(a.field, products, xp, first=0)
+    assert xp == before
+    assert full == _xp_gamma_mult(
+        [finalg_module.stride_multiplier(a, {i: one}, 1) for i in range(n)], xp)
+    assert full[1, 1, 0, 0, 0] == {0: one, 1: one, 3: Fr(2)}
+    shifted = closure_module._xp_tree_mult(a.field, products, xp)
+    assert xp == before and shifted[1, 1, 0, 0, 0] == {1: one}
+
+
 def _with_a_fallback(fieldh):
     """K[x]/(x^3) on the basis 1, x, x^2 + x: x * x = e_2 - e_1, so e_2 is
     no basis element times the generator x."""
@@ -1601,6 +1675,33 @@ def test_a_basis_element_off_the_generator_tree_takes_its_own_operator(
 TOWER_MODES = (("Q[x]/({})", False), ("Q[x]/({})", True), ("F7[x]/({})", False))
 
 
+def test_stages_hold_one_record_per_stage(monkeypatch):
+    monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
+    # a staged run: stage s is the s-closure, with its seed rows and the
+    # perf_counter time at its end
+    a = alg("Q[x,y]/(x^2, y^2)")
+    start = time.perf_counter()
+    res = m_closure(a, 3)
+    end = time.perf_counter()
+    assert all(isinstance(st, closure_module.Stage) for st in res.stages)
+    assert [st[:2] for st in res.stages] == [(4, 0), (13, 3), (26, 6)]
+    assert res.stage_dims == (4, 13, 26) and res.generator_count == 9
+    ended = [st.ended for st in res.stages]
+    assert start < ended[0] <= ended[1] <= ended[2] < end
+    # a tower record extends its 2-closure's stages with the falling
+    # factorials, no seed rows and the 2-closure's end
+    tower, _ = closure_from_presentation(parse_presentation("Q[x]/(x^5-x-1)"), 4)
+    assert tower.method == "tower" and tower.strategy == "staged"
+    assert [st[:2] for st in tower.stages] == [(5, 0), (20, 1), (60, 0), (120, 0)]
+    assert tower.stage_dims == (5, 20, 60, 120) and tower.generator_count == 1
+    assert tower.stages[1].ended == tower.stages[2].ended == tower.stages[3].ended
+    # m = 0, 1 and m > n run no stage
+    for m in (0, 1, 5):
+        trivial = m_closure(a, m)
+        assert trivial.stages == () and trivial.stage_dims == ()
+        assert trivial.strategy == "trivial" and trivial.generator_count == 0
+
+
 def test_tower_runs_no_pipeline_until_read(monkeypatch):
     # neither the record nor its first read takes the symbolic seed: the
     # point builds the closure; the certificate divides P, by design
@@ -1612,7 +1713,7 @@ def test_tower_runs_no_pipeline_until_read(monkeypatch):
         res, _ = closure_from_presentation(pres, 5, exact)
         assert (res.method, res.dim, res.bound, calls) == ("tower", 720, "exact", [])
         assert res.stage_dims == (6, 30, 120, 360, 720)
-        assert res.stage_generators == (0, 1, 0, 0, 0)
+        assert [st.generators for st in res.stages] == [0, 1, 0, 0, 0]
         closure, maps = res.closure, res.maps
         assert calls == [] and closure.dim == 720 and len(maps) == 5
         assert res.closure is closure and calls == []
