@@ -134,7 +134,7 @@ def _table_row_task(payload):
     """The records of one manifest row at the ascending `ms`, from one run
     at the largest m.  Stage s of that run is the s-closure, so a smaller m
     reads its dim and generators from the run's stages, and its ms is the
-    run's elapsed time at the end of stage s (stage 1 for m = 0).  If the
+    time the call spent on stages 1..s (stage 1 for m = 0).  If the
     run fails, or does not run the stage loop, its record stands as it is
     and the smaller m are the row's records at ms[:-1]."""
     entry_dict, ms, exact = payload
@@ -162,7 +162,7 @@ def _table_row_task(payload):
         records.append(_set_outcome(
             _new_record(entry, m), result, mode, stage.dim if m else 1,
             sum(st.generators for st in result.stages[:m]),
-            (stage.ended - t0) * 1e3))
+            sum(st.seconds for st in result.stages[:max(m, 1)]) * 1e3))
     return records + [record]
 
 

@@ -46,6 +46,16 @@ kernel of C x A = C[Z]/(f) -> C[Z]/(f_s).  So x alone closes every
 stage; at m >= 3 the result takes its dimension from the theorem and
 builds the closure, from x, only when `closure` or `maps` is read or the
 certificate reads the stored pair.
+
+Stage s of a run is the s-closure, so one presentation at rising m pays
+for each stage once.  `closure_from_presentation` keeps one entry (`_Entry`)
+for the last presentation: its key (text, field, exact flag, modular
+prime), the built algebra, its generating point and the staged run
+(`_Run`), general or point seeded.  A call on that key at an m no lower
+than the run's last stage resumes it, and so do `m_closure` and the
+tower's build on the entry's algebra; any other call, or one that raises,
+drops the entry first.  Results at rising m of one presentation share
+their lower stages' closures and maps.
 """
 
 from __future__ import annotations
@@ -56,7 +66,7 @@ import os
 import random
 import time
 from collections import namedtuple
-from functools import partial
+from functools import cached_property, partial
 
 try:                             # the builtin module: hashlib loads OpenSSL,
     from _sha256 import sha256   # about 3.7 MB more resident memory
@@ -291,13 +301,14 @@ def _point_seed(a: StructureAlgebra, points) -> _Seed:
 # closure results
 
 
-Stage = namedtuple("Stage", "dim generators ended")
+Stage = namedtuple("Stage", "dim generators seconds")
 
 
 class ClosureResult:
     """An m-closure.  `stages` holds one `Stage` per slot of a staged run:
-    the dim of the s-closure, the stage's nonzero seed rows, and
-    time.perf_counter() at its end; m = 0, 1 and m > n have none."""
+    the dim of the s-closure, the stage's nonzero seed rows, and the
+    seconds that the call which returned the result spent on the stage (0
+    on a stage an earlier call built); m = 0, 1 and m > n have none."""
 
     def __init__(self, input_algebra: StructureAlgebra, m: int, method: str,
                  stored_closure: StructureAlgebra, stored_maps: list,
@@ -407,6 +418,18 @@ def _map_budget(n, m):
     return limit
 
 
+def _run_of(a, method, make_seed):
+    """The last entry's run, when `a` is the entry's algebra and the run
+    has this method, else a new one, which the entry keeps if `a` is its
+    algebra."""
+    entry = _last
+    if entry is None or entry.algebra is not a:
+        return _Run(a, method, make_seed)
+    if entry.run is None or entry.run.method != method:
+        entry.run = _Run(a, method, make_seed)
+    return entry.run
+
+
 def _closure(a, m, method, make_seed):
     """The m-closure seeded by `make_seed(a)`; `method` only names it in
     the result."""
@@ -421,7 +444,7 @@ def _closure(a, m, method, make_seed):
         closure = a
         maps = [AlgebraMap(a, a, [{i: a.field.one} for i in range(n)])]
     else:
-        return _staged_closure(a, m, method, make_seed, limit)
+        return _run_of(a, method, make_seed).result(m, limit)
     return ClosureResult(input_algebra=a, m=m, method=method,
                          stored_closure=closure, stored_maps=maps)
 
@@ -535,87 +558,125 @@ def _quotient_maps(quot: QuotientAlgebra, maps, ident: AlgebraMap):
             + [LiftedMap(ident, quot, 1)])
 
 
-def _staged_closure(a, m, method, make_seed, limit):
-    """Quotient one slot at a time.
+class _Run:
+    """One seed's staged run on A, which quotients one slot at a time.
 
     Stage s works in D = C x A where C is the closure after s-1 slots: it
     divides the seed's running quotient, carried in C, by (Z - gamma_s),
     and the remainder's rows generate the slot-s relations.  The quotient
     of D by the ideal they generate is the closure after s slots.  Stage n
     builds no quotient: the n-closure is C with one more map, the trace
-    map, once its checks pass (`_last_map`).  The result stores that pair;
-    its canonical quotient of C x A is built when `closure` or `maps` is
-    first read (`_last_stage_span`).  Every structural map is checked to
-    be a ring morphism once, where it is made: the trace map on C by
-    `_last_map`, the others here, and the canonical maps by
-    `_last_stage_span`.
-    """
-    fieldh = a.field
-    n = a.dim
-    seed = make_seed(a)
-    ident = AlgebraMap(a, a, [{i: fieldh.one} for i in range(n)])
-    # gamma_s acts on the last tensor digit, of A and of every C x A; the
-    # slot-1 remainder, in A itself, is the Cayley-Hamilton identity; the
-    # generic seed's operators are the new-digit ones below
-    times = seed.times([ident.operator(x, 1) for x in seed.elements])
-    zc, rem = _synthetic_divide(fieldh, seed.coeffs, times)
-    if any(rem.values()):
-        raise CertificateFailure("Cayley-Hamilton remainder is nonzero")
-    generators = [vec for _, vec in a.generator_elements()]
-    # A's generators on the new digit: the same operators at every stage
-    new_digit = [ident.operator(g, 1) for g in generators]
-    # the pairs with g_i g_j = 0 in A: zero products of the multipliers on
-    # the new digit (1 x g_i g_j) and on each slot (map_t(g_i g_j)), since
-    # the maps are ring morphisms
-    zero = [(i, j) for j, g in enumerate(generators) for i in range(j + 1)
-            if not new_digit[i](g)]
+    map, once its checks pass (`_last_map`).  A result at n stores that
+    pair; its canonical quotient of C x A is built when `closure` or `maps`
+    is first read (`_last_stage_span`).  Every structural map is checked to
+    be a ring morphism: the trace map on C by `_last_map` when stage n is
+    built, the canonical maps by `_last_stage_span`, and the others by each
+    `result` that hands them out.
 
-    current = a
-    maps = [ident]
-    stages = [Stage(n, 0, time.perf_counter())]
-    for s in range(2, m + 1):
-        if current.dim * n > limit:
-            raise BudgetExceeded(
-                f"stage {s} width {current.dim * n} exceeds the budget {limit}")
+    The run keeps each stage's record and (closure, maps), and the running
+    quotient in the last stage's D, unprojected: it is projected when the
+    next stage starts, so a run that is never extended projects nothing.
+    A stage is kept only once it is whole, so a raise leaves the run as it
+    was."""
+
+    def __init__(self, a, method, make_seed):
+        self.a, self.method, self.make_seed = a, method, make_seed
+        self.stages, self.pairs = [], []
+
+    def result(self, m, limit) -> ClosureResult:
+        """The m-closure, 2 <= m <= n, from stage m, the run extended to m
+        first.  Every stage width is held to `limit`, the built ones too, so
+        a lowered budget stops the call at the stage a fresh run stops at.
+        The result's stages carry the seconds this call spent on each: 0 on
+        one that an earlier call built."""
+        n = self.a.dim
+        built = len(self.stages)
+        for s in range(1, m + 1):
+            width = self.stages[s - 2].dim * n if s >= 2 else 0
+            if width > limit:
+                raise BudgetExceeded(
+                    f"stage {s} width {width} exceeds the budget {limit}")
+            if s > len(self.stages):
+                started = time.perf_counter()
+                pair, stage_generators = (self._first() if s == 1
+                                          else self._next(s))
+                self.pairs.append(pair)
+                self.stages.append(Stage(pair[0].dim, stage_generators,
+                                         time.perf_counter() - started))
+        closure, maps = self.pairs[m - 1]
+        _verify_maps(maps[:n - 1])      # `_last_map` checked the trace map
+        stages = tuple(stage if s >= built else stage._replace(seconds=0.0)
+                       for s, stage in enumerate(self.stages[:m]))
+        # a list of its own: the run builds its next stage from its own
+        result = ClosureResult(input_algebra=self.a, m=m, method=self.method,
+                               stored_closure=closure, stored_maps=list(maps),
+                               stages=stages)
+        if m == n:
+            result.build = self.build
+        return result
+
+    def _first(self):
+        """Stage 1, A itself: the seed, whose slot-1 remainder in A is the
+        Cayley-Hamilton identity, and the multipliers of every stage."""
+        a = self.a
+        fieldh = a.field
+        seed = self.make_seed(a)
+        self.ident = ident = AlgebraMap(
+            a, a, [{i: fieldh.one} for i in range(a.dim)])
+        # gamma_s acts on the last tensor digit, of A and of every C x A;
+        # the generic seed's operators are the new-digit ones below
+        self.times = seed.times([ident.operator(x, 1) for x in seed.elements])
+        self.zc, rem = _synthetic_divide(fieldh, seed.coeffs, self.times)
+        if any(rem.values()):
+            raise CertificateFailure("Cayley-Hamilton remainder is nonzero")
+        self.quot = None
+        self.generators = [vec for _, vec in a.generator_elements()]
+        # A's generators on the new digit: the same operators at every stage
+        self.new_digit = [ident.operator(g, 1) for g in self.generators]
+        # the pairs with g_i g_j = 0 in A: zero products of the multipliers
+        # on the new digit (1 x g_i g_j) and on each slot (map_t(g_i g_j)),
+        # since the maps are ring morphisms
+        self.zero = [(i, j) for j, g in enumerate(self.generators)
+                     for i in range(j + 1) if not self.new_digit[i](g)]
+        return (a, [ident]), 0
+
+    def _next(self, s):
+        """Stage s >= 2: its (closure, maps) and nonzero seed rows."""
+        a, fieldh, n = self.a, self.a.field, self.a.dim
+        current, maps = self.pairs[-1]
         pair = TensorPairAlgebra(current, a)
+        zc = self.zc
+        if self.quot is not None:
+            zc = [_xp_map(coeff, self.quot.project) for coeff in zc]
         zc, rem = _synthetic_divide(
-            fieldh, [_xp_map(coeff, pair.embed_left) for coeff in zc], times)
+            fieldh, [_xp_map(coeff, pair.embed_left) for coeff in zc],
+            self.times)
         rows = _rows_of(rem)
+        generators = sum(1 for r in rows if r)
         if s == n:
             last = _last_map(pair, maps, rows)
-        else:
-            # the images of A's generators on the C digit and A's generators
-            # on the new digit generate C x A.  The closed span does not
-            # depend on their order, but the stored rows do: one on the new
-            # digit moves a basis column to a few columns of the same C
-            # digit, so the first row stored for each pivot is sparse
-            mults, pairs = list(new_digit), set(zero)
-            for mp in maps:
-                idx = {}            # generator -> its nonzero image's index
-                for i, g in enumerate(generators):
-                    if mp.apply_dict(g):
-                        idx[i] = len(mults)
-                        mults.append(mp.operator(g, n))
-                pairs.update((idx[i], idx[j]) for i, j in zero
-                             if i in idx and j in idx)
-            span = RowSpace(fieldh)
-            span.close_under(rows, mults, pairs)
-            quot = QuotientAlgebra(pair, span)
-            maps = _quotient_maps(quot, maps, ident)
-            if s < m:             # the last running quotient is never used
-                zc = [_xp_map(coeff, quot.project) for coeff in zc]
-            current = quot
-        stages.append(Stage(current.dim, sum(1 for r in rows if r),
-                            time.perf_counter()))
-
-    _verify_maps(maps)
-    result = ClosureResult(
-        input_algebra=a, m=m, method=method, stored_closure=current,
-        stored_maps=maps, stages=tuple(stages))
-    if m == n:
-        result.stored_maps = maps + [last]
-        result.build = partial(_last_stage_span, pair, maps, last, ident)
-    return result
+            self.build = partial(_last_stage_span, pair, maps, last, self.ident)
+            return (current, maps + [last]), generators
+        # the images of A's generators on the C digit and A's generators on
+        # the new digit generate C x A.  The closed span does not depend on
+        # their order, but the stored rows do: one on the new digit moves a
+        # basis column to a few columns of the same C digit, so the first
+        # row stored for each pivot is sparse
+        mults, pairs = list(self.new_digit), set(self.zero)
+        for mp in maps:
+            idx = {}            # generator -> its nonzero image's index
+            for i, g in enumerate(self.generators):
+                if mp.apply_dict(g):
+                    idx[i] = len(mults)
+                    mults.append(mp.operator(g, n))
+            pairs.update((idx[i], idx[j]) for i, j in self.zero
+                         if i in idx and j in idx)
+        span = RowSpace(fieldh)
+        span.close_under(rows, mults, pairs)
+        quot = QuotientAlgebra(pair, span)
+        quot_maps = _quotient_maps(quot, maps, self.ident)
+        self.zc, self.quot = zc, quot
+        return (quot, quot_maps), generators
 
 
 # ---------------------------------------------------------------------------
@@ -932,6 +993,22 @@ def _generates(a: StructureAlgebra, x: dict) -> bool:
     return span.rank == a.dim
 
 
+class _Entry:
+    """The last presentation's key, algebra, mode, generating point (found
+    when first read) and staged run (module docstring)."""
+
+    def __init__(self, key, algebra, mode):
+        self.key, self.algebra, self.mode = key, algebra, mode
+        self.run = None
+
+    @cached_property
+    def point(self):
+        return _generating_point(self.algebra)
+
+
+_last = None        # the last presentation's `_Entry`
+
+
 def closure_from_presentation(pres: AlgebraPresentation, m: int,
                               exact: bool = False):
     """Compute a closure from a presentation; returns (ClosureResult,
@@ -957,29 +1034,43 @@ def closure_from_presentation(pres: AlgebraPresentation, m: int,
     in S lies in Z_(p), and mod p it is that of the powers of x, which is
     nonzero.  So Q[y] = A, A is monogenic over Q, and its m-closure has
     the same dimension n!/(n - m)!.
+
+    A call resumes the last call's entry when it can (module docstring).
     """
-    algebra = algebra_from_presentation(pres)
-    modular = pres.field.kind == "rationals" and not exact
-    mode = "exact" if pres.field.kind == "rationals" else str(pres.field)
-    if modular:
-        algebra = reduce_mod_prime(algebra, modular_prime(pres))
-        mode = f"mod {algebra.field.p}"
-    n = algebra.dim
-    if 2 <= m <= n:
-        _map_budget(n, m)
-        x = _generating_point(algebra)
-        if x is not None:
-            two = _point_closure(algebra, x, 2)
-            if m == 2:
-                return two, mode
-            ended = two.stages[-1].ended
-            return ClosureResult(
-                input_algebra=algebra, m=m, method="tower",
-                stored_closure=None, stored_maps=None,
-                stages=two.stages + tuple(Stage(math.perm(n, s), 0, ended)
-                                          for s in range(3, m + 1)),
-                build=lambda: _point_closure(algebra, x, m)), mode
-    result = m_closure(algebra, m)
+    global _last
+    try:
+        modular = pres.field.kind == "rationals" and not exact
+        key = (str(pres), pres.field, exact,
+               modular_prime(pres) if modular else None)
+        entry = _last
+        if (entry is None or entry.key != key
+                or entry.run is not None and m < len(entry.run.stages)):
+            _last = None
+            algebra = algebra_from_presentation(pres)
+            mode = "exact" if pres.field.kind == "rationals" else str(pres.field)
+            if modular:
+                algebra = reduce_mod_prime(algebra, key[-1])
+                mode = f"mod {algebra.field.p}"
+            entry = _last = _Entry(key, algebra, mode)
+        algebra, mode = entry.algebra, entry.mode
+        n = algebra.dim
+        if 2 <= m <= n:
+            _map_budget(n, m)
+            x = entry.point
+            if x is not None:
+                two = _point_closure(algebra, x, 2)
+                if m == 2:
+                    return two, mode
+                return ClosureResult(
+                    input_algebra=algebra, m=m, method="tower",
+                    stored_closure=None, stored_maps=None,
+                    stages=two.stages + tuple(Stage(math.perm(n, s), 0, 0.0)
+                                              for s in range(3, m + 1)),
+                    build=lambda: _point_closure(algebra, x, m)), mode
+        result = m_closure(algebra, m)
+    except BaseException:
+        _last = None
+        raise
     if modular:
         result.staged_bound = "upper"
     return result, mode

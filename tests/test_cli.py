@@ -245,6 +245,7 @@ def test_another_generating_point_prints_the_same_record(monkeypatch):
     for scale in (1, 2):
         monkeypatch.setattr(closure_module, "_generating_point",
                             functools.partial(finding, scale=scale))
+        closure_module._last = None     # no resume: search again, patched
         code, out = run_cli(argv)
         assert code == 0
         records.extend(_without_ms([json.loads(out[0])]))
@@ -729,6 +730,19 @@ def test_table_rows_once_match_per_m_records():
         assert code == 0
         assert _without_ms(records) == _without_ms(
             _per_m_records("table1.json", min_m=min_m, max_m=max_m))
+
+
+@pytest.mark.parametrize("row", ["(x^2, y^2)", "(x^4)"])
+def test_a_table_row_run_twice_reports_the_time_of_each_run(row):
+    # the second run resumes the first one's run at its last stage, so it
+    # prints the same records, and spends no time on any stage
+    argv = ["--manifest", "table1.json", "--rows", row, "--exact"]
+    (code, first), (again, second) = _table_json(argv), _table_json(argv)
+    assert code == again == 0 and len(first) == 5
+    assert _without_ms(second) == _without_ms(first)
+    _assert_stage_times(first)
+    assert [r["ms"] for r in second[:-1]] == [0.0] * 4
+    assert second[-1]["ms"] > 0
 
 
 def test_table_records_name_the_run_they_are_read_from(monkeypatch, tmp_path):

@@ -453,8 +453,10 @@ def test_m_equals_n_records_build_no_canonical_quotient(monkeypatch, capsys):
     capsys.readouterr()
     assert main(close) == 0 and capsys.readouterr().out == "dim = 26\n"
     assert widths == [16, 52]
+    # the second close resumes the first's run at its last stage: only the
+    # canonical quotient, which --emit full reads, is new
     assert main(close + ["--emit", "full"]) == 0
-    assert widths == [16, 52, 16, 52, 104]
+    assert widths == [16, 52, 104]
 
 
 def test_last_map_is_trace_minus_the_others():
@@ -1197,6 +1199,7 @@ def test_non_generating_point_falls_back_to_the_symbolic_seed(monkeypatch):
     pres = parse_presentation("Q[x]/(x^8-x-1)")
     drawn, _ = closure_from_presentation(pres, 2)
     monkeypatch.setattr(closure_module, "_generating_point", lambda a: None)
+    closure_module._last = None     # no resume: search again, patched
     res, _ = closure_from_presentation(pres, 2)
     assert (drawn.method, res.method) == ("points", "general")
     assert res.dim == drawn.dim == 56
@@ -1251,8 +1254,9 @@ def test_generating_point_is_a_generator_or_one_combination():
 def test_a_local_algebra_with_two_generators_skips_the_point_search(monkeypatch):
     # with x = c + y, y in the maximal ideal m, K[x] = A gives m = yA, so no
     # point generates a local A with dim m/m^2 >= 2.  Over one Table 1
-    # pass only the (x^k) rows test a point, x itself, at each m from 2 to
-    # n: 2 + 3 + 4 tests, in the modular mode and with --exact
+    # pass only the (x^k) rows test a point, x itself, once per row: the
+    # calls at m = 3 .. n resume the m = 2 call's entry, which holds the
+    # point.  3 tests, in the modular mode and with --exact
     monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
     tested, real = [], closure_module._generates
     monkeypatch.setattr(closure_module, "_generates",
@@ -1262,7 +1266,7 @@ def test_a_local_algebra_with_two_generators_skips_the_point_search(monkeypatch)
         for entry in table1_entries():
             for m in sorted(entry.expected):
                 closure_from_presentation(entry.presentation(), m, exact)
-        assert len(tested) == 9 and all(x == {1: 1} for x in tested)
+        assert len(tested) == 3 and all(x == {1: 1} for x in tested)
     del tested[:]
     assert closure_module._generating_point(alg("Q[x,y]/(x^2, y^3)")) is None
     assert tested == []
@@ -1678,7 +1682,7 @@ TOWER_MODES = (("Q[x]/({})", False), ("Q[x]/({})", True), ("F7[x]/({})", False))
 def test_stages_hold_one_record_per_stage(monkeypatch):
     monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
     # a staged run: stage s is the s-closure, with its seed rows and the
-    # perf_counter time at its end
+    # seconds the call spent on it
     a = alg("Q[x,y]/(x^2, y^2)")
     start = time.perf_counter()
     res = m_closure(a, 3)
@@ -1686,15 +1690,16 @@ def test_stages_hold_one_record_per_stage(monkeypatch):
     assert all(isinstance(st, closure_module.Stage) for st in res.stages)
     assert [st[:2] for st in res.stages] == [(4, 0), (13, 3), (26, 6)]
     assert res.stage_dims == (4, 13, 26) and res.generator_count == 9
-    ended = [st.ended for st in res.stages]
-    assert start < ended[0] <= ended[1] <= ended[2] < end
+    seconds = [st.seconds for st in res.stages]
+    assert all(t > 0 for t in seconds) and sum(seconds) < end - start
     # a tower record extends its 2-closure's stages with the falling
-    # factorials, no seed rows and the 2-closure's end
+    # factorials, no seed rows and no time
     tower, _ = closure_from_presentation(parse_presentation("Q[x]/(x^5-x-1)"), 4)
     assert tower.method == "tower" and tower.strategy == "staged"
     assert [st[:2] for st in tower.stages] == [(5, 0), (20, 1), (60, 0), (120, 0)]
     assert tower.stage_dims == (5, 20, 60, 120) and tower.generator_count == 1
-    assert tower.stages[1].ended == tower.stages[2].ended == tower.stages[3].ended
+    assert tower.stages[1].seconds > 0
+    assert tower.stages[2].seconds == tower.stages[3].seconds == 0
     # m = 0, 1 and m > n run no stage
     for m in (0, 1, 5):
         trivial = m_closure(a, m)
@@ -1776,6 +1781,8 @@ def test_tower_build_checks_its_dimension(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(closure_module, "_point_seed",
                           lambda a, points: real(a, [{}]))
+            # no resume: the build seeds a new run, patched
+            patch.setattr(closure_module, "_last", None)
             with pytest.raises(CertificateFailure, match=(
                     "^a generating point gives dimension 64, not 24$")):
                 res.closure
@@ -1802,3 +1809,141 @@ def test_theorem_last_two_closures_agree():
         a = alg(text)
         n = a.dim
         assert m_closure(a, n - 1).dim == m_closure(a, n).dim
+
+
+# -- one presentation at rising m resumes its run
+
+RESUME_MODES = (("modular", lambda pres: pres, False),
+                ("exact", lambda pres: pres, True),
+                ("F7", lambda pres: base_change_presentation(pres, GF(7)), False))
+
+
+def _outcome(result):
+    """Everything a result prints or certifies, read as the CLI reads it."""
+    closure, maps = result.closure, result.maps
+    return (result.method, result.dim, result.stage_dims,
+            [st.generators for st in result.stages], result.generator_count,
+            getattr(closure, "basis_cols", None), closure.labels,
+            [mp.rows for mp in maps], divides_check(result))
+
+
+def _fresh(pres, m, exact):
+    closure_module._last = None
+    return closure_from_presentation(pres, m, exact)
+
+
+@pytest.mark.parametrize("mode, source, exact", RESUME_MODES,
+                         ids=[mode for mode, _, _ in RESUME_MODES])
+def test_ascending_calls_resume_one_run_and_match_fresh_calls(
+        monkeypatch, mode, source, exact):
+    monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
+    for entry in table1_entries():
+        pres = source(entry.presentation())
+        n = max(entry.expected)
+        resumed, entries = [], []
+        for m in range(n + 1):
+            result, got = closure_from_presentation(pres, m, exact)
+            entries.append(closure_module._last)
+            # read and certified before the next call, as exact-q does
+            resumed.append((_outcome(result), got))
+        assert all(e is entries[0] for e in entries), entry.name
+        fresh = [_fresh(pres, m, exact) for m in range(n + 1)]
+        fresh = [(_outcome(result), got) for result, got in fresh]
+        assert resumed == fresh, (entry.name, mode)
+        if mode != "F7":
+            assert [outcome[1] for outcome, _ in resumed] == [
+                entry.expected[m] for m in range(n + 1)]
+
+
+def test_results_at_rising_m_share_their_lower_stages(monkeypatch):
+    monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
+    pres = parse_presentation("Q[x,y]/(x^2, y^2)")
+    two, _ = closure_from_presentation(pres, 2)
+    three, _ = closure_from_presentation(pres, 3)
+    assert three.input_algebra is two.input_algebra
+    assert three.closure.parent.left is two.closure
+    # the call at m = 3 built stage 3 only
+    assert three.stages[:2] == tuple(st._replace(seconds=0.0)
+                                     for st in two.stages)
+    assert three.stages[2].seconds > 0
+    # each result has its own list of maps: a caller that replaces one
+    # leaves the run as it is
+    three.maps[1] = three.maps[0]
+    four, _ = closure_from_presentation(pres, 4)
+    assert four.input_algebra is two.input_algebra
+    assert _outcome(four) == _outcome(_fresh(pres, 4, False)[0])
+
+
+def _entry_after(pres, m, exact=False):
+    closure_from_presentation(pres, m, exact)
+    return closure_module._last
+
+
+def test_descending_interleaved_and_reprimed_calls_start_fresh(monkeypatch):
+    monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
+    a, b = (parse_presentation(t) for t in ("Q[x,y]/(x^2, y^2)", "Q[x]/(x^3)"))
+    first = _entry_after(a, 3)
+    assert _entry_after(a, 3) is first and _entry_after(a, 4) is first
+    # below the run's last stage
+    lower = _entry_after(a, 2)
+    assert lower is not first and lower.algebra is not first.algebra
+    assert _entry_after(a, 0) is not lower
+    # another presentation between two calls on one
+    before = _entry_after(a, 2)
+    _entry_after(b, 2)
+    assert _entry_after(a, 3) is not before
+    # the exact flag and the modular prime are part of the key
+    before = _entry_after(a, 3)
+    assert _entry_after(a, 3, exact=True) is not before
+    before = _entry_after(a, 2)
+    monkeypatch.setenv("CLOSURELAB_PRIMES", "1000003")
+    res, mode = closure_from_presentation(a, 3)
+    assert closure_module._last is not before and mode == "mod 1000003"
+    assert (res.dim, res.stage_dims) == (_fresh(a, 3, False)[0].dim,
+                                         (4, 13, 26))
+
+
+def test_a_lowered_budget_stops_a_resumed_run_where_a_fresh_one_stops(
+        monkeypatch):
+    monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
+    pres = parse_presentation("Q[x,y]/(x^2, y^5, xy)")
+    resumed, _ = closure_from_presentation(pres, 4)
+    n = resumed.input_algebra.dim
+    widths = [d * n for d in resumed.stage_dims]
+    # below stage 3's width, above the map budget at m = 5
+    budget = widths[1] - 1
+    assert 5 * n <= budget < widths[1] < widths[2]
+    monkeypatch.setenv("CLOSURELAB_BUDGET", str(budget))
+    message = f"^stage 3 width {widths[1]} exceeds the budget {budget}$"
+    with pytest.raises(BudgetExceeded, match=message):
+        closure_from_presentation(pres, 5)
+    assert closure_module._last is None
+    with pytest.raises(BudgetExceeded, match=message):
+        _fresh(pres, 5, False)
+    monkeypatch.delenv("CLOSURELAB_BUDGET")
+    assert _outcome(closure_from_presentation(pres, 5)[0]) == _outcome(
+        _fresh(pres, 5, False)[0])
+
+
+def test_a_raise_inside_a_stage_leaves_no_half_built_entry(monkeypatch):
+    monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
+    pres = parse_presentation("Q[x,y]/(x^2, y^2)")
+    closure_from_presentation(pres, 2)
+    run = closure_module._last.run
+    close_under = RowSpace.close_under
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    # stage 3 stops in its span, after its division
+    monkeypatch.setattr(RowSpace, "close_under", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        closure_from_presentation(pres, 3)
+    assert closure_module._last is None
+    assert len(run.stages) == len(run.pairs) == 2
+    monkeypatch.setattr(RowSpace, "close_under", close_under)
+    res, _ = closure_from_presentation(pres, 3)
+    assert closure_module._last.run is not run
+    assert _outcome(res) == _outcome(_fresh(pres, 3, False)[0])
+    # the run itself still extends from its last whole stage
+    assert run.result(4, 10 ** 6).stage_dims == (4, 13, 26, 26)
