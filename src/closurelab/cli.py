@@ -82,8 +82,7 @@ def cmd_close(args) -> int:
         result, mode = closure_from_presentation(pres, args.m, exact=args.exact)
     ms = (time.perf_counter() - t0) * 1e3
 
-    record = _set_outcome({"name": args.algebra, "m": args.m}, result, mode,
-                          result.dim, result.generator_count, ms)
+    record = _set_outcome({"name": args.algebra, "m": args.m}, result, mode, ms)
     if args.emit == "full":     # built, or refused, before any output
         closure, maps = result.closure, result.maps
         basis = [closure.label_str(i) for i in range(closure.dim)]
@@ -118,52 +117,40 @@ def _new_record(entry: ManifestEntry, m: int) -> dict:
     return record
 
 
-def _set_outcome(record, result, mode, dim, generators, ms):
-    """Fill `record` with the outcome at its m of the run that gave
-    `result`."""
-    record.update(dim=dim, method=result.method, field=mode,
-                  bound=result.bound_at(record["m"]), generators=generators,
-                  rank=result.input_algebra.dim ** record["m"] - dim,
-                  ms=round(ms, 3))
+def _set_outcome(record, result, mode, ms):
+    """Fill `record` with the outcome of `result`."""
+    record.update(dim=result.dim, method=result.method, field=mode,
+                  bound=result.bound, generators=result.generator_count,
+                  rank=result.rank, ms=round(ms, 3))
     if "expected" in record:
-        record["match"] = dim == record["expected"]
+        record["match"] = result.dim == record["expected"]
     return record
 
 
 def _table_row_task(payload):
-    """The records of one manifest row at the ascending `ms`, from one run
-    at the largest m.  Stage s of that run is the s-closure, so a smaller m
-    reads its dim and generators from the run's stages, and its ms is the
-    time the call spent on stages 1..s (stage 1 for m = 0).  If the
-    run fails, or does not run the stage loop, its record stands as it is
-    and the smaller m are the row's records at ms[:-1]."""
+    """The records of one manifest row at the ascending `ms`: one call
+    each, which resumes the row's run, so a record is the `close` record of
+    its cell.  A call's error is its record's; a row that does not parse
+    gives its error to every record."""
     entry_dict, ms, exact = payload
-    if not ms:
-        return []
     entry = ManifestEntry(**entry_dict)
-    *rest, top = ms
-    record = _new_record(entry, top)
+    records = [_new_record(entry, m) for m in ms]
     try:
-        t0 = time.perf_counter()
-        result, mode = closure_from_presentation(entry.presentation(), top,
-                                                 exact=exact)
+        pres = entry.presentation()
     except (ClosureLabError, ValueError) as exc:
-        record.update(error=str(exc), match=False)
-        derive = False
-    else:
-        _set_outcome(record, result, mode, result.dim, result.generator_count,
-                     (time.perf_counter() - t0) * 1e3)
-        derive = result.strategy == "staged"
-    if not derive:
-        return _table_row_task((entry_dict, rest, exact)) + [record]
-    records = []
-    for m in rest:
-        stage = result.stages[max(m, 1) - 1]
-        records.append(_set_outcome(
-            _new_record(entry, m), result, mode, stage.dim if m else 1,
-            sum(st.generators for st in result.stages[:m]),
-            sum(st.seconds for st in result.stages[:max(m, 1)]) * 1e3))
-    return records + [record]
+        for record in records:
+            record.update(error=str(exc), match=False)
+        return records
+    for record in records:
+        try:
+            t0 = time.perf_counter()
+            result, mode = closure_from_presentation(pres, record["m"],
+                                                     exact=exact)
+        except (ClosureLabError, ValueError) as exc:
+            record.update(error=str(exc), match=False)
+        else:
+            _set_outcome(record, result, mode, (time.perf_counter() - t0) * 1e3)
+    return records
 
 
 def _emit_rows(rows, as_json: bool) -> list:

@@ -49,9 +49,10 @@ certificate reads the stored pair.
 
 Stage s of a run is the s-closure, so one presentation at rising m pays
 for each stage once.  `closure_from_presentation` keeps one entry (`_Entry`)
-for the last presentation: its key (text, field, exact flag, modular
-prime), the built algebra, its generating point and the staged run
-(`_Run`), general or point seeded.  A call on that key at an m no lower
+for the last presentation: its key (text, field, exact flag and, in the
+modular mode, CLOSURELAB_PRIMES, which with the text decides the prime),
+the built algebra, its generating point and the staged run (`_Run`),
+general or point seeded.  A call on that key at an m no lower
 than the run's last stage resumes it, and so do `m_closure` and the
 tower's build on the entry's algebra; any other call, or one that raises,
 drops the entry first.  Results at rising m of one presentation share
@@ -377,11 +378,8 @@ class ClosureResult:
 
     @property
     def bound(self) -> str:
-        return self.bound_at(self.m)
-
-    def bound_at(self, m: int) -> str:
-        """This run's bound at m; dims 1, n, 0 at m = 0, 1, > n are exact."""
-        return self.staged_bound if 2 <= m <= self.input_algebra.dim else "exact"
+        """The staged bound; dims 1, n, 0 at m = 0, 1, > n are exact."""
+        return self.staged_bound if 2 <= self.m <= self.input_algebra.dim else "exact"
 
     @property
     def strategy(self) -> str:
@@ -436,7 +434,8 @@ def _closure(a, m, method, make_seed):
     n = a.dim
     limit = _map_budget(n, m)
     if m == 0:
-        closure, maps = TableAlgebra(a.field, ["1"], {}), []
+        # K: products with the unit are never stored, so nothing to check
+        closure, maps = TableAlgebra(a.field, ["1"], {}, check=False), []
     elif m > n:
         closure = TableAlgebra(a.field, [], {})
         maps = [AlgebraMap(a, closure, [{} for _ in range(n)]) for _ in range(m)]
@@ -570,8 +569,8 @@ class _Run:
     pair; its canonical quotient of C x A is built when `closure` or `maps`
     is first read (`_last_stage_span`).  Every structural map is checked to
     be a ring morphism: the trace map on C by `_last_map` when stage n is
-    built, the canonical maps by `_last_stage_span`, and the others by each
-    `result` that hands them out.
+    built, the canonical maps by `_last_stage_span`, and the others by the
+    first `result` that hands them out.
 
     The run keeps each stage's record and (closure, maps), and the running
     quotient in the last stage's D, unprojected: it is projected when the
@@ -582,6 +581,7 @@ class _Run:
     def __init__(self, a, method, make_seed):
         self.a, self.method, self.make_seed = a, method, make_seed
         self.stages, self.pairs = [], []
+        self.checked = set()    # the stages whose maps a result checked
 
     def result(self, m, limit) -> ClosureResult:
         """The m-closure, 2 <= m <= n, from stage m, the run extended to m
@@ -604,7 +604,12 @@ class _Run:
                 self.stages.append(Stage(pair[0].dim, stage_generators,
                                          time.perf_counter() - started))
         closure, maps = self.pairs[m - 1]
-        _verify_maps(maps[:n - 1])      # `_last_map` checked the trace map
+        # stage n's maps are stage n - 1's and the trace map, which
+        # `_last_map` checked
+        s = min(m, n - 1)
+        if s not in self.checked:
+            _verify_maps(self.pairs[s - 1][1])
+            self.checked.add(s)
         stages = tuple(stage if s >= built else stage._replace(seconds=0.0)
                        for s, stage in enumerate(self.stages[:m]))
         # a list of its own: the run builds its next stage from its own
@@ -876,9 +881,9 @@ def divides_check(result: ClosureResult) -> dict:
 MODULAR_PRIME_LOW = 1 << 29     # hashed primes lie in [2^29, 2^30)
 
 
-def modular_prime(pres: AlgebraPresentation) -> int:
-    """The first prime the modular mode tries for a presentation: the one
-    CLOSURELAB_PRIMES names, else the next prime at or above
+def modular_prime(pres: AlgebraPresentation | str) -> int:
+    """The first prime the modular mode tries for a presentation, or its
+    text: the one CLOSURELAB_PRIMES names, else the next prime at or above
     2^29 + (SHA-256 of the presentation text mod 2^29), wrapped to stay
     below 2^30.  The choice is deterministic, and spread over about 2.6e7
     primes, so no coefficient is bad for every input."""
@@ -1041,7 +1046,7 @@ def closure_from_presentation(pres: AlgebraPresentation, m: int,
     try:
         modular = pres.field.kind == "rationals" and not exact
         key = (str(pres), pres.field, exact,
-               modular_prime(pres) if modular else None)
+               os.environ.get("CLOSURELAB_PRIMES") if modular else None)
         entry = _last
         if (entry is None or entry.key != key
                 or entry.run is not None and m < len(entry.run.stages)):
@@ -1049,7 +1054,7 @@ def closure_from_presentation(pres: AlgebraPresentation, m: int,
             algebra = algebra_from_presentation(pres)
             mode = "exact" if pres.field.kind == "rationals" else str(pres.field)
             if modular:
-                algebra = reduce_mod_prime(algebra, key[-1])
+                algebra = reduce_mod_prime(algebra, modular_prime(key[0]))
                 mode = f"mod {algebra.field.p}"
             entry = _last = _Entry(key, algebra, mode)
         algebra, mode = entry.algebra, entry.mode

@@ -13,6 +13,7 @@ import pytest
 
 from closurelab import cli as cli_module
 from closurelab import closure as closure_module
+from closurelab import finalg as finalg_module
 from closurelab import verify as verify_module
 from closurelab.catalog import load_manifest
 from closurelab.cli import main
@@ -646,20 +647,15 @@ def test_table_determinism_modulo_timing():
     assert strip(out1) == strip(out2)
 
 
-# -- table: each row computed once, at its largest m
+# -- table: one call per m, ascending, each resuming the row's run
 
 
 def _per_m_records(manifest, exact=False, min_m=None, max_m=None):
     """Records, without ms, as one closure_from_presentation call per
-    (row, m) gives them, named by their run: below a row's largest m whose
-    run has stages, a record's method, generators and bound are those of
-    that run, as `table` reads them from its stages.  The dims 1, n and 0
-    at m = 0, 1 and m > n are exact in every mode."""
+    (row, m) gives them, each with that call's fields."""
     records = []
     for entry in load_manifest(manifest):
-        row = []
-        run = None
-        for m in sorted(entry.expected, reverse=True):
+        for m in sorted(entry.expected):
             if (min_m is not None and m < min_m) or \
                     (max_m is not None and m > max_m):
                 continue
@@ -674,21 +670,13 @@ def _per_m_records(manifest, exact=False, min_m=None, max_m=None):
                               bound=None, dim=None, generators=0, rank=0,
                               error=str(exc), match=False)
             else:
-                if run is None and result.strategy == "staged":
-                    run = result
-                source = run or result
-                proved = (exact or source.method in ("points", "tower")
-                          or not 2 <= m <= result.input_algebra.dim)
-                record.update(method=source.method, field=mode,
-                              bound="exact" if proved else "upper",
-                              dim=result.dim,
-                              generators=sum(st.generators
-                                             for st in source.stages[:m]),
+                record.update(method=result.method, field=mode,
+                              bound=result.bound, dim=result.dim,
+                              generators=result.generator_count,
                               rank=result.rank)
                 if "expected" in record:
                     record["match"] = result.dim == record["expected"]
-            row.append(record)
-        records.extend(reversed(row))
+            records.append(record)
     return records
 
 
@@ -701,19 +689,16 @@ def _table_json(argv):
     return code, [json.loads(line) for line in out]
 
 
-def _assert_stage_times(records):
-    # a smaller m reports the run's time at the end of its stage: above 0,
-    # growing with m, and below the whole run's time
-    by_row = {}
-    for r in records:
-        by_row.setdefault(r["name"], []).append(r["ms"])
-    for times in by_row.values():
-        assert 0 < times[0] and times == sorted(times)
-        assert all(t < times[-1] for t in times[:-1])
+def _assert_call_times(records):
+    # each record's ms is the wall time of its own call
+    assert all(r["ms"] > 0 for r in records)
+
+
+TABLE_RUNS = (("table1.json", None), ("table2.json", 3))
 
 
 def test_table_rows_once_match_per_m_records():
-    for manifest, max_m in (("table1.json", None), ("table2.json", 3)):
+    for manifest, max_m in TABLE_RUNS:
         for exact in (False, True):
             per_m = _per_m_records(manifest, exact, max_m=max_m)
             argv = ["--manifest", manifest] + (["--exact"] if exact else [])
@@ -722,8 +707,8 @@ def test_table_rows_once_match_per_m_records():
                 code, records = _table_json(argv + ["--jobs", jobs])
                 assert _without_ms(records) == _without_ms(per_m), \
                     (manifest, exact, jobs)
-                _assert_stage_times(records)
-    # --min-m / --max-m pick the m; the row still runs once, at the largest
+                _assert_call_times(records)
+    # --min-m / --max-m pick the m
     for min_m, max_m in ((2, 3), (4, 5), (1, 1)):
         code, records = _table_json(["--manifest", "table1.json",
                                      "--min-m", str(min_m), "--max-m", str(max_m)])
@@ -734,47 +719,47 @@ def test_table_rows_once_match_per_m_records():
 
 @pytest.mark.parametrize("row", ["(x^2, y^2)", "(x^4)"])
 def test_a_table_row_run_twice_reports_the_time_of_each_run(row):
-    # the second run resumes the first one's run at its last stage, so it
-    # prints the same records, and spends no time on any stage
+    # the second run's m = 0 call lies below the first run's last stage, so
+    # it starts a fresh entry; both runs print the same records
     argv = ["--manifest", "table1.json", "--rows", row, "--exact"]
-    (code, first), (again, second) = _table_json(argv), _table_json(argv)
+    code, first = _table_json(argv)
+    entry = closure_module._last
+    again, second = _table_json(argv)
     assert code == again == 0 and len(first) == 5
+    assert closure_module._last is not entry
     assert _without_ms(second) == _without_ms(first)
-    _assert_stage_times(first)
-    assert [r["ms"] for r in second[:-1]] == [0.0] * 4
-    assert second[-1]["ms"] > 0
+    _assert_call_times(first + second)
 
 
-def test_table_records_name_the_run_they_are_read_from(monkeypatch, tmp_path):
-    # a monogenic row: the m = 2 close takes one point, m = 3 the tower, and
-    # m = 0, 1 the symbolic seed, whose dims 1 and n are exact.  A table
-    # record has a separate run's dim, rank and field; its method,
-    # generators and bound are those of the row's run.
+def test_table_records_equal_the_close_records_of_their_cells(monkeypatch):
+    # a record is the `close --json` record of its cell, on every key but
+    # the name, the time and the expected dim; the monogenic rows' m = 0,
+    # 1, 2 take the symbolic seed's exact dims and the one-point 2-closure
     monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
-    text = "Q[x]/(x^3-x-1)"
-    close = {}
-    for m in range(4):
-        code, out = run_cli(["close", "--algebra", text, "--m", str(m), "--json"])
-        assert code == 0
-        close[m] = json.loads(out[0])
-    assert [(close[m]["method"], close[m]["bound"]) for m in range(4)] == \
-        [("general", "exact"), ("general", "exact"), ("points", "exact"),
-         ("tower", "exact")]
-    assert close[2]["generators"] == close[3]["generators"] == 1
-    for top, method in ((3, "tower"), (2, "points")):
-        rows = [{"name": text, "field": "Q", "vars": ["x"],
-                 "relations": ["x^3-x-1"],
-                 "expected": {str(m): close[m]["dim"] for m in range(top + 1)},
-                 "tags": []}]
-        path = tmp_path / "row.json"
-        path.write_text(json.dumps(rows))
-        code, records = _table_json(["--manifest", str(path)])
-        assert code == 0 and [r["m"] for r in records] == list(range(top + 1))
-        for r in records:
-            for key in ("dim", "rank", "field"):
-                assert r[key] == close[r["m"]][key], (top, r["m"], key)
-            assert (r["method"], r["bound"]) == (method, "exact")
-        assert [r["generators"] for r in records] == [0, 0, 1, 1][:top + 1]
+    skip = {"name", "ms", "expected", "match"}
+    for manifest, max_m in TABLE_RUNS:
+        for flags in ([], ["--exact"]):
+            close = []
+            for entry in load_manifest(manifest):
+                for m in sorted(entry.expected):
+                    if max_m is None or m <= max_m:
+                        text = (f"{entry.field}[{','.join(entry.vars)}]"
+                                f"/({', '.join(entry.relations)})")
+                        code, out = run_cli(["close", "--algebra", text,
+                                             "--m", str(m), "--json"] + flags)
+                        assert code == 0
+                        record = json.loads(out[0])
+                        close.append({k: v for k, v in record.items()
+                                      if k not in skip})
+            argv = ["--manifest", manifest] + flags
+            argv += ["--max-m", str(max_m)] if max_m else []
+            for jobs in ("1", "2"):
+                code, records = _table_json(argv + ["--jobs", jobs])
+                assert [{k: v for k, v in r.items() if k not in skip}
+                        for r in records] == close, (manifest, flags, jobs)
+    _, x3 = _table_json(["--manifest", "table1.json", "--rows", "(x^3)"])
+    assert [r["method"] for r in x3] == ["general", "general", "points",
+                                         "tower"]
 
 
 def _count_runs(monkeypatch):
@@ -791,10 +776,30 @@ def _count_runs(monkeypatch):
 
 
 def test_table_runs_each_row_once(monkeypatch):
-    calls = _count_runs(monkeypatch)
+    # one Groebner basis per row, and each stage of its run built once
+    real = finalg_module.buchberger
+    bases, stages = [], []
+
+    def counting(pres):
+        bases.append(str(pres))
+        return real(pres)
+
+    def recording(build):
+        def recorded(run, *args):
+            stages.append((str(run.a.labels), args[0] if args else 1))
+            return build(run, *args)
+        return recorded
+
+    monkeypatch.setattr(finalg_module, "buchberger", counting)
+    for name in ("_first", "_next"):
+        monkeypatch.setattr(closure_module._Run, name,
+                            recording(getattr(closure_module._Run, name)))
     code, records = _table_json(["--manifest", "table1.json",
-                                 "--rows", "(x^4);(x^5)"])
-    assert code == 0 and calls == [4, 5] and len(records) == 11
+                                 "--rows", "(x^4);(x^5);(x^2, y^2)"])
+    assert code == 0 and len(records) == 16
+    assert len(bases) == len(set(bases)) == 3
+    assert len(stages) == len(set(stages)) == 2 + 2 + 4
+    assert sorted(s for _, s in stages) == [1, 1, 1, 2, 2, 2, 3, 4]
 
 
 def test_table_wide_row_memory_peak(monkeypatch):
@@ -817,14 +822,14 @@ def test_table_wide_row_memory_peak(monkeypatch):
 
 
 def test_table_row_budget_overrun_falls_back(monkeypatch):
-    # (x^2, y^2) stages are 16, 52 and 104 wide, so only m = 4 overruns;
-    # m = 0..2 are read from the stages of the run at m = 3.  The row is not
+    # (x^2, y^2) stages are 16, 52 and 104 wide, so only m = 4 overruns,
+    # and the calls at m = 0..3 keep their records.  The row is not
     # monogenic: a monogenic one runs no stage past the 2-closure.
     monkeypatch.setenv("CLOSURELAB_BUDGET", "60")
     calls = _count_runs(monkeypatch)
     code, records = _table_json(["--manifest", "table1.json", "--rows",
                                  "(x^2, y^2)"])
-    assert code == 1 and calls == [4, 3]
+    assert code == 1 and calls == [0, 1, 2, 3, 4]
     assert [r.get("error") for r in records] == \
         [None] * 4 + ["stage 4 width 104 exceeds the budget 60"]
     assert _without_ms(records) == _without_ms(
@@ -842,8 +847,31 @@ def test_table_row_skips_a_bad_prime(monkeypatch, tmp_path):
     assert code == 0
     # GF(11) reads the row as K[y]/(y^4), which one point generates
     assert [(r["dim"], r["field"], r["method"], r["bound"]) for r in records] == \
-        [(d, "mod 11", "points", "exact") for d in (1, 4, 12)]
+        [(1, "mod 11", "general", "exact"), (4, "mod 11", "general", "exact"),
+         (12, "mod 11", "points", "exact")]
     assert _without_ms(records) == _without_ms(_per_m_records(str(path)))
+
+
+def test_a_malformed_table_row_gives_each_of_its_records_the_error(tmp_path):
+    # the row is parsed once; its error is every one of its records', and
+    # the next row still runs
+    rows = [{"name": "malformed", "field": "Q", "vars": ["x"],
+             "relations": ["x^"], "expected": {"0": 1, "1": 1, "2": 1},
+             "tags": []},
+            {"name": "fine", "field": "Q", "vars": ["x"],
+             "relations": ["x^2"], "expected": {"1": 2, "2": 2}, "tags": []}]
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(rows))
+    code, records = _table_json(["--manifest", str(path)])
+    assert code == 1
+    bad, good = records[:3], records[3:]
+    assert [r["m"] for r in bad] == [0, 1, 2]
+    assert all(r["error"].startswith("expected 'int', found ')'")
+               and r["match"] is False for r in bad)
+    assert len({r["error"] for r in bad}) == 1
+    assert [(r["name"], r["m"], r["dim"], r["match"]) for r in good] == \
+        [("fine", 1, 2, True), ("fine", 2, 2, True)]
+    assert not any("error" in r for r in good)
 
 
 # -- exit codes: main maps every error of every command once

@@ -591,6 +591,17 @@ def test_each_map_is_checked_once(monkeypatch):
         maps = result.maps
         assert len({id(mp) for mp in checked}) == len(checked)
         assert all(any(mp is seen for seen in checked) for mp in maps)
+    # ascending calls on one presentation resume one run, whose stage maps
+    # are checked by the first result that hands them out: a tower call at
+    # m >= 3 reads the 2-closure again, but checks none of its maps
+    for text, top in (("Q[x]/(x^6)", 5), ("Q[x]/(x^5)", 5),
+                      ("Q[x,y]/(x^2, y^2)", 4)):
+        checked.clear()
+        pres = parse_presentation(text)
+        for m in range(2, top + 1):
+            maps = closure_from_presentation(pres, m)[0].maps
+            assert all(any(mp is seen for seen in checked) for mp in maps)
+        assert len({id(mp) for mp in checked}) == len(checked), text
 
 
 def test_rank_two_involution():
