@@ -21,8 +21,7 @@ BUNDLED = ("table1.json", "table2.json")
 
 
 class ManifestEntry:
-    """One manifest row; its attributes are its constructor's keywords, so
-    `ManifestEntry(**entry.__dict__)` copies it."""
+    """One manifest row."""
 
     def __init__(self, name: str, field: str, vars: tuple, relations: tuple,
                  expected: dict, tags: tuple = (), note: str = ""):

@@ -132,8 +132,7 @@ def _table_row_task(payload):
     each, which resumes the row's run, so a record is the `close` record of
     its cell.  A call's error is its record's; a row that does not parse
     gives its error to every record."""
-    entry_dict, ms, exact = payload
-    entry = ManifestEntry(**entry_dict)
+    entry, ms, exact = payload
     records = [_new_record(entry, m) for m in ms]
     try:
         pres = entry.presentation()
@@ -186,7 +185,7 @@ def cmd_table(args) -> int:
               if (args.max_m is None or m <= args.max_m)
               and (args.min_m is None or m >= args.min_m)]
         if ms:
-            tasks.append((entry.__dict__.copy(), ms, args.exact))
+            tasks.append((entry, ms, args.exact))
     if args.jobs > 1:
         import signal
         from multiprocessing import Pool

@@ -238,20 +238,20 @@ def _tree_products(tree, ops, vec):
     return products
 
 
-def _xp_tree_mult(fieldh, products, xp, first=1):
-    """Multiply an X-polynomial by the image of sum_{i >= first} e_i X_i,
-    given its products by each e_i's image (`_tree_products`): gamma' by
-    default, gamma with first=0.  The unit's product is the coefficient
-    itself, so it is copied, and `xp` is left as it is."""
+def _xp_tree_mult(fieldh, products, xp):
+    """Multiply an X-polynomial by the image of gamma' = sum_{i >= 1} e_i X_i,
+    given its products by each e_i's image (`_tree_products`).  The unit's
+    product, the coefficient itself, is skipped, so `xp` is left as it
+    is."""
     out = {}
     for mono, vec in xp.items():
         for i, prod in enumerate(products(vec)):
-            if i >= first and prod:
+            if i and prod:
                 nm = mono[:i] + (mono[i] + 1,) + mono[i + 1:]
                 if nm in out:
                     vec_add_into(fieldh, out[nm], prod)
                 else:
-                    out[nm] = prod if i else dict(prod)
+                    out[nm] = prod
     return {mono: vec for mono, vec in out.items() if vec}
 
 
@@ -268,20 +268,18 @@ class _Seed(namedtuple("_Seed", "coeffs elements times")):
     __slots__ = ()
 
 
-def _generic_seed(a: StructureAlgebra, unit_free: bool = True) -> _Seed:
-    """The generic P over the basis of A, or with `unit_free` P' divided by
-    the (Z - gamma'_s), which leaves the same remainders when every slot is
-    unital (module docstring).  Its elements are the x of A's generator
-    tree, and gamma_s is applied as the products by the slot images of the
-    e_i along the tree (`_tree_products`), as in the certificate.  The seed
-    rows are the remainders' X-monomial coefficients."""
+def _generic_seed(a: StructureAlgebra) -> _Seed:
+    """P' over the basis of A, divided by the (Z - gamma'_s), which leaves
+    the remainders of P by the (Z - gamma_s) when every slot is unital
+    (module docstring).  Its elements are the x of A's generator tree, and
+    gamma'_s is applied as the products by the slot images of the e_i along
+    the tree (`_tree_products`), as in the certificate.  The seed rows are
+    the remainders' X-monomial coefficients."""
     tree = _generator_tree(a)
-    first = 1 if unit_free else 0
-    return _Seed(_lift_scalar_coeffs(generic_char_poly(a, unit_free).coeffs),
+    return _Seed(_lift_scalar_coeffs(generic_char_poly(a, unit_free=True).coeffs),
                  [x for _, _, x in tree],
                  lambda ops: partial(_xp_tree_mult, a.field,
-                                     partial(_tree_products, tree, ops),
-                                     first=first))
+                                     partial(_tree_products, tree, ops)))
 
 
 def _point_seed(a: StructureAlgebra, points) -> _Seed:
@@ -822,17 +820,6 @@ def galois_factor_count(parts) -> int:
 # divisibility certificate
 
 
-def slot_remainders(a: StructureAlgebra, seed: _Seed, slot_mults):
-    """Remainders of the seed's chain of divisions by (Z - gamma_1),
-    (Z - gamma_2), ..., where slot_mults[s][j] multiplies by the slot-s image
-    of seed.elements[j] (`AlgebraMap.operator`): for the generic seed, the
-    x of A's generator tree, as in the stage loop and the certificate."""
-    zc = seed.coeffs
-    for mults in slot_mults:
-        zc, rem = _synthetic_divide(a.field, zc, seed.times(mults))
-        yield rem
-
-
 def divides_check(result: ClosureResult) -> dict:
     """Certify that the product of (Z - map_s(gamma)) divides P inside the
     closure: re-run the slot divisions with coefficients in the closure and
@@ -847,8 +834,8 @@ def divides_check(result: ClosureResult) -> dict:
     one chain of divisions onto the other's and fixes the remainders, so the
     remainders of both chains vanish together.
 
-    The chain is `slot_remainders` on the generic seed, as in the stage
-    loop.  Multiplication by map_s(e_i) runs as map_s(g) times map_s(e_j)
+    The chain starts from the generic seed, as in the stage loop.
+    Multiplication by map_s(e_i) runs as map_s(g) times map_s(e_j)
     for e_i = e_j g (`_generator_tree`), through the operators by the
     images of A's generators, which the map checks built.  The closure is
     associative, so that is the product by map_s(e_i) once the products of
@@ -867,7 +854,10 @@ def divides_check(result: ClosureResult) -> dict:
         if _tree_products(tree, ops, mp.target.unit()) != mp.rows:
             raise CertificateFailure(
                 f"structural map {s + 1} does not multiply by its images")
-    for s, rem in enumerate(slot_remainders(a, _generic_seed(a), slot_ops)):
+    seed = _generic_seed(a)
+    zc = seed.coeffs
+    for s, ops in enumerate(slot_ops):
+        zc, rem = _synthetic_divide(a.field, zc, seed.times(ops))
         if any(rem.values()):
             raise CertificateFailure(
                 f"slot {s + 1} remainder is nonzero in the closure")

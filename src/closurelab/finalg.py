@@ -680,7 +680,7 @@ def algebra_from_presentation(pres: AlgebraPresentation) -> TableAlgebra:
         lambda mono: normal_form(ring.monomial(mono), gb).terms)
 
 
-def monomial_algebra(ring: PolyRing, basis, normal_form, check=True) -> TableAlgebra:
+def monomial_algebra(ring: PolyRing, basis, normal_form) -> TableAlgebra:
     """The algebra on a basis of monomials of `ring` (1 first), where
     `normal_form` sends any monomial to its class {basis monomial: c}: the
     product table, the monomial labels and the ring variables as
@@ -696,8 +696,7 @@ def monomial_algebra(ring: PolyRing, basis, normal_form, check=True) -> TableAlg
     generators = [(name, coords(tuple(int(k == v) for k in range(ring.nvars))))
                   for v, name in enumerate(ring.var_names)]
     labels = [mono_str(ring.var_names, m) or "1" for m in basis]
-    return TableAlgebra(ring.field, labels, table, generators=generators,
-                        check=check)
+    return TableAlgebra(ring.field, labels, table, generators=generators)
 
 
 def algebra_product(a: StructureAlgebra, b: StructureAlgebra):

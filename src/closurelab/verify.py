@@ -12,12 +12,9 @@ from .closure import (base_change_presentation, closure_from_presentation,
                       divides_check, etale_closure_dim, galois_factor_count,
                       m_closure, monogenic_algebra, monogenic_tower,
                       naive_closure, product_formula_dim,
-                      reconstructed_last_map, slot_remainders,
-                      transform_monic, _generic_seed)
-from .finalg import (PolyOps, algebra_from_presentation,
-                     algebra_product, berkowitz_charpoly, char_poly,
-                     stride_multiplier, vec_add_into)
-from .multipoly import PolyRing, parse_presentation
+                      reconstructed_last_map, transform_monic)
+from .finalg import algebra_from_presentation, algebra_product
+from .multipoly import parse_presentation
 
 DEFAULT_SEED = 20260808
 CASES = 200         # random inputs per randomized check
@@ -44,24 +41,6 @@ def upoly_mul(fieldh, a, b):
             for j, y in enumerate(b):
                 out[i + j] = fieldh.add(out[i + j], fieldh.mul(x, y))
     return out
-
-
-def determinant_expansion(matrix, ops):
-    """Cofactor expansion along the first row; the independent oracle used
-    to cross-check Berkowitz."""
-    n = len(matrix)
-    if n == 0:
-        return ops.one
-    if n == 1:
-        return matrix[0][0]
-    total = ops.zero
-    for j in range(n):
-        entry = matrix[0][j]
-        minor = [[matrix[i][k] for k in range(n) if k != j]
-                 for i in range(1, n)]
-        term = ops.mul(entry, determinant_expansion(minor, ops))
-        total = ops.add(total, term) if j % 2 == 0 else ops.sub(total, term)
-    return total
 
 
 def suite_trivial(seed=DEFAULT_SEED):
@@ -284,72 +263,6 @@ def suite_transform(seed=DEFAULT_SEED):
     return out
 
 
-def suite_charpoly(seed=DEFAULT_SEED):
-    """Berkowitz agrees with cofactor expansion; shift and trace laws."""
-    out = []
-    rng = random.Random(seed)
-    f = GF(1009)
-    ring = PolyRing(f, ("Z",))
-    pops = PolyOps(ring)
-    ok = True
-    for _ in range(CASES):
-        k = rng.randint(1, 4)
-        mat = [[f.random_element(rng) for _ in range(k)] for _ in range(k)]
-        via_b = berkowitz_charpoly(mat, f)
-        zm = [[(ring.monomial((1,)) if i == j else ring.zero()) -
-               ring.const(mat[i][j]) for j in range(k)] for i in range(k)]
-        det = determinant_expansion(zm, pops)
-        via_d = [det.coeff((e,)) for e in range(k + 1)]
-        if via_b != via_d:
-            ok = False
-            break
-    _check(out, f"Berkowitz equals cofactor expansion on {CASES} random matrices", ok)
-
-    a = algebra_from_presentation(parse_presentation("Q[x,y]/(xy, x^3+y^3)"))
-    n = a.dim
-    rng2 = random.Random(seed + 2)
-    ok_shift = True
-    ok_trace = True
-
-    def rand_vec():
-        coords = [rng2.randint(-4, 4) for _ in range(n)]
-        return {i: c for i, c in enumerate(coords) if c}
-
-    def value(coeffs, z):           # Horner's rule
-        acc = 0
-        for c in reversed(coeffs):
-            acc = acc * z + c
-        return acc
-
-    # P(Z) = Z^n - trace Z^(n-1) + ... + (-1)^n norm
-    def trace(coeffs):
-        return -coeffs[n - 1]
-
-    def norm(coeffs):
-        return coeffs[0] if n % 2 == 0 else -coeffs[0]
-
-    for _ in range(20):
-        u = rand_vec()
-        v = rand_vec()
-        r = rng2.randint(-4, 4)
-        pu = char_poly(a, u)
-        shifted = char_poly(a, vec_add_into(a.field, {0: r} if r else {}, u))
-        # P_{u+r}(Z) = P_u(Z - r): compare by evaluating at random points
-        for _ in range(4):
-            z = rng2.randint(-6, 6)
-            if value(shifted, z) != value(pu, z - r):
-                ok_shift = False
-        pv = char_poly(a, v)
-        p_sum = char_poly(a, vec_add_into(a.field, dict(u), v))
-        p_prod = char_poly(a, a.mult_vec(u, v))
-        if (trace(p_sum) != trace(pu) + trace(pv)
-                or norm(p_prod) != norm(pu) * norm(pv)):
-            ok_trace = False
-    _check(out, "characteristic polynomial shifts with constants", ok_shift)
-    _check(out, "first trace is additive and the norm is multiplicative", ok_trace)
-    return out
-
-
 def suite_family(seed=DEFAULT_SEED):
     """Two proved dimension families: the n^2 - 3 sequence and the
     square-zero case where the closure is the whole tensor power."""
@@ -371,35 +284,6 @@ def suite_family(seed=DEFAULT_SEED):
     dims = _closure_dims(b, 3)
     _check(out, "square-zero n=6: 2- and 3-closures fill the tensor powers",
            dims[2] == 36 and dims[3] == 216)
-    return out
-
-
-# Non-local inputs for the generator suite: étale, mixed, and over F2, F3.
-SHIFT_INPUTS = ("Q[x]/(x^3 - x - 1)", "Q[x,y]/(x^2 - x, y^2)",
-                "F2[x,y]/(x^2 + x, y^2)", "F3[x]/(x^3 - x - 1)")
-
-
-def suite_generators(seed=DEFAULT_SEED):
-    """Dividing P by (Z - gamma_s) and dividing P' by (Z - gamma'_s),
-    gamma' = gamma - X_1, leave the same slot remainders in the tensor
-    cube of A (square for n = 2), for the dimension-up-to-5 catalog and a
-    few non-local algebras: the shift identity behind the production
-    seed.  Both chains multiply along A's generator tree, as the stage loop
-    and the certificate do."""
-    out = []
-    algebras = [(entry.name, entry.algebra()) for entry in table1_entries()]
-    algebras += [(text, algebra_from_presentation(parse_presentation(text)))
-                 for text in SHIFT_INPUTS]
-    for name, a in algebras:
-        n = a.dim
-        full_seed = _generic_seed(a, unit_free=False)
-        slots = [[stride_multiplier(a, x, stride) for x in full_seed.elements]
-                 for stride in reversed([n ** s for s in range(min(n, 3))])]
-        full = list(slot_remainders(a, full_seed, slots))
-        shifted = list(slot_remainders(a, _generic_seed(a), slots))
-        _check(out, f"{name}: gamma and gamma - X1 leave the same slot remainders",
-               full == shifted,
-               f"{sum(map(len, full))} vs {sum(map(len, shifted))} remainder terms")
     return out
 
 
@@ -430,9 +314,7 @@ SUITES = {
     "etale": suite_etale,
     "naive": suite_naive,
     "transform": suite_transform,
-    "charpoly": suite_charpoly,
     "family": suite_family,
-    "generators": suite_generators,
     "primes": suite_primes,
 }
 

@@ -17,6 +17,9 @@ builds, down its chain of pairs and quotients, and `is_ring_morphism_pairwise`
 checks a map on every pair of basis elements.  The library multiplies in a
 closure only by map images (`AlgebraMap.operator`) and checks maps on
 generators; these are the oracle for both.
+
+`determinant_expansion` is the oracle for Berkowitz: a cofactor expansion
+that shares nothing with it.
 """
 
 from __future__ import annotations
@@ -192,6 +195,28 @@ def is_ring_morphism_pairwise(mp: AlgebraMap) -> bool:
         mult_vec(mp.target, mp.rows[i], mp.rows[j])
         == mp.apply_dict(basis_product(mp.source, i, j))
         for i in range(n) for j in range(i, n))
+
+
+# ---------------------------------------------------------------------------
+# cofactor determinant
+
+
+def determinant_expansion(matrix, ops):
+    """Cofactor expansion along the first row, over any `ops` with zero,
+    one, add, sub and mul."""
+    n = len(matrix)
+    if n == 0:
+        return ops.one
+    if n == 1:
+        return matrix[0][0]
+    total = ops.zero
+    for j in range(n):
+        entry = matrix[0][j]
+        minor = [[matrix[i][k] for k in range(n) if k != j]
+                 for i in range(1, n)]
+        term = ops.mul(entry, determinant_expansion(minor, ops))
+        total = ops.add(total, term) if j % 2 == 0 else ops.sub(total, term)
+    return total
 
 
 # ---------------------------------------------------------------------------

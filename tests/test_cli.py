@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import json
+import math
 import os
 import random
 import signal
@@ -715,6 +716,38 @@ def test_table_rows_once_match_per_m_records():
         assert code == 0
         assert _without_ms(records) == _without_ms(
             _per_m_records("table1.json", min_m=min_m, max_m=max_m))
+
+
+def test_every_table_dim_is_at_least_the_falling_factorial():
+    # every algebra of rank n <= 7 is smoothable (Cartwright, Erman,
+    # Velasco and Viray 2009), and the m-closure's rank is upper
+    # semicontinuous along a smoothing, whose generic fibre is étale with
+    # m-closure of rank n!/(n - m)!.  So no closure is smaller than that,
+    # one point or a tower gives exactly that, and m > n gives 0
+    checked, equal = 0, []
+    for manifest, max_m in TABLE_RUNS:
+        ranks = {e.name: e.algebra().dim for e in load_manifest(manifest)}
+        assert max(ranks.values()) <= 7
+        for exact in (False, True):
+            argv = ["--manifest", manifest] + (["--exact"] if exact else [])
+            _, records = _table_json(argv + (["--max-m", str(max_m)]
+                                             if max_m else []))
+            for r in records:
+                n, m = ranks[r["name"]], r["m"]
+                bound = math.perm(n, m)
+                assert r["dim"] >= bound if m <= n else r["dim"] == 0, r
+                if r["method"] in ("points", "tower"):
+                    assert r["dim"] == bound, r
+                if 2 <= m <= n and r["dim"] == bound:
+                    equal.append((r["name"], m))
+                checked += 1
+    assert checked == 2 * (82 + 100)
+    # the (x^k) rows, and the square-zero plane at m = 2, 3, in each mode
+    assert sorted(set(equal)) == sorted(
+        [("(x, y)^2", 2), ("(x, y)^2", 3)]
+        + [(f"(x^{k})", m) for k in (3, 4, 5) for m in range(2, k + 1)]
+        + [("(x^6)", 2), ("(x^6)", 3)])
+    assert len(equal) == 2 * len(set(equal))
 
 
 @pytest.mark.parametrize("row", ["(x^2, y^2)", "(x^4)"])

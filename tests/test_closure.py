@@ -13,7 +13,6 @@ import pytest
 
 from closurelab import closure as closure_module
 from closurelab import finalg as finalg_module
-from closurelab import verify as verify_module
 from closurelab.arith import GF, QQ, is_prime, next_prime
 from closurelab.catalog import table1_entries, table2_entries
 from closurelab.closure import (base_change_presentation,
@@ -42,6 +41,10 @@ from flat_oracle import (_xp_gamma_mult, flat_closure, ideal_subspace_dim,
 
 # the rows of Table 1 that one element generates
 TABLE1_MONOGENIC = ("(x^3)", "(x^4)", "(x^5)")
+
+# Non-local inputs for the shift identity: étale, mixed, and over F2, F3.
+SHIFT_INPUTS = ("Q[x]/(x^3 - x - 1)", "Q[x,y]/(x^2 - x, y^2)",
+                "F2[x,y]/(x^2 + x, y^2)", "F3[x]/(x^3 - x - 1)")
 
 
 def alg(text):
@@ -129,10 +132,10 @@ def _berkowitz_unit_free(monkeypatch, a):
 
 def test_unit_free_char_poly_of_a_local_algebra_is_z_to_the_n(monkeypatch):
     # every Table 1 and Table 2 input is local, so P' = Z^n comes without
-    # Berkowitz; the non-local inputs of the generators suite run it.  Over
-    # Q, a 30-bit GF(p) and GF(4), P' agrees with Berkowitz's
+    # Berkowitz; the non-local SHIFT_INPUTS run it.  Over Q, a 30-bit
+    # GF(p) and GF(4), P' agrees with Berkowitz's
     texts = [entry.presentation() for entry in table1_entries() + table2_entries()]
-    texts += [parse_presentation(t) for t in verify_module.SHIFT_INPUTS]
+    texts += [parse_presentation(t) for t in SHIFT_INPUTS]
     shortcuts = 0
     for pres in texts:
         fields = [pres.field]
@@ -148,6 +151,43 @@ def test_unit_free_char_poly_of_a_local_algebra_is_z_to_the_n(monkeypatch):
             assert free == _berkowitz_unit_free(monkeypatch, a)
             shortcuts += free[:-1] == [free[0].ring.zero()] * a.dim
     assert shortcuts == 3 * (len(table1_entries()) + len(table2_entries()))
+
+
+def _slot_remainders(fieldh, zcoeffs, times, slot_mults):
+    """The remainders of the chain of divisions of `zcoeffs` by
+    (Z - gamma_1), (Z - gamma_2), ..., where times(slot_mults[s]) multiplies
+    by gamma_s."""
+    rems = []
+    for mults in slot_mults:
+        zcoeffs, rem = closure_module._synthetic_divide(fieldh, zcoeffs,
+                                                        times(mults))
+        rems.append(rem)
+    return rems
+
+
+@pytest.mark.parametrize(
+    "pres", [entry.presentation() for entry in table1_entries()]
+    + [parse_presentation(text) for text in SHIFT_INPUTS], ids=str)
+def test_gamma_and_gamma_prime_leave_the_same_slot_remainders(pres):
+    # the shift identity behind the production seed: dividing P by the
+    # (Z - gamma_s) and P' by the (Z - gamma'_s), gamma' = gamma - X_1,
+    # leaves the same remainders in the tensor cube of A (square for
+    # n = 2).  The gamma chain is the flat oracle's, one operator per basis
+    # element; the gamma' chain is the seed's, along A's generator tree
+    a = algebra_from_presentation(pres)
+    one, n = a.field.one, a.dim
+    strides = [n ** s for s in reversed(range(min(n, 3)))]
+    full = _slot_remainders(
+        a.field, closure_module._lift_scalar_coeffs(generic_char_poly(a).coeffs),
+        lambda mults: functools.partial(_xp_gamma_mult, mults),
+        [[finalg_module.stride_multiplier(a, {i: one}, stride)
+          for i in range(n)] for stride in strides])
+    seed = closure_module._generic_seed(a)
+    shifted = _slot_remainders(
+        a.field, seed.coeffs, seed.times,
+        [[finalg_module.stride_multiplier(a, x, stride) for x in seed.elements]
+         for stride in strides])
+    assert full == shifted
 
 
 @pytest.mark.parametrize("text", ["Q[x,y]/(x^2 - x, y^2)", "Q[x]/(x^3 - x - 1)"])
@@ -1179,7 +1219,7 @@ def test_point_remainders_are_the_generic_ones_at_the_points(text):
     def remainders(seed):
         slots = [[finalg_module.stride_multiplier(a, x, stride)
                   for x in seed.elements] for stride in (n, 1)]
-        return list(closure_module.slot_remainders(a, seed, slots))
+        return _slot_remainders(fieldh, seed.coeffs, seed.times, slots)
 
     generic = remainders(closure_module._generic_seed(a))
     at_points = remainders(closure_module._point_seed(a, points))
@@ -1284,7 +1324,7 @@ def test_a_local_algebra_with_two_generators_skips_the_point_search(monkeypatch)
 
 
 @pytest.mark.parametrize("text", ["Q[x]/(x^3)", "Q[x]/(x^6)", "Q[x]/(x^8-x-1)",
-                                  *verify_module.SHIFT_INPUTS, NOT_MONOGENIC])
+                                  *SHIFT_INPUTS, NOT_MONOGENIC])
 def test_inputs_with_a_generating_point_still_find_it(monkeypatch, text):
     # a local A with one generator, fields and mixed products take the
     # point and the tower; a product with a two-generator factor does not
@@ -1630,10 +1670,10 @@ def test_the_stage_loop_builds_operators_by_tree_elements_only(monkeypatch, text
         assert len(on_a) == len(set(on_a)) == len(elements)
 
 
-def test_the_full_gamma_product_leaves_its_input_as_it_is():
-    # with first=0 the unit's product is the input coefficient itself; it
-    # must be copied before a later product is added into it.  The product
-    # is the flat oracle's, one operator per basis element
+def test_the_gamma_prime_product_leaves_its_input_as_it_is():
+    # each product lands in an operator's output, never in the input
+    # coefficient.  The product is the flat oracle's, one operator per
+    # basis element, with the unit's left out
     a = alg("Q[x,y]/(x^3, y^2, x^2*y)")
     one, n = a.field.one, a.dim
     tree = closure_module._generator_tree(a)
@@ -1642,13 +1682,11 @@ def test_the_full_gamma_product_leaves_its_input_as_it_is():
         [finalg_module.stride_multiplier(a, x, 1) for _, _, x in tree])
     xp = {(0, 1, 0, 0, 0): {0: one, 3: Fr(2)}, (1, 0, 0, 0, 0): {0: one}}
     before = copy.deepcopy(xp)
-    full = closure_module._xp_tree_mult(a.field, products, xp, first=0)
-    assert xp == before
-    assert full == _xp_gamma_mult(
-        [finalg_module.stride_multiplier(a, {i: one}, 1) for i in range(n)], xp)
-    assert full[1, 1, 0, 0, 0] == {0: one, 1: one, 3: Fr(2)}
     shifted = closure_module._xp_tree_mult(a.field, products, xp)
     assert xp == before and shifted[1, 1, 0, 0, 0] == {1: one}
+    assert shifted == _xp_gamma_mult(
+        [lambda vec, acc: acc] + [finalg_module.stride_multiplier(a, {i: one}, 1)
+                                  for i in range(1, n)], xp)
 
 
 def _with_a_fallback(fieldh):

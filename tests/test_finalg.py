@@ -18,10 +18,10 @@ from closurelab.finalg import (AlgebraMap, GenericKernel, LiftedMap, PolyOps,
                                kernel_for, mult_matrix, stride_multiplier,
                                vec_add_into)
 from closurelab.multipoly import PolyRing, parse_presentation
-from closurelab.verify import determinant_expansion
-from flat_oracle import (breadth_first_close, ideal_subspace_dim,
-                         is_local_nilpotent, is_ring_morphism_pairwise,
-                         multiplier, mult_vec, tensor_power)
+from flat_oracle import (breadth_first_close, determinant_expansion,
+                         ideal_subspace_dim, is_local_nilpotent,
+                         is_ring_morphism_pairwise, multiplier, mult_vec,
+                         tensor_power)
 
 
 def alg(text):
@@ -223,7 +223,10 @@ def test_cayley_hamilton():
 
 
 def test_char_poly_shift_and_trace_laws():
-    a = alg("Q[x,y]/(x^2, y^2)")
+    # (input, seed, trials, the points each shift is compared at)
+    cases = [("Q[x,y]/(x^2, y^2)", 1, 25, lambda rng: (0, 1, -2, 3)),
+             ("Q[x,y]/(xy, x^3+y^3)", 20260810, 20,
+              lambda rng: [rng.randint(-6, 6) for _ in range(4)])]
 
     def value(coeffs, z):                       # Horner's rule
         acc = 0
@@ -231,35 +234,40 @@ def test_char_poly_shift_and_trace_laws():
             acc = acc * z + c
         return acc
 
-    # P(Z) = Z^4 - trace Z^3 + ... + norm
-    rng = random.Random(1)
-    for _ in range(25):
-        u = sparse([Fr(rng.randint(-4, 4)) for _ in range(4)])
-        v = sparse([Fr(rng.randint(-4, 4)) for _ in range(4)])
-        r = Fr(rng.randint(-4, 4))
-        pu = char_poly(a, u)
-        shifted = char_poly(a, vec_add_into(a.field, {0: r} if r else {}, u))
-        for z in (Fr(0), Fr(1), Fr(-2), Fr(3)):
-            assert value(shifted, z) == value(pu, z - r)
-        u_plus_v = vec_add_into(a.field, dict(u), v)
-        assert -char_poly(a, u_plus_v)[3] == -pu[3] - char_poly(a, v)[3]
-        assert (char_poly(a, a.mult_vec(u, v))[0]
-                == pu[0] * char_poly(a, v)[0])
+    # P(Z) = Z^n - trace Z^(n-1) + ... + (-1)^n norm
+    for text, seed, trials, points in cases:
+        a = alg(text)
+        n = a.dim
+        rng = random.Random(seed)
+        for _ in range(trials):
+            u = sparse([Fr(rng.randint(-4, 4)) for _ in range(n)])
+            v = sparse([Fr(rng.randint(-4, 4)) for _ in range(n)])
+            r = Fr(rng.randint(-4, 4))
+            pu, pv = char_poly(a, u), char_poly(a, v)
+            shifted = char_poly(a, vec_add_into(a.field, {0: r} if r else {}, u))
+            for z in points(rng):
+                assert value(shifted, z) == value(pu, z - r)
+            u_plus_v = vec_add_into(a.field, dict(u), v)
+            assert char_poly(a, u_plus_v)[n - 1] == pu[n - 1] + pv[n - 1]
+            assert ((-1) ** n * char_poly(a, a.mult_vec(u, v))[0]
+                    == pu[0] * pv[0])
 
 
 def test_berkowitz_vs_cofactor_expansion():
-    rng = random.Random(99)
-    f = GF(7)
-    ring = PolyRing(f, ("Z",))
-    pops = PolyOps(ring)
-    for _ in range(200):
-        k = rng.randint(1, 4)
-        mat = [[f.random_element(rng) for _ in range(k)] for _ in range(k)]
-        via_b = berkowitz_charpoly(mat, f)
-        zm = [[(ring.monomial((1,)) if i == j else ring.zero()) -
-               ring.const(mat[i][j]) for j in range(k)] for i in range(k)]
-        det = determinant_expansion(zm, pops)
-        assert via_b == [det.coeff((e,)) for e in range(k + 1)]
+    # 200 random matrices of size 1..4 over each field
+    for p, seed in ((7, 99), (1009, 20260808)):
+        rng = random.Random(seed)
+        f = GF(p)
+        ring = PolyRing(f, ("Z",))
+        pops = PolyOps(ring)
+        for _ in range(200):
+            k = rng.randint(1, 4)
+            mat = [[f.random_element(rng) for _ in range(k)] for _ in range(k)]
+            via_b = berkowitz_charpoly(mat, f)
+            zm = [[(ring.monomial((1,)) if i == j else ring.zero()) -
+                   ring.const(mat[i][j]) for j in range(k)] for i in range(k)]
+            det = determinant_expansion(zm, pops)
+            assert via_b == [det.coeff((e,)) for e in range(k + 1)]
 
 
 # -- tensor powers

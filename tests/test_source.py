@@ -1,5 +1,7 @@
 """Every definition in the package is named somewhere: a function, method or
-class that loses its last caller fails here."""
+class that loses its last caller fails here.  And no module of the package
+imports another's private (underscore) name: what one module needs of
+another is its public API."""
 
 import ast
 import re
@@ -35,3 +37,16 @@ def test_every_definition_is_named_outside_its_own_line():
                 unnamed.append(f"{path.name}:{lineno} {name}")
     assert seen > 250, seen
     assert unnamed == []
+
+
+def test_no_module_imports_a_private_name_from_another():
+    private, relative = [], 0
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                relative += 1
+                private += [f"{path.name}:{node.lineno} {alias.name}"
+                            for alias in node.names
+                            if alias.name.startswith("_")]
+    assert relative > 10, relative
+    assert private == []
