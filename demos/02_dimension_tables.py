@@ -29,7 +29,7 @@ from closurelab import (algebra_from_presentation, algebra_product,
 
 a = algebra_from_presentation(parse_presentation("Q[x]/(x^3)"))
 k = algebra_from_presentation(parse_presentation("Q[x]/(x)"))
-prod, _, _ = algebra_product(a, k)
+prod = algebra_product(a, k)
 dims_a = [m_closure(a, m).dim for m in range(4)]
 dims_k = [m_closure(k, m).dim for m in range(4)]
 direct = m_closure(prod, 3).dim

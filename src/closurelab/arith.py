@@ -59,8 +59,8 @@ def next_prime(n: int) -> int:
 
 # ---------------------------------------------------------------------------
 # dense univariate arithmetic over GF(p): coefficient lists, lowest first.
-# It checks and searches moduli, and GF(p^k) = GF(p)[t]/(g) multiplies and
-# takes powers with it.
+# It searches moduli, and GF(p^k) = GF(p)[t]/(g) multiplies and takes
+# powers with it.
 
 
 def _digits(v, p, k):
@@ -178,11 +178,10 @@ class Field:
     """One of the supported exact fields, with arithmetic on raw scalar
     values: each concrete field provides add, sub, mul, neg, inv,
     from_int, random_element and format_scalar.  Build fields with QQ(),
-    GF() or field_from_order(), which return the same object for the same
-    arguments."""
+    GF() or field_from_order(), which return one object per field, so two
+    fields are equal when they are the same object."""
 
     kind: str            # "rationals" | "prime" | "extension"
-    key: tuple           # equal fields have equal keys
     char: int
     order: int | None    # None means infinite (the rationals)
 
@@ -192,12 +191,6 @@ class Field:
     def elements(self):
         """Iterate all field elements (finite fields only)."""
         raise UnsupportedField("field is not finite")
-
-    def __eq__(self, other):
-        return self is other or (isinstance(other, Field) and self.key == other.key)
-
-    def __hash__(self):
-        return hash(self.key)
 
     def __repr__(self):
         return f"Field({self})"
@@ -214,7 +207,6 @@ class RationalField(Field):
     kind = "rationals"
 
     def __init__(self):
-        self.key = (self.kind,)
         self.char = 0
         self.order = None
         self.zero = 0
@@ -254,7 +246,6 @@ class PrimeField(Field):
     kind = "prime"
 
     def __init__(self, p: int):
-        self.key = (self.kind, p)
         self.p = p
         self.char = p
         self.order = p
@@ -299,24 +290,17 @@ class ExtensionField(Field):
     """GF(p^k) with elements packed as integers in [0, p^k).
 
     Base-p digit i of an element is the coefficient of t^i.  Products and
-    powers are those of the digit polynomials mod the modulus; for small
-    orders the multiplication and inverse tables are precomputed.
+    powers are those of the digit polynomials mod `default_modulus(p, k)`;
+    for small orders the multiplication and inverse tables are precomputed.
     """
 
     kind = "extension"
     _TABLE_LIMIT = 256
 
-    def __init__(self, p: int, k: int, modulus):
-        modulus = tuple(int(c) % p for c in modulus)
-        if len(modulus) != k + 1 or modulus[-1] != 1:
-            raise ReducibleModulus(f"modulus must be monic of degree {k}")
-        if not is_irreducible(list(modulus), p):
-            raise ReducibleModulus(
-                f"modulus is reducible over GF({p})")
-        self.key = (self.kind, p, k, modulus)
+    def __init__(self, p: int, k: int):
         self.p = p
         self.k = k
-        self.modulus = modulus
+        self.modulus = default_modulus(p, k)
         self.char = p
         self.order = p ** k
         self.zero = 0
@@ -419,7 +403,7 @@ class ExtensionField(Field):
         return f"GF({self.p},{self.k})"
 
 
-_FIELDS: dict = {}     # constructor arguments -> Field
+_FIELDS: dict = {}     # "Q" or (p, k) -> Field
 
 
 def QQ() -> Field:
@@ -430,12 +414,11 @@ def QQ() -> Field:
     return field
 
 
-def GF(p: int, k: int = 1, modulus=None) -> Field:
+def GF(p: int, k: int = 1) -> Field:
     """GF(p^k).  For k >= 2 the elements are polynomials in t modulo
-    `modulus` (coefficients of 1, t, ..., t^k), by default
     `default_modulus(p, k)`.  The size checks come before the modulus
     search, which takes minutes at large k."""
-    key = (p, k, None if modulus is None or k == 1 else tuple(modulus))
+    key = (p, k)
     field = _FIELDS.get(key)
     if field is None:
         if not is_prime(p):
@@ -445,12 +428,7 @@ def GF(p: int, k: int = 1, modulus=None) -> Field:
         if k >= 61 or p ** k >= MAX_FIELD_SIZE:      # p^k >= 2^k
             size = p if k == 1 else f"{p}^{k}"
             raise UnsupportedField(f"field size {size} exceeds 2^61")
-        if k == 1:
-            field = PrimeField(p)
-        else:
-            field = ExtensionField(
-                p, k, default_modulus(p, k) if modulus is None else modulus)
-        _FIELDS[key] = field
+        field = _FIELDS[key] = PrimeField(p) if k == 1 else ExtensionField(p, k)
     return field
 
 

@@ -171,14 +171,19 @@ def cmd_table(args) -> int:
     except (FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: cannot load manifest: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    if args.rows:
+    if args.rows is not None:
         wanted = [r.strip() for r in args.rows.split(";") if r.strip()]
+        if not wanted:
+            raise ValueError(f"--rows {args.rows!r} names no row")
         known = {e.name for e in entries} | {str(i) for i in range(len(entries))}
         unknown = [r for r in wanted if r not in known]
         if unknown:
             raise ValueError(f"unknown rows: {'; '.join(unknown)}")
         entries = [e for i, e in enumerate(entries)
                    if e.name in wanted or str(i) in wanted]
+    if args.min_m is not None and args.max_m is not None \
+            and args.min_m > args.max_m:
+        raise ValueError(f"--min-m {args.min_m} exceeds --max-m {args.max_m}")
     tasks = []
     for entry in entries:
         ms = [m for m in sorted(entry.expected)

@@ -49,8 +49,8 @@ certificate reads the stored pair.
 
 Stage s of a run is the s-closure, so one presentation at rising m pays
 for each stage once.  `closure_from_presentation` keeps one entry (`_Entry`)
-for the last presentation: its key (text, field, exact flag and, in the
-modular mode, CLOSURELAB_PRIMES, which with the text decides the prime),
+for the last presentation: its key (text, exact flag and, in the modular
+mode, CLOSURELAB_PRIMES, which with the text decides the prime),
 the built algebra, its generating point and the staged run (`_Run`),
 general or point seeded.  A call on that key at an m no lower
 than the run's last stage resumes it, and so do `m_closure` and the
@@ -319,9 +319,10 @@ class ClosureResult:
         self.stored_closure = stored_closure
         self.stored_maps = stored_maps
         self.stages = stages
-        # "upper" when a staged dim (2 <= m <= n) of this run is a modular
-        # upper bound for the one over Q (`closure_from_presentation`)
-        self.staged_bound = "exact"
+        # "upper" when the dim is a modular upper bound for the one over Q
+        # (`closure_from_presentation`); dims 1, n, 0 at m = 0, 1, > n are
+        # exact
+        self.bound = "exact"
         # builds the canonical (closure, maps) when `closure` or `maps` is
         # first read, and they replace the stored pair (at m = n).  A tower
         # stores no pair: its build returns the result its point seeds,
@@ -375,11 +376,6 @@ class ClosureResult:
         return self.input_algebra.field
 
     @property
-    def bound(self) -> str:
-        """The staged bound; dims 1, n, 0 at m = 0, 1, > n are exact."""
-        return self.staged_bound if 2 <= self.m <= self.input_algebra.dim else "exact"
-
-    @property
     def strategy(self) -> str:
         """"staged" when the result has stage dims (a tower's are the
         falling factorials); "trivial" for m = 0, 1 or m > n."""
@@ -399,8 +395,6 @@ def _verify_maps(maps):
 
 def m_closure(a: StructureAlgebra, m: int) -> ClosureResult:
     """The m-closure of a finite-dimensional commutative algebra."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
     return _closure(a, m, "general", _generic_seed)
 
 
@@ -429,6 +423,8 @@ def _run_of(a, method, make_seed):
 def _closure(a, m, method, make_seed):
     """The m-closure seeded by `make_seed(a)`; `method` only names it in
     the result."""
+    if m < 0:
+        raise ValueError("m must be nonnegative")
     n = a.dim
     limit = _map_budget(n, m)
     if m == 0:
@@ -702,14 +698,13 @@ def naive_closure(a: StructureAlgebra, m: int) -> ClosureResult:
             "naive closure over an infinite field equals the true closure; "
             "compute it with m_closure instead")
     n = a.dim
-    if not (1 <= m <= n):
-        raise ValueError("need 1 <= m <= dim")
     q = fieldh.order
     if q ** (n - 1) > NAIVE_ENUM_LIMIT:
         raise BudgetExceeded(f"naive enumeration {q}^{n - 1} is too large")
-    # a generator: m = 1 builds no seed, so it enumerates nothing
+    # a generator: m = 0, 1 and m > n build no seed, so they enumerate
+    # nothing (the zero algebra, n = 0, has no other m)
     points = ({i: c for i, c in enumerate(tail, start=1) if c} for tail in
-              itertools.product(list(fieldh.elements()), repeat=n - 1))
+              itertools.product(list(fieldh.elements()), repeat=max(n - 1, 0)))
     return _closure(a, m, "naive", partial(_point_seed, points=points))
 
 
@@ -1035,7 +1030,7 @@ def closure_from_presentation(pres: AlgebraPresentation, m: int,
     global _last
     try:
         modular = pres.field.kind == "rationals" and not exact
-        key = (str(pres), pres.field, exact,
+        key = (str(pres), exact,
                os.environ.get("CLOSURELAB_PRIMES") if modular else None)
         entry = _last
         if (entry is None or entry.key != key
@@ -1066,8 +1061,8 @@ def closure_from_presentation(pres: AlgebraPresentation, m: int,
     except BaseException:
         _last = None
         raise
-    if modular:
-        result.staged_bound = "upper"
+    if modular and 2 <= m <= n:
+        result.bound = "upper"
     return result, mode
 
 

@@ -537,10 +537,6 @@ class TensorPairAlgebra(StructureAlgebra):
         self.n = right.dim
         self.dim = left.dim * right.dim
 
-    @property
-    def labels(self):
-        return [self.label(i) for i in range(self.dim)]
-
     def label(self, index: int):
         u, i = divmod(index, self.n)
         llabel = self.left.label(u)
@@ -700,9 +696,7 @@ def monomial_algebra(ring: PolyRing, basis, normal_form) -> TableAlgebra:
 
 
 def algebra_product(a: StructureAlgebra, b: StructureAlgebra):
-    """Direct product with componentwise multiplication.
-
-    Returns (product, projection_onto_a, projection_onto_b).  The basis is
+    """Direct product with componentwise multiplication.  The basis is
     (1,1), then the non-unit basis of A in the first slot, then the full
     basis of B in the second slot.
     """
@@ -748,10 +742,7 @@ def algebra_product(a: StructureAlgebra, b: StructureAlgebra):
                 table[(i, j)] = vec
     labels = [(0, 0)] + [(1, i) for i in range(1, na)] + \
         [(2, j) for j in range(nb)]
-    prod = TableAlgebra(field, labels, table)
-    proj_a = AlgebraMap(prod, a, [parts(k)[0] for k in range(dim)])
-    proj_b = AlgebraMap(prod, b, [parts(k)[1] for k in range(dim)])
-    return prod, proj_a, proj_b
+    return TableAlgebra(field, labels, table)
 
 
 DEFAULT_POWER_BUDGET = 20_000

@@ -111,9 +111,6 @@ class MultiPoly:
         return sorted(self.terms.items(), key=lambda kv: grevlex_key(kv[0]),
                       reverse=True)
 
-    def coeff(self, mono: Monomial):
-        return self.terms.get(tuple(mono), self.ring.field.zero)
-
     # -- arithmetic
 
     def _check(self, other):

@@ -105,7 +105,7 @@ def suite_product(seed=DEFAULT_SEED):
         for nb, b in factors[i:]:
             if a.dim + b.dim > 6:
                 continue
-            prod, _, _ = algebra_product(a, b)
+            prod = algebra_product(a, b)
             products[na, nb] = _closure_dims(prod, max_m)
             for m in range(2, max_m + 1):
                 direct = products[na, nb][m]
@@ -174,7 +174,7 @@ def suite_etale(seed=DEFAULT_SEED):
     k = algebra_from_presentation(parse_presentation("Q[x]/(x)"))
     power = k
     for n in range(2, 6):
-        power, _, _ = algebra_product(power, k)
+        power = algebra_product(power, k)
         dims = _closure_dims(power, n)
         for m in range(0, n + 1):
             expected = etale_closure_dim(n, m)

@@ -7,14 +7,13 @@ from closurelab import arith
 from closurelab.arith import (GF, QQ, default_modulus, field_from_order,
                               is_irreducible, is_prime, next_prime)
 from closurelab.errors import (DivisionByZero, NotPrime, ParseError,
-                               ReducibleModulus, UnknownVariable,
-                               UnsupportedField)
+                               UnknownVariable, UnsupportedField)
 from closurelab.multipoly import (PolyRing, parse_field, parse_poly,
                                   parse_presentation)
 
 
 def parse_scalar(field, text):
-    return parse_poly(text, PolyRing(field, ())).coeff(())
+    return parse_poly(text, PolyRing(field, ())).terms.get((), field.zero)
 
 
 def is_canonical_rational(x):
@@ -53,12 +52,6 @@ def test_gf4():
 def test_field_errors():
     with pytest.raises(NotPrime):
         GF(15)
-    with pytest.raises(ReducibleModulus):
-        GF(2, 2, (0, 0, 1))                       # t^2 is reducible
-    with pytest.raises(ReducibleModulus):
-        GF(3, 2, (2, 2, 2))                       # 2t^2 + 2t + 2 is not monic
-    with pytest.raises(ReducibleModulus):
-        GF(2, 2, (1, 1, 0))                       # 1 + t has degree 1
     with pytest.raises(UnsupportedField):
         field_from_order(12)
 
@@ -81,20 +74,13 @@ def test_field_checks_precede_the_modulus_search(monkeypatch):
         assert message in str(info.value), text
 
 
-def test_fields_are_cached_and_compare_by_key():
+def test_fields_are_cached_and_compare_by_identity():
+    # p and k fix the field, so each has one object, and equal is identical
     assert GF(7) is GF(7, 1) is field_from_order(7) and QQ() is QQ()
     assert parse_presentation("F7[x]/(x)").field is GF(7)
-    assert parse_field("F4") == GF(2, 2) != GF(2)
-    assert hash(parse_field("F4")) == hash(GF(2, 2))
+    assert parse_field("F4") is GF(2, 2) != GF(2)
     # str(field) is part of str(presentation), which the modular prime hashes
     assert [str(f) for f in (QQ(), GF(7), GF(2, 2))] == ["Q", "F7", "GF(2,2)"]
-    # a field with a given modulus is a separate object, equal to the
-    # default one when the moduli agree
-    explicit = GF(2, 2, (1, 1, 1))
-    assert explicit is not GF(2, 2) and explicit == GF(2, 2)
-    assert hash(explicit) == hash(GF(2, 2))
-    # at k = 1 a modulus means nothing and makes no second field
-    assert GF(7, 1, (3, 1)) is GF(7)
 
 
 def test_large_prime_fields_parse_exactly():
@@ -123,6 +109,13 @@ def test_fixed_moduli_and_search():
     assert default_modulus(3, 2) == (2, 2, 1)
     found = default_modulus(5, 2)
     assert is_irreducible(list(found), 5) and len(found) == 3
+    # the search checks what it returns; the fixed table, which no field
+    # checks, is checked here, and each field takes its default modulus
+    for (p, k), modulus in arith._FIXED_MODULI.items():
+        assert len(modulus) == k + 1 and modulus[-1] == 1, (p, k)
+        assert is_irreducible(list(modulus), p), (p, k)
+    for p, k in list(arith._FIXED_MODULI) + [(2, 2), (2, 3), (5, 2), (7, 3)]:
+        assert GF(p, k).modulus == default_modulus(p, k), (p, k)
 
 
 @pytest.mark.parametrize("field", [QQ(), GF(7), GF(2, 2), GF(3, 2), GF(101)])

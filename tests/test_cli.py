@@ -407,6 +407,11 @@ def test_close_naive_counterexample():
     code, out = run_cli(["close", "--algebra", "F2[x1,x2,x3,x4]/((x1,x2,x3,x4)^2)",
                          "--m", "3", "--method", "naive"])
     assert code == 0 and out == ["dim = 111"]
+    # m = 0 and m > n give K and 0, as plain `close` does
+    for m, dim in ((0, 1), (3, 0)):
+        for method in ([], ["--method", "naive"]):
+            assert run_cli(["close", "--algebra", "F2[x]/(x^2)", "--m", str(m)]
+                           + method) == (0, [f"dim = {dim}"])
 
 
 def test_table_bundled_manifest():
@@ -698,16 +703,43 @@ def _assert_call_times(records):
 TABLE_RUNS = (("table1.json", None), ("table2.json", 3))
 
 
-def test_table_rows_once_match_per_m_records():
+def _close_records(manifest, flags, max_m, skip):
+    """The `close --json` record of each (row, m) cell, less `skip`."""
+    records = []
+    for entry in load_manifest(manifest):
+        for m in sorted(entry.expected):
+            if max_m is None or m <= max_m:
+                text = (f"{entry.field}[{','.join(entry.vars)}]"
+                        f"/({', '.join(entry.relations)})")
+                code, out = run_cli(["close", "--algebra", text,
+                                     "--m", str(m), "--json"] + flags)
+                assert code == 0
+                record = json.loads(out[0])
+                records.append({k: v for k, v in record.items()
+                                if k not in skip})
+    return records
+
+
+def test_table_records_match_per_m_and_close_records(monkeypatch):
+    # each sweep runs once and meets two oracles: one closure_from_presentation
+    # call per cell, and the `close --json` record of its cell on every key
+    # but the name, the time and the expected dim.  The monogenic rows'
+    # m = 0, 1, 2 take the symbolic seed's exact dims and the one-point
+    # 2-closure
+    monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
+    skip = {"name", "ms", "expected", "match"}
     for manifest, max_m in TABLE_RUNS:
         for exact in (False, True):
-            per_m = _per_m_records(manifest, exact, max_m=max_m)
-            argv = ["--manifest", manifest] + (["--exact"] if exact else [])
+            flags = ["--exact"] if exact else []
+            per_m = _without_ms(_per_m_records(manifest, exact, max_m=max_m))
+            close = _close_records(manifest, flags, max_m, skip)
+            argv = ["--manifest", manifest] + flags
             argv += ["--max-m", str(max_m)] if max_m else []
             for jobs in ("1", "2"):
                 code, records = _table_json(argv + ["--jobs", jobs])
-                assert _without_ms(records) == _without_ms(per_m), \
-                    (manifest, exact, jobs)
+                assert _without_ms(records) == per_m, (manifest, exact, jobs)
+                assert [{k: v for k, v in r.items() if k not in skip}
+                        for r in records] == close, (manifest, exact, jobs)
                 _assert_call_times(records)
     # --min-m / --max-m pick the m
     for min_m, max_m in ((2, 3), (4, 5), (1, 1)):
@@ -716,6 +748,9 @@ def test_table_rows_once_match_per_m_records():
         assert code == 0
         assert _without_ms(records) == _without_ms(
             _per_m_records("table1.json", min_m=min_m, max_m=max_m))
+    _, x3 = _table_json(["--manifest", "table1.json", "--rows", "(x^3)"])
+    assert [r["method"] for r in x3] == ["general", "general", "points",
+                                         "tower"]
 
 
 def test_every_table_dim_is_at_least_the_falling_factorial():
@@ -762,37 +797,6 @@ def test_a_table_row_run_twice_reports_the_time_of_each_run(row):
     assert closure_module._last is not entry
     assert _without_ms(second) == _without_ms(first)
     _assert_call_times(first + second)
-
-
-def test_table_records_equal_the_close_records_of_their_cells(monkeypatch):
-    # a record is the `close --json` record of its cell, on every key but
-    # the name, the time and the expected dim; the monogenic rows' m = 0,
-    # 1, 2 take the symbolic seed's exact dims and the one-point 2-closure
-    monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
-    skip = {"name", "ms", "expected", "match"}
-    for manifest, max_m in TABLE_RUNS:
-        for flags in ([], ["--exact"]):
-            close = []
-            for entry in load_manifest(manifest):
-                for m in sorted(entry.expected):
-                    if max_m is None or m <= max_m:
-                        text = (f"{entry.field}[{','.join(entry.vars)}]"
-                                f"/({', '.join(entry.relations)})")
-                        code, out = run_cli(["close", "--algebra", text,
-                                             "--m", str(m), "--json"] + flags)
-                        assert code == 0
-                        record = json.loads(out[0])
-                        close.append({k: v for k, v in record.items()
-                                      if k not in skip})
-            argv = ["--manifest", manifest] + flags
-            argv += ["--max-m", str(max_m)] if max_m else []
-            for jobs in ("1", "2"):
-                code, records = _table_json(argv + ["--jobs", jobs])
-                assert [{k: v for k, v in r.items() if k not in skip}
-                        for r in records] == close, (manifest, flags, jobs)
-    _, x3 = _table_json(["--manifest", "table1.json", "--rows", "(x^3)"])
-    assert [r["method"] for r in x3] == ["general", "general", "points",
-                                         "tower"]
 
 
 def _count_runs(monkeypatch):
@@ -991,6 +995,14 @@ EXIT_MATRIX = [
     (["close", "--algebra", "Q[x]/(*x)", "--m", "1"], {}, None, 2),
     (["tower", "--f", "xx^2-2", "--m", "2"], {}, None, 0),
     (["tower", "--f", "xy^2-2", "--m", "2"], {}, None, 2),
+    (["table", "--manifest", "table1.json", "--rows", ";"], {}, None, 2),
+    (["table", "--manifest", "table1.json", "--rows", ""], {}, None, 2),
+    (["table", "--manifest", "table1.json", "--min-m", "3", "--max-m", "2"],
+     {}, None, 2),
+    (["close", "--algebra", "F2[x]/(x^2)", "--m", "0", "--method", "naive"],
+     {}, None, 0),
+    (["close", "--algebra", "F2[x]/(x^2)", "--m", "3", "--method", "naive"],
+     {}, None, 0),
 ]
 
 

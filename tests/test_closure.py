@@ -88,7 +88,7 @@ def test_generic_char_poly_trace():
 def test_generic_char_poly_specialization_oracle():
     rng = random.Random(20260808)
     k = alg("Q[x]/(x)")
-    kk, _, _ = algebra_product(k, k)
+    kk = algebra_product(k, k)
     for a in (alg("Q[x,y]/(xy, x^3 + y^3)"), kk, alg("Q[x,y]/(x^2, y^2)")):
         g = generic_char_poly(a)
         for _ in range(10):
@@ -243,7 +243,7 @@ def test_local_generators_match_general_schedule():
 
 def test_local_generators_require_local():
     k = alg("Q[x]/(x)")
-    kk, _, _ = algebra_product(k, k)
+    kk = algebra_product(k, k)
     with pytest.raises(ValueError, match="not local"):
         local_generators(kk, 2)
 
@@ -673,8 +673,16 @@ def test_naive_closure_counterexample():
 
 
 def test_naive_closure_m1_and_infinite_field():
-    a = alg("F2[x,y]/(x^2,y^2)")
-    assert naive_closure(a, 1).dim == a.dim
+    # m = 0, 1 and m > n give K, A and 0, as m_closure does, the zero
+    # algebra included; a negative m is rejected by every seed alike
+    for text in ("F2[x,y]/(x^2,y^2)", "F2[x]/(1)"):
+        a = alg(text)
+        for m in (0, 1, a.dim + 1):
+            assert naive_closure(a, m).dim == m_closure(a, m).dim, (text, m)
+    assert naive_closure(a, 0).dim == 1 and naive_closure(a, 1).dim == 0
+    for closure in (naive_closure, m_closure):
+        with pytest.raises(ValueError, match="m must be nonnegative"):
+            closure(alg("F2[x]/(x^2)"), -1)
     with pytest.raises(InfiniteFieldUnsupported):
         naive_closure(alg("Q[x]/(x^2)"), 2)
 
@@ -898,8 +906,8 @@ def test_etale_dims():
     assert etale_closure_dim(5, 0) == 1
     assert etale_closure_dim(4, 5) == 0
     k = alg("Q[x]/(x)")
-    kk, _, _ = algebra_product(k, k)
-    kkk, _, _ = algebra_product(kk, k)
+    kk = algebra_product(k, k)
+    kkk = algebra_product(kk, k)
     assert m_closure(kkk, 2).dim == 6
 
 
@@ -914,7 +922,7 @@ def test_product_formula():
     assert product_formula_dim(dims_a, dims_b, 3) == 24
     a = alg("Q[x]/(x^3)")
     k = alg("Q[x]/(x)")
-    prod, _, _ = algebra_product(a, k)
+    prod = algebra_product(a, k)
     assert m_closure(prod, 3).dim == 24
     with pytest.raises(LengthMismatch):
         product_formula_dim([1, 1], [1, 1, 0], 2)
