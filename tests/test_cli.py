@@ -720,26 +720,31 @@ def _close_records(manifest, flags, max_m, skip):
     return records
 
 
-def test_table_records_match_per_m_and_close_records(monkeypatch):
-    # each sweep runs once and meets two oracles: one closure_from_presentation
-    # call per cell, and the `close --json` record of its cell on every key
-    # but the name, the time and the expected dim.  The monogenic rows'
-    # m = 0, 1, 2 take the symbolic seed's exact dims and the one-point
-    # 2-closure
+@pytest.fixture(scope="module")
+def table_sweeps():
+    """Each `table --json` sweep of TABLE_RUNS, default and --exact, with
+    --jobs 1 and 2, run once for the tests that meet it with an oracle."""
+    sweeps = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("CLOSURELAB_PRIMES", raising=False)
+        for manifest, max_m in TABLE_RUNS:
+            for exact in (False, True):
+                argv = ["--manifest", manifest] + (["--exact"] if exact else [])
+                argv += ["--max-m", str(max_m)] if max_m else []
+                for jobs in ("1", "2"):
+                    sweeps[manifest, exact, jobs] = _table_json(
+                        argv + ["--jobs", jobs])[1]
+    return sweeps
+
+
+def test_table_rows_once_match_per_m_records(monkeypatch, table_sweeps):
     monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
-    skip = {"name", "ms", "expected", "match"}
     for manifest, max_m in TABLE_RUNS:
         for exact in (False, True):
-            flags = ["--exact"] if exact else []
             per_m = _without_ms(_per_m_records(manifest, exact, max_m=max_m))
-            close = _close_records(manifest, flags, max_m, skip)
-            argv = ["--manifest", manifest] + flags
-            argv += ["--max-m", str(max_m)] if max_m else []
             for jobs in ("1", "2"):
-                code, records = _table_json(argv + ["--jobs", jobs])
+                records = table_sweeps[manifest, exact, jobs]
                 assert _without_ms(records) == per_m, (manifest, exact, jobs)
-                assert [{k: v for k, v in r.items() if k not in skip}
-                        for r in records] == close, (manifest, exact, jobs)
                 _assert_call_times(records)
     # --min-m / --max-m pick the m
     for min_m, max_m in ((2, 3), (4, 5), (1, 1)):
@@ -748,6 +753,23 @@ def test_table_records_match_per_m_and_close_records(monkeypatch):
         assert code == 0
         assert _without_ms(records) == _without_ms(
             _per_m_records("table1.json", min_m=min_m, max_m=max_m))
+
+
+def test_table_records_equal_the_close_records_of_their_cells(monkeypatch,
+                                                              table_sweeps):
+    # a record is the `close --json` record of its cell, on every key but
+    # the name, the time and the expected dim; the monogenic rows' m = 0,
+    # 1, 2 take the symbolic seed's exact dims and the one-point 2-closure
+    monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
+    skip = {"name", "ms", "expected", "match"}
+    for manifest, max_m in TABLE_RUNS:
+        for exact in (False, True):
+            flags = ["--exact"] if exact else []
+            close = _close_records(manifest, flags, max_m, skip)
+            for jobs in ("1", "2"):
+                records = table_sweeps[manifest, exact, jobs]
+                assert [{k: v for k, v in r.items() if k not in skip}
+                        for r in records] == close, (manifest, exact, jobs)
     _, x3 = _table_json(["--manifest", "table1.json", "--rows", "(x^3)"])
     assert [r["method"] for r in x3] == ["general", "general", "points",
                                          "tower"]
