@@ -56,7 +56,8 @@ general or point seeded.  A call on that key at an m no lower
 than the run's last stage resumes it, and so do `m_closure` and the
 tower's build on the entry's algebra; any other call, or one that raises,
 drops the entry first.  Results at rising m of one presentation share
-their lower stages' closures and maps.
+their lower stages' closures and maps, and the certificate at m = n
+resumes the one at m = n - 1.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ import math
 import os
 import random
 import time
+import weakref
 from collections import namedtuple
 from functools import cached_property, partial
 
@@ -273,8 +275,8 @@ def _generic_seed(a: StructureAlgebra) -> _Seed:
     the remainders of P by the (Z - gamma_s) when every slot is unital
     (module docstring).  Its elements are the x of A's generator tree, and
     gamma'_s is applied as the products by the slot images of the e_i along
-    the tree (`_tree_products`), as in the certificate.  The seed rows are
-    the remainders' X-monomial coefficients."""
+    the tree (`_tree_products`).  The seed rows are the remainders'
+    X-monomial coefficients."""
     tree = _generator_tree(a)
     return _Seed(_lift_scalar_coeffs(generic_char_poly(a, unit_free=True).coeffs),
                  [x for _, _, x in tree],
@@ -486,9 +488,10 @@ def reconstructed_last_map(a: StructureAlgebra, closure: StructureAlgebra,
     return _TraceMap(a, closure, maps)
 
 
-def _last_map(pair: TensorPairAlgebra, maps, seeds) -> AlgebraMap:
+def _last_map(pair: TensorPairAlgebra, maps, seeds):
     """The slot-n map of the n-closure, given C = pair.left, the
-    (n-1)-closure carrying `maps`, and the slot-n seed rows in C x A.
+    (n-1)-closure carrying `maps`, and the slot-n seed rows in C x A; with
+    the products by its images along A's generator tree.
 
     Let last = reconstructed_last_map and phi: C x A -> C,
     c x a -> c * last(a).  phi is onto, as last(1) = 1, and its kernel is
@@ -515,10 +518,10 @@ def _last_map(pair: TensorPairAlgebra, maps, seeds) -> AlgebraMap:
                 times(parts[i], parts[j])
         if parts[0]:
             raise CertificateFailure("a slot-n seed lies outside the trace kernel")
-    return last
+    return last, partial(_tree_products, tree, ops)
 
 
-def _last_stage_span(pair: TensorPairAlgebra, maps, last: AlgebraMap, ident):
+def _last_stage_span(pair: TensorPairAlgebra, maps, times_last, ident):
     """The canonical n-closure (C x A)/ker phi and its maps (`_last_map`),
     built the first time a result's `closure` or `maps` is read, with its
     maps checked to be ring morphisms.  The rows e_(c,i) - (c * t_i) x 1 go
@@ -528,10 +531,7 @@ def _last_stage_span(pair: TensorPairAlgebra, maps, last: AlgebraMap, ident):
     n = pair.n
     one = fieldh.one
     minus_one = fieldh.neg(one)
-    tree = _generator_tree(pair.right)
-    ops = [last.operator(x, 1) for _, _, x in tree]
-    products = [_tree_products(tree, ops, {c: minus_one})
-                for c in range(pair.left.dim)]
+    products = [times_last({c: minus_one}) for c in range(pair.left.dim)]
     span = RowSpace(fieldh)
     for i in range(1, n):
         for c, times_t in enumerate(products):
@@ -607,12 +607,9 @@ class _Run:
         stages = tuple(stage if s >= built else stage._replace(seconds=0.0)
                        for s, stage in enumerate(self.stages[:m]))
         # a list of its own: the run builds its next stage from its own
-        result = ClosureResult(input_algebra=self.a, m=m, method=self.method,
-                               stored_closure=closure, stored_maps=list(maps),
-                               stages=stages)
-        if m == n:
-            result.build = self.build
-        return result
+        return ClosureResult(input_algebra=self.a, m=m, method=self.method,
+                             stored_closure=closure, stored_maps=list(maps),
+                             stages=stages, build=self.build if m == n else None)
 
     def _first(self):
         """Stage 1, A itself: the seed, whose slot-1 remainder in A is the
@@ -653,8 +650,9 @@ class _Run:
         rows = _rows_of(rem)
         generators = sum(1 for r in rows if r)
         if s == n:
-            last = _last_map(pair, maps, rows)
-            self.build = partial(_last_stage_span, pair, maps, last, self.ident)
+            last, times_last = _last_map(pair, maps, rows)
+            self.build = partial(_last_stage_span, pair, maps, times_last,
+                                 self.ident)
             return (current, maps + [last]), generators
         # the images of A's generators on the C digit and A's generators on
         # the new digit generate C x A.  The closed span does not depend on
@@ -821,41 +819,41 @@ def divides_check(result: ClosureResult) -> dict:
     demand a zero remainder at every slot.  By genericity this certifies the
     divisibility for every base change at once.
 
-    The divisions run on P'(Z) = P(Z + X_1) by the (Z - map_s(gamma')),
-    gamma' = gamma - X_1.  Each map_s is first checked to be unital: then
-    map_s(gamma) = X_1 + map_s(gamma'), and the substitution Z -> Z + X_1, a
-    ring automorphism of C[X_1..X_n][Z], sends P to P' and each
-    (Z - map_s(gamma)) to (Z - map_s(gamma')).  It carries every quotient of
-    one chain of divisions onto the other's and fixes the remainders, so the
-    remainders of both chains vanish together.
+    The chain is the generic seed's (`_generic_seed`): its products by the
+    map_s(e_i) along A's generator tree are those of C, associative, and
+    its remainders are P's, once each map is unital and takes the tree's
+    products of 1 to its rows, as checked.
 
-    The chain starts from the generic seed, as in the stage loop.
-    Multiplication by map_s(e_i) runs as map_s(g) times map_s(e_j)
-    for e_i = e_j g (`_generator_tree`), through the operators by the
-    images of A's generators, which the map checks built.  The closure is
-    associative, so that is the product by map_s(e_i) once the products of
-    1 along the tree are the rows of map_s, which is checked first."""
+    The last certified chain is kept, its closure and maps weakly; a call
+    on that closure and those first maps, in order, divides the slots after
+    them only: one at m = n after m = n - 1."""
+    global _chain
     if result.m == 0 or result.dim == 0:
         return {"certified": True, "mode": "vacuous"}
     a = result.input_algebra
-    maps = result._stored()[1]
-    for s, mp in enumerate(maps):
+    closure, maps = result._stored()
+    keys = [closure] + maps[:result.m]
+    refs, seed, zc = _chain or ((), None, None)
+    done = len(refs) - 1
+    if not 0 <= done < len(keys) or any(r() is not k for r, k in zip(refs, keys)):
+        done, seed = 0, _generic_seed(a)
+        zc = seed.coeffs
+    slot_times = [seed.times([mp.operator(x, 1) for x in seed.elements])
+                  for mp in keys[1:]]
+    for s, (mp, times) in enumerate(zip(maps, slot_times)):
         if not mp.is_unital():
             raise CertificateFailure(f"structural map {s + 1} is not unital")
-    tree = _generator_tree(a)
-    slot_ops = [[mp.operator(x, 1) for _, _, x in tree]
-                for mp in maps[:result.m]]
-    for s, (mp, ops) in enumerate(zip(maps, slot_ops)):
-        if _tree_products(tree, ops, mp.target.unit()) != mp.rows:
+        images = times({(0,) * a.dim: mp.target.unit()})
+        if {k.index(1): v for k, v in images.items()} != {
+                i: row for i, row in enumerate(mp.rows) if i and row}:
             raise CertificateFailure(
                 f"structural map {s + 1} does not multiply by its images")
-    seed = _generic_seed(a)
-    zc = seed.coeffs
-    for s, ops in enumerate(slot_ops):
-        zc, rem = _synthetic_divide(a.field, zc, seed.times(ops))
+    for s in range(done, len(slot_times)):
+        zc, rem = _synthetic_divide(a.field, zc, slot_times[s])
         if any(rem.values()):
             raise CertificateFailure(
                 f"slot {s + 1} remainder is nonzero in the closure")
+    _chain = [weakref.ref(key) for key in keys], seed, zc
     return {"certified": True, "mode": "recomputed"}
 
 
@@ -997,6 +995,7 @@ class _Entry:
 
 
 _last = None        # the last presentation's `_Entry`
+_chain = None       # the last certified chain (`divides_check`)
 
 
 def closure_from_presentation(pres: AlgebraPresentation, m: int,

@@ -27,13 +27,11 @@ from .multipoly import AlgebraPresentation, PolyRing, mono_mul, mono_str
 
 
 def vec_add_into(field, target, vec, c=None):
-    """target += c*vec, in place; c is nonzero."""
+    """target += c*vec, in place; c is nonzero, and 1 when None."""
     add = field.add
     mul = field.mul
-    if c is None:
-        c = field.one
     for k, v in vec.items():
-        w = mul(c, v)
+        w = v if c is None else mul(c, v)
         if k in target:
             s = add(target[k], w)
             if s:

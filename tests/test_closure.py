@@ -1,12 +1,14 @@
 import contextlib
 import copy
 import functools
+import gc
 import hashlib
 import io
 import itertools
 import math
 import random
 import time
+import weakref
 from fractions import Fraction as Fr
 
 import pytest
@@ -15,7 +17,7 @@ from closurelab import closure as closure_module
 from closurelab import finalg as finalg_module
 from closurelab.arith import GF, QQ, is_prime, next_prime
 from closurelab.catalog import table1_entries, table2_entries
-from closurelab.closure import (base_change_presentation,
+from closurelab.closure import (ClosureResult, base_change_presentation,
                                 closure_from_presentation, divides_check,
                                 etale_closure_dim, galois_factor_count,
                                 generic_char_poly, m_closure, modular_prime,
@@ -1929,6 +1931,76 @@ def test_results_at_rising_m_share_their_lower_stages(monkeypatch):
     four, _ = closure_from_presentation(pres, 4)
     assert four.input_algebra is two.input_algebra
     assert _outcome(four) == _outcome(_fresh(pres, 4, False)[0])
+
+
+def _certified(monkeypatch):
+    """divides_check that also returns how many slots it divided: a
+    tower's stages, which its first read builds, are built first."""
+    calls = []
+    real = closure_module._synthetic_divide
+    monkeypatch.setattr(closure_module, "_synthetic_divide",
+                        lambda *args: calls.append(1) or real(*args))
+
+    def certify(result):
+        result._stored()
+        calls.clear()
+        return divides_check(result), len(calls)
+
+    return certify
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["modular", "exact"])
+def test_ascending_certificates_resume_their_chain(monkeypatch, exact):
+    # certified after each call, as exact-q runs them: the certificate at
+    # m = n divides the trace map's slot only, after m = n - 1's chain, and
+    # each verdict is a fresh certificate's
+    monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
+    certify = _certified(monkeypatch)
+    methods = set()
+    for entry in table1_entries():
+        pres = entry.presentation()
+        n = max(entry.expected)
+        for m in range(n + 1):
+            result, _ = closure_from_presentation(pres, m, exact)
+            verdict, slots = certify(result)
+            kept, closure_module._chain = closure_module._chain, None
+            assert (verdict, slots) == (
+                divides_check(result), 1 if m == n else m), (entry.name, m)
+            closure_module._chain = kept
+        methods.add(result.method)
+    assert methods == {"general", "tower"}
+
+
+def test_a_certificate_resumes_only_its_own_closure_and_maps(monkeypatch):
+    monkeypatch.delenv("CLOSURELAB_PRIMES", raising=False)
+    certify = _certified(monkeypatch)
+    pres = parse_presentation("Q[x,y]/(x^2, y^2)")
+    recomputed = {"certified": True, "mode": "recomputed"}
+    below, _ = closure_from_presentation(pres, 3)
+    top, _ = closure_from_presentation(pres, 4)
+    assert certify(below) == (recomputed, 3)
+    assert certify(top) == (recomputed, 1)
+    # the very maps with another closure, the canonical quotient that
+    # reading `closure` at m = n builds, and then its own maps
+    stored = top.stored_maps
+    other = ClosureResult(top.input_algebra, 4, "general", top.closure, stored)
+    assert certify(other) == (recomputed, 4)
+    assert certify(top) == (recomputed, 4)
+    # a replaced map, on the closure of the kept chain
+    assert certify(below) == (recomputed, 3)
+    below.maps[1] = below.maps[0]
+    with pytest.raises(CertificateFailure,
+                       match="slot 3 remainder is nonzero in the closure"):
+        divides_check(below)
+
+
+def test_the_kept_chain_keeps_no_closure_alive():
+    result = m_closure(alg("Q[x,y]/(x^2, y^2)"), 3)
+    assert divides_check(result)["certified"] and closure_module._chain
+    refs = [weakref.ref(x) for x in [result.closure] + result.maps]
+    del result
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 4
 
 
 def _entry_after(pres, m, exact=False):
